@@ -1,7 +1,8 @@
 """Command-line surface: build, verify, rank, aut, sketch, manifest.
 
 Exit codes: 0 when every requested certificate passes, 2 when a certificate
-fails (including generator-search exhaustion), 1 for usage and input errors.
+fails (including generator-search exhaustion and a digest mismatch), 1 for
+usage and input errors.
 All output is deterministic plain text so runs can be diffed.
 
 The manifest written by ``build`` records sha256sum-compatible digest lines
@@ -137,15 +138,32 @@ def parse_manifest(text: str) -> tuple[BuildConfig, dict[str, str]]:
     return config, digests
 
 
-def read_matrix_file(path: Path) -> hadamard.PmMatrix:
+def read_manifest(path: Path) -> tuple[BuildConfig, dict[str, str]]:
     try:
-        data = path.read_bytes()
+        text = path.read_text("ascii")
     except OSError as exc:
         raise CliError(str(exc)) from None
+    except UnicodeDecodeError:
+        raise CliError(f"{path}: manifest is not ASCII text") from None
+    return parse_manifest(text)
+
+
+def read_bytes(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise CliError(str(exc)) from None
+
+
+def parse_matrix(path: Path, data: bytes) -> hadamard.PmMatrix:
     try:
         return hadamard.parse_matrix_text(data)
     except hadamard.MatrixFormatError as exc:
         raise CliError(f"{path}: {exc}") from None
+
+
+def read_matrix_file(path: Path) -> hadamard.PmMatrix:
+    return parse_matrix(path, read_bytes(path))
 
 
 def read_vector_file(path: Path) -> np.ndarray:
@@ -170,14 +188,6 @@ def write_vector_file(path: Path, values: np.ndarray) -> None:
                     encoding="ascii")
 
 
-def _rebuild_from_config(config: BuildConfig):
-    """Reconstruct tables, partition, blocks, and certificate from a manifest."""
-    fieldcfg = gf.FieldConfig(config.p, config.e, config.modulus, config.generator)
-    tables, partition, pair, cert = shdf.find_valid_generator(
-        fieldcfg, config.N, config.i0, config.i1)
-    return tables, partition, pair, cert
-
-
 def cmd_build(args) -> int:
     i0 = parse_index_set(args.i0)
     i1 = parse_index_set(args.i1)
@@ -188,7 +198,7 @@ def cmd_build(args) -> int:
     except shdf.GeneratorSearchError as exc:
         print(f"SHDF FAIL: {exc}")
         return EXIT_CERT_FAIL
-    except gf.FieldError as exc:
+    except ValueError as exc:  # a bad field config or class index
         raise CliError(str(exc)) from None
 
     h = hadamard.build_bordered_from_blocks(pair.group, pair.d0, pair.d1)
@@ -230,16 +240,15 @@ def cmd_verify(args) -> int:
         return EXIT_CERT_FAIL
 
     # shdf: recertify from the manifest's recorded configuration
+    config, _ = read_manifest(path)
     try:
-        config, _ = parse_manifest(path.read_text("ascii"))
-    except OSError as exc:
-        raise CliError(str(exc)) from None
-    try:
-        tables, _, _, _ = _rebuild_from_config(config)
+        tables, _, _, _ = shdf.find_valid_generator(
+            gf.FieldConfig(config.p, config.e, config.modulus, config.generator),
+            config.N, config.i0, config.i1)
     except shdf.GeneratorSearchError as exc:
         print(f"SHDF FAIL: {exc}")
         return EXIT_CERT_FAIL
-    except gf.FieldError as exc:
+    except ValueError as exc:
         raise CliError(str(exc)) from None
     print(f"SHDF PASS v={tables.q}")
     return EXIT_OK
@@ -248,32 +257,43 @@ def cmd_verify(args) -> int:
 def cmd_rank(args) -> int:
     h = read_matrix_file(Path(args.file))
     if args.tournament:
-        _, _, m01 = hadamard.normalize_core_tournament(h)
-        if args.field == 2:
-            report = ranks.rank_gf2(m01, label="tournament")
-        else:
-            report = ranks.rank_gfp(m01, args.field, label="tournament")
+        _, _, matrix = hadamard.normalize_core_tournament(h)
+        label = "tournament"
     else:
-        signs = h.signs()
-        if args.field == 2:
-            report = ranks.rank_gf2(signs % 2, label="hadamard")
-        else:
-            report = ranks.rank_gfp(signs, args.field, label="hadamard")
+        matrix, label = h.signs(), "hadamard"
+    if args.field == 2:
+        report = ranks.rank_gf2(matrix % 2, label=label)
+    else:
+        try:
+            report = ranks.rank_gfp(matrix, args.field, label=label)
+        except ValueError as exc:  # a field size that is not prime
+            raise CliError(str(exc)) from None
     print(report.line())
     return EXIT_OK
 
 
 def cmd_aut(args) -> int:
+    """Audit the matrix file the manifest names, once its digest matches."""
     path = Path(args.file)
+    config, digests = read_manifest(path)
     try:
-        config, _ = parse_manifest(path.read_text("ascii"))
-    except OSError as exc:
-        raise CliError(str(exc)) from None
-    try:
-        _, partition, pair, _ = _rebuild_from_config(config)
-    except (shdf.GeneratorSearchError, gf.FieldError) as exc:
+        _, partition, _, _ = shdf.find_valid_generator(
+            gf.FieldConfig(config.p, config.e, config.modulus, config.generator),
+            config.N, config.i0, config.i1)
+    except (shdf.GeneratorSearchError, ValueError) as exc:
         raise CliError(f"manifest config does not rebuild: {exc}") from None
-    h = hadamard.build_bordered_from_blocks(pair.group, pair.d0, pair.d1)
+    n = 2 * partition.tables.q + 2
+    matrix_name = f"matrix_{n}.txt"
+    if matrix_name not in digests:
+        raise CliError(f"{path}: no digest line for {matrix_name}")
+    matrix_path = path.parent / matrix_name
+    data = read_bytes(matrix_path)
+    if hashlib.sha256(data).hexdigest() != digests[matrix_name]:
+        print(f"MISMATCH {matrix_name}")
+        return EXIT_CERT_FAIL
+    h = parse_matrix(matrix_path, data)
+    if h.n != n:
+        raise CliError(f"{matrix_path}: order {h.n} does not match the manifest's {n}")
     report = autgroup.subgroup_audit(h, partition, samples=args.samples,
                                      exhaustive=args.exhaustive, seed=args.seed)
     sys.stdout.write(report.to_log())
@@ -309,11 +329,7 @@ def cmd_sketch(args) -> int:
 
 def cmd_manifest(args) -> int:
     root = Path(args.dir)
-    manifest_path = root / MANIFEST_NAME
-    try:
-        config, digests = parse_manifest(manifest_path.read_text("ascii"))
-    except OSError as exc:
-        raise CliError(str(exc)) from None
+    _, digests = read_manifest(root / MANIFEST_NAME)
     status = EXIT_OK
     for name, recorded in sorted(digests.items()):
         target = root / name
@@ -366,11 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="rank the derived 0/1 tournament core instead of the matrix")
     p_rank.set_defaults(func=cmd_rank)
 
-    p_aut = sub.add_parser("aut", help="verify the affine automorphism subgroup")
-    p_aut.add_argument("file", help="manifest file")
+    p_aut = sub.add_parser("aut", help="verify the affine automorphism subgroup "
+                                       "on the matrix file a manifest names")
+    p_aut.add_argument("file", help="manifest file; the matrix next to it must match its digest")
     p_aut.add_argument("--samples", type=int, default=100, help="closure sample size")
     p_aut.add_argument("--exhaustive", action="store_true",
-                       help="verify every subgroup element")
+                       help="certify every subgroup element (by generator closure)")
     p_aut.add_argument("--seed", type=int, default=0)
     p_aut.set_defaults(func=cmd_aut)
 

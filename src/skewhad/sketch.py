@@ -14,6 +14,7 @@ Wire format (little-endian, 8 + 3k bytes exactly):
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -68,6 +69,8 @@ class SketchPacket:
         if len(data) < _HEADER.size:
             raise PacketFormatError(f"packet of {len(data)} bytes is shorter than the header")
         scale, k, n_tag = _HEADER.unpack_from(data)
+        if not math.isfinite(scale):
+            raise PacketFormatError(f"scale {scale} is not finite")
         expected = _HEADER.size + 3 * k
         if len(data) != expected:
             raise PacketFormatError(f"packet is {len(data)} bytes, expected {expected} for k={k}")

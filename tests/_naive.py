@@ -115,3 +115,20 @@ def naive_developed(v, add, neg, members, kind):
                 row.append(s(add(i, j)))
         out.append(row)
     return out
+
+
+def naive_exhaustive_audit(h, partition):
+    """Dense check of every map x -> u*x + a, u in class 0, one at a time.
+
+    Returns ``(automorphisms, maps checked)``.
+    """
+    from skewhad.autgroup import AffineMap, induced_permutation, verify_automorphism
+
+    tables = partition.tables
+    ok = total = 0
+    for k in range(partition.f):
+        u = tables.pow_g(partition.N * k)
+        for a in range(tables.q):
+            total += 1
+            ok += verify_automorphism(h, induced_permutation(tables, AffineMap(u=u, a=a)))
+    return ok, total

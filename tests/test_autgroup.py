@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import skewhad as sh
+from skewhad import autgroup
 from skewhad.autgroup import AffineMap
+
+from _naive import naive_exhaustive_audit
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +140,74 @@ def test_multiplier_order():
     tables = sh.build_field(sh.FieldConfig(5, 4))
     u = int(tables.pow_g(16))
     assert tables.element_order(u) == 39  # (g^16)^39 = g^624 = 1
+
+
+# (p, e, N, i0, i1) of the order-8, 12, 24 and 56 instances
+SMALL_INSTANCES = [(3, 1, 2, [0], [0]), (5, 1, 4, [0, 1], [0, 2]),
+                   (11, 1, 2, [0], [0]), (3, 3, 2, [0], [0])]
+
+
+@pytest.mark.parametrize("p,e,N,i0,i1", SMALL_INSTANCES)
+def test_exhaustive_audit_matches_dense_oracle(p, e, N, i0, i1):
+    _, partition, pair, _ = sh.find_valid_generator(sh.FieldConfig(p, e), N, i0, i1)
+    h = sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1)
+    report = sh.subgroup_audit(h, partition, samples=0, exhaustive=True)
+    counts = (report.exhaustive_ok, report.exhaustive_checked)
+    assert counts == naive_exhaustive_audit(h, partition)
+    assert counts == (partition.f * partition.tables.q,) * 2
+
+
+@pytest.mark.parametrize("row,col", [(2, 2), (0, 5), (2, 5), (30, 40)])
+def test_exhaustive_audit_on_flipped_entry_matches_dense_oracle(desk_field, row, col):
+    # A flipped diagonal or border entry leaves the maps fixing that index as
+    # automorphisms; the generators that fail leave their share to the dense
+    # fallback, whose count must still be exact.
+    _, partition, _, h = desk_field
+    signs = h.signs().copy()
+    signs[row, col] = -signs[row, col]
+    broken = sh.PmMatrix.from_signs(signs)
+    report = sh.subgroup_audit(broken, partition, samples=0, exhaustive=True)
+    assert not all(ok for _, ok in report.generator_results)
+    assert not report.passed
+    ok, total = naive_exhaustive_audit(broken, partition)
+    assert (report.exhaustive_ok, report.exhaustive_checked) == (ok, total)
+    assert 0 < ok < total
+
+
+def test_affine_tables_give_the_induced_permutations(desk_field):
+    # The closure compares every map it reaches with the row these tables
+    # give it, so the rows must be exactly the induced maps.
+    tables, partition, pair, _ = desk_field
+    q, N = tables.q, partition.N
+    _, plus, scaled = autgroup._affine_tables(partition)
+    for k in range(partition.f):
+        for i in range(q):
+            m = AffineMap(u=tables.pow_g(N * k), a=pair.group.encoding_of(i))
+            sigma = sh.induced_permutation(tables, m)
+            assert np.array_equal(autgroup._bordered(plus[i * q + scaled[k]], q), sigma)
+
+
+def test_closure_outside_the_affine_maps_fails(desk_field):
+    # The Frobenius map x -> x^3 keeps the squares of GF(27), so it is an
+    # automorphism of this matrix, but it is not affine: a closure that
+    # reaches it must report that it left the affine maps.
+    tables, partition, _, h = desk_field
+    q, p = tables.q, tables.p
+    frobenius = np.zeros(q, dtype=np.int64)
+    frobenius[1:] = 1 + (p * np.arange(q - 1)) % (q - 1)
+    assert sh.verify_automorphism(h, autgroup._bordered(frobenius, q))
+    count, closed = autgroup._count_automorphisms(h, partition, [frobenius])
+    assert not closed
+    assert count == naive_exhaustive_audit(h, partition)[0]
+
+
+def test_block_action_rejects_other_shapes(desk_field):
+    tables, _, _, h = desk_field
+    sigma = np.arange(h.n)
+    sigma[[0, 1]] = sigma[[1, 0]]  # swaps the borders
+    with pytest.raises(AssertionError):
+        autgroup._block_action(sigma, tables.q)
+    sigma = np.arange(h.n)
+    sigma[[2, 3]] = sigma[[3, 2]]  # acts on the first block only
+    with pytest.raises(AssertionError):
+        autgroup._block_action(sigma, tables.q)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,23 @@ def test_aut_command(desk_build, capsys):
     assert out.strip().endswith("PASS order 3 = 1*3")
 
 
+def test_aut_audits_the_matrix_file_on_disk(desk_build, capsys):
+    matrix = desk_build / "matrix_8.txt"
+    data = bytearray(matrix.read_bytes())
+    pos = data.index(b"+", 2)
+    data[pos] = ord("-")
+    matrix.write_bytes(bytes(data))
+    code = main(["aut", str(desk_build / "manifest.txt"), "--exhaustive"])
+    assert code == 2
+    assert capsys.readouterr().out == "MISMATCH matrix_8.txt\n"
+
+    matrix.unlink()
+    code = main(["aut", str(desk_build / "manifest.txt")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_manifest_verification(desk_build, capsys):
     code = main(["manifest", str(desk_build)])
     out = capsys.readouterr().out
@@ -139,6 +158,23 @@ def test_build_bad_generator_exits_1(tmp_path, capsys):
     assert "not primitive" in capsys.readouterr().err
 
 
+def test_build_class_index_out_of_range_exits_1(tmp_path, capsys):
+    code = main(["build", "--p", "3", "--e", "1", "--N", "2",
+                 "--i0", "5", "--i1", "0", "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "out of range" in err[0]
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--tournament"]])
+def test_rank_non_prime_field_exits_1(desk_build, capsys, extra):
+    code = main(["rank", str(desk_build / "matrix_8.txt"), "--field", "4"] + extra)
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "not prime" in err[0]
+
+
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["build", "--p", "3"])
@@ -188,6 +224,19 @@ def test_sketch_cli_round_trip(desk_build, tmp_path, capsys):
     # k = n, so the only loss is 8-bit quantization
     scale = sh.SketchPacket.from_bytes(pkt.read_bytes()).scale
     assert np.max(np.abs(x - xr)) <= scale * np.sqrt(8) / 2 + 1e-12
+
+
+def test_sketch_cli_rejects_nan_scale_packet(desk_build, tmp_path, capsys):
+    good = sh.SketchPacket(scale=1.0, k=2, n_tag=8, indices=(1, 5),
+                           qvalues=(1, 2)).to_bytes()
+    pkt = tmp_path / "nan.bin"
+    pkt.write_bytes(struct.pack("<f", float("nan")) + good[4:])
+    out = tmp_path / "rec.txt"
+    code = main(["sketch", "decode", str(desk_build / "matrix_8.txt"), str(pkt),
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_sketch_cli_rejects_wrong_length_vector(desk_build, tmp_path, capsys):

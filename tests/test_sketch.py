@@ -133,6 +133,14 @@ def test_packet_parse_errors():
         sh.SketchPacket.from_bytes(bad_q)                       # -128 reserved
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf")])
+def test_packet_non_finite_scale_rejected(scale):
+    good = sh.SketchPacket(scale=1.0, k=2, n_tag=8, indices=(1, 5),
+                           qvalues=(1, 2)).to_bytes()
+    with pytest.raises(PacketFormatError, match="not finite"):
+        sh.SketchPacket.from_bytes(struct.pack("<f", scale) + good[4:])
+
+
 def test_decode_order_mismatch(matrix8, matrix12):
     packet = sh.encode(np.ones(8), matrix8, sh.SketchConfig(n=8, k=2))
     with pytest.raises(ValueError):
