@@ -15,12 +15,10 @@ from .shdf import (BlockPair, GeneratorSearchError, ShdfCertificate,
 from .hadamard import (Gate0Report, MatrixFormatError, PmMatrix,
                        assemble_bordered, build_bordered_from_blocks,
                        gate0_verify, gram_matrix, normalize_core_tournament,
-                       parse_matrix_text, reversal_conjugate, to_matrix_text,
-                       type1_matrix, type2_matrix)
+                       parse_matrix_text, to_matrix_text, type1_matrix)
 from .ranks import RankReport, rank_gf2, rank_gfp
-from .autgroup import (AffineMap, AuditReport, compose_affine,
-                       induced_permutation, make_affine, subgroup_audit,
-                       verify_automorphism)
+from .autgroup import (AffineMap, AuditReport, induced_permutation,
+                       make_affine, subgroup_audit, verify_automorphism)
 from .sketch import (PacketFormatError, SketchConfig, SketchPacket,
                      byte_accounting, decode, encode, granularity_gain,
                      inverse_transform, top_k_indices, transform)
@@ -37,11 +35,11 @@ __all__ = [
     "blocks_from_indices", "check_shdf", "check_skew", "find_valid_generator",
     "Gate0Report", "MatrixFormatError", "PmMatrix", "assemble_bordered",
     "build_bordered_from_blocks", "gate0_verify", "gram_matrix",
-    "normalize_core_tournament", "parse_matrix_text", "reversal_conjugate",
-    "to_matrix_text", "type1_matrix", "type2_matrix",
+    "normalize_core_tournament", "parse_matrix_text", "to_matrix_text",
+    "type1_matrix",
     "RankReport", "rank_gf2", "rank_gfp",
-    "AffineMap", "AuditReport", "compose_affine", "induced_permutation",
-    "make_affine", "subgroup_audit", "verify_automorphism",
+    "AffineMap", "AuditReport", "induced_permutation", "make_affine",
+    "subgroup_audit", "verify_automorphism",
     "PacketFormatError", "SketchConfig", "SketchPacket", "byte_accounting",
     "decode", "encode", "granularity_gain", "inverse_transform",
     "top_k_indices", "transform",

@@ -45,12 +45,6 @@ def make_affine(partition: CyclotomicPartition, u: int, a: int) -> AffineMap:
     return AffineMap(u=int(u), a=int(a))
 
 
-def compose_affine(tables: FieldTables, m1: AffineMap, m2: AffineMap) -> AffineMap:
-    """m1 after m2: x -> u1*(u2*x + a2) + a1."""
-    return AffineMap(u=tables.mul(m1.u, m2.u),
-                     a=tables.add(tables.mul(m1.u, m2.a), m1.a))
-
-
 def induced_permutation(tables: FieldTables, m: AffineMap) -> np.ndarray:
     """Permutation of the 2(q+1) bordered indices induced by the affine map.
 
@@ -116,7 +110,7 @@ def _affine_tables(partition: CyclotomicPartition):
     q, f, n_cls = tables.q, partition.f, partition.N
     group = _gf.additive_group(tables)
     minus = group.diff_index_table()
-    plus = minus[group.neg_perm()].ravel()
+    plus = group.sum_index_table().ravel()
     # Multiplying by g^(N*k) adds N*k to the discrete log, and block index
     # 1 + j holds g^j.
     scaled = np.zeros((f, q), dtype=np.int64)
@@ -219,7 +213,9 @@ def subgroup_audit(h: PmMatrix, partition: CyclotomicPartition, *,
 
     Checks one multiplier generator of order (q-1)/N and one translation
     generator of order p per basis coefficient, then a random closure sample
-    of composite maps (products of random subgroup elements).  With
+    of composite maps: each sample is the product ``s1[s2]`` of the
+    permutations two random subgroup elements induce, so the audit does no
+    field arithmetic beyond :func:`induced_permutation`.  With
     ``exhaustive`` set, every one of the ((q-1)/N) * q maps is certified,
     by the closure argument of :func:`_count_automorphisms`: the verdict and
     the count are the same as checking each map densely.
@@ -252,16 +248,17 @@ def subgroup_audit(h: PmMatrix, partition: CyclotomicPartition, *,
         all_ok &= check(f"translation basis {i}", make_affine(partition, 1, a))
 
     rng = np.random.default_rng(seed)
+
+    def random_element() -> np.ndarray:
+        u = int(tables.pow_g(n_cls * int(rng.integers(f))))
+        return induced_permutation(tables, AffineMap(u=u, a=int(rng.integers(q))))
+
     if samples > 0:
         ok_count = 0
         for _ in range(samples):
-            m1 = AffineMap(u=int(tables.pow_g(n_cls * int(rng.integers(f)))),
-                           a=int(rng.integers(q)))
-            m2 = AffineMap(u=int(tables.pow_g(n_cls * int(rng.integers(f)))),
-                           a=int(rng.integers(q)))
-            m = compose_affine(tables, m1, m2)
-            if verify_automorphism(h, induced_permutation(tables, m)):
-                ok_count += 1
+            s1 = random_element()
+            s2 = random_element()
+            ok_count += verify_automorphism(h, s1[s2])  # s1 after s2
         report.samples_checked = samples
         report.samples_ok = ok_count
         all_ok &= ok_count == samples

@@ -68,26 +68,6 @@ class FieldTables:
             return 0
         return int(self.antilog[(int(self.log[x]) + int(self.log[y])) % (self.q - 1)])
 
-    def add(self, x: int, y: int) -> int:
-        """Field addition of two encodings (coefficient-wise mod p)."""
-        out = 0
-        pw = 1
-        for _ in range(self.e):
-            out += ((x + y) % self.p) * pw
-            x //= self.p
-            y //= self.p
-            pw *= self.p
-        return out
-
-    def neg(self, x: int) -> int:
-        out = 0
-        pw = 1
-        for _ in range(self.e):
-            out += (-x % self.p) * pw
-            x //= self.p
-            pw *= self.p
-        return out
-
     def pow_g(self, k: int) -> int:
         """g^k as an encoding."""
         return int(self.antilog[k % (self.q - 1)])
@@ -132,21 +112,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
-
-
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors by trial division."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def encode_coeffs(coeffs, p: int) -> int:
@@ -224,15 +189,38 @@ def find_modulus(p: int, e: int) -> tuple[int, ...]:
     raise FieldError(f"no irreducible polynomial of degree {e} over GF({p})")  # pragma: no cover
 
 
+def _antilog_walk(g: int, modulus: tuple[int, ...], p: int, e: int) -> np.ndarray | None:
+    """The powers g^0, ..., g^(q-2) as encodings, or None when they return
+    to 1 before step q - 1, i.e. when g is not primitive."""
+    q = p**e
+    one = (1,) + (0,) * (e - 1)
+    x = decode_encoding(g, p, e)
+    antilog = np.empty(q - 1, dtype=np.int64)
+    cur = one
+    for k in range(q - 1):
+        if k and cur == one:
+            return None
+        antilog[k] = encode_coeffs(cur, p)
+        cur = _poly_mul(cur, x, modulus, p)
+    if cur != one:  # pragma: no cover - g^(q-1) = 1 in every field
+        raise FieldError("generator order verification failed")
+    return antilog
+
+
 def build_field(config: FieldConfig) -> FieldTables:
     """Construct log/antilog tables for GF(p^e).
 
     Auto selections are deterministic: the modulus is the lexicographically
     smallest monic irreducible (by coefficient encoding) and the generator is
-    the smallest-encoded element of full multiplicative order q - 1.
+    the smallest-encoded element of full multiplicative order q - 1.  The
+    candidates are walked in encoding order, each until its powers return to
+    1; the first walk that lasts q - 1 steps is the smallest primitive
+    element, and it is the antilog table.  A supplied generator is then
+    taken through :func:`tables_for_generator`, which tests it by
+    ``gcd(log, q - 1) == 1``.
 
     Raises FieldError for a composite p, a reducible modulus, or a supplied
-    generator that is not primitive.
+    generator that is out of range or not primitive.
     """
     p, e = config.p, config.e
     if not is_prime(p):
@@ -252,55 +240,21 @@ def build_field(config: FieldConfig) -> FieldTables:
         if not is_irreducible(modulus, p):
             raise FieldError(f"modulus {modulus} is reducible over GF({p})")
 
-    factors = prime_factors(q - 1) if q > 2 else []
-
-    def multiplicative_order_is_full(enc: int) -> bool:
-        x = decode_encoding(enc, p, e)
-        one = (1,) + (0,) * (e - 1)
-        # x^(q-1) must be 1 and x^((q-1)/r) != 1 for every prime r | q-1
-        def pw(base, k):
-            acc = one
-            b = base
-            while k:
-                if k & 1:
-                    acc = _poly_mul(acc, b, modulus, p)
-                b = _poly_mul(b, b, modulus, p)
-                k >>= 1
-            return acc
-
-        if pw(x, q - 1) != one:
-            return False
-        return all(pw(x, (q - 1) // r) != one for r in factors)
-
-    if config.generator is None:
-        generator = None
-        for enc in range(1, q):
-            if multiplicative_order_is_full(enc):
-                generator = enc
-                break
-        if generator is None:  # pragma: no cover
-            raise FieldError("no primitive element found; modulus is not irreducible")
-    else:
-        generator = int(config.generator)
-        if not 0 < generator < q:
-            raise FieldError(f"generator encoding {generator} out of range")
-        if not multiplicative_order_is_full(generator):
-            raise FieldError(f"generator encoding {generator} is not primitive in GF({q})")
-
-    g = decode_encoding(generator, p, e)
-    antilog = np.zeros(q - 1, dtype=np.int64)
-    cur = (1,) + (0,) * (e - 1)
-    for k in range(q - 1):
-        antilog[k] = encode_coeffs(cur, p)
-        cur = _poly_mul(cur, g, modulus, p)
-    if cur != (1,) + (0,) * (e - 1):  # pragma: no cover
-        raise FieldError("generator order verification failed")
+    for generator in range(1, q):
+        antilog = _antilog_walk(generator, modulus, p, e)
+        if antilog is not None:
+            break
+    else:  # pragma: no cover
+        raise FieldError("no primitive element found; modulus is not irreducible")
     log = -np.ones(q, dtype=np.int64)
     log[antilog] = np.arange(q - 1)
     if int(np.count_nonzero(log >= 0)) != q - 1:  # pragma: no cover
         raise FieldError("antilog table is not a bijection onto the nonzero elements")
-    return FieldTables(p=p, e=e, q=q, modulus=modulus, generator=generator,
-                       antilog=antilog, log=log)
+    tables = FieldTables(p=p, e=e, q=q, modulus=modulus, generator=generator,
+                         antilog=antilog, log=log)
+    if config.generator is None:
+        return tables
+    return tables_for_generator(tables, int(config.generator))
 
 
 def tables_for_generator(base: FieldTables, generator: int) -> FieldTables:
@@ -308,10 +262,13 @@ def tables_for_generator(base: FieldTables, generator: int) -> FieldTables:
 
     Equivalent to rebuilding by successive multiplication: if g0 is the base
     generator and generator = g0^t, then the new antilog at k is
-    ``base.antilog[(t*k) mod (q-1)]``.
+    ``base.antilog[(t*k) mod (q-1)]``.  Raises FieldError for an encoding
+    outside ``0 < generator < q`` or one that is not primitive.
     """
+    if not 0 < generator < base.q:
+        raise FieldError(f"generator encoding {generator} out of range")
     t = int(base.log[generator])
-    if t < 0 or gcd(t, base.q - 1) != 1:
+    if gcd(t, base.q - 1) != 1:
         raise FieldError(f"generator encoding {generator} is not primitive in GF({base.q})")
     idx = (np.arange(base.q - 1, dtype=np.int64) * t) % (base.q - 1)
     antilog = base.antilog[idx]

@@ -68,7 +68,6 @@ class GroupSpec:
         elif kind != CYCLIC:
             raise ValueError(f"unknown group kind {kind!r}")
         self._diff_table: np.ndarray | None = None
-        self._sum_table: np.ndarray | None = None
 
     @classmethod
     def cyclic(cls, n: int) -> "GroupSpec":
@@ -171,18 +170,12 @@ class GroupSpec:
         return self._diff_table
 
     def sum_index_table(self) -> np.ndarray:
-        """Table T with T[i, j] = index of g_i + g_j.  Cached."""
-        if self._sum_table is None:
-            self._dense_guard()
-            if self.kind == CYCLIC:
-                idx = np.arange(self.order, dtype=np.int64)
-                t = (idx[:, None] + idx[None, :]) % self.order
-            else:
-                d = (self._digits[:, None, :] + self._digits[None, :, :]) % self.p
-                t = self._idx_of_enc[d @ self._pow_p]
-            t.setflags(write=False)
-            self._sum_table = t
-        return self._sum_table
+        """Table T with T[i, j] = index of g_i + g_j.
+
+        Read off the difference table, since g_i + g_j = g_j - (-g_i):
+        T is the difference table with its rows permuted by negation.
+        """
+        return self.diff_index_table()[self.neg_perm()]
 
 
 def subset_from_indices(spec: GroupSpec, members) -> np.ndarray:

@@ -11,6 +11,7 @@ of n characters, '+' for +1 and '-' for -1, LF endings, nothing else.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from .groups import GroupSpec, indicator_signs
 
 _WORD = 64
+_ORDER_HEADER = re.compile(rb"[1-9][0-9]*")
 
 if hasattr(np, "bitwise_count"):
     def _popcount(a: np.ndarray) -> np.ndarray:
@@ -54,6 +56,7 @@ class PmMatrix:
         self.words = words
         self.words.setflags(write=False)
         self._signs: np.ndarray | None = None
+        self._float_signs: np.ndarray | None = None
 
     @classmethod
     def from_signs(cls, signs: np.ndarray) -> "PmMatrix":
@@ -81,6 +84,16 @@ class PmMatrix:
             s.setflags(write=False)
             self._signs = s
         return self._signs
+
+    def float_signs(self) -> np.ndarray:
+        """Dense float64 copy of the entries (cached), for floating-point
+        products; converting on every product would cost more than the
+        product itself."""
+        if self._float_signs is None:
+            f = self.signs().astype(np.float64)
+            f.setflags(write=False)
+            self._float_signs = f
+        return self._float_signs
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PmMatrix):
@@ -128,26 +141,6 @@ def type1_matrix(spec: GroupSpec, d: np.ndarray) -> PmMatrix:
     return PmMatrix.from_signs(s[spec.diff_index_table()])
 
 
-def type2_matrix(spec: GroupSpec, d: np.ndarray) -> PmMatrix:
-    """Sum-developed matrix M[i, j] = s_D(g_i + g_j); symmetric by construction."""
-    s = indicator_signs(d)
-    return PmMatrix.from_signs(s[spec.sum_index_table()])
-
-
-def reversal_conjugate(spec: GroupSpec, m: PmMatrix) -> PmMatrix:
-    """Multiply on the right by the reversal permutation pairing x with -x.
-
-    Applied to a sum-developed matrix for D this yields the
-    difference-developed form C[i, j] = s_D(g_i - g_j), which commutes with
-    other difference-developed matrices over the same group and preserves the
-    Gram matrix (the reversal is orthogonal and an involution).
-    """
-    if m.n != spec.order:
-        raise ValueError(f"matrix order {m.n} != group order {spec.order}")
-    perm = spec.neg_perm()
-    return PmMatrix.from_signs(m.signs()[:, perm])
-
-
 def assemble_bordered(a: PmMatrix, c: PmMatrix) -> PmMatrix:
     """Bordered array of order 2(v + 1) from two developed blocks of order v.
 
@@ -189,11 +182,15 @@ def assemble_bordered(a: PmMatrix, c: PmMatrix) -> PmMatrix:
 
 
 def build_bordered_from_blocks(spec: GroupSpec, d0: np.ndarray, d1: np.ndarray) -> PmMatrix:
-    """Full development pipeline: type-1 A from D0, type-2 B from D1,
-    reversal-conjugate to C, then the bordered assembly."""
+    """Full development pipeline: the blocks A[i, j] = s_D0(g_j - g_i) and
+    C[i, j] = s_D1(g_i - g_j), both read from the group's difference table,
+    then the bordered assembly.
+
+    C is difference-developed too, so it commutes with A; it is the
+    transposed type-1 development of D1.
+    """
     a = type1_matrix(spec, d0)
-    b = type2_matrix(spec, d1)
-    c = reversal_conjugate(spec, b)
+    c = PmMatrix.from_signs(indicator_signs(d1)[spec.diff_index_table().T])
     return assemble_bordered(a, c)
 
 
@@ -266,19 +263,18 @@ def parse_matrix_text(data: bytes) -> PmMatrix:
     """Parse the text interchange format, rejecting any stray byte.
 
     Raises MatrixFormatError with a 1-based line (and column, where it
-    applies) on any deviation: bad header, wrong line count or length, or a
-    character other than '+' and '-'.
+    applies) on any deviation: a header other than the canonical decimal
+    order (``[1-9][0-9]*``, as :func:`to_matrix_text` writes it), wrong line
+    count or length, or a character other than '+' and '-'.  So every
+    accepted input is exactly ``to_matrix_text`` of the parsed matrix.
     """
     if not data.endswith(b"\n"):
         nlines = data.count(b"\n") + 1
         raise MatrixFormatError("missing trailing newline", line=max(nlines, 1))
     body = data[:-1].split(b"\n")
-    try:
-        n = int(body[0].decode("ascii"))
-    except (UnicodeDecodeError, ValueError):
-        raise MatrixFormatError("header is not a decimal order", line=1) from None
-    if n <= 0:
-        raise MatrixFormatError(f"order must be positive, got {n}", line=1)
+    if not _ORDER_HEADER.fullmatch(body[0]):
+        raise MatrixFormatError("header is not a positive decimal order", line=1)
+    n = int(body[0])
     if len(body) != n + 1:
         raise MatrixFormatError(
             f"expected {n} matrix rows, found {len(body) - 1}", line=len(body))

@@ -72,6 +72,15 @@ class ShdfCertificate:
         return "\n".join(lines) + "\n"
 
 
+def _class_set(indices, N: int) -> frozenset[int]:
+    """The class indices as a set; raises ValueError for one outside [0, N)."""
+    out = frozenset(int(i) for i in indices)
+    for i in out:
+        if not 0 <= i < N:
+            raise ValueError(f"class index {i} out of range [0, {N})")
+    return out
+
+
 def blocks_from_indices(partition: gf.CyclotomicPartition, i0, i1) -> BlockPair:
     """Union the classes named by i0 and i1 into membership masks.
 
@@ -79,12 +88,7 @@ def blocks_from_indices(partition: gf.CyclotomicPartition, i0, i1) -> BlockPair:
     lies in class k mod N, so the masks are index-computable.
     """
     N = partition.N
-    i0 = frozenset(int(i) for i in i0)
-    i1 = frozenset(int(i) for i in i1)
-    for s in (i0, i1):
-        for i in s:
-            if not 0 <= i < N:
-                raise ValueError(f"class index {i} out of range [0, {N})")
+    i0, i1 = _class_set(i0, N), _class_set(i1, N)
     group = gf.additive_group(partition.tables)
     k = np.arange(partition.tables.q - 1, dtype=np.int64) % N
     d0 = np.concatenate([[False], np.isin(k, sorted(i0))])
@@ -130,30 +134,50 @@ def check_shdf(spec: GroupSpec, pair: BlockPair) -> ShdfCertificate:
                            sums=sums, passed=passed, reason="" if passed else reason)
 
 
+def _infeasibility(tables: gf.FieldTables, N: int, i0: frozenset[int],
+                   i1: frozenset[int]) -> str:
+    """Why no choice of generator can certify the index sets, or "".
+
+    Relabeling by another primitive element permutes the classes but keeps
+    the class of -1 at (q-1)/2 mod N, since -1 = g^((q-1)/2) for every
+    primitive g.  So a skew D0 needs N/2 classes, none of them the negative
+    of another, and |D1| = (q-1)/2 needs N/2 classes, whatever g is.
+    """
+    if 2 * len(i0) != N:
+        return f"a skew D0 needs N/2 = {N / 2:g} classes, i0 has {len(i0)}"
+    shift = gf.negation_class_shift(tables, N)
+    if i0 & {(i + shift) % N for i in i0}:
+        return f"i0 meets i0 + {shift} (mod {N}), the classes of -D0, so D0 cannot be skew"
+    if 2 * len(i1) != N:
+        return f"|D1| = (q-1)/2 needs N/2 = {N / 2:g} classes, i1 has {len(i1)}"
+    return ""
+
+
 def find_valid_generator(fieldcfg: gf.FieldConfig, N: int, i0, i1):
     """First primitive element (by canonical encoding) whose class labeling
     makes the given index sets pass certification.
 
     Returns ``(tables, partition, pair, certificate)`` for the winner.  When
-    the config pins a generator, only that candidate is tried.  Raises
-    GeneratorSearchError after exhausting all candidates; the exception
-    carries how many were tried.
+    the config pins a generator, only that candidate is tried.  The class
+    indices are range-checked first (ValueError); then the conditions that
+    do not depend on the generator are decided once, and a config that
+    fails them raises GeneratorSearchError with ``candidates_tried == 0``
+    before any search.  Otherwise GeneratorSearchError follows exhausting
+    all candidates and carries how many were tried.
     """
-    base = gf.build_field(gf.FieldConfig(fieldcfg.p, fieldcfg.e, fieldcfg.modulus, None))
+    base = gf.build_field(fieldcfg)
     q = base.q
     if N < 1 or (q - 1) % N != 0:
         raise gf.FieldError(f"N = {N} does not divide q - 1 = {q - 1}")
+    i0, i1 = _class_set(i0, N), _class_set(i1, N)
+    reason = _infeasibility(base, N, i0, i1)
+    if reason:
+        raise GeneratorSearchError(reason, candidates_tried=0)
 
-    if fieldcfg.generator is not None:
-        candidates = [int(fieldcfg.generator)]
-        if not 0 < candidates[0] < q or gcd(int(base.log[candidates[0]]), q - 1) != 1:
-            raise gf.FieldError(
-                f"generator encoding {candidates[0]} is not primitive in GF({q})")
+    if fieldcfg.generator is None:
+        candidates = [x for x in range(1, q) if gcd(int(base.log[x]), q - 1) == 1]
     else:
-        encs = np.arange(q)
-        logs = base.log
-        candidates = [int(x) for x in encs[1:]
-                      if gcd(int(logs[x]), q - 1) == 1]
+        candidates = [base.generator]
 
     tried = 0
     for enc in candidates:

@@ -96,7 +96,7 @@ def transform(x: np.ndarray, h: PmMatrix) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (h.n,):
         raise ValueError(f"vector shape {x.shape} does not match order {h.n}")
-    return (h.signs() @ x) / np.sqrt(h.n)
+    return (h.float_signs() @ x) / np.sqrt(h.n)
 
 
 def inverse_transform(y: np.ndarray, h: PmMatrix) -> np.ndarray:
@@ -104,7 +104,7 @@ def inverse_transform(y: np.ndarray, h: PmMatrix) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (h.n,):
         raise ValueError(f"vector shape {y.shape} does not match order {h.n}")
-    return (h.signs().T @ y) / np.sqrt(h.n)
+    return (h.float_signs().T @ y) / np.sqrt(h.n)
 
 
 def top_k_indices(y: np.ndarray, k: int) -> np.ndarray:

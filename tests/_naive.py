@@ -117,6 +117,85 @@ def naive_developed(v, add, neg, members, kind):
     return out
 
 
+def naive_reversed_type2(v, add, neg, members):
+    """The type-2 (sum) development with its columns reversed by x <-> -x.
+
+    Entry [i, j] is s_D(g_i + (-g_j)) = s_D(g_i - g_j): the C block of the
+    bordered assembly, built the long way round.
+    """
+    sum_developed = naive_developed(v, add, neg, members, "type2")
+    return [[row[neg(j)] for j in range(v)] for row in sum_developed]
+
+
+def naive_prime_factors(n):
+    """Distinct prime factors by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _poly_mulmod(a, b, modulus, p):
+    """Schoolbook product of two coefficient lists (low first), reduced by
+    the monic modulus."""
+    e = len(modulus) - 1
+    res = [0] * (2 * e - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            res[i + j] = (res[i + j] + ai * bj) % p
+    for d in range(2 * e - 2, e - 1, -1):
+        c, res[d] = res[d], 0
+        for i in range(e):
+            res[d - e + i] = (res[d - e + i] - c * modulus[i]) % p
+    return res[:e]
+
+
+def naive_is_primitive(enc, p, e, modulus):
+    """Whether the encoding has multiplicative order q - 1: x^(q-1) == 1 and
+    x^((q-1)/r) != 1 for every prime r dividing q - 1, by polynomial powering."""
+    q = p**e
+    x = [(enc // p**i) % p for i in range(e)]
+    one = [1] + [0] * (e - 1)
+
+    def power(k):
+        acc, b = one, x
+        while k:
+            if k & 1:
+                acc = _poly_mulmod(acc, b, modulus, p)
+            b = _poly_mulmod(b, b, modulus, p)
+            k >>= 1
+        return acc
+
+    return (enc != 0 and power(q - 1) == one
+            and all(power((q - 1) // r) != one for r in naive_prime_factors(q - 1)))
+
+
+def naive_enc_add(p, e, x, y):
+    """Field addition of two encodings, coefficient by coefficient."""
+    out, pw = 0, 1
+    for _ in range(e):
+        out += ((x + y) % p) * pw
+        x //= p
+        y //= p
+        pw *= p
+    return out
+
+
+def naive_compose_affine(tables, m1, m2):
+    """m1 after m2: x -> u1*(u2*x + a2) + a1."""
+    from skewhad.autgroup import AffineMap
+
+    return AffineMap(u=tables.mul(m1.u, m2.u),
+                     a=naive_enc_add(tables.p, tables.e, tables.mul(m1.u, m2.a), m1.a))
+
+
 def naive_exhaustive_audit(h, partition):
     """Dense check of every map x -> u*x + a, u in class 0, one at a time.
 

@@ -14,7 +14,7 @@ import numpy as np
 import skewhad as sh
 
 from _naive import (cyclic_add, field_index_add, naive_autocorrelation,
-                    naive_rank_gf2, naive_rank_gfp)
+                    naive_rank_gf2, naive_rank_gfp, naive_reversed_type2)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -194,13 +194,15 @@ def test_criterion_8_property_suites():
         for p in (3, 5):
             assert sh.rank_gfp(mp, p).rank == naive_rank_gfp(mp.tolist(), p)
 
-    # type-1 commutation and Gram-profile identities for every v <= 16
+    # type-1 commutation and Gram-profile identities for every v <= 16; C is
+    # the bordered assembly's block C[i, j] = s_D1(g_i - g_j), built by the
+    # oracle as the reversed sum development
     for v in range(2, 17):
         g = sh.GroupSpec.cyclic(v)
         d0 = sh.subset_from_indices(g, rng.choice(v, size=v // 2, replace=False))
         d1 = sh.subset_from_indices(g, rng.choice(v, size=max(1, v // 3), replace=False))
         a = sh.type1_matrix(g, d0).signs().astype(int)
-        c = sh.reversal_conjugate(g, sh.type2_matrix(g, d1)).signs().astype(int)
+        c = np.array(naive_reversed_type2(v, cyclic_add(v), g.neg, np.flatnonzero(d1)))
         assert np.array_equal(a @ c, c @ a)
         gram = a @ a.T
         profile = sh.autocorrelation_profile(g, d0)

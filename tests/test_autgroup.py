@@ -7,7 +7,7 @@ import skewhad as sh
 from skewhad import autgroup
 from skewhad.autgroup import AffineMap
 
-from _naive import naive_exhaustive_audit
+from _naive import naive_compose_affine, naive_enc_add, naive_exhaustive_audit
 
 
 @pytest.fixture(scope="module")
@@ -22,15 +22,16 @@ def desk_field():
 
 
 def test_compose_identity_and_translations():
+    # composing maps is composing the permutations they induce
     tables = sh.build_field(sh.FieldConfig(5, 2))
-    ident = AffineMap(u=1, a=0)
-    m = AffineMap(u=int(tables.antilog[4]), a=17)
-    assert sh.compose_affine(tables, ident, m) == m
-    assert sh.compose_affine(tables, m, ident) == m
-    t1 = AffineMap(u=1, a=7)
-    t2 = AffineMap(u=1, a=11)
-    combined = sh.compose_affine(tables, t1, t2)
-    assert combined.u == 1 and combined.a == tables.add(7, 11)
+    ident = sh.induced_permutation(tables, AffineMap(u=1, a=0))
+    m = sh.induced_permutation(tables, AffineMap(u=int(tables.antilog[4]), a=17))
+    assert np.array_equal(ident[m], m)
+    assert np.array_equal(m[ident], m)
+    t1 = sh.induced_permutation(tables, AffineMap(u=1, a=7))
+    t2 = sh.induced_permutation(tables, AffineMap(u=1, a=11))
+    combined = AffineMap(u=1, a=naive_enc_add(5, 2, 7, 11))
+    assert np.array_equal(t1[t2], sh.induced_permutation(tables, combined))
 
 
 def test_make_affine_validates_class(desk_field):
@@ -73,16 +74,21 @@ def test_induced_translation_moves_zero(desk_field):
 
 
 def test_induced_permutation_is_homomorphism(desk_field):
-    tables, partition, _, _ = desk_field
+    # the closure sample's product s1[s2] is the map m1 after m2
+    partitions = [desk_field[1]] + [
+        sh.cyclotomic_partition(sh.build_field(sh.FieldConfig(p, e)), n)
+        for p, e, n in ((5, 2, 4), (5, 4, 16))]
     rng = np.random.default_rng(1)
-    f, q, N = partition.f, tables.q, partition.N
-    for _ in range(20):
-        m1 = AffineMap(u=int(tables.pow_g(N * int(rng.integers(f)))), a=int(rng.integers(q)))
-        m2 = AffineMap(u=int(tables.pow_g(N * int(rng.integers(f)))), a=int(rng.integers(q)))
-        s1 = sh.induced_permutation(tables, m1)
-        s2 = sh.induced_permutation(tables, m2)
-        s12 = sh.induced_permutation(tables, sh.compose_affine(tables, m1, m2))
-        assert np.array_equal(s12, s1[s2])
+    for partition in partitions:
+        tables = partition.tables
+        f, q, N = partition.f, tables.q, partition.N
+        for _ in range(20):
+            m1 = AffineMap(u=int(tables.pow_g(N * int(rng.integers(f)))), a=int(rng.integers(q)))
+            m2 = AffineMap(u=int(tables.pow_g(N * int(rng.integers(f)))), a=int(rng.integers(q)))
+            s1 = sh.induced_permutation(tables, m1)
+            s2 = sh.induced_permutation(tables, m2)
+            s12 = sh.induced_permutation(tables, naive_compose_affine(tables, m1, m2))
+            assert np.array_equal(s12, s1[s2])
 
 
 def test_verify_automorphism_identity_and_transposition(desk_field):

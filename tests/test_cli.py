@@ -145,9 +145,22 @@ def test_rebuild_from_manifest_reproduces_digest(desk_build, tmp_path, capsys):
 
 def test_build_exhaustion_exits_2(tmp_path, capsys):
     code = main(["build", "--p", "17", "--e", "1", "--N", "16",
-                 "--i0", "0,8", "--i1", "0-3", "--out", str(tmp_path / "x")])
+                 "--i0", "0-7", "--i1", "0-7", "--out", str(tmp_path / "x")])
     assert code == 2
     assert "SHDF FAIL" in capsys.readouterr().out
+
+
+def test_build_infeasible_sets_exit_2_before_search(tmp_path, capsys):
+    # -1 is a square mod 8209, so no generator makes a class of squares skew;
+    # this is decided before the search over its 2592 primitive elements
+    code = main(["build", "--p", "8209", "--e", "1", "--N", "2",
+                 "--i0", "0", "--i1", "1", "--out", str(tmp_path / "x")])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "SHDF FAIL: i0 meets i0 + 0 (mod 2), the classes of -D0, so D0 cannot be skew"]
+    assert err == ""
+    assert not (tmp_path / "x").exists()
 
 
 def test_build_bad_generator_exits_1(tmp_path, capsys):

@@ -5,8 +5,9 @@ import pytest
 
 import skewhad as sh
 from skewhad.gf import (FieldError, decode_encoding, encode_coeffs, find_modulus,
-                        is_irreducible, is_prime, prime_factors,
-                        tables_for_generator)
+                        is_irreducible, is_prime, tables_for_generator)
+
+from _naive import naive_is_primitive, naive_prime_factors
 
 
 def test_is_prime_small():
@@ -16,8 +17,18 @@ def test_is_prime_small():
 
 
 def test_prime_factors():
-    assert prime_factors(624) == [2, 3, 13]
-    assert prime_factors(1) == []
+    assert naive_prime_factors(624) == [2, 3, 13]
+    assert naive_prime_factors(1) == []
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 4), (2, 12), (3, 1), (3, 3), (3, 7), (5, 1),
+                                 (5, 4), (7, 2), (13, 1), (17, 1), (61, 1), (8209, 1)])
+def test_generator_is_the_smallest_primitive_element(p, e):
+    # the antilog walk agrees with primitivity by polynomial powering
+    tables = sh.build_field(sh.FieldConfig(p, e))
+    smallest = next(x for x in range(1, p**e)
+                    if naive_is_primitive(x, p, e, tables.modulus))
+    assert tables.generator == smallest
 
 
 def test_encoding_round_trip():
@@ -88,12 +99,13 @@ def test_antilog_multiplication_property():
 
 
 def test_field_add_neg_helpers():
-    tables = sh.build_field(sh.FieldConfig(5, 4))
-    assert tables.add(4, 1) == 0          # 4 + 1 = 0 mod 5 in the constant term
-    assert tables.neg(0) == 0
+    # field addition is the additive group's digit arithmetic
+    g = sh.additive_group(sh.build_field(sh.FieldConfig(5, 4)))
+    assert g.add(g.index_of_encoding(4), g.index_of_encoding(1)) == 0  # 4 + 1 = 0 mod 5
+    assert g.neg(0) == 0
     rng = np.random.default_rng(3)
     for x in rng.integers(0, 625, size=30):
-        assert tables.add(int(x), tables.neg(int(x))) == 0
+        assert g.add(int(x), g.neg(int(x))) == 0
 
 
 def test_build_is_deterministic():
@@ -112,6 +124,15 @@ def test_tables_for_generator_matches_direct_build():
     assert np.array_equal(alt.log, direct.log)
     with pytest.raises(FieldError):
         tables_for_generator(base, 2)                  # not primitive
+
+
+@pytest.mark.parametrize("generator", [-2, 0, 7, 8])
+def test_tables_for_generator_rejects_out_of_range(generator):
+    base = sh.build_field(sh.FieldConfig(7, 1))
+    with pytest.raises(FieldError, match="out of range"):
+        tables_for_generator(base, generator)
+    with pytest.raises(FieldError, match="out of range"):
+        sh.build_field(sh.FieldConfig(7, 1, generator=generator))
 
 
 def test_partition_sizes_625():
@@ -175,7 +196,8 @@ def test_negation_class_shift_matches_class_of_minus_one():
     for p, e, n in [(5, 4, 16), (7, 1, 3), (13, 1, 4), (3, 2, 8), (5, 2, 12)]:
         tables = sh.build_field(sh.FieldConfig(p, e))
         part = sh.cyclotomic_partition(tables, n)
-        minus_one = tables.neg(1)
+        g = sh.additive_group(tables)
+        minus_one = g.encoding_of(g.neg(g.index_of_encoding(1)))
         assert sh.negation_class_shift(tables, n) == part.class_of[minus_one]
 
 
@@ -183,9 +205,11 @@ def test_class_of_negative_is_shifted():
     tables = sh.build_field(sh.FieldConfig(5, 4))
     part = sh.cyclotomic_partition(tables, 16)
     shift = sh.negation_class_shift(tables, 16)
+    g = sh.additive_group(tables)
     rng = np.random.default_rng(5)
     for x in rng.integers(1, 625, size=60):
-        assert part.class_of[tables.neg(int(x))] == (int(part.class_of[int(x)]) + shift) % 16
+        minus_x = g.encoding_of(g.neg(g.index_of_encoding(int(x))))
+        assert part.class_of[minus_x] == (int(part.class_of[int(x)]) + shift) % 16
 
 
 def test_additive_group_ordering():

@@ -2,12 +2,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import skewhad as sh
 from skewhad.hadamard import MatrixFormatError, gram_matrix
 
-from _naive import cyclic_add, naive_developed, naive_gram
+from _naive import (cyclic_add, field_index_add, naive_developed, naive_gram,
+                    naive_reversed_type2)
 from conftest import random_signs
+
+
+def sum_developed(g, d):
+    """Type-2 development M[i, j] = s_D(g_i + g_j)."""
+    return sh.indicator_signs(d)[g.sum_index_table()]
 
 
 def test_pack_unpack_round_trip_awkward_sizes():
@@ -36,15 +44,14 @@ def test_type1_frozen_z3():
 def test_type2_frozen_z3():
     g = sh.GroupSpec.cyclic(3)
     d = sh.subset_from_indices(g, [1])
-    m = sh.type2_matrix(g, d)
-    assert m.signs().tolist() == [[1, -1, 1], [-1, 1, 1], [1, 1, -1]]
+    assert sum_developed(g, d).tolist() == [[1, -1, 1], [-1, 1, 1], [1, 1, -1]]
 
 
 def test_developed_empty_block_is_all_ones():
     g = sh.GroupSpec.cyclic(4)
     d = sh.subset_from_indices(g, [])
     assert np.all(sh.type1_matrix(g, d).signs() == 1)
-    assert np.all(sh.type2_matrix(g, d).signs() == 1)
+    assert np.all(sum_developed(g, d) == 1)
 
 
 def test_developed_match_naive_all_small_groups():
@@ -56,7 +63,7 @@ def test_developed_match_naive_all_small_groups():
         d = sh.subset_from_indices(g, members)
         assert sh.type1_matrix(g, d).signs().tolist() == \
             naive_developed(n, add, neg, members, "type1")
-        assert sh.type2_matrix(g, d).signs().tolist() == \
+        assert sum_developed(g, d).tolist() == \
             naive_developed(n, add, neg, members, "type2")
 
 
@@ -73,7 +80,7 @@ def test_type2_symmetric_random():
     rng = np.random.default_rng(9)
     for _ in range(5):
         members = rng.choice(12, size=rng.integers(0, 13), replace=False)
-        m = sh.type2_matrix(g, sh.subset_from_indices(g, members)).signs()
+        m = sum_developed(g, sh.subset_from_indices(g, members))
         assert np.array_equal(m, m.T)
 
 
@@ -85,13 +92,32 @@ def test_reversal_conjugate_properties():
     for _ in range(5):
         members = rng.choice(8, size=rng.integers(0, 9), replace=False)
         d = sh.subset_from_indices(g, members)
-        b = sh.type2_matrix(g, d)
-        c = sh.reversal_conjugate(g, b)
+        bs = sum_developed(g, d).astype(int)
+        cs = bs[:, perm]
         # Gram preserved: C C^T == B B^T
-        cs, bs = c.signs().astype(int), b.signs().astype(int)
         assert np.array_equal(cs @ cs.T, bs @ bs.T)
         # C is the transpose of the type-1 development of the same block
         assert np.array_equal(cs, sh.type1_matrix(g, d).signs().T)
+
+
+def test_bordered_blocks_match_naive_developments():
+    # A is the type-1 development of D0; C is the reversed type-2 development
+    # of D1, each as the bordered assembly holds it
+    groups = [(sh.GroupSpec.cyclic(v), cyclic_add(v)) for v in (3, 5, 7, 9, 11, 15)]
+    for p, e in [(3, 2), (5, 1), (3, 3)]:
+        g = sh.additive_group(sh.build_field(sh.FieldConfig(p, e)))
+        groups.append((g, field_index_add(p, e, [g.encoding_of(i) for i in range(g.order)])))
+    rng = np.random.default_rng(11)
+    for g, add in groups:
+        v = g.order
+        m0, m1 = (sorted(rng.choice(v, size=(v - 1) // 2, replace=False).tolist())
+                  for _ in range(2))
+        h = sh.build_bordered_from_blocks(g, sh.subset_from_indices(g, m0),
+                                          sh.subset_from_indices(g, m1))
+        s = h.signs()
+        a, c = s[2: v + 2, 2: v + 2], s[2: v + 2, v + 2:]
+        assert a.tolist() == naive_developed(v, add, g.neg, m0, "type1")
+        assert c.tolist() == naive_reversed_type2(v, add, g.neg, m1)
 
 
 def test_type1_matrices_commute():
@@ -102,7 +128,7 @@ def test_type1_matrices_commute():
         d0 = sh.subset_from_indices(g, rng.choice(n, size=n // 2, replace=False))
         d1 = sh.subset_from_indices(g, rng.choice(n, size=n // 3, replace=False))
         a = sh.type1_matrix(g, d0).signs().astype(int)
-        c = sh.reversal_conjugate(g, sh.type2_matrix(g, d1)).signs().astype(int)
+        c = np.array(naive_reversed_type2(n, cyclic_add(n), g.neg, np.flatnonzero(d1)))
         assert np.array_equal(a @ c, c @ a)
 
 
@@ -234,6 +260,11 @@ def test_matrix_text_round_trip(matrix8, matrix12):
     (b"2\n++\n-+ \n", 3, 3),       # trailing whitespace
     (b"2\n+*\n-+\n", 2, 2),        # invalid character
     (b"2\n++\r\n-+\n", 2, 3),      # CR is rejected
+    (b" 2\n++\n-+\n", 1, 0),       # the header is exactly [1-9][0-9]*
+    (b"+2\n++\n-+\n", 1, 0),
+    (b"02\n++\n-+\n", 1, 0),
+    (b"2 \n++\n-+\n", 1, 0),
+    (b"0_2\n++\n-+\n", 1, 0),
 ])
 def test_matrix_text_parse_errors(data, line, column):
     with pytest.raises(MatrixFormatError) as exc:
@@ -241,3 +272,30 @@ def test_matrix_text_parse_errors(data, line, column):
     assert exc.value.line == line
     if column:
         assert exc.value.column == column
+
+
+# Deterministic examples and no example database, so every run checks the
+# same inputs.
+_property = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+_pm_matrices = st.integers(1, 12).flatmap(
+    lambda n: arrays(np.int8, (n, n), elements=st.sampled_from([-1, 1])))
+
+
+@_property
+@given(_pm_matrices)
+def test_matrix_text_round_trip_property(signs):
+    m = sh.PmMatrix.from_signs(signs)
+    assert sh.parse_matrix_text(sh.to_matrix_text(m)) == m
+
+
+@_property
+@given(_pm_matrices, st.data())
+def test_matrix_text_single_byte_mutation_is_rejected_or_canonical(signs, data):
+    text = sh.to_matrix_text(sh.PmMatrix.from_signs(signs))
+    pos = data.draw(st.integers(0, len(text) - 1))
+    mutated = text[:pos] + bytes([data.draw(st.integers(0, 255))]) + text[pos + 1:]
+    try:
+        parsed = sh.parse_matrix_text(mutated)
+    except MatrixFormatError:
+        return
+    assert sh.to_matrix_text(parsed) == mutated

@@ -165,11 +165,33 @@ def test_find_valid_generator_pinned():
 
 
 def test_find_valid_generator_exhaustion():
-    # I0 = {0, 8} is fixed by every relabeling and is never a transversal,
-    # so all eight primitive roots mod 17 fail
+    # I0 = I1 = {0, ..., 7} passes the generator-free checks (-1 lies in
+    # class 8), but no relabeling certifies it: all eight primitive roots
+    # mod 17 are tried and fail
     with pytest.raises(GeneratorSearchError) as exc:
-        sh.find_valid_generator(sh.FieldConfig(17, 1), 16, [0, 8], [0, 1, 2, 3])
+        sh.find_valid_generator(sh.FieldConfig(17, 1), 16, range(8), range(8))
     assert exc.value.candidates_tried == 8
+
+
+@pytest.mark.parametrize("p,N,i0,i1,reason", [
+    (17, 16, [0, 8], [0, 1, 2, 3], "a skew D0 needs N/2 = 8 classes, i0 has 2"),
+    (8209, 2, [0], [1], "i0 meets i0 + 0 (mod 2)"),  # -1 is a square mod 8209
+    (13, 4, [0, 2], [0, 1], "i0 meets i0 + 2 (mod 4)"),
+    (17, 16, range(8), range(7), "|D1| = (q-1)/2 needs N/2 = 8 classes, i1 has 7"),
+])
+def test_find_valid_generator_rejects_infeasible_sets_before_search(p, N, i0, i1, reason):
+    # -1 = g^((q-1)/2) for every primitive g, so these fail for every generator
+    with pytest.raises(GeneratorSearchError) as exc:
+        sh.find_valid_generator(sh.FieldConfig(p, 1), N, i0, i1)
+    assert exc.value.candidates_tried == 0
+    assert reason in str(exc.value)
+
+
+def test_find_valid_generator_range_checks_before_feasibility():
+    # {5} would pass the size and negation checks mod 2; the range check
+    # comes first and rejects it as bad input
+    with pytest.raises(ValueError, match="class index 5 out of range"):
+        sh.find_valid_generator(sh.FieldConfig(3, 1), 2, [5], [0])
 
 
 def test_find_valid_generator_rejects_bad_n():

@@ -55,6 +55,19 @@ def test_transform_inverse_round_trip(matrix8, matrix12):
         assert np.max(np.abs(x - xr)) <= 1e-9 * np.max(np.abs(x))
 
 
+def test_transforms_use_the_cached_float_signs(matrix1252):
+    f = matrix1252.float_signs()
+    assert f is matrix1252.float_signs()
+    assert f.dtype == np.float64 and np.array_equal(f, matrix1252.signs())
+    x = np.random.default_rng(2).normal(size=matrix1252.n)
+    root = np.sqrt(matrix1252.n)
+    # the forward product is bit-equal to the int8 one; the inverse adds in
+    # another order, so it is held to a tolerance of a few float64 ulps
+    assert np.array_equal(sh.transform(x, matrix1252), (matrix1252.signs() @ x) / root)
+    ref = (matrix1252.signs().T @ x) / root
+    assert np.max(np.abs(sh.inverse_transform(x, matrix1252) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_topk_ties_take_smaller_index():
     y = np.array([1.0, -2.0, 2.0, 0.5])
     assert sh.top_k_indices(y, 1).tolist() == [1]
