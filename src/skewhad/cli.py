@@ -266,7 +266,7 @@ def cmd_rank(args) -> int:
     else:
         try:
             report = ranks.rank_gfp(matrix, args.field, label=label)
-        except ValueError as exc:  # a field size that is not prime
+        except ValueError as exc:  # a field size that is not a supported prime
             raise CliError(str(exc)) from None
     print(report.line())
     return EXIT_OK

@@ -219,17 +219,21 @@ def build_field(config: FieldConfig) -> FieldTables:
     taken through :func:`tables_for_generator`, which tests it by
     ``gcd(log, q - 1) == 1``.
 
-    Raises FieldError for a composite p, a reducible modulus, or a supplied
-    generator that is out of range or not primitive.
+    Raises FieldError for an order above MAX_FIELD_ORDER (checked first), a
+    composite p, a reducible modulus, or a supplied generator that is out of
+    range or not primitive.
     """
     p, e = config.p, config.e
-    if not is_prime(p):
-        raise FieldError(f"p = {p} is not prime")
     if e < 1:
         raise FieldError(f"extension degree must be >= 1, got {e}")
+    # The order is bounded before the primality test, whose trial division
+    # does not end on a huge p; p >= 2 bounds e by log2(MAX_FIELD_ORDER)
+    # before p**e is formed.
+    if p > 1 and (e >= MAX_FIELD_ORDER.bit_length() or p**e > MAX_FIELD_ORDER):
+        raise FieldError(f"field order {p}^{e} exceeds the supported maximum {MAX_FIELD_ORDER}")
+    if not is_prime(p):
+        raise FieldError(f"p = {p} is not prime")
     q = p**e
-    if q > MAX_FIELD_ORDER:
-        raise FieldError(f"field order {q} exceeds the supported maximum {MAX_FIELD_ORDER}")
 
     if config.modulus is None:
         modulus = find_modulus(p, e)

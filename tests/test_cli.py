@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -186,6 +187,30 @@ def test_rank_non_prime_field_exits_1(desk_build, capsys, extra):
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "not prime" in err[0]
+
+
+def test_rank_huge_prime_exits_1_at_once(desk_build, capsys):
+    # a Mersenne prime far beyond exact float64 elimination; trial division
+    # of it would not end, so the bound is checked first
+    t0 = time.perf_counter()
+    code = main(["rank", str(desk_build / "matrix_8.txt"), "--field", "2305843009213693951"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "exceeds" in err[0]
+
+
+def test_build_huge_prime_exits_1_at_once(tmp_path, capsys):
+    t0 = time.perf_counter()
+    code = main(["build", "--p", "2305843009213693951", "--e", "1", "--N", "2",
+                 "--i0", "0", "--i1", "1", "--out", str(tmp_path / "x")])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "exceeds" in err[0]
+    assert not (tmp_path / "x").exists()
 
 
 def test_usage_error_exits_1(capsys):

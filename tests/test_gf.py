@@ -87,6 +87,14 @@ def test_build_field_rejects_bad_inputs():
         sh.build_field(sh.FieldConfig(7, 1, generator=2))  # order 3, not primitive
     with pytest.raises(FieldError):
         sh.build_field(sh.FieldConfig(2, 21))          # q > 2^20
+    # bounded before the primality test and before p**e: neither call ends
+    # when trial division of the Mersenne prime or 3**(10**18) runs first
+    with pytest.raises(FieldError, match="exceeds"):
+        sh.build_field(sh.FieldConfig(2305843009213693951, 1))
+    with pytest.raises(FieldError, match="exceeds"):
+        sh.build_field(sh.FieldConfig(3, 10**18))
+    with pytest.raises(FieldError, match="not prime"):
+        sh.build_field(sh.FieldConfig(1024, 2))        # composite, q = 2^20
 
 
 def test_antilog_multiplication_property():
