@@ -75,7 +75,7 @@ def verify_automorphism(h: PmMatrix, sigma: np.ndarray) -> bool:
     if sigma.shape != (h.n,):
         raise ValueError(f"permutation length {sigma.shape} does not match order {h.n}")
     s = h.signs()
-    return bool(np.array_equal(s[sigma][:, sigma], s))
+    return bool(np.array_equal(np.take(np.take(s, sigma, axis=0), sigma, axis=1), s))
 
 
 def _block_action(sigma: np.ndarray, q: int) -> np.ndarray:

@@ -255,6 +255,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    try:  # refuse an unsupported field before the matrix file is read
+        ranks._check_field(args.field)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     h = read_matrix_file(Path(args.file))
     if args.tournament:
         _, _, matrix = hadamard.normalize_core_tournament(h)
@@ -264,10 +268,7 @@ def cmd_rank(args) -> int:
     if args.field == 2:
         report = ranks.rank_gf2(matrix % 2, label=label)
     else:
-        try:
-            report = ranks.rank_gfp(matrix, args.field, label=label)
-        except ValueError as exc:  # a field size that is not a supported prime
-            raise CliError(str(exc)) from None
+        report = ranks.rank_gfp(matrix, args.field, label=label)
     print(report.line())
     return EXIT_OK
 

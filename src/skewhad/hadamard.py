@@ -1,12 +1,15 @@
 """Group-developed +-1 matrices, the bordered assembly, and exact verification.
 
 Matrices live in :class:`PmMatrix`, a bit-packed +-1 matrix (set bit means
--1) with rows padded to whole 64-bit words.  All verification is exact
-integer arithmetic; the Gram computation runs on packed words via XOR and
-popcount, so certifying the order-1252 matrix takes well under a second.
+-1) with rows padded to whole 64-bit words.  All verification is exact.  The
+Gram matrix is one float32 BLAS product of the dense signs: every term is
++-1, so every partial sum is an integer of magnitude at most n, which float32
+holds exactly for n < 2^24 in whatever order BLAS adds (the integer-bound
+argument of FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008).
 
 The text interchange format is: first line the decimal order n, then n lines
-of n characters, '+' for +1 and '-' for -1, LF endings, nothing else.
+of n characters, '+' for +1 and '-' for -1, LF endings, nothing else.  The
+parser checks and packs it with whole-array operations, no pass per row.
 """
 
 from __future__ import annotations
@@ -20,15 +23,17 @@ from .groups import GroupSpec, indicator_signs
 
 _WORD = 64
 _ORDER_HEADER = re.compile(rb"[1-9][0-9]*")
+_FLOAT32_EXACT = 1 << 24  # float32 holds every integer of absolute value up to 2^24
+_PLUS, _MINUS, _LF = ord("+"), ord("-"), ord("\n")
 
-if hasattr(np, "bitwise_count"):
-    def _popcount(a: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(a)
-else:  # pragma: no cover - numpy >= 2.0 always has bitwise_count
-    _PC8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
-    def _popcount(a: np.ndarray) -> np.ndarray:
-        return _PC8[a.view(np.uint8)].reshape(a.shape + (8,)).sum(axis=-1, dtype=np.uint8)
+def _pack_negative(neg: np.ndarray) -> np.ndarray:
+    """Packed uint64 words of a square boolean mask (True = entry is -1)."""
+    n = neg.shape[0]
+    packed = np.packbits(neg, axis=1, bitorder="little")
+    padded = np.zeros((n, 8 * ((n + _WORD - 1) // _WORD)), dtype=np.uint8)
+    padded[:, : packed.shape[1]] = packed
+    return padded.view("<u8").astype(np.uint64)
 
 
 class MatrixFormatError(ValueError):
@@ -66,14 +71,7 @@ class PmMatrix:
             raise ValueError(f"expected a square matrix, got shape {signs.shape}")
         if not np.all(np.abs(signs) == 1):
             raise ValueError("entries must be +1 or -1")
-        n = signs.shape[0]
-        neg = signs < 0
-        pad = (-n) % _WORD
-        if pad:
-            neg = np.pad(neg, ((0, 0), (0, pad)))
-        packed = np.packbits(neg, axis=1, bitorder="little")
-        words = np.ascontiguousarray(packed).view("<u8").astype(np.uint64)
-        return cls(n, words)
+        return cls(signs.shape[0], _pack_negative(signs < 0))
 
     def signs(self) -> np.ndarray:
         """Dense int8 view of the entries (cached)."""
@@ -197,33 +195,28 @@ def build_bordered_from_blocks(spec: GroupSpec, d0: np.ndarray, d1: np.ndarray) 
 def gram_matrix(m: PmMatrix) -> np.ndarray:
     """All pairwise row inner products of the +-1 matrix, exact int32.
 
-    The inner product of rows i and j is n - 2 * popcount(row_i XOR row_j);
-    padding bits cancel in the XOR.  Computed blockwise over packed words.
+    One float32 BLAS product ``f @ f.T`` of the dense signs.  Every term is
+    +-1 and every partial sum an integer of magnitude at most n, so the
+    result is exact in any summation order for n < 2^24; a larger order
+    raises ValueError before anything is allocated.
     """
-    w = m.words
-    n = m.n
-    out = np.empty((n, n), dtype=np.int32)
-    if n == 0:
-        return out
-    block = max(1, (16 << 20) // max(1, w.shape[1] * 8 * n))
-    for lo in range(0, n, block):
-        x = w[lo: lo + block, None, :] ^ w[None, :, :]
-        pc = _popcount(x).sum(axis=2, dtype=np.int32)
-        out[lo: lo + block] = n - 2 * pc
-    return out
+    if m.n >= _FLOAT32_EXACT:
+        raise ValueError(f"order {m.n} is not below 2^24, the bound for an exact "
+                         f"float32 Gram")
+    f = m.signs().astype(np.float32)
+    return (f @ f.T).astype(np.int32)
 
 
 def gate0_verify(m: PmMatrix) -> Gate0Report:
     """Exact verification of H H^T = nI and H + H^T = 2I."""
     n = m.n
-    gram = gram_matrix(m)
+    gram = gram_matrix(m)  # a fresh array: its diagonal is cleared in place
     diag_ok = bool(np.all(np.diagonal(gram) == n))
-    off = gram.copy()
-    np.fill_diagonal(off, 0)
-    max_off = int(np.abs(off).max()) if n > 1 else 0
+    np.fill_diagonal(gram, 0)
+    max_off = int(max(gram.max(), -gram.min())) if n > 1 else 0
     gram_ok = diag_ok and max_off == 0
     s = m.signs()
-    skew = s.astype(np.int16) + s.T
+    skew = s + s.T  # int8 holds -2 .. 2
     skew_ok = bool(np.all(np.diagonal(skew) == 2))
     if skew_ok:
         np.fill_diagonal(skew, 0)
@@ -265,30 +258,37 @@ def parse_matrix_text(data: bytes) -> PmMatrix:
     Raises MatrixFormatError with a 1-based line (and column, where it
     applies) on any deviation: a header other than the canonical decimal
     order (``[1-9][0-9]*``, as :func:`to_matrix_text` writes it), wrong line
-    count or length, or a character other than '+' and '-'.  So every
-    accepted input is exactly ``to_matrix_text`` of the parsed matrix.
+    count or length, or a character other than '+' and '-'.  The first
+    offending row wins, and a row's wrong length is reported before its
+    characters.  So every accepted input is exactly ``to_matrix_text`` of
+    the parsed matrix.
     """
     if not data.endswith(b"\n"):
         nlines = data.count(b"\n") + 1
         raise MatrixFormatError("missing trailing newline", line=max(nlines, 1))
-    body = data[:-1].split(b"\n")
-    if not _ORDER_HEADER.fullmatch(body[0]):
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == _LF)  # ends[0] closes the header, ends[i] row i
+    header = data[: ends[0]]
+    if not _ORDER_HEADER.fullmatch(header):
         raise MatrixFormatError("header is not a positive decimal order", line=1)
-    n = int(body[0])
-    if len(body) != n + 1:
+    n = ends.size - 1
+    if header != str(n).encode("ascii"):  # compared as text: no int() of a long header
         raise MatrixFormatError(
-            f"expected {n} matrix rows, found {len(body) - 1}", line=len(body))
-    rows = np.empty((n, n), dtype=np.int8)
-    for i, raw in enumerate(body[1:], start=2):
-        if len(raw) != n:
-            raise MatrixFormatError(
-                f"row has {len(raw)} characters, expected {n}", line=i,
-                column=min(len(raw), n) + 1)
-        arr = np.frombuffer(raw, dtype=np.uint8)
-        bad = np.flatnonzero((arr != ord("+")) & (arr != ord("-")))
-        if bad.size:
-            col = int(bad[0]) + 1
-            raise MatrixFormatError(
-                f"invalid character {chr(arr[bad[0]])!r}", line=i, column=col)
-        rows[i - 2] = np.where(arr == ord("+"), 1, -1)
-    return PmMatrix.from_signs(rows)
+            f"expected {header.decode('ascii')} matrix rows, found {n}", line=n + 1)
+    lengths = np.diff(ends) - 1
+    wrong = np.flatnonzero(lengths != n)
+    good = int(wrong[0]) if wrong.size else n  # rows before the first wrong length
+    start = int(ends[0]) + 1
+    chars = buf[start: start + good * (n + 1)].reshape(good, n + 1)[:, :n]
+    neg = chars == _MINUS
+    bad = np.flatnonzero(~neg & (chars != _PLUS))
+    if bad.size:
+        row, col = divmod(int(bad[0]), n)
+        raise MatrixFormatError(
+            f"invalid character {chr(chars[row, col])!r}", line=row + 2, column=col + 1)
+    if good < n:
+        length = int(lengths[good])
+        raise MatrixFormatError(
+            f"row has {length} characters, expected {n}", line=good + 2,
+            column=min(length, n) + 1)
+    return PmMatrix(n, _pack_negative(neg))

@@ -128,6 +128,18 @@ def _eliminate_panel(panel: np.ndarray, p: int):
     return swaps, inverses, mult[:, :len(swaps)]
 
 
+def _check_field(p: int) -> None:
+    """Raise ValueError unless p is a prime that :func:`rank_gfp` supports.
+
+    The bound comes first, so a huge p never reaches the primality test.
+    """
+    if p > _MAX_PRIME:
+        raise ValueError(f"p = {p} exceeds {_MAX_PRIME}, the largest prime for which "
+                         f"exact float64 elimination holds")
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+
+
 def rank_gfp(x: np.ndarray, p: int, label: str = "matrix") -> RankReport:
     """Rank of an integer matrix over GF(p) by blocked modular elimination.
 
@@ -136,11 +148,7 @@ def rank_gfp(x: np.ndarray, p: int, label: str = "matrix") -> RankReport:
     elimination stays exact in float64 (see the module docstring); a larger
     p raises ValueError before any primality test, as does a composite p.
     """
-    if p > _MAX_PRIME:
-        raise ValueError(f"p = {p} exceeds {_MAX_PRIME}, the largest prime for which "
-                         f"exact float64 elimination holds")
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    _check_field(p)
     a = np.asarray(x, dtype=np.int64) % p
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {a.shape}")

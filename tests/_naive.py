@@ -53,6 +53,43 @@ def naive_gram(signs):
             for i in range(n)]
 
 
+def naive_parse_matrix_text(data):
+    """The matrix text format checked one row at a time, in file order.
+
+    Each row is checked for its length and then for its characters before
+    the next row is looked at; the header is checked digit by digit.
+    """
+    import numpy as np
+
+    from skewhad.hadamard import MatrixFormatError, PmMatrix
+
+    if not data.endswith(b"\n"):
+        nlines = data.count(b"\n") + 1
+        raise MatrixFormatError("missing trailing newline", line=max(nlines, 1))
+    body = data[:-1].split(b"\n")
+    header = body[0]
+    if not header or header[0] == ord("0") or any(c not in b"0123456789" for c in header):
+        raise MatrixFormatError("header is not a positive decimal order", line=1)
+    n = int(header)
+    if len(body) != n + 1:
+        raise MatrixFormatError(
+            f"expected {n} matrix rows, found {len(body) - 1}", line=len(body))
+    rows = np.empty((n, n), dtype=np.int8)
+    for i, raw in enumerate(body[1:], start=2):
+        if len(raw) != n:
+            raise MatrixFormatError(
+                f"row has {len(raw)} characters, expected {n}", line=i,
+                column=min(len(raw), n) + 1)
+        arr = np.frombuffer(raw, dtype=np.uint8)
+        bad = np.flatnonzero((arr != ord("+")) & (arr != ord("-")))
+        if bad.size:
+            col = int(bad[0]) + 1
+            raise MatrixFormatError(
+                f"invalid character {chr(arr[bad[0]])!r}", line=i, column=col)
+        rows[i - 2] = np.where(arr == ord("+"), 1, -1)
+    return PmMatrix.from_signs(rows)
+
+
 def naive_rank_gf2(matrix):
     """Gaussian elimination over GF(2) on lists of 0/1 ints."""
     rows = [[int(e) & 1 for e in row] for row in matrix]

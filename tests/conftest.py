@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import skewhad as sh
 
@@ -41,3 +42,12 @@ def matrix12():
 def random_signs(n, seed):
     rng = np.random.default_rng(seed)
     return rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, n))
+
+
+def mutate_one_byte(data, draw):
+    """``data`` with one byte replaced, deleted or inserted, drawn through a
+    hypothesis ``st.data().draw``."""
+    kind = draw(st.sampled_from(["replace", "delete", "insert"]))
+    pos = draw(st.integers(0, len(data) - (kind != "insert")))
+    new = bytes([draw(st.integers(0, 255))]) if kind != "delete" else b""
+    return data[:pos] + new + data[pos + (kind != "insert"):]

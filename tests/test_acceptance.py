@@ -65,7 +65,7 @@ def test_criterion_3_gate0_order_1252(matrix1252):
 
     ok = matrix1252.n == 1252 and report.passed and elapsed < 60.0
     _report(3, ok, f"HH^T = 1252 I and H + H^T = 2I, exact, in {elapsed:.3f}s "
-                   f"(packed-popcount target < 2s)")
+                   f"(float32 BLAS Gram, target < 2s)")
     assert matrix1252.n == 1252
     assert report.gram_ok and report.skew_ok
     assert report.max_offdiag_gram == 0

@@ -5,10 +5,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import skewhad as sh
-from skewhad.cli import (BuildConfig, format_index_set, format_manifest, main,
-                         parse_index_set, parse_manifest)
+from skewhad.cli import (BuildConfig, CliError, format_index_set, format_manifest, main,
+                         parse_index_set, parse_manifest, read_manifest)
+
+from conftest import mutate_one_byte
 
 
 @pytest.fixture()
@@ -127,6 +130,27 @@ def test_manifest_round_trip_format():
     assert parsed_digests == digests
 
 
+_MANIFEST = format_manifest(
+    BuildConfig(p=5, e=4, N=16, modulus=(2, 0, 0, 0, 1), generator=6,
+                i0=tuple(range(4, 12)), i1=tuple(range(8))),
+    {"matrix_1252.txt": "ee" * 32, "shdf_certificate.txt": "0123456789abcdef" * 4,
+     "gate0_report.txt": "fedcba9876543210" * 4}).encode("ascii")
+
+
+# Deterministic examples and no example database, so every run checks the
+# same inputs.
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_manifest_byte_mutation_is_rejected_or_round_trips(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "mutated_manifest.txt"
+    path.write_bytes(mutate_one_byte(_MANIFEST, data.draw))
+    try:
+        config, digests = read_manifest(path)
+    except CliError:
+        return
+    assert parse_manifest(format_manifest(config, digests)) == (config, digests)
+
+
 def test_rebuild_from_manifest_reproduces_digest(desk_build, tmp_path, capsys):
     config, digests = parse_manifest((desk_build / "manifest.txt").read_text())
     out2 = tmp_path / "again"
@@ -187,6 +211,16 @@ def test_rank_non_prime_field_exits_1(desk_build, capsys, extra):
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "not prime" in err[0]
+
+
+@pytest.mark.parametrize("field,message", [("4", "not prime"),
+                                           ("2305843009213693951", "exceeds")])
+def test_rank_refuses_the_field_before_reading_the_file(tmp_path, capsys, field, message):
+    # the file does not exist, so the field's error proves nothing was read
+    code = main(["rank", str(tmp_path / "missing.txt"), "--field", field])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
 
 
 def test_rank_huge_prime_exits_1_at_once(desk_build, capsys):

@@ -9,8 +9,8 @@ import skewhad as sh
 from skewhad.hadamard import MatrixFormatError, gram_matrix
 
 from _naive import (cyclic_add, field_index_add, naive_developed, naive_gram,
-                    naive_reversed_type2)
-from conftest import random_signs
+                    naive_parse_matrix_text, naive_reversed_type2)
+from conftest import mutate_one_byte, random_signs
 
 
 def sum_developed(g, d):
@@ -200,6 +200,12 @@ def test_gate0_smallest_instance():
     assert rep.passed and rep.n == 2 and rep.max_offdiag_gram == 0
 
 
+def test_gate0_max_offdiag_gram_is_a_magnitude():
+    # the rows are negatives of each other: the only off-diagonal entry is -2
+    rep = sh.gate0_verify(sh.PmMatrix.from_signs(np.array([[1, 1], [-1, -1]], dtype=np.int8)))
+    assert not rep.gram_ok and rep.max_offdiag_gram == 2
+
+
 def test_gate0_detects_single_flip(matrix8):
     signs = matrix8.signs().copy()
     signs[3, 5] *= -1
@@ -208,11 +214,48 @@ def test_gate0_detects_single_flip(matrix8):
     assert rep.max_offdiag_gram != 0
 
 
-def test_gate0_popcount_matches_naive_dot_products():
-    for n, seed in [(1, 0), (5, 1), (16, 2), (33, 3), (64, 4)]:
+def test_gram_matrix_matches_naive_dot_products():
+    # around the 64-bit word boundary of the packed rows, and two words past it
+    for n, seed in [(1, 0), (5, 1), (16, 2), (33, 3), (63, 5), (64, 4), (65, 6), (130, 7)]:
         signs = random_signs(n, seed)
         m = sh.PmMatrix.from_signs(signs)
-        assert gram_matrix(m).tolist() == naive_gram(signs.tolist())
+        gram = gram_matrix(m)
+        assert gram.dtype == np.int32
+        assert gram.tolist() == naive_gram(signs.tolist())
+
+
+@pytest.mark.parametrize("n", [1, 64, 1252])
+def test_gram_all_minus_one_is_n_everywhere(n):
+    # every partial sum is as large as it can be: the float32 worst case
+    m = sh.PmMatrix.from_signs(-np.ones((n, n), dtype=np.int8))
+    assert np.array_equal(gram_matrix(m), np.full((n, n), n, dtype=np.int32))
+    rep = sh.gate0_verify(m)
+    assert rep.gram_ok == (n == 1) and rep.max_offdiag_gram == (0 if n == 1 else n)
+
+
+def test_gram_of_flipped_1252_matches_integer_product(matrix1252):
+    signs = matrix1252.signs().copy()
+    signs[3, 5] *= -1
+    m = sh.PmMatrix.from_signs(signs)
+    exact = signs.astype(np.int64) @ signs.T.astype(np.int64)  # numpy integer loop, no BLAS
+    assert np.array_equal(gram_matrix(m), exact)
+    off = exact - np.diag(np.diagonal(exact))
+    rep = sh.gate0_verify(m)
+    assert not rep.gram_ok
+    assert rep.max_offdiag_gram == int(np.abs(off).max()) > 0
+
+
+def test_gram_rejects_orders_beyond_exact_float32():
+    # a read-only broadcast view stands in for the 2^24 x 2^18 words, and the
+    # dense signs (2^48 bytes) must never be asked for: the guard refuses first
+    n = 1 << 24
+    words = np.broadcast_to(np.zeros(1, dtype=np.uint64), (n, n // 64))
+    m = sh.PmMatrix(n, words)
+    m.signs = lambda: pytest.fail("the dense signs were requested")
+    with pytest.raises(ValueError, match="2\\^24"):
+        gram_matrix(m)
+    with pytest.raises(ValueError, match="2\\^24"):
+        sh.gate0_verify(m)
 
 
 def test_normalize_core_tournament_desk(matrix8):
@@ -251,6 +294,14 @@ def test_matrix_text_round_trip(matrix8, matrix12):
         assert sh.parse_matrix_text(sh.to_matrix_text(m)) == m
 
 
+def _parse_outcome(parse, data):
+    """The parsed matrix, or the (line, column, message) of the rejection."""
+    try:
+        return parse(data)
+    except MatrixFormatError as exc:
+        return exc.line, exc.column, str(exc)
+
+
 @pytest.mark.parametrize("data,line,column", [
     (b"2\n++\n-+", 3, 0),          # missing trailing newline
     (b"x\n++\n-+\n", 1, 0),        # bad header
@@ -265,6 +316,14 @@ def test_matrix_text_round_trip(matrix8, matrix12):
     (b"02\n++\n-+\n", 1, 0),
     (b"2 \n++\n-+\n", 1, 0),
     (b"0_2\n++\n-+\n", 1, 0),
+    (b"", 1, 0),
+    (b"\n", 1, 0),
+    (b"3\n+++\n--\n+x+\n", 3, 3),   # a short row before a bad character
+    (b"3\n+x+\n--\n+++\n", 2, 2),   # a bad character before a short row
+    (b"3\n+x+-\n+++\n+++\n", 2, 4),  # a long row with a bad character
+    (b"3\n+++\n+++\n+++-\n", 4, 4),  # the last row too long
+    (b"1\n\n", 2, 1),               # an empty row
+    (b"12345678901234567890\n+\n", 2, 0),
 ])
 def test_matrix_text_parse_errors(data, line, column):
     with pytest.raises(MatrixFormatError) as exc:
@@ -272,6 +331,8 @@ def test_matrix_text_parse_errors(data, line, column):
     assert exc.value.line == line
     if column:
         assert exc.value.column == column
+    assert _parse_outcome(naive_parse_matrix_text, data) == \
+        (exc.value.line, exc.value.column, str(exc.value))
 
 
 # Deterministic examples and no example database, so every run checks the
@@ -299,3 +360,33 @@ def test_matrix_text_single_byte_mutation_is_rejected_or_canonical(signs, data):
     except MatrixFormatError:
         return
     assert sh.to_matrix_text(parsed) == mutated
+
+
+@_property
+@given(st.integers(1, 130), st.integers(0, 2**32 - 1), st.data())
+def test_matrix_text_parser_agrees_with_row_loop_oracle(n, seed, data):
+    # one byte replaced, deleted or inserted, or one line deleted or
+    # duplicated: both parsers accept the same matrix, or reject at the same
+    # place and with the same message
+    text = sh.to_matrix_text(sh.PmMatrix.from_signs(random_signs(n, seed)))
+    lines = text.split(b"\n")[:-1]
+    kind = data.draw(st.sampled_from(["byte", "delete", "duplicate"]))
+    if kind == "byte":
+        mutated = mutate_one_byte(text, data.draw)
+    else:
+        i = data.draw(st.integers(0, len(lines) - 1))
+        lines = lines[:i] + lines[i + 1:] if kind == "delete" else \
+            lines[:i] + [lines[i]] + lines[i:]
+        mutated = b"".join(line + b"\n" for line in lines)
+    outcome = _parse_outcome(sh.parse_matrix_text, mutated)
+    assert outcome == _parse_outcome(naive_parse_matrix_text, mutated)
+    if kind != "byte":  # the row count no longer matches the header
+        assert isinstance(outcome, tuple)
+
+
+def test_matrix_text_header_beyond_int_digit_limit():
+    # the order is compared with the row count as text; int() would refuse
+    # a string of more than 4300 digits with a plain ValueError
+    with pytest.raises(MatrixFormatError, match="found 1 ") as exc:
+        sh.parse_matrix_text(b"9" * 5000 + b"\n+\n")
+    assert exc.value.line == 2

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import skewhad as sh
 from skewhad.sketch import PacketFormatError, QMAX
+
+from conftest import mutate_one_byte
 
 
 def test_byte_accounting_primary():
@@ -152,6 +156,28 @@ def test_packet_non_finite_scale_rejected(scale):
                            qvalues=(1, 2)).to_bytes()
     with pytest.raises(PacketFormatError, match="not finite"):
         sh.SketchPacket.from_bytes(struct.pack("<f", scale) + good[4:])
+
+
+# Deterministic examples and no example database, so every run checks the
+# same inputs.
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.data())
+def test_packet_byte_mutation_is_rejected_or_round_trips(matrix12, seed, k, data):
+    x = np.random.default_rng(seed).normal(size=12)
+    packet = sh.encode(x, matrix12, sh.SketchConfig(n=12, k=k)).to_bytes()
+    if data.draw(st.booleans()):
+        mutated = mutate_one_byte(packet, data.draw)
+    else:  # any float32 in the scale field, NaN and the infinities included
+        scale = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(width=32))
+        mutated = struct.pack("<f", scale) + packet[4:]
+    try:
+        parsed = sh.SketchPacket.from_bytes(mutated)
+    except PacketFormatError:
+        return
+    assert parsed.to_bytes() == mutated
+    assert np.isfinite(parsed.scale)
+    if parsed.n_tag == matrix12.n:
+        assert np.all(np.isfinite(sh.decode(parsed, matrix12)))
 
 
 def test_decode_order_mismatch(matrix8, matrix12):
