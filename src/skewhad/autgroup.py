@@ -7,10 +7,14 @@ assembled matrix invariant entry for entry.  No sign component is needed:
 the borders are constant and every block entry depends only on element
 differences, which the maps rescale within block-invariant classes.
 
-The exhaustive audit checks only the generators densely and then enumerates
-the group they generate, the standard closure argument for permutation
-groups (Seress, *Permutation Group Algorithms*, CUP 2003): products of
-automorphisms are automorphisms, so every element reached is certified.
+The exhaustive audit checks only the 1 + e generators densely.  When all
+pass, the orbit-stabilizer step of Schreier-Sims (Seress, *Permutation
+Group Algorithms*, CUP 2003) certifies the rest: the translations move
+block index 0 to all q indices, the multiplier's powers are its stabilizer,
+and every map is a product of the two, so all f*q maps are automorphisms.
+When one fails, the count stays exact: an automorphism keeps the -1 counts
+of each row and column, so only the maps sending one index of the rarest
+class of those counts into that class are checked densely.
 """
 
 from __future__ import annotations
@@ -22,12 +26,6 @@ import numpy as np
 from .gf import CyclotomicPartition, FieldTables
 from . import gf as _gf
 from .hadamard import PmMatrix
-
-
-# The closure builds its products in chunks of about this many entries: it
-# bounds the memory at any order, and was the fastest size on the
-# order-1252 instance.
-_CHUNK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -82,8 +80,8 @@ def _block_action(sigma: np.ndarray, q: int) -> np.ndarray:
     """The action on one block of a bordered-index permutation.
 
     Raises unless sigma fixes both borders and acts on the two blocks alike,
-    the shape every induced map has; the closure in
-    :func:`_count_automorphisms` runs on block actions only and relies on it.
+    the shape every induced map has; :func:`_orbit_stabilizer` runs on block
+    actions only and relies on it.
     """
     pi = sigma[2: q + 2] - 2
     if (sigma.shape != (2 * q + 2,) or sigma[0] != 0 or sigma[1] != 1
@@ -115,68 +113,69 @@ def _affine_tables(partition: CyclotomicPartition):
     # 1 + j holds g^j.
     scaled = np.zeros((f, q), dtype=np.int64)
     scaled[:, 1:] = 1 + (np.arange(q - 1) + n_cls * np.arange(f)[:, None]) % (q - 1)
-    return minus, plus, scaled
-
-
-def _count_automorphisms(h: PmMatrix, partition: CyclotomicPartition,
-                         generators: list[np.ndarray]) -> tuple[int, bool]:
-    """How many of the f*q affine maps are automorphisms of h, exactly.
-
-    ``generators`` are the block actions of maps that passed the dense check.
-    Automorphisms are closed under composition, so every element of the
-    group they generate is one.  That group is enumerated breadth first, as
-    permutation arrays.  An affine map is fixed by the images of the indices
-    0 and 1, so each product found is compared, entry for entry, with the one
-    affine map that has its images there; a product that matches is known by
-    that map's number, which is all the frontier and the seen set keep.  The
-    affine maps the closure does not reach (none when every generator
-    passes) are checked densely.
-
-    Returns the count and whether every closure element is an affine map;
-    one that is not means the generators do not generate the asserted group.
-    """
-    q, f, n_cls = partition.tables.q, partition.f, partition.N
-    minus, plus, scaled = _affine_tables(partition)
-
-    def affine_rows(ids: np.ndarray) -> np.ndarray:
-        k, i = np.divmod(ids, q)
-        return np.take(plus, scaled[k] + (i * q)[:, None])
-
     # Map k*q + i has i at index 0 and the index of g^(N*k) + g_i at index
     # 1; distinct pairs there make the f*q maps pairwise distinct.
     at_one = plus[np.arange(q) * q + scaled[:, 1, None]]  # [k, i]
     if np.unique(np.arange(q) * q + at_one).size != f * q:
         raise AssertionError("the affine maps are not pairwise distinct")
+    return minus, plus, scaled
 
-    seen = np.zeros(f * q, dtype=bool)
-    seen[0] = True  # map 0 is the identity
-    frontier = np.zeros(1 if generators else 0, dtype=np.int64)
-    chunk = max(1, _CHUNK_ENTRIES // q)
-    closed = True
-    while frontier.size and closed:
-        found = []
-        for start in range(0, frontier.size, chunk):
-            rows = affine_rows(frontier[start: start + chunk])
-            products = np.concatenate([rows[:, g] for g in generators])
-            i = products[:, 0]
-            u = minus[i, products[:, 1]]  # block index of the multiplier
-            ids = (u - 1) // n_cls * q + i
-            closed = bool(np.all((u > 0) & ((u - 1) % n_cls == 0))) and np.array_equal(
-                products, affine_rows(ids))
-            if not closed:
-                break
-            found.append(ids)
-        else:
-            ids = np.unique(np.concatenate(found))
-            frontier = ids[~seen[ids]]
-            seen[frontier] = True
 
-    count = int(np.count_nonzero(seen))
-    rest = np.flatnonzero(~seen)
-    for start in range(0, rest.size, chunk):
-        for pi in affine_rows(rest[start: start + chunk]):
-            count += verify_automorphism(h, _bordered(pi, q))
-    return count, closed
+def _orbit_stabilizer(partition: CyclotomicPartition, multiplier: np.ndarray,
+                      translations: list[np.ndarray]) -> bool:
+    """Whether the generators' block actions generate all f*q affine maps.
+
+    ``multiplier`` acts as x -> g^N x and ``translations`` as the e basis
+    translations, each checked densely already.  Orbit: the translations'
+    products, built one basis digit at a time (the rows so far after t_j^c,
+    c < p), send block index 0 to all q indices, the one sending it to i
+    being x -> x + g_i entry for entry.  Stabilizer: the multiplier's k-th
+    power is x -> g^(N*k) x for k < f, its f-th the identity.  So map
+    k*q + i, a translation after a multiplier power, is an automorphism.
+    """
+    q, p, f = partition.tables.q, partition.tables.p, partition.f
+    _, plus, scaled = _affine_tables(partition)
+    rows = np.arange(q)[None, :]
+    for t in translations:
+        powers = [rows]
+        for _ in range(p - 1):
+            powers.append(t[powers[-1]])
+        rows = np.concatenate(powers)
+    orbit = rows[:, 0]
+    if not (np.array_equal(np.sort(orbit), np.arange(q))
+            and np.array_equal(rows, plus.reshape(q, q)[orbit])):
+        return False
+    power = np.arange(q)
+    for k in range(f + 1):  # the f-th power must be scaled[0], the identity
+        if not np.array_equal(power, scaled[k % f]):
+            return False
+        power = multiplier[power]
+    return True
+
+
+def _count_by_key_class(h: PmMatrix, partition: CyclotomicPartition) -> int:
+    """How many of the f*q affine maps are automorphisms of h, exactly.
+
+    An automorphism permutes the rows and the columns, so it keeps each
+    row's and each column's count of -1 entries.  The key of a block index
+    is those four counts for its row and column in both blocks, so the block
+    action of an automorphism maps each key class onto itself.  Take x0 in
+    the rarest class R: for each multiplier power k and each y in R exactly
+    one map sends x0 to y, the translation by g_y - g^(N*k) g_x0.  Only
+    those f*|R| maps can be automorphisms, and they are checked densely.
+    """
+    q = partition.tables.q
+    minus, plus, scaled = _affine_tables(partition)
+    neg = h.signs() < 0
+    rows, cols = neg.sum(axis=1), neg.sum(axis=0)
+    keys = np.stack([rows[2: q + 2], cols[2: q + 2], rows[q + 2:], cols[q + 2:]], axis=1)
+    _, key_class, sizes = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    rare = np.flatnonzero(key_class.ravel() == np.argmin(sizes))
+    count = 0
+    for scale in scaled:
+        for i in minus[scale[rare[0]], rare]:
+            count += verify_automorphism(h, _bordered(plus[i * q + scale], q))
+    return count
 
 
 @dataclass
@@ -216,36 +215,33 @@ def subgroup_audit(h: PmMatrix, partition: CyclotomicPartition, *,
     of composite maps: each sample is the product ``s1[s2]`` of the
     permutations two random subgroup elements induce, so the audit does no
     field arithmetic beyond :func:`induced_permutation`.  With
-    ``exhaustive`` set, every one of the ((q-1)/N) * q maps is certified,
-    by the closure argument of :func:`_count_automorphisms`: the verdict and
-    the count are the same as checking each map densely.
+    ``exhaustive`` set, every one of the ((q-1)/N) * q maps is certified:
+    by :func:`_orbit_stabilizer` when every generator passes, otherwise
+    counted exactly by :func:`_count_by_key_class`.  The verdict and the
+    count are the same as checking each map densely.
     """
     tables = partition.tables
-    q, p, e, n_cls = tables.q, tables.p, tables.e, partition.N
-    f = partition.f
+    q, p, e, n_cls, f = tables.q, tables.p, tables.e, partition.N, partition.f
     report = AuditReport(q=q, class_size=f, asserted_order=f * q)
     if h.n != 2 * q + 2:
         raise ValueError(f"matrix order {h.n} does not match 2(q + 1) = {2 * q + 2}")
 
     all_ok = True
-
-    passing: list[np.ndarray] = []  # block actions of the generators that pass
+    actions: list[np.ndarray] = []  # block actions of the generators
 
     def check(name: str, m: AffineMap) -> bool:
         sigma = induced_permutation(tables, m)
         ok = verify_automorphism(h, sigma)
         report.generator_results.append((name, ok))
-        if ok:
-            passing.append(_block_action(sigma, q))
+        actions.append(_block_action(sigma, q))
         return ok
 
     mult = int(tables.pow_g(n_cls))  # generates C_0 as a cyclic group
     if tables.element_order(mult) != f:
         raise ValueError(f"multiplier g^{n_cls} has order {tables.element_order(mult)}, expected {f}")
     all_ok &= check(f"multiplier g^{n_cls}", make_affine(partition, mult, 0))
-    for i in range(e):
-        a = p**i  # encoding of the i-th basis monomial
-        all_ok &= check(f"translation basis {i}", make_affine(partition, 1, a))
+    for i in range(e):  # p**i encodes the i-th basis monomial
+        all_ok &= check(f"translation basis {i}", make_affine(partition, 1, p**i))
 
     rng = np.random.default_rng(seed)
 
@@ -264,10 +260,11 @@ def subgroup_audit(h: PmMatrix, partition: CyclotomicPartition, *,
         all_ok &= ok_count == samples
 
     if exhaustive:
-        ok_count, closed = _count_automorphisms(h, partition, passing)
+        certified = (all(ok for _, ok in report.generator_results)
+                     and _orbit_stabilizer(partition, actions[0], actions[1:]))
         report.exhaustive_checked = f * q
-        report.exhaustive_ok = ok_count
-        all_ok &= closed and ok_count == f * q
+        report.exhaustive_ok = f * q if certified else _count_by_key_class(h, partition)
+        all_ok &= certified
 
     report.passed = bool(all_ok)
     return report

@@ -183,9 +183,16 @@ def read_vector_file(path: Path) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
+def write_bytes(path: Path, data: bytes) -> None:
+    try:
+        path.write_bytes(data)
+    except OSError as exc:
+        raise CliError(str(exc)) from None
+
+
 def write_vector_file(path: Path, values: np.ndarray) -> None:
-    path.write_text("".join(f"{float(v)!r}\n" for v in np.asarray(values, dtype=np.float64)),
-                    encoding="ascii")
+    text = "".join(f"{float(v)!r}\n" for v in np.asarray(values, dtype=np.float64))
+    write_bytes(path, text.encode("ascii"))
 
 
 def cmd_build(args) -> int:
@@ -205,16 +212,19 @@ def cmd_build(args) -> int:
     report = hadamard.gate0_verify(h)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(str(exc)) from None
     matrix_name = f"matrix_{h.n}.txt"
-    (out / matrix_name).write_bytes(hadamard.to_matrix_text(h))
-    (out / "shdf_certificate.txt").write_text(cert.to_log(), encoding="ascii")
-    (out / "gate0_report.txt").write_text(report.to_log(), encoding="ascii")
+    write_bytes(out / matrix_name, hadamard.to_matrix_text(h))
+    write_bytes(out / "shdf_certificate.txt", cert.to_log().encode("ascii"))
+    write_bytes(out / "gate0_report.txt", report.to_log().encode("ascii"))
     config = BuildConfig(p=args.p, e=args.e, N=args.N, modulus=tables.modulus,
                          generator=tables.generator, i0=i0, i1=i1)
     digests = {name: sha256_file(out / name)
                for name in (matrix_name, "shdf_certificate.txt", "gate0_report.txt")}
-    (out / MANIFEST_NAME).write_text(format_manifest(config, digests), encoding="ascii")
+    write_bytes(out / MANIFEST_NAME, format_manifest(config, digests).encode("ascii"))
 
     print(f"modulus {','.join(str(c) for c in tables.modulus)}")
     print(f"generator {tables.generator}")
@@ -261,7 +271,11 @@ def cmd_rank(args) -> int:
         raise CliError(str(exc)) from None
     h = read_matrix_file(Path(args.file))
     if args.tournament:
-        _, _, matrix = hadamard.normalize_core_tournament(h)
+        try:  # the normalization runs Gate0 and refuses a failing matrix
+            _, _, matrix = hadamard.normalize_core_tournament(h)
+        except ValueError:
+            print(f"GATE0 FAIL n={h.n}")
+            return EXIT_CERT_FAIL
         label = "tournament"
     else:
         matrix, label = h.signs(), "hadamard"
@@ -275,6 +289,8 @@ def cmd_rank(args) -> int:
 
 def cmd_aut(args) -> int:
     """Audit the matrix file the manifest names, once its digest matches."""
+    if args.samples < 0:
+        raise CliError(f"--samples must be at least 0, not {args.samples}")
     path = Path(args.file)
     config, digests = read_manifest(path)
     try:
@@ -314,7 +330,7 @@ def cmd_sketch(args) -> int:
         except ValueError as exc:
             raise CliError(str(exc)) from None
         data = packet.to_bytes()
-        Path(args.out).write_bytes(data)
+        write_bytes(Path(args.out), data)
         raw, size, ratio = sketch.byte_accounting(cfg)
         print(f"wrote {args.out}: {len(data)} bytes (raw {raw}, ratio {ratio:.2f})")
         return EXIT_OK
@@ -388,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_aut.add_argument("file", help="manifest file; the matrix next to it must match its digest")
     p_aut.add_argument("--samples", type=int, default=100, help="closure sample size")
     p_aut.add_argument("--exhaustive", action="store_true",
-                       help="certify every subgroup element (by generator closure)")
+                       help="certify every subgroup element (by orbit and stabilizer)")
     p_aut.add_argument("--seed", type=int, default=0)
     p_aut.set_defaults(func=cmd_aut)
 

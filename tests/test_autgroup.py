@@ -148,9 +148,12 @@ def test_multiplier_order():
     assert tables.element_order(u) == 39  # (g^16)^39 = g^624 = 1
 
 
-# (p, e, N, i0, i1) of the order-8, 12, 24 and 56 instances
+# (p, e, N, i0, i1) of the order-8, 12, 24, 56 and 252 instances.  Of
+# GF(25), GF(49) and GF(125) with N = 2 or 4, only GF(125) has a valid
+# instance; it is the one here with p > 3 and more than one translation.
 SMALL_INSTANCES = [(3, 1, 2, [0], [0]), (5, 1, 4, [0, 1], [0, 2]),
-                   (11, 1, 2, [0], [0]), (3, 3, 2, [0], [0])]
+                   (11, 1, 2, [0], [0]), (3, 3, 2, [0], [0]),
+                   (5, 3, 4, [0, 1], [0, 2])]
 
 
 @pytest.mark.parametrize("p,e,N,i0,i1", SMALL_INSTANCES)
@@ -163,11 +166,11 @@ def test_exhaustive_audit_matches_dense_oracle(p, e, N, i0, i1):
     assert counts == (partition.f * partition.tables.q,) * 2
 
 
-@pytest.mark.parametrize("row,col", [(2, 2), (0, 5), (2, 5), (30, 40)])
+@pytest.mark.parametrize("row,col", [(2, 2), (0, 5), (2, 5), (30, 40), (29, 29), (55, 3)])
 def test_exhaustive_audit_on_flipped_entry_matches_dense_oracle(desk_field, row, col):
     # A flipped diagonal or border entry leaves the maps fixing that index as
-    # automorphisms; the generators that fail leave their share to the dense
-    # fallback, whose count must still be exact.
+    # automorphisms; once a generator fails, the key-class count checks only
+    # the maps that keep the rarest key class, and it must still be exact.
     _, partition, _, h = desk_field
     signs = h.signs().copy()
     signs[row, col] = -signs[row, col]
@@ -181,8 +184,9 @@ def test_exhaustive_audit_on_flipped_entry_matches_dense_oracle(desk_field, row,
 
 
 def test_affine_tables_give_the_induced_permutations(desk_field):
-    # The closure compares every map it reaches with the row these tables
-    # give it, so the rows must be exactly the induced maps.
+    # The orbit-stabilizer certificate compares the generators' products with
+    # the rows these tables give, and the key-class count checks those rows
+    # densely, so the rows must be exactly the induced maps.
     tables, partition, pair, _ = desk_field
     q, N = tables.q, partition.N
     _, plus, scaled = autgroup._affine_tables(partition)
@@ -193,18 +197,73 @@ def test_affine_tables_give_the_induced_permutations(desk_field):
             assert np.array_equal(autgroup._bordered(plus[i * q + scaled[k]], q), sigma)
 
 
-def test_closure_outside_the_affine_maps_fails(desk_field):
+def _generator_actions(tables, partition):
+    """Block actions of the multiplier and the e basis translations."""
+    q = tables.q
+    maps = [AffineMap(u=int(tables.pow_g(partition.N)), a=0)]
+    maps += [AffineMap(u=1, a=tables.p**i) for i in range(tables.e)]
+    return [autgroup._block_action(sh.induced_permutation(tables, m), q) for m in maps]
+
+
+def test_closure_outside_the_affine_maps_fails(desk_field, monkeypatch):
     # The Frobenius map x -> x^3 keeps the squares of GF(27), so it is an
-    # automorphism of this matrix, but it is not affine: a closure that
-    # reaches it must report that it left the affine maps.
+    # automorphism of this matrix, but it is not affine: passed as the
+    # multiplier it passes its dense check, and the stabilizer step must
+    # reject it instead of counting the maps it would generate.
     tables, partition, _, h = desk_field
     q, p = tables.q, tables.p
     frobenius = np.zeros(q, dtype=np.int64)
     frobenius[1:] = 1 + (p * np.arange(q - 1)) % (q - 1)
-    assert sh.verify_automorphism(h, autgroup._bordered(frobenius, q))
-    count, closed = autgroup._count_automorphisms(h, partition, [frobenius])
-    assert not closed
-    assert count == naive_exhaustive_audit(h, partition)[0]
+    frobenius_sigma = autgroup._bordered(frobenius, q)
+    assert sh.verify_automorphism(h, frobenius_sigma)
+    multiplier, *translations = _generator_actions(tables, partition)
+    assert autgroup._orbit_stabilizer(partition, multiplier, translations)
+    assert not autgroup._orbit_stabilizer(partition, frobenius, translations)
+    # a repeated translation leaves the orbit of index 0 short; translations
+    # after the Frobenius map reach every index but are not translations
+    assert not autgroup._orbit_stabilizer(partition, multiplier, [translations[0]] * 3)
+    assert not autgroup._orbit_stabilizer(partition, multiplier,
+                                          [t[frobenius] for t in translations])
+
+    expected = naive_exhaustive_audit(h, partition)
+    induced = autgroup.induced_permutation
+    monkeypatch.setattr(autgroup, "induced_permutation",
+                        lambda t, m: frobenius_sigma if m.u != 1 else induced(t, m))
+    report = sh.subgroup_audit(h, partition, samples=0, exhaustive=True)
+    assert all(ok for _, ok in report.generator_results)
+    assert not report.passed
+    assert (report.exhaustive_ok, report.exhaustive_checked) == expected
+
+
+def test_stabilizer_of_a_trivial_class_must_be_the_identity():
+    # GF(3) with N = 2: C_0 = {1}, so f = 1 and the multiplier's first power
+    # must already be the identity; negation has order 2 and must fail.
+    tables, partition, _, _ = sh.find_valid_generator(sh.FieldConfig(3, 1), 2, [0], [0])
+    multiplier, *translations = _generator_actions(tables, partition)
+    assert partition.f == 1
+    assert autgroup._orbit_stabilizer(partition, multiplier, translations)
+    assert not autgroup._orbit_stabilizer(partition, np.array([0, 2, 1]), translations)
+
+
+@pytest.mark.parametrize("row,col,log", [(40, 700, "exhaustive 1/24375 FAIL"),
+                                         (2, 2, "exhaustive 39/24375 FAIL")])
+def test_flipped_1252_audit_checks_few_maps_densely(instance625, matrix1252, monkeypatch,
+                                                    row, col, log):
+    # One flipped block entry changes the key of its row's and its column's
+    # block index, so the key-class count checks at most one map per
+    # multiplier power, f = 39, beside the 1 + e = 5 generators.
+    tables, partition, _, _ = instance625
+    signs = matrix1252.signs().copy()
+    signs[row, col] = -signs[row, col]
+    broken = sh.PmMatrix.from_signs(signs)
+    calls = []
+    verify = autgroup.verify_automorphism
+    monkeypatch.setattr(autgroup, "verify_automorphism",
+                        lambda h, sigma: calls.append(1) or verify(h, sigma))
+    report = sh.subgroup_audit(broken, partition, samples=0, exhaustive=True)
+    assert log in report.to_log().splitlines()
+    assert not report.passed
+    assert len(calls) <= 1 + tables.e + partition.f
 
 
 def test_block_action_rejects_other_shapes(desk_field):

@@ -82,6 +82,20 @@ def test_rank_output(desk_build, capsys):
     assert capsys.readouterr().out.strip() == "tournament 2 7 4"
 
 
+def test_rank_tournament_on_gate0_failing_matrix_exits_2(tmp_path, capsys, monkeypatch):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"2\n++\n++\n")
+    calls = []
+    gate0 = sh.hadamard.gate0_verify
+    monkeypatch.setattr(sh.hadamard, "gate0_verify", lambda m: calls.append(1) or gate0(m))
+    code = main(["rank", str(bad), "--field", "2", "--tournament"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "GATE0 FAIL n=2\n"
+    assert err == ""
+    assert len(calls) == 1
+
+
 def test_aut_command(desk_build, capsys):
     code = main(["aut", str(desk_build / "manifest.txt"), "--exhaustive"])
     out = capsys.readouterr().out
@@ -251,6 +265,41 @@ def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["build", "--p", "3"])
     assert exc.value.code == 1
+
+
+def test_aut_negative_samples_exits_1(desk_build, capsys):
+    code = main(["aut", str(desk_build / "manifest.txt"), "--samples", "-3"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "--samples" in err[0]
+
+
+@pytest.mark.parametrize("case", ["build-out-is-a-file", "encode-out-in-missing-dir",
+                                  "decode-out-in-missing-dir"])
+def test_output_path_errors_exit_1(desk_build, tmp_path, capsys, case):
+    matrix = str(desk_build / "matrix_8.txt")
+    vec = tmp_path / "vec.txt"
+    vec.write_text("1.0\n" * 8)
+    pkt = tmp_path / "pkt.bin"
+    assert main(["sketch", "encode", matrix, str(vec), "--k", "8", "--out", str(pkt)]) == 0
+    capsys.readouterr()
+    missing = tmp_path / "missing_dir"
+    if case == "build-out-is-a-file":
+        argv = ["build", "--p", "3", "--e", "1", "--N", "2", "--i0", "0", "--i1", "0",
+                "--out", str(vec)]
+    elif case == "encode-out-in-missing-dir":
+        argv = ["sketch", "encode", matrix, str(vec), "--k", "8", "--out", str(missing / "x.pkt")]
+    else:
+        argv = ["sketch", "decode", matrix, str(pkt), "--out", str(missing / "y.txt")]
+    code = main(argv)
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not missing.exists()
 
 
 def test_unknown_command_exits_1(capsys):
