@@ -1,11 +1,34 @@
 """Exact matrix rank over small prime fields.
 
-GF(2) elimination runs on rows packed into Python integers (XOR row
-reduction).  ``rank_gfp`` takes any supported prime, 2 included, through
-blocked, right-looking elimination with delayed modular reduction, after
-Dumas, Giorgi and Pernet, "Dense linear algebra over word-size prime fields:
-the FFLAS and FFPACK packages" (ACM TOMS, 2008).  Each step takes a panel
-of b columns:
+A square matrix is first offered to a Gram certificate, which proves full
+rank with no elimination.  Elimination runs only when the certificate
+cannot decide, which for the matrices of this package means that p
+divides the determinant.
+
+**The certificate.**  Let c be the centered residues of x mod p (entries
+already in [-p//2, p//2], such as +-1 and 0/1 matrices, are used as they
+are).  If the integer Gram matrix c c^T equals s I + t J, then
+
+    det(x)^2 = det(c)^2 = det(c c^T) = s^(m-1) (s + m t)   (mod p),
+
+so when p divides neither s nor s + m t the rank is m.  A skew-Hadamard H
+has H H^T = n I, so it is certified over every prime not dividing n.  Its
+0/1 tournament core M of order m = n - 1 is doubly regular,
+M M^T = (n/4) I + (n/4 - 1) J, so det(M)^2 = (n/4)^(n-2) ((n-2)/2)^2: at
+n = 1252 that is 313^1250 * 625^2, certified over GF(2) and GF(3).  The
+first two entries of Gram row 0, two dot products, give s and t, so a
+matrix whose determinant p divides costs one pass for max|c| and no
+matrix product.  Only when they promise a unit determinant is the rest of
+row 0 checked, and then the full Gram formed, by one float32 BLAS product
+that is exact when m max|c|^2 < 2^24, the integer-bound rule of
+``hadamard.gram_matrix``; outside that bound the certificate declines.
+
+**Elimination.**  GF(2) elimination runs on rows packed into Python
+integers (XOR row reduction).  ``rank_gfp`` takes any supported prime, 2
+included, through blocked, right-looking elimination with delayed modular
+reduction, after Dumas, Giorgi and Pernet, "Dense linear algebra over
+word-size prime fields: the FFLAS and FFPACK packages" (ACM TOMS, 2008).
+Each step takes a panel of b columns:
 
 * the panel is eliminated pivot by pivot (the pivot is the first nonzero
   entry in column order, so results are deterministic), recording the row
@@ -22,6 +45,9 @@ The panel width is therefore derived from p as
 ``min(64, (2^53 - p) // (p - 1)^2)``, and the primes supported are those
 for which even b = 1 holds the bound: p <= 94 906 249.  A larger p raises
 ValueError before the primality test.
+
+Both ranks take integer or boolean arrays only; any other dtype raises
+ValueError rather than being truncated to integers.
 """
 
 from __future__ import annotations
@@ -31,6 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import is_prime
+from .hadamard import _FLOAT32_EXACT
 
 
 @dataclass(frozen=True)
@@ -46,22 +73,69 @@ class RankReport:
         return f"{self.object} {self.field_char} {self.size} {self.rank}"
 
 
+def _integer_matrix(x) -> np.ndarray:
+    """``x`` as an array, refused with ValueError unless its dtype is integer or bool."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "biu":
+        raise ValueError(f"expected an integer or boolean matrix, got dtype {a.dtype}")
+    return a
+
+
+def _gram_certifies_full_rank(x: np.ndarray, p: int) -> bool:
+    """True when the exact Gram identity of x proves full rank over GF(p).
+
+    It declines (False) unless x is square and non-empty, its centered
+    residues c satisfy m max|c|^2 < 2^24, and c c^T = s I + t J with p
+    dividing neither s nor s + m t (see the module docstring).  The first
+    two entries of Gram row 0 give s and t; the rest of row 0 is checked
+    next, and the full Gram (:func:`_gram_is`) is formed only after both.
+    """
+    if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] == 0:
+        return False
+    m = x.shape[0]
+    big = max(int(x.max()), -int(x.min()))
+    if big > p // 2:
+        x = x.astype(np.int64) % p
+        x[x > p // 2] -= p
+        big = max(int(x.max()), -int(x.min()))
+    if m * big * big >= _FLOAT32_EXACT:
+        return False
+    head = x[:2].astype(np.int64)
+    t = int(head[0] @ head[1]) if m > 1 else 0
+    s = int(head[0] @ head[0]) - t
+    if s % p == 0 or (s + m * t) % p == 0:
+        return False
+    f = x.astype(np.float32)
+    row0 = f @ f[0]
+    row0[0] -= s
+    if np.any(row0 != t):
+        return False
+    return _gram_is(f, s, t)
+
+
+def _gram_is(f: np.ndarray, s: int, t: int) -> bool:
+    """Whether f f^T == s I + t J entry for entry, by one float32 product.
+
+    The caller guarantees the product is exact (m max|f|^2 < 2^24).
+    """
+    gram = f @ f.T
+    gram -= t
+    gram.flat[::f.shape[0] + 1] -= s
+    return not gram.any()
+
+
 def _rows_as_ints(m01: np.ndarray) -> list[int]:
-    bits = (np.asarray(m01) & 1).astype(np.uint8)
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    packed = np.packbits(m01 & 1, axis=1, bitorder="little")
+    w, data = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(data[i * w:(i + 1) * w], "little") for i in range(len(packed))]
 
 
-def rank_gf2(m01: np.ndarray, label: str = "matrix") -> RankReport:
-    """Rank of a square 0/1 matrix over GF(2) via bit-packed elimination.
+def _eliminate_gf2(m01: np.ndarray) -> int:
+    """Rank over GF(2) by bit-packed elimination.
 
     Each row is reduced against the pivot held at its lowest set column
     until it either vanishes or claims a new pivot column.
     """
-    m01 = np.asarray(m01)
-    if m01.ndim != 2 or m01.shape[0] != m01.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m01.shape}")
-    n = m01.shape[0]
     pivots: dict[int, int] = {}
     for row in _rows_as_ints(m01):
         while row:
@@ -71,7 +145,21 @@ def rank_gf2(m01: np.ndarray, label: str = "matrix") -> RankReport:
                 pivots[col] = row
                 break
             row ^= piv
-    return RankReport(object=label, field_char=2, size=n, rank=len(pivots))
+    return len(pivots)
+
+
+def rank_gf2(m01: np.ndarray, label: str = "matrix") -> RankReport:
+    """Rank of a square integer matrix over GF(2), entries taken mod 2.
+
+    The Gram certificate decides full rank first; otherwise the rank comes
+    from bit-packed elimination.
+    """
+    m01 = _integer_matrix(m01)
+    if m01.ndim != 2 or m01.shape[0] != m01.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m01.shape}")
+    n = m01.shape[0]
+    rank = n if _gram_certifies_full_rank(m01, 2) else _eliminate_gf2(m01)
+    return RankReport(object=label, field_char=2, size=n, rank=rank)
 
 
 _EXACT = 2**53  # float64 holds every integer of absolute value up to 2^53
@@ -140,19 +228,9 @@ def _check_field(p: int) -> None:
         raise ValueError(f"p = {p} is not prime")
 
 
-def rank_gfp(x: np.ndarray, p: int, label: str = "matrix") -> RankReport:
-    """Rank of an integer matrix over GF(p) by blocked modular elimination.
-
-    Entries are reduced mod p first (so a +-1 matrix maps to its residues).
-    p must be a prime no larger than 94 906 249, the largest for which the
-    elimination stays exact in float64 (see the module docstring); a larger
-    p raises ValueError before any primality test, as does a composite p.
-    """
-    _check_field(p)
-    a = np.asarray(x, dtype=np.int64) % p
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {a.shape}")
-    a = a.astype(np.float64)
+def _eliminate(x: np.ndarray, p: int) -> int:
+    """Rank of an integer matrix over GF(p) by blocked modular elimination."""
+    a = (x.astype(np.int64) % p).astype(np.float64)
     nrows, ncols = a.shape
     b = min(64, (_EXACT - p) // (p - 1) ** 2)
     r = 0
@@ -177,4 +255,22 @@ def rank_gfp(x: np.ndarray, p: int, label: str = "matrix") -> RankReport:
             trailing -= mult[k:] @ u12
             _reduce(trailing, p)
         r += k
-    return RankReport(object=label, field_char=p, size=nrows, rank=r)
+    return r
+
+
+def rank_gfp(x: np.ndarray, p: int, label: str = "matrix") -> RankReport:
+    """Rank of an integer matrix over GF(p).
+
+    Entries are taken mod p (so a +-1 matrix maps to its residues).  The
+    Gram certificate decides full rank of a square matrix first; otherwise
+    the rank comes from blocked modular elimination.  p must be a prime no
+    larger than 94 906 249, the largest for which the elimination stays
+    exact in float64 (see the module docstring); a larger p raises
+    ValueError before any primality test, as does a composite p.
+    """
+    _check_field(p)
+    x = _integer_matrix(x)
+    if x.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {x.shape}")
+    rank = x.shape[0] if _gram_certifies_full_rank(x, p) else _eliminate(x, p)
+    return RankReport(object=label, field_char=p, size=x.shape[0], rank=rank)

@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 import skewhad as sh
+from skewhad import ranks
 
 from _naive import (cyclic_add, field_index_add, naive_autocorrelation,
                     naive_rank_gf2, naive_rank_gfp, naive_reversed_type2)
@@ -88,24 +89,37 @@ def test_criterion_4_class_structure(instance625):
 
 def test_criterion_5_rank_invariants(instance625, matrix1252):
     tables = instance625[0]
-    # 313 divides 1252, so unlike 3 and 5 its rank is not forced by H H^T = nI
+    # H H^T = nI certifies full rank over 3 and 5, and the doubly regular
+    # tournament's det(M)^2 = 313^1250 * 625^2 over 2; 313 divides
+    # n = 1252 and 5 divides det(M), so those two ranks come from elimination
     expected = {("tournament", 2): 1251, ("hadamard", 3): 1252, ("hadamard", 5): 1252,
-                ("hadamard", 313): 626}
+                ("hadamard", 313): 626, ("tournament", 5): 1250, ("tournament", 313): 626}
     t0 = time.perf_counter()
     _, _, m01 = sh.normalize_core_tournament(matrix1252)
+    signs = matrix1252.signs()
     got = {
         ("tournament", 2): sh.rank_gf2(m01, label="tournament").rank,
-        ("hadamard", 3): sh.rank_gfp(matrix1252.signs(), 3, label="hadamard").rank,
-        ("hadamard", 5): sh.rank_gfp(matrix1252.signs(), 5, label="hadamard").rank,
-        ("hadamard", 313): sh.rank_gfp(matrix1252.signs(), 313, label="hadamard").rank,
+        ("hadamard", 3): sh.rank_gfp(signs, 3, label="hadamard").rank,
+        ("hadamard", 5): sh.rank_gfp(signs, 5, label="hadamard").rank,
+        ("hadamard", 313): sh.rank_gfp(signs, 313, label="hadamard").rank,
+        ("tournament", 5): sh.rank_gfp(m01, 5, label="tournament").rank,
+        ("tournament", 313): sh.rank_gfp(m01, 313, label="tournament").rank,
     }
+    # the certified ranks again, by elimination alone: proof and elimination
+    # check each other on the artifact
+    eliminated = {("tournament", 2): ranks._eliminate_gf2(m01),
+                  ("hadamard", 3): ranks._eliminate(signs, 3),
+                  ("hadamard", 5): ranks._eliminate(signs, 5)}
     elapsed = time.perf_counter() - t0
 
     mismatches = {k: (v, expected[k]) for k, v in got.items() if v != expected[k]}
+    mismatches.update({("eliminated",) + k: (v, expected[k])
+                       for k, v in eliminated.items() if v != expected[k]})
     ok = not mismatches and elapsed < 30.0
     detail = (f"ranks {got[('tournament', 2)]}/{got[('hadamard', 3)]}/"
-              f"{got[('hadamard', 5)]}/{got[('hadamard', 313)]} match reference "
-              f"in {elapsed:.1f}s")
+              f"{got[('hadamard', 5)]}/{got[('hadamard', 313)]}, tournament "
+              f"{got[('tournament', 5)]}/{got[('tournament', 313)]} over 5/313, "
+              f"certified and eliminated, match reference in {elapsed:.1f}s")
     if mismatches:
         # a different generator choice is the only conceivable source of a
         # mismatch; flag it with the generator so the discrepancy is auditable

@@ -375,3 +375,12 @@ def test_cli_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "build" in proc.stdout
+
+
+def test_package_runs_as_a_module():
+    import subprocess
+    import sys
+    proc = subprocess.run([sys.executable, "-m", "skewhad", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "build" in proc.stdout

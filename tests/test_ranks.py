@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import skewhad as sh
+from skewhad import ranks
 
 from _naive import naive_rank_gf2, naive_rank_gfp
+from conftest import random_signs
 
 
 def test_rank_gf2_trivial():
@@ -162,3 +166,154 @@ def test_report_line_format():
     r = sh.rank_gf2(np.eye(3, dtype=np.uint8), label="tournament")
     assert r.line() == "tournament 2 3 3"
     assert sh.RankReport("hadamard", 5, 12, 12).line() == "hadamard 5 12 12"
+
+
+# (p, e, N, i0, i1) of the order-8, 12, 24 and 56 instances
+SMALL_CONFIGS = [(3, 1, 2, [0], [0]), (5, 1, 4, [0, 1], [0, 2]),
+                 (11, 1, 2, [0], [0]), (3, 3, 2, [0], [0])]
+CERT_PRIMES = (2, 3, 5, 7, 11, 13, 313)
+
+
+@pytest.fixture(scope="module")
+def small_matrices():
+    """(n, H signs, 0/1 tournament core) of each small instance."""
+    out = []
+    for p, e, N, i0, i1 in SMALL_CONFIGS:
+        _, _, pair, _ = sh.find_valid_generator(sh.FieldConfig(p, e), N, i0, i1)
+        h = sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1)
+        _, _, m01 = sh.normalize_core_tournament(h)
+        out.append((h.n, h.signs(), m01))
+    return out
+
+
+def test_certificate_and_elimination_agree_with_the_oracles(small_matrices):
+    certified = set()
+    for n, signs, m01 in small_matrices:
+        for label, x in (("hadamard", signs), ("tournament", m01)):
+            for p in CERT_PRIMES:
+                if ranks._gram_certifies_full_rank(x, p):
+                    certified.add((n, label, p))
+                want = naive_rank_gfp(x.tolist(), p)
+                assert sh.rank_gfp(x, p).rank == want, (n, label, p)
+            assert sh.rank_gf2(x % 2).rank == naive_rank_gf2(x.tolist())
+    # H H^T = nI certifies exactly the primes not dividing n
+    for n, _, _ in small_matrices:
+        for p in CERT_PRIMES:
+            assert ((n, "hadamard", p) in certified) == (n % p != 0)
+    # det(M)^2 = (n/4)^(n-2) ((n-2)/2)^2: at n = 12 that is 3^10 * 5^2
+    assert (12, "tournament", 2) in certified
+    assert (12, "tournament", 3) not in certified
+    assert (12, "tournament", 5) not in certified
+    assert (12, "tournament", 7) in certified
+
+
+def test_certificate_declines_what_it_cannot_prove(matrix8):
+    signs = matrix8.signs()
+    assert ranks._gram_certifies_full_rank(signs, 3)
+    # not square, not a matrix, empty
+    assert not ranks._gram_certifies_full_rank(signs[:, :7], 3)
+    assert not ranks._gram_certifies_full_rank(signs[0], 3)
+    assert not ranks._gram_certifies_full_rank(np.zeros((0, 0), dtype=int), 3)
+    # row 0 and the diagonal of the Gram alone would certify (2 I), yet
+    # rows 1 and 2 agree
+    w = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1], [1, -1, 0, 0]])
+    assert not ranks._gram_certifies_full_rank(w, 5)
+    assert sh.rank_gfp(w, 5).rank == 3
+    # unstructured Grams of full-rank matrices: row 0 is (2, 1, 0), and
+    # [[2, 1], [1, 1]] differs from I + J only at its last entry
+    x = np.array([[1, 1, 0], [1, 0, 0], [0, 0, 1]])
+    assert not ranks._gram_certifies_full_rank(x, 5)
+    assert sh.rank_gfp(x, 5).rank == 3
+    u = np.array([[1, 1], [0, 1]])
+    assert not ranks._gram_certifies_full_rank(u, 5)
+    assert sh.rank_gfp(u, 5).rank == 2
+    # s I + t J with p | s: H H^T = 8 I at p = 2
+    assert not ranks._gram_certifies_full_rank(signs, 2)
+    assert sh.rank_gfp(signs, 2).rank == naive_rank_gfp(signs.tolist(), 2) == 1
+    # p | s + m t: y y^T = I + J, so det(y)^2 = 1 + 3 = 4, a unit mod 3 only
+    y = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    assert not ranks._gram_certifies_full_rank(y, 2)
+    assert ranks._gram_certifies_full_rank(y, 3)
+    assert sh.rank_gfp(y, 2).rank == naive_rank_gfp(y.tolist(), 2) == 2
+    # t < 0: z z^T = 4 I - J, det(z)^2 = 4^2 * 1
+    z = 2 * np.eye(3, dtype=int) - np.ones((3, 3), dtype=int)
+    assert ranks._gram_certifies_full_rank(z, 3)
+    assert not ranks._gram_certifies_full_rank(z, 2)
+    assert sh.rank_gfp(z, 3).rank == naive_rank_gfp(z.tolist(), 3) == 3
+
+
+def test_certificate_declines_beyond_the_float32_bound(matrix8):
+    # m max|c|^2 must stay below 2^24; p = 8209 leaves 4095 and 4096 as
+    # their own centered residues
+    assert ranks._gram_certifies_full_rank(np.array([[4095]]), 8209)
+    assert not ranks._gram_certifies_full_rank(np.array([[4096]]), 8209)
+    assert sh.rank_gfp(np.array([[4096]]), 8209).rank == 1
+    d = 2897 * np.eye(2, dtype=int)  # 2 * 2897^2 just above 2^24
+    assert 2 * 2897**2 >= 2**24 > 2 * 2896**2
+    assert not ranks._gram_certifies_full_rank(d, 8209)
+    assert ranks._gram_certifies_full_rank(d - np.eye(2, dtype=int), 8209)
+    # residues are centered: H mod p has entries 1 and p - 1, taken as +-1
+    assert ranks._gram_certifies_full_rank(matrix8.signs().astype(np.int64) % 8209, 8209)
+    # a large entry is reduced first: 10^9 I is 10^9 mod 7 = 6 = -1 I
+    assert ranks._gram_certifies_full_rank(10**9 * np.eye(5, dtype=np.int64), 7)
+    assert not ranks._gram_certifies_full_rank(7 * 10**8 * np.eye(5, dtype=np.int64), 7)
+
+
+_small_square = st.integers(1, 5).flatmap(
+    lambda m: arrays(np.int64, (m, m), elements=st.integers(-3, 3)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_small_square, st.sampled_from((2, 3, 5, 7)))
+def test_rank_matches_naive_whichever_path_decides(x, p):
+    # small entries make s I + t J Grams common (permutations, 1 x 1, +-1 rows)
+    assert sh.rank_gfp(x, p).rank == naive_rank_gfp(x.tolist(), p)
+    assert sh.rank_gf2(x).rank == naive_rank_gf2(x.tolist())
+
+
+def _count_calls(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        inner = getattr(ranks, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(ranks, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("label, p, certified, rank", [
+    ("hadamard", 3, True, 1252), ("hadamard", 5, True, 1252), ("tournament", 2, True, 1251),
+    ("hadamard", 313, False, 626), ("hadamard", 2, False, 1), ("tournament", 5, False, 1250),
+    ("random", 3, False, None)])
+def test_certified_ranks_eliminate_nothing_and_declined_ranks_form_no_gram(
+        monkeypatch, matrix1252, label, p, certified, rank):
+    _, _, m01 = sh.normalize_core_tournament(matrix1252)
+    x = {"hadamard": matrix1252.signs(), "tournament": m01,
+         "random": random_signs(160, 9)}[label]
+    if rank is None:
+        rank = naive_rank_gfp(x.tolist(), p)
+    calls = _count_calls(monkeypatch, ("_eliminate", "_eliminate_gf2", "_gram_is"))
+    got = sh.rank_gf2(x % 2) if p == 2 else sh.rank_gfp(x, p)
+    assert got.rank == rank
+    eliminations = calls["_eliminate"] + calls["_eliminate_gf2"]
+    # a certified rank forms one Gram; a declined one is stopped by row 0
+    assert (eliminations, calls["_gram_is"]) == ((0, 1) if certified else (1, 0))
+
+
+@pytest.mark.parametrize("bad", [[[1.5, 2], [3, 4]], [[np.nan]], [[1.0]],
+                                 np.eye(2, dtype=np.float32), [[1 + 0j]],
+                                 np.array([[1]], dtype=object), [["1"]]])
+def test_ranks_refuse_non_integer_dtypes(bad):
+    with pytest.raises(ValueError, match="integer or boolean"):
+        sh.rank_gfp(bad, 3)
+    with pytest.raises(ValueError, match="integer or boolean"):
+        sh.rank_gf2(bad)
+
+
+def test_ranks_accept_boolean_and_unsigned_matrices():
+    b = np.array([[True, True, False], [True, False, True], [False, True, True]])
+    assert sh.rank_gf2(b).rank == 2
+    assert sh.rank_gfp(b, 3).rank == 3
+    assert sh.rank_gfp(b.astype(np.uint16) * 3, 3).rank == 0
