@@ -7,14 +7,16 @@ assembled matrix invariant entry for entry.  No sign component is needed:
 the borders are constant and every block entry depends only on element
 differences, which the maps rescale within block-invariant classes.
 
-The exhaustive audit checks only the 1 + e generators densely.  When all
-pass, the orbit-stabilizer step of Schreier-Sims (Seress, *Permutation
-Group Algorithms*, CUP 2003) certifies the rest: the translations move
-block index 0 to all q indices, the multiplier's powers are its stabilizer,
-and every map is a product of the two, so all f*q maps are automorphisms.
-When one fails, the count stays exact: an automorphism keeps the -1 counts
-of each row and column, so only the maps sending one index of the rarest
-class of those counts into that class are checked densely.
+The audit checks only the 1 + e generators densely.  When all pass, the
+orbit-stabilizer step of Schreier-Sims (Seress, *Permutation Group
+Algorithms*, CUP 2003) certifies the rest: the translations move block
+index 0 to all q indices, the multiplier's powers are its stabilizer, and
+every map is a product of the two, so all f*q maps are automorphisms.  A
+closure sample that equals one of those maps entry for entry then passes
+with no dense check; any other sample is checked densely.  When a generator
+fails, the count stays exact: an automorphism keeps the -1 counts of each
+row and column, so only the maps sending one index of the rarest class of
+those counts into that class are checked densely.
 """
 
 from __future__ import annotations
@@ -121,8 +123,8 @@ def _affine_tables(partition: CyclotomicPartition):
     return minus, plus, scaled
 
 
-def _orbit_stabilizer(partition: CyclotomicPartition, multiplier: np.ndarray,
-                      translations: list[np.ndarray]) -> bool:
+def _orbit_stabilizer(partition: CyclotomicPartition, plus: np.ndarray, scaled: np.ndarray,
+                      multiplier: np.ndarray, translations: list[np.ndarray]) -> bool:
     """Whether the generators' block actions generate all f*q affine maps.
 
     ``multiplier`` acts as x -> g^N x and ``translations`` as the e basis
@@ -132,9 +134,9 @@ def _orbit_stabilizer(partition: CyclotomicPartition, multiplier: np.ndarray,
     being x -> x + g_i entry for entry.  Stabilizer: the multiplier's k-th
     power is x -> g^(N*k) x for k < f, its f-th the identity.  So map
     k*q + i, a translation after a multiplier power, is an automorphism.
+    ``plus`` and ``scaled`` are the tables of :func:`_affine_tables`.
     """
     q, p, f = partition.tables.q, partition.tables.p, partition.f
-    _, plus, scaled = _affine_tables(partition)
     rows = np.arange(q)[None, :]
     for t in translations:
         powers = [rows]
@@ -153,7 +155,31 @@ def _orbit_stabilizer(partition: CyclotomicPartition, multiplier: np.ndarray,
     return True
 
 
-def _count_by_key_class(h: PmMatrix, partition: CyclotomicPartition) -> int:
+def _is_affine_map(sigma: np.ndarray, minus: np.ndarray, plus: np.ndarray,
+                   scaled: np.ndarray) -> bool:
+    """Whether sigma is, entry for entry, one of the f*q maps of the tables.
+
+    Map k*q + i sends block index 0 to i and index 1 (which holds g^0) to
+    the index of g^(N*k) + g_i, so i = pi(0) and minus[i, pi(1)] = 1 + N*k
+    name the only candidate; sigma must also fix both borders and act on
+    the two blocks alike.  Never raises, whatever sigma holds.
+    """
+    q, f = len(minus), len(scaled)
+    if sigma.shape != (2 * q + 2,) or sigma[0] != 0 or sigma[1] != 1:
+        return False
+    pi = sigma[2: q + 2] - 2
+    i, y = int(pi[0]), int(pi[1])
+    if not (0 <= i < q and 0 <= y < q):
+        return False
+    # Unless minus[i, y] is 1 + N*k, the map read off here (scaled[-1] when
+    # y == i) differs from pi at index 1, so the comparison decides alone.
+    k = (int(minus[i, y]) - 1) // ((q - 1) // f)
+    return (np.array_equal(pi, plus[i * q + scaled[k]])
+            and np.array_equal(sigma[q + 2:], pi + q + 2))
+
+
+def _count_by_key_class(h: PmMatrix, minus: np.ndarray, plus: np.ndarray,
+                        scaled: np.ndarray) -> int:
     """How many of the f*q affine maps are automorphisms of h, exactly.
 
     An automorphism permutes the rows and the columns, so it keeps each
@@ -163,9 +189,9 @@ def _count_by_key_class(h: PmMatrix, partition: CyclotomicPartition) -> int:
     the rarest class R: for each multiplier power k and each y in R exactly
     one map sends x0 to y, the translation by g_y - g^(N*k) g_x0.  Only
     those f*|R| maps can be automorphisms, and they are checked densely.
+    The tables are those of :func:`_affine_tables`.
     """
-    q = partition.tables.q
-    minus, plus, scaled = _affine_tables(partition)
+    q = len(minus)
     neg = h.signs() < 0
     rows, cols = neg.sum(axis=1), neg.sum(axis=0)
     keys = np.stack([rows[2: q + 2], cols[2: q + 2], rows[q + 2:], cols[q + 2:]], axis=1)
@@ -211,14 +237,18 @@ def subgroup_audit(h: PmMatrix, partition: CyclotomicPartition, *,
     """Verify the affine subgroup {x -> u*x + a : u in C_0, a in F} on H.
 
     Checks one multiplier generator of order (q-1)/N and one translation
-    generator of order p per basis coefficient, then a random closure sample
-    of composite maps: each sample is the product ``s1[s2]`` of the
-    permutations two random subgroup elements induce, so the audit does no
-    field arithmetic beyond :func:`induced_permutation`.  With
-    ``exhaustive`` set, every one of the ((q-1)/N) * q maps is certified:
-    by :func:`_orbit_stabilizer` when every generator passes, otherwise
-    counted exactly by :func:`_count_by_key_class`.  The verdict and the
-    count are the same as checking each map densely.
+    generator of order p per basis coefficient densely; when all pass,
+    :func:`_orbit_stabilizer` tries to certify that they generate all
+    ((q-1)/N) * q maps.  Then comes a random closure sample of composite
+    maps: each sample is the product ``s1[s2]`` of the permutations two
+    random subgroup elements induce, so the audit does no field arithmetic
+    beyond :func:`induced_permutation`.  A sample whose product equals a
+    certified map entry for entry (:func:`_is_affine_map`) passes without a
+    dense check; any other sample, and every sample without a certificate,
+    is checked densely.  With ``exhaustive`` set, every map is certified by
+    the orbit-stabilizer step, or, when it fails, counted exactly by
+    :func:`_count_by_key_class`.  The verdicts and the counts are the same
+    as checking each map densely.
     """
     tables = partition.tables
     q, p, e, n_cls, f = tables.q, tables.p, tables.e, partition.N, partition.f
@@ -243,6 +273,11 @@ def subgroup_audit(h: PmMatrix, partition: CyclotomicPartition, *,
     for i in range(e):  # p**i encodes the i-th basis monomial
         all_ok &= check(f"translation basis {i}", make_affine(partition, 1, p**i))
 
+    certified = False
+    if samples > 0 or exhaustive:
+        minus, plus, scaled = _affine_tables(partition)
+        certified = all_ok and _orbit_stabilizer(partition, plus, scaled, actions[0], actions[1:])
+
     rng = np.random.default_rng(seed)
 
     def random_element() -> np.ndarray:
@@ -254,16 +289,16 @@ def subgroup_audit(h: PmMatrix, partition: CyclotomicPartition, *,
         for _ in range(samples):
             s1 = random_element()
             s2 = random_element()
-            ok_count += verify_automorphism(h, s1[s2])  # s1 after s2
+            product = s1[s2]  # s1 after s2
+            ok_count += ((certified and _is_affine_map(product, minus, plus, scaled))
+                         or verify_automorphism(h, product))
         report.samples_checked = samples
         report.samples_ok = ok_count
         all_ok &= ok_count == samples
 
     if exhaustive:
-        certified = (all(ok for _, ok in report.generator_results)
-                     and _orbit_stabilizer(partition, actions[0], actions[1:]))
         report.exhaustive_checked = f * q
-        report.exhaustive_ok = f * q if certified else _count_by_key_class(h, partition)
+        report.exhaustive_ok = f * q if certified else _count_by_key_class(h, minus, plus, scaled)
         all_ok &= certified
 
     report.passed = bool(all_ok)

@@ -402,7 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_aut = sub.add_parser("aut", help="verify the affine automorphism subgroup "
                                        "on the matrix file a manifest names")
     p_aut.add_argument("file", help="manifest file; the matrix next to it must match its digest")
-    p_aut.add_argument("--samples", type=int, default=100, help="closure sample size")
+    p_aut.add_argument("--samples", type=int, default=100,
+                       help="closure sample size; a sample that equals a map the generators "
+                            "certify passes without a dense check, any other is checked "
+                            "densely")
     p_aut.add_argument("--exhaustive", action="store_true",
                        help="certify every subgroup element (by orbit and stabilizer)")
     p_aut.add_argument("--seed", type=int, default=0)

@@ -12,7 +12,7 @@ that on nonzero encodings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 import numpy as np
@@ -57,6 +57,7 @@ class FieldTables:
     generator: int
     antilog: np.ndarray
     log: np.ndarray
+    _additive: GroupSpec | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.antilog.setflags(write=False)
@@ -305,6 +306,12 @@ def negation_class_shift(tables: FieldTables, N: int) -> int:
 
 
 def additive_group(tables: FieldTables) -> GroupSpec:
-    """The additive group of the field, ordered [0, g^0, g^1, ...]."""
-    enc = np.concatenate([np.zeros(1, dtype=np.int64), tables.antilog])
-    return GroupSpec.field_additive(tables.p, tables.e, enc)
+    """The additive group of the field, ordered [0, g^0, g^1, ...].
+
+    Built once per ``FieldTables`` and kept on them, so its digit tables and
+    cached difference table are shared by every caller.
+    """
+    if tables._additive is None:
+        enc = np.concatenate([np.zeros(1, dtype=np.int64), tables.antilog])
+        tables._additive = GroupSpec.field_additive(tables.p, tables.e, enc)
+    return tables._additive

@@ -81,6 +81,14 @@ def _integer_matrix(x) -> np.ndarray:
     return a
 
 
+def _residues(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p as int64, reduced in x's own dtype first when it is unsigned,
+    so uint64 entries of 2^63 and above do not wrap."""
+    if x.dtype.kind == "u":
+        x = x % np.uint64(p)
+    return x.astype(np.int64) % p
+
+
 def _gram_certifies_full_rank(x: np.ndarray, p: int) -> bool:
     """True when the exact Gram identity of x proves full rank over GF(p).
 
@@ -95,7 +103,7 @@ def _gram_certifies_full_rank(x: np.ndarray, p: int) -> bool:
     m = x.shape[0]
     big = max(int(x.max()), -int(x.min()))
     if big > p // 2:
-        x = x.astype(np.int64) % p
+        x = _residues(x, p)
         x[x > p // 2] -= p
         big = max(int(x.max()), -int(x.min()))
     if m * big * big >= _FLOAT32_EXACT:
@@ -230,7 +238,7 @@ def _check_field(p: int) -> None:
 
 def _eliminate(x: np.ndarray, p: int) -> int:
     """Rank of an integer matrix over GF(p) by blocked modular elimination."""
-    a = (x.astype(np.int64) % p).astype(np.float64)
+    a = _residues(x, p).astype(np.float64)
     nrows, ncols = a.shape
     b = min(64, (_EXACT - p) // (p - 1) ** 2)
     r = 0

@@ -248,3 +248,32 @@ def naive_exhaustive_audit(h, partition):
             total += 1
             ok += verify_automorphism(h, induced_permutation(tables, AffineMap(u=u, a=a)))
     return ok, total
+
+
+def naive_closure_samples(h, partition, samples, seed=0, induced=None):
+    """How many closure samples pass a dense check, drawn as the audit draws them.
+
+    Each sample is the product s1[s2] of two maps drawn from
+    ``numpy.random.default_rng(seed)`` (a multiplier power, then a
+    translation, for s1 and then for s2), induced by ``induced`` (default
+    :func:`skewhad.autgroup.induced_permutation`); it passes when
+    H[sigma(i), sigma(j)] == H[i, j] for all i, j.
+    """
+    import numpy as np
+
+    from skewhad.autgroup import AffineMap, induced_permutation
+
+    induced = induced or induced_permutation
+    tables, signs = partition.tables, h.signs()
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        u = tables.pow_g(partition.N * int(rng.integers(partition.f)))
+        return induced(tables, AffineMap(u=u, a=int(rng.integers(tables.q))))
+
+    ok = 0
+    for _ in range(samples):
+        s1 = draw()
+        sigma = s1[draw()]
+        ok += bool(np.array_equal(signs[np.ix_(sigma, sigma)], signs))
+    return ok

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 import skewhad as sh
-from skewhad import autgroup
+from skewhad import autgroup, gf
 from skewhad.autgroup import AffineMap
 
-from _naive import naive_compose_affine, naive_enc_add, naive_exhaustive_audit
+from _naive import (naive_closure_samples, naive_compose_affine, naive_enc_add,
+                    naive_exhaustive_audit)
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +208,12 @@ def _generator_actions(tables, partition):
     return [autgroup._block_action(sh.induced_permutation(tables, m), q) for m in maps]
 
 
+def _certifies(partition, multiplier, translations):
+    """The orbit-stabilizer verdict on these block actions."""
+    _, plus, scaled = autgroup._affine_tables(partition)
+    return autgroup._orbit_stabilizer(partition, plus, scaled, multiplier, translations)
+
+
 def test_closure_outside_the_affine_maps_fails(desk_field, monkeypatch):
     # The Frobenius map x -> x^3 keeps the squares of GF(27), so it is an
     # automorphism of this matrix, but it is not affine: passed as the
@@ -217,13 +226,13 @@ def test_closure_outside_the_affine_maps_fails(desk_field, monkeypatch):
     frobenius_sigma = autgroup._bordered(frobenius, q)
     assert sh.verify_automorphism(h, frobenius_sigma)
     multiplier, *translations = _generator_actions(tables, partition)
-    assert autgroup._orbit_stabilizer(partition, multiplier, translations)
-    assert not autgroup._orbit_stabilizer(partition, frobenius, translations)
+    assert _certifies(partition, multiplier, translations)
+    assert not _certifies(partition, frobenius, translations)
     # a repeated translation leaves the orbit of index 0 short; translations
     # after the Frobenius map reach every index but are not translations
-    assert not autgroup._orbit_stabilizer(partition, multiplier, [translations[0]] * 3)
-    assert not autgroup._orbit_stabilizer(partition, multiplier,
-                                          [t[frobenius] for t in translations])
+    assert not _certifies(partition, multiplier, [translations[0]] * 3)
+    assert not _certifies(partition, multiplier,
+                          [t[frobenius] for t in translations])
 
     expected = naive_exhaustive_audit(h, partition)
     induced = autgroup.induced_permutation
@@ -241,8 +250,8 @@ def test_stabilizer_of_a_trivial_class_must_be_the_identity():
     tables, partition, _, _ = sh.find_valid_generator(sh.FieldConfig(3, 1), 2, [0], [0])
     multiplier, *translations = _generator_actions(tables, partition)
     assert partition.f == 1
-    assert autgroup._orbit_stabilizer(partition, multiplier, translations)
-    assert not autgroup._orbit_stabilizer(partition, np.array([0, 2, 1]), translations)
+    assert _certifies(partition, multiplier, translations)
+    assert not _certifies(partition, np.array([0, 2, 1]), translations)
 
 
 @pytest.mark.parametrize("row,col,log", [(40, 700, "exhaustive 1/24375 FAIL"),
@@ -276,3 +285,137 @@ def test_block_action_rejects_other_shapes(desk_field):
     sigma[[2, 3]] = sigma[[3, 2]]  # acts on the first block only
     with pytest.raises(AssertionError):
         autgroup._block_action(sigma, tables.q)
+
+
+@pytest.mark.parametrize("exhaustive", [True, False])
+def test_certified_1252_samples_need_no_dense_check(instance625, matrix1252, monkeypatch,
+                                                    exhaustive):
+    # Once the generators certify the group, every closure sample equals one
+    # of its maps entry for entry, so only the 1 + e = 5 generators are
+    # checked densely.
+    tables, partition, _, _ = instance625
+    calls = []
+    verify = autgroup.verify_automorphism
+    monkeypatch.setattr(autgroup, "verify_automorphism",
+                        lambda h, sigma: calls.append(1) or verify(h, sigma))
+    report = sh.subgroup_audit(matrix1252, partition, samples=100, exhaustive=exhaustive)
+    assert report.passed
+    assert "closure_sample 100/100 PASS" in report.to_log().splitlines()
+    assert len(calls) == 1 + tables.e == 5
+
+
+def _flipped(h, row, col):
+    signs = h.signs().copy()
+    signs[row, col] = -signs[row, col]
+    return sh.PmMatrix.from_signs(signs)
+
+
+@pytest.mark.parametrize("flip", [None, (2, 2), (0, 5), (2, 5), (30, 40), (55, 3)])
+def test_desk_closure_samples_match_dense_oracle(desk_field, monkeypatch, flip):
+    tables, partition, _, h = desk_field
+    broken = h if flip is None else _flipped(h, *flip)
+    expected = naive_closure_samples(broken, partition, 60, seed=3)
+    calls = []
+    verify = autgroup.verify_automorphism
+    monkeypatch.setattr(autgroup, "verify_automorphism",
+                        lambda h, sigma: calls.append(1) or verify(h, sigma))
+    report = sh.subgroup_audit(broken, partition, samples=60, seed=3)
+    assert (report.samples_ok, report.samples_checked) == (expected, 60)
+    if flip is None:
+        assert expected == 60 and len(calls) == 1 + tables.e
+    else:
+        # a failing generator leaves no certificate, so every sample is dense
+        assert not all(ok for _, ok in report.generator_results)
+        assert len(calls) == 1 + tables.e + 60
+
+
+@pytest.mark.parametrize("row,col", [(40, 700), (2, 2)])
+def test_flipped_1252_closure_samples_match_dense_oracle(instance625, matrix1252, row, col):
+    _, partition, _, _ = instance625
+    broken = _flipped(matrix1252, row, col)
+    report = sh.subgroup_audit(broken, partition, samples=20, exhaustive=True, seed=5)
+    assert not report.passed
+    assert report.samples_ok == naive_closure_samples(broken, partition, 20, seed=5)
+
+
+def _first_factor_twisted(twist, skip):
+    """induced_permutation with ``twist`` applied after the first factor of
+    each sample pair, once ``skip`` generator calls have gone by."""
+    induced = autgroup.induced_permutation
+    calls = itertools.count(-skip)
+
+    def twisted(tables, m):
+        k, sigma = next(calls), induced(tables, m)
+        return twist[sigma] if k >= 0 and k % 2 == 0 else sigma
+
+    return twisted
+
+
+@pytest.mark.parametrize("twist", ["frobenius", "swap_blocks", "swap_borders",
+                                   "translate_one_block"])
+def test_sample_outside_the_affine_tables_is_checked_densely(desk_field, monkeypatch, twist):
+    # The generators certify the group, but each sample is a twist after an
+    # affine map, which is none of the certified maps: the Frobenius map
+    # x -> x^3 (an automorphism here, but not affine), a swap of the two
+    # blocks, a swap of the borders, or a translation of the first block
+    # alone.  Each sample must fall back to its dense verdict, and nothing
+    # may raise.
+    tables, partition, _, h = desk_field
+    q, p, samples = tables.q, tables.p, 30
+    sigma = np.arange(h.n)
+    if twist == "frobenius":
+        frobenius = np.zeros(q, dtype=np.int64)
+        frobenius[1:] = 1 + (p * np.arange(q - 1)) % (q - 1)
+        sigma = autgroup._bordered(frobenius, q)
+    elif twist == "translate_one_block":
+        sigma[2: q + 2] = sh.induced_permutation(tables, AffineMap(u=1, a=1))[2: q + 2]
+    elif twist == "swap_blocks":
+        sigma[2:] = np.roll(sigma[2:], q)
+    else:
+        sigma[[0, 1]] = [1, 0]
+    expected = naive_closure_samples(h, partition, samples,
+                                     induced=_first_factor_twisted(sigma, 0))
+    assert expected == (samples if twist == "frobenius" else 0)
+    calls = []
+    verify = autgroup.verify_automorphism
+    monkeypatch.setattr(autgroup, "induced_permutation",
+                        _first_factor_twisted(sigma, 1 + tables.e))
+    monkeypatch.setattr(autgroup, "verify_automorphism",
+                        lambda h, sigma: calls.append(1) or verify(h, sigma))
+    report = sh.subgroup_audit(h, partition, samples=samples, exhaustive=True)
+    assert all(ok for _, ok in report.generator_results)
+    assert report.exhaustive_ok == report.exhaustive_checked  # certified
+    assert report.samples_ok == expected
+    assert len(calls) == 1 + tables.e + samples
+
+
+def test_no_samples_and_no_exhaustive_skips_the_certificate(desk_field, monkeypatch):
+    _, partition, _, h = desk_field
+    monkeypatch.setattr(autgroup, "_affine_tables", None)  # any call would raise
+    report = sh.subgroup_audit(h, partition, samples=0)
+    assert report.passed and report.to_log().splitlines()[-1].startswith("PASS order")
+
+
+def test_audit_builds_one_additive_group_and_one_set_of_tables(monkeypatch):
+    # The digit tables and the affine tables are built once per audit, not
+    # once per induced permutation or per certificate step.
+    _, partition, pair, _ = sh.find_valid_generator(sh.FieldConfig(5, 3), 4, [0, 1], [0, 2])
+    h = sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1)
+    fresh = sh.cyclotomic_partition(gf.tables_for_generator(partition.tables,
+                                                            partition.tables.generator), 4)
+    counts = {"groups": 0, "tables": 0}
+    init, tables_of = sh.GroupSpec.__init__, autgroup._affine_tables
+
+    def counting_init(self, *args, **kwargs):
+        counts["groups"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_tables(partition):
+        counts["tables"] += 1
+        return tables_of(partition)
+
+    monkeypatch.setattr(sh.GroupSpec, "__init__", counting_init)
+    monkeypatch.setattr(autgroup, "_affine_tables", counting_tables)
+    report = sh.subgroup_audit(h, fresh, samples=20, exhaustive=True)
+    assert report.passed
+    assert counts == {"groups": 1, "tables": 1}

@@ -224,3 +224,12 @@ def test_additive_group_ordering():
     tables = sh.build_field(sh.FieldConfig(7, 1, generator=3))
     g = sh.additive_group(tables)
     assert [g.encoding_of(i) for i in range(7)] == [0, 1, 3, 2, 6, 4, 5]
+
+
+def test_additive_group_is_built_once_per_field_tables():
+    tables = sh.build_field(sh.FieldConfig(7, 1, generator=3))
+    g = sh.additive_group(tables)
+    assert sh.additive_group(tables) is g
+    other = tables_for_generator(tables, 5)
+    assert sh.additive_group(other) is not g
+    assert [sh.additive_group(other).encoding_of(i) for i in range(7)] == [0, 1, 5, 4, 6, 2, 3]

@@ -317,3 +317,20 @@ def test_ranks_accept_boolean_and_unsigned_matrices():
     assert sh.rank_gf2(b).rank == 2
     assert sh.rank_gfp(b, 3).rank == 3
     assert sh.rank_gfp(b.astype(np.uint16) * 3, 3).rank == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 313])
+def test_uint64_entries_at_and_above_2_63_match_the_oracles(p):
+    # Residues are taken in the array's own unsigned dtype: a cast to int64
+    # first would wrap 2^63 + 1 to -(2^63 - 1), which is 1 mod 3, not 0.
+    rng = np.random.default_rng(p)
+    cases = [np.array([[v]], dtype=np.uint64) for v in (2**63, 2**63 + 1, 2**64 - 1)]
+    cases += [rng.integers(2**63 - 4, 2**64, size=shape, dtype=np.uint64)
+              for shape in ((2, 2), (3, 3), (4, 4), (2, 3), (3, 2))]
+    # rows that agree mod p, so that the rank is deficient
+    row = rng.integers(2**63, 2**64 - 2 * p, size=3, dtype=np.uint64)
+    cases.append(np.stack([row, row + np.uint64(p), row + np.uint64(2 * p)]))
+    for x in cases:
+        assert sh.rank_gfp(x, p).rank == naive_rank_gfp(x.tolist(), p), (x, p)
+        if p == 2 and x.shape[0] == x.shape[1]:
+            assert sh.rank_gf2(x).rank == naive_rank_gf2(x.tolist()), x
