@@ -106,7 +106,7 @@ def format_manifest(config: BuildConfig, digests: dict[str, str]) -> str:
 
 
 def parse_manifest(text: str) -> tuple[BuildConfig, dict[str, str]]:
-    """Inverse of :func:`format_manifest`."""
+    """Inverse of :func:`format_manifest`; each digest names a plain file."""
     fields: dict[str, str] = {}
     digests: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -122,6 +122,8 @@ def parse_manifest(text: str) -> tuple[BuildConfig, dict[str, str]]:
         digest, sep, name = line.partition("  ")
         if not sep or len(digest) != 64 or any(c not in "0123456789abcdef" for c in digest):
             raise CliError(f"manifest line {lineno}: malformed digest line {line!r}")
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise CliError(f"manifest line {lineno}: {name!r} is not a plain file name")
         digests[name] = digest
     try:
         config = BuildConfig(
@@ -198,7 +200,10 @@ def write_vector_file(path: Path, values: np.ndarray) -> None:
 def cmd_build(args) -> int:
     i0 = parse_index_set(args.i0)
     i1 = parse_index_set(args.i1)
-    modulus = tuple(int(c) for c in args.poly.split(",")) if args.poly else None
+    try:
+        modulus = tuple(int(c) for c in args.poly.split(",")) if args.poly else None
+    except ValueError:
+        raise CliError(f"bad --poly {args.poly!r}: expected comma-separated integers") from None
     fieldcfg = gf.FieldConfig(args.p, args.e, modulus, args.gen)
     try:
         tables, partition, pair, cert = shdf.find_valid_generator(fieldcfg, args.N, i0, i1)
@@ -291,6 +296,8 @@ def cmd_aut(args) -> int:
     """Audit the matrix file the manifest names, once its digest matches."""
     if args.samples < 0:
         raise CliError(f"--samples must be at least 0, not {args.samples}")
+    if args.seed < 0:
+        raise CliError(f"--seed must be at least 0, not {args.seed}")
     path = Path(args.file)
     config, digests = read_manifest(path)
     try:

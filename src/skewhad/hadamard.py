@@ -1,15 +1,17 @@
 """Group-developed +-1 matrices, the bordered assembly, and exact verification.
 
-Matrices live in :class:`PmMatrix`, a bit-packed +-1 matrix (set bit means
--1) with rows padded to whole 64-bit words.  All verification is exact.  The
-Gram matrix is one float32 BLAS product of the dense signs: every term is
-+-1, so every partial sum is an integer of magnitude at most n, which float32
-holds exactly for n < 2^24 in whatever order BLAS adds (the integer-bound
-argument of FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008).
+Matrices live in :class:`PmMatrix`, one read-only int8 array of the +-1
+entries.  All verification is exact.  The Gram matrix is one float32 BLAS
+product of the signs: every term is +-1, so every partial sum is an integer
+of magnitude at most n, which float32 holds exactly for n < 2^24 in whatever
+order BLAS adds (the integer-bound argument of FFLAS-FFPACK, Dumas, Giorgi
+and Pernet, ACM TOMS 2008).
 
 The text interchange format is: first line the decimal order n, then n lines
 of n characters, '+' for +1 and '-' for -1, LF endings, nothing else.  The
-parser checks and packs it with whole-array operations, no pass per row.
+parser and the writer convert between bytes and signs with whole-array
+operations, no pass per row: '+' (43) and '-' (45) lie either side of 44, so
+sign = 44 - byte.
 """
 
 from __future__ import annotations
@@ -21,19 +23,10 @@ import numpy as np
 
 from .groups import GroupSpec, indicator_signs
 
-_WORD = 64
 _ORDER_HEADER = re.compile(rb"[1-9][0-9]*")
 _FLOAT32_EXACT = 1 << 24  # float32 holds every integer of absolute value up to 2^24
-_PLUS, _MINUS, _LF = ord("+"), ord("-"), ord("\n")
-
-
-def _pack_negative(neg: np.ndarray) -> np.ndarray:
-    """Packed uint64 words of a square boolean mask (True = entry is -1)."""
-    n = neg.shape[0]
-    packed = np.packbits(neg, axis=1, bitorder="little")
-    padded = np.zeros((n, 8 * ((n + _WORD - 1) // _WORD)), dtype=np.uint8)
-    padded[:, : packed.shape[1]] = packed
-    return padded.view("<u8").astype(np.uint64)
+_MID = 44  # '+' = 43 and '-' = 45 lie either side, so sign = 44 - byte
+_LF = ord("\n")
 
 
 class MatrixFormatError(ValueError):
@@ -47,40 +40,30 @@ class MatrixFormatError(ValueError):
 
 
 class PmMatrix:
-    """Square +-1 matrix, one bit per entry (bit set = entry is -1).
+    """Square +-1 matrix, stored as one read-only int8 array of its entries.
 
-    Storage is row-major: ``words[i, j]`` covers columns 64*j .. 64*j + 63 of
-    row i, least significant bit first, zero padded.  Immutable.
+    The constructor takes the array as it is, without a copy or a check, and
+    marks it read-only; :meth:`from_signs` checks and copies.  Immutable.
     """
 
-    def __init__(self, n: int, words: np.ndarray):
-        expected = (n, (n + _WORD - 1) // _WORD)
-        if words.shape != expected or words.dtype != np.uint64:
-            raise ValueError(f"packed storage must be uint64 of shape {expected}")
-        self.n = n
-        self.words = words
-        self.words.setflags(write=False)
-        self._signs: np.ndarray | None = None
+    def __init__(self, signs: np.ndarray):
+        self.n = signs.shape[0]
+        self._signs = signs
+        self._signs.setflags(write=False)
         self._float_signs: np.ndarray | None = None
 
     @classmethod
     def from_signs(cls, signs: np.ndarray) -> "PmMatrix":
-        """Pack a dense matrix whose entries are +1/-1."""
+        """An int8 copy of a square matrix whose entries are +1/-1."""
         signs = np.asarray(signs)
         if signs.ndim != 2 or signs.shape[0] != signs.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {signs.shape}")
         if not np.all(np.abs(signs) == 1):
             raise ValueError("entries must be +1 or -1")
-        return cls(signs.shape[0], _pack_negative(signs < 0))
+        return cls(signs.astype(np.int8))
 
     def signs(self) -> np.ndarray:
-        """Dense int8 view of the entries (cached)."""
-        if self._signs is None:
-            raw = self.words.astype("<u8").view(np.uint8).reshape(self.n, -1)
-            bits = np.unpackbits(raw, axis=1, bitorder="little")[:, : self.n]
-            s = np.where(bits == 1, -1, 1).astype(np.int8)
-            s.setflags(write=False)
-            self._signs = s
+        """The entries as a read-only int8 array."""
         return self._signs
 
     def float_signs(self) -> np.ndarray:
@@ -96,10 +79,10 @@ class PmMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PmMatrix):
             return NotImplemented
-        return self.n == other.n and bool(np.array_equal(self.words, other.words))
+        return self.n == other.n and bool(np.array_equal(self._signs, other._signs))
 
-    def __hash__(self) -> int:  # content hash of the packed words
-        return hash((self.n, self.words.tobytes()))
+    def __hash__(self) -> int:  # content hash of the signs
+        return hash((self.n, self._signs.tobytes()))
 
     def __repr__(self) -> str:
         return f"PmMatrix(n={self.n})"
@@ -135,8 +118,7 @@ def type1_matrix(spec: GroupSpec, d: np.ndarray) -> PmMatrix:
     For a skew-symmetric D this satisfies M + M^T = 2I; every row and column
     sums to v - 2|D|.
     """
-    s = indicator_signs(d)
-    return PmMatrix.from_signs(s[spec.diff_index_table()])
+    return PmMatrix(indicator_signs(d)[spec.diff_index_table()])
 
 
 def assemble_bordered(a: PmMatrix, c: PmMatrix) -> PmMatrix:
@@ -157,10 +139,10 @@ def assemble_bordered(a: PmMatrix, c: PmMatrix) -> PmMatrix:
     if a.n != c.n:
         raise ValueError(f"block order mismatch: {a.n} != {c.n}")
     v = a.n
-    sa, sc = a.signs().astype(np.int32), c.signs().astype(np.int32)
+    sa, sc = a.signs(), c.signs()
     for name, s in (("A", sa), ("C", sc)):
         for axis, which in ((1, "row"), (0, "column")):
-            sums = s.sum(axis=axis)
+            sums = s.sum(axis=axis, dtype=np.int64)
             if not np.all(sums == 1):
                 bad = int(np.flatnonzero(sums != 1)[0])
                 raise ValueError(
@@ -176,7 +158,7 @@ def assemble_bordered(a: PmMatrix, c: PmMatrix) -> PmMatrix:
     h[2: v + 2, v + 2:] = sc
     h[v + 2:, 2: v + 2] = -sc.T
     h[v + 2:, v + 2:] = sa.T
-    return PmMatrix.from_signs(h)
+    return PmMatrix(h)
 
 
 def build_bordered_from_blocks(spec: GroupSpec, d0: np.ndarray, d1: np.ndarray) -> PmMatrix:
@@ -188,14 +170,14 @@ def build_bordered_from_blocks(spec: GroupSpec, d0: np.ndarray, d1: np.ndarray) 
     transposed type-1 development of D1.
     """
     a = type1_matrix(spec, d0)
-    c = PmMatrix.from_signs(indicator_signs(d1)[spec.diff_index_table().T])
+    c = PmMatrix(indicator_signs(d1)[spec.diff_index_table().T])
     return assemble_bordered(a, c)
 
 
 def gram_matrix(m: PmMatrix) -> np.ndarray:
     """All pairwise row inner products of the +-1 matrix, exact int32.
 
-    One float32 BLAS product ``f @ f.T`` of the dense signs.  Every term is
+    One float32 BLAS product ``f @ f.T`` of the signs.  Every term is
     +-1 and every partial sum an integer of magnitude at most n, so the
     result is exact in any summation order for n < 2^24; a larger order
     raises ValueError before anything is allocated.
@@ -236,20 +218,19 @@ def normalize_core_tournament(m: PmMatrix) -> tuple[PmMatrix, PmMatrix, np.ndarr
     report = gate0_verify(m)
     if not report.passed:
         raise ValueError("matrix fails the defining identities; cannot normalize")
-    d = m.signs()[0].astype(np.int16)
+    d = m.signs()[0]
     hn = d[:, None] * m.signs() * d[None, :]
     s = hn[1:, 1:]
     m01 = ((1 - s) // 2).astype(np.uint8)
-    return PmMatrix.from_signs(hn), PmMatrix.from_signs(s), m01
+    return PmMatrix(hn), PmMatrix(s), m01
 
 
 def to_matrix_text(m: PmMatrix) -> bytes:
-    """Serialize to the text interchange format (bit-exact)."""
-    s = m.signs()
-    chars = np.where(s > 0, np.uint8(ord("+")), np.uint8(ord("-")))
-    lines = [str(m.n).encode("ascii")]
-    lines.extend(row.tobytes() for row in chars)
-    return b"\n".join(lines) + b"\n"
+    """Serialize to the text interchange format (bit-exact), the mirror of
+    :func:`parse_matrix_text`: byte = 44 - sign, then LF, in one array."""
+    chars = np.full((m.n, m.n + 1), _LF, dtype=np.uint8)
+    chars[:, : m.n] = _MID - m.signs()
+    return b"%d\n" % m.n + chars.tobytes()
 
 
 def parse_matrix_text(data: bytes) -> PmMatrix:
@@ -280,8 +261,8 @@ def parse_matrix_text(data: bytes) -> PmMatrix:
     good = int(wrong[0]) if wrong.size else n  # rows before the first wrong length
     start = int(ends[0]) + 1
     chars = buf[start: start + good * (n + 1)].reshape(good, n + 1)[:, :n]
-    neg = chars == _MINUS
-    bad = np.flatnonzero(~neg & (chars != _PLUS))
+    signs = (_MID - chars).view(np.int8)  # only '+' and '-' give +1 and -1
+    bad = np.flatnonzero(np.abs(signs) != 1)
     if bad.size:
         row, col = divmod(int(bad[0]), n)
         raise MatrixFormatError(
@@ -291,4 +272,4 @@ def parse_matrix_text(data: bytes) -> PmMatrix:
         raise MatrixFormatError(
             f"row has {length} characters, expected {n}", line=good + 2,
             column=min(length, n) + 1)
-    return PmMatrix(n, _pack_negative(neg))
+    return PmMatrix(signs)

@@ -133,13 +133,13 @@ def _gram_is(f: np.ndarray, s: int, t: int) -> bool:
 
 
 def _rows_as_ints(m01: np.ndarray) -> list[int]:
-    packed = np.packbits(m01 & 1, axis=1, bitorder="little")
-    w, data = packed.shape[1], packed.tobytes()
-    return [int.from_bytes(data[i * w:(i + 1) * w], "little") for i in range(len(packed))]
+    """Each row mod 2 as a Python int, column j at bit j."""
+    digits = (m01[:, ::-1] & 1).astype(np.uint8) + ord("0")
+    return [int(row.tobytes(), 2) for row in digits]
 
 
 def _eliminate_gf2(m01: np.ndarray) -> int:
-    """Rank over GF(2) by bit-packed elimination.
+    """Rank over GF(2) by elimination on rows held as Python ints.
 
     Each row is reduced against the pivot held at its lowest set column
     until it either vanishes or claims a new pivot column.
@@ -160,7 +160,7 @@ def rank_gf2(m01: np.ndarray, label: str = "matrix") -> RankReport:
     """Rank of a square integer matrix over GF(2), entries taken mod 2.
 
     The Gram certificate decides full rank first; otherwise the rank comes
-    from bit-packed elimination.
+    from elimination on rows held as Python ints.
     """
     m01 = _integer_matrix(m01)
     if m01.ndim != 2 or m01.shape[0] != m01.shape[1]:

@@ -22,7 +22,7 @@ from .groups import GroupSpec, autocorrelation_profile, subset_size
 
 
 class GeneratorSearchError(RuntimeError):
-    """No primitive element makes the requested block pair pass."""
+    """No primitive element passes; ``candidates_tried`` counts checks run."""
 
     def __init__(self, message: str, candidates_tried: int):
         super().__init__(message)
@@ -162,8 +162,10 @@ def find_valid_generator(fieldcfg: gf.FieldConfig, N: int, i0, i1):
     indices are range-checked first (ValueError); then the conditions that
     do not depend on the generator are decided once, and a config that
     fails them raises GeneratorSearchError with ``candidates_tried == 0``
-    before any search.  Otherwise GeneratorSearchError follows exhausting
-    all candidates and carries how many were tried.
+    before any search.  Under g' = g^s class i is base class s*i mod N, so
+    candidates whose logs agree mod N share one verdict: only the first of
+    each residue is checked (at most phi(N) checks, the same winner), and
+    exhaustion raises GeneratorSearchError carrying the checks run.
     """
     base = gf.build_field(fieldcfg)
     q = base.q
@@ -179,9 +181,12 @@ def find_valid_generator(fieldcfg: gf.FieldConfig, N: int, i0, i1):
     else:
         candidates = [base.generator]
 
-    tried = 0
+    checked: set[int] = set()
     for enc in candidates:
-        tried += 1
+        residue = int(base.log[enc]) % N
+        if residue in checked:
+            continue
+        checked.add(residue)
         tables = gf.tables_for_generator(base, enc)
         partition = gf.cyclotomic_partition(tables, N)
         pair = blocks_from_indices(partition, i0, i1)
@@ -190,4 +195,4 @@ def find_valid_generator(fieldcfg: gf.FieldConfig, N: int, i0, i1):
             return tables, partition, pair, cert
     raise GeneratorSearchError(
         f"no primitive element of GF({q}) certifies the index sets "
-        f"(tried {tried} candidates)", candidates_tried=tried)
+        f"({len(checked)} class labelings checked)", candidates_tried=len(checked))

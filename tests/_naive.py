@@ -90,6 +90,14 @@ def naive_parse_matrix_text(data):
     return PmMatrix.from_signs(rows)
 
 
+def naive_to_matrix_text(signs):
+    """The matrix text format written one row at a time, one character per
+    entry."""
+    lines = [str(len(signs))]
+    lines.extend("".join("+" if int(e) > 0 else "-" for e in row) for row in signs)
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
 def naive_rank_gf2(matrix):
     """Gaussian elimination over GF(2) on lists of 0/1 ints."""
     rows = [[int(e) & 1 for e in row] for row in matrix]

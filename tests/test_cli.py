@@ -276,6 +276,37 @@ def test_aut_negative_samples_exits_1(desk_build, capsys):
     assert len(err) == 1 and err[0].startswith("error:") and "--samples" in err[0]
 
 
+@pytest.mark.parametrize("case", ["build-poly-not-integers", "aut-negative-seed"])
+def test_bad_option_values_exit_1(desk_build, tmp_path, capsys, case):
+    if case == "build-poly-not-integers":
+        argv = ["build", "--p", "3", "--e", "1", "--N", "2", "--i0", "0", "--i1", "0",
+                "--poly", "a,1", "--out", str(tmp_path / "x")]
+        word = "--poly"
+    else:
+        argv = ["aut", str(desk_build / "manifest.txt"), "--seed", "-1"]
+        word = "--seed"
+    code = main(argv)
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and word in err[0]
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("name", ["/etc/hostname", "../matrix_8.txt", "sub/matrix_8.txt",
+                                  "sub\\matrix_8.txt", ".", ".."])
+def test_manifest_refuses_names_outside_its_directory(desk_build, capsys, name):
+    manifest = desk_build / "manifest.txt"
+    manifest.write_text(manifest.read_text() + "ab" * 32 + "  " + name + "\n")
+    code = main(["manifest", str(desk_build)])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "not a plain file name" in err[0]
+
+
 @pytest.mark.parametrize("case", ["build-out-is-a-file", "encode-out-in-missing-dir",
                                   "decode-out-in-missing-dir"])
 def test_output_path_errors_exit_1(desk_build, tmp_path, capsys, case):

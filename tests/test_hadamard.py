@@ -9,7 +9,7 @@ import skewhad as sh
 from skewhad.hadamard import MatrixFormatError, gram_matrix
 
 from _naive import (cyclic_add, field_index_add, naive_developed, naive_gram,
-                    naive_parse_matrix_text, naive_reversed_type2)
+                    naive_parse_matrix_text, naive_reversed_type2, naive_to_matrix_text)
 from conftest import mutate_one_byte, random_signs
 
 
@@ -18,13 +18,42 @@ def sum_developed(g, d):
     return sh.indicator_signs(d)[g.sum_index_table()]
 
 
-def test_pack_unpack_round_trip_awkward_sizes():
+def _assert_read_only_int8(m):
+    s = m.signs()
+    assert s.dtype == np.int8 and s.shape == (m.n, m.n)
+    assert not s.flags.writeable
+    with pytest.raises(ValueError):
+        s[0, 0] = 1
+
+
+def test_pack_unpack_round_trip_awkward_sizes(matrix8):
     for n in (1, 2, 7, 63, 64, 65, 100, 128, 130):
         signs = random_signs(n, seed=n)
         m = sh.PmMatrix.from_signs(signs)
-        assert m.words.shape == (n, (n + 63) // 64)
         assert np.array_equal(m.signs(), signs)
         assert m == sh.PmMatrix.from_signs(signs)
+        parsed = sh.parse_matrix_text(sh.to_matrix_text(m))
+        assert parsed == m
+        for built in (m, parsed):
+            _assert_read_only_int8(built)
+    # from_signs copies: the caller's array stays writable and unshared
+    signs = random_signs(5, seed=0)
+    m = sh.PmMatrix.from_signs(signs)
+    signs[0, 0] *= -1
+    assert m.signs()[0, 0] == -signs[0, 0]
+    _assert_read_only_int8(matrix8)  # assemble_bordered
+    for built in sh.normalize_core_tournament(matrix8)[:2]:
+        _assert_read_only_int8(built)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+def test_to_matrix_text_matches_row_writer(n):
+    signs = random_signs(n, seed=n)
+    assert sh.to_matrix_text(sh.PmMatrix.from_signs(signs)) == naive_to_matrix_text(signs)
+
+
+def test_to_matrix_text_matches_row_writer_1252(matrix1252):
+    assert sh.to_matrix_text(matrix1252) == naive_to_matrix_text(matrix1252.signs())
 
 
 def test_from_signs_rejects_bad_input():
@@ -246,11 +275,11 @@ def test_gram_of_flipped_1252_matches_integer_product(matrix1252):
 
 
 def test_gram_rejects_orders_beyond_exact_float32():
-    # a read-only broadcast view stands in for the 2^24 x 2^18 words, and the
-    # dense signs (2^48 bytes) must never be asked for: the guard refuses first
+    # a read-only broadcast int8 view stands in for the 2^24 x 2^24 signs,
+    # which must never be asked for (a float32 copy would take 2^50 bytes):
+    # the guard refuses first
     n = 1 << 24
-    words = np.broadcast_to(np.zeros(1, dtype=np.uint64), (n, n // 64))
-    m = sh.PmMatrix(n, words)
+    m = sh.PmMatrix(np.broadcast_to(np.ones(1, dtype=np.int8), (n, n)))
     m.signs = lambda: pytest.fail("the dense signs were requested")
     with pytest.raises(ValueError, match="2\\^24"):
         gram_matrix(m)

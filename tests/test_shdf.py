@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import skewhad as sh
+from skewhad import gf, shdf
 from skewhad.shdf import GeneratorSearchError
 
 from conftest import PAPER_I0, PAPER_I1
@@ -171,6 +172,47 @@ def test_find_valid_generator_exhaustion():
     with pytest.raises(GeneratorSearchError) as exc:
         sh.find_valid_generator(sh.FieldConfig(17, 1), 16, range(8), range(8))
     assert exc.value.candidates_tried == 8
+
+
+def test_find_valid_generator_checks_one_labeling_per_residue(monkeypatch):
+    # GF(81) has 32 primitive elements but only phi(16) = 8 residues of log
+    # mod 16, so 8 checks exhaust the search
+    calls = []
+    check = shdf.check_shdf
+    monkeypatch.setattr(shdf, "check_shdf", lambda *a: calls.append(a) or check(*a))
+    with pytest.raises(GeneratorSearchError, match="8 class labelings checked") as exc:
+        sh.find_valid_generator(sh.FieldConfig(3, 4), 16, range(8), range(0, 16, 2))
+    assert exc.value.candidates_tried == len(calls) == 8
+
+
+def _every_candidate(fieldcfg, N, i0, i1):
+    """The first primitive element in encoding order whose own labeling
+    passes, with one full check per candidate, and the residues that fail."""
+    base = sh.build_field(fieldcfg)
+    failing, winner = set(), None
+    for enc in range(1, base.q):
+        if np.gcd(int(base.log[enc]), base.q - 1) != 1:
+            continue
+        partition = sh.cyclotomic_partition(gf.tables_for_generator(base, enc), N)
+        pair = sh.blocks_from_indices(partition, i0, i1)
+        if sh.check_shdf(pair.group, pair).passed:
+            winner = enc if winner is None else winner
+        else:
+            failing.add(int(base.log[enc]) % N)
+    return winner, failing
+
+
+def test_find_valid_generator_matches_every_candidate_oracle():
+    cfg = sh.FieldConfig(5, 3)
+    winner, failing = _every_candidate(cfg, 4, [0, 1], [0, 2])
+    assert failing == {1}  # residue 1 fails, so the search must go on to residue 3
+    tables, _, pair, cert = sh.find_valid_generator(cfg, 4, [0, 1], [0, 2])
+    assert cert.passed and tables.generator == winner
+    base = sh.build_field(cfg)
+    assert int(base.log[winner]) % 4 == 3
+    # the winner's certificate is the full one, not a relabeled copy
+    again = sh.check_shdf(pair.group, pair)
+    assert np.array_equal(again.sums, cert.sums)
 
 
 @pytest.mark.parametrize("p,N,i0,i1,reason", [
