@@ -39,7 +39,12 @@ class AffineMap:
 
 
 def make_affine(partition: CyclotomicPartition, u: int, a: int) -> AffineMap:
-    """Validated constructor: the multiplier must lie in class 0."""
+    """Validated constructor: both encodings lie in [0, q), and the
+    multiplier in class 0."""
+    q = partition.tables.q
+    for name, x in (("multiplier", u), ("translation", a)):
+        if not 0 <= x < q:
+            raise ValueError(f"{name} encoding {x} out of range [0, {q})")
     if u == 0 or int(partition.class_of[u]) != 0:
         raise ValueError(f"multiplier encoding {u} is not in class 0")
     return AffineMap(u=int(u), a=int(a))
@@ -54,13 +59,10 @@ def induced_permutation(tables: FieldTables, m: AffineMap) -> np.ndarray:
     """
     q = tables.q
     group = _gf.additive_group(tables)
-    out_enc = np.empty(q, dtype=np.int64)
-    out_enc[0] = 0
-    lu = int(tables.log[m.u])
-    out_enc[1:] = tables.antilog[(np.arange(q - 1) + lu) % (q - 1)]
-    # add the translation coefficient-wise
-    a_idx = group.index_of_encoding(m.a)
-    pi = group.add_shift(group.indices_of_encodings(out_enc), a_idx)
+    # Multiplying by u adds log u to the log, and block index 1 + k holds g^k.
+    scaled = np.zeros(q, dtype=np.int64)
+    scaled[1:] = 1 + (np.arange(q - 1) + int(tables.log[m.u])) % (q - 1)
+    pi = group.add_shift(scaled, group.index_of_encoding(m.a))
     sigma = np.empty(2 * q + 2, dtype=np.int64)
     sigma[0] = 0
     sigma[1] = 1

@@ -5,8 +5,13 @@ ordering.  Two kinds of groups are supported:
 
 * ``cyclic(n)`` -- integers mod n, ordered 0, 1, ..., n-1;
 * ``field_additive(p, e)`` -- the additive group of GF(p^e), ordered
-  ``[0, g^0, g^1, ..., g^(v-2)]`` for a primitive element g (discrete-log
+  ``[0, g^0, g^1, ..., g^(q-2)]`` for a primitive element g (discrete-log
   order; see :mod:`skewhad.gf` for how the ordering is produced).
+
+Field sums are lookups: index 1 + k holds g^k, so g^a + g^b is g^a times
+1 + g^(b-a), one read of the Zech table Z(k) = log(1 + g^k) and a shift of
+the log by a.  Negation adds h = log(-1) to the log (h = 0 when p = 2).
+The log of 0 is stored as 2(q - 1), which the log-to-index table maps to 0.
 
 Subsets are represented as boolean membership masks of length ``order``,
 indexed by element index.
@@ -15,55 +20,49 @@ indexed by element index.
 from __future__ import annotations
 
 import numpy as np
-
-GroupElem = int
+from numpy.lib.stride_tricks import sliding_window_view
 
 CYCLIC = "cyclic"
 FIELD_ADDITIVE = "field_additive"
 
 # Dense v x v development tables are only sensible for small orders.
 _MAX_DENSE_ORDER = 8192
+# Ordered member pairs counted at once by autocorrelation_profile.
+_PROFILE_BLOCK_PAIRS = 1 << 20
 
 
 class GroupSpec:
     """A finite abelian group with a canonical total ordering of its elements.
 
-    Instances are immutable after construction and safe to share between
-    threads.  All arithmetic is index arithmetic: inputs and outputs are
-    element indices in ``[0, order)``.
+    Immutable after construction and safe to share between threads.  All
+    arithmetic is on element indices in ``[0, order)``.
     """
 
     def __init__(self, kind: str, order: int, *, p: int = 0, e: int = 0,
                  elem_enc: np.ndarray | None = None):
         if order <= 0:
             raise ValueError(f"group order must be positive, got {order}")
-        self.kind = kind
-        self.order = order
-        self.p = p
-        self.e = e
+        self.kind, self.order, self.p, self.e = kind, order, p, e
         if kind == FIELD_ADDITIVE:
             if elem_enc is None:
                 raise ValueError("field_additive groups need element encodings")
-            enc = np.asarray(elem_enc, dtype=np.int64)
-            if enc.shape != (order,) or enc[0] != 0:
-                raise ValueError("element encodings must list the zero element first")
             q = p**e
             if order != q:
                 raise ValueError(f"order {order} != p^e = {q}")
-            self._enc = enc
-            idx = -np.ones(q, dtype=np.int64)
-            idx[enc] = np.arange(q)
-            if (idx < 0).any():
+            enc = np.asarray(elem_enc, dtype=np.int64)
+            if enc.shape != (q,) or enc[0] != 0 or enc[1] != 1:
+                raise ValueError("element encodings must list 0 and then g^0 = 1 first")
+            idx = np.argsort(enc)  # the inverse permutation, if enc is one
+            if not np.array_equal(enc[idx], np.arange(q)):
                 raise ValueError("element encodings do not enumerate the field")
-            self._idx_of_enc = idx
-            digits = np.empty((q, e), dtype=np.int64)
-            vals = enc.copy()
-            for i in range(e):
-                digits[:, i] = vals % p
-                vals //= p
-            self._digits = digits
-            self._pow_p = p ** np.arange(e, dtype=np.int64)
-            for a in (self._enc, self._idx_of_enc, self._digits, self._pow_p):
+            m = q - 1
+            c0 = enc[1:] % p
+            zech = idx[enc[1:] - c0 + (c0 + 1) % p] - 1
+            zech[zech < 0] = 2 * m
+            index_of_log = np.concatenate([1 + np.arange(2 * m) % m, np.zeros(m, np.int64)])
+            self._enc, self._idx_of_enc, self._h = enc, idx, int(idx[p - 1]) - 1
+            self._zech, self._index_of_log = zech, index_of_log
+            for a in (enc, idx, zech, index_of_log):
                 a.setflags(write=False)
         elif kind != CYCLIC:
             raise ValueError(f"unknown group kind {kind!r}")
@@ -76,19 +75,18 @@ class GroupSpec:
 
     @classmethod
     def field_additive(cls, p: int, e: int, elem_enc) -> "GroupSpec":
-        """Additive group of GF(p^e) ordered by the supplied encodings.
+        """Additive group of GF(p^e) in discrete-log order.
 
-        ``elem_enc[i]`` is the canonical encoding (sum of c_i * p^i over the
-        coefficient vector) of the i-th element; entry 0 must be the zero
-        element and entries 1.. follow the powers of the chosen primitive
-        element.
+        ``elem_enc[i]`` is the encoding (sum of c_i * p^i) of the i-th element:
+        0, then the powers g^0 = 1, g^1, ... of one primitive g, the order the
+        Zech table rests on (``elem_enc[1] != 1`` is refused).  Adding 1 alters
+        only the constant digit, and -1 is encoded p - 1, which gives h.
         """
         return cls(FIELD_ADDITIVE, p**e, p=p, e=e, elem_enc=elem_enc)
 
     def __repr__(self) -> str:
-        if self.kind == CYCLIC:
-            return f"GroupSpec.cyclic({self.order})"
-        return f"GroupSpec.field_additive({self.p}, {self.e})"
+        args = self.order if self.kind == CYCLIC else f"{self.p}, {self.e}"
+        return f"GroupSpec.{self.kind}({args})"
 
     def _check_index(self, x: int) -> int:
         x = int(x)
@@ -96,94 +94,92 @@ class GroupSpec:
             raise ValueError(f"element index {x} out of range for group of order {self.order}")
         return x
 
-    def encoding_of(self, x: GroupElem) -> int:
+    def encoding_of(self, x: int) -> int:
         """Canonical encoding of the element at index x (fields only)."""
         x = self._check_index(x)
-        if self.kind == CYCLIC:
-            return x
-        return int(self._enc[x])
+        return x if self.kind == CYCLIC else int(self._enc[x])
 
-    def index_of_encoding(self, enc: int) -> GroupElem:
-        if self.kind == CYCLIC:
-            return self._check_index(enc)
-        i = int(self._idx_of_enc[enc])
-        return i
+    def index_of_encoding(self, enc: int) -> int:
+        """Index of the element with the given encoding; ValueError outside [0, order)."""
+        return int(self.indices_of_encodings(int(enc)))
 
     def indices_of_encodings(self, encs: np.ndarray) -> np.ndarray:
-        """Vectorized encoding-to-index lookup."""
-        encs = np.asarray(encs, dtype=np.int64)
-        if self.kind == CYCLIC:
-            return encs % self.order
-        return self._idx_of_enc[encs]
+        """Vectorized :meth:`index_of_encoding`."""
+        encs = np.array(encs, dtype=np.int64)
+        if encs.size and not (0 <= encs.min() and encs.max() < self.order):
+            raise ValueError(f"encoding out of range for group of order {self.order}")
+        return encs if self.kind == CYCLIC else self._idx_of_enc[encs]
 
-    def add(self, x: GroupElem, y: GroupElem) -> GroupElem:
+    def add(self, x: int, y: int) -> int:
         """Group sum of the elements at indices x and y."""
-        x = self._check_index(x)
-        y = self._check_index(y)
-        if self.kind == CYCLIC:
-            return (x + y) % self.order
-        d = (self._digits[x] + self._digits[y]) % self.p
-        return int(self._idx_of_enc[d @ self._pow_p])
+        return int(self.add_shift(self._check_index(x), y))
 
-    def neg(self, x: GroupElem) -> GroupElem:
+    def neg(self, x: int) -> int:
         """Additive inverse of the element at index x."""
-        x = self._check_index(x)
-        if self.kind == CYCLIC:
-            return (-x) % self.order
-        d = (-self._digits[x]) % self.p
-        return int(self._idx_of_enc[d @ self._pow_p])
+        return int(self.neg_perm()[self._check_index(x)])
 
-    def add_shift(self, xs: np.ndarray, w: GroupElem) -> np.ndarray:
+    def add_shift(self, xs: np.ndarray, w: int) -> np.ndarray:
         """Vectorized ``x + w`` for an array of element indices."""
         w = self._check_index(w)
         xs = np.asarray(xs, dtype=np.int64)
+        if xs.size and not (0 <= xs.min() and xs.max() < self.order):
+            raise ValueError(f"element index out of range for group of order {self.order}")
         if self.kind == CYCLIC:
             return (xs + w) % self.order
-        d = (self._digits[xs] + self._digits[w]) % self.p
-        return self._idx_of_enc[d @ self._pow_p]
+        if w == 0:
+            return xs.copy()
+        # g^k + g^a = g^a (1 + g^(k - a)), and 0 + g^a = g^a.
+        a = w - 1
+        sums = self._index_of_log[a + self._zech[(xs - 1 - a) % (self.order - 1)]]
+        return np.where(xs == 0, w, sums)
 
     def neg_perm(self) -> np.ndarray:
         """The negation map as a permutation of indices (an involution)."""
         idx = np.arange(self.order, dtype=np.int64)
         if self.kind == CYCLIC:
             return (-idx) % self.order
-        d = (-self._digits) % self.p
-        return self._idx_of_enc[d @ self._pow_p]
+        # -g^k = g^(k + h)
+        return np.where(idx == 0, 0, 1 + (idx - 1 + self._h) % (self.order - 1))
 
-    def _dense_guard(self) -> None:
-        if self.order > _MAX_DENSE_ORDER:
-            raise ValueError(
-                f"group of order {self.order} is too large for dense development tables")
+    def _minus_one_logs(self) -> np.ndarray:
+        """zm[c] = log(g^c - 1) = h + Z(c + h), periodic in q - 1, for
+        0 <= c < 2(q - 1); the index of g^(a + c) - g^a = g^a (g^c - 1) is
+        ``_index_of_log[a + zm[c]]``, which is 0 at c = 0."""
+        m = self.order - 1
+        zm = (self._h + self._zech[(np.arange(m) + self._h) % m]) % m
+        zm[0] = 2 * m
+        return np.concatenate([zm, zm])
 
     def diff_index_table(self) -> np.ndarray:
         """Table T with T[i, j] = index of g_j - g_i.  Cached."""
         if self._diff_table is None:
-            self._dense_guard()
+            if self.order > _MAX_DENSE_ORDER:
+                raise ValueError(f"group of order {self.order} is too large for a dense table")
+            idx = np.arange(self.order, dtype=np.int64)
             if self.kind == CYCLIC:
-                idx = np.arange(self.order, dtype=np.int64)
                 t = (idx[None, :] - idx[:, None]) % self.order
             else:
-                d = (self._digits[None, :, :] - self._digits[:, None, :]) % self.p
-                t = self._idx_of_enc[d @ self._pow_p]
+                m = self.order - 1
+                t = np.empty((self.order, self.order), dtype=np.int64)
+                t[0] = idx
+                t[:, 0] = self.neg_perm()
+                # T[1 + a, 1 + b] reads zm at b - a + m, then adds a.
+                rows = sliding_window_view(self._minus_one_logs(), m)[m:0:-1]
+                t[1:, 1:] = self._index_of_log[rows + idx[:m, None]]
             t.setflags(write=False)
             self._diff_table = t
         return self._diff_table
 
     def sum_index_table(self) -> np.ndarray:
-        """Table T with T[i, j] = index of g_i + g_j.
-
-        Read off the difference table, since g_i + g_j = g_j - (-g_i):
-        T is the difference table with its rows permuted by negation.
-        """
+        """Table T with T[i, j] = index of g_i + g_j: since g_i + g_j is
+        g_j - (-g_i), the difference table with its rows permuted by negation."""
         return self.diff_index_table()[self.neg_perm()]
 
 
 def subset_from_indices(spec: GroupSpec, members) -> np.ndarray:
     """Boolean membership mask for the given element indices."""
     mask = np.zeros(spec.order, dtype=bool)
-    for m in members:
-        spec._check_index(m)
-        mask[int(m)] = True
+    mask[[spec._check_index(m) for m in members]] = True
     return mask
 
 
@@ -196,7 +192,7 @@ def indicator_signs(mask: np.ndarray) -> np.ndarray:
     return np.where(mask, -1, 1).astype(np.int8)
 
 
-def autocorrelation(spec: GroupSpec, mask: np.ndarray, w: GroupElem) -> int:
+def autocorrelation(spec: GroupSpec, mask: np.ndarray, w: int) -> int:
     """Periodic autocorrelation of the subset at shift w.
 
     Computed through the intersection identity
@@ -217,21 +213,25 @@ def autocorrelation_profile(spec: GroupSpec, mask: np.ndarray) -> np.ndarray:
     """Autocorrelation at every shift, as an int64 array indexed by shift.
 
     Entry ``w`` equals ``autocorrelation(spec, mask, w)``; entry 0 is always
-    the group order.  All shifts are computed in one pass by counting ordered
-    member pairs with a given difference.
+    the group order.  Ordered member pairs are counted by difference, at
+    most ``_PROFILE_BLOCK_PAIRS`` pairs at a time to bound the memory.
     """
     v = spec.order
     members = np.flatnonzero(mask)
-    size = members.size
-    profile = np.full(v, v - 4 * size, dtype=np.int64)
-    if size == 0:
-        return profile
+    counts = np.zeros(v, dtype=np.int64)
+    step = max(1, _PROFILE_BLOCK_PAIRS // max(1, members.size))
     if spec.kind == CYCLIC:
-        diffs = (members[:, None] - members[None, :]) % v
-        counts = np.bincount(diffs.ravel(), minlength=v)
+        for start in range(0, members.size, step):
+            diffs = (members - members[start:start + step, None]) % v
+            counts += np.bincount(diffs.ravel(), minlength=v)
     else:
-        d = (spec._digits[members][:, None, :] - spec._digits[members][None, :, :]) % spec.p
-        enc = d @ spec._pow_p
-        counts = np.bincount(spec._idx_of_enc[enc.ravel()], minlength=v)
-    profile += 4 * counts
-    return profile
+        # g^b - g^a = g^a (g^(b - a) - 1) for nonzero members; the zero
+        # member, when present, adds 0 - 0, g^b - 0 and 0 - g^b.
+        zm, logs = spec._minus_one_logs(), members[members > 0] - 1
+        for start in range(0, logs.size, step):
+            a = logs[start:start + step, None]
+            diffs = spec._index_of_log[a + zm[logs + (v - 1 - a)]]
+            counts += np.bincount(diffs.ravel(), minlength=v)
+        if mask[0]:
+            counts += np.bincount([0, *(1 + logs), *spec.neg_perm()[1 + logs]], minlength=v)
+    return v - 4 * members.size + 4 * counts

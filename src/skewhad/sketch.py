@@ -121,6 +121,8 @@ def encode(x: np.ndarray, h: PmMatrix, cfg: SketchConfig) -> SketchPacket:
     selected coefficients are zero); quantized values are round(y / scale)
     clamped to [-127, 127].  Deterministic: equal input bytes give equal
     packet bytes.  The matrix is trusted to satisfy the defining identities.
+    Raises ValueError when the transform overflows or the peak has no
+    finite, nonzero float32 scale.
     """
     x = np.asarray(x, dtype=np.float64)
     if cfg.n != h.n:
@@ -129,11 +131,19 @@ def encode(x: np.ndarray, h: PmMatrix, cfg: SketchConfig) -> SketchPacket:
         raise ValueError(f"vector shape {x.shape} does not match order {h.n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("input vector has non-finite entries")
-    y = transform(x, h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = transform(x, h)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("the transform of the input vector overflows")
     idx = top_k_indices(y, cfg.k)
     sel = y[idx]
     peak = float(np.max(np.abs(sel)))
-    scale = np.float32(peak / QMAX) if peak > 0.0 else np.float32(1.0)
+    with np.errstate(over="ignore"):
+        scale = np.float32(peak / QMAX) if peak > 0.0 else np.float32(1.0)
+    # A scale that overflows or underflows float32 would write a packet that
+    # from_bytes refuses or that decodes to zeros.
+    if not (np.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"peak coefficient {peak:g} has no finite nonzero float32 scale")
     q = np.clip(np.rint(sel / float(scale)), -QMAX, QMAX).astype(np.int64)
     return SketchPacket(scale=float(scale), k=cfg.k, n_tag=h.n,
                         indices=tuple(int(i) for i in idx),

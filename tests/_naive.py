@@ -34,6 +34,54 @@ def field_index_add(p, e, encodings):
     return add
 
 
+def _digit_tables(p, e, encodings):
+    """Base-p digits of each encoding, the place values, and encoding -> index."""
+    import numpy as np
+
+    enc = np.asarray(encodings, dtype=np.int64)
+    pow_p = p ** np.arange(e, dtype=np.int64)
+    index_of = np.empty(enc.size, dtype=np.int64)
+    index_of[enc] = np.arange(enc.size)
+    return (enc[:, None] // pow_p) % p, pow_p, index_of
+
+
+def naive_diff_index_table(p, e, encodings):
+    """T[i, j] = index of g_j - g_i, with the base-p digits of the two
+    encodings subtracted mod p and re-encoded, one row at a time."""
+    import numpy as np
+
+    digits, pow_p, index_of = _digit_tables(p, e, encodings)
+    return np.stack([index_of[((digits - row) % p) @ pow_p] for row in digits])
+
+
+def naive_sum_index_table(p, e, encodings):
+    """T[i, j] = index of g_i + g_j, digit by digit, one row at a time."""
+    import numpy as np
+
+    digits, pow_p, index_of = _digit_tables(p, e, encodings)
+    return np.stack([index_of[((digits + row) % p) @ pow_p] for row in digits])
+
+
+def naive_neg_perm(p, e, encodings):
+    """Index of -g_i for every i, digit by digit."""
+    digits, pow_p, index_of = _digit_tables(p, e, encodings)
+    return index_of[((-digits) % p) @ pow_p]
+
+
+def naive_profile(p, e, encodings, members):
+    """Autocorrelation at every shift from the digit differences of all
+    ordered member pairs: P(w) = v - 4|D| + 4 #{(x, y) in D^2 : x - y = w}."""
+    import numpy as np
+
+    digits, pow_p, index_of = _digit_tables(p, e, encodings)
+    v, members = len(index_of), np.asarray(members, dtype=np.int64)
+    counts = np.zeros(v, dtype=np.int64)
+    for x in members:
+        diffs = index_of[((digits[x] - digits[members]) % p) @ pow_p]
+        counts += np.bincount(diffs, minlength=v)
+    return v - 4 * members.size + 4 * counts
+
+
 def naive_autocorrelation(v, add, members, w):
     """Literal sum of s(x) * s(x + w) with s = -1 on members, +1 off."""
     mem = set(members)

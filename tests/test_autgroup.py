@@ -48,6 +48,18 @@ def test_make_affine_validates_class(desk_field):
         sh.make_affine(partition, 0, 0)
 
 
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_make_affine_refuses_encodings_out_of_range(offset):
+    # GF(5), N = 2: class 0 is {1, 4}, so x -> 1 * x + a is valid for a in [0, 5)
+    partition = sh.cyclotomic_partition(sh.build_field(sh.FieldConfig(5, 1)), 2)
+    bad = -1 if offset == -1 else 5 + offset
+    with pytest.raises(ValueError, match="translation encoding .* out of range"):
+        sh.make_affine(partition, 1, bad)
+    with pytest.raises(ValueError, match="multiplier encoding .* out of range"):
+        sh.make_affine(partition, bad, 0)
+    assert sh.make_affine(partition, 4, 4) == AffineMap(u=4, a=4)
+
+
 def test_multiplier_preserves_classes():
     tables = sh.build_field(sh.FieldConfig(5, 4))
     partition = sh.cyclotomic_partition(tables, 16)

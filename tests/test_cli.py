@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import struct
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -389,6 +390,22 @@ def test_sketch_cli_rejects_nan_scale_packet(desk_build, tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("peak", ["1e45", "1e308", "1e-44"])
+def test_sketch_cli_refuses_a_peak_without_a_float32_scale(desk_build, tmp_path, capsys, peak):
+    vec = tmp_path / "vec.txt"
+    vec.write_text(peak + "\n" + "0\n" * 7)
+    pkt = tmp_path / "p.bin"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["sketch", "encode", str(desk_build / "matrix_8.txt"),
+                     str(vec), "--k", "8", "--out", str(pkt)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.splitlines() == [err.strip()] and err.startswith("error:")
+    assert "float32 scale" in err
+    assert not pkt.exists()
 
 
 def test_sketch_cli_rejects_wrong_length_vector(desk_build, tmp_path, capsys):

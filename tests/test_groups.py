@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import skewhad as sh
-from _naive import cyclic_add, field_index_add, naive_autocorrelation
+from _naive import (cyclic_add, field_index_add, naive_autocorrelation, naive_diff_index_table,
+                    naive_neg_perm, naive_profile, naive_sum_index_table)
 
 
 def small_groups():
@@ -83,6 +87,10 @@ def test_index_out_of_range():
         g.add(5, 0)
     with pytest.raises(ValueError):
         g.neg(-1)
+    for g in (g, sh.additive_group(sh.build_field(sh.FieldConfig(5, 1)))):
+        for bad in (-1, 5, 6):
+            with pytest.raises(ValueError, match="out of range"):
+                g.add_shift(np.array([0, bad]), 1)
 
 
 def test_autocorrelation_frozen_examples():
@@ -159,3 +167,97 @@ def test_development_tables_match_scalar_ops():
             for j in range(g.order):
                 assert diff[i, j] == g.add(j, g.neg(i)), name
                 assert tot[i, j] == g.add(i, j), name
+
+
+# The flagship GF(5^4), odd and even characteristic, a prime field and the
+# smallest extension of GF(2), against the digit-by-digit oracles.
+ZECH_FIELDS = [(5, 4), (3, 6), (7, 3), (2, 10), (1021, 1), (2, 3)]
+
+
+@pytest.fixture(scope="module", params=ZECH_FIELDS, ids=[f"gf{p}^{e}" for p, e in ZECH_FIELDS])
+def zech_field(request):
+    p, e = request.param
+    tables = sh.build_field(sh.FieldConfig(p, e))
+    return p, e, sh.additive_group(tables), np.concatenate([[0], tables.antilog])
+
+
+def test_tables_match_digit_oracle(zech_field):
+    p, e, g, enc = zech_field
+    assert np.array_equal(g.diff_index_table(), naive_diff_index_table(p, e, enc))
+    assert np.array_equal(g.sum_index_table(), naive_sum_index_table(p, e, enc))
+    assert np.array_equal(g.neg_perm(), naive_neg_perm(p, e, enc))
+
+
+def test_profile_matches_digit_oracle(zech_field):
+    p, e, g, enc = zech_field
+    rng = np.random.default_rng(g.order)
+    for density in (0.05, 0.5):
+        for zero_is_member in (False, True):
+            mask = rng.random(g.order) < density
+            mask[0] = zero_is_member
+            expected = naive_profile(p, e, enc, np.flatnonzero(mask))
+            assert np.array_equal(sh.autocorrelation_profile(g, mask), expected)
+
+
+@pytest.mark.parametrize("name,g,add", GROUPS, ids=[t[0] for t in GROUPS])
+def test_profile_in_small_blocks_matches_literal_sum(name, g, add, monkeypatch):
+    # a block of a few pairs splits every subset into many row blocks
+    monkeypatch.setattr(sh.groups, "_PROFILE_BLOCK_PAIRS", 5)
+    for members in sample_subsets(g.order, seed=29):
+        mask = sh.subset_from_indices(g, members)
+        expected = [naive_autocorrelation(g.order, add, members, w) for w in range(g.order)]
+        assert sh.autocorrelation_profile(g, mask).tolist() == expected
+
+
+@pytest.mark.parametrize("p,e", [(3, 5), (2, 7)])
+def test_field_add_neg_match_digit_addition(p, e):
+    g = sh.additive_group(sh.build_field(sh.FieldConfig(p, e)))
+    add = field_index_add(p, e, [g.encoding_of(i) for i in range(g.order)])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, g.order - 1), st.integers(0, g.order - 1))
+    def check(x, y):
+        assert g.add(x, y) == add(x, y)
+        assert add(x, g.neg(x)) == 0
+
+    check()
+
+
+def test_field_additive_refuses_an_order_not_starting_at_one():
+    tables = sh.build_field(sh.FieldConfig(5, 2))
+    enc = np.concatenate([[0], tables.antilog])
+    with pytest.raises(ValueError, match="g\\^0 = 1"):
+        sh.GroupSpec.field_additive(5, 2, np.concatenate([[0], np.roll(enc[1:], 1)]))
+    with pytest.raises(ValueError, match="enumerate"):
+        sh.GroupSpec.field_additive(5, 2, np.concatenate([enc[:-1], [1]]))
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "field"])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_encodings_out_of_range_are_refused(kind, offset):
+    if kind == "cyclic":
+        g = sh.GroupSpec.cyclic(5)
+    else:
+        g = sh.additive_group(sh.build_field(sh.FieldConfig(5, 1)))
+    bad = -1 if offset == -1 else g.order + offset
+    with pytest.raises(ValueError, match="out of range"):
+        g.index_of_encoding(bad)
+    with pytest.raises(ValueError, match="out of range"):
+        g.indices_of_encodings(np.array([0, bad, 1]))
+    assert g.indices_of_encodings(np.arange(g.order)).tolist() == [
+        g.index_of_encoding(x) for x in range(g.order)]
+
+
+def test_profile_memory_is_bounded_at_q_8209():
+    # GF(8209), N = 16, D = classes 0..7: 4104 members, 16.8 M ordered pairs
+    g = sh.additive_group(sh.build_field(sh.FieldConfig(8209, 1)))
+    mask = np.concatenate([[False], np.arange(8208) % 16 < 8])
+    tracemalloc.start()
+    try:
+        profile = sh.autocorrelation_profile(g, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert profile[0] == 8209
+    assert (profile[1:].min(), profile[1:].max()) == (-195, 169)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,38 @@ def test_encode_rejects_bad_input(matrix8):
         sh.encode(np.full(8, np.nan), matrix8, cfg)
     with pytest.raises(ValueError):
         sh.encode(np.zeros(12), matrix8, sh.SketchConfig(n=12, k=2))
+
+
+@pytest.mark.parametrize("peak", [1e45, 1e308, 1e-44])
+def test_encode_refuses_a_peak_without_a_float32_scale(matrix8, peak):
+    # peak / sqrt(8) / 127 overflows float32 (1e45, 1e308) or rounds to 0.0 (1e-44)
+    x = np.zeros(8)
+    x[0] = peak
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no finite nonzero float32 scale"):
+            sh.encode(x, matrix8, sh.SketchConfig(n=8, k=8))
+
+
+def test_encode_refuses_a_transform_that_overflows(matrix8):
+    # partial sums of +-1e308 overflow to inf, and inf - inf is nan
+    x = np.array([1e308, 1e308, -1e308, -1e308, 1e308, -1e308, 1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (1, 8):
+            with pytest.raises(ValueError, match="overflows"):
+                sh.encode(x, matrix8, sh.SketchConfig(n=8, k=k))
+
+
+def test_encode_keeps_extreme_scales_that_fit_float32(matrix8):
+    cfg = sh.SketchConfig(n=8, k=8)
+    for peak in (1e38, 1e-40):
+        x = np.zeros(8)
+        x[0] = peak
+        packet = sh.encode(x, matrix8, cfg)
+        assert 0.0 < packet.scale < math.inf
+        assert sh.SketchPacket.from_bytes(packet.to_bytes()) == packet
+        assert abs(sh.decode(packet, matrix8)[0] - peak) <= 1e-2 * peak
 
 
 def test_row_of_h_concentrates_and_recovers_exactly(matrix8):
