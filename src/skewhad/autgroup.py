@@ -55,9 +55,14 @@ def induced_permutation(tables: FieldTables, m: AffineMap) -> np.ndarray:
 
     Indices 0 and 1 (the borders) are fixed; group index i in either block
     maps to the index of u*g_i + a under the canonical ordering, with the
-    same action on both blocks.
+    same action on both blocks.  Raises ValueError unless 0 < u < q and
+    0 <= a < q.
     """
     q = tables.q
+    if not 0 < m.u < q:
+        raise ValueError(f"multiplier encoding {m.u} out of range (0, {q})")
+    if not 0 <= m.a < q:
+        raise ValueError(f"translation encoding {m.a} out of range [0, {q})")
     group = _gf.additive_group(tables)
     # Multiplying by u adds log u to the log, and block index 1 + k holds g^k.
     scaled = np.zeros(q, dtype=np.int64)

@@ -276,18 +276,20 @@ def cmd_rank(args) -> int:
         raise CliError(str(exc)) from None
     h = read_matrix_file(Path(args.file))
     if args.tournament:
-        try:  # the normalization runs Gate0 and refuses a failing matrix
-            _, _, matrix = hadamard.normalize_core_tournament(h)
-        except ValueError:
+        gate0 = hadamard.gate0_verify(h)
+        if not gate0.passed:
             print(f"GATE0 FAIL n={h.n}")
             return EXIT_CERT_FAIL
-        label = "tournament"
+        _, _, matrix = hadamard.normalize_core_tournament(h, gate0)
+        # the core's Gram follows from the Gate0 just passed; none is formed
+        gram, label = gate0.core_gram(), "tournament"
     else:
-        matrix, label = h.signs(), "hadamard"
+        matrix, gram, label = h.signs(), None, "hadamard"
+    # the 0/1 core and the +-1 signs need no reduction mod 2
     if args.field == 2:
-        report = ranks.rank_gf2(matrix % 2, label=label)
+        report = ranks.rank_gf2(matrix, label=label, gram=gram)
     else:
-        report = ranks.rank_gfp(matrix, args.field, label=label)
+        report = ranks.rank_gfp(matrix, args.field, label=label, gram=gram)
     print(report.line())
     return EXIT_OK
 

@@ -115,13 +115,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def encode_coeffs(coeffs, p: int) -> int:
-    v = 0
-    for c in reversed(tuple(coeffs)):
-        v = v * p + int(c)
-    return v
-
-
 def decode_encoding(v: int, p: int, e: int) -> tuple[int, ...]:
     out = []
     for _ in range(e):
@@ -190,22 +183,50 @@ def find_modulus(p: int, e: int) -> tuple[int, ...]:
     raise FieldError(f"no irreducible polynomial of degree {e} over GF({p})")  # pragma: no cover
 
 
-def _antilog_walk(g: int, modulus: tuple[int, ...], p: int, e: int) -> np.ndarray | None:
-    """The powers g^0, ..., g^(q-2) as encodings, or None when they return
-    to 1 before step q - 1, i.e. when g is not primitive."""
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1 by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _poly_pow(a: tuple[int, ...], k: int, modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """a^k reduced mod the monic modulus, by square-and-multiply."""
+    acc = (1,) + (0,) * (len(a) - 1)
+    while k:
+        if k & 1:
+            acc = _poly_mul(acc, a, modulus, p)
+        a = _poly_mul(a, a, modulus, p)
+        k >>= 1
+    return acc
+
+
+def _antilog_table(g: int, modulus: tuple[int, ...], p: int, e: int) -> np.ndarray:
+    """The encodings of g^0, ..., g^(q-2), by doubling.
+
+    Multiplication by a fixed element is GF(p)-linear on coefficient rows:
+    row i of ``step`` holds x^i g^k, so the block [g^0 ... g^(k-1)] times
+    ``step`` is [g^k ... g^(2k-1)], one (k, e) @ (e, e) product mod p, and
+    ``step @ step`` moves on to g^(2k).  Every sum is below e p^2 <= 2^40.
+    """
     q = p**e
-    one = (1,) + (0,) * (e - 1)
     x = decode_encoding(g, p, e)
-    antilog = np.empty(q - 1, dtype=np.int64)
-    cur = one
-    for k in range(q - 1):
-        if k and cur == one:
-            return None
-        antilog[k] = encode_coeffs(cur, p)
-        cur = _poly_mul(cur, x, modulus, p)
-    if cur != one:  # pragma: no cover - g^(q-1) = 1 in every field
-        raise FieldError("generator order verification failed")
-    return antilog
+    step = np.array([_poly_mul(tuple(int(i == j) for j in range(e)), x, modulus, p)
+                     for i in range(e)], dtype=np.int64)
+    powers = np.zeros((1, e), dtype=np.int64)
+    powers[0, 0] = 1
+    while len(powers) < q - 1:
+        powers = np.concatenate([powers, powers[:q - 1 - len(powers)] @ step % p])
+        step = step @ step % p
+    return powers @ p ** np.arange(e, dtype=np.int64)
 
 
 def build_field(config: FieldConfig) -> FieldTables:
@@ -214,11 +235,13 @@ def build_field(config: FieldConfig) -> FieldTables:
     Auto selections are deterministic: the modulus is the lexicographically
     smallest monic irreducible (by coefficient encoding) and the generator is
     the smallest-encoded element of full multiplicative order q - 1.  The
-    candidates are walked in encoding order, each until its powers return to
-    1; the first walk that lasts q - 1 steps is the smallest primitive
-    element, and it is the antilog table.  A supplied generator is then
-    taken through :func:`tables_for_generator`, which tests it by
-    ``gcd(log, q - 1) == 1``.
+    candidates are tried in encoding order: g is primitive exactly when
+    g^((q-1)/r) != 1 for every prime r dividing q - 1, each power a
+    square-and-multiply, so a candidate costs O(e^2 log q) whatever its
+    order.  The winner's antilog table is then built once by doubling (see
+    :func:`_antilog_table`), about log2 q numpy products.  A supplied
+    generator is taken through :func:`tables_for_generator`, which tests it
+    by ``gcd(log, q - 1) == 1``.
 
     Raises FieldError for an order above MAX_FIELD_ORDER (checked first), a
     composite p, a reducible modulus, or a supplied generator that is out of
@@ -245,12 +268,15 @@ def build_field(config: FieldConfig) -> FieldTables:
         if not is_irreducible(modulus, p):
             raise FieldError(f"modulus {modulus} is reducible over GF({p})")
 
+    one = (1,) + (0,) * (e - 1)
+    cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
     for generator in range(1, q):
-        antilog = _antilog_walk(generator, modulus, p, e)
-        if antilog is not None:
+        x = decode_encoding(generator, p, e)
+        if all(_poly_pow(x, c, modulus, p) != one for c in cofactors):
             break
     else:  # pragma: no cover
         raise FieldError("no primitive element found; modulus is not irreducible")
+    antilog = _antilog_table(generator, modulus, p, e)
     log = -np.ones(q, dtype=np.int64)
     log[antilog] = np.arange(q - 1)
     if int(np.count_nonzero(log >= 0)) != q - 1:  # pragma: no cover

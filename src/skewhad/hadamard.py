@@ -101,6 +101,19 @@ class Gate0Report:
     def passed(self) -> bool:
         return self.gram_ok and self.skew_ok
 
+    def core_gram(self) -> tuple[int, int] | None:
+        """(s, t) with M M^T = s I + t J for the 0/1 tournament core M that
+        :func:`normalize_core_tournament` takes from the matrix this report
+        passed, or None when it failed or 4 does not divide n.
+
+        Derived, not formed: the normalized core S has row sums 1 and
+        S S^T = nI - J (rows of Hn Hn^T = nI), so M = (J - S)/2 has
+        M M^T = (n/4) I + (n/4 - 1) J.
+        """
+        if not self.passed or self.n < 4 or self.n % 4:
+            return None
+        return self.n // 4, self.n // 4 - 1
+
     def to_log(self) -> str:
         lines = [
             f"n {self.n}",
@@ -206,17 +219,21 @@ def gate0_verify(m: PmMatrix) -> Gate0Report:
     return Gate0Report(n=n, gram_ok=gram_ok, skew_ok=skew_ok, max_offdiag_gram=max_off)
 
 
-def normalize_core_tournament(m: PmMatrix) -> tuple[PmMatrix, PmMatrix, np.ndarray]:
+def normalize_core_tournament(m: PmMatrix, report: Gate0Report | None = None
+                              ) -> tuple[PmMatrix, PmMatrix, np.ndarray]:
     """Normalize to an all-+1 first row, strip it, and take the 0/1 core.
 
     Returns ``(Hn, S, M01)`` where Hn = D H D for D = diag of the first row,
     S is Hn with the first row and column deleted, and M01 = (J - S) / 2 is
     the 0/1 tournament adjacency matrix of size n - 1 with zero diagonal.
 
-    Raises ValueError when the input fails Gate0.
+    ``report`` is the Gate0Report of m when the caller has run Gate0 on it
+    already; otherwise Gate0 runs here.  Raises ValueError when the input
+    fails Gate0.
     """
-    report = gate0_verify(m)
-    if not report.passed:
+    if report is None:
+        report = gate0_verify(m)
+    if report.n != m.n or not report.passed:
         raise ValueError("matrix fails the defining identities; cannot normalize")
     d = m.signs()[0]
     hn = d[:, None] * m.signs() * d[None, :]

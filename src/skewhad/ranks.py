@@ -14,14 +14,21 @@ are).  If the integer Gram matrix c c^T equals s I + t J, then
 so when p divides neither s nor s + m t the rank is m.  A skew-Hadamard H
 has H H^T = n I, so it is certified over every prime not dividing n.  Its
 0/1 tournament core M of order m = n - 1 is doubly regular,
-M M^T = (n/4) I + (n/4 - 1) J, so det(M)^2 = (n/4)^(n-2) ((n-2)/2)^2: at
-n = 1252 that is 313^1250 * 625^2, certified over GF(2) and GF(3).  The
-first two entries of Gram row 0, two dot products, give s and t, so a
-matrix whose determinant p divides costs one pass for max|c| and no
-matrix product.  Only when they promise a unit determinant is the rest of
-row 0 checked, and then the full Gram formed, by one float32 BLAS product
-that is exact when m max|c|^2 < 2^24, the integer-bound rule of
-``hadamard.gram_matrix``; outside that bound the certificate declines.
+M M^T = (n/4) I + (n/4 - 1) J, so s + m t = ((n - 2)/2)^2 and
+det(M)^2 = (n/4)^(n-2) ((n-2)/2)^2: at n = 1252 that is 313^1250 * 625^2,
+certified over GF(2) and GF(3).
+
+A caller that already knows the identity passes ``gram=(s, t)``, and no
+product is formed.  The CLI's tournament rank reads it from the passed
+``Gate0Report`` of the matrix whose core it ranks
+(:meth:`~skewhad.hadamard.Gate0Report.core_gram`), so the Gate0 Gram is the
+only one that command forms.  Otherwise the first two entries of Gram row
+0, two dot products, give s and t, so a matrix whose determinant p divides
+costs one pass for max|c| and no matrix product.  Only when they promise a
+unit determinant is the rest of row 0 checked, and then the full Gram
+formed, by one float32 BLAS product that is exact when m max|c|^2 < 2^24,
+the integer-bound rule of ``hadamard.gram_matrix``; outside that bound the
+certificate declines.
 
 **Elimination.**  GF(2) elimination runs on rows packed into Python
 integers (XOR row reduction).  ``rank_gfp`` takes any supported prime, 2
@@ -111,7 +118,7 @@ def _gram_certifies_full_rank(x: np.ndarray, p: int) -> bool:
     head = x[:2].astype(np.int64)
     t = int(head[0] @ head[1]) if m > 1 else 0
     s = int(head[0] @ head[0]) - t
-    if s % p == 0 or (s + m * t) % p == 0:
+    if not _det_is_unit(m, s, t, p):
         return False
     f = x.astype(np.float32)
     row0 = f @ f[0]
@@ -119,6 +126,20 @@ def _gram_certifies_full_rank(x: np.ndarray, p: int) -> bool:
     if np.any(row0 != t):
         return False
     return _gram_is(f, s, t)
+
+
+def _det_is_unit(m: int, s: int, t: int, p: int) -> bool:
+    """Whether p divides neither s nor s + m t, so that a Gram s I + t J of
+    order m has a unit determinant s^(m-1) (s + m t) mod p."""
+    return s % p != 0 and (s + m * t) % p != 0
+
+
+def _certifies_full_rank(x: np.ndarray, p: int, gram: tuple[int, int] | None) -> bool:
+    """The certificate, from ``gram = (s, t)`` when the caller knows that
+    x x^T = s I + t J exactly, else from :func:`_gram_certifies_full_rank`."""
+    if gram is None:
+        return _gram_certifies_full_rank(x, p)
+    return _det_is_unit(x.shape[0], *gram, p)
 
 
 def _gram_is(f: np.ndarray, s: int, t: int) -> bool:
@@ -156,17 +177,20 @@ def _eliminate_gf2(m01: np.ndarray) -> int:
     return len(pivots)
 
 
-def rank_gf2(m01: np.ndarray, label: str = "matrix") -> RankReport:
+def rank_gf2(m01: np.ndarray, label: str = "matrix",
+             gram: tuple[int, int] | None = None) -> RankReport:
     """Rank of a square integer matrix over GF(2), entries taken mod 2.
 
     The Gram certificate decides full rank first; otherwise the rank comes
-    from elimination on rows held as Python ints.
+    from elimination on rows held as Python ints.  ``gram = (s, t)``, when
+    given, must satisfy m01 m01^T = s I + t J exactly; the certificate then
+    reads it instead of forming the Gram.
     """
     m01 = _integer_matrix(m01)
     if m01.ndim != 2 or m01.shape[0] != m01.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m01.shape}")
     n = m01.shape[0]
-    rank = n if _gram_certifies_full_rank(m01, 2) else _eliminate_gf2(m01)
+    rank = n if _certifies_full_rank(m01, 2, gram) else _eliminate_gf2(m01)
     return RankReport(object=label, field_char=2, size=n, rank=rank)
 
 
@@ -266,19 +290,21 @@ def _eliminate(x: np.ndarray, p: int) -> int:
     return r
 
 
-def rank_gfp(x: np.ndarray, p: int, label: str = "matrix") -> RankReport:
+def rank_gfp(x: np.ndarray, p: int, label: str = "matrix",
+             gram: tuple[int, int] | None = None) -> RankReport:
     """Rank of an integer matrix over GF(p).
 
     Entries are taken mod p (so a +-1 matrix maps to its residues).  The
-    Gram certificate decides full rank of a square matrix first; otherwise
-    the rank comes from blocked modular elimination.  p must be a prime no
-    larger than 94 906 249, the largest for which the elimination stays
-    exact in float64 (see the module docstring); a larger p raises
+    Gram certificate decides full rank of a square matrix first, read from
+    ``gram = (s, t)`` when the caller knows x x^T = s I + t J exactly;
+    otherwise the rank comes from blocked modular elimination.  p must be a
+    prime no larger than 94 906 249, the largest for which the elimination
+    stays exact in float64 (see the module docstring); a larger p raises
     ValueError before any primality test, as does a composite p.
     """
     _check_field(p)
     x = _integer_matrix(x)
     if x.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {x.shape}")
-    rank = x.shape[0] if _gram_certifies_full_rank(x, p) else _eliminate(x, p)
+    rank = x.shape[0] if _certifies_full_rank(x, p, gram) else _eliminate(x, p)
     return RankReport(object=label, field_char=p, size=x.shape[0], rank=rank)

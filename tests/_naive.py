@@ -270,6 +270,34 @@ def naive_is_primitive(enc, p, e, modulus):
             and all(power((q - 1) // r) != one for r in naive_prime_factors(q - 1)))
 
 
+def naive_encode_coeffs(coeffs, p):
+    """The encoding sum(c_i * p^i) of a coefficient list, low first."""
+    return sum(int(c) * p**i for i, c in enumerate(coeffs))
+
+
+def naive_antilog_walk(p, e, modulus):
+    """(generator, antilog) by walking candidates in encoding order.
+
+    Each candidate's powers are taken one multiplication at a time until
+    they return to 1; the first walk that lasts q - 1 steps is the smallest
+    primitive element, and its powers (as encodings) are the antilog table.
+    The cost is the order of every candidate tried, so keep q small.
+    """
+    q = p**e
+    one = [1] + [0] * (e - 1)
+    for g in range(1, q):
+        x = [(g // p**i) % p for i in range(e)]
+        antilog, cur = [], one
+        for k in range(q - 1):
+            if k and cur == one:
+                break
+            antilog.append(naive_encode_coeffs(cur, p))
+            cur = _poly_mulmod(cur, x, modulus, p)
+        else:
+            return g, antilog
+    raise ValueError("no primitive element")
+
+
 def naive_enc_add(p, e, x, y):
     """Field addition of two encodings, coefficient by coefficient."""
     out, pw = 0, 1

@@ -39,6 +39,23 @@ def matrix12():
     return sh.build_bordered_from_blocks(g, d0, d1)
 
 
+# (p, e, N, i0, i1) of the order-8, 12, 24 and 56 instances
+SMALL_CONFIGS = [(3, 1, 2, [0], [0]), (5, 1, 4, [0, 1], [0, 2]),
+                 (11, 1, 2, [0], [0]), (3, 3, 2, [0], [0])]
+
+
+@pytest.fixture(scope="session")
+def small_matrices():
+    """(n, H signs, 0/1 tournament core) of each small instance."""
+    out = []
+    for p, e, N, i0, i1 in SMALL_CONFIGS:
+        _, _, pair, _ = sh.find_valid_generator(sh.FieldConfig(p, e), N, i0, i1)
+        h = sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1)
+        _, _, m01 = sh.normalize_core_tournament(h)
+        out.append((h.n, h.signs(), m01))
+    return out
+
+
 def random_signs(n, seed):
     rng = np.random.default_rng(seed)
     return rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, n))

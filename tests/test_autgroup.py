@@ -37,6 +37,22 @@ def test_compose_identity_and_translations():
     assert np.array_equal(t1[t2], sh.induced_permutation(tables, combined))
 
 
+@pytest.mark.parametrize("p,e", [(5, 1), (5, 4)])
+def test_induced_permutation_refuses_out_of_range_maps(p, e):
+    # u = 0 used to read log[0] = -1 and build the map of g^-1; u = q raised
+    # a bare IndexError
+    tables = sh.build_field(sh.FieldConfig(p, e))
+    q = tables.q
+    for u in (0, -1, q):
+        with pytest.raises(ValueError, match="multiplier"):
+            sh.induced_permutation(tables, AffineMap(u=u, a=0))
+    for a in (-1, q):
+        with pytest.raises(ValueError, match="translation"):
+            sh.induced_permutation(tables, AffineMap(u=1, a=a))
+    sigma = sh.induced_permutation(tables, AffineMap(u=q - 1, a=q - 1))
+    assert np.array_equal(np.sort(sigma), np.arange(2 * q + 2))
+
+
 def test_make_affine_validates_class(desk_field):
     tables, partition, _, _ = desk_field
     u_good = int(tables.pow_g(partition.N))

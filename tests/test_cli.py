@@ -12,6 +12,7 @@ import skewhad as sh
 from skewhad.cli import (BuildConfig, CliError, format_index_set, format_manifest, main,
                          parse_index_set, parse_manifest, read_manifest)
 
+from _naive import naive_rank_gfp
 from conftest import mutate_one_byte
 
 
@@ -95,6 +96,72 @@ def test_rank_tournament_on_gate0_failing_matrix_exits_2(tmp_path, capsys, monke
     assert out == "GATE0 FAIL n=2\n"
     assert err == ""
     assert len(calls) == 1
+
+
+@pytest.fixture(scope="module")
+def small_matrix_files(tmp_path_factory, small_matrices):
+    """(path, 0/1 tournament core) of each small instance, its H written as
+    matrix text."""
+    out = []
+    for n, signs, m01 in small_matrices:
+        path = tmp_path_factory.mktemp("small") / f"matrix_{n}.txt"
+        path.write_bytes(sh.to_matrix_text(sh.PmMatrix(signs)))
+        out.append((path, m01))
+    return out
+
+
+@pytest.fixture(scope="module")
+def matrix1252_file(tmp_path_factory, matrix1252):
+    path = tmp_path_factory.mktemp("flagship") / "matrix_1252.txt"
+    path.write_bytes(sh.to_matrix_text(matrix1252))
+    return path
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 313])
+def test_rank_tournament_matches_the_oracle(small_matrix_files, capsys, p):
+    for path, m01 in small_matrix_files:
+        code = main(["rank", str(path), "--field", str(p), "--tournament"])
+        assert code == 0
+        want = naive_rank_gfp(m01.tolist(), p)
+        assert capsys.readouterr().out == f"tournament {p} {len(m01)} {want}\n"
+
+
+def _count_rank_calls(monkeypatch):
+    """Counts of Gate0 runs, full Gram checks and eliminations."""
+    calls = {"gate0_verify": 0, "_gram_is": 0, "_eliminate": 0, "_eliminate_gf2": 0}
+    for module, name in ((sh.hadamard, "gate0_verify"), (sh.ranks, "_gram_is"),
+                         (sh.ranks, "_eliminate"), (sh.ranks, "_eliminate_gf2")):
+        def counted(*args, _inner=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("p, rank, eliminations", [(2, 1251, 0), (5, 1250, 1), (313, 626, 1)])
+def test_rank_tournament_at_1252_forms_only_the_gate0_gram(
+        matrix1252_file, capsys, monkeypatch, p, rank, eliminations):
+    # Gate0 passed, so M M^T = 313 I + 312 J: det(M)^2 = 313^1250 * 625^2 is
+    # a unit mod 2, and 5 and 313 divide it, so those two ranks eliminate
+    calls = _count_rank_calls(monkeypatch)
+    code = main(["rank", str(matrix1252_file), "--field", str(p), "--tournament"])
+    assert code == 0
+    assert capsys.readouterr().out == f"tournament {p} 1251 {rank}\n"
+    assert calls == {"gate0_verify": 1, "_gram_is": 0,
+                     "_eliminate": eliminations, "_eliminate_gf2": 0}
+
+
+def test_rank_tournament_on_a_flipped_1252_matrix_exits_2(tmp_path, capsys, monkeypatch,
+                                                          matrix1252):
+    signs = matrix1252.signs().copy()
+    signs[40, 700] *= -1
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(sh.to_matrix_text(sh.PmMatrix(signs)))
+    calls = _count_rank_calls(monkeypatch)
+    code = main(["rank", str(bad), "--field", "2", "--tournament"])
+    assert code == 2
+    assert capsys.readouterr() == ("GATE0 FAIL n=1252\n", "")
+    assert calls == {"gate0_verify": 1, "_gram_is": 0, "_eliminate": 0, "_eliminate_gf2": 0}
 
 
 def test_aut_command(desk_build, capsys):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import skewhad as sh
-from skewhad.gf import (FieldError, decode_encoding, encode_coeffs, find_modulus,
-                        is_irreducible, is_prime, tables_for_generator)
+from skewhad.gf import (FieldError, decode_encoding, find_modulus, is_irreducible, is_prime,
+                        tables_for_generator)
 
-from _naive import naive_is_primitive, naive_prime_factors
+from _naive import (_poly_mulmod, naive_antilog_walk, naive_encode_coeffs, naive_is_primitive,
+                    naive_prime_factors)
 
 
 def test_is_prime_small():
@@ -31,9 +32,52 @@ def test_generator_is_the_smallest_primitive_element(p, e):
     assert tables.generator == smallest
 
 
+WALK_FIELDS = ([(2, k) for k in range(1, 13)] + [(3, k) for k in range(1, 8)]
+               + [(5, k) for k in range(1, 6)] + [(7, 3), (11, 2), (8209, 1)])
+
+
+def _last_irreducible(p, e):
+    """The monic irreducible of degree e whose low coefficients have the
+    largest encoding, a modulus the auto selection never picks for e > 1."""
+    for low in reversed(range(p**e)):
+        coeffs = decode_encoding(low, p, e) + (1,)
+        if is_irreducible(coeffs, p):
+            return coeffs
+
+
+@pytest.mark.parametrize("p,e", WALK_FIELDS)
+@pytest.mark.parametrize("supplied", [False, True], ids=["auto", "poly"])
+def test_build_field_matches_the_candidate_walk(p, e, supplied):
+    modulus = _last_irreducible(p, e) if supplied else None
+    tables = sh.build_field(sh.FieldConfig(p, e, modulus=modulus))
+    if supplied:
+        assert tables.modulus == modulus
+    generator, antilog = naive_antilog_walk(p, e, list(tables.modulus))
+    assert tables.generator == generator
+    assert tables.antilog.tolist() == antilog
+
+
+@pytest.mark.parametrize("p,e,generator", [(37, 3, 75), (3, 10, 34), (1021, 2, 1035)])
+def test_generators_of_fields_the_walk_was_slow_on(p, e, generator):
+    # generators pinned from naive_antilog_walk, which walks each
+    # non-primitive candidate up to its order and takes 2.4 to 17.5 s on
+    # these fields (2-vCPU Xeon), too slow to run in the suite
+    tables = sh.build_field(sh.FieldConfig(p, e))
+    assert tables.generator == generator
+    assert tables.antilog[1] == generator
+    assert naive_is_primitive(generator, p, e, tables.modulus)
+    assert not any(naive_is_primitive(x, p, e, tables.modulus) for x in range(1, generator))
+    # g^a g = g^(a+1) by the naive polynomial product
+    g = list(decode_encoding(generator, p, e))
+    for a in (1, 2, 7, tables.q // 3, tables.q - 2):
+        y = list(decode_encoding(int(tables.antilog[a]), p, e))
+        product = naive_encode_coeffs(_poly_mulmod(y, g, list(tables.modulus), p), p)
+        assert product == tables.antilog[(a + 1) % (tables.q - 1)]
+
+
 def test_encoding_round_trip():
     for enc in range(625):
-        assert encode_coeffs(decode_encoding(enc, 5, 4), 5) == enc
+        assert naive_encode_coeffs(decode_encoding(enc, 5, 4), 5) == enc
 
 
 def test_auto_modulus_5_4_is_x4_plus_2():

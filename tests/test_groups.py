@@ -232,6 +232,40 @@ def test_field_additive_refuses_an_order_not_starting_at_one():
         sh.GroupSpec.field_additive(5, 2, np.concatenate([enc[:-1], [1]]))
 
 
+def test_field_additive_refuses_an_order_that_is_not_a_power_sequence():
+    # 1 first, then g^1 ... g^(q-2) rotated by one place: every element is
+    # listed, yet the Zech table gave 530 of the 625 sums wrong
+    tables = sh.build_field(sh.FieldConfig(5, 2))
+    enc = np.concatenate([[0], tables.antilog])
+    for shift in (1, -1):
+        rotated = np.concatenate([enc[:2], np.roll(enc[2:], shift)])
+        with pytest.raises(ValueError, match="powers"):
+            sh.GroupSpec.field_additive(5, 2, rotated)
+    swapped = enc.copy()
+    swapped[[5, 9]] = swapped[[9, 5]]
+    with pytest.raises(ValueError, match="powers"):
+        sh.GroupSpec.field_additive(5, 2, swapped)
+
+
+@pytest.mark.parametrize("p,e", [(2, 3), (3, 2), (5, 2), (7, 1), (3, 3)])
+def test_field_additive_accepts_every_generator_and_modulus(p, e, monkeypatch):
+    # a block of a few encodings splits the check into many blocks
+    monkeypatch.setattr(sh.groups, "_SHIFT_CHECK_ROWS", 4)
+    moduli = [None] + [m for m in (tuple(sh.gf.decode_encoding(low, p, e)) + (1,)
+                                   for low in range(p**e)) if sh.gf.is_irreducible(m, p)]
+    for modulus in moduli:
+        base = sh.build_field(sh.FieldConfig(p, e, modulus=modulus))
+        for generator in range(1, p**e):
+            if base.element_order(generator) != p**e - 1:
+                continue
+            tables = sh.gf.tables_for_generator(base, generator)
+            g = sh.additive_group(tables)
+            add = field_index_add(p, e, [g.encoding_of(i) for i in range(g.order)])
+            xs = np.arange(g.order)
+            for w in (1, 2, g.order - 1):
+                assert g.add_shift(xs, w).tolist() == [add(int(x), w) for x in xs]
+
+
 @pytest.mark.parametrize("kind", ["cyclic", "field"])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_encodings_out_of_range_are_refused(kind, offset):

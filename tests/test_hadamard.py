@@ -313,6 +313,19 @@ def test_normalize_rejects_non_hadamard():
         sh.normalize_core_tournament(sh.PmMatrix.from_signs(np.ones((3, 3), dtype=np.int8)))
 
 
+def test_normalize_takes_a_passed_report_of_the_same_order(matrix8, matrix12, monkeypatch):
+    report = sh.gate0_verify(matrix8)
+    want = sh.normalize_core_tournament(matrix8)
+    monkeypatch.setattr(sh.hadamard, "gate0_verify", lambda m: pytest.fail("Gate0 ran again"))
+    hn, s, m01 = sh.normalize_core_tournament(matrix8, report)
+    assert hn == want[0] and s == want[1] and np.array_equal(m01, want[2])
+    failed = sh.Gate0Report(n=8, gram_ok=False, skew_ok=True, max_offdiag_gram=4)
+    with pytest.raises(ValueError):
+        sh.normalize_core_tournament(matrix8, failed)
+    with pytest.raises(ValueError):  # a passed report of another order
+        sh.normalize_core_tournament(matrix12, report)
+
+
 def test_matrix_text_golden():
     m = sh.PmMatrix.from_signs(np.array([[1, 1], [-1, 1]], dtype=np.int8))
     assert sh.to_matrix_text(m) == b"2\n++\n-+\n"

@@ -168,22 +168,7 @@ def test_report_line_format():
     assert sh.RankReport("hadamard", 5, 12, 12).line() == "hadamard 5 12 12"
 
 
-# (p, e, N, i0, i1) of the order-8, 12, 24 and 56 instances
-SMALL_CONFIGS = [(3, 1, 2, [0], [0]), (5, 1, 4, [0, 1], [0, 2]),
-                 (11, 1, 2, [0], [0]), (3, 3, 2, [0], [0])]
 CERT_PRIMES = (2, 3, 5, 7, 11, 13, 313)
-
-
-@pytest.fixture(scope="module")
-def small_matrices():
-    """(n, H signs, 0/1 tournament core) of each small instance."""
-    out = []
-    for p, e, N, i0, i1 in SMALL_CONFIGS:
-        _, _, pair, _ = sh.find_valid_generator(sh.FieldConfig(p, e), N, i0, i1)
-        h = sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1)
-        _, _, m01 = sh.normalize_core_tournament(h)
-        out.append((h.n, h.signs(), m01))
-    return out
 
 
 def test_certificate_and_elimination_agree_with_the_oracles(small_matrices):
@@ -205,6 +190,44 @@ def test_certificate_and_elimination_agree_with_the_oracles(small_matrices):
     assert (12, "tournament", 3) not in certified
     assert (12, "tournament", 5) not in certified
     assert (12, "tournament", 7) in certified
+
+
+def test_core_gram_from_gate0_is_the_core_gram(small_matrices, matrix1252):
+    # rows of Hn Hn^T = nI give S S^T = nI - J and row sums 1, so the core
+    # M = (J - S)/2 has M M^T = (n/4) I + (n/4 - 1) J
+    cases = [(sh.PmMatrix(signs), m01) for _, signs, m01 in small_matrices]
+    cases.append((matrix1252, sh.normalize_core_tournament(matrix1252)[2]))
+    assert [h.n for h, _ in cases] == [8, 12, 24, 56, 1252]
+    for h, m01 in cases:
+        s, t = sh.gate0_verify(h).core_gram()
+        assert (s, t) == (h.n // 4, h.n // 4 - 1)
+        m = m01.astype(np.int64)
+        assert np.array_equal(m @ m.T, s * np.eye(h.n - 1, dtype=np.int64) + t)
+        assert s + (h.n - 1) * t == ((h.n - 2) // 2) ** 2
+
+
+def test_core_gram_needs_a_passed_report_of_order_divisible_by_4(matrix8):
+    assert sh.Gate0Report(n=8, gram_ok=True, skew_ok=False, max_offdiag_gram=0).core_gram() is None
+    assert sh.Gate0Report(n=8, gram_ok=False, skew_ok=True, max_offdiag_gram=2).core_gram() is None
+    for n in (1, 2):  # the skew-Hadamard orders below 4
+        h = sh.PmMatrix.from_signs(np.array([[1]]) if n == 1 else np.array([[1, 1], [-1, 1]]))
+        report = sh.gate0_verify(h)
+        assert report.passed and report.core_gram() is None
+    flipped = matrix8.signs().copy()
+    flipped[0, 3] *= -1
+    assert sh.gate0_verify(sh.PmMatrix(flipped)).core_gram() is None
+
+
+@pytest.mark.parametrize("p", CERT_PRIMES)
+def test_ranks_read_from_the_gate0_identity_match_the_oracles(small_matrices, monkeypatch, p):
+    calls = _count_calls(monkeypatch, ("_gram_is", "_gram_certifies_full_rank"))
+    for n, signs, m01 in small_matrices:
+        gram = sh.gate0_verify(sh.PmMatrix(signs)).core_gram()
+        want = naive_rank_gfp(m01.tolist(), p)
+        assert sh.rank_gfp(m01, p, gram=gram).rank == want, (n, p)
+        if p == 2:
+            assert sh.rank_gf2(m01, gram=gram).rank == want, n
+    assert calls == {"_gram_is": 0, "_gram_certifies_full_rank": 0}
 
 
 def test_certificate_declines_what_it_cannot_prove(matrix8):
