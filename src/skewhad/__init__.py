@@ -4,8 +4,8 @@ Construction, exact certification, classification invariants, the affine
 automorphism subgroup, and a top-k orthogonal sketch codec.
 """
 
-from .groups import (GroupSpec, autocorrelation, autocorrelation_profile,
-                     indicator_signs, subset_from_indices, subset_size)
+from .groups import (GroupSpec, autocorrelation_profile, indicator_signs,
+                     subset_from_indices, subset_size)
 from .gf import (CyclotomicPartition, FieldConfig, FieldError, FieldTables,
                  additive_group, build_field, cyclotomic_partition,
                  negation_class_shift)
@@ -16,18 +16,18 @@ from .hadamard import (Gate0Report, MatrixFormatError, PmMatrix,
                        assemble_bordered, build_bordered_from_blocks,
                        gate0_verify, gram_matrix, normalize_core_tournament,
                        parse_matrix_text, to_matrix_text, type1_matrix)
-from .ranks import RankReport, rank_gf2, rank_gfp
+from .ranks import RankReport, rank_gfp
 from .autgroup import (AffineMap, AuditReport, induced_permutation,
                        make_affine, subgroup_audit, verify_automorphism)
 from .sketch import (PacketFormatError, SketchConfig, SketchPacket,
-                     byte_accounting, decode, encode, granularity_gain,
-                     inverse_transform, top_k_indices, transform)
+                     byte_accounting, decode, encode, inverse_transform,
+                     top_k_indices, transform)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GroupSpec", "autocorrelation", "autocorrelation_profile",
-    "indicator_signs", "subset_from_indices", "subset_size",
+    "GroupSpec", "autocorrelation_profile", "indicator_signs",
+    "subset_from_indices", "subset_size",
     "CyclotomicPartition", "FieldConfig", "FieldError", "FieldTables",
     "additive_group", "build_field", "cyclotomic_partition",
     "negation_class_shift",
@@ -37,10 +37,9 @@ __all__ = [
     "build_bordered_from_blocks", "gate0_verify", "gram_matrix",
     "normalize_core_tournament", "parse_matrix_text", "to_matrix_text",
     "type1_matrix",
-    "RankReport", "rank_gf2", "rank_gfp",
+    "RankReport", "rank_gfp",
     "AffineMap", "AuditReport", "induced_permutation", "make_affine",
     "subgroup_audit", "verify_automorphism",
     "PacketFormatError", "SketchConfig", "SketchPacket", "byte_accounting",
-    "decode", "encode", "granularity_gain", "inverse_transform",
-    "top_k_indices", "transform",
+    "decode", "encode", "inverse_transform", "top_k_indices", "transform",
 ]

@@ -15,8 +15,9 @@ every map is a product of the two, so all f*q maps are automorphisms.  A
 closure sample that equals one of those maps entry for entry then passes
 with no dense check; any other sample is checked densely.  When a generator
 fails, the count stays exact: an automorphism keeps the -1 counts of each
-row and column, so only the maps sending one index of the rarest class of
-those counts into that class are checked densely.
+row and column inside the borders and each block, so only the maps sending
+one index of the rarest class of those counts into that class are checked
+densely.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def induced_permutation(tables: FieldTables, m: AffineMap) -> np.ndarray:
     # Multiplying by u adds log u to the log, and block index 1 + k holds g^k.
     scaled = np.zeros(q, dtype=np.int64)
     scaled[1:] = 1 + (np.arange(q - 1) + int(tables.log[m.u])) % (q - 1)
-    pi = group.add_shift(scaled, group.index_of_encoding(m.a))
+    pi = group.add_shift(scaled, int(group.indices_of_encodings(m.a)))
     sigma = np.empty(2 * q + 2, dtype=np.int64)
     sigma[0] = 0
     sigma[1] = 1
@@ -189,19 +190,25 @@ def _count_by_key_class(h: PmMatrix, minus: np.ndarray, plus: np.ndarray,
                         scaled: np.ndarray) -> int:
     """How many of the f*q affine maps are automorphisms of h, exactly.
 
-    An automorphism permutes the rows and the columns, so it keeps each
-    row's and each column's count of -1 entries.  The key of a block index
-    is those four counts for its row and column in both blocks, so the block
-    action of an automorphism maps each key class onto itself.  Take x0 in
-    the rarest class R: for each multiplier power k and each y in R exactly
-    one map sends x0 to y, the translation by g_y - g^(N*k) g_x0.  Only
-    those f*|R| maps can be automorphisms, and they are checked densely.
+    Every affine map fixes the borders and permutes the indices of both
+    blocks alike, so an automorphism among them keeps, for each row and each
+    column, its count of -1 entries inside each of the three index ranges:
+    the borders and the two blocks.  The key of a block index is those
+    counts for its row and column in both blocks, twelve in all, so the
+    block action of an automorphism maps each key class onto itself.  Take
+    x0 in the rarest class R: for each multiplier power k and each y in R
+    exactly one map sends x0 to y, the translation by g_y - g^(N*k) g_x0.
+    Only those f*|R| maps can be automorphisms, and they are checked
+    densely.  When every block index has the same key, R is all q indices
+    and all f*q maps are checked, so the worst case stays f*q dense checks.
     The tables are those of :func:`_affine_tables`.
     """
     q = len(minus)
     neg = h.signs() < 0
-    rows, cols = neg.sum(axis=1), neg.sum(axis=0)
-    keys = np.stack([rows[2: q + 2], cols[2: q + 2], rows[q + 2:], cols[q + 2:]], axis=1)
+    ranges = [0, 2, q + 2]  # the borders, the first block, the second block
+    rows = np.add.reduceat(neg, ranges, axis=1, dtype=np.int64)
+    cols = np.add.reduceat(neg, ranges, axis=0, dtype=np.int64).T
+    keys = np.hstack([rows[2: q + 2], cols[2: q + 2], rows[q + 2:], cols[q + 2:]])
     _, key_class, sizes = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
     rare = np.flatnonzero(key_class.ravel() == np.argmin(sizes))
     count = 0

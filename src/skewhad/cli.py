@@ -59,7 +59,11 @@ class BuildConfig:
 
 
 def parse_index_set(text: str) -> tuple[int, ...]:
-    """Parse "4-11" / "0,2,5" / "0-3,8" into a sorted tuple of indices."""
+    """Parse "4-11" / "0,2,5" / "0-3,8" into a sorted tuple of indices.
+
+    An index of ``gf.MAX_FIELD_ORDER`` or more is refused before any range
+    is expanded: a class index is below N, which divides q - 1 < 2^20.
+    """
     out: set[int] = set()
     for part in text.split(","):
         part = part.strip()
@@ -73,12 +77,15 @@ def parse_index_set(text: str) -> tuple[int, ...]:
                 raise CliError(f"bad range {part!r} in index set") from None
             if hi < lo:
                 raise CliError(f"descending range {part!r} in index set")
-            out.update(range(lo, hi + 1))
         else:
             try:
-                out.add(int(part))
+                lo = hi = int(part)
             except ValueError:
                 raise CliError(f"bad index {part!r} in index set") from None
+        if hi >= gf.MAX_FIELD_ORDER:
+            raise CliError(f"index {hi} out of range: a class index is below "
+                           f"{gf.MAX_FIELD_ORDER}")
+        out.update(range(lo, hi + 1))
     return tuple(sorted(out))
 
 
@@ -285,12 +292,7 @@ def cmd_rank(args) -> int:
         gram, label = gate0.core_gram(), "tournament"
     else:
         matrix, gram, label = h.signs(), None, "hadamard"
-    # the 0/1 core and the +-1 signs need no reduction mod 2
-    if args.field == 2:
-        report = ranks.rank_gf2(matrix, label=label, gram=gram)
-    else:
-        report = ranks.rank_gfp(matrix, args.field, label=label, gram=gram)
-    print(report.line())
+    print(ranks.rank_gfp(matrix, args.field, label=label, gram=gram).line())
     return EXIT_OK
 
 

@@ -63,12 +63,6 @@ class FieldTables:
         self.antilog.setflags(write=False)
         self.log.setflags(write=False)
 
-    def mul(self, x: int, y: int) -> int:
-        """Field multiplication of two encodings."""
-        if x == 0 or y == 0:
-            return 0
-        return int(self.antilog[(int(self.log[x]) + int(self.log[y])) % (self.q - 1)])
-
     def pow_g(self, k: int) -> int:
         """g^k as an encoding."""
         return int(self.antilog[k % (self.q - 1)])
@@ -95,13 +89,6 @@ class CyclotomicPartition:
 
     def __post_init__(self) -> None:
         self.class_of.setflags(write=False)
-
-    def class_elements(self, i: int) -> np.ndarray:
-        """All encodings in class i, sorted ascending."""
-        if not 0 <= i < self.N:
-            raise ValueError(f"class index {i} out of range [0, {self.N})")
-        exps = np.arange(self.tables.q - 1)
-        return np.sort(self.tables.antilog[exps % self.N == i])
 
 
 def is_prime(n: int) -> bool:

@@ -120,29 +120,13 @@ class GroupSpec:
             raise ValueError(f"element index {x} out of range for group of order {self.order}")
         return x
 
-    def encoding_of(self, x: int) -> int:
-        """Canonical encoding of the element at index x (fields only)."""
-        x = self._check_index(x)
-        return x if self.kind == CYCLIC else int(self._enc[x])
-
-    def index_of_encoding(self, enc: int) -> int:
-        """Index of the element with the given encoding; ValueError outside [0, order)."""
-        return int(self.indices_of_encodings(int(enc)))
-
     def indices_of_encodings(self, encs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`index_of_encoding`."""
+        """Indices of the elements with the given encodings; ValueError
+        outside [0, order)."""
         encs = np.array(encs, dtype=np.int64)
         if encs.size and not (0 <= encs.min() and encs.max() < self.order):
             raise ValueError(f"encoding out of range for group of order {self.order}")
         return encs if self.kind == CYCLIC else self._idx_of_enc[encs]
-
-    def add(self, x: int, y: int) -> int:
-        """Group sum of the elements at indices x and y."""
-        return int(self.add_shift(self._check_index(x), y))
-
-    def neg(self, x: int) -> int:
-        """Additive inverse of the element at index x."""
-        return int(self.neg_perm()[self._check_index(x)])
 
     def add_shift(self, xs: np.ndarray, w: int) -> np.ndarray:
         """Vectorized ``x + w`` for an array of element indices."""
@@ -218,29 +202,14 @@ def indicator_signs(mask: np.ndarray) -> np.ndarray:
     return np.where(mask, -1, 1).astype(np.int8)
 
 
-def autocorrelation(spec: GroupSpec, mask: np.ndarray, w: int) -> int:
-    """Periodic autocorrelation of the subset at shift w.
-
-    Computed through the intersection identity
-    ``P_D(w) = v - 4 * (|D| - |D & (D - w)|)``, which agrees with the literal
-    sum of indicator products over the whole group.  ``P_D(0) == v`` always.
-    """
-    w = spec._check_index(w)
-    members = np.flatnonzero(mask)
-    size = members.size
-    if size == 0:
-        return spec.order
-    shifted = spec.add_shift(members, w)
-    kept = int(np.count_nonzero(mask[shifted]))
-    return spec.order - 4 * (size - kept)
-
-
 def autocorrelation_profile(spec: GroupSpec, mask: np.ndarray) -> np.ndarray:
-    """Autocorrelation at every shift, as an int64 array indexed by shift.
+    """Periodic autocorrelation P_D(w) = sum_x s(x) s(x + w) of the subset at
+    every shift, as an int64 array indexed by shift, with s = -1 on members
+    and +1 elsewhere.
 
-    Entry ``w`` equals ``autocorrelation(spec, mask, w)``; entry 0 is always
-    the group order.  Ordered member pairs are counted by difference, at
-    most ``_PROFILE_BLOCK_PAIRS`` pairs at a time to bound the memory.
+    Entry 0 is always the group order.  Ordered member pairs are counted by
+    difference, at most ``_PROFILE_BLOCK_PAIRS`` pairs at a time to bound
+    the memory.
     """
     v = spec.order
     members = np.flatnonzero(mask)

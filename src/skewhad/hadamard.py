@@ -81,9 +81,6 @@ class PmMatrix:
             return NotImplemented
         return self.n == other.n and bool(np.array_equal(self._signs, other._signs))
 
-    def __hash__(self) -> int:  # content hash of the signs
-        return hash((self.n, self._signs.tobytes()))
-
     def __repr__(self) -> str:
         return f"PmMatrix(n={self.n})"
 

@@ -30,9 +30,9 @@ formed, by one float32 BLAS product that is exact when m max|c|^2 < 2^24,
 the integer-bound rule of ``hadamard.gram_matrix``; outside that bound the
 certificate declines.
 
-**Elimination.**  GF(2) elimination runs on rows packed into Python
-integers (XOR row reduction).  ``rank_gfp`` takes any supported prime, 2
-included, through blocked, right-looking elimination with delayed modular
+**Elimination.**  Over GF(2) the rows are packed into Python integers and
+reduced by XOR, which beats the float panels below for that one prime.
+Every other prime goes through blocked, right-looking elimination with delayed modular
 reduction, after Dumas, Giorgi and Pernet, "Dense linear algebra over
 word-size prime fields: the FFLAS and FFPACK packages" (ACM TOMS, 2008).
 Each step takes a panel of b columns:
@@ -53,8 +53,8 @@ The panel width is therefore derived from p as
 for which even b = 1 holds the bound: p <= 94 906 249.  A larger p raises
 ValueError before the primality test.
 
-Both ranks take integer or boolean arrays only; any other dtype raises
-ValueError rather than being truncated to integers.
+:func:`rank_gfp` takes integer or boolean arrays only; any other dtype
+raises ValueError rather than being truncated to integers.
 """
 
 from __future__ import annotations
@@ -154,9 +154,9 @@ def _gram_is(f: np.ndarray, s: int, t: int) -> bool:
 
 
 def _rows_as_ints(m01: np.ndarray) -> list[int]:
-    """Each row mod 2 as a Python int, column j at bit j."""
+    """Each row mod 2 as a Python int, column j at bit j (0 with no columns)."""
     digits = (m01[:, ::-1] & 1).astype(np.uint8) + ord("0")
-    return [int(row.tobytes(), 2) for row in digits]
+    return [int(row.tobytes() or b"0", 2) for row in digits]
 
 
 def _eliminate_gf2(m01: np.ndarray) -> int:
@@ -175,23 +175,6 @@ def _eliminate_gf2(m01: np.ndarray) -> int:
                 break
             row ^= piv
     return len(pivots)
-
-
-def rank_gf2(m01: np.ndarray, label: str = "matrix",
-             gram: tuple[int, int] | None = None) -> RankReport:
-    """Rank of a square integer matrix over GF(2), entries taken mod 2.
-
-    The Gram certificate decides full rank first; otherwise the rank comes
-    from elimination on rows held as Python ints.  ``gram = (s, t)``, when
-    given, must satisfy m01 m01^T = s I + t J exactly; the certificate then
-    reads it instead of forming the Gram.
-    """
-    m01 = _integer_matrix(m01)
-    if m01.ndim != 2 or m01.shape[0] != m01.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m01.shape}")
-    n = m01.shape[0]
-    rank = n if _certifies_full_rank(m01, 2, gram) else _eliminate_gf2(m01)
-    return RankReport(object=label, field_char=2, size=n, rank=rank)
 
 
 _EXACT = 2**53  # float64 holds every integer of absolute value up to 2^53
@@ -297,7 +280,8 @@ def rank_gfp(x: np.ndarray, p: int, label: str = "matrix",
     Entries are taken mod p (so a +-1 matrix maps to its residues).  The
     Gram certificate decides full rank of a square matrix first, read from
     ``gram = (s, t)`` when the caller knows x x^T = s I + t J exactly;
-    otherwise the rank comes from blocked modular elimination.  p must be a
+    otherwise the rank comes from elimination, XOR row reduction when
+    p = 2 and blocked modular elimination for any other p.  p must be a
     prime no larger than 94 906 249, the largest for which the elimination
     stays exact in float64 (see the module docstring); a larger p raises
     ValueError before any primality test, as does a composite p.
@@ -306,5 +290,8 @@ def rank_gfp(x: np.ndarray, p: int, label: str = "matrix",
     x = _integer_matrix(x)
     if x.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {x.shape}")
-    rank = x.shape[0] if _certifies_full_rank(x, p, gram) else _eliminate(x, p)
+    if _certifies_full_rank(x, p, gram):
+        rank = x.shape[0]
+    else:
+        rank = _eliminate_gf2(x) if p == 2 else _eliminate(x, p)
     return RankReport(object=label, field_char=p, size=x.shape[0], rank=rank)

@@ -37,15 +37,12 @@ class SketchConfig:
 
     n: int = 1252
     k: int = 300
-    quant_bits: int = 8
 
     def __post_init__(self) -> None:
         if not 1 <= self.k <= self.n:
             raise ValueError(f"k = {self.k} must be in [1, {self.n}]")
         if self.n > 0xFFFF:
             raise ValueError(f"order {self.n} does not fit the 2-byte wire tag")
-        if self.quant_bits != 8:
-            raise ValueError("only 8-bit quantization is supported")
 
 
 @dataclass(frozen=True)
@@ -86,9 +83,6 @@ class SketchPacket:
         return cls(scale=float(scale), k=int(k), n_tag=int(n_tag),
                    indices=tuple(int(i) for i in indices),
                    qvalues=tuple(int(v) for v in qvalues))
-
-    def byte_length(self) -> int:
-        return _HEADER.size + 3 * self.k
 
 
 def transform(x: np.ndarray, h: PmMatrix) -> np.ndarray:
@@ -164,8 +158,3 @@ def byte_accounting(cfg: SketchConfig) -> tuple[int, int, float]:
     raw = 4 * cfg.n
     sketch = _HEADER.size + 3 * cfg.k
     return raw, sketch, raw / sketch
-
-
-def granularity_gain(n: int, baseline: int) -> float:
-    """Relative dimension gain of order n over a baseline order, in percent."""
-    return (n / baseline - 1.0) * 100.0

@@ -14,6 +14,11 @@ def cyclic_add(n):
     return lambda x, y: (x + y) % n
 
 
+def cyclic_neg(n):
+    """Index negation for the cyclic group of order n."""
+    return lambda x: (-x) % n
+
+
 def field_index_add(p, e, encodings):
     """Index addition for a field-additive group with the given element order.
 
@@ -66,6 +71,13 @@ def naive_neg_perm(p, e, encodings):
     """Index of -g_i for every i, digit by digit."""
     digits, pow_p, index_of = _digit_tables(p, e, encodings)
     return index_of[((-digits) % p) @ pow_p]
+
+
+def field_index_neg(p, e, encodings):
+    """Index negation for a field-additive group with the given element
+    order, digit by digit (see :func:`naive_neg_perm`)."""
+    table = naive_neg_perm(p, e, encodings)
+    return lambda x: int(table[x])
 
 
 def naive_profile(p, e, encodings, members):
@@ -309,12 +321,26 @@ def naive_enc_add(p, e, x, y):
     return out
 
 
+def naive_field_mul(tables):
+    """Multiplication of encodings in the field of ``tables``: schoolbook
+    polynomial product reduced by its modulus, with no log table."""
+    p, e = tables.p, tables.e
+
+    def mul(x, y):
+        a = [(x // p**i) % p for i in range(e)]
+        b = [(y // p**i) % p for i in range(e)]
+        return naive_encode_coeffs(_poly_mulmod(a, b, tables.modulus, p), p)
+
+    return mul
+
+
 def naive_compose_affine(tables, m1, m2):
     """m1 after m2: x -> u1*(u2*x + a2) + a1."""
     from skewhad.autgroup import AffineMap
 
-    return AffineMap(u=tables.mul(m1.u, m2.u),
-                     a=naive_enc_add(tables.p, tables.e, tables.mul(m1.u, m2.a), m1.a))
+    mul = naive_field_mul(tables)
+    return AffineMap(u=mul(m1.u, m2.u),
+                     a=naive_enc_add(tables.p, tables.e, mul(m1.u, m2.a), m1.a))
 
 
 def naive_exhaustive_audit(h, partition):

@@ -14,7 +14,7 @@ import numpy as np
 import skewhad as sh
 from skewhad import ranks
 
-from _naive import (cyclic_add, field_index_add, naive_autocorrelation,
+from _naive import (cyclic_add, cyclic_neg, field_index_add, naive_autocorrelation,
                     naive_rank_gf2, naive_rank_gfp, naive_reversed_type2)
 
 
@@ -98,7 +98,7 @@ def test_criterion_5_rank_invariants(instance625, matrix1252):
     _, _, m01 = sh.normalize_core_tournament(matrix1252)
     signs = matrix1252.signs()
     got = {
-        ("tournament", 2): sh.rank_gf2(m01, label="tournament").rank,
+        ("tournament", 2): sh.rank_gfp(m01, 2, label="tournament").rank,
         ("hadamard", 3): sh.rank_gfp(signs, 3, label="hadamard").rank,
         ("hadamard", 5): sh.rank_gfp(signs, 5, label="hadamard").rank,
         ("hadamard", 313): sh.rank_gfp(signs, 313, label="hadamard").rank,
@@ -154,7 +154,7 @@ def test_criterion_6_automorphism_subgroup(instance625, matrix1252):
 
 def test_criterion_7_sketch(matrix1252):
     raw, size, ratio = sh.byte_accounting(sh.SketchConfig(n=1252, k=300))
-    gran = sh.granularity_gain(1252, 1024)
+    gran = (1252 / 1024 - 1.0) * 100.0  # order gain over the power of two below, in percent
 
     rng = np.random.default_rng(42)
     x = rng.normal(size=1252)
@@ -191,8 +191,7 @@ def test_criterion_8_property_suites():
     for p, e in [(2, 4), (3, 3), (5, 2), (7, 1), (61, 1)]:
         tables = sh.build_field(sh.FieldConfig(p, e))
         g = sh.additive_group(tables)
-        enc = [g.encoding_of(i) for i in range(g.order)]
-        groups.append((f"gf{p}^{e}", g, field_index_add(p, e, enc)))
+        groups.append((f"gf{p}^{e}", g, field_index_add(p, e, [0, *tables.antilog])))
     rng = np.random.default_rng(8)
     checked = 0
     for name, g, add in groups:
@@ -207,7 +206,7 @@ def test_criterion_8_property_suites():
     # rank eliminators against the naive oracles
     for n in (8, 21, 64):
         m2 = (rng.random((n, n)) < 0.5).astype(np.uint8)
-        assert sh.rank_gf2(m2).rank == naive_rank_gf2(m2.tolist())
+        assert sh.rank_gfp(m2, 2).rank == naive_rank_gf2(m2.tolist())
         mp = rng.integers(-6, 7, size=(n, n))
         for p in (3, 5):
             assert sh.rank_gfp(mp, p).rank == naive_rank_gfp(mp.tolist(), p)
@@ -220,13 +219,13 @@ def test_criterion_8_property_suites():
         d0 = sh.subset_from_indices(g, rng.choice(v, size=v // 2, replace=False))
         d1 = sh.subset_from_indices(g, rng.choice(v, size=max(1, v // 3), replace=False))
         a = sh.type1_matrix(g, d0).signs().astype(int)
-        c = np.array(naive_reversed_type2(v, cyclic_add(v), g.neg, np.flatnonzero(d1)))
+        c = np.array(naive_reversed_type2(v, cyclic_add(v), cyclic_neg(v), np.flatnonzero(d1)))
         assert np.array_equal(a @ c, c @ a)
         gram = a @ a.T
         profile = sh.autocorrelation_profile(g, d0)
         for i in range(v):
             for k in range(v):
-                assert gram[i, k] == profile[g.add(i, g.neg(k))]
+                assert gram[i, k] == profile[(i - k) % v]
 
     _report(8, True, f"identity sweeps pass ({checked} autocorrelation checks, "
                      f"rank oracles to 64, development identities to v=16)")

@@ -10,7 +10,7 @@ from skewhad import autgroup, gf
 from skewhad.autgroup import AffineMap
 
 from _naive import (naive_closure_samples, naive_compose_affine, naive_enc_add,
-                    naive_exhaustive_audit)
+                    naive_exhaustive_audit, naive_field_mul)
 
 
 @pytest.fixture(scope="module")
@@ -80,9 +80,10 @@ def test_multiplier_preserves_classes():
     tables = sh.build_field(sh.FieldConfig(5, 4))
     partition = sh.cyclotomic_partition(tables, 16)
     u = int(tables.pow_g(16))
+    mul = naive_field_mul(tables)
     rng = np.random.default_rng(0)
     for x in rng.integers(1, 625, size=50):
-        assert partition.class_of[tables.mul(u, int(x))] == partition.class_of[int(x)]
+        assert partition.class_of[mul(u, int(x))] == partition.class_of[int(x)]
 
 
 def test_induced_identity_permutation(desk_field):
@@ -92,13 +93,13 @@ def test_induced_identity_permutation(desk_field):
 
 
 def test_induced_translation_moves_zero(desk_field):
-    tables, _, pair, _ = desk_field
+    tables, _, _, _ = desk_field
     a = 5
     sigma = sh.induced_permutation(tables, AffineMap(u=1, a=a))
     assert sigma[0] == 0 and sigma[1] == 1
     # the zero element sits at block position 0; translating by a sends it
     # to the block position of a in both blocks
-    target = pair.group.index_of_encoding(a)
+    target = [0, *tables.antilog].index(a)
     q = tables.q
     assert sigma[2 + 0] == 2 + target
     assert sigma[2 + q + 0] == 2 + q + target
@@ -197,14 +198,20 @@ def test_exhaustive_audit_matches_dense_oracle(p, e, N, i0, i1):
     assert counts == (partition.f * partition.tables.q,) * 2
 
 
-@pytest.mark.parametrize("row,col", [(2, 2), (0, 5), (2, 5), (30, 40), (29, 29), (55, 3)])
+@pytest.mark.parametrize("row,col", [
+    (2, 2), (0, 5), (2, 5), (30, 40), (29, 29), (55, 3),
+    # switches of four entries that keep every row's and column's -1 count:
+    # one inside the first block, where every block index keeps its key, so
+    # all f*q maps are checked densely, and one across the two blocks
+    pytest.param((5, 6), (2, 11), id="switch-in-one-block"),
+    pytest.param((3, 30), (2, 5), id="switch-across-blocks")])
 def test_exhaustive_audit_on_flipped_entry_matches_dense_oracle(desk_field, row, col):
     # A flipped diagonal or border entry leaves the maps fixing that index as
     # automorphisms; once a generator fails, the key-class count checks only
     # the maps that keep the rarest key class, and it must still be exact.
     _, partition, _, h = desk_field
     signs = h.signs().copy()
-    signs[row, col] = -signs[row, col]
+    signs[np.ix_(np.atleast_1d(row), np.atleast_1d(col))] *= -1
     broken = sh.PmMatrix.from_signs(signs)
     report = sh.subgroup_audit(broken, partition, samples=0, exhaustive=True)
     assert not all(ok for _, ok in report.generator_results)
@@ -218,12 +225,13 @@ def test_affine_tables_give_the_induced_permutations(desk_field):
     # The orbit-stabilizer certificate compares the generators' products with
     # the rows these tables give, and the key-class count checks those rows
     # densely, so the rows must be exactly the induced maps.
-    tables, partition, pair, _ = desk_field
+    tables, partition, _, _ = desk_field
     q, N = tables.q, partition.N
+    enc = [0, *tables.antilog]
     _, plus, scaled = autgroup._affine_tables(partition)
     for k in range(partition.f):
         for i in range(q):
-            m = AffineMap(u=tables.pow_g(N * k), a=pair.group.encoding_of(i))
+            m = AffineMap(u=tables.pow_g(N * k), a=int(enc[i]))
             sigma = sh.induced_permutation(tables, m)
             assert np.array_equal(autgroup._bordered(plus[i * q + scaled[k]], q), sigma)
 
@@ -282,16 +290,20 @@ def test_stabilizer_of_a_trivial_class_must_be_the_identity():
     assert not _certifies(partition, np.array([0, 2, 1]), translations)
 
 
-@pytest.mark.parametrize("row,col,log", [(40, 700, "exhaustive 1/24375 FAIL"),
-                                         (2, 2, "exhaustive 39/24375 FAIL")])
+@pytest.mark.parametrize("row,col,log", [
+    (40, 700, "exhaustive 1/24375 FAIL"), (2, 2, "exhaustive 39/24375 FAIL"),
+    pytest.param((40, 41), (700, 301), "exhaustive 1/24375 FAIL", id="switch")])
 def test_flipped_1252_audit_checks_few_maps_densely(instance625, matrix1252, monkeypatch,
                                                     row, col, log):
     # One flipped block entry changes the key of its row's and its column's
     # block index, so the key-class count checks at most one map per
-    # multiplier power, f = 39, beside the 1 + e = 5 generators.
+    # multiplier power, f = 39, beside the 1 + e = 5 generators.  The switch
+    # of four entries keeps every row's and column's -1 count, but not the
+    # counts inside each block: with whole-row counts for a key it took
+    # 24 380 dense checks.
     tables, partition, _, _ = instance625
     signs = matrix1252.signs().copy()
-    signs[row, col] = -signs[row, col]
+    signs[np.ix_(np.atleast_1d(row), np.atleast_1d(col))] *= -1
     broken = sh.PmMatrix.from_signs(signs)
     calls = []
     verify = autgroup.verify_automorphism

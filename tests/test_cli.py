@@ -30,12 +30,16 @@ def test_parse_index_set():
     assert parse_index_set("4-11") == tuple(range(4, 12))
     assert parse_index_set("0,2,5") == (0, 2, 5)
     assert parse_index_set("0-3,8") == (0, 1, 2, 3, 8)
+    assert parse_index_set("1048574-1048575") == (1048574, 1048575)
     assert format_index_set([3, 1, 2]) == "1,2,3"
 
 
 def test_parse_index_set_errors():
     from skewhad.cli import CliError
-    for bad in ("", "1,,2", "a", "5-2", "1-x"):
+    # a class index is below N, which divides q - 1 < 2^20, so a range that
+    # reaches 2^20 is refused before it is expanded, however long it is
+    for bad in ("", "1,,2", "a", "5-2", "1-x",
+                "0-1048576", "1048576", "3,0-99999999999", "99999999999-99999999999"):
         with pytest.raises(CliError):
             parse_index_set(bad)
 
@@ -82,6 +86,10 @@ def test_rank_output(desk_build, capsys):
                  "--tournament"])
     assert code == 0
     assert capsys.readouterr().out.strip() == "tournament 2 7 4"
+    # H mod 2 is the all-ones matrix
+    code = main(["rank", str(desk_build / "matrix_8.txt"), "--field", "2"])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "hadamard 2 8 1"
 
 
 def test_rank_tournament_on_gate0_failing_matrix_exits_2(tmp_path, capsys, monkeypatch):
@@ -276,6 +284,27 @@ def test_build_bad_generator_exits_1(tmp_path, capsys):
                  "--out", str(tmp_path / "x")])
     assert code == 1
     assert "not primitive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "aut"])
+def test_an_index_range_no_class_reaches_exits_1(desk_build, tmp_path, capsys, command):
+    # expanded, the range would take more memory than the machine has
+    if command == "build":
+        argv = ["build", "--p", "3", "--e", "1", "--N", "2", "--i0", "0-99999999999",
+                "--i1", "0", "--out", str(tmp_path / "x")]
+    else:
+        manifest = desk_build / "manifest.txt"
+        text = manifest.read_text()
+        assert "# i0 = 0\n" in text
+        manifest.write_text(text.replace("# i0 = 0\n", "# i0 = 0-99999999999\n"))
+        argv = ["verify", "shdf", str(manifest)] if command == "verify" else ["aut", str(manifest)]
+    code = main(argv)
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "out of range" in err[0]
+    assert not (tmp_path / "x").exists()
 
 
 def test_build_class_index_out_of_range_exits_1(tmp_path, capsys):

@@ -7,8 +7,8 @@ import skewhad as sh
 from skewhad.gf import (FieldError, decode_encoding, find_modulus, is_irreducible, is_prime,
                         tables_for_generator)
 
-from _naive import (_poly_mulmod, naive_antilog_walk, naive_encode_coeffs, naive_is_primitive,
-                    naive_prime_factors)
+from _naive import (_poly_mulmod, naive_antilog_walk, naive_encode_coeffs, naive_field_mul,
+                    naive_is_primitive, naive_neg_perm, naive_prime_factors)
 
 
 def test_is_prime_small():
@@ -143,21 +143,24 @@ def test_build_field_rejects_bad_inputs():
 
 def test_antilog_multiplication_property():
     tables = sh.build_field(sh.FieldConfig(5, 4))
+    mul = naive_field_mul(tables)
     rng = np.random.default_rng(2)
     for a, b in rng.integers(0, 624, size=(50, 2)):
         x = int(tables.antilog[a])
         y = int(tables.antilog[b])
-        assert tables.mul(x, y) == tables.antilog[(a + b) % 624]
+        assert mul(x, y) == tables.antilog[(a + b) % 624]
 
 
 def test_field_add_neg_helpers():
     # field addition is the additive group's digit arithmetic
     g = sh.additive_group(sh.build_field(sh.FieldConfig(5, 4)))
-    assert g.add(g.index_of_encoding(4), g.index_of_encoding(1)) == 0  # 4 + 1 = 0 mod 5
-    assert g.neg(0) == 0
-    rng = np.random.default_rng(3)
-    for x in rng.integers(0, 625, size=30):
-        assert g.add(int(x), g.neg(int(x))) == 0
+    four, one = g.indices_of_encodings([4, 1])
+    assert g.add_shift(four, one) == 0  # 4 + 1 = 0 mod 5
+    neg = g.neg_perm()
+    assert neg[0] == 0
+    xs = np.random.default_rng(3).integers(0, 625, size=30)
+    for x in xs:
+        assert g.add_shift(x, neg[x]) == 0
 
 
 def test_build_is_deterministic():
@@ -206,9 +209,9 @@ def test_partition_n1_is_whole_group():
 def test_partition_gf7_n3_frozen():
     tables = sh.build_field(sh.FieldConfig(7, 1, generator=3))
     part = sh.cyclotomic_partition(tables, 3)
-    assert part.class_elements(0).tolist() == [1, 6]
-    assert part.class_elements(1).tolist() == [3, 4]
-    assert part.class_elements(2).tolist() == [2, 5]
+    assert np.flatnonzero(part.class_of == 0).tolist() == [1, 6]
+    assert np.flatnonzero(part.class_of == 1).tolist() == [3, 4]
+    assert np.flatnonzero(part.class_of == 2).tolist() == [2, 5]
 
 
 def test_partition_rejects_bad_n():
@@ -221,17 +224,19 @@ def test_class_multiplication_additivity():
     # an element of C_i times an element of C_j lands in C_{i+j mod N}
     tables = sh.build_field(sh.FieldConfig(13, 1))
     part = sh.cyclotomic_partition(tables, 4)
+    mul = naive_field_mul(tables)
     for x in range(1, 13):
         for y in range(1, 13):
             cx, cy = int(part.class_of[x]), int(part.class_of[y])
-            assert part.class_of[tables.mul(x, y)] == (cx + cy) % 4
+            assert part.class_of[mul(x, y)] == (cx + cy) % 4
 
     big = sh.cyclotomic_partition(sh.build_field(sh.FieldConfig(5, 4)), 16)
+    mul = naive_field_mul(big.tables)
     rng = np.random.default_rng(4)
     for x, y in rng.integers(1, 625, size=(60, 2)):
         cx = int(big.class_of[x])
         cy = int(big.class_of[y])
-        assert big.class_of[big.tables.mul(int(x), int(y))] == (cx + cy) % 16
+        assert big.class_of[mul(int(x), int(y))] == (cx + cy) % 16
 
 
 def test_negation_class_shift_values():
@@ -248,8 +253,9 @@ def test_negation_class_shift_matches_class_of_minus_one():
     for p, e, n in [(5, 4, 16), (7, 1, 3), (13, 1, 4), (3, 2, 8), (5, 2, 12)]:
         tables = sh.build_field(sh.FieldConfig(p, e))
         part = sh.cyclotomic_partition(tables, n)
-        g = sh.additive_group(tables)
-        minus_one = g.encoding_of(g.neg(g.index_of_encoding(1)))
+        enc = np.array([0, *tables.antilog])
+        minus_one = enc[naive_neg_perm(p, e, enc)[1]]  # index 1 holds g^0 = 1
+        assert minus_one == p - 1
         assert sh.negation_class_shift(tables, n) == part.class_of[minus_one]
 
 
@@ -258,16 +264,19 @@ def test_class_of_negative_is_shifted():
     part = sh.cyclotomic_partition(tables, 16)
     shift = sh.negation_class_shift(tables, 16)
     g = sh.additive_group(tables)
+    enc = np.array([0, *tables.antilog])
     rng = np.random.default_rng(5)
     for x in rng.integers(1, 625, size=60):
-        minus_x = g.encoding_of(g.neg(g.index_of_encoding(int(x))))
+        minus_x = enc[g.neg_perm()[g.indices_of_encodings(x)]]
         assert part.class_of[minus_x] == (int(part.class_of[int(x)]) + shift) % 16
 
 
 def test_additive_group_ordering():
     tables = sh.build_field(sh.FieldConfig(7, 1, generator=3))
     g = sh.additive_group(tables)
-    assert [g.encoding_of(i) for i in range(7)] == [0, 1, 3, 2, 6, 4, 5]
+    enc = [0, 1, 3, 2, 6, 4, 5]  # 0, then the powers of 3 mod 7
+    assert [0, *tables.antilog] == enc
+    assert g.indices_of_encodings(enc).tolist() == list(range(7))
 
 
 def test_additive_group_is_built_once_per_field_tables():
@@ -276,4 +285,6 @@ def test_additive_group_is_built_once_per_field_tables():
     assert sh.additive_group(tables) is g
     other = tables_for_generator(tables, 5)
     assert sh.additive_group(other) is not g
-    assert [sh.additive_group(other).encoding_of(i) for i in range(7)] == [0, 1, 5, 4, 6, 2, 3]
+    enc = [0, 1, 5, 4, 6, 2, 3]  # 0, then the powers of 5 mod 7
+    assert [0, *other.antilog] == enc
+    assert sh.additive_group(other).indices_of_encodings(enc).tolist() == list(range(7))

@@ -21,12 +21,26 @@ def small_groups():
                  (13, 1), (5, 2), (3, 3), (2, 5), (7, 2), (61, 1), (2, 6)]:
         tables = sh.build_field(sh.FieldConfig(p, e))
         g = sh.additive_group(tables)
-        enc = [g.encoding_of(i) for i in range(g.order)]
-        out.append((f"gf{p}^{e}", g, field_index_add(p, e, enc)))
+        out.append((f"gf{p}^{e}", g, field_index_add(p, e, [0, *tables.antilog])))
     return out
 
 
 GROUPS = small_groups()
+
+
+def group_add(g, x, y):
+    """The index of g_x + g_y, through the vectorized shift."""
+    return int(g.add_shift(x, y))
+
+
+def group_neg(g, x):
+    """The index of -g_x, through the negation permutation."""
+    return int(g.neg_perm()[x])
+
+
+def autocorrelation_at(g, mask, w):
+    """The autocorrelation of the subset at shift w, read from the profile."""
+    return int(sh.autocorrelation_profile(g, mask)[w])
 
 
 def sample_subsets(v, seed=0):
@@ -41,17 +55,17 @@ def sample_subsets(v, seed=0):
 
 def test_cyclic_add_examples():
     g = sh.GroupSpec.cyclic(5)
-    assert g.add(3, 4) == 2
-    assert g.add(3, 0) == 3
-    assert g.neg(2) == 3
-    assert g.neg(0) == 0
+    assert group_add(g, 3, 4) == 2
+    assert group_add(g, 3, 0) == 3
+    assert group_neg(g, 2) == 3
+    assert group_neg(g, 0) == 0
 
 
 def test_field_add_inverse_example():
     tables = sh.build_field(sh.FieldConfig(5, 4))
     g = sh.additive_group(tables)
-    one = g.index_of_encoding(tables.antilog[0])  # g^0
-    assert g.add(one, g.neg(one)) == 0
+    one = int(g.indices_of_encodings(tables.antilog[0]))  # g^0
+    assert group_add(g, one, group_neg(g, one)) == 0
 
 
 def test_field_negation_lands_in_shifted_class():
@@ -63,8 +77,8 @@ def test_field_negation_lands_in_shifted_class():
     rng = np.random.default_rng(1)
     for k in rng.integers(0, 624, size=40):
         idx = 1 + int(k)  # element g^k
-        nidx = g.neg(idx)
-        assert part.class_of[g.encoding_of(nidx)] == (int(k) + 8) % 16
+        nidx = group_neg(g, idx)
+        assert part.class_of[tables.antilog[nidx - 1]] == (int(k) + 8) % 16
 
 
 @pytest.mark.parametrize("name,g,add", GROUPS, ids=[t[0] for t in GROUPS])
@@ -74,19 +88,19 @@ def test_add_properties_sampled(name, g, add):
     xs = rng.integers(0, v, size=(30, 3))
     for x, y, z in xs:
         x, y, z = int(x), int(y), int(z)
-        assert g.add(x, y) == g.add(y, x) == add(x, y)
-        assert g.add(g.add(x, y), z) == g.add(x, g.add(y, z))
-        assert g.add(x, 0) == x
-        assert g.neg(g.neg(x)) == x
-        assert g.add(x, g.neg(x)) == 0
+        assert group_add(g, x, y) == group_add(g, y, x) == add(x, y)
+        assert group_add(g, group_add(g, x, y), z) == group_add(g, x, group_add(g, y, z))
+        assert group_add(g, x, 0) == x
+        assert group_neg(g, group_neg(g, x)) == x
+        assert group_add(g, x, group_neg(g, x)) == 0
 
 
 def test_index_out_of_range():
     g = sh.GroupSpec.cyclic(5)
     with pytest.raises(ValueError):
-        g.add(5, 0)
+        g.add_shift(5, 0)
     with pytest.raises(ValueError):
-        g.neg(-1)
+        g.add_shift(0, -1)
     for g in (g, sh.additive_group(sh.build_field(sh.FieldConfig(5, 1)))):
         for bad in (-1, 5, 6):
             with pytest.raises(ValueError, match="out of range"):
@@ -96,7 +110,7 @@ def test_index_out_of_range():
 def test_autocorrelation_frozen_examples():
     g3 = sh.GroupSpec.cyclic(3)
     d = sh.subset_from_indices(g3, [1])
-    assert sh.autocorrelation(g3, d, 1) == -1
+    assert autocorrelation_at(g3, d, 1) == -1
     assert list(sh.autocorrelation_profile(g3, d)) == [3, -1, -1]
 
     g5 = sh.GroupSpec.cyclic(5)
@@ -108,26 +122,24 @@ def test_autocorrelation_at_zero_is_order():
     for name, g, _ in GROUPS:
         for members in sample_subsets(g.order, seed=5):
             mask = sh.subset_from_indices(g, members)
-            assert sh.autocorrelation(g, mask, 0) == g.order, name
+            assert autocorrelation_at(g, mask, 0) == g.order, name
 
 
 def test_autocorrelation_empty_subset():
     g = sh.GroupSpec.cyclic(7)
     mask = sh.subset_from_indices(g, [])
     for w in range(7):
-        assert sh.autocorrelation(g, mask, w) == 7
+        assert autocorrelation_at(g, mask, w) == 7
 
 
 @pytest.mark.parametrize("name,g,add", GROUPS, ids=[t[0] for t in GROUPS])
 def test_autocorrelation_matches_literal_sum_all_shifts(name, g, add):
-    # set-identity evaluation vs the written-out indicator sum, every shift
+    # counted differences vs the written-out indicator sum, every shift
     for members in sample_subsets(g.order, seed=11):
         mask = sh.subset_from_indices(g, members)
         profile = sh.autocorrelation_profile(g, mask)
         for w in range(g.order):
-            expected = naive_autocorrelation(g.order, add, members, w)
-            assert sh.autocorrelation(g, mask, w) == expected
-            assert profile[w] == expected
+            assert profile[w] == naive_autocorrelation(g.order, add, members, w)
 
 
 @pytest.mark.parametrize("name,g,add", GROUPS, ids=[t[0] for t in GROUPS])
@@ -165,8 +177,8 @@ def test_development_tables_match_scalar_ops():
         tot = g.sum_index_table()
         for i in range(g.order):
             for j in range(g.order):
-                assert diff[i, j] == g.add(j, g.neg(i)), name
-                assert tot[i, j] == g.add(i, j), name
+                assert diff[i, j] == group_add(g, j, group_neg(g, i)), name
+                assert tot[i, j] == group_add(g, i, j), name
 
 
 # The flagship GF(5^4), odd and even characteristic, a prime field and the
@@ -211,14 +223,15 @@ def test_profile_in_small_blocks_matches_literal_sum(name, g, add, monkeypatch):
 
 @pytest.mark.parametrize("p,e", [(3, 5), (2, 7)])
 def test_field_add_neg_match_digit_addition(p, e):
-    g = sh.additive_group(sh.build_field(sh.FieldConfig(p, e)))
-    add = field_index_add(p, e, [g.encoding_of(i) for i in range(g.order)])
+    tables = sh.build_field(sh.FieldConfig(p, e))
+    g = sh.additive_group(tables)
+    add = field_index_add(p, e, [0, *tables.antilog])
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.integers(0, g.order - 1), st.integers(0, g.order - 1))
     def check(x, y):
-        assert g.add(x, y) == add(x, y)
-        assert add(x, g.neg(x)) == 0
+        assert group_add(g, x, y) == add(x, y)
+        assert add(x, group_neg(g, x)) == 0
 
     check()
 
@@ -260,7 +273,7 @@ def test_field_additive_accepts_every_generator_and_modulus(p, e, monkeypatch):
                 continue
             tables = sh.gf.tables_for_generator(base, generator)
             g = sh.additive_group(tables)
-            add = field_index_add(p, e, [g.encoding_of(i) for i in range(g.order)])
+            add = field_index_add(p, e, [0, *tables.antilog])
             xs = np.arange(g.order)
             for w in (1, 2, g.order - 1):
                 assert g.add_shift(xs, w).tolist() == [add(int(x), w) for x in xs]
@@ -275,11 +288,11 @@ def test_encodings_out_of_range_are_refused(kind, offset):
         g = sh.additive_group(sh.build_field(sh.FieldConfig(5, 1)))
     bad = -1 if offset == -1 else g.order + offset
     with pytest.raises(ValueError, match="out of range"):
-        g.index_of_encoding(bad)
+        g.indices_of_encodings(bad)
     with pytest.raises(ValueError, match="out of range"):
         g.indices_of_encodings(np.array([0, bad, 1]))
     assert g.indices_of_encodings(np.arange(g.order)).tolist() == [
-        g.index_of_encoding(x) for x in range(g.order)]
+        int(g.indices_of_encodings(x)) for x in range(g.order)]
 
 
 def test_profile_memory_is_bounded_at_q_8209():

@@ -12,24 +12,6 @@ from _naive import naive_rank_gf2, naive_rank_gfp
 from conftest import random_signs
 
 
-def test_rank_gf2_trivial():
-    assert sh.rank_gf2(np.zeros((5, 5), dtype=np.uint8)).rank == 0
-    assert sh.rank_gf2(np.eye(7, dtype=np.uint8)).rank == 7
-
-
-def test_rank_gf2_matches_naive_random():
-    rng = np.random.default_rng(0)
-    for n in (1, 2, 3, 8, 17, 33, 64):
-        for density in (0.2, 0.5, 0.8):
-            m = (rng.random((n, n)) < density).astype(np.uint8)
-            assert sh.rank_gf2(m).rank == naive_rank_gf2(m.tolist())
-
-
-def test_rank_gf2_rejects_non_square():
-    with pytest.raises(ValueError):
-        sh.rank_gf2(np.zeros((3, 4), dtype=np.uint8))
-
-
 def test_rank_gfp_requires_prime():
     with pytest.raises(ValueError):
         sh.rank_gfp(np.eye(3, dtype=int), 4)
@@ -38,6 +20,10 @@ def test_rank_gfp_requires_prime():
 def test_rank_gfp_trivial():
     assert sh.rank_gfp(np.zeros((4, 4), dtype=int), 3).rank == 0
     assert sh.rank_gfp(np.eye(6, dtype=int), 5).rank == 6
+    assert sh.rank_gfp(np.zeros((5, 5), dtype=np.uint8), 2).rank == 0
+    assert sh.rank_gfp(np.eye(7, dtype=np.uint8), 2).rank == 7
+    # 2 I vanishes mod 2
+    assert sh.rank_gfp(2 * np.eye(4, dtype=int), 2).rank == 0
     # 3 I vanishes mod 3 but not mod 5
     assert sh.rank_gfp(3 * np.eye(4, dtype=int), 3).rank == 0
     assert sh.rank_gfp(3 * np.eye(4, dtype=int), 5).rank == 4
@@ -49,6 +35,34 @@ def test_rank_gfp_matches_naive_random():
         for n in (1, 4, 9, 21, 40, 64):
             m = rng.integers(-10, 10, size=(n, n))
             assert sh.rank_gfp(m, p).rank == naive_rank_gfp(m.tolist(), p)
+    # 0/1 matrices of every density over GF(2), against the XOR oracle
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 3, 8, 17, 33, 64):
+        for density in (0.2, 0.5, 0.8):
+            m = (rng.random((n, n)) < density).astype(np.uint8)
+            assert sh.rank_gfp(m, 2).rank == naive_rank_gf2(m.tolist())
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool])
+def test_rank_gfp_over_gf2_matches_naive_on_any_shape(dtype, monkeypatch):
+    # rows and columns on either side of 64, so a row spans several machine
+    # words; square shapes and empty ones as well.  No shape here is
+    # certified, and every one is eliminated by XOR rows, none in panels.
+    calls = _count_calls(monkeypatch, ("_eliminate", "_eliminate_gf2"))
+    rng = np.random.default_rng(12)
+    shapes = [(3, 4), (4, 3), (1, 70), (70, 1), (5, 130), (130, 5), (63, 65), (65, 63),
+              (40, 40), (0, 3), (3, 0), (0, 0)]
+    for shape in shapes:
+        if dtype is bool:
+            x = rng.random(shape) < 0.5
+        elif dtype is np.int64:
+            x = rng.integers(-2**62, 2**62, size=shape)  # negative entries keep their parity
+        else:
+            x = rng.integers(0, 2, size=shape, dtype=dtype)
+        report = sh.rank_gfp(x, 2)
+        assert report.rank == naive_rank_gf2(x.tolist()) == naive_rank_gfp(x.tolist(), 2), shape
+        assert (report.field_char, report.size) == (2, shape[0])
+    assert calls == {"_eliminate": 0, "_eliminate_gf2": len(shapes)}
 
 
 # rank_gfp eliminates panels of 64 columns for every prime below about 1.2e7;
@@ -158,12 +172,12 @@ def test_desk_tournament_gf2_rank(matrix8):
     # polynomial x + x^2 + x^4 = x(x^3 + x + 1) shares a cubic factor with
     # x^7 - 1 over GF(2), so the rank is 7 - 3 = 4 (naive oracle agrees)
     _, _, m01 = sh.normalize_core_tournament(matrix8)
-    assert sh.rank_gf2(m01, label="tournament").rank == 4
+    assert sh.rank_gfp(m01, 2, label="tournament").rank == 4
     assert naive_rank_gf2(m01.tolist()) == 4
 
 
 def test_report_line_format():
-    r = sh.rank_gf2(np.eye(3, dtype=np.uint8), label="tournament")
+    r = sh.rank_gfp(np.eye(3, dtype=np.uint8), 2, label="tournament")
     assert r.line() == "tournament 2 3 3"
     assert sh.RankReport("hadamard", 5, 12, 12).line() == "hadamard 5 12 12"
 
@@ -180,7 +194,7 @@ def test_certificate_and_elimination_agree_with_the_oracles(small_matrices):
                     certified.add((n, label, p))
                 want = naive_rank_gfp(x.tolist(), p)
                 assert sh.rank_gfp(x, p).rank == want, (n, label, p)
-            assert sh.rank_gf2(x % 2).rank == naive_rank_gf2(x.tolist())
+            assert sh.rank_gfp(x, 2).rank == naive_rank_gf2(x.tolist())
     # H H^T = nI certifies exactly the primes not dividing n
     for n, _, _ in small_matrices:
         for p in CERT_PRIMES:
@@ -225,8 +239,6 @@ def test_ranks_read_from_the_gate0_identity_match_the_oracles(small_matrices, mo
         gram = sh.gate0_verify(sh.PmMatrix(signs)).core_gram()
         want = naive_rank_gfp(m01.tolist(), p)
         assert sh.rank_gfp(m01, p, gram=gram).rank == want, (n, p)
-        if p == 2:
-            assert sh.rank_gf2(m01, gram=gram).rank == want, n
     assert calls == {"_gram_is": 0, "_gram_certifies_full_rank": 0}
 
 
@@ -291,7 +303,7 @@ _small_square = st.integers(1, 5).flatmap(
 def test_rank_matches_naive_whichever_path_decides(x, p):
     # small entries make s I + t J Grams common (permutations, 1 x 1, +-1 rows)
     assert sh.rank_gfp(x, p).rank == naive_rank_gfp(x.tolist(), p)
-    assert sh.rank_gf2(x).rank == naive_rank_gf2(x.tolist())
+    assert sh.rank_gfp(x, 2).rank == naive_rank_gf2(x.tolist())
 
 
 def _count_calls(monkeypatch, names):
@@ -318,26 +330,28 @@ def test_certified_ranks_eliminate_nothing_and_declined_ranks_form_no_gram(
     if rank is None:
         rank = naive_rank_gfp(x.tolist(), p)
     calls = _count_calls(monkeypatch, ("_eliminate", "_eliminate_gf2", "_gram_is"))
-    got = sh.rank_gf2(x % 2) if p == 2 else sh.rank_gfp(x, p)
-    assert got.rank == rank
-    eliminations = calls["_eliminate"] + calls["_eliminate_gf2"]
+    assert sh.rank_gfp(x, p).rank == rank
     # a certified rank forms one Gram; a declined one is stopped by row 0
-    assert (eliminations, calls["_gram_is"]) == ((0, 1) if certified else (1, 0))
+    # and eliminates once, by XOR rows over GF(2) and in panels otherwise
+    eliminations = (calls["_eliminate_gf2"], calls["_eliminate"])
+    if certified:
+        assert (eliminations, calls["_gram_is"]) == ((0, 0), 1)
+    else:
+        assert (eliminations, calls["_gram_is"]) == ((1, 0) if p == 2 else (0, 1), 0)
 
 
 @pytest.mark.parametrize("bad", [[[1.5, 2], [3, 4]], [[np.nan]], [[1.0]],
                                  np.eye(2, dtype=np.float32), [[1 + 0j]],
                                  np.array([[1]], dtype=object), [["1"]]])
 def test_ranks_refuse_non_integer_dtypes(bad):
-    with pytest.raises(ValueError, match="integer or boolean"):
-        sh.rank_gfp(bad, 3)
-    with pytest.raises(ValueError, match="integer or boolean"):
-        sh.rank_gf2(bad)
+    for p in (2, 3):
+        with pytest.raises(ValueError, match="integer or boolean"):
+            sh.rank_gfp(bad, p)
 
 
 def test_ranks_accept_boolean_and_unsigned_matrices():
     b = np.array([[True, True, False], [True, False, True], [False, True, True]])
-    assert sh.rank_gf2(b).rank == 2
+    assert sh.rank_gfp(b, 2).rank == 2
     assert sh.rank_gfp(b, 3).rank == 3
     assert sh.rank_gfp(b.astype(np.uint16) * 3, 3).rank == 0
 
@@ -355,5 +369,5 @@ def test_uint64_entries_at_and_above_2_63_match_the_oracles(p):
     cases.append(np.stack([row, row + np.uint64(p), row + np.uint64(2 * p)]))
     for x in cases:
         assert sh.rank_gfp(x, p).rank == naive_rank_gfp(x.tolist(), p), (x, p)
-        if p == 2 and x.shape[0] == x.shape[1]:
-            assert sh.rank_gf2(x).rank == naive_rank_gf2(x.tolist()), x
+        if p == 2:
+            assert sh.rank_gfp(x, 2).rank == naive_rank_gf2(x.tolist()), x

@@ -30,18 +30,16 @@ def test_blocks_gf7_frozen_membership():
     tables = sh.build_field(sh.FieldConfig(7, 1, generator=3))
     part = sh.cyclotomic_partition(tables, 3)
     pair = sh.blocks_from_indices(part, [0], [1])
-    encodings = {pair.group.encoding_of(i) for i in np.flatnonzero(pair.d0)}
-    assert encodings == {1, 6}
-    encodings = {pair.group.encoding_of(i) for i in np.flatnonzero(pair.d1)}
-    assert encodings == {3, 4}
+    enc = np.array([0, *tables.antilog])
+    assert set(enc[pair.d0].tolist()) == {1, 6}
+    assert set(enc[pair.d1].tolist()) == {3, 4}
 
 
 def test_blocks_membership_agrees_with_class_of(instance625):
     # index-computed masks match the partition's class-of-encoding map
-    _, partition, pair, _ = instance625
-    g = pair.group
+    tables, partition, pair, _ = instance625
     for i in np.random.default_rng(0).integers(1, 625, size=50):
-        enc = g.encoding_of(int(i))
+        enc = int(tables.antilog[i - 1])  # index i holds g^(i - 1)
         in_d0 = int(partition.class_of[enc]) in pair.i0
         assert bool(pair.d0[int(i)]) == in_d0
 
