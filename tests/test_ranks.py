@@ -17,13 +17,25 @@ def test_rank_gfp_requires_prime():
         sh.rank_gfp(np.eye(3, dtype=int), 4)
 
 
-def test_rank_gfp_trivial():
-    assert sh.rank_gfp(np.zeros((4, 4), dtype=int), 3).rank == 0
-    assert sh.rank_gfp(np.eye(6, dtype=int), 5).rank == 6
+def test_rank_gf2_trivial():
     assert sh.rank_gfp(np.zeros((5, 5), dtype=np.uint8), 2).rank == 0
     assert sh.rank_gfp(np.eye(7, dtype=np.uint8), 2).rank == 7
     # 2 I vanishes mod 2
     assert sh.rank_gfp(2 * np.eye(4, dtype=int), 2).rank == 0
+
+
+def test_rank_gf2_matches_naive_random():
+    # 0/1 matrices of every density over GF(2), against the XOR oracle
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 3, 8, 17, 33, 64):
+        for density in (0.2, 0.5, 0.8):
+            m = (rng.random((n, n)) < density).astype(np.uint8)
+            assert sh.rank_gfp(m, 2).rank == naive_rank_gf2(m.tolist())
+
+
+def test_rank_gfp_trivial():
+    assert sh.rank_gfp(np.zeros((4, 4), dtype=int), 3).rank == 0
+    assert sh.rank_gfp(np.eye(6, dtype=int), 5).rank == 6
     # 3 I vanishes mod 3 but not mod 5
     assert sh.rank_gfp(3 * np.eye(4, dtype=int), 3).rank == 0
     assert sh.rank_gfp(3 * np.eye(4, dtype=int), 5).rank == 4
@@ -35,12 +47,6 @@ def test_rank_gfp_matches_naive_random():
         for n in (1, 4, 9, 21, 40, 64):
             m = rng.integers(-10, 10, size=(n, n))
             assert sh.rank_gfp(m, p).rank == naive_rank_gfp(m.tolist(), p)
-    # 0/1 matrices of every density over GF(2), against the XOR oracle
-    rng = np.random.default_rng(0)
-    for n in (1, 2, 3, 8, 17, 33, 64):
-        for density in (0.2, 0.5, 0.8):
-            m = (rng.random((n, n)) < density).astype(np.uint8)
-            assert sh.rank_gfp(m, 2).rank == naive_rank_gf2(m.tolist())
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool])

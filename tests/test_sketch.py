@@ -27,6 +27,16 @@ def test_byte_accounting_full_k():
     assert round(ratio, 2) == 1.33
 
 
+def test_granularity_gain():
+    # a sketch of order 1252 carries 22.27% more coordinates than one of the
+    # power of two below; the next Sylvester order, 2048, would double them
+    def raw(n):
+        return sh.byte_accounting(sh.SketchConfig(n=n, k=1))[0]
+
+    assert abs((raw(1252) / raw(1024) - 1.0) * 100.0 - 22.27) <= 0.01
+    assert (raw(2048) / raw(1024) - 1.0) * 100.0 == 100.0
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         sh.SketchConfig(n=8, k=0)
