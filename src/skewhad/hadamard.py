@@ -51,6 +51,7 @@ class PmMatrix:
         self._signs = signs
         self._signs.setflags(write=False)
         self._float_signs: np.ndarray | None = None
+        self._float32_signs: np.ndarray | None = None
 
     @classmethod
     def from_signs(cls, signs: np.ndarray) -> "PmMatrix":
@@ -75,6 +76,15 @@ class PmMatrix:
             f.setflags(write=False)
             self._float_signs = f
         return self._float_signs
+
+    def float32_signs(self) -> np.ndarray:
+        """Dense float32 copy of the entries (cached), for the exact integer
+        products: the Gram and the sketch decode's H^T q."""
+        if self._float32_signs is None:
+            f = self.signs().astype(np.float32)
+            f.setflags(write=False)
+            self._float32_signs = f
+        return self._float32_signs
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PmMatrix):
@@ -190,12 +200,13 @@ def gram_matrix(m: PmMatrix) -> np.ndarray:
     One float32 BLAS product ``f @ f.T`` of the signs.  Every term is
     +-1 and every partial sum an integer of magnitude at most n, so the
     result is exact in any summation order for n < 2^24; a larger order
-    raises ValueError before anything is allocated.
+    raises ValueError before anything is allocated.  The float32 signs are
+    the matrix's cached copy, shared with the sketch decode.
     """
     if m.n >= _FLOAT32_EXACT:
         raise ValueError(f"order {m.n} is not below 2^24, the bound for an exact "
                          f"float32 Gram")
-    f = m.signs().astype(np.float32)
+    f = m.float32_signs()
     return (f @ f.T).astype(np.int32)
 
 

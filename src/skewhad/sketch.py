@@ -6,6 +6,15 @@ and the inverse is x = H^T y / sqrt(n).  A sketch keeps the k largest |y_i|
 (ties broken toward the smaller index) and quantizes them symmetrically to
 signed bytes.
 
+The decode rounds once.  H^T q for the quantized vector q has integer
+entries of magnitude at most n * 127 < 2^24 (n < 2^16 by the wire tag), so
+one float32 product over the matrix's cached float32 signs gives it
+exactly, in any summation order.  The scale is a float32 (a 24-bit
+mantissa), so scale * H^T q has at most 48 significant bits and is exact in
+float64; only the division by sqrt(n) rounds.  That is bit for bit what
+:func:`inverse_transform` gives for the dense y = q * scale, whose float64
+partial sums are all exact integer multiples of the scale's last bit.
+
 Wire format (little-endian, 8 + 3k bytes exactly):
 
     header   scale: float32 | k: uint16 | n_tag: uint16
@@ -25,6 +34,7 @@ from .hadamard import PmMatrix
 _HEADER = struct.Struct("<fHH")
 _RECORD_DTYPE = np.dtype([("index", "<u2"), ("qvalue", "i1")])
 QMAX = 127
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 class PacketFormatError(ValueError):
@@ -47,7 +57,13 @@ class SketchConfig:
 
 @dataclass(frozen=True)
 class SketchPacket:
-    """Quantized top-k sketch with exact byte accounting."""
+    """Quantized top-k sketch with exact byte accounting.
+
+    ``indices`` and ``qvalues`` are tuples of Python ints.  A packet built
+    directly is checked like one read from bytes: :meth:`to_bytes` and
+    :func:`decode` refuse it with PacketFormatError when
+    :meth:`from_bytes` would refuse its bytes.
+    """
 
     scale: float
     k: int
@@ -56,9 +72,11 @@ class SketchPacket:
     qvalues: tuple[int, ...]
 
     def to_bytes(self) -> bytes:
+        indices, qvalues = _checked_records(self.scale, self.k, self.n_tag,
+                                            self.indices, self.qvalues)
         records = np.empty(self.k, dtype=_RECORD_DTYPE)
-        records["index"] = self.indices
-        records["qvalue"] = self.qvalues
+        records["index"] = indices
+        records["qvalue"] = qvalues
         return _HEADER.pack(self.scale, self.k, self.n_tag) + records.tobytes()
 
     @classmethod
@@ -66,23 +84,46 @@ class SketchPacket:
         if len(data) < _HEADER.size:
             raise PacketFormatError(f"packet of {len(data)} bytes is shorter than the header")
         scale, k, n_tag = _HEADER.unpack_from(data)
-        if not math.isfinite(scale):
-            raise PacketFormatError(f"scale {scale} is not finite")
         expected = _HEADER.size + 3 * k
         if len(data) != expected:
             raise PacketFormatError(f"packet is {len(data)} bytes, expected {expected} for k={k}")
         records = np.frombuffer(data, dtype=_RECORD_DTYPE, count=k, offset=_HEADER.size)
-        indices = records["index"].astype(np.int64)
-        qvalues = records["qvalue"].astype(np.int64)
-        if k and (np.diff(indices) <= 0).any():
-            raise PacketFormatError("record indices are not strictly increasing")
-        if k and indices[-1] >= n_tag:
-            raise PacketFormatError(f"record index {int(indices[-1])} >= n = {n_tag}")
-        if (np.abs(qvalues) > QMAX).any():
-            raise PacketFormatError(f"quantized value outside [-{QMAX}, {QMAX}]")
-        return cls(scale=float(scale), k=int(k), n_tag=int(n_tag),
-                   indices=tuple(int(i) for i in indices),
-                   qvalues=tuple(int(v) for v in qvalues))
+        indices, qvalues = _checked_records(scale, k, n_tag, records["index"], records["qvalue"])
+        return cls(scale=scale, k=k, n_tag=n_tag,
+                   indices=tuple(indices.tolist()), qvalues=tuple(qvalues.tolist()))
+
+
+def _checked_records(scale: float, k: int, n_tag: int, indices, qvalues
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The records as int64 arrays, after every check a packet must pass.
+
+    The scale is a finite float32 value, the order tag fits its two bytes,
+    there are exactly k records, the indices increase strictly and lie in
+    [0, n_tag), and every quantized value lies in [-127, 127].  Raises
+    PacketFormatError otherwise.
+    """
+    if not math.isfinite(scale):
+        raise PacketFormatError(f"scale {scale} is not finite")
+    if abs(scale) > _FLOAT32_MAX or float(np.float32(scale)) != scale:
+        raise PacketFormatError(f"scale {scale!r} is not a float32 value")
+    if not 0 <= n_tag <= 0xFFFF:
+        raise PacketFormatError(f"order tag {n_tag} does not fit the 2-byte wire tag")
+    try:
+        indices = np.asarray(indices, dtype=np.int64)
+        qvalues = np.asarray(qvalues, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError):
+        raise PacketFormatError("record fields are not 64-bit integers") from None
+    if indices.shape != (k,) or qvalues.shape != (k,):
+        raise PacketFormatError(f"{indices.size} indices and {qvalues.size} quantized "
+                                f"values, expected k={k} of each")
+    if k and (np.diff(indices) <= 0).any():
+        raise PacketFormatError("record indices are not strictly increasing")
+    if k and not 0 <= indices[0] <= indices[-1] < n_tag:
+        bad = int(indices[0] if indices[0] < 0 else indices[-1])
+        raise PacketFormatError(f"record index {bad} is outside [0, {n_tag})")
+    if (np.abs(qvalues) > QMAX).any():
+        raise PacketFormatError(f"quantized value outside [-{QMAX}, {QMAX}]")
+    return indices, qvalues
 
 
 def transform(x: np.ndarray, h: PmMatrix) -> np.ndarray:
@@ -102,10 +143,17 @@ def inverse_transform(y: np.ndarray, h: PmMatrix) -> np.ndarray:
 
 
 def top_k_indices(y: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest magnitudes, ties toward the smaller index;
-    returned in ascending index order."""
-    order = np.argsort(-np.abs(y), kind="stable")[:k]
-    return np.sort(order)
+    """Indices of the k largest magnitudes of a finite y, 1 <= k <= y.size,
+    ties toward the smaller index; returned in ascending index order.
+
+    One partition finds the k-th largest magnitude t: every index above t is
+    kept, and the smallest indices at t fill the rest.
+    """
+    mag = np.abs(y)
+    t = np.partition(mag, mag.size - k)[mag.size - k]
+    keep = mag > t
+    keep[np.flatnonzero(mag == t)[: k - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
 
 
 def encode(x: np.ndarray, h: PmMatrix, cfg: SketchConfig) -> SketchPacket:
@@ -140,17 +188,28 @@ def encode(x: np.ndarray, h: PmMatrix, cfg: SketchConfig) -> SketchPacket:
         raise ValueError(f"peak coefficient {peak:g} has no finite nonzero float32 scale")
     q = np.clip(np.rint(sel / float(scale)), -QMAX, QMAX).astype(np.int64)
     return SketchPacket(scale=float(scale), k=cfg.k, n_tag=h.n,
-                        indices=tuple(int(i) for i in idx),
-                        qvalues=tuple(int(v) for v in q))
+                        indices=tuple(idx.tolist()), qvalues=tuple(q.tolist()))
 
 
 def decode(packet: SketchPacket, h: PmMatrix) -> np.ndarray:
-    """Reconstruct a vector from a sketch packet via the inverse transform."""
+    """Reconstruct x = H^T y / sqrt(n) from a sketch packet, y = q * scale.
+
+    Exact up to the final division: H^T q is an integer vector with entries
+    of magnitude at most n * 127 < 2^24, so the float32 product over the
+    matrix's cached float32 signs holds it exactly, and the float32 scale (a
+    24-bit mantissa) times such an integer is exact in float64.  The result
+    is bit-identical to :func:`inverse_transform` of the dense y.
+    Raises PacketFormatError for a packet that fails the wire checks and
+    ValueError when its order tag is not the matrix order.
+    """
+    indices, qvalues = _checked_records(packet.scale, packet.k, packet.n_tag,
+                                        packet.indices, packet.qvalues)
     if packet.n_tag != h.n:
         raise ValueError(f"packet order tag {packet.n_tag} does not match matrix order {h.n}")
-    y = np.zeros(h.n, dtype=np.float64)
-    y[list(packet.indices)] = np.asarray(packet.qvalues, dtype=np.float64) * packet.scale
-    return inverse_transform(y, h)
+    q = np.zeros(h.n, dtype=np.float32)
+    q[indices] = qvalues
+    z = h.float32_signs().T @ q
+    return (z.astype(np.float64) * packet.scale) / np.sqrt(h.n)
 
 
 def byte_accounting(cfg: SketchConfig) -> tuple[int, int, float]:

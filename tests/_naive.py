@@ -387,3 +387,12 @@ def naive_closure_samples(h, partition, samples, seed=0, induced=None):
         sigma = s1[draw()]
         ok += bool(np.array_equal(signs[np.ix_(sigma, sigma)], signs))
     return ok
+
+
+def naive_top_k_indices(y, k):
+    """Indices of the k largest |y_i|, ties toward the smaller index, in
+    ascending order: a stable sort of -|y| cut after k entries."""
+    import numpy as np
+
+    order = np.argsort(-np.abs(y), kind="stable")[:k]
+    return np.sort(order)

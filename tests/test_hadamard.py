@@ -284,6 +284,7 @@ def test_gram_rejects_orders_beyond_exact_float32():
     n = 1 << 24
     m = sh.PmMatrix(np.broadcast_to(np.ones(1, dtype=np.int8), (n, n)))
     m.signs = lambda: pytest.fail("the dense signs were requested")
+    m.float32_signs = lambda: pytest.fail("the float32 signs were requested")
     with pytest.raises(ValueError, match="2\\^24"):
         gram_matrix(m)
     with pytest.raises(ValueError, match="2\\^24"):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import skewhad as sh
 from skewhad.sketch import PacketFormatError, QMAX
 
+from _naive import naive_top_k_indices
 from conftest import mutate_one_byte
 
 
@@ -76,11 +77,51 @@ def test_transforms_use_the_cached_float_signs(matrix1252):
     assert np.max(np.abs(sh.inverse_transform(x, matrix1252) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_gram_and_decode_share_one_cached_float32_copy(matrix12):
+    m = sh.PmMatrix.from_signs(matrix12.signs())
+    f = m.float32_signs()
+    assert f is m.float32_signs()
+    assert f.dtype == np.float32 and not f.flags.writeable
+    assert np.array_equal(f, m.signs())
+    # neither the Gram nor the decode converts the int8 signs again
+    m.signs = lambda: pytest.fail("the int8 signs were converted again")
+    assert np.array_equal(sh.gram_matrix(m), 12 * np.eye(12))
+    packet = sh.SketchPacket(scale=1.0, k=1, n_tag=12, indices=(4,), qvalues=(12,))
+    assert np.array_equal(sh.decode(packet, m), f[4] * 12 / np.sqrt(12))
+
+
 def test_topk_ties_take_smaller_index():
     y = np.array([1.0, -2.0, 2.0, 0.5])
     assert sh.top_k_indices(y, 1).tolist() == [1]
     assert sh.top_k_indices(y, 2).tolist() == [1, 2]
     assert sh.top_k_indices(y, 3).tolist() == [0, 1, 2]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 1252])
+def test_topk_matches_the_stable_sort_on_tied_inputs(n):
+    rng = np.random.default_rng(n)
+    inputs = {
+        "quantized": rng.integers(-3, 4, size=n) * 0.25,
+        "all equal": np.where(rng.random(n) < 0.5, -1.5, 1.5),
+        "zeros": np.zeros(n),
+        "normal": rng.normal(size=n),
+    }
+    ks = sorted({1, 2, n // 3, n // 2, n - 1, n} - {0})
+    for name, y in inputs.items():
+        for k in ks:
+            got = sh.top_k_indices(y, k)
+            assert np.array_equal(got, naive_top_k_indices(y, k)), (name, k)
+
+
+def test_packet_fields_are_tuples_of_python_ints(matrix12):
+    x = np.random.default_rng(6).normal(size=12)
+    for k in (1, 6, 12):
+        packet = sh.encode(x, matrix12, sh.SketchConfig(n=12, k=k))
+        for p in (packet, sh.SketchPacket.from_bytes(packet.to_bytes())):
+            assert type(p.indices) is tuple and type(p.qvalues) is tuple
+            assert all(type(v) is int for v in p.indices + p.qvalues)
+            assert type(p.scale) is float
+            assert type(p.k) is int and type(p.n_tag) is int
 
 
 def test_encode_zero_vector(matrix8):
@@ -166,6 +207,13 @@ def test_packet_length_formula(matrix12):
         assert len(packet.to_bytes()) == 8 + 3 * k
 
 
+def _packet_bytes(scale, k, n_tag, records):
+    """Wire bytes written field by field, so that they can break the rules
+    that :meth:`SketchPacket.to_bytes` enforces."""
+    return struct.pack("<fHH", scale, k, n_tag) + b"".join(
+        struct.pack("<Hb", i, q) for i, q in records)
+
+
 def test_packet_parse_errors():
     with pytest.raises(PacketFormatError):
         sh.SketchPacket.from_bytes(b"\x00" * 4)                 # short header
@@ -173,17 +221,46 @@ def test_packet_parse_errors():
                            qvalues=(1, 2)).to_bytes()
     with pytest.raises(PacketFormatError):
         sh.SketchPacket.from_bytes(good + b"\x00")              # length mismatch
-    bad_order = sh.SketchPacket(scale=1.0, k=2, n_tag=8, indices=(5, 1),
-                                qvalues=(1, 2)).to_bytes()
+    bad_order = _packet_bytes(1.0, 2, 8, [(5, 1), (1, 2)])
     with pytest.raises(PacketFormatError):
         sh.SketchPacket.from_bytes(bad_order)                   # not increasing
-    bad_range = sh.SketchPacket(scale=1.0, k=1, n_tag=8, indices=(9,),
-                                qvalues=(1,)).to_bytes()
+    bad_range = _packet_bytes(1.0, 1, 8, [(9, 1)])
     with pytest.raises(PacketFormatError):
         sh.SketchPacket.from_bytes(bad_range)                   # index >= n
-    bad_q = struct.pack("<fHH", 1.0, 1, 8) + struct.pack("<Hb", 0, -128)
+    bad_q = _packet_bytes(1.0, 1, 8, [(0, -128)])
     with pytest.raises(PacketFormatError):
         sh.SketchPacket.from_bytes(bad_q)                       # -128 reserved
+
+
+# Packets built directly, each breaking one wire rule at n = 8: the decode
+# and the writer refuse them as the reader refuses their bytes, so none can
+# wrap an index, let the last of two writes win, or decode to NaN.
+BAD_PACKETS = {
+    "negative index": dict(indices=(-1,), qvalues=(1,)),
+    "index = n": dict(indices=(8,), qvalues=(1,)),
+    "index past 64 bits": dict(indices=(2**70,), qvalues=(1,)),
+    "duplicate index": dict(k=2, indices=(3, 3), qvalues=(1, 2)),
+    "decreasing index": dict(k=2, indices=(5, 1), qvalues=(1, 2)),
+    "k above the records": dict(k=5),
+    "k below the records": dict(k=0),
+    "qvalue 1000": dict(qvalues=(1000,)),
+    "qvalue -128": dict(qvalues=(-128,)),
+    "nan scale": dict(scale=math.nan),
+    "infinite scale": dict(scale=math.inf),
+    "scale beyond float32": dict(scale=1e300),
+    "scale not a float32 value": dict(scale=0.1),
+    "order tag past two bytes": dict(n_tag=70000),
+}
+
+
+@pytest.mark.parametrize("fields", BAD_PACKETS.values(), ids=BAD_PACKETS.keys())
+def test_directly_built_bad_packet_is_refused(matrix8, fields):
+    packet = sh.SketchPacket(**{**dict(scale=1.0, k=1, n_tag=8, indices=(2,),
+                                       qvalues=(1,)), **fields})
+    with pytest.raises(PacketFormatError):
+        sh.decode(packet, matrix8)
+    with pytest.raises(PacketFormatError):
+        packet.to_bytes()
 
 
 @pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf")])
@@ -214,6 +291,38 @@ def test_packet_byte_mutation_is_rejected_or_round_trips(matrix12, seed, k, data
     assert np.isfinite(parsed.scale)
     if parsed.n_tag == matrix12.n:
         assert np.all(np.isfinite(sh.decode(parsed, matrix12)))
+
+
+# the smallest float32 subnormal, a larger subnormal, one, the float32 maximum
+DECODE_SCALES = [float(np.float32(1.4e-45)), float(np.float32(1e-44)), 1.0,
+                 float(np.finfo(np.float32).max)]
+
+
+def test_decode_is_bit_identical_to_the_dense_inverse(small_matrices, matrix1252):
+    # the float32 integer product H^T q times the scale reproduces, bit for
+    # bit, the float64 inverse transform of the dense y = q * scale
+    matrices = [sh.PmMatrix.from_signs(signs) for _, signs, _ in small_matrices]
+    matrices.append(matrix1252)
+    assert [m.n for m in matrices] == [8, 12, 24, 56, 1252]
+    rng = np.random.default_rng(8)
+    for m in matrices:
+        for k in (1, m.n // 2, m.n):
+            idx = np.sort(rng.choice(m.n, size=k, replace=False))
+            qs = {"zeros": np.zeros(k, dtype=np.int64), "+127": np.full(k, QMAX),
+                  "-127": np.full(k, -QMAX),
+                  "+-127": np.where(rng.random(k) < 0.5, -QMAX, QMAX),
+                  "random": rng.integers(-QMAX, QMAX + 1, size=k)}
+            for name, q in qs.items():
+                for scale in DECODE_SCALES:
+                    packet = sh.SketchPacket(scale=scale, k=k, n_tag=m.n,
+                                             indices=tuple(idx.tolist()),
+                                             qvalues=tuple(q.tolist()))
+                    y = np.zeros(m.n)
+                    y[idx] = q * scale
+                    got = sh.decode(packet, m)
+                    want = sh.inverse_transform(y, m)
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
+                        (m.n, k, name, scale)
 
 
 def test_decode_order_mismatch(matrix8, matrix12):
