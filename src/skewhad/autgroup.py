@@ -126,7 +126,8 @@ def _affine_tables(partition: CyclotomicPartition):
     # Map k*q + i has i at index 0 and the index of g^(N*k) + g_i at index
     # 1; distinct pairs there make the f*q maps pairwise distinct.
     at_one = plus[np.arange(q) * q + scaled[:, 1, None]]  # [k, i]
-    if np.unique(np.arange(q) * q + at_one).size != f * q:
+    keys = np.sort(np.arange(q) * q + at_one, axis=None)
+    if not np.diff(keys).all():
         raise AssertionError("the affine maps are not pairwise distinct")
     return minus, plus, scaled
 

@@ -213,11 +213,13 @@ def gram_matrix(m: PmMatrix) -> np.ndarray:
 def gate0_verify(m: PmMatrix) -> Gate0Report:
     """Exact verification of H H^T = nI and H + H^T = 2I."""
     n = m.n
-    gram = gram_matrix(m)  # a fresh array: its diagonal is cleared in place
-    diag_ok = bool(np.all(np.diagonal(gram) == n))
-    np.fill_diagonal(gram, 0)
-    max_off = int(max(gram.max(), -gram.min())) if n > 1 else 0
-    gram_ok = diag_ok and max_off == 0
+    gram = gram_matrix(m)  # a fresh array: H H^T - nI is formed in place
+    np.einsum("ii->i", gram)[:] -= n
+    gram_ok = not gram.any()
+    max_off = 0
+    if not gram_ok:  # only a failing Gram needs the largest off-diagonal entry
+        np.fill_diagonal(gram, 0)
+        max_off = int(max(gram.max(), -gram.min()))
     s = m.signs()
     skew = s + s.T  # int8 holds -2 .. 2
     skew_ok = bool(np.all(np.diagonal(skew) == 2))

@@ -15,6 +15,12 @@ float64; only the division by sqrt(n) rounds.  That is bit for bit what
 :func:`inverse_transform` gives for the dense y = q * scale, whose float64
 partial sums are all exact integer multiples of the scale's last bit.
 
+Each packet is checked once, by its maker: :meth:`SketchPacket.from_bytes`
+checks the records it reads, and :func:`encode` writes only valid ones.
+Both keep the checked int64 arrays with the packet, so :meth:`to_bytes` and
+:func:`decode` use them as they are.  A packet built in code, or by
+``dataclasses.replace``, carries none and is checked where it is used.
+
 Wire format (little-endian, 8 + 3k bytes exactly):
 
     header   scale: float32 | k: uint16 | n_tag: uint16
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,10 +65,13 @@ class SketchConfig:
 class SketchPacket:
     """Quantized top-k sketch with exact byte accounting.
 
-    ``indices`` and ``qvalues`` are tuples of Python ints.  A packet built
-    directly is checked like one read from bytes: :meth:`to_bytes` and
-    :func:`decode` refuse it with PacketFormatError when
-    :meth:`from_bytes` would refuse its bytes.
+    ``indices`` and ``qvalues`` are tuples of Python ints.  A packet is
+    checked once, by its maker: :meth:`from_bytes` and :func:`encode` keep
+    the checked int64 records in a private slot that takes no part in
+    equality, repr or the wire bytes.  A packet built directly (or by
+    ``dataclasses.replace``) has no checked records, so it is checked like
+    one read from bytes: :meth:`to_bytes` and :func:`decode` refuse it with
+    PacketFormatError when :meth:`from_bytes` would refuse its bytes.
     """
 
     scale: float
@@ -70,10 +79,29 @@ class SketchPacket:
     n_tag: int
     indices: tuple[int, ...]
     qvalues: tuple[int, ...]
+    _records: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, compare=False, repr=False)
+
+    @classmethod
+    def _checked_by_maker(cls, scale: float, k: int, n_tag: int, indices: np.ndarray,
+                          qvalues: np.ndarray) -> "SketchPacket":
+        """The packet of records that have passed every check of
+        :func:`_checked_records`, int64 arrays kept read-only in the slot."""
+        packet = cls(scale=scale, k=k, n_tag=n_tag,
+                     indices=tuple(indices.tolist()), qvalues=tuple(qvalues.tolist()))
+        indices.setflags(write=False)
+        qvalues.setflags(write=False)
+        object.__setattr__(packet, "_records", (indices, qvalues))
+        return packet
+
+    def _checked(self) -> tuple[np.ndarray, np.ndarray]:
+        """The int64 records: its maker's, or checked here when it has none."""
+        if self._records is not None:
+            return self._records
+        return _checked_records(self.scale, self.k, self.n_tag, self.indices, self.qvalues)
 
     def to_bytes(self) -> bytes:
-        indices, qvalues = _checked_records(self.scale, self.k, self.n_tag,
-                                            self.indices, self.qvalues)
+        indices, qvalues = self._checked()
         records = np.empty(self.k, dtype=_RECORD_DTYPE)
         records["index"] = indices
         records["qvalue"] = qvalues
@@ -89,8 +117,7 @@ class SketchPacket:
             raise PacketFormatError(f"packet is {len(data)} bytes, expected {expected} for k={k}")
         records = np.frombuffer(data, dtype=_RECORD_DTYPE, count=k, offset=_HEADER.size)
         indices, qvalues = _checked_records(scale, k, n_tag, records["index"], records["qvalue"])
-        return cls(scale=scale, k=k, n_tag=n_tag,
-                   indices=tuple(indices.tolist()), qvalues=tuple(qvalues.tolist()))
+        return cls._checked_by_maker(scale, k, n_tag, indices, qvalues)
 
 
 def _checked_records(scale: float, k: int, n_tag: int, indices, qvalues
@@ -165,6 +192,11 @@ def encode(x: np.ndarray, h: PmMatrix, cfg: SketchConfig) -> SketchPacket:
     packet bytes.  The matrix is trusted to satisfy the defining identities.
     Raises ValueError when the transform overflows or the peak has no
     finite, nonzero float32 scale.
+
+    The packet is valid by construction, so its records are not checked
+    again: k distinct ascending indices from ``flatnonzero``, values
+    clipped to [-127, 127], a finite positive float32 scale, and
+    n_tag = h.n <= 0xFFFF by :class:`SketchConfig`.
     """
     x = np.asarray(x, dtype=np.float64)
     if cfg.n != h.n:
@@ -186,9 +218,10 @@ def encode(x: np.ndarray, h: PmMatrix, cfg: SketchConfig) -> SketchPacket:
     # from_bytes refuses or that decodes to zeros.
     if not (np.isfinite(scale) and scale > 0.0):
         raise ValueError(f"peak coefficient {peak:g} has no finite nonzero float32 scale")
-    q = np.clip(np.rint(sel / float(scale)), -QMAX, QMAX).astype(np.int64)
-    return SketchPacket(scale=float(scale), k=cfg.k, n_tag=h.n,
-                        indices=tuple(idx.tolist()), qvalues=tuple(q.tolist()))
+    np.divide(sel, float(scale), out=sel)
+    np.rint(sel, out=sel)
+    np.clip(sel, -QMAX, QMAX, out=sel)
+    return SketchPacket._checked_by_maker(float(scale), cfg.k, h.n, idx, sel.astype(np.int64))
 
 
 def decode(packet: SketchPacket, h: PmMatrix) -> np.ndarray:
@@ -202,8 +235,7 @@ def decode(packet: SketchPacket, h: PmMatrix) -> np.ndarray:
     Raises PacketFormatError for a packet that fails the wire checks and
     ValueError when its order tag is not the matrix order.
     """
-    indices, qvalues = _checked_records(packet.scale, packet.k, packet.n_tag,
-                                        packet.indices, packet.qvalues)
+    indices, qvalues = packet._checked()
     if packet.n_tag != h.n:
         raise ValueError(f"packet order tag {packet.n_tag} does not match matrix order {h.n}")
     q = np.zeros(h.n, dtype=np.float32)

@@ -236,6 +236,22 @@ def test_affine_tables_give_the_induced_permutations(desk_field):
             assert np.array_equal(autgroup._bordered(plus[i * q + scaled[k]], q), sigma)
 
 
+def test_affine_tables_refuse_two_maps_that_collide(desk_field, monkeypatch):
+    # g_0 + g^N read as g_0 + g^0: maps 0 and q (k = 0 and 1, both i = 0)
+    # then send block indices 0 and 1 to the same pair, and only they collide
+    _, partition, _, _ = desk_field
+    n_cls, real = partition.N, sh.GroupSpec.sum_index_table
+
+    def colliding(self):
+        t = real(self).copy()
+        t[0, 1 + n_cls] = t[0, 1]
+        return t
+
+    monkeypatch.setattr(sh.GroupSpec, "sum_index_table", colliding)
+    with pytest.raises(AssertionError, match="not pairwise distinct"):
+        autgroup._affine_tables(partition)
+
+
 def _generator_actions(tables, partition):
     """Block actions of the multiplier and the e basis translations."""
     q = tables.q

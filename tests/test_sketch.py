@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
 import warnings
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import skewhad as sh
+from skewhad import sketch
 from skewhad.sketch import PacketFormatError, QMAX
 
 from _naive import naive_top_k_indices
@@ -261,6 +263,85 @@ def test_directly_built_bad_packet_is_refused(matrix8, fields):
         sh.decode(packet, matrix8)
     with pytest.raises(PacketFormatError):
         packet.to_bytes()
+
+
+@pytest.fixture
+def check_count(monkeypatch):
+    """A list that counts the calls of the record check, one entry each."""
+    calls, check = [], sketch._checked_records
+
+    def counting(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(sketch, "_checked_records", counting)
+    return calls
+
+
+def test_each_packet_is_checked_once_by_its_maker(matrix12, check_count):
+    x = np.random.default_rng(9).normal(size=12)
+    packet = sh.encode(x, matrix12, sh.SketchConfig(n=12, k=5))
+    data = packet.to_bytes()
+    assert not check_count  # encode makes valid packets; to_bytes trusts them
+    parsed = sh.SketchPacket.from_bytes(data)
+    got = sh.decode(parsed, matrix12)
+    assert len(check_count) == 1 and parsed.to_bytes() == data
+    assert np.array_equal(got, sh.decode(packet, matrix12))
+    assert len(check_count) == 1
+
+
+def test_directly_built_packet_is_checked_where_it_is_used(matrix12, check_count):
+    packet = sh.SketchPacket(scale=1.0, k=2, n_tag=12, indices=(1, 5), qvalues=(-3, 127))
+    packet.to_bytes()
+    assert len(check_count) == 1
+    sh.decode(packet, matrix12)
+    assert len(check_count) == 2
+
+
+def test_checked_records_take_no_part_in_equality_or_repr(matrix12):
+    x = np.random.default_rng(10).normal(size=12)
+    packet = sh.encode(x, matrix12, sh.SketchConfig(n=12, k=4))
+    plain = sh.SketchPacket(scale=packet.scale, k=4, n_tag=12, indices=packet.indices,
+                            qvalues=packet.qvalues)
+    assert packet == plain and hash(packet) == hash(plain) and repr(packet) == repr(plain)
+    assert packet.to_bytes() == plain.to_bytes()
+
+
+@pytest.mark.parametrize("change", [lambda p: dict(scale=math.nan),
+                                    lambda p: dict(indices=(-1, *p.indices[1:]))],
+                         ids=["nan scale", "index -1"])
+def test_replaced_packet_is_checked_again(matrix12, change):
+    # dataclasses.replace builds a new packet without the maker's records
+    x = np.random.default_rng(11).normal(size=12)
+    packet = sh.encode(x, matrix12, sh.SketchConfig(n=12, k=3))
+    for made in (packet, sh.SketchPacket.from_bytes(packet.to_bytes())):
+        bad = dataclasses.replace(made, **change(made))
+        with pytest.raises(PacketFormatError):
+            bad.to_bytes()
+        with pytest.raises(PacketFormatError):
+            sh.decode(bad, matrix12)
+
+
+# Every packet encode makes must pass the check it skips: this is what lets
+# to_bytes and decode trust its records.
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12),
+       st.sampled_from([1e-40, 1e-3, 1.0, 1e30, 1e37]), st.integers(0, 3))
+def test_encoded_packet_passes_the_record_check(matrix12, seed, k, magnitude, ties):
+    rng = np.random.default_rng(seed)
+    x = magnitude * rng.normal(size=12)
+    if ties:  # repeated magnitudes at the top-k boundary
+        x = magnitude * rng.integers(-ties, ties + 1, size=12)
+    try:
+        packet = sh.encode(x, matrix12, sh.SketchConfig(n=12, k=k))
+    except ValueError:  # no finite nonzero float32 scale
+        return
+    indices, qvalues = sketch._checked_records(packet.scale, packet.k, packet.n_tag,
+                                               packet.indices, packet.qvalues)
+    slot_indices, slot_qvalues = packet._records
+    assert slot_indices.dtype == slot_qvalues.dtype == np.int64
+    assert np.array_equal(slot_indices, indices) and np.array_equal(slot_qvalues, qvalues)
+    assert not slot_indices.flags.writeable and not slot_qvalues.flags.writeable
 
 
 @pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf")])
