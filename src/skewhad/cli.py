@@ -287,7 +287,7 @@ def cmd_rank(args) -> int:
         if not gate0.passed:
             print(f"GATE0 FAIL n={h.n}")
             return EXIT_CERT_FAIL
-        _, _, matrix = hadamard.normalize_core_tournament(h, gate0)
+        matrix = hadamard.normalize_core_tournament(h, gate0)
         # the core's Gram follows from the Gate0 just passed; none is formed
         gram, label = gate0.core_gram(), "tournament"
     else:

@@ -1,12 +1,9 @@
-"""Finite abelian groups with a fixed element ordering, plus subset autocorrelation.
+"""The additive group of GF(p^e) with a fixed element ordering, plus subset
+autocorrelation.
 
-A group element is identified with its 0-based index in the canonical
-ordering.  Two kinds of groups are supported:
-
-* ``cyclic(n)`` -- integers mod n, ordered 0, 1, ..., n-1;
-* ``field_additive(p, e)`` -- the additive group of GF(p^e), ordered
-  ``[0, g^0, g^1, ..., g^(q-2)]`` for a primitive element g (discrete-log
-  order; see :mod:`skewhad.gf` for how the ordering is produced).
+A group element is identified with its 0-based index in the discrete-log
+ordering ``[0, g^0, g^1, ..., g^(q-2)]`` for a primitive element g (see
+:mod:`skewhad.gf` for how the ordering is produced).
 
 Field sums are lookups: index 1 + k holds g^k, so g^a + g^b is g^a times
 1 + g^(b-a), one read of the Zech table Z(k) = log(1 + g^k) and a shift of
@@ -21,9 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-CYCLIC = "cyclic"
-FIELD_ADDITIVE = "field_additive"
 
 # Dense v x v development tables are only sensible for small orders.
 _MAX_DENSE_ORDER = 8192
@@ -55,47 +49,33 @@ def _check_power_sequence(enc: np.ndarray, p: int, e: int) -> None:
 
 
 class GroupSpec:
-    """A finite abelian group with a canonical total ordering of its elements.
+    """The additive group of GF(p^e), its elements in discrete-log order.
 
     Immutable after construction and safe to share between threads.  All
     arithmetic is on element indices in ``[0, order)``.
     """
 
-    def __init__(self, kind: str, order: int, *, p: int = 0, e: int = 0,
-                 elem_enc: np.ndarray | None = None):
-        if order <= 0:
-            raise ValueError(f"group order must be positive, got {order}")
-        self.kind, self.order, self.p, self.e = kind, order, p, e
-        if kind == FIELD_ADDITIVE:
-            if elem_enc is None:
-                raise ValueError("field_additive groups need element encodings")
-            q = p**e
-            if order != q:
-                raise ValueError(f"order {order} != p^e = {q}")
-            enc = np.asarray(elem_enc, dtype=np.int64)
-            if enc.shape != (q,) or enc[0] != 0 or enc[1] != 1:
-                raise ValueError("element encodings must list 0 and then g^0 = 1 first")
-            idx = np.argsort(enc)  # the inverse permutation, if enc is one
-            if not np.array_equal(enc[idx], np.arange(q)):
-                raise ValueError("element encodings do not enumerate the field")
-            _check_power_sequence(enc, p, e)
-            m = q - 1
-            c0 = enc[1:] % p
-            zech = idx[enc[1:] - c0 + (c0 + 1) % p] - 1
-            zech[zech < 0] = 2 * m
-            index_of_log = np.concatenate([1 + np.arange(2 * m) % m, np.zeros(m, np.int64)])
-            self._enc, self._idx_of_enc, self._h = enc, idx, int(idx[p - 1]) - 1
-            self._zech, self._index_of_log = zech, index_of_log
-            for a in (enc, idx, zech, index_of_log):
-                a.setflags(write=False)
-        elif kind != CYCLIC:
-            raise ValueError(f"unknown group kind {kind!r}")
+    def __init__(self, p: int, e: int, elem_enc):
+        q = p**e
+        self.order, self.p, self.e = q, p, e
+        enc = np.asarray(elem_enc, dtype=np.int64)
+        if enc.shape != (q,) or enc[0] != 0 or enc[1] != 1:
+            raise ValueError(f"element encodings must list the {q} field elements, "
+                             f"0 and then g^0 = 1 first")
+        idx = np.argsort(enc)  # the inverse permutation, if enc is one
+        if not np.array_equal(enc[idx], np.arange(q)):
+            raise ValueError("element encodings do not enumerate the field")
+        _check_power_sequence(enc, p, e)
+        m = q - 1
+        c0 = enc[1:] % p
+        zech = idx[enc[1:] - c0 + (c0 + 1) % p] - 1
+        zech[zech < 0] = 2 * m
+        index_of_log = np.concatenate([1 + np.arange(2 * m) % m, np.zeros(m, np.int64)])
+        self._idx_of_enc, self._h = idx, int(idx[p - 1]) - 1
+        self._zech, self._index_of_log = zech, index_of_log
+        for a in (idx, zech, index_of_log):
+            a.setflags(write=False)
         self._diff_table: np.ndarray | None = None
-
-    @classmethod
-    def cyclic(cls, n: int) -> "GroupSpec":
-        """Integers mod n under addition."""
-        return cls(CYCLIC, n)
 
     @classmethod
     def field_additive(cls, p: int, e: int, elem_enc) -> "GroupSpec":
@@ -108,11 +88,10 @@ class GroupSpec:
         Adding 1 alters only the constant digit, and -1 is encoded p - 1,
         which gives h.
         """
-        return cls(FIELD_ADDITIVE, p**e, p=p, e=e, elem_enc=elem_enc)
+        return cls(p, e, elem_enc)
 
     def __repr__(self) -> str:
-        args = self.order if self.kind == CYCLIC else f"{self.p}, {self.e}"
-        return f"GroupSpec.{self.kind}({args})"
+        return f"GroupSpec.field_additive({self.p}, {self.e})"
 
     def _check_index(self, x: int) -> int:
         x = int(x)
@@ -126,7 +105,7 @@ class GroupSpec:
         encs = np.array(encs, dtype=np.int64)
         if encs.size and not (0 <= encs.min() and encs.max() < self.order):
             raise ValueError(f"encoding out of range for group of order {self.order}")
-        return encs if self.kind == CYCLIC else self._idx_of_enc[encs]
+        return self._idx_of_enc[encs]
 
     def add_shift(self, xs: np.ndarray, w: int) -> np.ndarray:
         """Vectorized ``x + w`` for an array of element indices."""
@@ -134,8 +113,6 @@ class GroupSpec:
         xs = np.asarray(xs, dtype=np.int64)
         if xs.size and not (0 <= xs.min() and xs.max() < self.order):
             raise ValueError(f"element index out of range for group of order {self.order}")
-        if self.kind == CYCLIC:
-            return (xs + w) % self.order
         if w == 0:
             return xs.copy()
         # g^k + g^a = g^a (1 + g^(k - a)), and 0 + g^a = g^a.
@@ -146,8 +123,6 @@ class GroupSpec:
     def neg_perm(self) -> np.ndarray:
         """The negation map as a permutation of indices (an involution)."""
         idx = np.arange(self.order, dtype=np.int64)
-        if self.kind == CYCLIC:
-            return (-idx) % self.order
         # -g^k = g^(k + h)
         return np.where(idx == 0, 0, 1 + (idx - 1 + self._h) % (self.order - 1))
 
@@ -166,16 +141,13 @@ class GroupSpec:
             if self.order > _MAX_DENSE_ORDER:
                 raise ValueError(f"group of order {self.order} is too large for a dense table")
             idx = np.arange(self.order, dtype=np.int64)
-            if self.kind == CYCLIC:
-                t = (idx[None, :] - idx[:, None]) % self.order
-            else:
-                m = self.order - 1
-                t = np.empty((self.order, self.order), dtype=np.int64)
-                t[0] = idx
-                t[:, 0] = self.neg_perm()
-                # T[1 + a, 1 + b] reads zm at b - a + m, then adds a.
-                rows = sliding_window_view(self._minus_one_logs(), m)[m:0:-1]
-                t[1:, 1:] = self._index_of_log[rows + idx[:m, None]]
+            m = self.order - 1
+            t = np.empty((self.order, self.order), dtype=np.int64)
+            t[0] = idx
+            t[:, 0] = self.neg_perm()
+            # T[1 + a, 1 + b] reads zm at b - a + m, then adds a.
+            rows = sliding_window_view(self._minus_one_logs(), m)[m:0:-1]
+            t[1:, 1:] = self._index_of_log[rows + idx[:m, None]]
             t.setflags(write=False)
             self._diff_table = t
         return self._diff_table
@@ -215,18 +187,13 @@ def autocorrelation_profile(spec: GroupSpec, mask: np.ndarray) -> np.ndarray:
     members = np.flatnonzero(mask)
     counts = np.zeros(v, dtype=np.int64)
     step = max(1, _PROFILE_BLOCK_PAIRS // max(1, members.size))
-    if spec.kind == CYCLIC:
-        for start in range(0, members.size, step):
-            diffs = (members - members[start:start + step, None]) % v
-            counts += np.bincount(diffs.ravel(), minlength=v)
-    else:
-        # g^b - g^a = g^a (g^(b - a) - 1) for nonzero members; the zero
-        # member, when present, adds 0 - 0, g^b - 0 and 0 - g^b.
-        zm, logs = spec._minus_one_logs(), members[members > 0] - 1
-        for start in range(0, logs.size, step):
-            a = logs[start:start + step, None]
-            diffs = spec._index_of_log[a + zm[logs + (v - 1 - a)]]
-            counts += np.bincount(diffs.ravel(), minlength=v)
-        if mask[0]:
-            counts += np.bincount([0, *(1 + logs), *spec.neg_perm()[1 + logs]], minlength=v)
+    # g^b - g^a = g^a (g^(b - a) - 1) for nonzero members; the zero member,
+    # when present, adds 0 - 0, g^b - 0 and 0 - g^b.
+    zm, logs = spec._minus_one_logs(), members[members > 0] - 1
+    for start in range(0, logs.size, step):
+        a = logs[start:start + step, None]
+        diffs = spec._index_of_log[a + zm[logs + (v - 1 - a)]]
+        counts += np.bincount(diffs.ravel(), minlength=v)
+    if mask[0]:
+        counts += np.bincount([0, *(1 + logs), *spec.neg_perm()[1 + logs]], minlength=v)
     return v - 4 * members.size + 4 * counts

@@ -221,21 +221,19 @@ def gate0_verify(m: PmMatrix) -> Gate0Report:
         np.fill_diagonal(gram, 0)
         max_off = int(max(gram.max(), -gram.min()))
     s = m.signs()
-    skew = s + s.T  # int8 holds -2 .. 2
-    skew_ok = bool(np.all(np.diagonal(skew) == 2))
-    if skew_ok:
-        np.fill_diagonal(skew, 0)
-        skew_ok = not bool(np.any(skew))
+    skew = s + s.T  # int8 holds -2 .. 2; H + H^T - 2I is formed in place
+    np.einsum("ii->i", skew)[:] -= 2
+    skew_ok = not skew.any()
     return Gate0Report(n=n, gram_ok=gram_ok, skew_ok=skew_ok, max_offdiag_gram=max_off)
 
 
-def normalize_core_tournament(m: PmMatrix, report: Gate0Report | None = None
-                              ) -> tuple[PmMatrix, PmMatrix, np.ndarray]:
-    """Normalize to an all-+1 first row, strip it, and take the 0/1 core.
+def normalize_core_tournament(m: PmMatrix, report: Gate0Report | None = None) -> np.ndarray:
+    """The 0/1 tournament core of a skew Hadamard matrix.
 
-    Returns ``(Hn, S, M01)`` where Hn = D H D for D = diag of the first row,
-    S is Hn with the first row and column deleted, and M01 = (J - S) / 2 is
-    the 0/1 tournament adjacency matrix of size n - 1 with zero diagonal.
+    Normalizing to an all-+1 first row gives Hn = D H D for D = diag of the
+    first row; S is Hn with the first row and column deleted, and the core
+    M01 = (J - S) / 2 is the 0/1 tournament adjacency matrix of size n - 1
+    with zero diagonal.
 
     ``report`` is the Gate0Report of m when the caller has run Gate0 on it
     already; otherwise Gate0 runs here.  Raises ValueError when the input
@@ -246,10 +244,8 @@ def normalize_core_tournament(m: PmMatrix, report: Gate0Report | None = None
     if report.n != m.n or not report.passed:
         raise ValueError("matrix fails the defining identities; cannot normalize")
     d = m.signs()[0]
-    hn = d[:, None] * m.signs() * d[None, :]
-    s = hn[1:, 1:]
-    m01 = ((1 - s) // 2).astype(np.uint8)
-    return PmMatrix(hn), PmMatrix(s), m01
+    s = d[1:, None] * m.signs()[1:, 1:] * d[None, 1:]
+    return ((1 - s) // 2).astype(np.uint8)
 
 
 def to_matrix_text(m: PmMatrix) -> bytes:

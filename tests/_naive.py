@@ -9,16 +9,6 @@ by these oracles and compare the production implementations against them.
 from __future__ import annotations
 
 
-def cyclic_add(n):
-    """Index addition for the cyclic group of order n."""
-    return lambda x, y: (x + y) % n
-
-
-def cyclic_neg(n):
-    """Index negation for the cyclic group of order n."""
-    return lambda x: (-x) % n
-
-
 def field_index_add(p, e, encodings):
     """Index addition for a field-additive group with the given element order.
 

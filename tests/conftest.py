@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 import skewhad as sh
 
+from _naive import field_index_add, field_index_neg
+
 PAPER_I0 = tuple(range(4, 12))
 PAPER_I1 = tuple(range(0, 8))
 
@@ -22,21 +24,42 @@ def matrix1252(instance625):
     return sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1)
 
 
+def desk_group(p):
+    """The additive group of the prime field GF(p)."""
+    return sh.additive_group(sh.build_field(sh.FieldConfig(p, 1)))
+
+
+def subset_of_encodings(g, encodings):
+    """Membership mask of the elements with the given encodings."""
+    return sh.subset_from_indices(g, g.indices_of_encodings(encodings))
+
+
 @pytest.fixture(scope="session")
 def matrix8():
-    """Order-8 desk instance from Z_3 with D0 = D1 = {1}."""
-    g = sh.GroupSpec.cyclic(3)
-    d = sh.subset_from_indices(g, [1])
+    """Order-8 desk instance over GF(3) with D0 = D1 = {1}."""
+    g = desk_group(3)
+    d = subset_of_encodings(g, [1])
     return sh.build_bordered_from_blocks(g, d, d)
 
 
 @pytest.fixture(scope="session")
 def matrix12():
-    """Order-12 desk instance from Z_5 with D0 = {1,2}, D1 = {1,4}."""
-    g = sh.GroupSpec.cyclic(5)
-    d0 = sh.subset_from_indices(g, [1, 2])
-    d1 = sh.subset_from_indices(g, [1, 4])
-    return sh.build_bordered_from_blocks(g, d0, d1)
+    """Order-12 desk instance over GF(5) with D0 = {1,2}, D1 = {1,4}."""
+    g = desk_group(5)
+    return sh.build_bordered_from_blocks(g, subset_of_encodings(g, [1, 2]),
+                                         subset_of_encodings(g, [1, 4]))
+
+
+# Every prime-power order up to 16, so e > 1 in even and odd characteristic.
+SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
+
+
+def field_group(p, e):
+    """(group, add, neg): the additive group of GF(p^e) and digit-by-digit
+    oracles for its index addition and negation."""
+    tables = sh.build_field(sh.FieldConfig(p, e))
+    enc = [0, *tables.antilog]
+    return sh.additive_group(tables), field_index_add(p, e, enc), field_index_neg(p, e, enc)
 
 
 # (p, e, N, i0, i1) of the order-8, 12, 24 and 56 instances
@@ -51,7 +74,7 @@ def small_matrices():
     for p, e, N, i0, i1 in SMALL_CONFIGS:
         _, _, pair, _ = sh.find_valid_generator(sh.FieldConfig(p, e), N, i0, i1)
         h = sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1)
-        _, _, m01 = sh.normalize_core_tournament(h)
+        m01 = sh.normalize_core_tournament(h)
         out.append((h.n, h.signs(), m01))
     return out
 

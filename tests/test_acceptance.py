@@ -14,8 +14,8 @@ import numpy as np
 import skewhad as sh
 from skewhad import ranks
 
-from _naive import (cyclic_add, cyclic_neg, field_index_add, naive_autocorrelation,
-                    naive_rank_gf2, naive_rank_gfp, naive_reversed_type2)
+from _naive import naive_autocorrelation, naive_rank_gf2, naive_rank_gfp, naive_reversed_type2
+from conftest import SMALL_FIELDS, desk_group, field_group, subset_of_encodings
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -24,15 +24,15 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_desk_oracles():
     t0 = time.perf_counter()
-    g3 = sh.GroupSpec.cyclic(3)
-    d3 = sh.subset_from_indices(g3, [1])
+    g3 = desk_group(3)
+    d3 = subset_of_encodings(g3, [1])
     h8 = sh.build_bordered_from_blocks(g3, d3, d3)
     r8 = sh.gate0_verify(h8)
 
-    g5 = sh.GroupSpec.cyclic(5)
+    g5 = desk_group(5)
     h12 = sh.build_bordered_from_blocks(g5,
-                                        sh.subset_from_indices(g5, [1, 2]),
-                                        sh.subset_from_indices(g5, [1, 4]))
+                                        subset_of_encodings(g5, [1, 2]),
+                                        subset_of_encodings(g5, [1, 4]))
     r12 = sh.gate0_verify(h12)
     elapsed = time.perf_counter() - t0
 
@@ -95,7 +95,7 @@ def test_criterion_5_rank_invariants(instance625, matrix1252):
     expected = {("tournament", 2): 1251, ("hadamard", 3): 1252, ("hadamard", 5): 1252,
                 ("hadamard", 313): 626, ("tournament", 5): 1250, ("tournament", 313): 626}
     t0 = time.perf_counter()
-    _, _, m01 = sh.normalize_core_tournament(matrix1252)
+    m01 = sh.normalize_core_tournament(matrix1252)
     signs = matrix1252.signs()
     got = {
         ("tournament", 2): sh.rank_gfp(m01, 2, label="tournament").rank,
@@ -186,16 +186,11 @@ def _timed_encode(x, h):
 
 def test_criterion_8_property_suites():
     # autocorrelation: set identity == literal indicator sum, all shifts
-    groups = [(f"cyclic{n}", sh.GroupSpec.cyclic(n), cyclic_add(n))
-              for n in (2, 3, 7, 12, 24, 45, 64)]
-    for p, e in [(2, 4), (3, 3), (5, 2), (7, 1), (61, 1)]:
-        tables = sh.build_field(sh.FieldConfig(p, e))
-        g = sh.additive_group(tables)
-        groups.append((f"gf{p}^{e}", g, field_index_add(p, e, [0, *tables.antilog])))
     rng = np.random.default_rng(8)
     checked = 0
-    for name, g, add in groups:
-        v = g.order
+    for p, e in SMALL_FIELDS + [(3, 3), (5, 2), (61, 1), (2, 6)]:
+        g, add, _ = field_group(p, e)
+        name, v = f"gf{p}^{e}", g.order
         for members in ([], [1], sorted(rng.choice(v, size=v // 2, replace=False).tolist())):
             mask = sh.subset_from_indices(g, members)
             profile = sh.autocorrelation_profile(g, mask)
@@ -214,18 +209,19 @@ def test_criterion_8_property_suites():
     # type-1 commutation and Gram-profile identities for every v <= 16; C is
     # the bordered assembly's block C[i, j] = s_D1(g_i - g_j), built by the
     # oracle as the reversed sum development
-    for v in range(2, 17):
-        g = sh.GroupSpec.cyclic(v)
+    for p, e in SMALL_FIELDS:
+        g, add, neg = field_group(p, e)
+        v = g.order
         d0 = sh.subset_from_indices(g, rng.choice(v, size=v // 2, replace=False))
         d1 = sh.subset_from_indices(g, rng.choice(v, size=max(1, v // 3), replace=False))
         a = sh.type1_matrix(g, d0).signs().astype(int)
-        c = np.array(naive_reversed_type2(v, cyclic_add(v), cyclic_neg(v), np.flatnonzero(d1)))
+        c = np.array(naive_reversed_type2(v, add, neg, np.flatnonzero(d1)))
         assert np.array_equal(a @ c, c @ a)
         gram = a @ a.T
         profile = sh.autocorrelation_profile(g, d0)
         for i in range(v):
             for k in range(v):
-                assert gram[i, k] == profile[(i - k) % v]
+                assert gram[i, k] == profile[add(i, neg(k))]
 
     _report(8, True, f"identity sweeps pass ({checked} autocorrelation checks, "
                      f"rank oracles to 64, development identities to v=16)")

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import skewhad as sh
 from skewhad.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,3 +58,10 @@ def test_aut_prints_the_pinned_audit(built):
     inst, work, _, _ = built
     code, out = _run(["aut", str(work / inst.name / "manifest.txt"), "--exhaustive"])
     assert (code, out) == (0, EXPECTED[inst.name]["stdout"]["aut"])
+
+
+def test_desk_fixtures_are_the_built_matrices(matrix8, matrix12):
+    # conftest builds them by hand over GF(3) and GF(5); build writes the same
+    for m, name in ((matrix8, "n8"), (matrix12, "n12")):
+        digest = hashlib.sha256(sh.to_matrix_text(m)).hexdigest()
+        assert digest == EXPECTED[name]["artifacts"][f"matrix_{m.n}.txt"]

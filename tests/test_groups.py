@@ -7,21 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import skewhad as sh
-from _naive import (cyclic_add, field_index_add, naive_autocorrelation, naive_diff_index_table,
+from _naive import (field_index_add, naive_autocorrelation, naive_diff_index_table,
                     naive_neg_perm, naive_profile, naive_sum_index_table)
+from conftest import SMALL_FIELDS, desk_group, field_group, subset_of_encodings
 
 
 def small_groups():
-    """Cyclic and field-additive groups of order up to 64, with an
-    independent index-addition oracle for each."""
+    """Field-additive groups of order up to 64, with an independent
+    index-addition oracle for each."""
     out = []
-    for n in [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 21, 32, 45, 63, 64]:
-        out.append((f"cyclic{n}", sh.GroupSpec.cyclic(n), cyclic_add(n)))
-    for p, e in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (2, 4),
-                 (13, 1), (5, 2), (3, 3), (2, 5), (7, 2), (61, 1), (2, 6)]:
-        tables = sh.build_field(sh.FieldConfig(p, e))
-        g = sh.additive_group(tables)
-        out.append((f"gf{p}^{e}", g, field_index_add(p, e, [0, *tables.antilog])))
+    for p, e in SMALL_FIELDS + [(5, 2), (3, 3), (2, 5), (7, 2), (61, 1), (2, 6)]:
+        g, add, _ = field_group(p, e)
+        out.append((f"gf{p}^{e}", g, add))
     return out
 
 
@@ -51,14 +48,6 @@ def sample_subsets(v, seed=0):
         subsets.append(sorted(rng.choice(v, size=v // 2, replace=False).tolist()))
         subsets.append(sorted(rng.choice(v, size=max(1, v // 3), replace=False).tolist()))
     return subsets
-
-
-def test_cyclic_add_examples():
-    g = sh.GroupSpec.cyclic(5)
-    assert group_add(g, 3, 4) == 2
-    assert group_add(g, 3, 0) == 3
-    assert group_neg(g, 2) == 3
-    assert group_neg(g, 0) == 0
 
 
 def test_field_add_inverse_example():
@@ -96,26 +85,28 @@ def test_add_properties_sampled(name, g, add):
 
 
 def test_index_out_of_range():
-    g = sh.GroupSpec.cyclic(5)
+    g = desk_group(5)
     with pytest.raises(ValueError):
         g.add_shift(5, 0)
     with pytest.raises(ValueError):
         g.add_shift(0, -1)
-    for g in (g, sh.additive_group(sh.build_field(sh.FieldConfig(5, 1)))):
-        for bad in (-1, 5, 6):
-            with pytest.raises(ValueError, match="out of range"):
-                g.add_shift(np.array([0, bad]), 1)
+    for bad in (-1, 5, 6):
+        with pytest.raises(ValueError, match="out of range"):
+            g.add_shift(np.array([0, bad]), 1)
 
 
 def test_autocorrelation_frozen_examples():
-    g3 = sh.GroupSpec.cyclic(3)
-    d = sh.subset_from_indices(g3, [1])
+    # members and shifts by encoding, so the values read as over Z_3 and Z_5
+    g3 = desk_group(3)
+    d = subset_of_encodings(g3, [1])
     assert autocorrelation_at(g3, d, 1) == -1
-    assert list(sh.autocorrelation_profile(g3, d)) == [3, -1, -1]
+    assert sh.autocorrelation_profile(g3, d)[g3.indices_of_encodings(range(3))].tolist() == \
+        [3, -1, -1]
 
-    g5 = sh.GroupSpec.cyclic(5)
-    d = sh.subset_from_indices(g5, [1, 2])
-    assert list(sh.autocorrelation_profile(g5, d)) == [5, 1, -3, -3, 1]
+    g5 = desk_group(5)
+    d = subset_of_encodings(g5, [1, 2])
+    assert sh.autocorrelation_profile(g5, d)[g5.indices_of_encodings(range(5))].tolist() == \
+        [5, 1, -3, -3, 1]
 
 
 def test_autocorrelation_at_zero_is_order():
@@ -126,7 +117,7 @@ def test_autocorrelation_at_zero_is_order():
 
 
 def test_autocorrelation_empty_subset():
-    g = sh.GroupSpec.cyclic(7)
+    g = desk_group(7)
     mask = sh.subset_from_indices(g, [])
     for w in range(7):
         assert autocorrelation_at(g, mask, w) == 7
@@ -245,6 +236,16 @@ def test_field_additive_refuses_an_order_not_starting_at_one():
         sh.GroupSpec.field_additive(5, 2, np.concatenate([enc[:-1], [1]]))
 
 
+def test_field_additive_refuses_encodings_of_another_field():
+    # the order is p**e, so the list of another field has the wrong length
+    enc5, enc25 = ([0, *sh.build_field(sh.FieldConfig(5, e)).antilog] for e in (1, 2))
+    with pytest.raises(ValueError, match="the 5 field elements"):
+        sh.GroupSpec.field_additive(5, 1, enc25)
+    with pytest.raises(ValueError, match="the 25 field elements"):
+        sh.GroupSpec.field_additive(5, 2, enc5)
+    assert repr(sh.GroupSpec.field_additive(5, 1, enc5)) == "GroupSpec.field_additive(5, 1)"
+
+
 def test_field_additive_refuses_an_order_that_is_not_a_power_sequence():
     # 1 first, then g^1 ... g^(q-2) rotated by one place: every element is
     # listed, yet the Zech table gave 530 of the 625 sums wrong
@@ -279,13 +280,10 @@ def test_field_additive_accepts_every_generator_and_modulus(p, e, monkeypatch):
                 assert g.add_shift(xs, w).tolist() == [add(int(x), w) for x in xs]
 
 
-@pytest.mark.parametrize("kind", ["cyclic", "field"])
+@pytest.mark.parametrize("kind", ["field", "extension"])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_encodings_out_of_range_are_refused(kind, offset):
-    if kind == "cyclic":
-        g = sh.GroupSpec.cyclic(5)
-    else:
-        g = sh.additive_group(sh.build_field(sh.FieldConfig(5, 1)))
+    g = field_group(5, 1)[0] if kind == "field" else field_group(3, 2)[0]
     bad = -1 if offset == -1 else g.order + offset
     with pytest.raises(ValueError, match="out of range"):
         g.indices_of_encodings(bad)

@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import skewhad as sh
+from skewhad.cli import main
 from skewhad.hadamard import MatrixFormatError, gram_matrix
 
-from _naive import (cyclic_add, cyclic_neg, field_index_add, field_index_neg, naive_developed,
-                    naive_gram, naive_parse_matrix_text, naive_reversed_type2,
+from _naive import (naive_developed, naive_gram, naive_parse_matrix_text, naive_reversed_type2,
                     naive_to_matrix_text)
-from conftest import mutate_one_byte, random_signs
+from conftest import (SMALL_FIELDS, desk_group, field_group, mutate_one_byte, random_signs,
+                      subset_of_encodings)
 
 
 def sum_developed(g, d):
@@ -43,8 +44,6 @@ def test_pack_unpack_round_trip_awkward_sizes(matrix8):
     signs[0, 0] *= -1
     assert m.signs()[0, 0] == -signs[0, 0]
     _assert_read_only_int8(matrix8)  # assemble_bordered
-    for built in sh.normalize_core_tournament(matrix8)[:2]:
-        _assert_read_only_int8(built)
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
@@ -65,29 +64,29 @@ def test_from_signs_rejects_bad_input():
 
 
 def test_type1_frozen_z3():
-    g = sh.GroupSpec.cyclic(3)
+    g = desk_group(3)  # GF(3) in discrete-log order is Z_3 in its own order
     d = sh.subset_from_indices(g, [1])
     m = sh.type1_matrix(g, d)
     assert m.signs().tolist() == [[1, -1, 1], [1, 1, -1], [-1, 1, 1]]
 
 
 def test_type2_frozen_z3():
-    g = sh.GroupSpec.cyclic(3)
+    g = desk_group(3)
     d = sh.subset_from_indices(g, [1])
     assert sum_developed(g, d).tolist() == [[1, -1, 1], [-1, 1, 1], [1, 1, -1]]
 
 
 def test_developed_empty_block_is_all_ones():
-    g = sh.GroupSpec.cyclic(4)
+    g = field_group(2, 2)[0]
     d = sh.subset_from_indices(g, [])
     assert np.all(sh.type1_matrix(g, d).signs() == 1)
     assert np.all(sum_developed(g, d) == 1)
 
 
 def test_developed_match_naive_all_small_groups():
-    for n in range(1, 13):
-        g = sh.GroupSpec.cyclic(n)
-        add, neg = cyclic_add(n), lambda x: (-x) % n
+    for p, e in SMALL_FIELDS:
+        g, add, neg = field_group(p, e)
+        n = g.order
         rng = np.random.default_rng(n)
         members = sorted(rng.choice(n, size=n // 2, replace=False).tolist())
         d = sh.subset_from_indices(g, members)
@@ -98,29 +97,29 @@ def test_developed_match_naive_all_small_groups():
 
 
 def test_type1_row_sums_and_skewness():
-    g = sh.GroupSpec.cyclic(7)
-    d = sh.subset_from_indices(g, [1, 2, 4])
+    g = desk_group(7)
+    d = subset_of_encodings(g, [1, 2, 4])  # the squares; -1 is not one
     m = sh.type1_matrix(g, d).signs()
     assert np.all(m.sum(axis=1) == 7 - 2 * 3)
     assert np.array_equal(m + m.T, 2 * np.eye(7, dtype=m.dtype))  # D is skew
 
 
 def test_type2_symmetric_random():
-    g = sh.GroupSpec.cyclic(12)
+    g = desk_group(13)
     rng = np.random.default_rng(9)
     for _ in range(5):
-        members = rng.choice(12, size=rng.integers(0, 13), replace=False)
+        members = rng.choice(13, size=rng.integers(0, 14), replace=False)
         m = sum_developed(g, sh.subset_from_indices(g, members))
         assert np.array_equal(m, m.T)
 
 
 def test_reversal_conjugate_properties():
-    g = sh.GroupSpec.cyclic(8)
+    g = field_group(3, 2)[0]
     perm = g.neg_perm()
-    assert np.array_equal(perm[perm], np.arange(8))  # R^2 = I
+    assert np.array_equal(perm[perm], np.arange(9))  # R^2 = I
     rng = np.random.default_rng(10)
     for _ in range(5):
-        members = rng.choice(8, size=rng.integers(0, 9), replace=False)
+        members = rng.choice(9, size=rng.integers(0, 10), replace=False)
         d = sh.subset_from_indices(g, members)
         bs = sum_developed(g, d).astype(int)
         cs = bs[:, perm]
@@ -133,14 +132,9 @@ def test_reversal_conjugate_properties():
 def test_bordered_blocks_match_naive_developments():
     # A is the type-1 development of D0; C is the reversed type-2 development
     # of D1, each as the bordered assembly holds it
-    groups = [(sh.GroupSpec.cyclic(v), cyclic_add(v), cyclic_neg(v)) for v in (3, 5, 7, 9, 11, 15)]
-    for p, e in [(3, 2), (5, 1), (3, 3)]:
-        tables = sh.build_field(sh.FieldConfig(p, e))
-        enc = [0, *tables.antilog]
-        groups.append((sh.additive_group(tables), field_index_add(p, e, enc),
-                       field_index_neg(p, e, enc)))
     rng = np.random.default_rng(11)
-    for g, add, neg in groups:
+    for p, e in [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (3, 3)]:
+        g, add, neg = field_group(p, e)
         v = g.order
         m0, m1 = (sorted(rng.choice(v, size=(v - 1) // 2, replace=False).tolist())
                   for _ in range(2))
@@ -154,20 +148,22 @@ def test_bordered_blocks_match_naive_developments():
 
 def test_type1_matrices_commute():
     # difference-developed matrices over one abelian group commute
-    for n in range(2, 17):
-        g = sh.GroupSpec.cyclic(n)
+    for p, e in SMALL_FIELDS:
+        g, add, neg = field_group(p, e)
+        n = g.order
         rng = np.random.default_rng(n + 100)
         d0 = sh.subset_from_indices(g, rng.choice(n, size=n // 2, replace=False))
         d1 = sh.subset_from_indices(g, rng.choice(n, size=n // 3, replace=False))
         a = sh.type1_matrix(g, d0).signs().astype(int)
-        c = np.array(naive_reversed_type2(n, cyclic_add(n), cyclic_neg(n), np.flatnonzero(d1)))
+        c = np.array(naive_reversed_type2(n, add, neg, np.flatnonzero(d1)))
         assert np.array_equal(a @ c, c @ a)
 
 
 def test_gram_profile_identity_small_groups():
     # (A A^T)[i, k] equals the autocorrelation of D at g_i - g_k
-    for n in range(2, 17):
-        g = sh.GroupSpec.cyclic(n)
+    for p, e in SMALL_FIELDS:
+        g, add, neg = field_group(p, e)
+        n = g.order
         rng = np.random.default_rng(n + 200)
         members = rng.choice(n, size=n // 2, replace=False)
         d = sh.subset_from_indices(g, members)
@@ -176,7 +172,7 @@ def test_gram_profile_identity_small_groups():
         profile = sh.autocorrelation_profile(g, d)
         for i in range(n):
             for k in range(n):
-                assert gram[i, k] == profile[(i - k) % n]
+                assert gram[i, k] == profile[add(i, neg(k))]
 
 
 def test_assemble_desk_instances(matrix8, matrix12):
@@ -187,7 +183,7 @@ def test_assemble_desk_instances(matrix8, matrix12):
 
 
 def test_assemble_rejects_mismatched_orders():
-    g3, g5 = sh.GroupSpec.cyclic(3), sh.GroupSpec.cyclic(5)
+    g3, g5 = desk_group(3), desk_group(5)
     a = sh.type1_matrix(g3, sh.subset_from_indices(g3, [1]))
     c = sh.type1_matrix(g5, sh.subset_from_indices(g5, [1, 2]))
     with pytest.raises(ValueError):
@@ -195,7 +191,7 @@ def test_assemble_rejects_mismatched_orders():
 
 
 def test_assemble_rejects_bad_row_sums():
-    g = sh.GroupSpec.cyclic(5)
+    g = desk_group(5)
     a = sh.type1_matrix(g, sh.subset_from_indices(g, [1, 2]))
     bad = sh.type1_matrix(g, sh.subset_from_indices(g, [1]))  # row sums 3
     with pytest.raises(ValueError):
@@ -207,10 +203,11 @@ def test_assemble_always_skew_even_when_sums_fail():
     # into a matrix with H + H^T = 2I; the Gram identity holds iff certified
     rng = np.random.default_rng(31)
     hit_fail = 0
-    for v in (5, 7, 9, 11, 13):
-        g = sh.GroupSpec.cyclic(v)
-        half = [x for x in range(1, v) if x <= v // 2]
-        d0 = sh.subset_from_indices(g, half)  # skew: one of {x, -x} each
+    for p, e in [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1)]:
+        g = field_group(p, e)[0]
+        v = g.order
+        # g^k for k < (v - 1)/2: -g^k = g^(k + (v - 1)/2), so one of {x, -x} each
+        d0 = sh.subset_from_indices(g, range(1, (v + 1) // 2))
         assert sh.check_skew(g, d0)
         for _ in range(4):
             members = rng.choice(np.arange(0, v), size=(v - 1) // 2, replace=False)
@@ -291,25 +288,43 @@ def test_gram_rejects_orders_beyond_exact_float32():
         sh.gate0_verify(m)
 
 
+def test_gate0_skew_verdict(matrix8, tmp_path, capsys):
+    # each case fails H + H^T = 2I; the Gram verdict is decided on its own
+    negated = sh.PmMatrix.from_signs(-matrix8.signs())  # the Gram holds, the diagonal is -1
+    sylvester = sh.PmMatrix.from_signs(np.array([[1, 1], [1, -1]]))  # Hadamard, symmetric
+    signs = matrix8.signs().copy()
+    signs[5, 3] = signs[3, 5]  # one off-diagonal pair made symmetric
+    paired = sh.PmMatrix.from_signs(signs)
+    for m, gram_ok in ((negated, True), (sylvester, True), (paired, False)):
+        rep = sh.gate0_verify(m)
+        assert (rep.gram_ok, rep.skew_ok, rep.passed) == (gram_ok, False, False)
+    path = tmp_path / "negated.txt"
+    path.write_bytes(sh.to_matrix_text(negated))
+    assert main(["verify", "gate0", str(path)]) == 2
+    assert capsys.readouterr().out == \
+        "GATE0 FAIL n=8 gram_ok=True skew_ok=False max_offdiag_gram=0\n"
+
+
 def test_normalize_core_tournament_desk(matrix8):
-    hn, s, m01 = sh.normalize_core_tournament(matrix8)
-    assert np.all(hn.signs()[0] == 1)
-    assert np.all(hn.signs()[1:, 0] == -1)
-    assert s.n == 7 and m01.shape == (7, 7)
+    m01 = sh.normalize_core_tournament(matrix8)
+    assert m01.dtype == np.uint8 and m01.shape == (7, 7)
     assert np.all(np.diagonal(m01) == 0)
     j = np.ones((7, 7), dtype=int)
     assert np.array_equal(m01 + m01.T, j - np.eye(7, dtype=int))
-    # our bordered assembly already has an all-ones first row
-    assert hn == matrix8
+    # our bordered assembly already has an all-ones first row, so the core
+    # is read from H with no sign change
+    assert np.array_equal(m01, (1 - matrix8.signs()[1:, 1:]) // 2)
 
 
-def test_normalize_none_trivial_normalization():
-    base = np.array([[1, 1], [-1, 1]], dtype=np.int8)
-    flipped = (base * np.array([1, -1])[None, :] * np.array([1, -1])[:, None])
-    m = sh.PmMatrix.from_signs(flipped)
-    assert not np.all(m.signs()[0] == 1)
-    hn, _, _ = sh.normalize_core_tournament(m)
-    assert np.all(hn.signs()[0] == 1)
+def test_normalize_none_trivial_normalization(matrix8, matrix12):
+    # E H E passes Gate0 for any +-1 diagonal E and normalizes to the same core
+    rng = np.random.default_rng(12)
+    for h in (matrix8, matrix12):
+        core = sh.normalize_core_tournament(h)
+        for _ in range(4):
+            e = rng.choice(np.array([-1, 1], dtype=np.int8), size=h.n)
+            m = sh.PmMatrix.from_signs(e[:, None] * h.signs() * e[None, :])
+            assert np.array_equal(sh.normalize_core_tournament(m), core)
 
 
 def test_normalize_rejects_non_hadamard():
@@ -321,8 +336,7 @@ def test_normalize_takes_a_passed_report_of_the_same_order(matrix8, matrix12, mo
     report = sh.gate0_verify(matrix8)
     want = sh.normalize_core_tournament(matrix8)
     monkeypatch.setattr(sh.hadamard, "gate0_verify", lambda m: pytest.fail("Gate0 ran again"))
-    hn, s, m01 = sh.normalize_core_tournament(matrix8, report)
-    assert hn == want[0] and s == want[1] and np.array_equal(m01, want[2])
+    assert np.array_equal(sh.normalize_core_tournament(matrix8, report), want)
     failed = sh.Gate0Report(n=8, gram_ok=False, skew_ok=True, max_offdiag_gram=4)
     with pytest.raises(ValueError):
         sh.normalize_core_tournament(matrix8, failed)

@@ -177,7 +177,7 @@ def test_desk_tournament_gf2_rank(matrix8):
     # the 7-vertex core is the quadratic-residue tournament; its circulant
     # polynomial x + x^2 + x^4 = x(x^3 + x + 1) shares a cubic factor with
     # x^7 - 1 over GF(2), so the rank is 7 - 3 = 4 (naive oracle agrees)
-    _, _, m01 = sh.normalize_core_tournament(matrix8)
+    m01 = sh.normalize_core_tournament(matrix8)
     assert sh.rank_gfp(m01, 2, label="tournament").rank == 4
     assert naive_rank_gf2(m01.tolist()) == 4
 
@@ -216,7 +216,7 @@ def test_core_gram_from_gate0_is_the_core_gram(small_matrices, matrix1252):
     # rows of Hn Hn^T = nI give S S^T = nI - J and row sums 1, so the core
     # M = (J - S)/2 has M M^T = (n/4) I + (n/4 - 1) J
     cases = [(sh.PmMatrix(signs), m01) for _, signs, m01 in small_matrices]
-    cases.append((matrix1252, sh.normalize_core_tournament(matrix1252)[2]))
+    cases.append((matrix1252, sh.normalize_core_tournament(matrix1252)))
     assert [h.n for h, _ in cases] == [8, 12, 24, 56, 1252]
     for h, m01 in cases:
         s, t = sh.gate0_verify(h).core_gram()
@@ -330,7 +330,7 @@ def _count_calls(monkeypatch, names):
     ("random", 3, False, None)])
 def test_certified_ranks_eliminate_nothing_and_declined_ranks_form_no_gram(
         monkeypatch, matrix1252, label, p, certified, rank):
-    _, _, m01 = sh.normalize_core_tournament(matrix1252)
+    m01 = sh.normalize_core_tournament(matrix1252)
     x = {"hadamard": matrix1252.signs(), "tournament": m01,
          "random": random_signs(160, 9)}[label]
     if rank is None:

@@ -7,7 +7,7 @@ import skewhad as sh
 from skewhad import gf, shdf
 from skewhad.shdf import GeneratorSearchError
 
-from conftest import PAPER_I0, PAPER_I1
+from conftest import PAPER_I0, PAPER_I1, desk_group, subset_of_encodings
 
 
 def test_blocks_from_indices_sizes_625(instance625):
@@ -52,11 +52,11 @@ def test_blocks_reject_out_of_range():
 
 
 def test_check_skew_examples():
-    g5 = sh.GroupSpec.cyclic(5)
-    assert sh.check_skew(g5, sh.subset_from_indices(g5, [1, 2]))
-    assert not sh.check_skew(g5, sh.subset_from_indices(g5, [1, 4]))
-    assert not sh.check_skew(g5, sh.subset_from_indices(g5, []))
-    assert not sh.check_skew(g5, sh.subset_from_indices(g5, [0, 1]))  # 0 in D
+    g5 = desk_group(5)
+    assert sh.check_skew(g5, subset_of_encodings(g5, [1, 2]))
+    assert not sh.check_skew(g5, subset_of_encodings(g5, [1, 4]))
+    assert not sh.check_skew(g5, subset_of_encodings(g5, []))
+    assert not sh.check_skew(g5, subset_of_encodings(g5, [0, 1]))  # 0 in D
 
 
 def test_check_skew_625(instance625):
@@ -65,8 +65,8 @@ def test_check_skew_625(instance625):
 
 
 def test_check_shdf_desk_z3():
-    g = sh.GroupSpec.cyclic(3)
-    d = sh.subset_from_indices(g, [1])
+    g = desk_group(3)
+    d = subset_of_encodings(g, [1])
     pair = sh.BlockPair(group=g, i0=frozenset(), i1=frozenset(), d0=d, d1=d.copy())
     cert = sh.check_shdf(g, pair)
     assert cert.passed
@@ -74,40 +74,40 @@ def test_check_shdf_desk_z3():
 
 
 def test_check_shdf_desk_z5():
-    g = sh.GroupSpec.cyclic(5)
+    g = desk_group(5)
     pair = sh.BlockPair(group=g, i0=frozenset(), i1=frozenset(),
-                        d0=sh.subset_from_indices(g, [1, 2]),
-                        d1=sh.subset_from_indices(g, [1, 4]))
+                        d0=subset_of_encodings(g, [1, 2]),
+                        d1=subset_of_encodings(g, [1, 4]))
     cert = sh.check_shdf(g, pair)
     assert cert.passed
     assert cert.sums.tolist() == [-2, -2, -2, -2]
 
 
 def test_check_shdf_failure_reasons():
-    g = sh.GroupSpec.cyclic(5)
+    g = desk_group(5)
     bad_skew = sh.BlockPair(group=g, i0=frozenset(), i1=frozenset(),
-                            d0=sh.subset_from_indices(g, [1, 4]),
-                            d1=sh.subset_from_indices(g, [1, 4]))
+                            d0=subset_of_encodings(g, [1, 4]),
+                            d1=subset_of_encodings(g, [1, 4]))
     cert = sh.check_shdf(g, bad_skew)
     assert not cert.passed and not cert.skew_ok
     assert "skew" in cert.reason
 
     zero_in = sh.BlockPair(group=g, i0=frozenset(), i1=frozenset(),
-                           d0=sh.subset_from_indices(g, [0, 1]),
-                           d1=sh.subset_from_indices(g, [1, 4]))
+                           d0=subset_of_encodings(g, [0, 1]),
+                           d1=subset_of_encodings(g, [1, 4]))
     cert = sh.check_shdf(g, zero_in)
     assert not cert.passed and "zero element" in cert.reason
 
     bad_size = sh.BlockPair(group=g, i0=frozenset(), i1=frozenset(),
-                            d0=sh.subset_from_indices(g, [1, 2]),
-                            d1=sh.subset_from_indices(g, [1, 2, 4]))
+                            d0=subset_of_encodings(g, [1, 2]),
+                            d1=subset_of_encodings(g, [1, 2, 4]))
     cert = sh.check_shdf(g, bad_size)
     assert not cert.passed and not cert.d1_size_ok
 
 
 def test_certificate_log_format():
-    g = sh.GroupSpec.cyclic(3)
-    d = sh.subset_from_indices(g, [1])
+    g = desk_group(3)
+    d = subset_of_encodings(g, [1])
     pair = sh.BlockPair(group=g, i0=frozenset(), i1=frozenset(), d0=d, d1=d.copy())
     cert = sh.check_shdf(g, pair)
     assert cert.to_log() == "1 -2\n2 -2\nPASS\n"
