@@ -12,10 +12,25 @@ from _naive import (field_index_add, naive_autocorrelation, naive_diff_index_tab
 from conftest import SMALL_FIELDS, desk_group, field_group, subset_of_encodings
 
 
+def cyclic_group(p):
+    """(group, add): Z_p as the additive group of GF(p), enumerated by the
+    powers of its largest primitive root, with addition mod p of the
+    encodings as oracle."""
+    base = sh.build_field(sh.FieldConfig(p, 1))
+    root = max(x for x in range(1, p) if base.element_order(x) == p - 1)
+    tables = sh.gf.tables_for_generator(base, root)
+    enc = [0, *tables.antilog.tolist()]
+    g = sh.additive_group(tables)
+    return g, lambda x, y: enc.index((enc[x] + enc[y]) % p)
+
+
 def small_groups():
     """Field-additive groups of order up to 64, with an independent
-    index-addition oracle for each."""
+    index-addition oracle for each; the cyclic groups of prime order come
+    in a second element order, with a modular oracle."""
     out = []
+    for p in [2, 3, 5, 7]:
+        out.append((f"cyclic{p}", *cyclic_group(p)))
     for p, e in SMALL_FIELDS + [(5, 2), (3, 3), (2, 5), (7, 2), (61, 1), (2, 6)]:
         g, add, _ = field_group(p, e)
         out.append((f"gf{p}^{e}", g, add))
@@ -48,6 +63,16 @@ def sample_subsets(v, seed=0):
         subsets.append(sorted(rng.choice(v, size=v // 2, replace=False).tolist()))
         subsets.append(sorted(rng.choice(v, size=max(1, v // 3), replace=False).tolist()))
     return subsets
+
+
+def test_cyclic_add_examples():
+    # GF(5) adds its encodings mod 5
+    g = desk_group(5)
+    i = g.indices_of_encodings(range(5))
+    assert group_add(g, i[3], i[4]) == i[2]
+    assert group_add(g, i[3], i[0]) == i[3]
+    assert group_neg(g, i[2]) == i[3]
+    assert group_neg(g, i[0]) == i[0]
 
 
 def test_field_add_inverse_example():
@@ -280,10 +305,11 @@ def test_field_additive_accepts_every_generator_and_modulus(p, e, monkeypatch):
                 assert g.add_shift(xs, w).tolist() == [add(int(x), w) for x in xs]
 
 
-@pytest.mark.parametrize("kind", ["field", "extension"])
+@pytest.mark.parametrize("kind", ["cyclic", "field", "extension"])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_encodings_out_of_range_are_refused(kind, offset):
-    g = field_group(5, 1)[0] if kind == "field" else field_group(3, 2)[0]
+    g = {"cyclic": lambda: cyclic_group(7)[0], "field": lambda: field_group(5, 1)[0],
+         "extension": lambda: field_group(3, 2)[0]}[kind]()
     bad = -1 if offset == -1 else g.order + offset
     with pytest.raises(ValueError, match="out of range"):
         g.indices_of_encodings(bad)
