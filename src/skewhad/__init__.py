@@ -17,8 +17,7 @@ from .hadamard import (Gate0Report, MatrixFormatError, PmMatrix,
                        gate0_verify, gram_matrix, normalize_core_tournament,
                        parse_matrix_text, to_matrix_text, type1_matrix)
 from .ranks import RankReport, rank_gfp
-from .autgroup import (AffineMap, AuditReport, induced_permutation,
-                       make_affine, subgroup_audit, verify_automorphism)
+from .autgroup import AuditReport, subgroup_audit, verify_automorphism
 from .sketch import (PacketFormatError, SketchConfig, SketchPacket,
                      byte_accounting, decode, encode, inverse_transform,
                      top_k_indices, transform)
@@ -38,8 +37,7 @@ __all__ = [
     "normalize_core_tournament", "parse_matrix_text", "to_matrix_text",
     "type1_matrix",
     "RankReport", "rank_gfp",
-    "AffineMap", "AuditReport", "induced_permutation", "make_affine",
-    "subgroup_audit", "verify_automorphism",
+    "AuditReport", "subgroup_audit", "verify_automorphism",
     "PacketFormatError", "SketchConfig", "SketchPacket", "byte_accounting",
     "decode", "encode", "inverse_transform", "top_k_indices", "transform",
 ]

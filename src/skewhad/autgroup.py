@@ -7,6 +7,9 @@ assembled matrix invariant entry for entry.  No sign component is needed:
 the borders are constant and every block entry depends only on element
 differences, which the maps rescale within block-invariant classes.
 
+Every map the audit checks comes from one table, :func:`_affine_tables`:
+the block action of x -> g^(N*k) x + g_i is ``plus[i*q + scaled[k]]``, and
+the generators and closure samples are such maps or products of two.
 The audit checks only the 1 + e generators densely.  When all pass, the
 orbit-stabilizer step of Schreier-Sims (Seress, *Permutation Group
 Algorithms*, CUP 2003) certifies the rest: the translations move block
@@ -26,83 +29,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf import CyclotomicPartition, FieldTables
+from .gf import CyclotomicPartition
 from . import gf as _gf
 from .hadamard import PmMatrix
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """x -> u*x + a with u, a as canonical encodings; u must be nonzero."""
-
-    u: int
-    a: int
-
-
-def make_affine(partition: CyclotomicPartition, u: int, a: int) -> AffineMap:
-    """Validated constructor: both encodings lie in [0, q), and the
-    multiplier in class 0."""
-    q = partition.tables.q
-    for name, x in (("multiplier", u), ("translation", a)):
-        if not 0 <= x < q:
-            raise ValueError(f"{name} encoding {x} out of range [0, {q})")
-    if u == 0 or int(partition.class_of[u]) != 0:
-        raise ValueError(f"multiplier encoding {u} is not in class 0")
-    return AffineMap(u=int(u), a=int(a))
-
-
-def induced_permutation(tables: FieldTables, m: AffineMap) -> np.ndarray:
-    """Permutation of the 2(q+1) bordered indices induced by the affine map.
-
-    Indices 0 and 1 (the borders) are fixed; group index i in either block
-    maps to the index of u*g_i + a under the canonical ordering, with the
-    same action on both blocks.  Raises ValueError unless 0 < u < q and
-    0 <= a < q.
-    """
-    q = tables.q
-    if not 0 < m.u < q:
-        raise ValueError(f"multiplier encoding {m.u} out of range (0, {q})")
-    if not 0 <= m.a < q:
-        raise ValueError(f"translation encoding {m.a} out of range [0, {q})")
-    group = _gf.additive_group(tables)
-    # Multiplying by u adds log u to the log, and block index 1 + k holds g^k.
-    scaled = np.zeros(q, dtype=np.int64)
-    scaled[1:] = 1 + (np.arange(q - 1) + int(tables.log[m.u])) % (q - 1)
-    pi = group.add_shift(scaled, int(group.indices_of_encodings(m.a)))
-    sigma = np.empty(2 * q + 2, dtype=np.int64)
-    sigma[0] = 0
-    sigma[1] = 1
-    sigma[2: q + 2] = 2 + pi
-    sigma[q + 2:] = q + 2 + pi
-    return sigma
-
-
 def verify_automorphism(h: PmMatrix, sigma: np.ndarray) -> bool:
-    """Whether H[sigma(i), sigma(j)] == H[i, j] for all i, j."""
-    sigma = np.asarray(sigma, dtype=np.int64)
-    if sigma.shape != (h.n,):
-        raise ValueError(f"permutation length {sigma.shape} does not match order {h.n}")
+    """Whether H[sigma(i), sigma(j)] == H[i, j] for all i, j; ValueError
+    unless sigma is an integer array that permutes range(n)."""
+    sigma = np.asarray(sigma)
+    if (sigma.shape != (h.n,) or sigma.dtype.kind not in "iu"
+            or not np.array_equal(np.sort(sigma), np.arange(h.n))):
+        raise ValueError(f"sigma is not a permutation of range({h.n})")
     s = h.signs()
     return bool(np.array_equal(np.take(np.take(s, sigma, axis=0), sigma, axis=1), s))
 
 
-def _block_action(sigma: np.ndarray, q: int) -> np.ndarray:
-    """The action on one block of a bordered-index permutation.
-
-    Raises unless sigma fixes both borders and acts on the two blocks alike,
-    the shape every induced map has; :func:`_orbit_stabilizer` runs on block
-    actions only and relies on it.
-    """
-    pi = sigma[2: q + 2] - 2
-    if (sigma.shape != (2 * q + 2,) or sigma[0] != 0 or sigma[1] != 1
-            or not np.array_equal(np.sort(pi), np.arange(q))
-            or not np.array_equal(sigma[q + 2:], pi + q + 2)):
-        raise AssertionError("permutation does not act on the two blocks alike")
-    return pi
-
-
 def _bordered(pi: np.ndarray, q: int) -> np.ndarray:
-    """Inverse of :func:`_block_action`."""
+    """The bordered permutation fixing both borders, ``pi`` on each block."""
     return np.concatenate([[0, 1], 2 + pi, q + 2 + pi])
 
 
@@ -164,27 +108,24 @@ def _orbit_stabilizer(partition: CyclotomicPartition, plus: np.ndarray, scaled: 
     return True
 
 
-def _is_affine_map(sigma: np.ndarray, minus: np.ndarray, plus: np.ndarray,
+def _is_affine_map(pi: np.ndarray, minus: np.ndarray, plus: np.ndarray,
                    scaled: np.ndarray) -> bool:
-    """Whether sigma is, entry for entry, one of the f*q maps of the tables.
+    """Whether the block action pi is, entry for entry, one of the f*q maps
+    of the tables.
 
     Map k*q + i sends block index 0 to i and index 1 (which holds g^0) to
     the index of g^(N*k) + g_i, so i = pi(0) and minus[i, pi(1)] = 1 + N*k
-    name the only candidate; sigma must also fix both borders and act on
-    the two blocks alike.  Never raises, whatever sigma holds.
+    name the only candidate.  Never raises on an integer array of length
+    q, whatever it holds.
     """
     q, f = len(minus), len(scaled)
-    if sigma.shape != (2 * q + 2,) or sigma[0] != 0 or sigma[1] != 1:
-        return False
-    pi = sigma[2: q + 2] - 2
     i, y = int(pi[0]), int(pi[1])
     if not (0 <= i < q and 0 <= y < q):
         return False
     # Unless minus[i, y] is 1 + N*k, the map read off here (scaled[-1] when
     # y == i) differs from pi at index 1, so the comparison decides alone.
     k = (int(minus[i, y]) - 1) // ((q - 1) // f)
-    return (np.array_equal(pi, plus[i * q + scaled[k]])
-            and np.array_equal(sigma[q + 2:], pi + q + 2))
+    return np.array_equal(pi, plus[i * q + scaled[k]])
 
 
 def _count_by_key_class(h: PmMatrix, minus: np.ndarray, plus: np.ndarray,
@@ -251,19 +192,19 @@ def subgroup_audit(h: PmMatrix, partition: CyclotomicPartition, *,
                    seed: int = 0) -> AuditReport:
     """Verify the affine subgroup {x -> u*x + a : u in C_0, a in F} on H.
 
-    Checks one multiplier generator of order (q-1)/N and one translation
-    generator of order p per basis coefficient densely; when all pass,
+    Every map comes from the tables of :func:`_affine_tables`.  Checks one
+    multiplier generator of order (q-1)/N and one translation generator of
+    order p per basis coefficient densely; when all pass,
     :func:`_orbit_stabilizer` tries to certify that they generate all
     ((q-1)/N) * q maps.  Then comes a random closure sample of composite
-    maps: each sample is the product ``s1[s2]`` of the permutations two
-    random subgroup elements induce, so the audit does no field arithmetic
-    beyond :func:`induced_permutation`.  A sample whose product equals a
-    certified map entry for entry (:func:`_is_affine_map`) passes without a
-    dense check; any other sample, and every sample without a certificate,
-    is checked densely.  With ``exhaustive`` set, every map is certified by
-    the orbit-stabilizer step, or, when it fails, counted exactly by
-    :func:`_count_by_key_class`.  The verdicts and the counts are the same
-    as checking each map densely.
+    maps: each sample is the product ``pi1[pi2]`` of the block actions of
+    two random table maps, each drawn as a multiplier power and then a
+    translation encoding.  A sample that equals a certified map entry for
+    entry (:func:`_is_affine_map`) passes without a dense check; any other
+    sample, and every sample without a certificate, is checked densely.
+    With ``exhaustive`` set, every map is certified by the orbit-stabilizer
+    step, or, when it fails, counted exactly by :func:`_count_by_key_class`.
+    The verdicts and the counts are the same as checking each map densely.
     """
     tables = partition.tables
     q, p, e, n_cls, f = tables.q, tables.p, tables.e, partition.N, partition.f
@@ -271,42 +212,35 @@ def subgroup_audit(h: PmMatrix, partition: CyclotomicPartition, *,
     if h.n != 2 * q + 2:
         raise ValueError(f"matrix order {h.n} does not match 2(q + 1) = {2 * q + 2}")
 
+    minus, plus, scaled = _affine_tables(partition)
+    index_of = _gf.additive_group(tables).indices_of_encodings(np.arange(q))
+    multiplier = scaled[1 % f]  # x -> g^N x generates C_0 as a cyclic group
+    # p**i encodes the i-th basis monomial
+    translations = [plus[index_of[p**i] * q + scaled[0]] for i in range(e)]
+
     all_ok = True
-    actions: list[np.ndarray] = []  # block actions of the generators
-
-    def check(name: str, m: AffineMap) -> bool:
-        sigma = induced_permutation(tables, m)
-        ok = verify_automorphism(h, sigma)
+    for name, pi in [(f"multiplier g^{n_cls}", multiplier)] + [
+            (f"translation basis {i}", t) for i, t in enumerate(translations)]:
+        ok = verify_automorphism(h, _bordered(pi, q))
         report.generator_results.append((name, ok))
-        actions.append(_block_action(sigma, q))
-        return ok
+        all_ok &= ok
 
-    mult = int(tables.pow_g(n_cls))  # generates C_0 as a cyclic group
-    if tables.element_order(mult) != f:
-        raise ValueError(f"multiplier g^{n_cls} has order {tables.element_order(mult)}, expected {f}")
-    all_ok &= check(f"multiplier g^{n_cls}", make_affine(partition, mult, 0))
-    for i in range(e):  # p**i encodes the i-th basis monomial
-        all_ok &= check(f"translation basis {i}", make_affine(partition, 1, p**i))
-
-    certified = False
-    if samples > 0 or exhaustive:
-        minus, plus, scaled = _affine_tables(partition)
-        certified = all_ok and _orbit_stabilizer(partition, plus, scaled, actions[0], actions[1:])
+    certified = (all_ok and (samples > 0 or exhaustive)
+                 and _orbit_stabilizer(partition, plus, scaled, multiplier, translations))
 
     rng = np.random.default_rng(seed)
 
     def random_element() -> np.ndarray:
-        u = int(tables.pow_g(n_cls * int(rng.integers(f))))
-        return induced_permutation(tables, AffineMap(u=u, a=int(rng.integers(q))))
+        k = int(rng.integers(f))
+        return plus[index_of[int(rng.integers(q))] * q + scaled[k]]
 
     if samples > 0:
         ok_count = 0
         for _ in range(samples):
-            s1 = random_element()
-            s2 = random_element()
-            product = s1[s2]  # s1 after s2
+            pi1 = random_element()
+            product = pi1[random_element()]  # pi1 after the second draw
             ok_count += ((certified and _is_affine_map(product, minus, plus, scaled))
-                         or verify_automorphism(h, product))
+                         or verify_automorphism(h, _bordered(product, q)))
         report.samples_checked = samples
         report.samples_ok = ok_count
         all_ok &= ok_count == samples

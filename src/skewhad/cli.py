@@ -24,6 +24,7 @@ bit-exactly:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from dataclasses import dataclass
@@ -381,6 +382,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # once per process: a build costs about as much as a desk command
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="skewhad",
                      description="Skew-Hadamard matrices from cyclotomic "

@@ -67,12 +67,6 @@ class FieldTables:
         """g^k as an encoding."""
         return int(self.antilog[k % (self.q - 1)])
 
-    def element_order(self, x: int) -> int:
-        """Multiplicative order of a nonzero encoding."""
-        if x == 0:
-            raise FieldError("zero has no multiplicative order")
-        return (self.q - 1) // gcd(int(self.log[x]), self.q - 1)
-
 
 @dataclass(eq=False)
 class CyclotomicPartition:

@@ -324,58 +324,89 @@ def naive_field_mul(tables):
     return mul
 
 
-def naive_compose_affine(tables, m1, m2):
-    """m1 after m2: x -> u1*(u2*x + a2) + a1."""
-    from skewhad.autgroup import AffineMap
+def naive_affine_maps(tables):
+    """``(enc, action)`` for the affine maps x -> u*x + a of the field.
 
-    mul = naive_field_mul(tables)
-    return AffineMap(u=mul(m1.u, m2.u),
-                     a=naive_enc_add(tables.p, tables.e, mul(m1.u, m2.a), m1.a))
-
-
-def naive_exhaustive_audit(h, partition):
-    """Dense check of every map x -> u*x + a, u in class 0, one at a time.
-
-    Returns ``(automorphisms, maps checked)``.
-    """
-    from skewhad.autgroup import AffineMap, induced_permutation, verify_automorphism
-
-    tables = partition.tables
-    ok = total = 0
-    for k in range(partition.f):
-        u = tables.pow_g(partition.N * k)
-        for a in range(tables.q):
-            total += 1
-            ok += verify_automorphism(h, induced_permutation(tables, AffineMap(u=u, a=a)))
-    return ok, total
-
-
-def naive_closure_samples(h, partition, samples, seed=0, induced=None):
-    """How many closure samples pass a dense check, drawn as the audit draws them.
-
-    Each sample is the product s1[s2] of two maps drawn from
-    ``numpy.random.default_rng(seed)`` (a multiplier power, then a
-    translation, for s1 and then for s2), induced by ``induced`` (default
-    :func:`skewhad.autgroup.induced_permutation`); it passes when
-    H[sigma(i), sigma(j)] == H[i, j] for all i, j.
+    ``enc`` lists the encodings at block indices 0, 1, ..., q - 1: zero,
+    then g^0, g^1, ... as schoolbook products by the generator.
+    ``action(u, a)`` is the block action of x -> u*x + a for encodings u and
+    a: index j goes to the index of u*enc[j] + a, the product by
+    :func:`naive_field_mul` and the sum digit by digit, so no table of the
+    library is read.
     """
     import numpy as np
 
-    from skewhad.autgroup import AffineMap, induced_permutation
+    p, e, q = tables.p, tables.e, tables.q
+    mul = naive_field_mul(tables)
+    enc = [0, 1]
+    while len(enc) < q:
+        enc.append(mul(enc[-1], tables.generator))
+    _, pow_p, index_of = _digit_tables(p, e, enc)
+    scaled = {}  # u -> base-p digits of u*enc[j], one row per j
 
-    induced = induced or induced_permutation
+    def action(u, a):
+        if u not in scaled:
+            scaled[u] = (np.array([mul(u, x) for x in enc])[:, None] // pow_p) % p
+        return index_of[((scaled[u] + (a // pow_p) % p) % p) @ pow_p]
+
+    return enc, action
+
+
+def naive_compose_affine(tables, m1, m2):
+    """m1 after m2 for maps (u, a): x -> u1*(u2*x + a2) + a1."""
+    mul = naive_field_mul(tables)
+    (u1, a1), (u2, a2) = m1, m2
+    return mul(u1, u2), naive_enc_add(tables.p, tables.e, mul(u1, a2), a1)
+
+
+def _is_automorphism(signs, pi):
+    """Whether the bordered permutation that fixes both borders and acts as
+    ``pi`` on each block keeps every entry of ``signs``."""
+    import numpy as np
+
+    q = len(pi)
+    sigma = np.concatenate([[0, 1], 2 + pi, q + 2 + pi])
+    return bool(np.array_equal(signs[np.ix_(sigma, sigma)], signs))
+
+
+def naive_exhaustive_audit(h, partition):
+    """Dense check of every map x -> u*x + a, u in class 0, one at a time,
+    each built by :func:`naive_affine_maps`.
+
+    Returns ``(automorphisms, maps checked)``.
+    """
     tables, signs = partition.tables, h.signs()
+    q, f, n_cls = tables.q, partition.f, partition.N
+    enc, action = naive_affine_maps(tables)
+    ok = sum(_is_automorphism(signs, action(enc[1 + n_cls * k % (q - 1)], a))
+             for k in range(f) for a in range(q))
+    return ok, f * q
+
+
+def naive_closure_samples(h, partition, samples, seed=0):
+    """How many closure samples pass a dense check, drawn as the audit draws them.
+
+    Each sample is the product pi1[pi2] of the block actions of two maps
+    drawn from ``numpy.random.default_rng(seed)`` (a multiplier power, then
+    a translation encoding, for pi1 and then for pi2) and built by
+    :func:`naive_affine_maps`; it passes when H[sigma(i), sigma(j)] ==
+    H[i, j] for all i, j.
+    """
+    import numpy as np
+
+    tables, signs = partition.tables, h.signs()
+    q, f, n_cls = tables.q, partition.f, partition.N
+    enc, action = naive_affine_maps(tables)
     rng = np.random.default_rng(seed)
 
     def draw():
-        u = tables.pow_g(partition.N * int(rng.integers(partition.f)))
-        return induced(tables, AffineMap(u=u, a=int(rng.integers(tables.q))))
+        u = enc[1 + n_cls * int(rng.integers(f)) % (q - 1)]
+        return action(u, int(rng.integers(q)))
 
     ok = 0
     for _ in range(samples):
-        s1 = draw()
-        sigma = s1[draw()]
-        ok += bool(np.array_equal(signs[np.ix_(sigma, sigma)], signs))
+        pi1 = draw()
+        ok += _is_automorphism(signs, pi1[draw()])
     return ok
 
 
