@@ -14,7 +14,7 @@ from .shdf import (BlockPair, GeneratorSearchError, ShdfCertificate,
                    find_valid_generator)
 from .hadamard import (Gate0Report, MatrixFormatError, PmMatrix,
                        assemble_bordered, build_bordered_from_blocks,
-                       gate0_verify, gram_matrix, normalize_core_tournament,
+                       gate0_verify, gram_deviation, normalize_core_tournament,
                        parse_matrix_text, to_matrix_text, type1_matrix)
 from .ranks import RankReport, rank_gfp
 from .autgroup import AuditReport, subgroup_audit, verify_automorphism
@@ -33,7 +33,7 @@ __all__ = [
     "BlockPair", "GeneratorSearchError", "ShdfCertificate",
     "blocks_from_indices", "check_shdf", "check_skew", "find_valid_generator",
     "Gate0Report", "MatrixFormatError", "PmMatrix", "assemble_bordered",
-    "build_bordered_from_blocks", "gate0_verify", "gram_matrix",
+    "build_bordered_from_blocks", "gate0_verify", "gram_deviation",
     "normalize_core_tournament", "parse_matrix_text", "to_matrix_text",
     "type1_matrix",
     "RankReport", "rank_gfp",

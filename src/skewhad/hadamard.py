@@ -1,11 +1,11 @@
 """Group-developed +-1 matrices, the bordered assembly, and exact verification.
 
 Matrices live in :class:`PmMatrix`, one read-only int8 array of the +-1
-entries.  All verification is exact.  The Gram matrix is one float32 BLAS
-product of the signs: every term is +-1, so every partial sum is an integer
-of magnitude at most n, which float32 holds exactly for n < 2^24 in whatever
-order BLAS adds (the integer-bound argument of FFLAS-FFPACK, Dumas, Giorgi
-and Pernet, ACM TOMS 2008).
+entries.  All verification is exact.  Every Gram identity f f^T = s I + t J
+is decided by :func:`gram_deviation` from float32 BLAS products of row
+panels, never the whole Gram: each partial sum is an integer that float32
+holds exactly in whatever order BLAS adds (the integer-bound argument of
+FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008).
 
 The text interchange format is: first line the decimal order n, then n lines
 of n characters, '+' for +1 and '-' for -1, LF endings, nothing else.  The
@@ -27,6 +27,7 @@ _ORDER_HEADER = re.compile(rb"[1-9][0-9]*")
 _FLOAT32_EXACT = 1 << 24  # float32 holds every integer of absolute value up to 2^24
 _MID = 44  # '+' = 43 and '-' = 45 lie either side, so sign = 44 - byte
 _LF = ord("\n")
+_PANEL = 256  # Gram rows per product; BENCH_gram_panels.json compares heights
 
 
 class MatrixFormatError(ValueError):
@@ -194,37 +195,57 @@ def build_bordered_from_blocks(spec: GroupSpec, d0: np.ndarray, d1: np.ndarray) 
     return assemble_bordered(a, c)
 
 
-def gram_matrix(m: PmMatrix) -> np.ndarray:
-    """All pairwise row inner products of the +-1 matrix, exact int32.
+def gram_deviation(f: np.ndarray, s: int, t: int) -> int:
+    """max |f f^T - s I - t J| over all entries: 0 exactly when f f^T = s I + t J.
 
-    One float32 BLAS product ``f @ f.T`` of the signs.  Every term is
-    +-1 and every partial sum an integer of magnitude at most n, so the
-    result is exact in any summation order for n < 2^24; a larger order
-    raises ValueError before anything is allocated.  The float32 signs are
-    the matrix's cached copy, shared with the sketch decode.
+    The caller guarantees exact integers: g = max|f|^2 times the number of
+    columns of f is below 2^24, and so are |t| and |s + t|.  The Gram is
+    symmetric, so only its upper block-triangle is formed, ``f[i:i+b] @
+    f[i:].T`` for b rows at a time.  The diagonal loses s + t in one exact
+    subtraction and the rest t, so an entry is 0 only where the identity
+    holds; a deviation above 2^24 comes back rounded.  When t = 0 and
+    e (B + 1) < 2^24, with e = max(g, |s|, g - s) bounding every deviation
+    and B the power of two above 2e, column 2c + 1 rides in column 2c times
+    B (Kronecker substitution; Dumas, Fousse and Salvy, J. Symb. Comput.
+    2011): a panel entry d + B d' is then exact, 0 only when d = d' = 0, and
+    unpacks, and the panels take half the products.
     """
-    if m.n >= _FLOAT32_EXACT:
-        raise ValueError(f"order {m.n} is not below 2^24, the bound for an exact "
-                         f"float32 Gram")
-    f = m.float32_signs()
-    return (f @ f.T).astype(np.int32)
+    m = f.shape[0]
+    g = f.shape[1] * max(float(f.max(initial=0)), -float(f.min(initial=0))) ** 2
+    e = max(g, abs(s), g - s)
+    base = 1 << int(2 * e).bit_length()
+    k = 2 if t == 0 and e * (base + 1) < _FLOAT32_EXACT else 1
+    cols = f
+    if k == 2:  # in place, so that no array of f's size is allocated
+        cols = np.zeros_like(f[::2])
+        cols[: m // 2] = f[1::2]
+        cols *= base
+        cols += f[::2]
+    worst = 0
+    for i in range(0, m, _PANEL):  # _PANEL is even, so column i is packed column i // k
+        panel = f[i: i + _PANEL] @ cols[i // k:].T
+        r = np.arange(panel.shape[0])
+        dev = panel[r, r // k] - (s + t) * base ** (r % k)
+        panel -= t
+        panel[r, r // k] = dev
+        if panel.any():  # only a failing panel is unpacked and searched
+            hi = np.round(panel / base) if k == 2 else 0
+            worst = max(worst, int(np.abs(hi).max()), int(np.abs(panel - base * hi).max()))
+    return worst
 
 
 def gate0_verify(m: PmMatrix) -> Gate0Report:
     """Exact verification of H H^T = nI and H + H^T = 2I."""
     n = m.n
-    gram = gram_matrix(m)  # a fresh array: H H^T - nI is formed in place
-    np.einsum("ii->i", gram)[:] -= n
-    gram_ok = not gram.any()
-    max_off = 0
-    if not gram_ok:  # only a failing Gram needs the largest off-diagonal entry
-        np.fill_diagonal(gram, 0)
-        max_off = int(max(gram.max(), -gram.min()))
+    if n >= _FLOAT32_EXACT:
+        raise ValueError(f"order {n} is not below 2^24, the bound for an exact "
+                         f"float32 Gram")
+    max_off = gram_deviation(m.float32_signs(), n, 0)  # each row's norm is n: 0 on the diagonal
     s = m.signs()
     skew = s + s.T  # int8 holds -2 .. 2; H + H^T - 2I is formed in place
     np.einsum("ii->i", skew)[:] -= 2
     skew_ok = not skew.any()
-    return Gate0Report(n=n, gram_ok=gram_ok, skew_ok=skew_ok, max_offdiag_gram=max_off)
+    return Gate0Report(n=n, gram_ok=max_off == 0, skew_ok=skew_ok, max_offdiag_gram=max_off)
 
 
 def normalize_core_tournament(m: PmMatrix, report: Gate0Report | None = None) -> np.ndarray:

@@ -25,10 +25,10 @@ product is formed.  The CLI's tournament rank reads it from the passed
 only one that command forms.  Otherwise the first two entries of Gram row
 0, two dot products, give s and t, so a matrix whose determinant p divides
 costs one pass for max|c| and no matrix product.  Only when they promise a
-unit determinant is the rest of row 0 checked, and then the full Gram
-formed, by one float32 BLAS product that is exact when m max|c|^2 < 2^24,
-the integer-bound rule of ``hadamard.gram_matrix``; outside that bound the
-certificate declines.
+unit determinant is the rest of row 0 checked, and then the whole identity
+decided by ``hadamard.gram_deviation``, Gate0's check, exact when
+m max|c|^2 < 2^24 whatever t is; outside that bound the certificate
+declines.
 
 **Elimination.**  Over GF(2) the rows are packed into Python integers and
 reduced by XOR, which beats the float panels below for that one prime.
@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import is_prime
-from .hadamard import _FLOAT32_EXACT
+from .hadamard import _FLOAT32_EXACT, gram_deviation
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,8 @@ def _gram_certifies_full_rank(x: np.ndarray, p: int) -> bool:
     residues c satisfy m max|c|^2 < 2^24, and c c^T = s I + t J with p
     dividing neither s nor s + m t (see the module docstring).  The first
     two entries of Gram row 0 give s and t; the rest of row 0 is checked
-    next, and the full Gram (:func:`_gram_is`) is formed only after both.
+    next, and the whole Gram (:func:`~skewhad.hadamard.gram_deviation`) only
+    after both.
     """
     if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] == 0:
         return False
@@ -121,11 +122,9 @@ def _gram_certifies_full_rank(x: np.ndarray, p: int) -> bool:
     if not _det_is_unit(m, s, t, p):
         return False
     f = x.astype(np.float32)
-    row0 = f @ f[0]
-    row0[0] -= s
-    if np.any(row0 != t):
+    if np.any(f[1:] @ f[0] != t):  # entry 0 is s + t by the definition of s
         return False
-    return _gram_is(f, s, t)
+    return gram_deviation(f, s, t) == 0
 
 
 def _det_is_unit(m: int, s: int, t: int, p: int) -> bool:
@@ -140,17 +139,6 @@ def _certifies_full_rank(x: np.ndarray, p: int, gram: tuple[int, int] | None) ->
     if gram is None:
         return _gram_certifies_full_rank(x, p)
     return _det_is_unit(x.shape[0], *gram, p)
-
-
-def _gram_is(f: np.ndarray, s: int, t: int) -> bool:
-    """Whether f f^T == s I + t J entry for entry, by one float32 product.
-
-    The caller guarantees the product is exact (m max|f|^2 < 2^24).
-    """
-    gram = f @ f.T
-    gram -= t
-    gram.flat[::f.shape[0] + 1] -= s
-    return not gram.any()
 
 
 def _rows_as_ints(m01: np.ndarray) -> list[int]:

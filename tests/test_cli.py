@@ -135,9 +135,12 @@ def test_rank_tournament_matches_the_oracle(small_matrix_files, capsys, p):
 
 
 def _count_rank_calls(monkeypatch):
-    """Counts of Gate0 runs, full Gram checks and eliminations."""
-    calls = {"gate0_verify": 0, "_gram_is": 0, "_eliminate": 0, "_eliminate_gf2": 0}
-    for module, name in ((sh.hadamard, "gate0_verify"), (sh.ranks, "_gram_is"),
+    """Counts of Gate0 runs, Gram checks (Gate0's and the rank certificate's),
+    rank certificates and eliminations."""
+    calls = {"gate0_verify": 0, "gram_deviation": 0, "_gram_certifies_full_rank": 0,
+             "_eliminate": 0, "_eliminate_gf2": 0}
+    for module, name in ((sh.hadamard, "gate0_verify"), (sh.hadamard, "gram_deviation"),
+                         (sh.ranks, "gram_deviation"), (sh.ranks, "_gram_certifies_full_rank"),
                          (sh.ranks, "_eliminate"), (sh.ranks, "_eliminate_gf2")):
         def counted(*args, _inner=getattr(module, name), _name=name):
             calls[_name] += 1
@@ -155,7 +158,7 @@ def test_rank_tournament_at_1252_forms_only_the_gate0_gram(
     code = main(["rank", str(matrix1252_file), "--field", str(p), "--tournament"])
     assert code == 0
     assert capsys.readouterr().out == f"tournament {p} 1251 {rank}\n"
-    assert calls == {"gate0_verify": 1, "_gram_is": 0,
+    assert calls == {"gate0_verify": 1, "gram_deviation": 1, "_gram_certifies_full_rank": 0,
                      "_eliminate": eliminations, "_eliminate_gf2": 0}
 
 
@@ -169,7 +172,8 @@ def test_rank_tournament_on_a_flipped_1252_matrix_exits_2(tmp_path, capsys, monk
     code = main(["rank", str(bad), "--field", "2", "--tournament"])
     assert code == 2
     assert capsys.readouterr() == ("GATE0 FAIL n=1252\n", "")
-    assert calls == {"gate0_verify": 1, "_gram_is": 0, "_eliminate": 0, "_eliminate_gf2": 0}
+    assert calls == {"gate0_verify": 1, "gram_deviation": 1, "_gram_certifies_full_rank": 0,
+                     "_eliminate": 0, "_eliminate_gf2": 0}
 
 
 def test_aut_command(desk_build, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 import skewhad as sh
 from skewhad.cli import main
-from skewhad.hadamard import MatrixFormatError, gram_matrix
+from skewhad import hadamard
+from skewhad.hadamard import MatrixFormatError, gram_deviation
 
 from _naive import (naive_developed, naive_gram, naive_parse_matrix_text, naive_reversed_type2,
                     naive_to_matrix_text)
@@ -243,21 +246,91 @@ def test_gate0_detects_single_flip(matrix8):
     assert rep.max_offdiag_gram != 0
 
 
-def test_gram_matrix_matches_naive_dot_products():
-    # around the 64-bit word boundary of the packed rows, and two words past it
-    for n, seed in [(1, 0), (5, 1), (16, 2), (33, 3), (63, 5), (64, 4), (65, 6), (130, 7)]:
-        signs = random_signs(n, seed)
-        m = sh.PmMatrix.from_signs(signs)
-        gram = gram_matrix(m)
-        assert gram.dtype == np.int32
-        assert gram.tolist() == naive_gram(signs.tolist())
+# The panel logic does not depend on the height b, so b = 8 puts every
+# boundary at an order naive_gram computes quickly; the module's own height
+# is checked against the exact int64 product.
+_PANELS = pytest.mark.parametrize("b", (8, hadamard._PANEL), ids=("b8", "module-b"))
+
+
+def _deviation_oracle(x, s, t, b):
+    """max |x x^T - s I - t J| from naive_gram, or from the exact int64
+    product (numpy's integer loop, no BLAS) at the module's panel height."""
+    if b == hadamard._PANEL:
+        x = np.asarray(x, dtype=np.int64)
+        gram = x @ x.T
+    else:
+        gram = np.array(naive_gram(np.asarray(x).tolist()), dtype=np.int64)
+    gram -= t
+    gram[np.diag_indices_from(gram)] -= s
+    return int(np.abs(gram).max())
+
+
+@_PANELS
+@pytest.mark.parametrize("order", ["1", "b-1", "b", "b+1", "2b+1"])
+def test_gram_deviation_matches_naive_gram(monkeypatch, b, order):
+    monkeypatch.setattr(hadamard, "_PANEL", b)
+    n = {"1": 1, "b-1": b - 1, "b": b, "b+1": b + 1, "2b+1": 2 * b + 1}[order]
+    signs = random_signs(n, n + b)
+    # t = 0 packs two columns into one float when the deviations are small
+    # enough (signs, with s = n or 5n); signs times 97 and t != 0 are not
+    for x, s, t in ((signs, n, 0), (signs, 5 * n, 0), (signs, n, 1), (signs, 0, -3),
+                    (97 * signs, 97**2 * n, 0)):
+        assert gram_deviation(x.astype(np.float32), s, t) == _deviation_oracle(x, s, t, b), (s, t)
+    rep = sh.gate0_verify(sh.PmMatrix.from_signs(signs))
+    assert rep.max_offdiag_gram == _deviation_oracle(signs, n, 0, b)
+    assert rep.gram_ok == (n == 1)
+
+
+@_PANELS
+def test_gram_deviation_with_t_nonzero_matches_naive_gram(monkeypatch, small_matrices, b):
+    # the rank certificate's inputs: the 0/1 core M, with M M^T = (n/4) I +
+    # (n/4 - 1) J, and the normalized core S = J - 2M, +-1 entries that are
+    # their own centered residues, with S S^T = nI - J
+    monkeypatch.setattr(hadamard, "_PANEL", b)
+    for n, _, m01 in small_matrices:
+        m = m01.astype(np.int64)
+        for x, s, t, flip in ((m, n // 4, n // 4 - 1, lambda e: 1 - e),
+                              (1 - 2 * m, n, -1, lambda e: -e)):
+            assert gram_deviation(x.astype(np.float32), s, t) == 0
+            for r, c in ((0, n - 2), (n - 2, 0), (n // 2, n // 2 + 1), (n - 2, n - 3)):
+                bad = x.copy()
+                bad[r, c] = flip(bad[r, c])
+                want = _deviation_oracle(bad, s, t, b)
+                assert gram_deviation(bad.astype(np.float32), s, t) == want > 0, (n, r, c)
+
+
+@pytest.mark.parametrize("edits", [
+    [("flip", 3, 900)], [("flip", 900, 3)], [("flip", 300, 310)], [("flip", 1200, 1240)],
+    [("flip", 1250, 7), ("flip", 1250, 1251)],
+    # a row copied over another deviates from nI at that one pair of entries
+    [("copy", 3, 900)], [("copy", 300, 310)], [("copy", 1200, 1240)]],
+    ids=["upper", "lower", "diagonal-block", "last-partial-panel", "two-flips",
+         "copy-across-panels", "copy-in-diagonal-block", "copy-in-last-partial-panel"])
+def test_gate0_max_offdiag_gram_matches_the_integer_product(matrix1252, edits):
+    b = hadamard._PANEL
+    assert 3 // b < 900 // b and 300 // b == 310 // b and 1252 % b and 1200 // b == 1251 // b
+    signs = matrix1252.signs().copy()
+    for kind, r, c in edits:
+        if kind == "flip":
+            signs[r, c] *= -1
+        else:
+            signs[c] = signs[r]
+    # the rows left alone keep H H^T = nI among themselves, so the Gram
+    # deviates only in the edited rows
+    rows = sorted({r if kind == "flip" else c for kind, r, c in edits})
+    part = signs[rows].astype(np.int64) @ signs.T.astype(np.int64)
+    part[range(len(rows)), rows] -= 1252
+    rep = sh.gate0_verify(sh.PmMatrix.from_signs(signs))
+    assert not rep.gram_ok
+    assert rep.max_offdiag_gram == int(np.abs(part).max()) > 0
 
 
 @pytest.mark.parametrize("n", [1, 64, 1252])
 def test_gram_all_minus_one_is_n_everywhere(n):
     # every partial sum is as large as it can be: the float32 worst case
     m = sh.PmMatrix.from_signs(-np.ones((n, n), dtype=np.int8))
-    assert np.array_equal(gram_matrix(m), np.full((n, n), n, dtype=np.int32))
+    assert gram_deviation(m.float32_signs(), 0, n) == 0  # f f^T = nJ exactly
+    assert gram_deviation(m.float32_signs(), n, 0) == (0 if n == 1 else n)
     rep = sh.gate0_verify(m)
     assert rep.gram_ok == (n == 1) and rep.max_offdiag_gram == (0 if n == 1 else n)
 
@@ -267,8 +340,11 @@ def test_gram_of_flipped_1252_matches_integer_product(matrix1252):
     signs[3, 5] *= -1
     m = sh.PmMatrix.from_signs(signs)
     exact = signs.astype(np.int64) @ signs.T.astype(np.int64)  # numpy integer loop, no BLAS
-    assert np.array_equal(gram_matrix(m), exact)
-    off = exact - np.diag(np.diagonal(exact))
+    for s, t in ((1252, 0), (1254, -2), (1250, 2)):
+        dev = exact - t
+        dev[np.diag_indices(1252)] -= s
+        assert gram_deviation(m.float32_signs(), s, t) == int(np.abs(dev).max()) > 0
+    off = exact - 1252 * np.eye(1252, dtype=np.int64)
     rep = sh.gate0_verify(m)
     assert not rep.gram_ok
     assert rep.max_offdiag_gram == int(np.abs(off).max()) > 0
@@ -283,9 +359,21 @@ def test_gram_rejects_orders_beyond_exact_float32():
     m.signs = lambda: pytest.fail("the dense signs were requested")
     m.float32_signs = lambda: pytest.fail("the float32 signs were requested")
     with pytest.raises(ValueError, match="2\\^24"):
-        gram_matrix(m)
-    with pytest.raises(ValueError, match="2\\^24"):
         sh.gate0_verify(m)
+
+
+def test_gate0_never_forms_the_gram(matrix1252):
+    # with the float32 copy cached, Gate0 holds less than one n x n float32
+    # array at its peak: the Gram is decided panel by panel
+    m = sh.PmMatrix.from_signs(matrix1252.signs())
+    m.float32_signs()
+    tracemalloc.start()
+    try:
+        assert sh.gate0_verify(m).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1252 * 1252 * 4
 
 
 def test_gate0_skew_verdict(matrix8, tmp_path, capsys):

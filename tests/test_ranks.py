@@ -240,12 +240,12 @@ def test_core_gram_needs_a_passed_report_of_order_divisible_by_4(matrix8):
 
 @pytest.mark.parametrize("p", CERT_PRIMES)
 def test_ranks_read_from_the_gate0_identity_match_the_oracles(small_matrices, monkeypatch, p):
-    calls = _count_calls(monkeypatch, ("_gram_is", "_gram_certifies_full_rank"))
+    calls = _count_calls(monkeypatch, ("gram_deviation", "_gram_certifies_full_rank"))
     for n, signs, m01 in small_matrices:
         gram = sh.gate0_verify(sh.PmMatrix(signs)).core_gram()
         want = naive_rank_gfp(m01.tolist(), p)
         assert sh.rank_gfp(m01, p, gram=gram).rank == want, (n, p)
-    assert calls == {"_gram_is": 0, "_gram_certifies_full_rank": 0}
+    assert calls == {"gram_deviation": 0, "_gram_certifies_full_rank": 0}
 
 
 def test_certificate_declines_what_it_cannot_prove(matrix8):
@@ -300,6 +300,18 @@ def test_certificate_declines_beyond_the_float32_bound(matrix8):
     assert not ranks._gram_certifies_full_rank(7 * 10**8 * np.eye(5, dtype=np.int64), 7)
 
 
+def test_certificate_is_exact_when_s_needs_25_bits():
+    # x x^T = [[G00, t], [t, G00 + 1]] with t = -16105115 and s = G00 - t =
+    # 32213652 > 2^24; det(x) = -332041 = -31 * 10711.  Taking t and then s
+    # off the last diagonal entry would round G00 + 1 - t to s in float32
+    # and certify rank 2 over GF(10711), so s + t = G00 goes in one step.
+    x = np.array([[2891, 2784], [-2833, -2843]])
+    gram = x @ x.T
+    assert gram[1, 1] - gram[0, 0] == 1 and gram[0, 0] - gram[0, 1] > 2**24
+    assert not ranks._gram_certifies_full_rank(x, 10711)
+    assert sh.rank_gfp(x, 10711).rank == naive_rank_gfp(x.tolist(), 10711) == 1
+
+
 _small_square = st.integers(1, 5).flatmap(
     lambda m: arrays(np.int64, (m, m), elements=st.integers(-3, 3)))
 
@@ -335,15 +347,15 @@ def test_certified_ranks_eliminate_nothing_and_declined_ranks_form_no_gram(
          "random": random_signs(160, 9)}[label]
     if rank is None:
         rank = naive_rank_gfp(x.tolist(), p)
-    calls = _count_calls(monkeypatch, ("_eliminate", "_eliminate_gf2", "_gram_is"))
+    calls = _count_calls(monkeypatch, ("_eliminate", "_eliminate_gf2", "gram_deviation"))
     assert sh.rank_gfp(x, p).rank == rank
     # a certified rank forms one Gram; a declined one is stopped by row 0
     # and eliminates once, by XOR rows over GF(2) and in panels otherwise
     eliminations = (calls["_eliminate_gf2"], calls["_eliminate"])
     if certified:
-        assert (eliminations, calls["_gram_is"]) == ((0, 0), 1)
+        assert (eliminations, calls["gram_deviation"]) == ((0, 0), 1)
     else:
-        assert (eliminations, calls["_gram_is"]) == ((1, 0) if p == 2 else (0, 1), 0)
+        assert (eliminations, calls["gram_deviation"]) == ((1, 0) if p == 2 else (0, 1), 0)
 
 
 @pytest.mark.parametrize("bad", [[[1.5, 2], [3, 4]], [[np.nan]], [[1.0]],

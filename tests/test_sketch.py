@@ -79,15 +79,21 @@ def test_transforms_use_the_cached_float_signs(matrix1252):
     assert np.max(np.abs(sh.inverse_transform(x, matrix1252) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_gram_and_decode_share_one_cached_float32_copy(matrix12):
+def test_gram_and_decode_share_one_cached_float32_copy(matrix12, monkeypatch):
     m = sh.PmMatrix.from_signs(matrix12.signs())
     f = m.float32_signs()
     assert f is m.float32_signs()
     assert f.dtype == np.float32 and not f.flags.writeable
     assert np.array_equal(f, m.signs())
-    # neither the Gram nor the decode converts the int8 signs again
+    # Gate0's Gram is decided on the cached copy
+    seen = []
+    gram_deviation = sh.hadamard.gram_deviation
+    monkeypatch.setattr(sh.hadamard, "gram_deviation",
+                        lambda g, s, t: seen.append(g) or gram_deviation(g, s, t))
+    assert sh.gate0_verify(m).passed
+    assert len(seen) == 1 and seen[0] is f
+    # the decode does not convert the int8 signs again
     m.signs = lambda: pytest.fail("the int8 signs were converted again")
-    assert np.array_equal(sh.gram_matrix(m), 12 * np.eye(12))
     packet = sh.SketchPacket(scale=1.0, k=1, n_tag=12, indices=(4,), qvalues=(12,))
     assert np.array_equal(sh.decode(packet, m), f[4] * 12 / np.sqrt(12))
 
