@@ -14,13 +14,13 @@ The audit checks only the 1 + e generators densely.  When all pass, the
 orbit-stabilizer step of Schreier-Sims (Seress, *Permutation Group
 Algorithms*, CUP 2003) certifies the rest: the translations move block
 index 0 to all q indices, the multiplier's powers are its stabilizer, and
-every map is a product of the two, so all f*q maps are automorphisms.  A
-closure sample that equals one of those maps entry for entry then passes
-with no dense check; any other sample is checked densely.  When a generator
-fails, the count stays exact: an automorphism keeps the -1 counts of each
-row and column inside the borders and each block, so only the maps sending
-one index of the rarest class of those counts into that class are checked
-densely.
+every map is a product of the two, so all f*q maps are automorphisms.  The
+closure-sample line is then derived: a product of two automorphisms is one.
+Without the certificate every sample is checked densely.  When a generator
+fails, the exhaustive count stays exact: an automorphism keeps the -1
+counts of each row and column inside the borders and each block, so only
+the maps sending one index of the rarest class of those counts into that
+class are checked densely.
 """
 
 from __future__ import annotations
@@ -53,16 +53,13 @@ def _bordered(pi: np.ndarray, q: int) -> np.ndarray:
 def _affine_tables(partition: CyclotomicPartition):
     """Index tables for the f*q maps x -> g^(N*k) x + g_i, numbered k*q + i.
 
-    Returns ``minus`` with minus[a, y] the index of g_y - g_a, ``plus``
-    flattened with plus[a*q + x] the index of g_x + g_a, and ``scaled`` with
-    scaled[k] the block action of x -> g^(N*k) x, so that the block action
-    of map k*q + i is ``plus[i*q + scaled[k]]``.
+    Returns ``plus`` flattened with plus[a*q + x] the index of g_x + g_a,
+    and ``scaled`` with scaled[k] the block action of x -> g^(N*k) x, so
+    that the block action of map k*q + i is ``plus[i*q + scaled[k]]``.
     """
     tables = partition.tables
     q, f, n_cls = tables.q, partition.f, partition.N
-    group = _gf.additive_group(tables)
-    minus = group.diff_index_table()
-    plus = group.sum_index_table().ravel()
+    plus = _gf.additive_group(tables).sum_index_table().ravel()
     # Multiplying by g^(N*k) adds N*k to the discrete log, and block index
     # 1 + j holds g^j.
     scaled = np.zeros((f, q), dtype=np.int64)
@@ -73,7 +70,7 @@ def _affine_tables(partition: CyclotomicPartition):
     keys = np.sort(np.arange(q) * q + at_one, axis=None)
     if not np.diff(keys).all():
         raise AssertionError("the affine maps are not pairwise distinct")
-    return minus, plus, scaled
+    return plus, scaled
 
 
 def _orbit_stabilizer(partition: CyclotomicPartition, plus: np.ndarray, scaled: np.ndarray,
@@ -108,27 +105,7 @@ def _orbit_stabilizer(partition: CyclotomicPartition, plus: np.ndarray, scaled: 
     return True
 
 
-def _is_affine_map(pi: np.ndarray, minus: np.ndarray, plus: np.ndarray,
-                   scaled: np.ndarray) -> bool:
-    """Whether the block action pi is, entry for entry, one of the f*q maps
-    of the tables.
-
-    Map k*q + i sends block index 0 to i and index 1 (which holds g^0) to
-    the index of g^(N*k) + g_i, so i = pi(0) and minus[i, pi(1)] = 1 + N*k
-    name the only candidate.  Never raises on an integer array of length
-    q, whatever it holds.
-    """
-    q, f = len(minus), len(scaled)
-    i, y = int(pi[0]), int(pi[1])
-    if not (0 <= i < q and 0 <= y < q):
-        return False
-    # Unless minus[i, y] is 1 + N*k, the map read off here (scaled[-1] when
-    # y == i) differs from pi at index 1, so the comparison decides alone.
-    k = (int(minus[i, y]) - 1) // ((q - 1) // f)
-    return np.array_equal(pi, plus[i * q + scaled[k]])
-
-
-def _count_by_key_class(h: PmMatrix, minus: np.ndarray, plus: np.ndarray,
+def _count_by_key_class(h: PmMatrix, partition: CyclotomicPartition, plus: np.ndarray,
                         scaled: np.ndarray) -> int:
     """How many of the f*q affine maps are automorphisms of h, exactly.
 
@@ -145,7 +122,8 @@ def _count_by_key_class(h: PmMatrix, minus: np.ndarray, plus: np.ndarray,
     and all f*q maps are checked, so the worst case stays f*q dense checks.
     The tables are those of :func:`_affine_tables`.
     """
-    q = len(minus)
+    q = partition.tables.q
+    minus = _gf.additive_group(partition.tables).diff_index_table()  # g_y - g_a at [a, y]
     neg = h.signs() < 0
     ranges = [0, 2, q + 2]  # the borders, the first block, the second block
     rows = np.add.reduceat(neg, ranges, axis=1, dtype=np.int64)
@@ -196,15 +174,14 @@ def subgroup_audit(h: PmMatrix, partition: CyclotomicPartition, *,
     multiplier generator of order (q-1)/N and one translation generator of
     order p per basis coefficient densely; when all pass,
     :func:`_orbit_stabilizer` tries to certify that they generate all
-    ((q-1)/N) * q maps.  Then comes a random closure sample of composite
-    maps: each sample is the product ``pi1[pi2]`` of the block actions of
-    two random table maps, each drawn as a multiplier power and then a
-    translation encoding.  A sample that equals a certified map entry for
-    entry (:func:`_is_affine_map`) passes without a dense check; any other
-    sample, and every sample without a certificate, is checked densely.
-    With ``exhaustive`` set, every map is certified by the orbit-stabilizer
-    step, or, when it fails, counted exactly by :func:`_count_by_key_class`.
-    The verdicts and the counts are the same as checking each map densely.
+    ((q-1)/N) * q maps.  A certificate settles the rest with no draw and no
+    further check: every closure sample, a product of two certified maps,
+    passes, and so does every map of ``exhaustive``.  Without one, each
+    closure sample is the product ``pi1[pi2]`` of the block actions of two
+    random table maps, each drawn as a multiplier power and then a
+    translation encoding, and is checked densely; ``exhaustive`` counts the
+    automorphisms exactly with :func:`_count_by_key_class`.  The verdicts
+    and the counts are the same as checking each map densely.
     """
     tables = partition.tables
     q, p, e, n_cls, f = tables.q, tables.p, tables.e, partition.N, partition.f
@@ -212,7 +189,7 @@ def subgroup_audit(h: PmMatrix, partition: CyclotomicPartition, *,
     if h.n != 2 * q + 2:
         raise ValueError(f"matrix order {h.n} does not match 2(q + 1) = {2 * q + 2}")
 
-    minus, plus, scaled = _affine_tables(partition)
+    plus, scaled = _affine_tables(partition)
     index_of = _gf.additive_group(tables).indices_of_encodings(np.arange(q))
     multiplier = scaled[1 % f]  # x -> g^N x generates C_0 as a cyclic group
     # p**i encodes the i-th basis monomial
@@ -228,26 +205,26 @@ def subgroup_audit(h: PmMatrix, partition: CyclotomicPartition, *,
     certified = (all_ok and (samples > 0 or exhaustive)
                  and _orbit_stabilizer(partition, plus, scaled, multiplier, translations))
 
-    rng = np.random.default_rng(seed)
+    if samples > 0 and certified:  # a product of two certified maps is one
+        report.samples_ok = samples
+    elif samples > 0:
+        rng = np.random.default_rng(seed)
 
-    def random_element() -> np.ndarray:
-        k = int(rng.integers(f))
-        return plus[index_of[int(rng.integers(q))] * q + scaled[k]]
+        def random_element() -> np.ndarray:
+            k = int(rng.integers(f))
+            return plus[index_of[int(rng.integers(q))] * q + scaled[k]]
 
-    if samples > 0:
-        ok_count = 0
-        for _ in range(samples):
-            pi1 = random_element()
-            product = pi1[random_element()]  # pi1 after the second draw
-            ok_count += ((certified and _is_affine_map(product, minus, plus, scaled))
-                         or verify_automorphism(h, _bordered(product, q)))
-        report.samples_checked = samples
-        report.samples_ok = ok_count
-        all_ok &= ok_count == samples
+        # pi1 after the second draw: Python draws pi1 before its subscript
+        report.samples_ok = sum(
+            verify_automorphism(h, _bordered(random_element()[random_element()], q))
+            for _ in range(samples))
+    report.samples_checked = samples
+    all_ok &= report.samples_ok == samples
 
     if exhaustive:
         report.exhaustive_checked = f * q
-        report.exhaustive_ok = f * q if certified else _count_by_key_class(h, minus, plus, scaled)
+        report.exhaustive_ok = (f * q if certified
+                                else _count_by_key_class(h, partition, plus, scaled))
         all_ok &= certified
 
     report.passed = bool(all_ok)

@@ -2,7 +2,7 @@
 
 Exit codes: 0 when every requested certificate passes, 2 when a certificate
 fails (including generator-search exhaustion and a digest mismatch), 1 for
-usage and input errors.
+usage and input errors, a file that cannot be read or written among them.
 All output is deterministic plain text so runs can be diffed.
 
 The manifest written by ``build`` records sha256sum-compatible digest lines
@@ -151,18 +151,9 @@ def parse_manifest(text: str) -> tuple[BuildConfig, dict[str, str]]:
 def read_manifest(path: Path) -> tuple[BuildConfig, dict[str, str]]:
     try:
         text = path.read_text("ascii")
-    except OSError as exc:
-        raise CliError(str(exc)) from None
     except UnicodeDecodeError:
         raise CliError(f"{path}: manifest is not ASCII text") from None
     return parse_manifest(text)
-
-
-def read_bytes(path: Path) -> bytes:
-    try:
-        return path.read_bytes()
-    except OSError as exc:
-        raise CliError(str(exc)) from None
 
 
 def parse_matrix(path: Path, data: bytes) -> hadamard.PmMatrix:
@@ -173,14 +164,14 @@ def parse_matrix(path: Path, data: bytes) -> hadamard.PmMatrix:
 
 
 def read_matrix_file(path: Path) -> hadamard.PmMatrix:
-    return parse_matrix(path, read_bytes(path))
+    return parse_matrix(path, path.read_bytes())
 
 
 def read_vector_file(path: Path) -> np.ndarray:
     """One float per line."""
     try:
         lines = path.read_text("ascii").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
         raise CliError(f"{path}: {exc}") from None
     values = []
     for lineno, line in enumerate(lines, start=1):
@@ -193,16 +184,9 @@ def read_vector_file(path: Path) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
-def write_bytes(path: Path, data: bytes) -> None:
-    try:
-        path.write_bytes(data)
-    except OSError as exc:
-        raise CliError(str(exc)) from None
-
-
 def write_vector_file(path: Path, values: np.ndarray) -> None:
     text = "".join(f"{float(v)!r}\n" for v in np.asarray(values, dtype=np.float64))
-    write_bytes(path, text.encode("ascii"))
+    path.write_bytes(text.encode("ascii"))
 
 
 def cmd_build(args) -> int:
@@ -225,19 +209,16 @@ def cmd_build(args) -> int:
     report = hadamard.gate0_verify(h)
 
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError(str(exc)) from None
+    out.mkdir(parents=True, exist_ok=True)
     matrix_name = f"matrix_{h.n}.txt"
-    write_bytes(out / matrix_name, hadamard.to_matrix_text(h))
-    write_bytes(out / "shdf_certificate.txt", cert.to_log().encode("ascii"))
-    write_bytes(out / "gate0_report.txt", report.to_log().encode("ascii"))
+    (out / matrix_name).write_bytes(hadamard.to_matrix_text(h))
+    (out / "shdf_certificate.txt").write_bytes(cert.to_log().encode("ascii"))
+    (out / "gate0_report.txt").write_bytes(report.to_log().encode("ascii"))
     config = BuildConfig(p=args.p, e=args.e, N=args.N, modulus=tables.modulus,
                          generator=tables.generator, i0=i0, i1=i1)
     digests = {name: sha256_file(out / name)
                for name in (matrix_name, "shdf_certificate.txt", "gate0_report.txt")}
-    write_bytes(out / MANIFEST_NAME, format_manifest(config, digests).encode("ascii"))
+    (out / MANIFEST_NAME).write_bytes(format_manifest(config, digests).encode("ascii"))
 
     print(f"modulus {','.join(str(c) for c in tables.modulus)}")
     print(f"generator {tables.generator}")
@@ -316,7 +297,7 @@ def cmd_aut(args) -> int:
     if matrix_name not in digests:
         raise CliError(f"{path}: no digest line for {matrix_name}")
     matrix_path = path.parent / matrix_name
-    data = read_bytes(matrix_path)
+    data = matrix_path.read_bytes()
     if hashlib.sha256(data).hexdigest() != digests[matrix_name]:
         print(f"MISMATCH {matrix_name}")
         return EXIT_CERT_FAIL
@@ -342,14 +323,14 @@ def cmd_sketch(args) -> int:
         except ValueError as exc:
             raise CliError(str(exc)) from None
         data = packet.to_bytes()
-        write_bytes(Path(args.out), data)
+        Path(args.out).write_bytes(data)
         raw, size, ratio = sketch.byte_accounting(cfg)
         print(f"wrote {args.out}: {len(data)} bytes (raw {raw}, ratio {ratio:.2f})")
         return EXIT_OK
     try:
         packet = sketch.SketchPacket.from_bytes(Path(args.input).read_bytes())
         x = sketch.decode(packet, h)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(str(exc)) from None
     write_vector_file(Path(args.out), x)
     print(f"wrote {args.out}: {x.size} values")
@@ -416,9 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
                                        "on the matrix file a manifest names")
     p_aut.add_argument("file", help="manifest file; the matrix next to it must match its digest")
     p_aut.add_argument("--samples", type=int, default=100,
-                       help="closure sample size; a sample that equals a map the generators "
-                            "certify passes without a dense check, any other is checked "
-                            "densely")
+                       help="closure sample size; derived with no check when the generators "
+                            "certify the subgroup, else each sample is checked densely")
     p_aut.add_argument("--exhaustive", action="store_true",
                        help="certify every subgroup element (by orbit and stabilizer)")
     p_aut.add_argument("--seed", type=int, default=0)
@@ -444,7 +424,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -63,10 +63,6 @@ class FieldTables:
         self.antilog.setflags(write=False)
         self.log.setflags(write=False)
 
-    def pow_g(self, k: int) -> int:
-        """g^k as an encoding."""
-        return int(self.antilog[k % (self.q - 1)])
-
 
 @dataclass(eq=False)
 class CyclotomicPartition:

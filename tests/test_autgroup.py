@@ -24,7 +24,7 @@ def desk_field():
 def _table_map(partition, k, a):
     """Block action of x -> g^(N*k) x + a from the tables of
     :func:`autgroup._affine_tables`, for a translation encoding a."""
-    _, plus, scaled = autgroup._affine_tables(partition)
+    plus, scaled = autgroup._affine_tables(partition)
     q = partition.tables.q
     i = [0, *partition.tables.antilog].index(a)
     return plus[i * q + scaled[k]]
@@ -45,7 +45,7 @@ def test_compose_identity_and_translations():
 def test_multiplier_preserves_classes():
     tables = sh.build_field(sh.FieldConfig(5, 4))
     partition = sh.cyclotomic_partition(tables, 16)
-    u = int(tables.pow_g(16))
+    u = int(tables.antilog[16 % (tables.q - 1)])
     mul = naive_field_mul(tables)
     rng = np.random.default_rng(0)
     for x in rng.integers(1, 625, size=50):
@@ -83,8 +83,8 @@ def test_induced_permutation_is_homomorphism(desk_field):
         _, action = naive_affine_maps(tables)
         for _ in range(20):
             (k1, k2), (a1, a2) = rng.integers(f, size=2), rng.integers(q, size=2)
-            m1 = (tables.pow_g(N * int(k1)), int(a1))
-            m2 = (tables.pow_g(N * int(k2)), int(a2))
+            m1 = (int(tables.antilog[N * int(k1) % (q - 1)]), int(a1))
+            m2 = (int(tables.antilog[N * int(k2) % (q - 1)]), int(a2))
             product = _table_map(partition, k1, a1)[_table_map(partition, k2, a2)]
             _, a12 = naive_compose_affine(tables, m1, m2)
             assert np.array_equal(product, _table_map(partition, (k1 + k2) % f, a12))
@@ -155,7 +155,7 @@ def test_audit_order_mismatch_rejected(desk_field, matrix8):
 def test_multiplier_order():
     # (g^16)^39 = g^624 = 1, and no smaller power of g^16 is 1
     tables = sh.build_field(sh.FieldConfig(5, 4))
-    u = int(tables.pow_g(16))
+    u = int(tables.antilog[16 % (tables.q - 1)])
     mul, power = naive_field_mul(tables), 1
     for k in range(1, 40):
         power = mul(power, u)
@@ -213,7 +213,7 @@ def test_affine_tables_give_the_induced_permutations():
         tables, q = partition.tables, p**e
         enc, action = naive_affine_maps(tables)
         assert enc == [0, *tables.antilog]
-        _, plus, scaled = autgroup._affine_tables(partition)
+        plus, scaled = autgroup._affine_tables(partition)
         for k in range(partition.f):
             for i in range(q):
                 assert np.array_equal(plus[i * q + scaled[k]],
@@ -245,7 +245,7 @@ def _generator_actions(tables, partition):
 
 def _certifies(partition, multiplier, translations):
     """The orbit-stabilizer verdict on these block actions."""
-    _, plus, scaled = autgroup._affine_tables(partition)
+    plus, scaled = autgroup._affine_tables(partition)
     return autgroup._orbit_stabilizer(partition, plus, scaled, multiplier, translations)
 
 
@@ -274,10 +274,6 @@ def test_closure_outside_the_affine_maps_fails(desk_field):
     assert not _certifies(partition, multiplier, [translations[0]] * 3)
     assert not _certifies(partition, multiplier,
                           [t[frobenius] for t in translations])
-    # nor is the Frobenius map, or any map after it, one of the table maps
-    minus, plus, scaled = autgroup._affine_tables(partition)
-    for pi in [frobenius, frobenius[multiplier], translations[1][frobenius]]:
-        assert not autgroup._is_affine_map(pi, minus, plus, scaled)
 
 
 def test_stabilizer_of_a_trivial_class_must_be_the_identity():
@@ -315,21 +311,45 @@ def test_flipped_1252_audit_checks_few_maps_densely(instance625, matrix1252, mon
     assert len(calls) <= 1 + tables.e + partition.f
 
 
-@pytest.mark.parametrize("exhaustive", [True, False])
-def test_certified_1252_samples_need_no_dense_check(instance625, matrix1252, monkeypatch,
-                                                    exhaustive):
-    # Once the generators certify the group, every closure sample equals one
-    # of its maps entry for entry, so only the 1 + e = 5 generators are
-    # checked densely.
-    tables, partition, _, _ = instance625
+def _assert_certified_audit_derives_the_samples(h, partition, exhaustive, monkeypatch):
+    """Once the generators certify the group, every closure sample is a
+    product of two of its maps, so the audit draws none and checks only the
+    1 + e generators densely, whatever the sample count."""
     calls = []
     verify = autgroup.verify_automorphism
     monkeypatch.setattr(autgroup, "verify_automorphism",
                         lambda h, sigma: calls.append(1) or verify(h, sigma))
-    report = sh.subgroup_audit(matrix1252, partition, samples=100, exhaustive=exhaustive)
-    assert report.passed
-    assert "closure_sample 100/100 PASS" in report.to_log().splitlines()
-    assert len(calls) == 1 + tables.e == 5
+
+    class NoDraws:
+        def __init__(self, seed=None):
+            pass
+
+        def integers(self, *args, **kwargs):
+            raise AssertionError("a certified audit drew a closure sample")
+
+    monkeypatch.setattr(np.random, "default_rng", NoDraws)
+    for samples in (1, 100, 10**6):
+        calls.clear()
+        report = sh.subgroup_audit(h, partition, samples=samples, exhaustive=exhaustive)
+        assert report.passed
+        assert f"closure_sample {samples}/{samples} PASS" in report.to_log().splitlines()
+        assert len(calls) == 1 + partition.tables.e
+
+
+@pytest.mark.parametrize("exhaustive", [True, False])
+def test_certified_1252_samples_need_no_dense_check(instance625, matrix1252, monkeypatch,
+                                                    exhaustive):
+    _, partition, _, _ = instance625
+    _assert_certified_audit_derives_the_samples(matrix1252, partition, exhaustive, monkeypatch)
+
+
+@pytest.mark.parametrize("exhaustive", [True, False])
+@pytest.mark.parametrize("p,e,N,i0,i1", SMALL_INSTANCES)
+def test_certified_desk_audit_derives_the_closure_samples(p, e, N, i0, i1, exhaustive,
+                                                          monkeypatch):
+    _, partition, pair, _ = sh.find_valid_generator(sh.FieldConfig(p, e), N, i0, i1)
+    h = sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1)
+    _assert_certified_audit_derives_the_samples(h, partition, exhaustive, monkeypatch)
 
 
 def _flipped(h, row, col):
@@ -413,19 +433,18 @@ def test_sample_outside_the_affine_tables_is_checked_densely(desk_field, twist):
     # moved by q, as a swap of the blocks would leave the first block's slots;
     # the product before the swap of block indices 0 and 1, the two indices
     # every candidate is read from; and a translation after it on half of
-    # the indices only, which is no permutation.  _is_affine_map and the
-    # stabilizer step must reject each without raising, so the audit falls
-    # back to the dense verdict, and that verdict must be exact.
+    # the indices only, which is no permutation.  The stabilizer step must
+    # reject each without raising, so the audit falls back to the dense
+    # verdict, and that verdict must be exact.
     tables, partition, _, h = desk_field
     q, f = tables.q, partition.f
-    minus, plus, scaled = autgroup._affine_tables(partition)
+    plus, scaled = autgroup._affine_tables(partition)
     translations = _generator_actions(tables, partition)[1:]
     rng = np.random.default_rng(4)
     for _ in range(30):
         pi1, pi2 = (plus[int(rng.integers(q)) * q + scaled[int(rng.integers(f))]]
                     for _ in range(2))
         product = pi1[pi2]
-        assert autgroup._is_affine_map(product, minus, plus, scaled)
         if twist == "frobenius":
             twisted = _frobenius(tables)[product]
         elif twist == "swap_blocks":
@@ -435,7 +454,6 @@ def test_sample_outside_the_affine_tables_is_checked_densely(desk_field, twist):
         else:
             twisted = product.copy()
             twisted[: q // 2] = translations[0][product[: q // 2]]
-        assert not autgroup._is_affine_map(twisted, minus, plus, scaled)
         assert not autgroup._orbit_stabilizer(partition, plus, scaled, twisted, translations)
         sigma = autgroup._bordered(twisted, q)
         if np.array_equal(np.sort(twisted), np.arange(q)):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import struct
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,6 +445,22 @@ def test_missing_file_exits_1(capsys):
     code = main(["verify", "gate0", "/nonexistent/matrix.txt"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_manifest_with_an_unreadable_file_exits_1(desk_build, monkeypatch, capsys):
+    # root ignores chmod, so the read of one listed file is made to fail
+    read_bytes = Path.read_bytes
+
+    def unreadable(path):
+        if path.name == "gate0_report.txt":
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", unreadable)
+    code = main(["manifest", str(desk_build)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "Permission denied" in err[0]
 
 
 def test_matrix_parse_error_reports_location(desk_build, tmp_path, capsys):
