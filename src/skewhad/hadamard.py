@@ -2,10 +2,27 @@
 
 Matrices live in :class:`PmMatrix`, one read-only int8 array of the +-1
 entries.  All verification is exact.  Every Gram identity f f^T = s I + t J
-is decided by :func:`gram_deviation` from float32 BLAS products of row
-panels, never the whole Gram: each partial sum is an integer that float32
+is decided by :func:`gram_deviation` from float32 BLAS products of Gram
+rows, never the whole Gram: each partial sum is an integer that float32
 holds exactly in whatever order BLAS adds (the integer-bound argument of
 FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008).
+
+Which rows are formed rests on a lemma.  If a permutation matrix P keeps
+the matrix, P H P^T = H, then P^T P = I and P fixes I and J, so
+D = H H^T - s I - t J has P D P^T = D as well, and so has H + H^T - 2I: each
+is constant on the orbits of the permutation on pairs, and its rows at one
+representative per orbit hold its every value.  :func:`_orbit_rows` proposes
+the permutation from row 2, the zero element of the first block, which
+every multiplier fixes: in the order [0, g^0, g^1, ...] of each block the
+multiplier x -> g^d x shifts indices 3 .. v+1 and v+3 .. n-1 cyclically by d
+and fixes 0, 1, 2 and v+2, and d is taken as the least common multiple of
+the cyclic periods of the two block segments of row 2.  The invariance is
+then checked on every entry of the integer matrix, so the 4 + 2d rows it
+returns are exact whatever the proposal was; when the proposal or the check
+fails there are no orbit rows, and the Gram is decided by row panels.  At
+order 1252, d = 16 (the verified permutation is the paper's multiplier
+x -> g^16 x, of order 39), so Gate0 and the rank certificates of H form 36
+Gram rows, not 1252.
 
 The text interchange format is: first line the decimal order n, then n lines
 of n characters, '+' for +1 and '-' for -1, LF endings, nothing else.  The
@@ -16,6 +33,7 @@ sign = 44 - byte.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -195,21 +213,77 @@ def build_bordered_from_blocks(spec: GroupSpec, d0: np.ndarray, d1: np.ndarray) 
     return assemble_bordered(a, c)
 
 
-def gram_deviation(f: np.ndarray, s: int, t: int) -> int:
+def _period(seg: np.ndarray) -> int:
+    """The cyclic period of a sequence: its least shift p, a divisor of its
+    length, with seg[p:] == seg[:-p]."""
+    size = seg.size
+    return next(p for p in range(1, size + 1)
+                if size % p == 0 and np.array_equal(seg[p:], seg[: size - p]))
+
+
+def _orbit_rows(x: np.ndarray) -> np.ndarray | None:
+    """The rows 0 .. 2 + d and v + 2 .. v + 2 + d, one per orbit of the block
+    shift by d of the square matrix x (see the module docstring), once
+    x[pi(i), pi(j)] == x[i, j] is checked for every entry.  The shift is six
+    runs of indices, each moved by one offset, so each pair of runs is one
+    slice compare.  None when n is odd or below 8, when d is the segment
+    length (the shift is the identity) or when an entry moves.
+    """
+    n = x.shape[0]
+    length = n // 2 - 2  # v - 1, the elements g^0 .. g^(v-2) of each block
+    if n % 2 or length < 2:
+        return None
+    v = length + 1
+    d = math.lcm(_period(x[2, 3: v + 2]), _period(x[2, v + 3:]))
+    if d == length:
+        return None
+    runs = [(0, 0, 3), (v + 2, v + 2, 1)]  # (from, to, size): i moves to i + to - from
+    for lo in (3, v + 3):
+        runs += [(lo, lo + d, length - d), (lo + length - d, lo, d)]
+    for a, a2, k in runs:
+        for b, b2, m in runs:
+            if not np.array_equal(x[a: a + k, b: b + m], x[a2: a2 + k, b2: b2 + m]):
+                return None
+    return np.r_[0: 3 + d, v + 2: v + 3 + d]
+
+
+def _rows_deviation(panel: np.ndarray, diag: np.ndarray, s: int, t: int,
+                    k: int = 1, base: int = 1) -> int:
+    """max |deviation| of Gram rows, ``panel`` in place: its row r meets the
+    diagonal in column diag[r] // k, at packed position diag[r] % k (see
+    :func:`gram_deviation`)."""
+    r = np.arange(panel.shape[0])
+    dev = panel[r, diag // k] - (s + t) * base ** (diag % k)
+    panel -= t
+    panel[r, diag // k] = dev
+    if not panel.any():  # only failing rows are unpacked and searched
+        return 0
+    hi = np.round(panel / base) if k == 2 else 0
+    return max(int(np.abs(hi).max()), int(np.abs(panel - base * hi).max()))
+
+
+def gram_deviation(f: np.ndarray, s: int, t: int, rows: np.ndarray | None = None) -> int:
     """max |f f^T - s I - t J| over all entries: 0 exactly when f f^T = s I + t J.
 
     The caller guarantees exact integers: g = max|f|^2 times the number of
-    columns of f is below 2^24, and so are |t| and |s + t|.  The Gram is
-    symmetric, so only its upper block-triangle is formed, ``f[i:i+b] @
-    f[i:].T`` for b rows at a time.  The diagonal loses s + t in one exact
-    subtraction and the rest t, so an entry is 0 only where the identity
-    holds; a deviation above 2^24 comes back rounded.  When t = 0 and
-    e (B + 1) < 2^24, with e = max(g, |s|, g - s) bounding every deviation
-    and B the power of two above 2e, column 2c + 1 rides in column 2c times
-    B (Kronecker substitution; Dumas, Fousse and Salvy, J. Symb. Comput.
-    2011): a panel entry d + B d' is then exact, 0 only when d = d' = 0, and
-    unpacks, and the panels take half the products.
+    columns of f is below 2^24, and so are |t| and |s + t|.  The diagonal
+    loses s + t in one exact subtraction and the rest t, so an entry is 0
+    only where the identity holds; a deviation above 2^24 comes back
+    rounded.
+
+    ``rows``, from :func:`_orbit_rows` of the integer matrix of f, holds one
+    row per orbit of a permutation that keeps f, so ``f[rows] @ f.T`` holds
+    every value of the deviation (see the module docstring).  Without them
+    the Gram is symmetric, so only its upper block-triangle is formed,
+    ``f[i:i+b] @ f[i:].T`` for b rows at a time.  When t = 0 and e (B + 1) < 2^24, with e = max(g, |s|,
+    g - s) bounding every deviation and B the power of two above 2e, column
+    2c + 1 rides in column 2c times B (Kronecker substitution; Dumas, Fousse
+    and Salvy, J. Symb. Comput. 2011): a panel entry d + B d' is then exact,
+    0 only when d = d' = 0, and unpacks, and the panels take half the
+    products.
     """
+    if rows is not None:
+        return _rows_deviation(f[rows] @ f.T, rows, s, t)
     m = f.shape[0]
     g = f.shape[1] * max(float(f.max(initial=0)), -float(f.min(initial=0))) ** 2
     e = max(g, abs(s), g - s)
@@ -221,29 +295,26 @@ def gram_deviation(f: np.ndarray, s: int, t: int) -> int:
         cols[: m // 2] = f[1::2]
         cols *= base
         cols += f[::2]
-    worst = 0
-    for i in range(0, m, _PANEL):  # _PANEL is even, so column i is packed column i // k
-        panel = f[i: i + _PANEL] @ cols[i // k:].T
-        r = np.arange(panel.shape[0])
-        dev = panel[r, r // k] - (s + t) * base ** (r % k)
-        panel -= t
-        panel[r, r // k] = dev
-        if panel.any():  # only a failing panel is unpacked and searched
-            hi = np.round(panel / base) if k == 2 else 0
-            worst = max(worst, int(np.abs(hi).max()), int(np.abs(panel - base * hi).max()))
-    return worst
+    # _PANEL is even, so column i is packed column i // k, and panel row r
+    # meets the diagonal at packed position r // k, r % k
+    return max((_rows_deviation(f[i: i + _PANEL] @ cols[i // k:].T,
+                                np.arange(min(_PANEL, m - i)), s, t, k, base)
+                for i in range(0, m, _PANEL)), default=0)
 
 
 def gate0_verify(m: PmMatrix) -> Gate0Report:
-    """Exact verification of H H^T = nI and H + H^T = 2I."""
+    """Exact verification of H H^T = nI and H + H^T = 2I, both on the rows
+    of :func:`_orbit_rows` when it finds them and on every row otherwise."""
     n = m.n
     if n >= _FLOAT32_EXACT:
         raise ValueError(f"order {n} is not below 2^24, the bound for an exact "
                          f"float32 Gram")
-    max_off = gram_deviation(m.float32_signs(), n, 0)  # each row's norm is n: 0 on the diagonal
     s = m.signs()
-    skew = s + s.T  # int8 holds -2 .. 2; H + H^T - 2I is formed in place
-    np.einsum("ii->i", skew)[:] -= 2
+    rows = _orbit_rows(s)
+    max_off = gram_deviation(m.float32_signs(), n, 0, rows)  # each row's norm is n: 0 on the diagonal
+    at = slice(None) if rows is None else rows
+    skew = s[at] + s[:, at].T  # int8 holds -2 .. 2; H + H^T - 2I is formed in place
+    skew[np.arange(skew.shape[0]), np.arange(n)[at]] -= 2
     skew_ok = not skew.any()
     return Gate0Report(n=n, gram_ok=max_off == 0, skew_ok=skew_ok, max_offdiag_gram=max_off)
 

@@ -28,7 +28,10 @@ costs one pass for max|c| and no matrix product.  Only when they promise a
 unit determinant is the rest of row 0 checked, and then the whole identity
 decided by ``hadamard.gram_deviation``, Gate0's check, exact when
 m max|c|^2 < 2^24 whatever t is; outside that bound the certificate
-declines.
+declines.  Like Gate0, it forms only the orbit rows of a block shift that
+keeps c, verified on c itself (``hadamard._orbit_rows``), so the
+certificates of H over GF(3) and GF(5) at order 1252 form 36 Gram rows;
+without such a shift every row is formed.
 
 **Elimination.**  Over GF(2) the rows are packed into Python integers and
 reduced by XOR, which beats the float panels below for that one prime.
@@ -64,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import is_prime
-from .hadamard import _FLOAT32_EXACT, gram_deviation
+from .hadamard import _FLOAT32_EXACT, _orbit_rows, gram_deviation
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,8 @@ def _gram_certifies_full_rank(x: np.ndarray, p: int) -> bool:
     residues c satisfy m max|c|^2 < 2^24, and c c^T = s I + t J with p
     dividing neither s nor s + m t (see the module docstring).  The first
     two entries of Gram row 0 give s and t; the rest of row 0 is checked
-    next, and the whole Gram (:func:`~skewhad.hadamard.gram_deviation`) only
+    next, and the whole Gram (:func:`~skewhad.hadamard.gram_deviation`, on
+    the orbit rows of a verified block shift of x when there is one) only
     after both.
     """
     if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] == 0:
@@ -124,7 +128,7 @@ def _gram_certifies_full_rank(x: np.ndarray, p: int) -> bool:
     f = x.astype(np.float32)
     if np.any(f[1:] @ f[0] != t):  # entry 0 is s + t by the definition of s
         return False
-    return gram_deviation(f, s, t) == 0
+    return gram_deviation(f, s, t, _orbit_rows(x)) == 0
 
 
 def _det_is_unit(m: int, s: int, t: int, p: int) -> bool:

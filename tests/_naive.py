@@ -103,6 +103,17 @@ def naive_gram(signs):
             for i in range(n)]
 
 
+def naive_gram_deviation(f, s, t):
+    """max |f f^T - s I - t J| over the dense Gram of every row pair, as int64
+    dot products (numpy's integer loop, no BLAS, no panels, no orbits)."""
+    import numpy as np
+
+    x = np.asarray(f).astype(np.int64)
+    gram = x @ x.T - t
+    gram[np.diag_indices_from(gram)] -= s
+    return int(np.abs(gram).max(initial=0))
+
+
 def naive_parse_matrix_text(data):
     """The matrix text format checked one row at a time, in file order.
 

@@ -84,6 +84,17 @@ def random_signs(n, seed):
     return rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, n))
 
 
+def orbit_flip(signs, d, a):
+    """signs with every entry of the orbit {(3 + k, 3 + (k + a) mod (v - 1)) :
+    d | k} of the block shift by d negated, for a bordered matrix of order
+    2(v + 1): the shift keeps the result whenever it keeps signs."""
+    x = signs.copy()
+    length = len(x) // 2 - 2
+    k = np.arange(0, length, d)
+    x[3 + k, 3 + (k + a) % length] *= -1
+    return x
+
+
 def mutate_one_byte(data, draw):
     """``data`` with one byte replaced, deleted or inserted, drawn through a
     hypothesis ``st.data().draw``."""

@@ -163,6 +163,22 @@ def test_rank_tournament_at_1252_forms_only_the_gate0_gram(
                      "_eliminate": eliminations, "_eliminate_gf2": 0}
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_rank_at_1252_is_certified_on_the_orbit_rows(matrix1252_file, capsys, monkeypatch, p):
+    # the certificate's one Gram forms the 36 rows of the verified shift by 16
+    calls = _count_rank_calls(monkeypatch)
+    rows = []
+    inner = sh.ranks.gram_deviation
+    monkeypatch.setattr(sh.ranks, "gram_deviation",
+                        lambda f, *args: rows.append(len(args[2])) or inner(f, *args))
+    code = main(["rank", str(matrix1252_file), "--field", str(p)])
+    assert code == 0
+    assert capsys.readouterr().out == f"hadamard {p} 1252 1252\n"
+    assert rows == [36]
+    assert calls == {"gate0_verify": 0, "gram_deviation": 1, "_gram_certifies_full_rank": 1,
+                     "_eliminate": 0, "_eliminate_gf2": 0}
+
+
 def test_rank_tournament_on_a_flipped_1252_matrix_exits_2(tmp_path, capsys, monkeypatch,
                                                           matrix1252):
     signs = matrix1252.signs().copy()

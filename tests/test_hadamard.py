@@ -12,10 +12,10 @@ from skewhad.cli import main
 from skewhad import hadamard
 from skewhad.hadamard import MatrixFormatError, gram_deviation
 
-from _naive import (naive_developed, naive_gram, naive_parse_matrix_text, naive_reversed_type2,
-                    naive_to_matrix_text)
-from conftest import (SMALL_FIELDS, desk_group, field_group, mutate_one_byte, random_signs,
-                      subset_of_encodings)
+from _naive import (naive_developed, naive_gram, naive_gram_deviation, naive_parse_matrix_text,
+                    naive_reversed_type2, naive_to_matrix_text)
+from conftest import (SMALL_FIELDS, desk_group, field_group, mutate_one_byte, orbit_flip,
+                      random_signs, subset_of_encodings)
 
 
 def sum_developed(g, d):
@@ -350,6 +350,73 @@ def test_gram_of_flipped_1252_matches_integer_product(matrix1252):
     assert rep.max_offdiag_gram == int(np.abs(off).max()) > 0
 
 
+def _gram_case(case, small_matrices, matrix1252):
+    """The +-1 matrix of one Gram oracle case."""
+    small = {f"n{n}": signs for n, signs, _ in small_matrices}
+    if case in small:
+        return small[case]
+    if case == "row2-periodic":  # row 2 proposes d = 1, which no other row keeps
+        signs = random_signs(56, 19)
+        signs[2] = 1
+        return signs
+    signs = matrix1252.signs()
+    if case == "n1252-flip":
+        signs = signs.copy()
+        signs[40, 700] *= -1
+    elif case == "n1252-orbit-flip":
+        signs = orbit_flip(signs, 16, 5)
+    return signs
+
+
+@pytest.mark.parametrize("case, orbit_rows, want", [
+    ("n8", None, 0), ("n12", None, 0), ("n24", 8, 0), ("n56", 8, 0), ("n1252", 36, 0),
+    ("n1252-flip", None, None), ("n1252-orbit-flip", 36, 4), ("row2-periodic", None, None)])
+def test_gram_deviation_and_gate0_match_the_dense_oracle(
+        monkeypatch, small_matrices, matrix1252, case, orbit_rows, want):
+    signs = _gram_case(case, small_matrices, matrix1252)
+    n = len(signs)
+    oracle = naive_gram_deviation(signs, n, 0)
+    assert oracle == want if want is not None else oracle > 0
+    rows = hadamard._orbit_rows(signs)
+    assert (None if rows is None else len(rows)) == orbit_rows
+    if case == "row2-periodic":  # refused by the check, not by the proposal
+        assert hadamard._period(signs[2, 3:29]) == hadamard._period(signs[2, 30:]) == 1
+    f = signs.astype(np.float32)
+    assert gram_deviation(f, n, 0, rows) == gram_deviation(f, n, 0) == oracle
+    if n < 100:  # t != 0 on both paths
+        for s, t in ((n + 2, -2), (n - 2, 2), (0, n)):
+            want_st = naive_gram_deviation(signs, s, t)
+            assert gram_deviation(f, s, t, rows) == gram_deviation(f, s, t) == want_st, (s, t)
+    # Gate0 passes the same rows to its product
+    seen = []
+    inner = hadamard.gram_deviation
+    monkeypatch.setattr(hadamard, "gram_deviation",
+                        lambda g, s, t, rows=None: seen.append(rows) or inner(g, s, t, rows))
+    rep = sh.gate0_verify(sh.PmMatrix.from_signs(signs))
+    assert [None if r is None else len(r) for r in seen] == [orbit_rows]
+    wide = signs.astype(np.int64)
+    skew_ok = np.array_equal(wide + wide.T, 2 * np.eye(n, dtype=np.int64))
+    assert (rep.gram_ok, rep.skew_ok, rep.max_offdiag_gram) == (oracle == 0, skew_ok, oracle)
+
+
+def test_every_single_flip_at_order_24_is_decided_exactly(small_matrices):
+    # a flip keeps the block shift only at a pair of the four fixed indices
+    # 0, 1, 2 and v + 2 = 13, whose orbit is the pair alone; every other
+    # flip, in row 2 or elsewhere, is refused and decided by the panels
+    n, h, _ = next(m for m in small_matrices if m[0] == 24)
+    fixed = {0, 1, 2, 13}
+    for i in range(n):
+        for j in range(n):
+            signs = h.copy()
+            signs[i, j] *= -1
+            rows = hadamard._orbit_rows(signs)
+            assert (rows is not None) == (i in fixed and j in fixed), (i, j)
+            oracle = naive_gram_deviation(signs, n, 0)
+            rep = sh.gate0_verify(sh.PmMatrix.from_signs(signs))
+            assert (rep.max_offdiag_gram, rep.skew_ok) == (oracle, False), (i, j)
+            assert gram_deviation(signs.astype(np.float32), n, 0, rows) == oracle, (i, j)
+
+
 def test_gram_rejects_orders_beyond_exact_float32():
     # a read-only broadcast int8 view stands in for the 2^24 x 2^24 signs,
     # which must never be asked for (a float32 copy would take 2^50 bytes):
@@ -362,18 +429,33 @@ def test_gram_rejects_orders_beyond_exact_float32():
         sh.gate0_verify(m)
 
 
-def test_gate0_never_forms_the_gram(matrix1252):
-    # with the float32 copy cached, Gate0 holds less than one n x n float32
-    # array at its peak: the Gram is decided panel by panel
-    m = sh.PmMatrix.from_signs(matrix1252.signs())
+def _gate0_peak_bytes(signs):
+    """(Gate0 verdict, peak traced bytes) with the float32 copy cached."""
+    m = sh.PmMatrix.from_signs(signs)
     m.float32_signs()
     tracemalloc.start()
     try:
-        assert sh.gate0_verify(m).passed
-        peak = tracemalloc.get_traced_memory()[1]
+        passed = sh.gate0_verify(m).passed
+        return passed, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1252 * 1252 * 4
+
+
+def test_gate0_never_forms_the_gram(matrix1252):
+    # with the float32 copy cached, Gate0 holds less than one n x n float32
+    # array at its peak: the Gram is decided on the 36 orbit rows
+    assert len(hadamard._orbit_rows(matrix1252.signs())) == 36
+    passed, peak = _gate0_peak_bytes(matrix1252.signs())
+    assert passed and peak < 1252 * 1252 * 4
+
+
+def test_gate0_on_the_panels_never_forms_the_gram(matrix1252):
+    # a flip breaks the block shift, so the Gram is decided panel by panel
+    signs = matrix1252.signs().copy()
+    signs[40, 700] *= -1
+    assert hadamard._orbit_rows(signs) is None
+    passed, peak = _gate0_peak_bytes(signs)
+    assert not passed and peak < 1252 * 1252 * 4
 
 
 def test_gate0_skew_verdict(matrix8, tmp_path, capsys):

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import skewhad as sh
-from skewhad import ranks
+from skewhad import hadamard, ranks
 
 from _naive import naive_rank_gf2, naive_rank_gfp
-from conftest import random_signs
+from conftest import orbit_flip, random_signs
 
 
 def test_rank_gfp_requires_prime():
@@ -356,6 +356,30 @@ def test_certified_ranks_eliminate_nothing_and_declined_ranks_form_no_gram(
         assert (eliminations, calls["gram_deviation"]) == ((0, 0), 1)
     else:
         assert (eliminations, calls["gram_deviation"]) == ((1, 0) if p == 2 else (0, 1), 0)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_orbit_invariant_non_hadamard_matrix_declines_and_eliminates(
+        monkeypatch, small_matrices, p):
+    # two whole orbits of the block shift by 2 negated at order 56, one of +1
+    # entries and one of -1 entries in each row 3 + k, 2 | k: the shift still
+    # keeps the matrix, and every row sum (Gram row 0) is unchanged, so the
+    # certificate reaches the orbit rows, which find H H^T != nI
+    n, h, _ = next(m for m in small_matrices if m[0] == 56)
+    b = next(b for b in range(2, n // 2 - 2) if h[3, 3 + b] != h[3, 4])
+    x = orbit_flip(orbit_flip(h, 2, 1), 2, b)
+    assert len(hadamard._orbit_rows(x)) == 8
+    seen = []  # (orbit rows, deviation) of each Gram
+    inner = ranks.gram_deviation
+
+    def recorded(f, s, t, rows=None):
+        seen.append((len(rows), inner(f, s, t, rows)))
+        return seen[-1][1]
+    monkeypatch.setattr(ranks, "gram_deviation", recorded)
+    calls = _count_calls(monkeypatch, ("_eliminate",))
+    assert sh.rank_gfp(x, p).rank == naive_rank_gfp(x.tolist(), p)
+    assert len(seen) == 1 and seen[0][0] == 8 and seen[0][1] > 0
+    assert calls == {"_eliminate": 1}
 
 
 @pytest.mark.parametrize("bad", [[[1.5, 2], [3, 4]], [[np.nan]], [[1.0]],
