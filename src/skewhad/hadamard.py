@@ -3,9 +3,10 @@
 Matrices live in :class:`PmMatrix`, one read-only int8 array of the +-1
 entries.  All verification is exact.  Every Gram identity f f^T = s I + t J
 is decided by :func:`gram_deviation` from float32 BLAS products of Gram
-rows, never the whole Gram: each partial sum is an integer that float32
-holds exactly in whatever order BLAS adds (the integer-bound argument of
-FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008).
+rows, ``f[r] @ f.T`` for panels r of the rows it is given: each partial sum
+is an integer that float32 holds exactly in whatever order BLAS adds (the
+integer-bound argument of FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS
+2008).
 
 Which rows are formed rests on a lemma.  If a permutation matrix P keeps
 the matrix, P H P^T = H, then P^T P = I and P fixes I and J, so
@@ -18,11 +19,12 @@ multiplier x -> g^d x shifts indices 3 .. v+1 and v+3 .. n-1 cyclically by d
 and fixes 0, 1, 2 and v+2, and d is taken as the least common multiple of
 the cyclic periods of the two block segments of row 2.  The invariance is
 then checked on every entry of the integer matrix, so the 4 + 2d rows it
-returns are exact whatever the proposal was; when the proposal or the check
-fails there are no orbit rows, and the Gram is decided by row panels.  At
-order 1252, d = 16 (the verified permutation is the paper's multiplier
-x -> g^16 x, of order 39), so Gate0 and the rank certificates of H form 36
-Gram rows, not 1252.
+returns are exact whatever the proposal was.  When the proposal or the
+check fails, the lemma is applied to the identity, which keeps every
+matrix: each row is its own orbit, and every row is formed.  At order 1252,
+d = 16 (the verified permutation is the paper's multiplier x -> g^16 x, of
+order 39), so Gate0 and the rank certificates of H form 36 Gram rows, not
+1252.
 
 The text interchange format is: first line the decimal order n, then n lines
 of n characters, '+' for +1 and '-' for -1, LF endings, nothing else.  The
@@ -45,7 +47,7 @@ _ORDER_HEADER = re.compile(rb"[1-9][0-9]*")
 _FLOAT32_EXACT = 1 << 24  # float32 holds every integer of absolute value up to 2^24
 _MID = 44  # '+' = 43 and '-' = 45 lie either side, so sign = 44 - byte
 _LF = ord("\n")
-_PANEL = 256  # Gram rows per product; BENCH_gram_panels.json compares heights
+_PANEL = 256  # Gram rows per product: a panel holds _PANEL * n floats, which bounds memory
 
 
 class MatrixFormatError(ValueError):
@@ -221,51 +223,39 @@ def _period(seg: np.ndarray) -> int:
                 if size % p == 0 and np.array_equal(seg[p:], seg[: size - p]))
 
 
-def _orbit_rows(x: np.ndarray) -> np.ndarray | None:
-    """The rows 0 .. 2 + d and v + 2 .. v + 2 + d, one per orbit of the block
-    shift by d of the square matrix x (see the module docstring), once
-    x[pi(i), pi(j)] == x[i, j] is checked for every entry.  The shift is six
-    runs of indices, each moved by one offset, so each pair of runs is one
-    slice compare.  None when n is odd or below 8, when d is the segment
-    length (the shift is the identity) or when an entry moves.
+def _orbit_rows(x: np.ndarray) -> np.ndarray:
+    """One row per orbit of a permutation that keeps the square matrix x (see
+    the module docstring): the rows 0 .. 2 + d and v + 2 .. v + 2 + d of the
+    block shift by d, once x[pi(i), pi(j)] == x[i, j] is checked for every
+    entry.  The shift is six runs of indices, each moved by one offset, so
+    each pair of runs is one slice compare.  Every row, the orbits of the
+    identity, when n is odd or below 8, when d is the segment length (the
+    shift is the identity) or when an entry moves.
     """
     n = x.shape[0]
+    every = np.arange(n)
     length = n // 2 - 2  # v - 1, the elements g^0 .. g^(v-2) of each block
     if n % 2 or length < 2:
-        return None
+        return every
     v = length + 1
     d = math.lcm(_period(x[2, 3: v + 2]), _period(x[2, v + 3:]))
     if d == length:
-        return None
+        return every
     runs = [(0, 0, 3), (v + 2, v + 2, 1)]  # (from, to, size): i moves to i + to - from
     for lo in (3, v + 3):
         runs += [(lo, lo + d, length - d), (lo + length - d, lo, d)]
     for a, a2, k in runs:
         for b, b2, m in runs:
             if not np.array_equal(x[a: a + k, b: b + m], x[a2: a2 + k, b2: b2 + m]):
-                return None
+                return every
     return np.r_[0: 3 + d, v + 2: v + 3 + d]
 
 
-def _rows_deviation(panel: np.ndarray, diag: np.ndarray, s: int, t: int,
-                    k: int = 1, base: int = 1) -> int:
-    """max |deviation| of Gram rows, ``panel`` in place: its row r meets the
-    diagonal in column diag[r] // k, at packed position diag[r] % k (see
-    :func:`gram_deviation`)."""
-    r = np.arange(panel.shape[0])
-    dev = panel[r, diag // k] - (s + t) * base ** (diag % k)
-    panel -= t
-    panel[r, diag // k] = dev
-    if not panel.any():  # only failing rows are unpacked and searched
-        return 0
-    hi = np.round(panel / base) if k == 2 else 0
-    return max(int(np.abs(hi).max()), int(np.abs(panel - base * hi).max()))
-
-
 def gram_deviation(f: np.ndarray, s: int, t: int, rows: np.ndarray | None = None) -> int:
-    """max |f f^T - s I - t J| over all entries: 0 exactly when f f^T = s I + t J.
+    """max |f f^T - s I - t J| over the given rows, every row when ``rows``
+    is None: 0 exactly when f f^T = s I + t J.
 
-    The caller guarantees exact integers: g = max|f|^2 times the number of
+    The caller guarantees exact integers: max|f|^2 times the number of
     columns of f is below 2^24, and so are |t| and |s + t|.  The diagonal
     loses s + t in one exact subtraction and the rest t, so an entry is 0
     only where the identity holds; a deviation above 2^24 comes back
@@ -273,38 +263,28 @@ def gram_deviation(f: np.ndarray, s: int, t: int, rows: np.ndarray | None = None
 
     ``rows``, from :func:`_orbit_rows` of the integer matrix of f, holds one
     row per orbit of a permutation that keeps f, so ``f[rows] @ f.T`` holds
-    every value of the deviation (see the module docstring).  Without them
-    the Gram is symmetric, so only its upper block-triangle is formed,
-    ``f[i:i+b] @ f[i:].T`` for b rows at a time.  When t = 0 and e (B + 1) < 2^24, with e = max(g, |s|,
-    g - s) bounding every deviation and B the power of two above 2e, column
-    2c + 1 rides in column 2c times B (Kronecker substitution; Dumas, Fousse
-    and Salvy, J. Symb. Comput. 2011): a panel entry d + B d' is then exact,
-    0 only when d = d' = 0, and unpacks, and the panels take half the
-    products.
+    every value of the deviation (see the module docstring).  It is formed
+    ``_PANEL`` rows at a time, and a panel is searched for its maximum only
+    when one ``any()`` finds a nonzero entry in it.
     """
-    if rows is not None:
-        return _rows_deviation(f[rows] @ f.T, rows, s, t)
-    m = f.shape[0]
-    g = f.shape[1] * max(float(f.max(initial=0)), -float(f.min(initial=0))) ** 2
-    e = max(g, abs(s), g - s)
-    base = 1 << int(2 * e).bit_length()
-    k = 2 if t == 0 and e * (base + 1) < _FLOAT32_EXACT else 1
-    cols = f
-    if k == 2:  # in place, so that no array of f's size is allocated
-        cols = np.zeros_like(f[::2])
-        cols[: m // 2] = f[1::2]
-        cols *= base
-        cols += f[::2]
-    # _PANEL is even, so column i is packed column i // k, and panel row r
-    # meets the diagonal at packed position r // k, r % k
-    return max((_rows_deviation(f[i: i + _PANEL] @ cols[i // k:].T,
-                                np.arange(min(_PANEL, m - i)), s, t, k, base)
-                for i in range(0, m, _PANEL)), default=0)
+    if rows is None:
+        rows = np.arange(f.shape[0])
+    dev = 0
+    for i in range(0, rows.size, _PANEL):
+        r = rows[i: i + _PANEL]
+        panel = f[r] @ f.T
+        at = np.arange(r.size)
+        diag = panel[at, r] - (s + t)
+        panel -= t
+        panel[at, r] = diag
+        if panel.any():
+            dev = max(dev, int(np.abs(panel).max()))
+    return dev
 
 
 def gate0_verify(m: PmMatrix) -> Gate0Report:
     """Exact verification of H H^T = nI and H + H^T = 2I, both on the rows
-    of :func:`_orbit_rows` when it finds them and on every row otherwise."""
+    of :func:`_orbit_rows`."""
     n = m.n
     if n >= _FLOAT32_EXACT:
         raise ValueError(f"order {n} is not below 2^24, the bound for an exact "
@@ -312,9 +292,9 @@ def gate0_verify(m: PmMatrix) -> Gate0Report:
     s = m.signs()
     rows = _orbit_rows(s)
     max_off = gram_deviation(m.float32_signs(), n, 0, rows)  # each row's norm is n: 0 on the diagonal
-    at = slice(None) if rows is None else rows
-    skew = s[at] + s[:, at].T  # int8 holds -2 .. 2; H + H^T - 2I is formed in place
-    skew[np.arange(skew.shape[0]), np.arange(n)[at]] -= 2
+    skew = s[rows]  # a copy; int8 holds -2 .. 2, so H + H^T - 2I is formed in place
+    skew += s[:, rows].T
+    skew[np.arange(rows.size), rows] -= 2
     skew_ok = not skew.any()
     return Gate0Report(n=n, gram_ok=max_off == 0, skew_ok=skew_ok, max_offdiag_gram=max_off)
 

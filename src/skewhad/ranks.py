@@ -107,8 +107,8 @@ def _gram_certifies_full_rank(x: np.ndarray, p: int) -> bool:
     dividing neither s nor s + m t (see the module docstring).  The first
     two entries of Gram row 0 give s and t; the rest of row 0 is checked
     next, and the whole Gram (:func:`~skewhad.hadamard.gram_deviation`, on
-    the orbit rows of a verified block shift of x when there is one) only
-    after both.
+    the orbit rows of a verified block shift of x, every row when there is
+    none) only after both.
     """
     if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] == 0:
         return False

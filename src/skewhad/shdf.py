@@ -18,7 +18,7 @@ from math import gcd
 import numpy as np
 
 from . import gf
-from .groups import GroupSpec, autocorrelation_profile, subset_size
+from .groups import _MAX_DENSE_ORDER, GroupSpec, autocorrelation_profile, subset_size
 
 
 class GeneratorSearchError(RuntimeError):
@@ -162,10 +162,12 @@ def find_valid_generator(fieldcfg: gf.FieldConfig, N: int, i0, i1):
     indices are range-checked first (ValueError); then the conditions that
     do not depend on the generator are decided once, and a config that
     fails them raises GeneratorSearchError with ``candidates_tried == 0``
-    before any search.  Under g' = g^s class i is base class s*i mod N, so
-    candidates whose logs agree mod N share one verdict: only the first of
-    each residue is checked (at most phi(N) checks, the same winner), and
-    exhaustion raises GeneratorSearchError carrying the checks run.
+    before any search, as does a field above the dense order of the
+    development tables, with gf.FieldError.  Under g' = g^s class i is base
+    class s*i mod N, so candidates whose logs agree mod N share one verdict:
+    only the first of each residue is checked (at most phi(N) checks, the
+    same winner), and exhaustion raises GeneratorSearchError carrying the
+    checks run.
     """
     base = gf.build_field(fieldcfg)
     q = base.q
@@ -175,6 +177,9 @@ def find_valid_generator(fieldcfg: gf.FieldConfig, N: int, i0, i1):
     reason = _infeasibility(base, N, i0, i1)
     if reason:
         raise GeneratorSearchError(reason, candidates_tried=0)
+    if q > _MAX_DENSE_ORDER:
+        raise gf.FieldError(f"GF({q}) is too large: the blocks are developed as dense "
+                            f"tables, at most order {_MAX_DENSE_ORDER}")
 
     if fieldcfg.generator is None:
         candidates = [x for x in range(1, q) if gcd(int(base.log[x]), q - 1) == 1]

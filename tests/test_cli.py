@@ -299,6 +299,31 @@ def test_build_infeasible_sets_exit_2_before_search(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command", ["build", "verify", "aut"])
+@pytest.mark.parametrize("p, generator", [(8219, 2), (65543, 5), (1000003, 2)])
+def test_a_field_above_the_dense_order_exits_1_at_once(tmp_path, capsys, command, p, generator):
+    # the index sets are feasible, so only the order of the field refuses
+    # them, before any search and before a dense table is asked for
+    if command == "build":
+        argv = ["build", "--p", str(p), "--e", "1", "--N", "2", "--i0", "0", "--i1", "0",
+                "--out", str(tmp_path / "x")]
+    else:
+        manifest = tmp_path / "manifest.txt"
+        config = BuildConfig(p=p, e=1, N=2, modulus=(0, 1), generator=generator,
+                             i0=(0,), i1=(0,))
+        manifest.write_text(format_manifest(config, {f"matrix_{2 * p + 2}.txt": "ee" * 32}))
+        argv = ["verify", "shdf", str(manifest)] if command == "verify" else ["aut", str(manifest)]
+    t0 = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and f"GF({p}) is too large" in err[0]
+    assert not (tmp_path / "x").exists()
+
+
 def test_build_bad_generator_exits_1(tmp_path, capsys):
     code = main(["build", "--p", "7", "--e", "1", "--N", "2",
                  "--i0", "0", "--i1", "0", "--gen", "2",

@@ -271,8 +271,8 @@ def test_gram_deviation_matches_naive_gram(monkeypatch, b, order):
     monkeypatch.setattr(hadamard, "_PANEL", b)
     n = {"1": 1, "b-1": b - 1, "b": b, "b+1": b + 1, "2b+1": 2 * b + 1}[order]
     signs = random_signs(n, n + b)
-    # t = 0 packs two columns into one float when the deviations are small
-    # enough (signs, with s = n or 5n); signs times 97 and t != 0 are not
+    # t = 0 and t != 0, a diagonal off by s = 5n, and entries of 97, whose
+    # Gram entries reach 97^2 n and stay exact in float32
     for x, s, t in ((signs, n, 0), (signs, 5 * n, 0), (signs, n, 1), (signs, 0, -3),
                     (97 * signs, 97**2 * n, 0)):
         assert gram_deviation(x.astype(np.float32), s, t) == _deviation_oracle(x, s, t, b), (s, t)
@@ -368,17 +368,29 @@ def _gram_case(case, small_matrices, matrix1252):
     return signs
 
 
-@pytest.mark.parametrize("case, orbit_rows, want", [
+_GRAM_CASES = [
     ("n8", None, 0), ("n12", None, 0), ("n24", 8, 0), ("n56", 8, 0), ("n1252", 36, 0),
-    ("n1252-flip", None, None), ("n1252-orbit-flip", 36, 4), ("row2-periodic", None, None)])
+    ("n1252-flip", None, None), ("n1252-orbit-flip", 36, 4), ("row2-periodic", None, None)]
+
+
+# orbit_rows counts the rows of a verified block shift, None when no shift is
+# verified and every row is its own orbit.  Each case also runs at panel
+# height 8, where the 36 orbit rows at order 1252 span five panels.
+@pytest.mark.parametrize("case, orbit_rows, want, b", [
+    pytest.param(*case, b, id="-".join(map(str, case)) + ("-b8" if b == 8 else ""))
+    for b in (hadamard._PANEL, 8) for case in _GRAM_CASES])
 def test_gram_deviation_and_gate0_match_the_dense_oracle(
-        monkeypatch, small_matrices, matrix1252, case, orbit_rows, want):
+        monkeypatch, small_matrices, matrix1252, case, orbit_rows, want, b):
+    monkeypatch.setattr(hadamard, "_PANEL", b)
     signs = _gram_case(case, small_matrices, matrix1252)
     n = len(signs)
     oracle = naive_gram_deviation(signs, n, 0)
     assert oracle == want if want is not None else oracle > 0
     rows = hadamard._orbit_rows(signs)
-    assert (None if rows is None else len(rows)) == orbit_rows
+    if orbit_rows is None:
+        assert np.array_equal(rows, np.arange(n))
+    else:
+        assert len(rows) == orbit_rows
     if case == "row2-periodic":  # refused by the check, not by the proposal
         assert hadamard._period(signs[2, 3:29]) == hadamard._period(signs[2, 30:]) == 1
     f = signs.astype(np.float32)
@@ -393,7 +405,7 @@ def test_gram_deviation_and_gate0_match_the_dense_oracle(
     monkeypatch.setattr(hadamard, "gram_deviation",
                         lambda g, s, t, rows=None: seen.append(rows) or inner(g, s, t, rows))
     rep = sh.gate0_verify(sh.PmMatrix.from_signs(signs))
-    assert [None if r is None else len(r) for r in seen] == [orbit_rows]
+    assert len(seen) == 1 and np.array_equal(seen[0], rows)
     wide = signs.astype(np.int64)
     skew_ok = np.array_equal(wide + wide.T, 2 * np.eye(n, dtype=np.int64))
     assert (rep.gram_ok, rep.skew_ok, rep.max_offdiag_gram) == (oracle == 0, skew_ok, oracle)
@@ -402,7 +414,7 @@ def test_gram_deviation_and_gate0_match_the_dense_oracle(
 def test_every_single_flip_at_order_24_is_decided_exactly(small_matrices):
     # a flip keeps the block shift only at a pair of the four fixed indices
     # 0, 1, 2 and v + 2 = 13, whose orbit is the pair alone; every other
-    # flip, in row 2 or elsewhere, is refused and decided by the panels
+    # flip, in row 2 or elsewhere, is refused and decided on every row
     n, h, _ = next(m for m in small_matrices if m[0] == 24)
     fixed = {0, 1, 2, 13}
     for i in range(n):
@@ -410,7 +422,7 @@ def test_every_single_flip_at_order_24_is_decided_exactly(small_matrices):
             signs = h.copy()
             signs[i, j] *= -1
             rows = hadamard._orbit_rows(signs)
-            assert (rows is not None) == (i in fixed and j in fixed), (i, j)
+            assert len(rows) == (8 if i in fixed and j in fixed else n), (i, j)
             oracle = naive_gram_deviation(signs, n, 0)
             rep = sh.gate0_verify(sh.PmMatrix.from_signs(signs))
             assert (rep.max_offdiag_gram, rep.skew_ok) == (oracle, False), (i, j)
@@ -450,10 +462,11 @@ def test_gate0_never_forms_the_gram(matrix1252):
 
 
 def test_gate0_on_the_panels_never_forms_the_gram(matrix1252):
-    # a flip breaks the block shift, so the Gram is decided panel by panel
+    # a flip breaks the block shift, so every row is its own orbit and the
+    # Gram is decided panel by panel
     signs = matrix1252.signs().copy()
     signs[40, 700] *= -1
-    assert hadamard._orbit_rows(signs) is None
+    assert np.array_equal(hadamard._orbit_rows(signs), np.arange(1252))
     passed, peak = _gate0_peak_bytes(signs)
     assert not passed and peak < 1252 * 1252 * 4
 
