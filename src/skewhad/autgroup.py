@@ -10,12 +10,15 @@ differences, which the maps rescale within block-invariant classes.
 Every map the audit checks comes from one table, :func:`_affine_tables`:
 the block action of x -> g^(N*k) x + g_i is ``plus[i*q + scaled[k]]``, and
 the generators and closure samples are such maps or products of two.
-The audit checks only the 1 + e generators densely.  When all pass, the
-orbit-stabilizer step of Schreier-Sims (Seress, *Permutation Group
-Algorithms*, CUP 2003) certifies the rest: the translations move block
-index 0 to all q indices, the multiplier's powers are its stabilizer, and
-every map is a product of the two, so all f*q maps are automorphisms.  The
-closure-sample line is then derived: a product of two automorphisms is one.
+The multiplier generator x -> g^N x, the block shift by N, is decided by
+:func:`hadamard._keeps_block_shift`, which verifies the Gram's orbit rows
+too; only the e translation generators are checked densely.  When all
+pass, the orbit-stabilizer step of Schreier-Sims (Seress, *Permutation
+Group Algorithms*, CUP 2003) certifies the rest: the translations move
+block index 0 to all q indices, the multiplier's powers are its
+stabilizer, and every map is a product of the two, so all f*q maps are
+automorphisms.  The closure-sample line is then derived: a product of two
+automorphisms is one.
 Without the certificate every sample is checked densely.  When a generator
 fails, the exhaustive count stays exact: an automorphism keeps the -1
 counts of each row and column inside the borders and each block, so only
@@ -31,7 +34,7 @@ import numpy as np
 
 from .gf import CyclotomicPartition
 from . import gf as _gf
-from .hadamard import PmMatrix
+from .hadamard import PmMatrix, _keeps_block_shift
 
 
 def verify_automorphism(h: PmMatrix, sigma: np.ndarray) -> bool:
@@ -78,7 +81,7 @@ def _orbit_stabilizer(partition: CyclotomicPartition, plus: np.ndarray, scaled: 
     """Whether the generators' block actions generate all f*q affine maps.
 
     ``multiplier`` acts as x -> g^N x and ``translations`` as the e basis
-    translations, each checked densely already.  Orbit: the translations'
+    translations, each checked already.  Orbit: the translations'
     products, built one basis digit at a time (the rows so far after t_j^c,
     c < p), send block index 0 to all q indices, the one sending it to i
     being x -> x + g_i entry for entry.  Stabilizer: the multiplier's k-th
@@ -171,17 +174,18 @@ def subgroup_audit(h: PmMatrix, partition: CyclotomicPartition, *,
     """Verify the affine subgroup {x -> u*x + a : u in C_0, a in F} on H.
 
     Every map comes from the tables of :func:`_affine_tables`.  Checks one
-    multiplier generator of order (q-1)/N and one translation generator of
+    multiplier generator of order (q-1)/N, the block shift by N, with
+    :func:`hadamard._keeps_block_shift` and one translation generator of
     order p per basis coefficient densely; when all pass,
     :func:`_orbit_stabilizer` tries to certify that they generate all
     ((q-1)/N) * q maps.  A certificate settles the rest with no draw and no
     further check: every closure sample, a product of two certified maps,
     passes, and so does every map of ``exhaustive``.  Without one, each
-    closure sample is the product ``pi1[pi2]`` of the block actions of two
-    random table maps, each drawn as a multiplier power and then a
-    translation encoding, and is checked densely; ``exhaustive`` counts the
-    automorphisms exactly with :func:`_count_by_key_class`.  The verdicts
-    and the counts are the same as checking each map densely.
+    closure sample is the product ``pi1[pi2]`` of two random table maps,
+    each drawn as a multiplier power and then a translation encoding, and
+    is checked densely; ``exhaustive`` counts the automorphisms exactly
+    with :func:`_count_by_key_class`.  The verdicts and the counts are the
+    same as checking each map densely.
     """
     tables = partition.tables
     q, p, e, n_cls, f = tables.q, tables.p, tables.e, partition.N, partition.f
@@ -191,19 +195,17 @@ def subgroup_audit(h: PmMatrix, partition: CyclotomicPartition, *,
 
     plus, scaled = _affine_tables(partition)
     index_of = _gf.additive_group(tables).indices_of_encodings(np.arange(q))
-    multiplier = scaled[1 % f]  # x -> g^N x generates C_0 as a cyclic group
     # p**i encodes the i-th basis monomial
     translations = [plus[index_of[p**i] * q + scaled[0]] for i in range(e)]
 
-    all_ok = True
-    for name, pi in [(f"multiplier g^{n_cls}", multiplier)] + [
-            (f"translation basis {i}", t) for i, t in enumerate(translations)]:
-        ok = verify_automorphism(h, _bordered(pi, q))
-        report.generator_results.append((name, ok))
-        all_ok &= ok
+    report.generator_results = [  # x -> g^N x, generating C_0, is the block shift by N
+        (f"multiplier g^{n_cls}", _keeps_block_shift(h.signs(), n_cls)),
+        *((f"translation basis {i}", verify_automorphism(h, _bordered(t, q)))
+          for i, t in enumerate(translations))]
+    all_ok = all(ok for _, ok in report.generator_results)
 
     certified = (all_ok and (samples > 0 or exhaustive)
-                 and _orbit_stabilizer(partition, plus, scaled, multiplier, translations))
+                 and _orbit_stabilizer(partition, plus, scaled, scaled[1 % f], translations))
 
     if samples > 0 and certified:  # a product of two certified maps is one
         report.samples_ok = samples

@@ -68,17 +68,13 @@ class FieldTables:
 class CyclotomicPartition:
     """Partition of GF(q)^x into N classes C_i = g^i * <g^N>.
 
-    ``class_of[enc]`` is the class index of a nonzero encoding (-1 for zero);
-    every class has size ``f = (q - 1) // N``.
+    The class of a nonzero encoding x is ``tables.log[x] % N``; every class
+    has size ``f = (q - 1) // N``.
     """
 
     tables: FieldTables
     N: int
     f: int
-    class_of: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.class_of.setflags(write=False)
 
 
 def is_prime(n: int) -> bool:
@@ -294,9 +290,7 @@ def cyclotomic_partition(tables: FieldTables, N: int) -> CyclotomicPartition:
     q = tables.q
     if N < 1 or (q - 1) % N != 0:
         raise FieldError(f"N = {N} does not divide q - 1 = {q - 1}")
-    class_of = -np.ones(q, dtype=np.int64)
-    class_of[tables.antilog] = np.arange(q - 1) % N
-    return CyclotomicPartition(tables=tables, N=N, f=(q - 1) // N, class_of=class_of)
+    return CyclotomicPartition(tables=tables, N=N, f=(q - 1) // N)
 
 
 def negation_class_shift(tables: FieldTables, N: int) -> int:

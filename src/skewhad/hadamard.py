@@ -18,13 +18,14 @@ every multiplier fixes: in the order [0, g^0, g^1, ...] of each block the
 multiplier x -> g^d x shifts indices 3 .. v+1 and v+3 .. n-1 cyclically by d
 and fixes 0, 1, 2 and v+2, and d is taken as the least common multiple of
 the cyclic periods of the two block segments of row 2.  The invariance is
-then checked on every entry of the integer matrix, so the 4 + 2d rows it
-returns are exact whatever the proposal was.  When the proposal or the
-check fails, the lemma is applied to the identity, which keeps every
-matrix: each row is its own orbit, and every row is formed.  At order 1252,
-d = 16 (the verified permutation is the paper's multiplier x -> g^16 x, of
-order 39), so Gate0 and the rank certificates of H form 36 Gram rows, not
-1252.
+then checked on every entry of the integer matrix by
+:func:`_keeps_block_shift`, the check the automorphism audit makes of its
+multiplier x -> g^N x, so the 4 + 2d rows are exact whatever the proposal
+was.  When the proposal or the check fails, the lemma is applied to the
+identity, which keeps every matrix: each row is its own orbit, and every
+row is formed.  At order 1252, d = 16 (the verified permutation is the
+paper's multiplier x -> g^16 x, of order 39), so Gate0 and the rank
+certificates of H form 36 Gram rows, not 1252.
 
 The text interchange format is: first line the decimal order n, then n lines
 of n characters, '+' for +1 and '-' for -1, LF endings, nothing else.  The
@@ -223,31 +224,34 @@ def _period(seg: np.ndarray) -> int:
                 if size % p == 0 and np.array_equal(seg[p:], seg[: size - p]))
 
 
-def _orbit_rows(x: np.ndarray) -> np.ndarray:
-    """One row per orbit of a permutation that keeps the square matrix x (see
-    the module docstring): the rows 0 .. 2 + d and v + 2 .. v + 2 + d of the
-    block shift by d, once x[pi(i), pi(j)] == x[i, j] is checked for every
-    entry.  The shift is six runs of indices, each moved by one offset, so
-    each pair of runs is one slice compare.  Every row, the orbits of the
-    identity, when n is odd or below 8, when d is the segment length (the
-    shift is the identity) or when an entry moves.
-    """
-    n = x.shape[0]
-    every = np.arange(n)
-    length = n // 2 - 2  # v - 1, the elements g^0 .. g^(v-2) of each block
-    if n % 2 or length < 2:
-        return every
-    v = length + 1
-    d = math.lcm(_period(x[2, 3: v + 2]), _period(x[2, v + 3:]))
-    if d == length:
-        return every
+def _keeps_block_shift(x: np.ndarray, d: int) -> bool:
+    """Whether x[pi(i), pi(j)] == x[i, j] on every entry of the bordered
+    matrix x of order 2(v + 1), pi the block shift by d, 0 < d < v (see the
+    module docstring).  The shift is six runs of indices, each moved by one
+    offset, so each pair of runs is one slice compare."""
+    v = x.shape[0] // 2 - 1
+    length = v - 1  # the elements g^0 .. g^(v-2) of each block
     runs = [(0, 0, 3), (v + 2, v + 2, 1)]  # (from, to, size): i moves to i + to - from
     for lo in (3, v + 3):
         runs += [(lo, lo + d, length - d), (lo + length - d, lo, d)]
-    for a, a2, k in runs:
-        for b, b2, m in runs:
-            if not np.array_equal(x[a: a + k, b: b + m], x[a2: a2 + k, b2: b2 + m]):
-                return every
+    return all(np.array_equal(x[a: a + k, b: b + m], x[a2: a2 + k, b2: b2 + m])
+               for a, a2, k in runs for b, b2, m in runs)
+
+
+def _orbit_rows(x: np.ndarray) -> np.ndarray:
+    """One row per orbit of a permutation that keeps the square matrix x (see
+    the module docstring): the rows 0 .. 2 + d and v + 2 .. v + 2 + d of the
+    block shift by d, once :func:`_keeps_block_shift` holds.  Every row, the
+    orbits of the identity, when n is odd or below 8, when d is the segment
+    length (the shift is the identity) or when an entry moves."""
+    n = x.shape[0]
+    every = np.arange(n)
+    v = n // 2 - 1  # each block holds 0, g^0 .. g^(v-2)
+    if n % 2 or v < 3:
+        return every
+    d = math.lcm(_period(x[2, 3: v + 2]), _period(x[2, v + 3:]))
+    if d == v - 1 or not _keeps_block_shift(x, d):
+        return every
     return np.r_[0: 3 + d, v + 2: v + 3 + d]
 
 

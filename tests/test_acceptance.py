@@ -75,7 +75,7 @@ def test_criterion_3_gate0_order_1252(matrix1252):
 
 def test_criterion_4_class_structure(instance625):
     tables, partition, pair, _ = instance625
-    counts = np.bincount(partition.class_of[partition.class_of >= 0], minlength=16)
+    counts = np.bincount(tables.log[1:] % partition.N, minlength=16)  # encoding 0 is zero
     shift = sh.negation_class_shift(tables, 16)
     d0, d1 = sh.subset_size(pair.d0), sh.subset_size(pair.d1)
 

@@ -8,6 +8,7 @@ from skewhad import autgroup, gf
 
 from _naive import (naive_affine_maps, naive_closure_samples, naive_compose_affine,
                     naive_enc_add, naive_exhaustive_audit, naive_field_mul)
+from conftest import orbit_flip
 
 
 @pytest.fixture(scope="module")
@@ -44,12 +45,11 @@ def test_compose_identity_and_translations():
 
 def test_multiplier_preserves_classes():
     tables = sh.build_field(sh.FieldConfig(5, 4))
-    partition = sh.cyclotomic_partition(tables, 16)
     u = int(tables.antilog[16 % (tables.q - 1)])
     mul = naive_field_mul(tables)
     rng = np.random.default_rng(0)
     for x in rng.integers(1, 625, size=50):
-        assert partition.class_of[mul(u, int(x))] == partition.class_of[int(x)]
+        assert tables.log[mul(u, int(x))] % 16 == tables.log[x] % 16
 
 
 def test_induced_identity_permutation(desk_field):
@@ -293,7 +293,8 @@ def test_flipped_1252_audit_checks_few_maps_densely(instance625, matrix1252, mon
                                                     row, col, log):
     # One flipped block entry changes the key of its row's and its column's
     # block index, so the key-class count checks at most one map per
-    # multiplier power, f = 39, beside the 1 + e = 5 generators.  The switch
+    # multiplier power, f = 39, beside the e = 4 translations (the
+    # multiplier is decided by slice compares, not densely).  The switch
     # of four entries keeps every row's and column's -1 count, but not the
     # counts inside each block: with whole-row counts for a key it took
     # 24 380 dense checks.
@@ -308,13 +309,14 @@ def test_flipped_1252_audit_checks_few_maps_densely(instance625, matrix1252, mon
     report = sh.subgroup_audit(broken, partition, samples=0, exhaustive=True)
     assert log in report.to_log().splitlines()
     assert not report.passed
-    assert len(calls) <= 1 + tables.e + partition.f
+    assert len(calls) <= tables.e + partition.f
 
 
 def _assert_certified_audit_derives_the_samples(h, partition, exhaustive, monkeypatch):
     """Once the generators certify the group, every closure sample is a
     product of two of its maps, so the audit draws none and checks only the
-    1 + e generators densely, whatever the sample count."""
+    e translations densely, whatever the sample count: the multiplier is
+    decided by the slice compares of the block shift."""
     calls = []
     verify = autgroup.verify_automorphism
     monkeypatch.setattr(autgroup, "verify_automorphism",
@@ -333,7 +335,7 @@ def _assert_certified_audit_derives_the_samples(h, partition, exhaustive, monkey
         report = sh.subgroup_audit(h, partition, samples=samples, exhaustive=exhaustive)
         assert report.passed
         assert f"closure_sample {samples}/{samples} PASS" in report.to_log().splitlines()
-        assert len(calls) == 1 + partition.tables.e
+        assert len(calls) == partition.tables.e
 
 
 @pytest.mark.parametrize("exhaustive", [True, False])
@@ -370,19 +372,34 @@ def test_desk_closure_samples_match_dense_oracle(desk_field, monkeypatch, flip):
     report = sh.subgroup_audit(broken, partition, samples=60, seed=3)
     assert (report.samples_ok, report.samples_checked) == (expected, 60)
     if flip is None:
-        assert expected == 60 and len(calls) == 1 + tables.e
+        assert expected == 60 and len(calls) == tables.e
     else:
         # a failing generator leaves no certificate, so every sample is dense
         assert not all(ok for _, ok in report.generator_results)
-        assert len(calls) == 1 + tables.e + 60
+        assert len(calls) == tables.e + 60
 
 
-@pytest.mark.parametrize("row,col", [(40, 700), (2, 2)])
-def test_flipped_1252_closure_samples_match_dense_oracle(instance625, matrix1252, row, col):
+@pytest.mark.parametrize("flip", [
+    "40-700", "2-2",
+    # one whole orbit of the block shift by 16 negated: the multiplier still
+    # keeps the matrix and the translations do not
+    "orbit-16-5",
+    # a pair every affine map fixes: the whole group still keeps the matrix
+    "0-1"])
+def test_flipped_1252_closure_samples_match_dense_oracle(instance625, matrix1252, flip):
+    # the multiplier's verdict, decided by the slice compares of the block
+    # shift, is the dense check of its bordered permutation
     _, partition, _, _ = instance625
-    broken = _flipped(matrix1252, row, col)
+    if flip == "orbit-16-5":
+        broken = sh.PmMatrix.from_signs(orbit_flip(matrix1252.signs(), 16, 5))
+    else:
+        broken = _flipped(matrix1252, *map(int, flip.split("-")))
+    _, scaled = autgroup._affine_tables(partition)
+    multiplier = sh.verify_automorphism(broken, autgroup._bordered(scaled[1], 625))
+    assert multiplier == (flip != "40-700")
     report = sh.subgroup_audit(broken, partition, samples=20, exhaustive=True, seed=5)
-    assert not report.passed
+    assert report.generator_results[0] == ("multiplier g^16", multiplier)
+    assert report.passed == (flip == "0-1")
     assert report.samples_ok == naive_closure_samples(broken, partition, 20, seed=5)
 
 

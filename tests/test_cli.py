@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import struct
 import time
 import warnings
@@ -14,7 +15,7 @@ from skewhad.cli import (BuildConfig, CliError, format_index_set, format_manifes
                          parse_index_set, parse_manifest, read_manifest)
 
 from _naive import naive_rank_gfp
-from conftest import mutate_one_byte
+from conftest import PAPER_I0, PAPER_I1, mutate_one_byte, orbit_flip
 
 
 @pytest.fixture()
@@ -216,6 +217,43 @@ def test_aut_audits_the_matrix_file_on_disk(desk_build, capsys):
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+_GENERATORS_FAIL = ("translation basis 0 FAIL\ntranslation basis 1 FAIL\n"
+                    "translation basis 2 FAIL\ntranslation basis 3 FAIL\n"
+                    "closure_sample 0/100 FAIL\nFAIL order 24375 = 39*625\n")
+
+
+# (flip, exit code, stdout): one flipped entry, a switch of four, one whole
+# orbit of the block shift by 16, and the pair (0, 1) every affine map fixes
+@pytest.mark.parametrize("flip, code, out", [
+    ("40-700", 2, "multiplier g^16 FAIL\n" + _GENERATORS_FAIL),
+    ("2-2", 2, "multiplier g^16 PASS\n" + _GENERATORS_FAIL),
+    ("switch", 2, "multiplier g^16 FAIL\n" + _GENERATORS_FAIL),
+    ("orbit-16-5", 2, "multiplier g^16 PASS\n" + _GENERATORS_FAIL),
+    ("0-1", 0, "multiplier g^16 PASS\ntranslation basis 0 PASS\ntranslation basis 1 PASS\n"
+               "translation basis 2 PASS\ntranslation basis 3 PASS\n"
+               "closure_sample 100/100 PASS\nPASS order 24375 = 39*625\n")],
+    ids=["40-700", "2-2", "switch", "orbit-16-5", "0-1"])
+def test_aut_on_a_flipped_flagship_matrix_prints_the_pinned_log(
+        instance625, matrix1252, tmp_path, capsys, flip, code, out):
+    tables, _, _, _ = instance625
+    signs = matrix1252.signs().copy()
+    if flip == "switch":
+        signs[np.ix_([40, 41], [700, 301])] *= -1
+    elif flip == "orbit-16-5":
+        signs = orbit_flip(signs, 16, 5)
+    else:
+        row, col = map(int, flip.split("-"))
+        signs[row, col] *= -1
+    data = sh.to_matrix_text(sh.PmMatrix(signs))
+    (tmp_path / "matrix_1252.txt").write_bytes(data)
+    config = BuildConfig(p=5, e=4, N=16, modulus=tables.modulus, generator=tables.generator,
+                         i0=PAPER_I0, i1=PAPER_I1)
+    digests = {"matrix_1252.txt": hashlib.sha256(data).hexdigest()}
+    (tmp_path / "manifest.txt").write_text(format_manifest(config, digests))
+    assert main(["aut", str(tmp_path / "manifest.txt")]) == code
+    assert capsys.readouterr() == (out, "")
 
 
 def test_manifest_verification(desk_build, capsys):

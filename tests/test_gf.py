@@ -194,7 +194,7 @@ def test_partition_sizes_625():
     tables = sh.build_field(sh.FieldConfig(5, 4))
     part = sh.cyclotomic_partition(tables, 16)
     assert part.N == 16 and part.f == 39
-    counts = np.bincount(part.class_of[part.class_of >= 0], minlength=16)
+    counts = np.bincount(tables.log[1:] % part.N, minlength=16)  # encoding 0 is zero
     assert counts.tolist() == [39] * 16
 
 
@@ -202,16 +202,17 @@ def test_partition_n1_is_whole_group():
     tables = sh.build_field(sh.FieldConfig(3, 2))
     part = sh.cyclotomic_partition(tables, 1)
     assert part.f == 8
-    assert part.class_of[0] == -1
-    assert np.all(part.class_of[1:] == 0)
+    assert tables.log[0] == -1  # zero has no discrete log and no class
+    assert np.all(tables.log[1:] % part.N == 0)
 
 
 def test_partition_gf7_n3_frozen():
     tables = sh.build_field(sh.FieldConfig(7, 1, generator=3))
     part = sh.cyclotomic_partition(tables, 3)
-    assert np.flatnonzero(part.class_of == 0).tolist() == [1, 6]
-    assert np.flatnonzero(part.class_of == 1).tolist() == [3, 4]
-    assert np.flatnonzero(part.class_of == 2).tolist() == [2, 5]
+    classes = tables.log[1:] % part.N  # of the encodings 1 .. 6
+    assert (1 + np.flatnonzero(classes == 0)).tolist() == [1, 6]
+    assert (1 + np.flatnonzero(classes == 1)).tolist() == [3, 4]
+    assert (1 + np.flatnonzero(classes == 2)).tolist() == [2, 5]
 
 
 def test_partition_rejects_bad_n():
@@ -223,20 +224,18 @@ def test_partition_rejects_bad_n():
 def test_class_multiplication_additivity():
     # an element of C_i times an element of C_j lands in C_{i+j mod N}
     tables = sh.build_field(sh.FieldConfig(13, 1))
-    part = sh.cyclotomic_partition(tables, 4)
     mul = naive_field_mul(tables)
     for x in range(1, 13):
         for y in range(1, 13):
-            cx, cy = int(part.class_of[x]), int(part.class_of[y])
-            assert part.class_of[mul(x, y)] == (cx + cy) % 4
+            cx, cy = tables.log[x] % 4, tables.log[y] % 4
+            assert tables.log[mul(x, y)] % 4 == (cx + cy) % 4
 
-    big = sh.cyclotomic_partition(sh.build_field(sh.FieldConfig(5, 4)), 16)
-    mul = naive_field_mul(big.tables)
+    big = sh.build_field(sh.FieldConfig(5, 4))
+    mul = naive_field_mul(big)
     rng = np.random.default_rng(4)
     for x, y in rng.integers(1, 625, size=(60, 2)):
-        cx = int(big.class_of[x])
-        cy = int(big.class_of[y])
-        assert big.class_of[mul(int(x), int(y))] == (cx + cy) % 16
+        cx, cy = big.log[x] % 16, big.log[y] % 16
+        assert big.log[mul(int(x), int(y))] % 16 == (cx + cy) % 16
 
 
 def test_negation_class_shift_values():
@@ -252,23 +251,21 @@ def test_negation_class_shift_values():
 def test_negation_class_shift_matches_class_of_minus_one():
     for p, e, n in [(5, 4, 16), (7, 1, 3), (13, 1, 4), (3, 2, 8), (5, 2, 12)]:
         tables = sh.build_field(sh.FieldConfig(p, e))
-        part = sh.cyclotomic_partition(tables, n)
         enc = np.array([0, *tables.antilog])
         minus_one = enc[naive_neg_perm(p, e, enc)[1]]  # index 1 holds g^0 = 1
         assert minus_one == p - 1
-        assert sh.negation_class_shift(tables, n) == part.class_of[minus_one]
+        assert sh.negation_class_shift(tables, n) == tables.log[minus_one] % n
 
 
 def test_class_of_negative_is_shifted():
     tables = sh.build_field(sh.FieldConfig(5, 4))
-    part = sh.cyclotomic_partition(tables, 16)
     shift = sh.negation_class_shift(tables, 16)
     g = sh.additive_group(tables)
     enc = np.array([0, *tables.antilog])
     rng = np.random.default_rng(5)
     for x in rng.integers(1, 625, size=60):
         minus_x = enc[g.neg_perm()[g.indices_of_encodings(x)]]
-        assert part.class_of[minus_x] == (int(part.class_of[int(x)]) + shift) % 16
+        assert tables.log[minus_x] % 16 == (tables.log[x] % 16 + shift) % 16
 
 
 def test_additive_group_ordering():

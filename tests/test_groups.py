@@ -87,13 +87,12 @@ def test_field_negation_lands_in_shifted_class():
     # multiplying by -1 shifts the discrete log by (q-1)/2, so for N=16 over
     # GF(5^4) the negative of an element of class k lies in class k+8
     tables = sh.build_field(sh.FieldConfig(5, 4))
-    part = sh.cyclotomic_partition(tables, 16)
     g = sh.additive_group(tables)
     rng = np.random.default_rng(1)
     for k in rng.integers(0, 624, size=40):
         idx = 1 + int(k)  # element g^k
-        nidx = group_neg(g, idx)
-        assert part.class_of[tables.antilog[nidx - 1]] == (int(k) + 8) % 16
+        nidx = group_neg(g, idx)  # element g^(nidx - 1)
+        assert (nidx - 1) % 16 == (int(k) + 8) % 16
 
 
 @pytest.mark.parametrize("name,g,add", GROUPS, ids=[t[0] for t in GROUPS])

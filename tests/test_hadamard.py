@@ -9,13 +9,13 @@ from hypothesis.extra.numpy import arrays
 
 import skewhad as sh
 from skewhad.cli import main
-from skewhad import hadamard
+from skewhad import autgroup, hadamard
 from skewhad.hadamard import MatrixFormatError, gram_deviation
 
 from _naive import (naive_developed, naive_gram, naive_gram_deviation, naive_parse_matrix_text,
                     naive_reversed_type2, naive_to_matrix_text)
-from conftest import (SMALL_FIELDS, desk_group, field_group, mutate_one_byte, orbit_flip,
-                      random_signs, subset_of_encodings)
+from conftest import (SMALL_CONFIGS, SMALL_FIELDS, desk_group, field_group, mutate_one_byte,
+                      orbit_flip, random_signs, subset_of_encodings)
 
 
 def sum_developed(g, d):
@@ -411,18 +411,27 @@ def test_gram_deviation_and_gate0_match_the_dense_oracle(
     assert (rep.gram_ok, rep.skew_ok, rep.max_offdiag_gram) == (oracle == 0, skew_ok, oracle)
 
 
-def test_every_single_flip_at_order_24_is_decided_exactly(small_matrices):
-    # a flip keeps the block shift only at a pair of the four fixed indices
-    # 0, 1, 2 and v + 2 = 13, whose orbit is the pair alone; every other
-    # flip, in row 2 or elsewhere, is refused and decided on every row
-    n, h, _ = next(m for m in small_matrices if m[0] == 24)
-    fixed = {0, 1, 2, 13}
+@pytest.mark.parametrize("p, e, N, i0, i1", SMALL_CONFIGS[2:], ids=["24", "56"])
+def test_every_single_flip_is_decided_exactly(p, e, N, i0, i1):
+    # a flip keeps the block shift by N = 2 only at a pair of the four fixed
+    # indices 0, 1, 2 and v + 2, whose orbit is the pair alone; every other
+    # flip, in row 2 or elsewhere, is refused and decided on every row.  The
+    # audit's multiplier x -> g^N x is that shift: its slice compares give
+    # the dense check's verdict on its bordered permutation.
+    _, partition, pair, _ = sh.find_valid_generator(sh.FieldConfig(p, e), N, i0, i1)
+    h = sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1).signs()
+    n, q = len(h), partition.tables.q
+    sigma = autgroup._bordered(autgroup._affine_tables(partition)[1][1 % partition.f], q)
+    fixed = {0, 1, 2, q + 2}
     for i in range(n):
         for j in range(n):
             signs = h.copy()
             signs[i, j] *= -1
+            kept = i in fixed and j in fixed
+            dense = sh.verify_automorphism(sh.PmMatrix(signs), sigma)
+            assert hadamard._keeps_block_shift(signs, N) == dense == kept, (i, j)
             rows = hadamard._orbit_rows(signs)
-            assert len(rows) == (8 if i in fixed and j in fixed else n), (i, j)
+            assert len(rows) == (8 if kept else n), (i, j)
             oracle = naive_gram_deviation(signs, n, 0)
             rep = sh.gate0_verify(sh.PmMatrix.from_signs(signs))
             assert (rep.max_offdiag_gram, rep.skew_ok) == (oracle, False), (i, j)

@@ -36,11 +36,12 @@ def test_blocks_gf7_frozen_membership():
 
 
 def test_blocks_membership_agrees_with_class_of(instance625):
-    # index-computed masks match the partition's class-of-encoding map
+    # index-computed masks match the class of each encoding, its discrete
+    # log mod N
     tables, partition, pair, _ = instance625
     for i in np.random.default_rng(0).integers(1, 625, size=50):
         enc = int(tables.antilog[i - 1])  # index i holds g^(i - 1)
-        in_d0 = int(partition.class_of[enc]) in pair.i0
+        in_d0 = int(tables.log[enc] % partition.N) in pair.i0
         assert bool(pair.d0[int(i)]) == in_d0
 
 
