@@ -8,22 +8,23 @@ the borders are constant and every block entry depends only on element
 differences, which the maps rescale within block-invariant classes.
 
 Every map the audit checks comes from one table, :func:`_affine_tables`:
-the block action of x -> g^(N*k) x + g_i is ``plus[i*q + scaled[k]]``, and
-the generators and closure samples are such maps or products of two.
+the block action of x -> g^(N*k) x + a is ``shifts[j][scaled[k]]`` for the
+a encoded j, and the generators and closure samples are such maps or
+products of two.  ``shifts`` is generated by the e basis translations, one
+digit at a time, so every map is by construction a product of powers of
+the generators (the orbit-stabilizer argument of Seress, *Permutation
+Group Algorithms*, CUP 2003, as the construction rather than a check).
 The multiplier generator x -> g^N x, the block shift by N, is decided by
 :func:`hadamard._keeps_block_shift`, which verifies the Gram's orbit rows
 too; only the e translation generators are checked densely.  When all
-pass, the orbit-stabilizer step of Schreier-Sims (Seress, *Permutation
-Group Algorithms*, CUP 2003) certifies the rest: the translations move
-block index 0 to all q indices, the multiplier's powers are its
-stabilizer, and every map is a product of the two, so all f*q maps are
-automorphisms.  The closure-sample line is then derived: a product of two
-automorphisms is one.
+pass, all f*q maps are automorphisms, and the closure-sample line is
+derived: a product of two automorphisms is one.
 Without the certificate every sample is checked densely.  When a generator
 fails, the exhaustive count stays exact: an automorphism keeps the -1
 counts of each row and column inside the borders and each block, so only
 the maps sending one index of the rarest class of those counts into that
-class are checked densely.
+class are checked densely, and only those with no multiplier power when
+the multiplier passed.
 """
 
 from __future__ import annotations
@@ -54,62 +55,40 @@ def _bordered(pi: np.ndarray, q: int) -> np.ndarray:
 
 
 def _affine_tables(partition: CyclotomicPartition):
-    """Index tables for the f*q maps x -> g^(N*k) x + g_i, numbered k*q + i.
+    """Index tables for the f*q maps x -> g^(N*k) x + a.
 
-    Returns ``plus`` flattened with plus[a*q + x] the index of g_x + g_a,
-    and ``scaled`` with scaled[k] the block action of x -> g^(N*k) x, so
-    that the block action of map k*q + i is ``plus[i*q + scaled[k]]``.
+    Returns ``shifts`` with shifts[j] the block action of x -> x + a for the
+    a encoded j, and ``scaled`` with scaled[k] that of x -> g^(N*k) x, so
+    that the block action of map (k, j) is ``shifts[j][scaled[k]]``.
+    ``shifts`` is built one basis digit at a time as products of the e basis
+    translations x -> x + p^i (the rows so far after t_i^c, c < p), so
+    every row is a product of powers of those e maps.
     """
     tables = partition.tables
-    q, f, n_cls = tables.q, partition.f, partition.N
-    plus = _gf.additive_group(tables).sum_index_table().ravel()
+    q, p, e, f, n_cls = tables.q, tables.p, tables.e, partition.f, partition.N
+    group = _gf.additive_group(tables)
+    shifts = np.arange(q)[None, :]
+    for w in group.indices_of_encodings(p ** np.arange(e)):  # p**i encodes the i-th monomial
+        t = group.add_shift(np.arange(q), w)
+        powers = [shifts]
+        for _ in range(p - 1):
+            powers.append(t[powers[-1]])
+        shifts = np.concatenate(powers)
     # Multiplying by g^(N*k) adds N*k to the discrete log, and block index
     # 1 + j holds g^j.
     scaled = np.zeros((f, q), dtype=np.int64)
     scaled[:, 1:] = 1 + (np.arange(q - 1) + n_cls * np.arange(f)[:, None]) % (q - 1)
-    # Map k*q + i has i at index 0 and the index of g^(N*k) + g_i at index
-    # 1; distinct pairs there make the f*q maps pairwise distinct.
-    at_one = plus[np.arange(q) * q + scaled[:, 1, None]]  # [k, i]
-    keys = np.sort(np.arange(q) * q + at_one, axis=None)
+    # Distinct images of block indices 0 and 1 make the f*q maps pairwise
+    # distinct; the multiplier powers fix index 0, so map (k, j) sends it
+    # to shifts[j][0].
+    keys = np.sort(shifts[:, :1] * q + shifts[:, scaled[:, 1]], axis=None)
     if not np.diff(keys).all():
         raise AssertionError("the affine maps are not pairwise distinct")
-    return plus, scaled
+    return shifts, scaled
 
 
-def _orbit_stabilizer(partition: CyclotomicPartition, plus: np.ndarray, scaled: np.ndarray,
-                      multiplier: np.ndarray, translations: list[np.ndarray]) -> bool:
-    """Whether the generators' block actions generate all f*q affine maps.
-
-    ``multiplier`` acts as x -> g^N x and ``translations`` as the e basis
-    translations, each checked already.  Orbit: the translations'
-    products, built one basis digit at a time (the rows so far after t_j^c,
-    c < p), send block index 0 to all q indices, the one sending it to i
-    being x -> x + g_i entry for entry.  Stabilizer: the multiplier's k-th
-    power is x -> g^(N*k) x for k < f, its f-th the identity.  So map
-    k*q + i, a translation after a multiplier power, is an automorphism.
-    ``plus`` and ``scaled`` are the tables of :func:`_affine_tables`.
-    """
-    q, p, f = partition.tables.q, partition.tables.p, partition.f
-    rows = np.arange(q)[None, :]
-    for t in translations:
-        powers = [rows]
-        for _ in range(p - 1):
-            powers.append(t[powers[-1]])
-        rows = np.concatenate(powers)
-    orbit = rows[:, 0]
-    if not (np.array_equal(np.sort(orbit), np.arange(q))
-            and np.array_equal(rows, plus.reshape(q, q)[orbit])):
-        return False
-    power = np.arange(q)
-    for k in range(f + 1):  # the f-th power must be scaled[0], the identity
-        if not np.array_equal(power, scaled[k % f]):
-            return False
-        power = multiplier[power]
-    return True
-
-
-def _count_by_key_class(h: PmMatrix, partition: CyclotomicPartition, plus: np.ndarray,
-                        scaled: np.ndarray) -> int:
+def _count_by_key_class(h: PmMatrix, shifts: np.ndarray, scaled: np.ndarray,
+                        multiplier_ok: bool) -> int:
     """How many of the f*q affine maps are automorphisms of h, exactly.
 
     Every affine map fixes the borders and permutes the indices of both
@@ -119,14 +98,17 @@ def _count_by_key_class(h: PmMatrix, partition: CyclotomicPartition, plus: np.nd
     counts for its row and column in both blocks, twelve in all, so the
     block action of an automorphism maps each key class onto itself.  Take
     x0 in the rarest class R: for each multiplier power k and each y in R
-    exactly one map sends x0 to y, the translation by g_y - g^(N*k) g_x0.
-    Only those f*|R| maps can be automorphisms, and they are checked
-    densely.  When every block index has the same key, R is all q indices
-    and all f*q maps are checked, so the worst case stays f*q dense checks.
-    The tables are those of :func:`_affine_tables`.
+    exactly one map sends x0 to y, the translation taking z = g^(N*k) g_x0
+    to y after the power, read from column z of ``shifts`` inverted.  Only
+    those f*|R| maps can be automorphisms, and they are checked densely.
+    When the multiplier keeps h (``multiplier_ok``), so does each of its
+    powers, and map (k, j) is an automorphism exactly when its translation
+    is: the |R| maps with k = 0 are checked and their count taken f times.
+    When every block index has the same key, R is all q indices, so the
+    worst case stays f*q dense checks.  The tables are those of
+    :func:`_affine_tables`.
     """
-    q = partition.tables.q
-    minus = _gf.additive_group(partition.tables).diff_index_table()  # g_y - g_a at [a, y]
+    q = len(shifts)
     neg = h.signs() < 0
     ranges = [0, 2, q + 2]  # the borders, the first block, the second block
     rows = np.add.reduceat(neg, ranges, axis=1, dtype=np.int64)
@@ -134,11 +116,16 @@ def _count_by_key_class(h: PmMatrix, partition: CyclotomicPartition, plus: np.nd
     keys = np.hstack([rows[2: q + 2], cols[2: q + 2], rows[q + 2:], cols[q + 2:]])
     _, key_class, sizes = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
     rare = np.flatnonzero(key_class.ravel() == np.argmin(sizes))
+    f = len(scaled)
+    if multiplier_ok:  # every power keeps h, so the translation decides
+        scaled = scaled[:1]
     count = 0
     for scale in scaled:
-        for i in minus[scale[rare[0]], rare]:
-            count += verify_automorphism(h, _bordered(plus[i * q + scale], q))
-    return count
+        taking = np.empty(q, dtype=np.int64)  # taking[y]: the j with shifts[j][z] == y
+        taking[shifts[:, scale[rare[0]]]] = np.arange(q)
+        for j in taking[rare]:
+            count += verify_automorphism(h, _bordered(shifts[j][scale], q))
+    return count * f // len(scaled)
 
 
 @dataclass
@@ -176,16 +163,16 @@ def subgroup_audit(h: PmMatrix, partition: CyclotomicPartition, *,
     Every map comes from the tables of :func:`_affine_tables`.  Checks one
     multiplier generator of order (q-1)/N, the block shift by N, with
     :func:`hadamard._keeps_block_shift` and one translation generator of
-    order p per basis coefficient densely; when all pass,
-    :func:`_orbit_stabilizer` tries to certify that they generate all
-    ((q-1)/N) * q maps.  A certificate settles the rest with no draw and no
-    further check: every closure sample, a product of two certified maps,
-    passes, and so does every map of ``exhaustive``.  Without one, each
-    closure sample is the product ``pi1[pi2]`` of two random table maps,
-    each drawn as a multiplier power and then a translation encoding, and
-    is checked densely; ``exhaustive`` counts the automorphisms exactly
-    with :func:`_count_by_key_class`.  The verdicts and the counts are the
-    same as checking each map densely.
+    order p per basis coefficient densely.  Every table map is by
+    construction a translation after a multiplier power, each a product of
+    powers of those generators, so when all pass all ((q-1)/N) * q maps are
+    certified with no further step: every closure sample, a product of two
+    certified maps, passes, and so does every map of ``exhaustive``.
+    Otherwise each closure sample is the product ``pi1[pi2]`` of two random
+    table maps, each drawn as a multiplier power and then a translation
+    encoding, and is checked densely; ``exhaustive`` counts the
+    automorphisms exactly with :func:`_count_by_key_class`.  The verdicts
+    and the counts are the same as checking each map densely.
     """
     tables = partition.tables
     q, p, e, n_cls, f = tables.q, tables.p, tables.e, partition.N, partition.f
@@ -193,19 +180,14 @@ def subgroup_audit(h: PmMatrix, partition: CyclotomicPartition, *,
     if h.n != 2 * q + 2:
         raise ValueError(f"matrix order {h.n} does not match 2(q + 1) = {2 * q + 2}")
 
-    plus, scaled = _affine_tables(partition)
-    index_of = _gf.additive_group(tables).indices_of_encodings(np.arange(q))
-    # p**i encodes the i-th basis monomial
-    translations = [plus[index_of[p**i] * q + scaled[0]] for i in range(e)]
-
-    report.generator_results = [  # x -> g^N x, generating C_0, is the block shift by N
-        (f"multiplier g^{n_cls}", _keeps_block_shift(h.signs(), n_cls)),
+    shifts, scaled = _affine_tables(partition)
+    # x -> g^N x, generating C_0, is the block shift by N
+    multiplier_ok = _keeps_block_shift(h.signs(), n_cls)
+    report.generator_results = [
+        (f"multiplier g^{n_cls}", multiplier_ok),
         *((f"translation basis {i}", verify_automorphism(h, _bordered(t, q)))
-          for i, t in enumerate(translations))]
-    all_ok = all(ok for _, ok in report.generator_results)
-
-    certified = (all_ok and (samples > 0 or exhaustive)
-                 and _orbit_stabilizer(partition, plus, scaled, scaled[1 % f], translations))
+          for i, t in enumerate(shifts[p ** np.arange(e)]))]
+    certified = all(ok for _, ok in report.generator_results)
 
     if samples > 0 and certified:  # a product of two certified maps is one
         report.samples_ok = samples
@@ -214,20 +196,18 @@ def subgroup_audit(h: PmMatrix, partition: CyclotomicPartition, *,
 
         def random_element() -> np.ndarray:
             k = int(rng.integers(f))
-            return plus[index_of[int(rng.integers(q))] * q + scaled[k]]
+            return shifts[int(rng.integers(q))][scaled[k]]
 
         # pi1 after the second draw: Python draws pi1 before its subscript
         report.samples_ok = sum(
             verify_automorphism(h, _bordered(random_element()[random_element()], q))
             for _ in range(samples))
     report.samples_checked = samples
-    all_ok &= report.samples_ok == samples
 
     if exhaustive:
         report.exhaustive_checked = f * q
         report.exhaustive_ok = (f * q if certified
-                                else _count_by_key_class(h, partition, plus, scaled))
-        all_ok &= certified
+                                else _count_by_key_class(h, shifts, scaled, multiplier_ok))
 
-    report.passed = bool(all_ok)
+    report.passed = certified and report.samples_ok == samples
     return report

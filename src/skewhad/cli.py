@@ -400,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="closure sample size; derived with no check when the generators "
                             "certify the subgroup, else each sample is checked densely")
     p_aut.add_argument("--exhaustive", action="store_true",
-                       help="certify every subgroup element (by orbit and stabilizer)")
+                       help="certify every subgroup element (each a product of the "
+                            "checked generators)")
     p_aut.add_argument("--seed", type=int, default=0)
     p_aut.set_defaults(func=cmd_aut)
 

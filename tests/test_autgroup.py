@@ -25,10 +25,8 @@ def desk_field():
 def _table_map(partition, k, a):
     """Block action of x -> g^(N*k) x + a from the tables of
     :func:`autgroup._affine_tables`, for a translation encoding a."""
-    plus, scaled = autgroup._affine_tables(partition)
-    q = partition.tables.q
-    i = [0, *partition.tables.antilog].index(a)
-    return plus[i * q + scaled[k]]
+    shifts, scaled = autgroup._affine_tables(partition)
+    return shifts[a][scaled[k]]
 
 
 def test_compose_identity_and_translations():
@@ -89,6 +87,15 @@ def test_induced_permutation_is_homomorphism(desk_field):
             _, a12 = naive_compose_affine(tables, m1, m2)
             assert np.array_equal(product, _table_map(partition, (k1 + k2) % f, a12))
             assert np.array_equal(product, action(*naive_compose_affine(tables, m1, m2)))
+
+
+def _dense_calls(monkeypatch):
+    """A list that gains one entry per dense check the audit makes."""
+    calls = []
+    verify = autgroup.verify_automorphism
+    monkeypatch.setattr(autgroup, "verify_automorphism",
+                        lambda h, sigma: calls.append(1) or verify(h, sigma))
+    return calls
 
 
 def test_verify_automorphism_identity_and_transposition(desk_field):
@@ -204,8 +211,8 @@ def test_exhaustive_audit_on_flipped_entry_matches_dense_oracle(desk_field, row,
 
 
 def test_affine_tables_give_the_induced_permutations():
-    # Every map the audit checks is a row of these tables, so on every desk
-    # field each row k*q + i must be x -> g^(N*k) x + g_i under schoolbook
+    # Every map the audit checks is read from these tables, so on every desk
+    # field each map (k, a) must be x -> g^(N*k) x + a under schoolbook
     # field arithmetic, and the block indices must hold zero, then the
     # powers of g.
     for p, e, N, i0, i1 in SMALL_INSTANCES:
@@ -213,40 +220,25 @@ def test_affine_tables_give_the_induced_permutations():
         tables, q = partition.tables, p**e
         enc, action = naive_affine_maps(tables)
         assert enc == [0, *tables.antilog]
-        plus, scaled = autgroup._affine_tables(partition)
+        shifts, scaled = autgroup._affine_tables(partition)
         for k in range(partition.f):
-            for i in range(q):
-                assert np.array_equal(plus[i * q + scaled[k]],
-                                      action(enc[1 + N * k % (q - 1)], enc[i]))
+            for a in range(q):
+                assert np.array_equal(shifts[a][scaled[k]],
+                                      action(enc[1 + N * k % (q - 1)], a))
 
 
 def test_affine_tables_refuse_two_maps_that_collide(desk_field, monkeypatch):
-    # g_0 + g^N read as g_0 + g^0: maps 0 and q (k = 0 and 1, both i = 0)
-    # then send block indices 0 and 1 to the same pair, and only they collide
+    # the last basis translation read as the identity: the translations
+    # whose encodings differ only in the last digit then coincide
     _, partition, _, _ = desk_field
-    n_cls, real = partition.N, sh.GroupSpec.sum_index_table
+    real, last = sh.GroupSpec.add_shift, partition.tables.p ** (partition.tables.e - 1)
 
-    def colliding(self):
-        t = real(self).copy()
-        t[0, 1 + n_cls] = t[0, 1]
-        return t
+    def colliding(self, xs, w):
+        return real(self, xs, 0 if w == self.indices_of_encodings(last) else w)
 
-    monkeypatch.setattr(sh.GroupSpec, "sum_index_table", colliding)
+    monkeypatch.setattr(sh.GroupSpec, "add_shift", colliding)
     with pytest.raises(AssertionError, match="not pairwise distinct"):
         autgroup._affine_tables(partition)
-
-
-def _generator_actions(tables, partition):
-    """Block actions of the multiplier and the e basis translations."""
-    enc, action = naive_affine_maps(tables)
-    multiplier = action(enc[1 + partition.N % (tables.q - 1)], 0)
-    return [multiplier] + [action(1, tables.p**i) for i in range(tables.e)]
-
-
-def _certifies(partition, multiplier, translations):
-    """The orbit-stabilizer verdict on these block actions."""
-    plus, scaled = autgroup._affine_tables(partition)
-    return autgroup._orbit_stabilizer(partition, plus, scaled, multiplier, translations)
 
 
 def _frobenius(tables):
@@ -257,38 +249,10 @@ def _frobenius(tables):
     return frobenius
 
 
-def test_closure_outside_the_affine_maps_fails(desk_field):
-    # The Frobenius map x -> x^3 keeps the squares of GF(27), so it is an
-    # automorphism of this matrix, but it is not affine: passed as the
-    # multiplier it passes its dense check, and the stabilizer step must
-    # reject it instead of counting the maps it would generate.
-    tables, partition, _, h = desk_field
-    q = tables.q
-    frobenius = _frobenius(tables)
-    assert sh.verify_automorphism(h, autgroup._bordered(frobenius, q))
-    multiplier, *translations = _generator_actions(tables, partition)
-    assert _certifies(partition, multiplier, translations)
-    assert not _certifies(partition, frobenius, translations)
-    # a repeated translation leaves the orbit of index 0 short; translations
-    # after the Frobenius map reach every index but are not translations
-    assert not _certifies(partition, multiplier, [translations[0]] * 3)
-    assert not _certifies(partition, multiplier,
-                          [t[frobenius] for t in translations])
-
-
-def test_stabilizer_of_a_trivial_class_must_be_the_identity():
-    # GF(3) with N = 2: C_0 = {1}, so f = 1 and the multiplier's first power
-    # must already be the identity; negation has order 2 and must fail.
-    tables, partition, _, _ = sh.find_valid_generator(sh.FieldConfig(3, 1), 2, [0], [0])
-    multiplier, *translations = _generator_actions(tables, partition)
-    assert partition.f == 1
-    assert _certifies(partition, multiplier, translations)
-    assert not _certifies(partition, np.array([0, 2, 1]), translations)
-
-
 @pytest.mark.parametrize("row,col,log", [
     (40, 700, "exhaustive 1/24375 FAIL"), (2, 2, "exhaustive 39/24375 FAIL"),
-    pytest.param((40, 41), (700, 301), "exhaustive 1/24375 FAIL", id="switch")])
+    pytest.param((40, 41), (700, 301), "exhaustive 1/24375 FAIL", id="switch"),
+    pytest.param(None, None, "exhaustive 39/24375 FAIL", id="orbit-16-5")])
 def test_flipped_1252_audit_checks_few_maps_densely(instance625, matrix1252, monkeypatch,
                                                     row, col, log):
     # One flipped block entry changes the key of its row's and its column's
@@ -297,15 +261,17 @@ def test_flipped_1252_audit_checks_few_maps_densely(instance625, matrix1252, mon
     # multiplier is decided by slice compares, not densely).  The switch
     # of four entries keeps every row's and column's -1 count, but not the
     # counts inside each block: with whole-row counts for a key it took
-    # 24 380 dense checks.
+    # 24 380 dense checks.  One whole orbit of the block shift by 16
+    # negated keeps the multiplier, so only the |R| = 39 maps with no
+    # multiplier power are checked, not f * |R| = 1521.
     tables, partition, _, _ = instance625
-    signs = matrix1252.signs().copy()
-    signs[np.ix_(np.atleast_1d(row), np.atleast_1d(col))] *= -1
+    if row is None:
+        signs = orbit_flip(matrix1252.signs(), 16, 5)
+    else:
+        signs = matrix1252.signs().copy()
+        signs[np.ix_(np.atleast_1d(row), np.atleast_1d(col))] *= -1
     broken = sh.PmMatrix.from_signs(signs)
-    calls = []
-    verify = autgroup.verify_automorphism
-    monkeypatch.setattr(autgroup, "verify_automorphism",
-                        lambda h, sigma: calls.append(1) or verify(h, sigma))
+    calls = _dense_calls(monkeypatch)
     report = sh.subgroup_audit(broken, partition, samples=0, exhaustive=True)
     assert log in report.to_log().splitlines()
     assert not report.passed
@@ -317,10 +283,7 @@ def _assert_certified_audit_derives_the_samples(h, partition, exhaustive, monkey
     product of two of its maps, so the audit draws none and checks only the
     e translations densely, whatever the sample count: the multiplier is
     decided by the slice compares of the block shift."""
-    calls = []
-    verify = autgroup.verify_automorphism
-    monkeypatch.setattr(autgroup, "verify_automorphism",
-                        lambda h, sigma: calls.append(1) or verify(h, sigma))
+    calls = _dense_calls(monkeypatch)
 
     class NoDraws:
         def __init__(self, seed=None):
@@ -365,10 +328,7 @@ def test_desk_closure_samples_match_dense_oracle(desk_field, monkeypatch, flip):
     tables, partition, _, h = desk_field
     broken = h if flip is None else _flipped(h, *flip)
     expected = naive_closure_samples(broken, partition, 60, seed=3)
-    calls = []
-    verify = autgroup.verify_automorphism
-    monkeypatch.setattr(autgroup, "verify_automorphism",
-                        lambda h, sigma: calls.append(1) or verify(h, sigma))
+    calls = _dense_calls(monkeypatch)
     report = sh.subgroup_audit(broken, partition, samples=60, seed=3)
     assert (report.samples_ok, report.samples_checked) == (expected, 60)
     if flip is None:
@@ -444,22 +404,20 @@ def test_failing_1252_audit_log_is_pinned(instance625, matrix1252):
 @pytest.mark.parametrize("twist", ["frobenius", "swap_blocks", "swap_borders",
                                    "translate_one_block"])
 def test_sample_outside_the_affine_tables_is_checked_densely(desk_field, twist):
-    # A sample is the product of two table rows, so it is always one of the
+    # A sample is the product of two table maps, so it is always one of the
     # maps; these twists of such a product are not.  The Frobenius map
     # x -> x^3 after it (an automorphism here, but not affine); the product
     # moved by q, as a swap of the blocks would leave the first block's slots;
     # the product before the swap of block indices 0 and 1, the two indices
-    # every candidate is read from; and a translation after it on half of
-    # the indices only, which is no permutation.  The stabilizer step must
-    # reject each without raising, so the audit falls back to the dense
-    # verdict, and that verdict must be exact.
+    # the distinctness check reads; and a translation after it on half of
+    # the indices only, which is no permutation.  The dense verdict on each
+    # must be exact, and what is no permutation must be refused.
     tables, partition, _, h = desk_field
     q, f = tables.q, partition.f
-    plus, scaled = autgroup._affine_tables(partition)
-    translations = _generator_actions(tables, partition)[1:]
+    shifts, scaled = autgroup._affine_tables(partition)
     rng = np.random.default_rng(4)
     for _ in range(30):
-        pi1, pi2 = (plus[int(rng.integers(q)) * q + scaled[int(rng.integers(f))]]
+        pi1, pi2 = (shifts[int(rng.integers(q))][scaled[int(rng.integers(f))]]
                     for _ in range(2))
         product = pi1[pi2]
         if twist == "frobenius":
@@ -470,8 +428,7 @@ def test_sample_outside_the_affine_tables_is_checked_densely(desk_field, twist):
             twisted = product[np.r_[1, 0, 2:q]]
         else:
             twisted = product.copy()
-            twisted[: q // 2] = translations[0][product[: q // 2]]
-        assert not autgroup._orbit_stabilizer(partition, plus, scaled, twisted, translations)
+            twisted[: q // 2] = shifts[1][product[: q // 2]]
         sigma = autgroup._bordered(twisted, q)
         if np.array_equal(np.sort(twisted), np.arange(q)):
             signs = h.signs()
@@ -483,10 +440,32 @@ def test_sample_outside_the_affine_tables_is_checked_densely(desk_field, twist):
 
 
 def test_no_samples_and_no_exhaustive_skips_the_certificate(desk_field, monkeypatch):
-    _, partition, _, h = desk_field
-    monkeypatch.setattr(autgroup, "_orbit_stabilizer", None)  # any call would raise
+    # the generators alone decide the verdict: e dense checks, nothing more
+    tables, partition, _, h = desk_field
+    calls = _dense_calls(monkeypatch)
     report = sh.subgroup_audit(h, partition, samples=0)
     assert report.passed and report.to_log().splitlines()[-1].startswith("PASS order")
+    assert len(calls) == tables.e
+
+
+def test_audit_forms_no_difference_or_sum_table(desk_field, monkeypatch):
+    # every map is generated from the basis translations' Zech sums, and the
+    # key-class count inverts a column of the translation table, so neither
+    # a certified audit nor a failing exhaustive count reads a q x q table
+    tables, partition, _, h = desk_field
+
+    def refuse(self):
+        raise AssertionError("the audit formed a q x q table")
+
+    monkeypatch.setattr(sh.GroupSpec, "diff_index_table", refuse)
+    monkeypatch.setattr(sh.GroupSpec, "sum_index_table", refuse)
+    calls = _dense_calls(monkeypatch)
+    assert sh.subgroup_audit(h, partition, samples=10, exhaustive=True).passed
+    assert len(calls) == tables.e
+    broken = _flipped(h, 2, 2)
+    report = sh.subgroup_audit(broken, partition, samples=0, exhaustive=True)
+    assert (report.exhaustive_ok, report.exhaustive_checked) == \
+        naive_exhaustive_audit(broken, partition)
 
 
 def test_audit_builds_one_additive_group_and_one_set_of_tables(monkeypatch):
