@@ -3,10 +3,11 @@
 Matrices live in :class:`PmMatrix`, one read-only int8 array of the +-1
 entries.  All verification is exact.  Every Gram identity f f^T = s I + t J
 is decided by :func:`gram_deviation` from float32 BLAS products of Gram
-rows, ``f[r] @ f.T`` for panels r of the rows it is given: each partial sum
-is an integer that float32 holds exactly in whatever order BLAS adds (the
-integer-bound argument of FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS
-2008).
+rows, ``(f @ f[r].T).T`` for panels r of the rows it is given (the same
+values as ``f[r] @ f.T``, in the orientation BLAS forms faster for a short
+panel): each partial sum is an integer that float32 holds exactly in
+whatever order BLAS adds (the integer-bound argument of FFLAS-FFPACK, Dumas,
+Giorgi and Pernet, ACM TOMS 2008).
 
 Which rows are formed rests on a lemma.  If a permutation matrix P keeps
 the matrix, P H P^T = H, then P^T P = I and P fixes I and J, so
@@ -31,7 +32,11 @@ The text interchange format is: first line the decimal order n, then n lines
 of n characters, '+' for +1 and '-' for -1, LF endings, nothing else.  The
 parser and the writer convert between bytes and signs with whole-array
 operations, no pass per row: '+' (43) and '-' (45) lie either side of 44, so
-sign = 44 - byte.
+sign = 44 - byte.  Every valid input is the canonical layout, so the parser
+accepts by checks of the whole array alone: a header of at most 31 bytes, an
+exact length n(n + 1) after it, an LF in column n of every row, and signs
+44 - byte with min >= -1, max <= 1 and no zero (44 is ',').  Only text those
+checks refuse is scanned row by row, to report its first error.
 """
 
 from __future__ import annotations
@@ -276,7 +281,7 @@ def gram_deviation(f: np.ndarray, s: int, t: int, rows: np.ndarray | None = None
     dev = 0
     for i in range(0, rows.size, _PANEL):
         r = rows[i: i + _PANEL]
-        panel = f[r] @ f.T
+        panel = (f @ f[r].T).T
         at = np.arange(r.size)
         diag = panel[at, r] - (s + t)
         panel -= t
@@ -319,9 +324,9 @@ def normalize_core_tournament(m: PmMatrix, report: Gate0Report | None = None) ->
         report = gate0_verify(m)
     if report.n != m.n or not report.passed:
         raise ValueError("matrix fails the defining identities; cannot normalize")
-    d = m.signs()[0]
-    s = d[1:, None] * m.signs()[1:, 1:] * d[None, 1:]
-    return ((1 - s) // 2).astype(np.uint8)
+    # an entry of the core is 1 where d_i h_ij d_j = -1, an odd count of negative factors
+    neg = m.signs()[0, 1:] < 0
+    return ((m.signs()[1:, 1:] < 0) ^ neg[:, None] ^ neg[None, :]).view(np.uint8)
 
 
 def to_matrix_text(m: PmMatrix) -> bytes:
@@ -342,18 +347,38 @@ def parse_matrix_text(data: bytes) -> PmMatrix:
     offending row wins, and a row's wrong length is reported before its
     characters.  So every accepted input is exactly ``to_matrix_text`` of
     the parsed matrix.
+
+    Acceptance is decided by whole-array checks of that canonical layout
+    (see the module docstring); only refused text is scanned row by row, by
+    :func:`_first_format_error`, to place the error.
     """
+    end = data.find(b"\n", 0, 32)  # the order of any text that fits in memory has < 32 digits
+    if end > 0 and _ORDER_HEADER.fullmatch(data, 0, end):
+        n = int(data[:end])
+        if len(data) == end + 1 + n * (n + 1):
+            chars = np.frombuffer(data, dtype=np.uint8, offset=end + 1).reshape(n, n + 1)
+            if (chars[:, n] == _LF).all():
+                signs = (_MID - chars[:, :n]).view(np.int8)  # '+' -> 1, ',' -> 0, '-' -> -1
+                if (signs.min() >= -1 and signs.max() <= 1
+                        and np.count_nonzero(signs) == n * n):
+                    return PmMatrix(signs)
+    raise _first_format_error(data)
+
+
+def _first_format_error(data: bytes) -> MatrixFormatError:
+    """The first error of text that :func:`parse_matrix_text` refused, in
+    the order its docstring gives."""
     if not data.endswith(b"\n"):
         nlines = data.count(b"\n") + 1
-        raise MatrixFormatError("missing trailing newline", line=max(nlines, 1))
+        return MatrixFormatError("missing trailing newline", line=max(nlines, 1))
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(buf == _LF)  # ends[0] closes the header, ends[i] row i
     header = data[: ends[0]]
     if not _ORDER_HEADER.fullmatch(header):
-        raise MatrixFormatError("header is not a positive decimal order", line=1)
+        return MatrixFormatError("header is not a positive decimal order", line=1)
     n = ends.size - 1
     if header != str(n).encode("ascii"):  # compared as text: no int() of a long header
-        raise MatrixFormatError(
+        return MatrixFormatError(
             f"expected {header.decode('ascii')} matrix rows, found {n}", line=n + 1)
     lengths = np.diff(ends) - 1
     wrong = np.flatnonzero(lengths != n)
@@ -364,11 +389,10 @@ def parse_matrix_text(data: bytes) -> PmMatrix:
     bad = np.flatnonzero(np.abs(signs) != 1)
     if bad.size:
         row, col = divmod(int(bad[0]), n)
-        raise MatrixFormatError(
+        return MatrixFormatError(
             f"invalid character {chr(chars[row, col])!r}", line=row + 2, column=col + 1)
-    if good < n:
-        length = int(lengths[good])
-        raise MatrixFormatError(
-            f"row has {length} characters, expected {n}", line=good + 2,
-            column=min(length, n) + 1)
-    return PmMatrix(signs)
+    # the text is not canonical, so some row has the wrong length
+    length = int(lengths[good])
+    return MatrixFormatError(
+        f"row has {length} characters, expected {n}", line=good + 2,
+        column=min(length, n) + 1)

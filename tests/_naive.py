@@ -103,15 +103,29 @@ def naive_gram(signs):
             for i in range(n)]
 
 
+_GRAM_DEVIATIONS = {}  # (digest of f, s, t) -> naive_gram_deviation(f, s, t)
+
+
 def naive_gram_deviation(f, s, t):
     """max |f f^T - s I - t J| over the dense Gram of every row pair, as int64
-    dot products (numpy's integer loop, no BLAS, no panels, no orbits)."""
+    dot products (numpy's integer loop, no BLAS, no panels, no orbits).
+
+    Memoized by the bytes, dtype and shape of f and by (s, t), so tests that
+    ask again about the same matrix (an order-1252 product takes seconds)
+    pay for it once.
+    """
+    import hashlib
+
     import numpy as np
 
-    x = np.asarray(f).astype(np.int64)
-    gram = x @ x.T - t
-    gram[np.diag_indices_from(gram)] -= s
-    return int(np.abs(gram).max(initial=0))
+    f = np.ascontiguousarray(f)
+    key = (hashlib.sha256(f.tobytes()).digest(), f.dtype.str, f.shape, s, t)
+    if key not in _GRAM_DEVIATIONS:
+        x = f.astype(np.int64)
+        gram = x @ x.T - t
+        gram[np.diag_indices_from(gram)] -= s
+        _GRAM_DEVIATIONS[key] = int(np.abs(gram).max(initial=0))
+    return _GRAM_DEVIATIONS[key]
 
 
 def naive_parse_matrix_text(data):
@@ -392,6 +406,17 @@ def naive_exhaustive_audit(h, partition):
     ok = sum(_is_automorphism(signs, action(enc[1 + n_cls * k % (q - 1)], a))
              for k in range(f) for a in range(q))
     return ok, f * q
+
+
+def naive_generator_verdicts(h, partition):
+    """Dense checks of the audit's generators, in the order of its lines:
+    x -> g^N x, then x -> x + p^i for each basis coefficient i, each built
+    by :func:`naive_affine_maps`."""
+    tables, signs = partition.tables, h.signs()
+    p, q = tables.p, tables.q
+    enc, action = naive_affine_maps(tables)
+    return [_is_automorphism(signs, action(enc[1 + partition.N % (q - 1)], 0)),
+            *(_is_automorphism(signs, action(1, p**i)) for i in range(tables.e))]
 
 
 def naive_closure_samples(h, partition, samples, seed=0):

@@ -7,7 +7,8 @@ import skewhad as sh
 from skewhad import autgroup, gf
 
 from _naive import (naive_affine_maps, naive_closure_samples, naive_compose_affine,
-                    naive_enc_add, naive_exhaustive_audit, naive_field_mul)
+                    naive_enc_add, naive_exhaustive_audit, naive_field_mul,
+                    naive_generator_verdicts)
 from conftest import orbit_flip
 
 
@@ -280,9 +281,11 @@ def test_flipped_1252_audit_checks_few_maps_densely(instance625, matrix1252, mon
 
 def _assert_certified_audit_derives_the_samples(h, partition, exhaustive, monkeypatch):
     """Once the generators certify the group, every closure sample is a
-    product of two of its maps, so the audit draws none and checks only the
-    e translations densely, whatever the sample count: the multiplier is
-    decided by the slice compares of the block shift."""
+    product of two of its maps, so the audit draws none and makes one dense
+    check, of x -> x + 1, whatever the sample count: the multiplier is
+    decided by the slice compares of the block shift, and on every field
+    here f divides no p^m - 1 with m < e, so the conjugates of x -> x + 1
+    by its powers derive the other basis translations."""
     calls = _dense_calls(monkeypatch)
 
     class NoDraws:
@@ -298,7 +301,7 @@ def _assert_certified_audit_derives_the_samples(h, partition, exhaustive, monkey
         report = sh.subgroup_audit(h, partition, samples=samples, exhaustive=exhaustive)
         assert report.passed
         assert f"closure_sample {samples}/{samples} PASS" in report.to_log().splitlines()
-        assert len(calls) == partition.tables.e
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("exhaustive", [True, False])
@@ -332,7 +335,7 @@ def test_desk_closure_samples_match_dense_oracle(desk_field, monkeypatch, flip):
     report = sh.subgroup_audit(broken, partition, samples=60, seed=3)
     assert (report.samples_ok, report.samples_checked) == (expected, 60)
     if flip is None:
-        assert expected == 60 and len(calls) == tables.e
+        assert expected == 60 and len(calls) == 1  # x -> x + 1; the rest are derived
     else:
         # a failing generator leaves no certificate, so every sample is dense
         assert not all(ok for _, ok in report.generator_results)
@@ -440,19 +443,20 @@ def test_sample_outside_the_affine_tables_is_checked_densely(desk_field, twist):
 
 
 def test_no_samples_and_no_exhaustive_skips_the_certificate(desk_field, monkeypatch):
-    # the generators alone decide the verdict: e dense checks, nothing more
-    tables, partition, _, h = desk_field
+    # the generators alone decide the verdict: one dense check, of x -> x + 1,
+    # nothing more (GF(27) with f = 13: the conjugates span the field)
+    _, partition, _, h = desk_field
     calls = _dense_calls(monkeypatch)
     report = sh.subgroup_audit(h, partition, samples=0)
     assert report.passed and report.to_log().splitlines()[-1].startswith("PASS order")
-    assert len(calls) == tables.e
+    assert len(calls) == 1
 
 
 def test_audit_forms_no_difference_or_sum_table(desk_field, monkeypatch):
     # every map is generated from the basis translations' Zech sums, and the
     # key-class count inverts a column of the translation table, so neither
     # a certified audit nor a failing exhaustive count reads a q x q table
-    tables, partition, _, h = desk_field
+    _, partition, _, h = desk_field
 
     def refuse(self):
         raise AssertionError("the audit formed a q x q table")
@@ -461,11 +465,89 @@ def test_audit_forms_no_difference_or_sum_table(desk_field, monkeypatch):
     monkeypatch.setattr(sh.GroupSpec, "sum_index_table", refuse)
     calls = _dense_calls(monkeypatch)
     assert sh.subgroup_audit(h, partition, samples=10, exhaustive=True).passed
-    assert len(calls) == tables.e
+    assert len(calls) == 1
     broken = _flipped(h, 2, 2)
     report = sh.subgroup_audit(broken, partition, samples=0, exhaustive=True)
     assert (report.exhaustive_ok, report.exhaustive_checked) == \
         naive_exhaustive_audit(broken, partition)
+
+
+def _spans(partition):
+    """Whether g^N, of order f, lies in no proper subfield of GF(p^e)."""
+    p, e, f = partition.tables.p, partition.tables.e, partition.f
+    return all((p**m - 1) % f for m in range(1, e))
+
+
+def _assert_generator_lines_are_dense_verdicts(h, partition, calls):
+    """The audit's generator lines equal the dense check of every generator,
+    and the audit itself checks only x -> x + 1 densely exactly when it and
+    the multiplier pass and the conjugates span the field; ``calls`` is a
+    :func:`_dense_calls` list."""
+    calls.clear()
+    report = sh.subgroup_audit(h, partition, samples=0)
+    dense = naive_generator_verdicts(h, partition)
+    assert [ok for _, ok in report.generator_results] == dense
+    derived = dense[0] and dense[1] and _spans(partition)
+    assert len(calls) == (1 if derived else partition.tables.e)
+    return dense
+
+
+@pytest.mark.parametrize("p,e,N,i0,i1", SMALL_INSTANCES)
+def test_generator_lines_match_dense_checks_under_flips(p, e, N, i0, i1, monkeypatch):
+    # Unbroken, a flipped pair every affine map fixes, one orbit of the
+    # multiplier's block shift negated (the multiplier keeps it and x -> x + 1
+    # does not), one orbit of x -> x + 1 negated (the reverse), and random
+    # flips and switches of four entries.
+    _, partition, pair, _ = sh.find_valid_generator(sh.FieldConfig(p, e), N, i0, i1)
+    assert _spans(partition)
+    h = sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1).signs()
+    n, q = len(h), partition.tables.q
+    _, action = naive_affine_maps(partition.tables)
+    translated = h.copy()
+    for c in range(p):
+        sigma = autgroup._bordered(action(1, c), q)
+        translated[sigma[3], sigma[q + 4]] = -h[3, q + 4]
+    cases = [h, _flipped(sh.PmMatrix(h), 0, 1).signs(), orbit_flip(h, N, 1), translated]
+    rng = np.random.default_rng(p * e)
+    for _ in range(4):
+        signs = h.copy()
+        signs[tuple(rng.integers(n, size=2))] *= -1
+        cases.append(signs)
+        signs = h.copy()
+        signs[np.ix_(rng.choice(n, 2, replace=False), rng.choice(n, 2, replace=False))] *= -1
+        cases.append(signs)
+    calls = _dense_calls(monkeypatch)
+    verdicts = [_assert_generator_lines_are_dense_verdicts(sh.PmMatrix.from_signs(signs),
+                                                           partition, calls)
+                for signs in cases]
+    assert all(verdicts[0]) and all(verdicts[1])
+    assert any(multiplier and not translation for multiplier, translation, *_ in verdicts)
+    assert partition.f == 1 or not verdicts[3][0] and verdicts[3][1]
+
+
+def test_non_spanning_partition_checks_every_translation_densely(monkeypatch):
+    # GF(49) with N = 16: g^16 has order f = 3, which divides 7 - 1, so it
+    # lies in GF(7), and the conjugates of x -> x + 1 give only the
+    # translations by GF(7).  Negating the orbit of one entry under the 21
+    # maps x -> g^(16k) x + c, c in GF(7), keeps the multiplier and x -> x + 1
+    # but not the basis translation encoded 7; only its dense check says so.
+    partition = sh.cyclotomic_partition(sh.build_field(sh.FieldConfig(7, 2)), 16)
+    tables, q = partition.tables, 49
+    assert not _spans(partition) and tables.antilog[0] == 1
+    pair = sh.blocks_from_indices(partition, range(8), range(0, 16, 2))
+    h = sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1)
+    calls = _dense_calls(monkeypatch)
+    assert _assert_generator_lines_are_dense_verdicts(h, partition, calls) == [True] * 3
+    enc, action = naive_affine_maps(tables)
+    signs = h.signs().copy()
+    for k in range(partition.f):
+        for c in range(7):
+            sigma = autgroup._bordered(action(enc[1 + 16 * k], c), q)
+            signs[sigma[3], sigma[q + 10]] = -h.signs()[3, q + 10]
+    broken = sh.PmMatrix(signs)
+    assert _assert_generator_lines_are_dense_verdicts(broken, partition, calls) == \
+        [True, True, False]
+    assert not sh.subgroup_audit(broken, partition, samples=0).passed
 
 
 def test_audit_builds_one_additive_group_and_one_set_of_tables(monkeypatch):

@@ -636,6 +636,19 @@ def test_matrix_text_parser_agrees_with_row_loop_oracle(n, seed, data):
         assert isinstance(outcome, tuple)
 
 
+def test_canonical_parse_never_calls_the_error_locator(monkeypatch, matrix1252):
+    # canonical text is accepted by the whole-array checks alone; the row
+    # scan runs only to place the error of text they refuse
+    def refuse(data):
+        raise AssertionError("the error locator ran on canonical text")
+
+    monkeypatch.setattr(hadamard, "_first_format_error", refuse)
+    for m in [matrix1252, *(sh.PmMatrix.from_signs(random_signs(n, n)) for n in (1, 2, 7, 130))]:
+        assert sh.parse_matrix_text(sh.to_matrix_text(m)) == m
+    with pytest.raises(AssertionError, match="error locator"):
+        sh.parse_matrix_text(b"2\n+,\n-+\n")
+
+
 def test_matrix_text_header_beyond_int_digit_limit():
     # the order is compared with the row count as text; int() would refuse
     # a string of more than 4300 digits with a plain ValueError
