@@ -12,6 +12,11 @@ The log of 0 is stored as 2(q - 1), which the log-to-index table maps to 0.
 
 Subsets are represented as boolean membership masks of length ``order``,
 indexed by element index.
+
+:meth:`GroupSpec.develop` forms M[i, j] = values[index of g_j - g_i] with no
+index table: if ``values[1:]`` has cyclic period P (16 for the paper's
+blocks, q - 1 at worst), x -> g^P x keeps it, so row g^(r + Pt) is row g^r
+shifted cyclically by Pt, and only P rows are read from the Zech table.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-# Dense v x v development tables are only sensible for small orders.
+# The largest order whose q x q development is formed.
 _MAX_DENSE_ORDER = 8192
 # Ordered member pairs counted at once by autocorrelation_profile.
 _PROFILE_BLOCK_PAIRS = 1 << 20
@@ -46,6 +51,14 @@ def _check_power_sequence(enc: np.ndarray, p: int, e: int) -> None:
         x = np.arange(start, min(start + _SHIFT_CHECK_ROWS, q), dtype=np.int64)
         if not np.array_equal(x[:, None] // place % p @ basis % p @ place, shift[x]):
             raise ValueError("element encodings are not the powers of one primitive element")
+
+
+def _period(seg: np.ndarray) -> int:
+    """The cyclic period of a sequence: its least shift p, a divisor of its
+    length, with seg[p:] == seg[:-p]."""
+    size = seg.size
+    return next(p for p in range(1, size + 1)
+                if size % p == 0 and np.array_equal(seg[p:], seg[: size - p]))
 
 
 class GroupSpec:
@@ -75,7 +88,6 @@ class GroupSpec:
         self._zech, self._index_of_log = zech, index_of_log
         for a in (idx, zech, index_of_log):
             a.setflags(write=False)
-        self._diff_table: np.ndarray | None = None
 
     @classmethod
     def field_additive(cls, p: int, e: int, elem_enc) -> "GroupSpec":
@@ -135,22 +147,30 @@ class GroupSpec:
         zm[0] = 2 * m
         return np.concatenate([zm, zm])
 
+    def develop(self, values: np.ndarray) -> np.ndarray:
+        """M[i, j] = values[index of g_j - g_i], in the dtype of ``values``,
+        from the rows of one period (see the module docstring)."""
+        values = np.asarray(values)
+        q, m = self.order, self.order - 1
+        if values.shape != (q,):
+            raise ValueError(f"expected {q} values, one per element, got shape {values.shape}")
+        if q > _MAX_DENSE_ORDER:
+            raise ValueError(f"group of order {q} is too large for a dense table")
+        period = _period(values[1:])
+        by_log = values[self._index_of_log]
+        # rows[r, c] is the value at g^(c + P) - g^r = g^r (g^(c + P - r) - 1)
+        zm = sliding_window_view(self._minus_one_logs(), 2 * m - period)[period:0:-1]
+        rows = by_log[np.arange(period)[:, None] + zm]
+        out = np.empty((q, q), dtype=values.dtype)
+        out[0], out[1:, 0] = values, by_log[self._h + np.arange(m)]  # 0 - g^a = g^(a + h)
+        # row 1 + r + Pt, for r < P, is the window of rows[r] from q - 1 - P - Pt
+        out[1:, 1:].reshape(m // period, period, m)[:] = \
+            sliding_window_view(rows, m, axis=1)[:, ::-period].swapaxes(0, 1)
+        return out
+
     def diff_index_table(self) -> np.ndarray:
-        """Table T with T[i, j] = index of g_j - g_i.  Cached."""
-        if self._diff_table is None:
-            if self.order > _MAX_DENSE_ORDER:
-                raise ValueError(f"group of order {self.order} is too large for a dense table")
-            idx = np.arange(self.order, dtype=np.int64)
-            m = self.order - 1
-            t = np.empty((self.order, self.order), dtype=np.int64)
-            t[0] = idx
-            t[:, 0] = self.neg_perm()
-            # T[1 + a, 1 + b] reads zm at b - a + m, then adds a.
-            rows = sliding_window_view(self._minus_one_logs(), m)[m:0:-1]
-            t[1:, 1:] = self._index_of_log[rows + idx[:m, None]]
-            t.setflags(write=False)
-            self._diff_table = t
-        return self._diff_table
+        """Table T with T[i, j] = index of g_j - g_i."""
+        return self.develop(np.arange(self.order))
 
     def sum_index_table(self) -> np.ndarray:
         """Table T with T[i, j] = index of g_i + g_j: since g_i + g_j is
@@ -184,6 +204,8 @@ def autocorrelation_profile(spec: GroupSpec, mask: np.ndarray) -> np.ndarray:
     the memory.
     """
     v = spec.order
+    if np.shape(mask) != (v,):
+        raise ValueError(f"expected a mask of {v} entries, got shape {np.shape(mask)}")
     members = np.flatnonzero(mask)
     counts = np.zeros(v, dtype=np.int64)
     step = max(1, _PROFILE_BLOCK_PAIRS // max(1, members.size))

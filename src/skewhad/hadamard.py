@@ -18,7 +18,8 @@ the permutation from row 2, the zero element of the first block, which
 every multiplier fixes: in the order [0, g^0, g^1, ...] of each block the
 multiplier x -> g^d x shifts indices 3 .. v+1 and v+3 .. n-1 cyclically by d
 and fixes 0, 1, 2 and v+2, and d is taken as the least common multiple of
-the cyclic periods of the two block segments of row 2.  The invariance is
+the cyclic periods of the two block segments of row 2 (the periods from
+which :meth:`GroupSpec.develop` built the blocks).  The invariance is
 then checked on every entry of the integer matrix by
 :func:`_keeps_block_shift`, the check the automorphism audit makes of its
 multiplier x -> g^N x, so the 4 + 2d rows are exact whatever the proposal
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupSpec, indicator_signs
+from .groups import GroupSpec, _period, indicator_signs
 
 _ORDER_HEADER = re.compile(rb"[1-9][0-9]*")
 _FLOAT32_EXACT = 1 << 24  # float32 holds every integer of absolute value up to 2^24
@@ -165,7 +166,7 @@ def type1_matrix(spec: GroupSpec, d: np.ndarray) -> PmMatrix:
     For a skew-symmetric D this satisfies M + M^T = 2I; every row and column
     sums to v - 2|D|.
     """
-    return PmMatrix(indicator_signs(d)[spec.diff_index_table()])
+    return PmMatrix(spec.develop(indicator_signs(d)))
 
 
 def assemble_bordered(a: PmMatrix, c: PmMatrix) -> PmMatrix:
@@ -210,23 +211,15 @@ def assemble_bordered(a: PmMatrix, c: PmMatrix) -> PmMatrix:
 
 def build_bordered_from_blocks(spec: GroupSpec, d0: np.ndarray, d1: np.ndarray) -> PmMatrix:
     """Full development pipeline: the blocks A[i, j] = s_D0(g_j - g_i) and
-    C[i, j] = s_D1(g_i - g_j), both read from the group's difference table,
-    then the bordered assembly.
+    C[i, j] = s_D1(g_i - g_j), both from :meth:`GroupSpec.develop`, then the
+    bordered assembly.
 
     C is difference-developed too, so it commutes with A; it is the
     transposed type-1 development of D1.
     """
     a = type1_matrix(spec, d0)
-    c = PmMatrix(indicator_signs(d1)[spec.diff_index_table().T])
+    c = PmMatrix(spec.develop(indicator_signs(d1)).T)
     return assemble_bordered(a, c)
-
-
-def _period(seg: np.ndarray) -> int:
-    """The cyclic period of a sequence: its least shift p, a divisor of its
-    length, with seg[p:] == seg[:-p]."""
-    size = seg.size
-    return next(p for p in range(1, size + 1)
-                if size % p == 0 and np.array_equal(seg[p:], seg[: size - p]))
 
 
 def _keeps_block_shift(x: np.ndarray, d: int) -> bool:

@@ -162,8 +162,8 @@ def find_valid_generator(fieldcfg: gf.FieldConfig, N: int, i0, i1):
     indices are range-checked first (ValueError); then the conditions that
     do not depend on the generator are decided once, and a config that
     fails them raises GeneratorSearchError with ``candidates_tried == 0``
-    before any search, as does a field above the dense order of the
-    development tables, with gf.FieldError.  Under g' = g^s class i is base
+    before any search, as does a field above the largest order whose blocks
+    are developed densely, with gf.FieldError.  Under g' = g^s class i is base
     class s*i mod N, so candidates whose logs agree mod N share one verdict:
     only the first of each residue is checked (at most phi(N) checks, the
     same winner), and exhaustion raises GeneratorSearchError carrying the

@@ -452,17 +452,24 @@ def test_no_samples_and_no_exhaustive_skips_the_certificate(desk_field, monkeypa
     assert len(calls) == 1
 
 
-def test_audit_forms_no_difference_or_sum_table(desk_field, monkeypatch):
-    # every map is generated from the basis translations' Zech sums, and the
-    # key-class count inverts a column of the translation table, so neither
-    # a certified audit nor a failing exhaustive count reads a q x q table
+def test_audit_forms_no_difference_or_sum_table(desk_field, instance625, matrix1252,
+                                                monkeypatch):
+    # the build develops each block from the rows of one period; every map
+    # is generated from the basis translations' Zech sums, and the key-class
+    # count inverts a column of the translation table, so neither the build
+    # nor a certified audit nor a failing exhaustive count reads a q x q table
     _, partition, _, h = desk_field
 
     def refuse(self):
-        raise AssertionError("the audit formed a q x q table")
+        raise AssertionError("a q x q index table was formed")
 
     monkeypatch.setattr(sh.GroupSpec, "diff_index_table", refuse)
     monkeypatch.setattr(sh.GroupSpec, "sum_index_table", refuse)
+    for p, e, N, i0, i1 in SMALL_INSTANCES:
+        _, _, pair, _ = sh.find_valid_generator(sh.FieldConfig(p, e), N, i0, i1)
+        assert sh.gate0_verify(sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1)).passed
+    _, _, pair, _ = instance625
+    assert sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1) == matrix1252
     calls = _dense_calls(monkeypatch)
     assert sh.subgroup_audit(h, partition, samples=10, exhaustive=True).passed
     assert len(calls) == 1

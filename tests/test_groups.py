@@ -227,6 +227,47 @@ def test_profile_matches_digit_oracle(zech_field):
             assert np.array_equal(sh.autocorrelation_profile(g, mask), expected)
 
 
+DEVELOP_FIELDS = sorted(set(SMALL_FIELDS + ZECH_FIELDS))
+
+
+@pytest.mark.parametrize("p,e", DEVELOP_FIELDS, ids=[f"gf{p}^{e}" for p, e in DEVELOP_FIELDS])
+def test_develop_matches_digit_oracle(p, e):
+    # random subsets have period q - 1 in log order, a union of the classes
+    # of order N has period dividing N, and the index table is developed too
+    tables = sh.build_field(sh.FieldConfig(p, e))
+    g, enc = sh.additive_group(tables), np.concatenate([[0], tables.antilog])
+    table = naive_diff_index_table(p, e, enc)
+    q = g.order
+    assert np.array_equal(g.develop(np.arange(q)), table)
+    rng = np.random.default_rng(q)
+    for density in (0.1, 0.5):
+        signs = sh.indicator_signs(rng.random(q) < density)
+        assert np.array_equal(g.develop(signs), signs[table])
+    for n in (n for n in range(1, q) if (q - 1) % n == 0):
+        labels = np.arange(q - 1) % n
+        for zero_is_member in (False, True):
+            mask = np.concatenate([[zero_is_member], rng.random(n)[labels] < 0.5])
+            signs = sh.indicator_signs(mask)
+            assert np.array_equal(g.develop(signs), signs[table]), n
+        values = np.concatenate([rng.integers(-q, q, size=1), rng.integers(-q, q, size=n)[labels]])
+        assert np.array_equal(g.develop(values), values[table]), n
+
+
+@pytest.mark.parametrize("length", [6, 9])
+def test_masks_of_the_wrong_length_are_refused(length):
+    # a mask of GF(7) one entry short or two long is neither cut short nor
+    # read out of range
+    g = desk_group(7)
+    mask = np.zeros(length, dtype=bool)
+    mask[[1, 2, 4]] = True
+    for call in (lambda: g.develop(sh.indicator_signs(mask)),
+                 lambda: sh.type1_matrix(g, mask),
+                 lambda: sh.build_bordered_from_blocks(g, mask, mask),
+                 lambda: sh.autocorrelation_profile(g, mask)):
+        with pytest.raises(ValueError, match="shape"):
+            call()
+
+
 @pytest.mark.parametrize("name,g,add", GROUPS, ids=[t[0] for t in GROUPS])
 def test_profile_in_small_blocks_matches_literal_sum(name, g, add, monkeypatch):
     # a block of a few pairs splits every subset into many row blocks
