@@ -206,7 +206,8 @@ def cmd_build(args) -> int:
         raise CliError(str(exc)) from None
 
     h = hadamard.build_bordered_from_blocks(pair.group, pair.d0, pair.d1)
-    report = hadamard.gate0_verify(h)
+    # Gate0 caches its n x n float32 copy on a wrapper dropped before the writes
+    report = hadamard.gate0_verify(hadamard.PmMatrix(h.signs()))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

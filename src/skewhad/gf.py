@@ -305,8 +305,8 @@ def negation_class_shift(tables: FieldTables, N: int) -> int:
 def additive_group(tables: FieldTables) -> GroupSpec:
     """The additive group of the field, ordered [0, g^0, g^1, ...].
 
-    Built once per ``FieldTables`` and kept on them, so its digit tables and
-    cached difference table are shared by every caller.
+    Built once per ``FieldTables`` and kept on them, so its Zech tables are
+    shared by every caller.
     """
     if tables._additive is None:
         enc = np.concatenate([np.zeros(1, dtype=np.int64), tables.antilog])

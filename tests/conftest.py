@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -93,6 +95,29 @@ def orbit_flip(signs, d, a):
     k = np.arange(0, length, d)
     x[3 + k, 3 + (k + a) % length] *= -1
     return x
+
+
+def swap_member(group, mask, member):
+    """``mask`` with ``member`` swapped for its negative or, when that is a
+    member too, for the first nonzero non-member.  Every translation keeps
+    the development of any subset."""
+    out = mask.copy()
+    neg = int(group.neg_perm()[member])
+    out[member], out[neg if not mask[neg] else np.flatnonzero(~mask[1:])[0] + 1] = False, True
+    return out
+
+
+def traced_peak(call):
+    """``(call(), the most bytes tracemalloc saw allocated during the call
+    beyond those live when it began)``."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def mutate_one_byte(data, draw):

@@ -421,7 +421,7 @@ def test_every_single_flip_is_decided_exactly(p, e, N, i0, i1):
     _, partition, pair, _ = sh.find_valid_generator(sh.FieldConfig(p, e), N, i0, i1)
     h = sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1).signs()
     n, q = len(h), partition.tables.q
-    sigma = autgroup._bordered(autgroup._affine_tables(partition)[1][1 % partition.f], q)
+    sigma = autgroup._bordered(autgroup._scaled(q, N, 1), q)
     fixed = {0, 1, 2, q + 2}
     for i in range(n):
         for j in range(n):
