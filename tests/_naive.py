@@ -103,29 +103,33 @@ def naive_gram(signs):
             for i in range(n)]
 
 
-_GRAM_DEVIATIONS = {}  # (digest of f, s, t) -> naive_gram_deviation(f, s, t)
+_GRAM_EXTREMES = {}  # digest of f -> (min, max) on the diagonal of f f^T and off it
 
 
 def naive_gram_deviation(f, s, t):
     """max |f f^T - s I - t J| over the dense Gram of every row pair, as int64
     dot products (numpy's integer loop, no BLAS, no panels, no orbits).
 
-    Memoized by the bytes, dtype and shape of f and by (s, t), so tests that
-    ask again about the same matrix (an order-1252 product takes seconds)
-    pay for it once.
+    The int64 Gram of each matrix (by its bytes, dtype and shape) is formed
+    once, and the least and greatest entries on and off its diagonal are
+    kept: the deviation for any (s, t) follows from them, as max |x - c|
+    over a set is max(max - c, c - min).  So tests that ask again about the
+    same matrix (an order-1252 product takes seconds) pay for it once.
     """
     import hashlib
 
     import numpy as np
 
     f = np.ascontiguousarray(f)
-    key = (hashlib.sha256(f.tobytes()).digest(), f.dtype.str, f.shape, s, t)
-    if key not in _GRAM_DEVIATIONS:
+    key = (hashlib.sha256(f.tobytes()).digest(), f.dtype.str, f.shape)
+    if key not in _GRAM_EXTREMES:
         x = f.astype(np.int64)
-        gram = x @ x.T - t
-        gram[np.diag_indices_from(gram)] -= s
-        _GRAM_DEVIATIONS[key] = int(np.abs(gram).max(initial=0))
-    return _GRAM_DEVIATIONS[key]
+        gram = x @ x.T
+        parts = (gram.diagonal(), gram[~np.eye(len(gram), dtype=bool)])
+        _GRAM_EXTREMES[key] = [(int(v.min()), int(v.max())) for v in parts if v.size]
+    # the diagonal, when there is one, comes first and is measured from s + t
+    return max((max(hi - c, c - lo) for (lo, hi), c in zip(_GRAM_EXTREMES[key], (s + t, t))),
+               default=0)
 
 
 def naive_parse_matrix_text(data):
@@ -406,6 +410,22 @@ def naive_exhaustive_audit(h, partition):
     ok = sum(_is_automorphism(signs, action(enc[1 + n_cls * k % (q - 1)], a))
              for k in range(f) for a in range(q))
     return ok, f * q
+
+
+def naive_rarest_key_class_size(signs, q):
+    """The size of the rarest class of block indices x < q by their key: the
+    -1 counts, inside the borders, the first block and the second block, of
+    the row and the column of x in each block, one line at a time."""
+    from collections import Counter
+
+    ranges = [(0, 2), (2, q + 2), (q + 2, 2 * q + 2)]
+
+    def counts(line):
+        return tuple(int((line[lo:hi] < 0).sum()) for lo, hi in ranges)
+
+    keys = Counter(sum((counts(signs[b + x]) + counts(signs[:, b + x]) for b in (2, q + 2)), ())
+                   for x in range(q))
+    return min(keys.values())
 
 
 def naive_generator_verdicts(h, partition):

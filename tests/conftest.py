@@ -81,6 +81,31 @@ def small_matrices():
     return out
 
 
+class AuditChecks:
+    """The checks an automorphism audit makes: one entry in ``dense`` per
+    dense check (``verify_automorphism``) and, in ``shifts``, the offset d
+    of each block shift it compares (``_keeps_block_shift``)."""
+
+    def __init__(self):
+        self.dense, self.shifts = [], []
+
+    def clear(self):
+        self.dense.clear()
+        self.shifts.clear()
+
+
+@pytest.fixture()
+def audit_checks(monkeypatch):
+    """An :class:`AuditChecks` that records every check of ``autgroup``."""
+    checks, autgroup = AuditChecks(), sh.autgroup
+    verify, keeps = autgroup.verify_automorphism, autgroup._keeps_block_shift
+    monkeypatch.setattr(autgroup, "verify_automorphism",
+                        lambda h, sigma: checks.dense.append(1) or verify(h, sigma))
+    monkeypatch.setattr(autgroup, "_keeps_block_shift",
+                        lambda x, d: checks.shifts.append(d) or keeps(x, d))
+    return checks
+
+
 def random_signs(n, seed):
     rng = np.random.default_rng(seed)
     return rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, n))

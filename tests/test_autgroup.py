@@ -8,7 +8,7 @@ from skewhad import autgroup, gf
 
 from _naive import (naive_affine_maps, naive_closure_samples, naive_compose_affine,
                     naive_enc_add, naive_exhaustive_audit, naive_field_mul,
-                    naive_generator_verdicts)
+                    naive_generator_verdicts, naive_rarest_key_class_size)
 from conftest import orbit_flip, swap_member, traced_peak
 
 
@@ -92,13 +92,15 @@ def test_induced_permutation_is_homomorphism(desk_field):
             assert np.array_equal(product, action(*naive_compose_affine(tables, m1, m2)))
 
 
-def _dense_calls(monkeypatch):
-    """A list that gains one entry per dense check the audit makes."""
-    calls = []
-    verify = autgroup.verify_automorphism
-    monkeypatch.setattr(autgroup, "verify_automorphism",
-                        lambda h, sigma: calls.append(1) or verify(h, sigma))
-    return calls
+def _divisors(f):
+    return [d for d in range(1, f + 1) if f % d == 0]
+
+
+def _assert_dense_checks_within_the_bound(checks, signs, partition):
+    """At most e generator checks and tau(f) * |R| key-class candidates,
+    tau(f) the number of divisors of f and R the rarest key class."""
+    q, e, f = partition.tables.q, partition.tables.e, partition.f
+    assert len(checks.dense) <= e + len(_divisors(f)) * naive_rarest_key_class_size(signs, q)
 
 
 def test_verify_automorphism_identity_and_transposition(desk_field):
@@ -194,18 +196,22 @@ def test_exhaustive_audit_matches_dense_oracle(p, e, N, i0, i1):
     (2, 2), (0, 5), (2, 5), (30, 40), (29, 29), (55, 3),
     # switches of four entries that keep every row's and column's -1 count:
     # one inside the first block, where every block index keeps its key, so
-    # all f*q maps are checked densely, and one across the two blocks
+    # each is a candidate, and one across the two blocks
     pytest.param((5, 6), (2, 11), id="switch-in-one-block"),
     pytest.param((3, 30), (2, 5), id="switch-across-blocks")])
-def test_exhaustive_audit_on_flipped_entry_matches_dense_oracle(desk_field, row, col):
+def test_exhaustive_audit_on_flipped_entry_matches_dense_oracle(desk_field, audit_checks,
+                                                                row, col):
     # A flipped diagonal or border entry leaves the maps fixing that index as
-    # automorphisms; once a generator fails, the key-class count checks only
-    # the maps that keep the rarest key class, and it must still be exact.
+    # automorphisms; once a generator fails, the count checks only the maps
+    # that keep the rarest key class, and it must still be exact.  The
+    # switch inside one block ties every key, so |R| = q = 27 and the bound
+    # is met: 3 generators, then 27 maps each for the powers 0 and 1.
     _, partition, _, h = desk_field
     signs = h.signs().copy()
     signs[np.ix_(np.atleast_1d(row), np.atleast_1d(col))] *= -1
     broken = sh.PmMatrix.from_signs(signs)
     report = sh.subgroup_audit(broken, partition, samples=0, exhaustive=True)
+    _assert_dense_checks_within_the_bound(audit_checks, signs, partition)
     assert not all(ok for _, ok in report.generator_results)
     assert not report.passed
     ok, total = naive_exhaustive_audit(broken, partition)
@@ -229,13 +235,13 @@ def _negate_orbits(h, partition, entries, step=None):
 
 
 @pytest.mark.parametrize("p,e,N,i0,i1", SMALL_INSTANCES)
-def test_exhaustive_count_by_run_checks_matches_dense_oracle(p, e, N, i0, i1, monkeypatch):
+def test_exhaustive_count_by_run_checks_matches_dense_oracle(p, e, N, i0, i1, audit_checks):
     # A member of D0 or of D1 swapped, or the orbits under the translations
     # of one block entry and of a switch of four negated: every translation
     # still keeps the matrix, so when the multiplier fails, map (k, a) is an
     # automorphism exactly when the block shift by N*k is, and the count
-    # takes one run check per power and no dense check beyond the e
-    # translations.
+    # takes at most one run check per proper divisor of f and no dense check
+    # beyond the e translations.
     _, partition, pair, _ = sh.find_valid_generator(sh.FieldConfig(p, e), N, i0, i1)
     group, q = pair.group, p**e
     h = sh.build_bordered_from_blocks(group, pair.d0, pair.d1)
@@ -244,10 +250,9 @@ def test_exhaustive_count_by_run_checks_matches_dense_oracle(p, e, N, i0, i1, mo
              sh.build_bordered_from_blocks(group, pair.d0, swap_member(group, pair.d1, member1)),
              _negate_orbits(h, partition, [(3, 4), (3, q + 3), (3, q + 4), (4, q + 3),
                                            (4, q + 4)])]
-    calls = _dense_calls(monkeypatch)
     run_checks = 0
     for broken in cases:
-        calls.clear()
+        audit_checks.clear()
         report = sh.subgroup_audit(broken, partition, samples=0, exhaustive=True)
         ok, total = naive_exhaustive_audit(broken, partition)
         assert (report.exhaustive_ok, report.exhaustive_checked) == (ok, total)
@@ -255,30 +260,61 @@ def test_exhaustive_count_by_run_checks_matches_dense_oracle(p, e, N, i0, i1, mo
         assert all(translations)
         if not multiplier:
             run_checks += 1
-            assert len(calls) == e and ok % q == 0 and ok < total
+            assert len(audit_checks.dense) == e and ok % q == 0 and ok < total
+            assert len(audit_checks.shifts) < len(_divisors(partition.f))
     assert run_checks == (partition.f > 1) * len(cases)
 
 
 @pytest.mark.parametrize("p,e,N,step", [(13, 1, 2, 2), (13, 1, 2, 3), (5, 2, 4, 2),
                                         (5, 2, 4, 3)])
-def test_exhaustive_count_by_run_checks_counts_every_kept_power(p, e, N, step, monkeypatch):
+def test_exhaustive_count_by_run_checks_counts_every_kept_power(p, e, N, step, audit_checks):
     # The orbit of one block entry under the maps with step | k negated on
     # the cyclotomic development of GF(13) or GF(25), where f = 6: the
     # multiplier fails, the powers with step | k and every translation keep
-    # the matrix, and the run checks find each such power.
+    # the matrix, and the block shifts by N*d, d | 6 ascending, stop at the
+    # first that keeps it, d = step.
     field = sh.build_field(sh.FieldConfig(p, e))
     partition = sh.cyclotomic_partition(field, N)
     pair = sh.blocks_from_indices(partition, range(N // 2), range(N // 2))
     q = field.q
     h = sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1)
     broken = _negate_orbits(h, partition, [(3, q + 4)], step)
-    calls = _dense_calls(monkeypatch)
     report = sh.subgroup_audit(broken, partition, samples=0, exhaustive=True)
     multiplier, *translations = (verdict for _, verdict in report.generator_results)
-    assert not multiplier and all(translations) and len(calls) == e
+    assert not multiplier and all(translations) and len(audit_checks.dense) == e
+    assert audit_checks.shifts == [N * d for d in _divisors(partition.f) if d <= step]
     assert (report.exhaustive_ok, report.exhaustive_checked) == \
         naive_exhaustive_audit(broken, partition)
     assert report.exhaustive_ok == q * partition.f // step
+
+
+@pytest.mark.parametrize("p,e,N,d", [
+    (p, e, N, d) for p, e, N in ((13, 1, 2), (5, 2, 4), (7, 2, 4))
+    for d in _divisors((p**e - 1) // N)[:-1]])
+def test_exhaustive_count_lifts_a_power_through_a_translation(p, e, N, d, audit_checks):
+    # The orbit of one block entry under the cyclic group of x -> g^(N*d) x + a,
+    # a encoded 3, negated on the cyclotomic development of GF(13), GF(25)
+    # (f = 6) or GF(49) (f = 12): every generator fails, only the identity
+    # among the translations keeps the matrix, and power d lifts only with
+    # a != 0, so the count is f/d.
+    field = sh.build_field(sh.FieldConfig(p, e))
+    partition = sh.cyclotomic_partition(field, N)
+    pair = sh.blocks_from_indices(partition, range(N // 2), range(N // 2))
+    q, f = field.q, partition.f
+    h = sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1).signs()
+    enc, action = naive_affine_maps(field)
+    step, pi, signs = action(enc[1 + N * d], 3), np.arange(q), h.copy()
+    for _ in range(f // d):
+        sigma = autgroup._bordered(pi, q)
+        signs[sigma[3], sigma[q + 4]] = -h[3, q + 4]
+        pi = step[pi]
+    assert np.array_equal(pi, np.arange(q))  # the group has order f/d
+    broken = sh.PmMatrix(signs)
+    report = sh.subgroup_audit(broken, partition, samples=0, exhaustive=True)
+    assert not any(ok for _, ok in report.generator_results)
+    assert (report.exhaustive_ok, report.exhaustive_checked) == \
+        naive_exhaustive_audit(broken, partition) == (f // d, f * q)
+    _assert_dense_checks_within_the_bound(audit_checks, signs, partition)
 
 
 def test_affine_tables_give_the_induced_permutations():
@@ -346,17 +382,17 @@ def _frobenius(tables):
     (40, 700, "exhaustive 1/24375 FAIL"), (2, 2, "exhaustive 39/24375 FAIL"),
     pytest.param((40, 41), (700, 301), "exhaustive 1/24375 FAIL", id="switch"),
     pytest.param(None, None, "exhaustive 39/24375 FAIL", id="orbit-16-5")])
-def test_flipped_1252_audit_checks_few_maps_densely(instance625, matrix1252, monkeypatch,
+def test_flipped_1252_audit_checks_few_maps_densely(instance625, matrix1252, audit_checks,
                                                     row, col, log):
     # One flipped block entry changes the key of its row's and its column's
-    # block index, so the key-class count checks at most one map per
-    # multiplier power, f = 39, beside the e = 4 translations (the
-    # multiplier is decided by slice compares, not densely).  The switch
-    # of four entries keeps every row's and column's -1 count, but not the
-    # counts inside each block: with whole-row counts for a key it took
-    # 24 380 dense checks.  One whole orbit of the block shift by 16
-    # negated keeps the multiplier, so only the |R| = 39 maps with no
-    # multiplier power are checked, not f * |R| = 1521.
+    # block index, so |R| = 1 and the count checks at most one map for
+    # power 0 and for each divisor 1, 3, 13 of f = 39, beside the e = 4
+    # translations (the multiplier is decided by slice compares, not
+    # densely): 8 in all, and never more than e + f = 43.  The switch of four entries keeps every row's and
+    # column's -1 count, but not the counts inside each block: with
+    # whole-row counts for a key it took 24 380 dense checks.  One whole
+    # orbit of the block shift by 16 negated keeps the multiplier, so only
+    # the |R| = 39 maps with no multiplier power are checked.
     tables, partition, _, _ = instance625
     if row is None:
         signs = orbit_flip(matrix1252.signs(), 16, 5)
@@ -364,21 +400,23 @@ def test_flipped_1252_audit_checks_few_maps_densely(instance625, matrix1252, mon
         signs = matrix1252.signs().copy()
         signs[np.ix_(np.atleast_1d(row), np.atleast_1d(col))] *= -1
     broken = sh.PmMatrix.from_signs(signs)
-    calls = _dense_calls(monkeypatch)
     report = sh.subgroup_audit(broken, partition, samples=0, exhaustive=True)
     assert log in report.to_log().splitlines()
     assert not report.passed
-    assert len(calls) <= tables.e + partition.f
+    assert naive_rarest_key_class_size(signs, tables.q) == (1 if row is not None else 39)
+    _assert_dense_checks_within_the_bound(audit_checks, signs, partition)
+    assert len(audit_checks.dense) <= tables.e + partition.f
 
 
-def _assert_certified_audit_derives_the_samples(h, partition, exhaustive, monkeypatch):
+def _assert_certified_audit_derives_the_samples(h, partition, exhaustive, checks,
+                                                monkeypatch):
     """Once the generators certify the group, every closure sample is a
     product of two of its maps, so the audit draws none and makes one dense
     check, of x -> x + 1, whatever the sample count: the multiplier is
-    decided by the slice compares of the block shift, and on every field
+    decided by the slice compares of one block shift, and on every field
     here f divides no p^m - 1 with m < e, so the conjugates of x -> x + 1
-    by its powers derive the other basis translations."""
-    calls = _dense_calls(monkeypatch)
+    by its powers derive the other basis translations.  The exhaustive
+    count then follows from those verdicts with no further check."""
 
     class NoDraws:
         def __init__(self, seed=None):
@@ -389,27 +427,29 @@ def _assert_certified_audit_derives_the_samples(h, partition, exhaustive, monkey
 
     monkeypatch.setattr(np.random, "default_rng", NoDraws)
     for samples in (1, 100, 10**6):
-        calls.clear()
+        checks.clear()
         report = sh.subgroup_audit(h, partition, samples=samples, exhaustive=exhaustive)
         assert report.passed
         assert f"closure_sample {samples}/{samples} PASS" in report.to_log().splitlines()
-        assert len(calls) == 1
+        assert len(checks.dense) == 1 and checks.shifts == [partition.N]
 
 
 @pytest.mark.parametrize("exhaustive", [True, False])
-def test_certified_1252_samples_need_no_dense_check(instance625, matrix1252, monkeypatch,
-                                                    exhaustive):
+def test_certified_1252_samples_need_no_dense_check(instance625, matrix1252, audit_checks,
+                                                    monkeypatch, exhaustive):
     _, partition, _, _ = instance625
-    _assert_certified_audit_derives_the_samples(matrix1252, partition, exhaustive, monkeypatch)
+    _assert_certified_audit_derives_the_samples(matrix1252, partition, exhaustive,
+                                                audit_checks, monkeypatch)
 
 
 @pytest.mark.parametrize("exhaustive", [True, False])
 @pytest.mark.parametrize("p,e,N,i0,i1", SMALL_INSTANCES)
 def test_certified_desk_audit_derives_the_closure_samples(p, e, N, i0, i1, exhaustive,
-                                                          monkeypatch):
+                                                          audit_checks, monkeypatch):
     _, partition, pair, _ = sh.find_valid_generator(sh.FieldConfig(p, e), N, i0, i1)
     h = sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1)
-    _assert_certified_audit_derives_the_samples(h, partition, exhaustive, monkeypatch)
+    _assert_certified_audit_derives_the_samples(h, partition, exhaustive, audit_checks,
+                                                monkeypatch)
 
 
 def _flipped(h, row, col):
@@ -419,19 +459,18 @@ def _flipped(h, row, col):
 
 
 @pytest.mark.parametrize("flip", [None, (2, 2), (0, 5), (2, 5), (30, 40), (55, 3)])
-def test_desk_closure_samples_match_dense_oracle(desk_field, monkeypatch, flip):
+def test_desk_closure_samples_match_dense_oracle(desk_field, audit_checks, flip):
     tables, partition, _, h = desk_field
     broken = h if flip is None else _flipped(h, *flip)
     expected = naive_closure_samples(broken, partition, 60, seed=3)
-    calls = _dense_calls(monkeypatch)
     report = sh.subgroup_audit(broken, partition, samples=60, seed=3)
     assert (report.samples_ok, report.samples_checked) == (expected, 60)
     if flip is None:
-        assert expected == 60 and len(calls) == 1  # x -> x + 1; the rest are derived
+        assert expected == 60 and len(audit_checks.dense) == 1  # x -> x + 1; the rest derived
     else:
         # a failing generator leaves no certificate, so every sample is dense
         assert not all(ok for _, ok in report.generator_results)
-        assert len(calls) == tables.e + 60
+        assert len(audit_checks.dense) == tables.e + 60
 
 
 @pytest.mark.parametrize("flip", [
@@ -544,18 +583,17 @@ def test_sample_outside_the_affine_tables_is_checked_densely(desk_field, twist):
                 sh.verify_automorphism(h, sigma)
 
 
-def test_no_samples_and_no_exhaustive_skips_the_certificate(desk_field, monkeypatch):
+def test_no_samples_and_no_exhaustive_skips_the_certificate(desk_field, audit_checks):
     # the generators alone decide the verdict: one dense check, of x -> x + 1,
     # nothing more (GF(27) with f = 13: the conjugates span the field)
     _, partition, _, h = desk_field
-    calls = _dense_calls(monkeypatch)
     report = sh.subgroup_audit(h, partition, samples=0)
     assert report.passed and report.to_log().splitlines()[-1].startswith("PASS order")
-    assert len(calls) == 1
+    assert len(audit_checks.dense) == 1
 
 
 def test_audit_forms_no_difference_or_sum_table(desk_field, instance625, matrix1252,
-                                                monkeypatch):
+                                                audit_checks, monkeypatch):
     # the build develops each block from the rows of one period, and every
     # map the audit checks is one Zech-table sum after a log shift, so
     # neither the build nor a certified audit nor a failing exhaustive count
@@ -572,9 +610,9 @@ def test_audit_forms_no_difference_or_sum_table(desk_field, instance625, matrix1
         assert sh.gate0_verify(sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1)).passed
     _, _, pair, _ = instance625
     assert sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1) == matrix1252
-    calls = _dense_calls(monkeypatch)
+    audit_checks.clear()
     assert sh.subgroup_audit(h, partition, samples=10, exhaustive=True).passed
-    assert len(calls) == 1
+    assert len(audit_checks.dense) == 1
     broken = _flipped(h, 2, 2)
     report = sh.subgroup_audit(broken, partition, samples=0, exhaustive=True)
     assert (report.exhaustive_ok, report.exhaustive_checked) == \
@@ -598,22 +636,22 @@ def _spans(partition):
     return all((p**m - 1) % f for m in range(1, e))
 
 
-def _assert_generator_lines_are_dense_verdicts(h, partition, calls):
+def _assert_generator_lines_are_dense_verdicts(h, partition, checks):
     """The audit's generator lines equal the dense check of every generator,
     and the audit itself checks only x -> x + 1 densely exactly when it and
-    the multiplier pass and the conjugates span the field; ``calls`` is a
-    :func:`_dense_calls` list."""
-    calls.clear()
+    the multiplier pass and the conjugates span the field; ``checks`` is the
+    ``audit_checks`` fixture."""
+    checks.clear()
     report = sh.subgroup_audit(h, partition, samples=0)
     dense = naive_generator_verdicts(h, partition)
     assert [ok for _, ok in report.generator_results] == dense
     derived = dense[0] and dense[1] and _spans(partition)
-    assert len(calls) == (1 if derived else partition.tables.e)
+    assert len(checks.dense) == (1 if derived else partition.tables.e)
     return dense
 
 
 @pytest.mark.parametrize("p,e,N,i0,i1", SMALL_INSTANCES)
-def test_generator_lines_match_dense_checks_under_flips(p, e, N, i0, i1, monkeypatch):
+def test_generator_lines_match_dense_checks_under_flips(p, e, N, i0, i1, audit_checks):
     # Unbroken, a flipped pair every affine map fixes, one orbit of the
     # multiplier's block shift negated (the multiplier keeps it and x -> x + 1
     # does not), one orbit of x -> x + 1 negated (the reverse), and random
@@ -636,16 +674,15 @@ def test_generator_lines_match_dense_checks_under_flips(p, e, N, i0, i1, monkeyp
         signs = h.copy()
         signs[np.ix_(rng.choice(n, 2, replace=False), rng.choice(n, 2, replace=False))] *= -1
         cases.append(signs)
-    calls = _dense_calls(monkeypatch)
     verdicts = [_assert_generator_lines_are_dense_verdicts(sh.PmMatrix.from_signs(signs),
-                                                           partition, calls)
+                                                           partition, audit_checks)
                 for signs in cases]
     assert all(verdicts[0]) and all(verdicts[1])
     assert any(multiplier and not translation for multiplier, translation, *_ in verdicts)
     assert partition.f == 1 or not verdicts[3][0] and verdicts[3][1]
 
 
-def test_non_spanning_partition_checks_every_translation_densely(monkeypatch):
+def test_non_spanning_partition_checks_every_translation_densely(audit_checks):
     # GF(49) with N = 16: g^16 has order f = 3, which divides 7 - 1, so it
     # lies in GF(7), and the conjugates of x -> x + 1 give only the
     # translations by GF(7).  Negating the orbit of one entry under the 21
@@ -656,8 +693,7 @@ def test_non_spanning_partition_checks_every_translation_densely(monkeypatch):
     assert not _spans(partition) and tables.antilog[0] == 1
     pair = sh.blocks_from_indices(partition, range(8), range(0, 16, 2))
     h = sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1)
-    calls = _dense_calls(monkeypatch)
-    assert _assert_generator_lines_are_dense_verdicts(h, partition, calls) == [True] * 3
+    assert _assert_generator_lines_are_dense_verdicts(h, partition, audit_checks) == [True] * 3
     enc, action = naive_affine_maps(tables)
     signs = h.signs().copy()
     for k in range(partition.f):
@@ -665,7 +701,7 @@ def test_non_spanning_partition_checks_every_translation_densely(monkeypatch):
             sigma = autgroup._bordered(action(enc[1 + 16 * k], c), q)
             signs[sigma[3], sigma[q + 10]] = -h.signs()[3, q + 10]
     broken = sh.PmMatrix(signs)
-    assert _assert_generator_lines_are_dense_verdicts(broken, partition, calls) == \
+    assert _assert_generator_lines_are_dense_verdicts(broken, partition, audit_checks) == \
         [True, True, False]
     assert not sh.subgroup_audit(broken, partition, samples=0).passed
 

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import skewhad as sh
-from skewhad import autgroup
 from skewhad.cli import (BuildConfig, CliError, format_index_set, format_manifest, main,
                          parse_index_set, parse_manifest, read_manifest)
 
@@ -198,12 +197,18 @@ def test_rank_tournament_on_a_flipped_1252_matrix_exits_2(tmp_path, capsys, monk
 
 def test_build_at_order_4080_allocates_below_six_n_squared_bytes(tmp_path, capsys):
     # Gate0's n x n float32 copy (4 n^2 bytes) is freed before the matrix
-    # text is written and hashed.
+    # text is written and hashed; aut drops the matrix text (n^2 bytes) once
+    # it is parsed, so the exhaustive audit runs beside the n x n int8
+    # matrix alone.
     argv = ["build", "--p", "2039", "--e", "1", "--N", "2", "--i0", "0", "--i1", "0",
             "--out", str(tmp_path)]
     code, peak = traced_peak(lambda: main(argv))
     assert code == 0 and "GATE0 PASS n=4080" in capsys.readouterr().out
     assert peak <= 6 * 4080 ** 2
+    code, peak = traced_peak(lambda: main(["aut", str(tmp_path / "manifest.txt"),
+                                           "--exhaustive"]))
+    assert code == 0 and capsys.readouterr().out.endswith("PASS order 2077741 = 1019*2039\n")
+    assert peak <= 3.5 * 4080 ** 2
 
 
 def test_aut_command(desk_build, capsys):
@@ -269,13 +274,13 @@ def test_aut_on_a_flipped_flagship_matrix_prints_the_pinned_log(
 
 
 def test_aut_on_a_swapped_member_flagship_counts_by_run_checks(
-        instance625, tmp_path, capsys, monkeypatch):
+        instance625, tmp_path, capsys, audit_checks):
     # One member of D0 swapped for its negative keeps every translation and
-    # breaks the multiplier, so map (k, a) is an automorphism exactly when
-    # the block shift by 16k is: the count comes from run checks of the
-    # multiplier and its powers k = 1 .. 38, which keep the matrix only at
-    # k = 0, and the dense checks are the 4 translations and the 100
-    # closure samples, not the 24 375 of the key-class count.
+    # breaks the multiplier, so a power lifts into the automorphisms exactly
+    # when its block shift keeps the matrix: the count takes the run checks
+    # of the multiplier and of the divisors 3 and 13 of f = 39, which fail,
+    # so only power 0 lifts, and the dense checks are the 4 translations and
+    # the 100 closure samples, not the 24 375 of checking every map.
     tables, partition, pair, _ = instance625
     group = pair.group
     member = int(np.flatnonzero(pair.d0[1:])[0]) + 1
@@ -286,18 +291,12 @@ def test_aut_on_a_swapped_member_flagship_counts_by_run_checks(
                          i0=PAPER_I0, i1=PAPER_I1)
     digests = {"matrix_1252.txt": hashlib.sha256(data).hexdigest()}
     (tmp_path / "manifest.txt").write_text(format_manifest(config, digests))
-    calls, shifts = [], []
-    verify, keeps = autgroup.verify_automorphism, autgroup._keeps_block_shift
-    monkeypatch.setattr(autgroup, "verify_automorphism",
-                        lambda h, sigma: calls.append(1) or verify(h, sigma))
-    monkeypatch.setattr(autgroup, "_keeps_block_shift",
-                        lambda x, d: shifts.append(d) or keeps(x, d))
     assert main(["aut", str(tmp_path / "manifest.txt"), "--exhaustive"]) == 2
     assert capsys.readouterr() == (
         "multiplier g^16 FAIL\ntranslation basis 0 PASS\ntranslation basis 1 PASS\n"
         "translation basis 2 PASS\ntranslation basis 3 PASS\nclosure_sample 4/100 FAIL\n"
         "exhaustive 625/24375 FAIL\nFAIL order 24375 = 39*625\n", "")
-    assert len(calls) == 4 + 100 and shifts == [16, *range(16, 16 * 39, 16)]
+    assert len(audit_checks.dense) == 4 + 100 and audit_checks.shifts == [16, 48, 208]
 
 
 def test_manifest_verification(desk_build, capsys):
