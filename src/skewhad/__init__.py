@@ -13,9 +13,8 @@ from .shdf import (BlockPair, GeneratorSearchError, ShdfCertificate,
                    blocks_from_indices, check_shdf, check_skew,
                    find_valid_generator)
 from .hadamard import (Gate0Report, MatrixFormatError, PmMatrix,
-                       assemble_bordered, build_bordered_from_blocks,
-                       gate0_verify, gram_deviation, normalize_core_tournament,
-                       parse_matrix_text, to_matrix_text, type1_matrix)
+                       build_bordered_from_blocks, gate0_verify, gram_deviation,
+                       normalize_core_tournament, parse_matrix_text, to_matrix_text)
 from .ranks import RankReport, rank_gfp
 from .autgroup import AuditReport, subgroup_audit, verify_automorphism
 from .sketch import (PacketFormatError, SketchConfig, SketchPacket,
@@ -32,10 +31,9 @@ __all__ = [
     "negation_class_shift",
     "BlockPair", "GeneratorSearchError", "ShdfCertificate",
     "blocks_from_indices", "check_shdf", "check_skew", "find_valid_generator",
-    "Gate0Report", "MatrixFormatError", "PmMatrix", "assemble_bordered",
-    "build_bordered_from_blocks", "gate0_verify", "gram_deviation",
-    "normalize_core_tournament", "parse_matrix_text", "to_matrix_text",
-    "type1_matrix",
+    "Gate0Report", "MatrixFormatError", "PmMatrix", "build_bordered_from_blocks",
+    "gate0_verify", "gram_deviation", "normalize_core_tournament",
+    "parse_matrix_text", "to_matrix_text",
     "RankReport", "rank_gfp",
     "AuditReport", "subgroup_audit", "verify_automorphism",
     "PacketFormatError", "SketchConfig", "SketchPacket", "byte_accounting",

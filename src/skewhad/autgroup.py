@@ -49,16 +49,23 @@ from .gf import CyclotomicPartition
 from . import gf as _gf
 from .hadamard import PmMatrix, _keeps_block_shift
 
+_CHECK_ROWS = 128  # rows per panel of a dense check
+
 
 def verify_automorphism(h: PmMatrix, sigma: np.ndarray) -> bool:
     """Whether H[sigma(i), sigma(j)] == H[i, j] for all i, j; ValueError
-    unless sigma is an integer array that permutes range(n)."""
+    unless sigma is an integer array that permutes range(n).
+
+    The rows are compared ``_CHECK_ROWS`` at a time, and the first panel
+    that differs decides: no n x n gather is formed."""
     sigma = np.asarray(sigma)
     if (sigma.shape != (h.n,) or sigma.dtype.kind not in "iu"
             or not np.array_equal(np.sort(sigma), np.arange(h.n))):
         raise ValueError(f"sigma is not a permutation of range({h.n})")
     s = h.signs()
-    return bool(np.array_equal(np.take(np.take(s, sigma, axis=0), sigma, axis=1), s))
+    return all(np.array_equal(np.take(s[sigma[i: i + _CHECK_ROWS]], sigma, axis=1),
+                              s[i: i + _CHECK_ROWS])
+               for i in range(0, h.n, _CHECK_ROWS))
 
 
 def _bordered(pi: np.ndarray, q: int) -> np.ndarray:

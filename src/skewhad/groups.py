@@ -17,6 +17,10 @@ indexed by element index.
 index table: if ``values[1:]`` has cyclic period P (16 for the paper's
 blocks, q - 1 at worst), x -> g^P x keeps it, so row g^(r + Pt) is row g^r
 shifted cyclically by Pt, and only P rows are read from the Zech table.
+
+:func:`autocorrelation_profile` reads the same rows: D g^P = D gives
+P_D(g^P w) = P_D(w), and P_D(g^r) = P_D(-g^r) = (M M^T)[0, 1 + r] for M the
+development of s, so the profile is P dot products with the period rows.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 # The largest order whose q x q development is formed.
 _MAX_DENSE_ORDER = 8192
-# Ordered member pairs counted at once by autocorrelation_profile.
-_PROFILE_BLOCK_PAIRS = 1 << 20
+# Period-row entries autocorrelation_profile gathers at once (a mask of
+# period q - 1 has q - 1 rows).
+_PERIOD_ROW_ENTRIES = 1 << 20
 # Encodings whose digits the power-sequence check holds at once.
 _SHIFT_CHECK_ROWS = 1 << 16
 
@@ -138,35 +143,48 @@ class GroupSpec:
         # -g^k = g^(k + h)
         return np.where(idx == 0, 0, 1 + (idx - 1 + self._h) % (self.order - 1))
 
-    def _minus_one_logs(self) -> np.ndarray:
-        """zm[c] = log(g^c - 1) = h + Z(c + h), periodic in q - 1, for
-        0 <= c < 2(q - 1); the index of g^(a + c) - g^a = g^a (g^c - 1) is
-        ``_index_of_log[a + zm[c]]``, which is 0 at c = 0."""
-        m = self.order - 1
-        zm = (self._h + self._zech[(np.arange(m) + self._h) % m]) % m
-        zm[0] = 2 * m
-        return np.concatenate([zm, zm])
-
-    def develop(self, values: np.ndarray) -> np.ndarray:
-        """M[i, j] = values[index of g_j - g_i], in the dtype of ``values``,
-        from the rows of one period (see the module docstring)."""
-        values = np.asarray(values)
-        q, m = self.order, self.order - 1
+    def _dense_values(self, values) -> np.ndarray:
+        """``values`` as an array of one value per element; ValueError for
+        another shape or an order above ``_MAX_DENSE_ORDER``."""
+        values, q = np.asarray(values), self.order
         if values.shape != (q,):
             raise ValueError(f"expected {q} values, one per element, got shape {values.shape}")
         if q > _MAX_DENSE_ORDER:
             raise ValueError(f"group of order {q} is too large for a dense table")
+        return values
+
+    def _period_rows(self, by_log: np.ndarray, period: int, r: np.ndarray) -> np.ndarray:
+        """rows[i, c] = the value at g^(c + P) - g^r[i] = g^r[i] (g^(c + P -
+        r[i]) - 1), c < 2(q - 1) - P, for ``by_log`` the values in log order
+        and each r[i] < P; columns q - 1 - P on are row 1 + r[i] of the
+        development less its column 0.  zm[c] = log(g^c - 1) = h + Z(c + h)
+        is periodic in q - 1, and the log of 0 at c = 0."""
+        m = self.order - 1
+        zm = (self._h + self._zech[(np.arange(m) + self._h) % m]) % m
+        zm[0] = 2 * m
+        logs = sliding_window_view(np.concatenate([zm, zm]), 2 * m - period)[period - r]
+        logs += r[:, None]
+        return by_log[logs]
+
+    def _develop_into(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out``, a (q, q) array or a view of one, holding the development
+        of checked ``values``."""
+        m = self.order - 1
         period = _period(values[1:])
         by_log = values[self._index_of_log]
-        # rows[r, c] is the value at g^(c + P) - g^r = g^r (g^(c + P - r) - 1)
-        zm = sliding_window_view(self._minus_one_logs(), 2 * m - period)[period:0:-1]
-        rows = by_log[np.arange(period)[:, None] + zm]
-        out = np.empty((q, q), dtype=values.dtype)
+        rows = self._period_rows(by_log, period, np.arange(period))
         out[0], out[1:, 0] = values, by_log[self._h + np.arange(m)]  # 0 - g^a = g^(a + h)
-        # row 1 + r + Pt, for r < P, is the window of rows[r] from q - 1 - P - Pt
+        # row 1 + r + Pt, for r < P, is the window of rows[r] from q - 1 - P - Pt;
+        # splitting the row axis of out makes a view, never a copy, of any rows
         out[1:, 1:].reshape(m // period, period, m)[:] = \
             sliding_window_view(rows, m, axis=1)[:, ::-period].swapaxes(0, 1)
         return out
+
+    def develop(self, values: np.ndarray) -> np.ndarray:
+        """M[i, j] = values[index of g_j - g_i], in the dtype of ``values``,
+        from the rows of one period (see the module docstring)."""
+        values = self._dense_values(values)
+        return self._develop_into(values, np.empty((self.order,) * 2, dtype=values.dtype))
 
     def diff_index_table(self) -> np.ndarray:
         """Table T with T[i, j] = index of g_j - g_i."""
@@ -199,23 +217,19 @@ def autocorrelation_profile(spec: GroupSpec, mask: np.ndarray) -> np.ndarray:
     every shift, as an int64 array indexed by shift, with s = -1 on members
     and +1 elsewhere.
 
-    Entry 0 is always the group order.  Ordered member pairs are counted by
-    difference, at most ``_PROFILE_BLOCK_PAIRS`` pairs at a time to bound
-    the memory.
+    Entry 0 is always the group order.  The P values P_D(g^r), r < P the
+    period of ``mask[1:]``, are dot products with the rows of one period,
+    at most ``_PERIOD_ROW_ENTRIES`` entries of them at a time, and the
+    profile repeats them (see the module docstring).
     """
-    v = spec.order
+    v, m = spec.order, spec.order - 1
     if np.shape(mask) != (v,):
         raise ValueError(f"expected a mask of {v} entries, got shape {np.shape(mask)}")
-    members = np.flatnonzero(mask)
-    counts = np.zeros(v, dtype=np.int64)
-    step = max(1, _PROFILE_BLOCK_PAIRS // max(1, members.size))
-    # g^b - g^a = g^a (g^(b - a) - 1) for nonzero members; the zero member,
-    # when present, adds 0 - 0, g^b - 0 and 0 - g^b.
-    zm, logs = spec._minus_one_logs(), members[members > 0] - 1
-    for start in range(0, logs.size, step):
-        a = logs[start:start + step, None]
-        diffs = spec._index_of_log[a + zm[logs + (v - 1 - a)]]
-        counts += np.bincount(diffs.ravel(), minlength=v)
-    if mask[0]:
-        counts += np.bincount([0, *(1 + logs), *spec.neg_perm()[1 + logs]], minlength=v)
-    return v - 4 * members.size + 4 * counts
+    s = indicator_signs(mask).astype(np.int64)
+    period = _period(s[1:])
+    by_log = s[spec._index_of_log]
+    step = max(1, _PERIOD_ROW_ENTRIES // (2 * m - period))
+    # s(0) s(0 - g^r) + the row of g^r's differences, less column 0, times s
+    at = [s[0] * by_log[spec._h + r] + spec._period_rows(by_log, period, r)[:, m - period:] @ s[1:]
+          for r in np.array_split(np.arange(period), -(-period // step))]
+    return np.concatenate([[v], np.tile(np.concatenate(at), m // period)])

@@ -1,13 +1,14 @@
-"""Group-developed +-1 matrices, the bordered assembly, and exact verification.
+"""The bordered development of two blocks, +-1 matrices, and exact verification.
 
 Matrices live in :class:`PmMatrix`, one read-only int8 array of the +-1
-entries.  All verification is exact.  Every Gram identity f f^T = s I + t J
-is decided by :func:`gram_deviation` from float32 BLAS products of Gram
-rows, ``(f @ f[r].T).T`` for panels r of the rows it is given (the same
-values as ``f[r] @ f.T``, in the orientation BLAS forms faster for a short
-panel): each partial sum is an integer that float32 holds exactly in
-whatever order BLAS adds (the integer-bound argument of FFLAS-FFPACK, Dumas,
-Giorgi and Pernet, ACM TOMS 2008).
+entries.  :func:`build_bordered_from_blocks` develops both blocks from the
+rows of one period straight into that array.  All verification is exact.
+Every Gram identity f f^T = s I + t J is decided by :func:`gram_deviation`
+from float32 BLAS products of Gram rows, ``(f @ f[r].T).T`` for panels r of
+the rows it is given (the same values as ``f[r] @ f.T``, in the orientation
+BLAS forms faster for a short panel): each partial sum is an integer that
+float32 holds exactly in whatever order BLAS adds (the integer-bound
+argument of FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008).
 
 Which rows are formed rests on a lemma.  If a permutation matrix P keeps
 the matrix, P H P^T = H, then P^T P = I and P fixes I and J, so
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupSpec, _period, indicator_signs
+from .groups import GroupSpec, _period, indicator_signs, subset_size
 
 _ORDER_HEADER = re.compile(rb"[1-9][0-9]*")
 _FLOAT32_EXACT = 1 << 24  # float32 holds every integer of absolute value up to 2^24
@@ -160,66 +161,40 @@ class Gate0Report:
         return "\n".join(lines) + "\n"
 
 
-def type1_matrix(spec: GroupSpec, d: np.ndarray) -> PmMatrix:
-    """Difference-developed matrix M[i, j] = s_D(g_j - g_i).
-
-    For a skew-symmetric D this satisfies M + M^T = 2I; every row and column
-    sums to v - 2|D|.
-    """
-    return PmMatrix(spec.develop(indicator_signs(d)))
-
-
-def assemble_bordered(a: PmMatrix, c: PmMatrix) -> PmMatrix:
-    """Bordered array of order 2(v + 1) from two developed blocks of order v.
-
-    Layout (e is the all-ones column):
+def build_bordered_from_blocks(spec: GroupSpec, d0: np.ndarray, d1: np.ndarray) -> PmMatrix:
+    """The bordered array of order 2(v + 1) from the blocks
+    A[i, j] = s_D0(g_j - g_i) and C[i, j] = s_D1(g_i - g_j), with e the
+    all-ones column:
 
         [ +1  +1 |  e^T    e^T ]
         [ -1  +1 |  e^T   -e^T ]
         [ -e  -e |   A      C  ]
         [ -e  +e | -C^T    A^T ]
 
-    Requires both blocks to have every row and column sum equal to +1, which
-    pins the border signs.  The output always satisfies H + H^T = 2I when A
-    comes from a skew-symmetric block; H H^T = nI holds exactly when the
-    block pair is certified.
+    The borders need every row and column of A and C to sum to +1, and a
+    developed block's sums are all v - 2|D|: a block of another size than
+    (v - 1)/2 raises ValueError.  A and -C^T, the development of -s_D1, are
+    developed in place (:meth:`GroupSpec.develop`), the other two quadrants
+    are their transposes, and C commutes with A.  H + H^T = 2I holds when
+    D0 is skew, and H H^T = nI exactly when the block pair is certified.
     """
-    if a.n != c.n:
-        raise ValueError(f"block order mismatch: {a.n} != {c.n}")
-    v = a.n
-    sa, sc = a.signs(), c.signs()
-    for name, s in (("A", sa), ("C", sc)):
-        for axis, which in ((1, "row"), (0, "column")):
-            sums = s.sum(axis=axis, dtype=np.int64)
-            if not np.all(sums == 1):
-                bad = int(np.flatnonzero(sums != 1)[0])
-                raise ValueError(
-                    f"{name} {which} {bad} sums to {int(sums[bad])}, expected +1")
-
+    v = spec.order
+    d0, d1 = spec._dense_values(d0), spec._dense_values(d1)
+    for name, d in (("D0", d0), ("D1", d1)):
+        if 2 * subset_size(d) != v - 1:
+            raise ValueError(f"|{name}| = {subset_size(d)}: the block sums to +1 on every "
+                             f"row and column only when |{name}| = (v - 1)/2 = {(v - 1) / 2:g}")
     n = 2 * v + 2
-    h = np.ones((n, n), dtype=np.int8)
-    h[1, 0] = -1
-    h[1, v + 2:] = -1
-    h[2:, 0] = -1
-    h[2: v + 2, 1] = -1
-    h[2: v + 2, 2: v + 2] = sa
-    h[2: v + 2, v + 2:] = sc
-    h[v + 2:, 2: v + 2] = -sc.T
-    h[v + 2:, v + 2:] = sa.T
+    h = np.empty((n, n), dtype=np.int8)
+    h[:2], h[2:, :2] = 1, -1
+    h[1, 0] = h[1, v + 2:] = -1
+    h[v + 2:, 1] = 1
+    a, lower = h[2: v + 2, 2: v + 2], h[v + 2:, 2: v + 2]
+    spec._develop_into(indicator_signs(d0), a)
+    spec._develop_into(-indicator_signs(d1), lower)
+    h[v + 2:, v + 2:] = a.T
+    np.negative(lower.T, out=h[2: v + 2, v + 2:])
     return PmMatrix(h)
-
-
-def build_bordered_from_blocks(spec: GroupSpec, d0: np.ndarray, d1: np.ndarray) -> PmMatrix:
-    """Full development pipeline: the blocks A[i, j] = s_D0(g_j - g_i) and
-    C[i, j] = s_D1(g_i - g_j), both from :meth:`GroupSpec.develop`, then the
-    bordered assembly.
-
-    C is difference-developed too, so it commutes with A; it is the
-    transposed type-1 development of D1.
-    """
-    a = type1_matrix(spec, d0)
-    c = PmMatrix(spec.develop(indicator_signs(d1)).T)
-    return assemble_bordered(a, c)
 
 
 def _keeps_block_shift(x: np.ndarray, d: int) -> bool:
@@ -324,10 +299,15 @@ def normalize_core_tournament(m: PmMatrix, report: Gate0Report | None = None) ->
 
 def to_matrix_text(m: PmMatrix) -> bytes:
     """Serialize to the text interchange format (bit-exact), the mirror of
-    :func:`parse_matrix_text`: byte = 44 - sign, then LF, in one array."""
-    chars = np.full((m.n, m.n + 1), _LF, dtype=np.uint8)
-    chars[:, : m.n] = _MID - m.signs()
-    return b"%d\n" % m.n + chars.tobytes()
+    :func:`parse_matrix_text`: the header, then byte = 44 - sign and an LF
+    per row, written into one uint8 buffer and copied out once."""
+    header = b"%d\n" % m.n
+    buf = np.empty(len(header) + m.n * (m.n + 1), dtype=np.uint8)
+    buf[: len(header)] = np.frombuffer(header, dtype=np.uint8)
+    chars = buf[len(header):].reshape(m.n, m.n + 1)
+    np.subtract(_MID, m.signs(), out=chars[:, : m.n].view(np.int8))
+    chars[:, m.n] = _LF
+    return buf.tobytes()
 
 
 def parse_matrix_text(data: bytes) -> PmMatrix:

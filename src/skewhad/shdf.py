@@ -13,7 +13,6 @@ A pair of subsets (D0, D1) of an abelian group of order v is accepted when
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
@@ -182,7 +181,7 @@ def find_valid_generator(fieldcfg: gf.FieldConfig, N: int, i0, i1):
                             f"tables, at most order {_MAX_DENSE_ORDER}")
 
     if fieldcfg.generator is None:
-        candidates = [x for x in range(1, q) if gcd(int(base.log[x]), q - 1) == 1]
+        candidates = (1 + np.flatnonzero(np.gcd(base.log[1:], q - 1) == 1)).tolist()
     else:
         candidates = [base.generator]
 

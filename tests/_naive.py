@@ -251,6 +251,19 @@ def naive_reversed_type2(v, add, neg, members):
     return [[row[neg(j)] for j in range(v)] for row in sum_developed]
 
 
+def naive_bordered(v, add, neg, members0, members1):
+    """The bordered array of order 2(v + 1), row by row: the two border
+    rows, then [-1, -1, A, C] and [-1, +1, -C^T, A^T], with A the type-1
+    development of D0 and C the reversed type-2 development of D1."""
+    a = naive_developed(v, add, neg, members0, "type1")
+    c = naive_reversed_type2(v, add, neg, members1)
+    rows = [[1] * (2 * v + 2), [-1, 1] + [1] * v + [-1] * v]
+    rows += [[-1, -1] + a[i] + c[i] for i in range(v)]
+    rows += [[-1, 1] + [-c[j][i] for j in range(v)] + [a[j][i] for j in range(v)]
+             for i in range(v)]
+    return rows
+
+
 def naive_prime_factors(n):
     """Distinct prime factors by trial division."""
     out = []
@@ -388,14 +401,21 @@ def naive_compose_affine(tables, m1, m2):
     return mul(u1, u2), naive_enc_add(tables.p, tables.e, mul(u1, a2), a1)
 
 
+def naive_is_automorphism(signs, sigma):
+    """Whether signs[sigma(i), sigma(j)] == signs[i, j] for all i, j: both
+    gathers of the whole matrix, then one compare."""
+    import numpy as np
+
+    return bool(np.array_equal(signs[np.ix_(sigma, sigma)], signs))
+
+
 def _is_automorphism(signs, pi):
     """Whether the bordered permutation that fixes both borders and acts as
     ``pi`` on each block keeps every entry of ``signs``."""
     import numpy as np
 
     q = len(pi)
-    sigma = np.concatenate([[0, 1], 2 + pi, q + 2 + pi])
-    return bool(np.array_equal(signs[np.ix_(sigma, sigma)], signs))
+    return naive_is_automorphism(signs, np.concatenate([[0, 1], 2 + pi, q + 2 + pi]))
 
 
 def naive_exhaustive_audit(h, partition):

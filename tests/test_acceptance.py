@@ -214,7 +214,7 @@ def test_criterion_8_property_suites():
         v = g.order
         d0 = sh.subset_from_indices(g, rng.choice(v, size=v // 2, replace=False))
         d1 = sh.subset_from_indices(g, rng.choice(v, size=max(1, v // 3), replace=False))
-        a = sh.type1_matrix(g, d0).signs().astype(int)
+        a = g.develop(sh.indicator_signs(d0)).astype(int)
         c = np.array(naive_reversed_type2(v, add, neg, np.flatnonzero(d1)))
         assert np.array_equal(a @ c, c @ a)
         gram = a @ a.T

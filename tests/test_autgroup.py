@@ -8,7 +8,8 @@ from skewhad import autgroup, gf
 
 from _naive import (naive_affine_maps, naive_closure_samples, naive_compose_affine,
                     naive_enc_add, naive_exhaustive_audit, naive_field_mul,
-                    naive_generator_verdicts, naive_rarest_key_class_size)
+                    naive_generator_verdicts, naive_is_automorphism,
+                    naive_rarest_key_class_size)
 from conftest import orbit_flip, swap_member, traced_peak
 
 
@@ -126,6 +127,46 @@ def test_verify_automorphism_size_mismatch(desk_field):
 def test_verify_automorphism_refuses_what_is_not_a_permutation(matrix8, sigma):
     with pytest.raises(ValueError, match="not a permutation"):
         sh.verify_automorphism(matrix8, sigma)
+
+
+def _circulant(n, rng):
+    """A random n x n +-1 matrix whose entry [i, j] depends on j - i mod n
+    alone, so every cyclic shift x -> x + k (mod n) keeps it."""
+    first = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
+    return first[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+
+
+@pytest.mark.parametrize("n", [8, 127, 128, 300, 1252])
+def test_panel_check_matches_the_two_gather_oracle(n):
+    # Cyclic shifts keep a circulant and random permutations almost never
+    # do; a flipped entry (i, j) differs under the shift by 1 at (i, j) and
+    # (i - 1, j - 1), so a flip in the last row differs in the last panel
+    # of rows alone, the one the check reaches last.
+    rng = np.random.default_rng(n)
+    signs = _circulant(n, rng)
+    flipped, last = signs.copy(), signs.copy()
+    flipped[tuple(rng.integers(n, size=2))] *= -1
+    last[n - 1, rng.integers(n)] *= -1
+    shifts = [(np.arange(n) + k) % n for k in (0, 1, n // 2, n - 1)]
+    perms = shifts + [rng.permutation(n) for _ in range(4)]
+    for x in (signs, flipped, last):
+        for sigma in perms:
+            assert sh.verify_automorphism(sh.PmMatrix(x), sigma) == \
+                naive_is_automorphism(x, sigma)
+    rows = np.flatnonzero((last[np.ix_(shifts[1], shifts[1])] != last).any(axis=1))
+    assert rows.min() >= (n - 1) // autgroup._CHECK_ROWS * autgroup._CHECK_ROWS
+    assert not sh.verify_automorphism(sh.PmMatrix(last), shifts[1])
+    assert all(sh.verify_automorphism(sh.PmMatrix(signs), sigma) for sigma in shifts)
+
+
+def test_dense_check_at_order_4080_allocates_below_a_quarter_n_squared_bytes():
+    # a passing check compares every panel of rows, each against its two
+    # gathers of _CHECK_ROWS rows: no n x n gather is formed
+    n = 4080
+    h = sh.PmMatrix(_circulant(n, np.random.default_rng(n)))
+    passed, peak = traced_peak(lambda: sh.verify_automorphism(h, (np.arange(n) + 1) % n))
+    assert passed
+    assert peak <= 0.25 * n ** 2
 
 
 def test_subgroup_elements_fix_matrix(desk_field):

@@ -216,18 +216,26 @@ def test_tables_match_digit_oracle(zech_field):
     assert np.array_equal(g.neg_perm(), naive_neg_perm(p, e, enc))
 
 
-def test_profile_matches_digit_oracle(zech_field):
-    p, e, g, enc = zech_field
-    rng = np.random.default_rng(g.order)
-    for density in (0.05, 0.5):
+DEVELOP_FIELDS = sorted(set(SMALL_FIELDS + ZECH_FIELDS))
+
+
+@pytest.mark.parametrize("p,e", DEVELOP_FIELDS, ids=[f"gf{p}^{e}" for p, e in DEVELOP_FIELDS])
+def test_profile_matches_digit_oracle(p, e):
+    # random masks have period q - 1 in log order, and a union of the
+    # classes of order N has period dividing N; the zero member in and out
+    tables = sh.build_field(sh.FieldConfig(p, e))
+    g, enc = sh.additive_group(tables), np.concatenate([[0], tables.antilog])
+    q = g.order
+    rng = np.random.default_rng(q)
+    masks = [rng.random(q) < density for density in (0.05, 0.5)]
+    for n in (n for n in range(1, q) if (q - 1) % n == 0):
+        masks.append(np.concatenate([[False], (rng.random(n) < 0.5)[np.arange(q - 1) % n]]))
+    for mask in masks:
         for zero_is_member in (False, True):
-            mask = rng.random(g.order) < density
             mask[0] = zero_is_member
             expected = naive_profile(p, e, enc, np.flatnonzero(mask))
-            assert np.array_equal(sh.autocorrelation_profile(g, mask), expected)
-
-
-DEVELOP_FIELDS = sorted(set(SMALL_FIELDS + ZECH_FIELDS))
+            profile = sh.autocorrelation_profile(g, mask)
+            assert profile.dtype == np.int64 and np.array_equal(profile, expected)
 
 
 @pytest.mark.parametrize("p,e", DEVELOP_FIELDS, ids=[f"gf{p}^{e}" for p, e in DEVELOP_FIELDS])
@@ -260,8 +268,9 @@ def test_masks_of_the_wrong_length_are_refused(length):
     g = desk_group(7)
     mask = np.zeros(length, dtype=bool)
     mask[[1, 2, 4]] = True
+    squares = sh.subset_from_indices(g, [1, 3, 5])
     for call in (lambda: g.develop(sh.indicator_signs(mask)),
-                 lambda: sh.type1_matrix(g, mask),
+                 lambda: sh.build_bordered_from_blocks(g, squares, mask),
                  lambda: sh.build_bordered_from_blocks(g, mask, mask),
                  lambda: sh.autocorrelation_profile(g, mask)):
         with pytest.raises(ValueError, match="shape"):
@@ -270,8 +279,8 @@ def test_masks_of_the_wrong_length_are_refused(length):
 
 @pytest.mark.parametrize("name,g,add", GROUPS, ids=[t[0] for t in GROUPS])
 def test_profile_in_small_blocks_matches_literal_sum(name, g, add, monkeypatch):
-    # a block of a few pairs splits every subset into many row blocks
-    monkeypatch.setattr(sh.groups, "_PROFILE_BLOCK_PAIRS", 5)
+    # a block of a few entries gathers one period row at a time
+    monkeypatch.setattr(sh.groups, "_PERIOD_ROW_ENTRIES", 5)
     for members in sample_subsets(g.order, seed=29):
         mask = sh.subset_from_indices(g, members)
         expected = [naive_autocorrelation(g.order, add, members, w) for w in range(g.order)]

@@ -12,15 +12,21 @@ from skewhad.cli import main
 from skewhad import autgroup, hadamard
 from skewhad.hadamard import MatrixFormatError, gram_deviation
 
-from _naive import (naive_developed, naive_gram, naive_gram_deviation, naive_parse_matrix_text,
-                    naive_reversed_type2, naive_to_matrix_text)
+from _naive import (naive_bordered, naive_developed, naive_gram, naive_gram_deviation,
+                    naive_parse_matrix_text, naive_reversed_type2, naive_to_matrix_text)
 from conftest import (SMALL_CONFIGS, SMALL_FIELDS, desk_group, field_group, mutate_one_byte,
-                      orbit_flip, random_signs, subset_of_encodings)
+                      orbit_flip, random_signs, subset_of_encodings, traced_peak)
 
 
 def sum_developed(g, d):
     """Type-2 development M[i, j] = s_D(g_i + g_j)."""
     return sh.indicator_signs(d)[g.sum_index_table()]
+
+
+def type1(g, d):
+    """Type-1 development M[i, j] = s_D(g_j - g_i), the block A of the
+    bordered matrix."""
+    return g.develop(sh.indicator_signs(d))
 
 
 def _assert_read_only_int8(m):
@@ -46,7 +52,7 @@ def test_pack_unpack_round_trip_awkward_sizes(matrix8):
     m = sh.PmMatrix.from_signs(signs)
     signs[0, 0] *= -1
     assert m.signs()[0, 0] == -signs[0, 0]
-    _assert_read_only_int8(matrix8)  # assemble_bordered
+    _assert_read_only_int8(matrix8)  # build_bordered_from_blocks
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
@@ -59,6 +65,17 @@ def test_to_matrix_text_matches_row_writer_1252(matrix1252):
     assert sh.to_matrix_text(matrix1252) == naive_to_matrix_text(matrix1252.signs())
 
 
+def test_to_matrix_text_at_order_4080_allocates_below_2_1_n_squared_bytes():
+    # the header and the rows are written into one buffer of n(n + 1) + 5
+    # bytes, and tobytes() copies it once: no n x n temporary
+    n = 4080
+    m = sh.PmMatrix.from_signs(random_signs(n, seed=4080))
+    text, peak = traced_peak(lambda: sh.to_matrix_text(m))
+    assert text[:5] == b"4080\n" and len(text) == 5 + n * (n + 1)
+    assert sh.parse_matrix_text(text) == m
+    assert peak <= 2.1 * n ** 2
+
+
 def test_from_signs_rejects_bad_input():
     with pytest.raises(ValueError):
         sh.PmMatrix.from_signs(np.array([[1, 2], [1, 1]]))
@@ -69,8 +86,7 @@ def test_from_signs_rejects_bad_input():
 def test_type1_frozen_z3():
     g = desk_group(3)  # GF(3) in discrete-log order is Z_3 in its own order
     d = sh.subset_from_indices(g, [1])
-    m = sh.type1_matrix(g, d)
-    assert m.signs().tolist() == [[1, -1, 1], [1, 1, -1], [-1, 1, 1]]
+    assert type1(g, d).tolist() == [[1, -1, 1], [1, 1, -1], [-1, 1, 1]]
 
 
 def test_type2_frozen_z3():
@@ -82,7 +98,7 @@ def test_type2_frozen_z3():
 def test_developed_empty_block_is_all_ones():
     g = field_group(2, 2)[0]
     d = sh.subset_from_indices(g, [])
-    assert np.all(sh.type1_matrix(g, d).signs() == 1)
+    assert np.all(type1(g, d) == 1)
     assert np.all(sum_developed(g, d) == 1)
 
 
@@ -93,7 +109,7 @@ def test_developed_match_naive_all_small_groups():
         rng = np.random.default_rng(n)
         members = sorted(rng.choice(n, size=n // 2, replace=False).tolist())
         d = sh.subset_from_indices(g, members)
-        assert sh.type1_matrix(g, d).signs().tolist() == \
+        assert type1(g, d).tolist() == \
             naive_developed(n, add, neg, members, "type1")
         assert sum_developed(g, d).tolist() == \
             naive_developed(n, add, neg, members, "type2")
@@ -102,7 +118,7 @@ def test_developed_match_naive_all_small_groups():
 def test_type1_row_sums_and_skewness():
     g = desk_group(7)
     d = subset_of_encodings(g, [1, 2, 4])  # the squares; -1 is not one
-    m = sh.type1_matrix(g, d).signs()
+    m = type1(g, d)
     assert np.all(m.sum(axis=1) == 7 - 2 * 3)
     assert np.array_equal(m + m.T, 2 * np.eye(7, dtype=m.dtype))  # D is skew
 
@@ -129,7 +145,7 @@ def test_reversal_conjugate_properties():
         # Gram preserved: C C^T == B B^T
         assert np.array_equal(cs @ cs.T, bs @ bs.T)
         # C is the transpose of the type-1 development of the same block
-        assert np.array_equal(cs, sh.type1_matrix(g, d).signs().T)
+        assert np.array_equal(cs, type1(g, d).T)
 
 
 def test_bordered_blocks_match_naive_developments():
@@ -147,6 +163,7 @@ def test_bordered_blocks_match_naive_developments():
         a, c = s[2: v + 2, 2: v + 2], s[2: v + 2, v + 2:]
         assert a.tolist() == naive_developed(v, add, neg, m0, "type1")
         assert c.tolist() == naive_reversed_type2(v, add, neg, m1)
+        assert s.tolist() == naive_bordered(v, add, neg, m0, m1)
 
 
 def test_type1_matrices_commute():
@@ -157,7 +174,7 @@ def test_type1_matrices_commute():
         rng = np.random.default_rng(n + 100)
         d0 = sh.subset_from_indices(g, rng.choice(n, size=n // 2, replace=False))
         d1 = sh.subset_from_indices(g, rng.choice(n, size=n // 3, replace=False))
-        a = sh.type1_matrix(g, d0).signs().astype(int)
+        a = type1(g, d0).astype(int)
         c = np.array(naive_reversed_type2(n, add, neg, np.flatnonzero(d1)))
         assert np.array_equal(a @ c, c @ a)
 
@@ -170,7 +187,7 @@ def test_gram_profile_identity_small_groups():
         rng = np.random.default_rng(n + 200)
         members = rng.choice(n, size=n // 2, replace=False)
         d = sh.subset_from_indices(g, members)
-        a = sh.type1_matrix(g, d).signs().astype(int)
+        a = type1(g, d).astype(int)
         gram = a @ a.T
         profile = sh.autocorrelation_profile(g, d)
         for i in range(n):
@@ -186,19 +203,27 @@ def test_assemble_desk_instances(matrix8, matrix12):
 
 
 def test_assemble_rejects_mismatched_orders():
+    # a block of GF(3) with a block of GF(5): the masks have other lengths
     g3, g5 = desk_group(3), desk_group(5)
-    a = sh.type1_matrix(g3, sh.subset_from_indices(g3, [1]))
-    c = sh.type1_matrix(g5, sh.subset_from_indices(g5, [1, 2]))
-    with pytest.raises(ValueError):
-        sh.assemble_bordered(a, c)
+    d3, d5 = sh.subset_from_indices(g3, [1]), sh.subset_from_indices(g5, [1, 2])
+    for d0, d1 in ((d3, d5), (d5, d3)):
+        with pytest.raises(ValueError, match="shape"):
+            sh.build_bordered_from_blocks(g5, d0, d1)
+    with pytest.raises(ValueError, match="shape"):
+        sh.build_bordered_from_blocks(g3, d3, d5)
 
 
 def test_assemble_rejects_bad_row_sums():
+    # a developed block sums to v - 2|D| on every row and column, so a
+    # block of another size than (v - 1)/2 is refused by its size alone
     g = desk_group(5)
-    a = sh.type1_matrix(g, sh.subset_from_indices(g, [1, 2]))
-    bad = sh.type1_matrix(g, sh.subset_from_indices(g, [1]))  # row sums 3
-    with pytest.raises(ValueError):
-        sh.assemble_bordered(a, bad)
+    good = sh.subset_from_indices(g, [1, 2])
+    for members in ([1], [1, 2, 3], [], [0, 1, 2, 3, 4]):  # row sums 3, -1, 5, -5
+        bad = sh.subset_from_indices(g, members)
+        assert np.all(type1(g, bad).sum(axis=1) == 5 - 2 * len(members))
+        for name, d0, d1 in (("D1", good, bad), ("D0", bad, good)):
+            with pytest.raises(ValueError, match=f"\\|{name}\\| = {len(members)}: .* 2"):
+                sh.build_bordered_from_blocks(g, d0, d1)
 
 
 def test_assemble_always_skew_even_when_sums_fail():
