@@ -95,7 +95,13 @@ def format_index_set(indices) -> str:
 
 
 def sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """The file's sha256, read in 1 MiB chunks into one reused buffer, so no
+    whole copy is held and no chunk is allocated afresh."""
+    digest, buffer = hashlib.sha256(), bytearray(1 << 20)
+    with path.open("rb", buffering=0) as f:
+        while size := f.readinto(buffer):
+            digest.update(memoryview(buffer)[:size])
+    return digest.hexdigest()
 
 
 def format_manifest(config: BuildConfig, digests: dict[str, str]) -> str:

@@ -15,11 +15,11 @@ float64; only the division by sqrt(n) rounds.  That is bit for bit what
 :func:`inverse_transform` gives for the dense y = q * scale, whose float64
 partial sums are all exact integer multiples of the scale's last bit.
 
-Each packet is checked once, by its maker: :meth:`SketchPacket.from_bytes`
-checks the records it reads, and :func:`encode` writes only valid ones.
-Both keep the checked int64 arrays with the packet, so :meth:`to_bytes` and
-:func:`decode` use them as they are.  A packet built in code, or by
-``dataclasses.replace``, carries none and is checked where it is used.
+Each packet is checked once, when it is made: the constructor runs the
+record check on whatever it is given and keeps read-only int64 copies, so a
+packet from :meth:`SketchPacket.from_bytes`, from :func:`encode`, from code
+or from ``dataclasses.replace`` is valid, and :meth:`to_bytes` and
+:func:`decode` read its fields as they are.
 
 Wire format (little-endian, 8 + 3k bytes exactly):
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,50 +61,43 @@ class SketchConfig:
             raise ValueError(f"order {self.n} does not fit the 2-byte wire tag")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SketchPacket:
     """Quantized top-k sketch with exact byte accounting.
 
-    ``indices`` and ``qvalues`` are tuples of Python ints.  A packet is
-    checked once, by its maker: :meth:`from_bytes` and :func:`encode` keep
-    the checked int64 records in a private slot that takes no part in
-    equality, repr or the wire bytes.  A packet built directly (or by
-    ``dataclasses.replace``) has no checked records, so it is checked like
-    one read from bytes: :meth:`to_bytes` and :func:`decode` refuse it with
-    PacketFormatError when :meth:`from_bytes` would refuse its bytes.
+    ``indices`` and ``qvalues`` are read-only int64 arrays, copies of what
+    the constructor is given after they pass :func:`_checked_records`; the
+    constructor (and so ``dataclasses.replace``) raises PacketFormatError
+    wherever :meth:`from_bytes` would refuse the packet's bytes.  Equality
+    and hashing compare the wire bytes.
     """
 
     scale: float
     k: int
     n_tag: int
-    indices: tuple[int, ...]
-    qvalues: tuple[int, ...]
-    _records: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, compare=False, repr=False)
+    indices: np.ndarray
+    qvalues: np.ndarray
 
-    @classmethod
-    def _checked_by_maker(cls, scale: float, k: int, n_tag: int, indices: np.ndarray,
-                          qvalues: np.ndarray) -> "SketchPacket":
-        """The packet of records that have passed every check of
-        :func:`_checked_records`, int64 arrays kept read-only in the slot."""
-        packet = cls(scale=scale, k=k, n_tag=n_tag,
-                     indices=tuple(indices.tolist()), qvalues=tuple(qvalues.tolist()))
+    def __post_init__(self) -> None:
+        indices, qvalues = _checked_records(self.scale, self.k, self.n_tag,
+                                            self.indices, self.qvalues)
         indices.setflags(write=False)
         qvalues.setflags(write=False)
-        object.__setattr__(packet, "_records", (indices, qvalues))
-        return packet
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "qvalues", qvalues)
 
-    def _checked(self) -> tuple[np.ndarray, np.ndarray]:
-        """The int64 records: its maker's, or checked here when it has none."""
-        if self._records is not None:
-            return self._records
-        return _checked_records(self.scale, self.k, self.n_tag, self.indices, self.qvalues)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SketchPacket):
+            return NotImplemented
+        return self.to_bytes() == other.to_bytes()
+
+    def __hash__(self) -> int:
+        return hash(self.to_bytes())
 
     def to_bytes(self) -> bytes:
-        indices, qvalues = self._checked()
         records = np.empty(self.k, dtype=_RECORD_DTYPE)
-        records["index"] = indices
-        records["qvalue"] = qvalues
+        records["index"] = self.indices
+        records["qvalue"] = self.qvalues
         return _HEADER.pack(self.scale, self.k, self.n_tag) + records.tobytes()
 
     @classmethod
@@ -116,13 +109,12 @@ class SketchPacket:
         if len(data) != expected:
             raise PacketFormatError(f"packet is {len(data)} bytes, expected {expected} for k={k}")
         records = np.frombuffer(data, dtype=_RECORD_DTYPE, count=k, offset=_HEADER.size)
-        indices, qvalues = _checked_records(scale, k, n_tag, records["index"], records["qvalue"])
-        return cls._checked_by_maker(scale, k, n_tag, indices, qvalues)
+        return cls(scale, k, n_tag, records["index"], records["qvalue"])
 
 
 def _checked_records(scale: float, k: int, n_tag: int, indices, qvalues
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """The records as int64 arrays, after every check a packet must pass.
+    """The records as new int64 arrays, after every check a packet must pass.
 
     The scale is a finite float32 value, the order tag fits its two bytes,
     there are exactly k records, the indices increase strictly and lie in
@@ -136,8 +128,8 @@ def _checked_records(scale: float, k: int, n_tag: int, indices, qvalues
     if not 0 <= n_tag <= 0xFFFF:
         raise PacketFormatError(f"order tag {n_tag} does not fit the 2-byte wire tag")
     try:
-        indices = np.asarray(indices, dtype=np.int64)
-        qvalues = np.asarray(qvalues, dtype=np.int64)
+        indices = np.array(indices, dtype=np.int64)
+        qvalues = np.array(qvalues, dtype=np.int64)
     except (OverflowError, TypeError, ValueError):
         raise PacketFormatError("record fields are not 64-bit integers") from None
     if indices.shape != (k,) or qvalues.shape != (k,):
@@ -192,11 +184,6 @@ def encode(x: np.ndarray, h: PmMatrix, cfg: SketchConfig) -> SketchPacket:
     packet bytes.  The matrix is trusted to satisfy the defining identities.
     Raises ValueError when the transform overflows or the peak has no
     finite, nonzero float32 scale.
-
-    The packet is valid by construction, so its records are not checked
-    again: k distinct ascending indices from ``flatnonzero``, values
-    clipped to [-127, 127], a finite positive float32 scale, and
-    n_tag = h.n <= 0xFFFF by :class:`SketchConfig`.
     """
     x = np.asarray(x, dtype=np.float64)
     if cfg.n != h.n:
@@ -221,7 +208,7 @@ def encode(x: np.ndarray, h: PmMatrix, cfg: SketchConfig) -> SketchPacket:
     np.divide(sel, float(scale), out=sel)
     np.rint(sel, out=sel)
     np.clip(sel, -QMAX, QMAX, out=sel)
-    return SketchPacket._checked_by_maker(float(scale), cfg.k, h.n, idx, sel.astype(np.int64))
+    return SketchPacket(float(scale), cfg.k, h.n, idx, sel.astype(np.int64))
 
 
 def decode(packet: SketchPacket, h: PmMatrix) -> np.ndarray:
@@ -232,14 +219,12 @@ def decode(packet: SketchPacket, h: PmMatrix) -> np.ndarray:
     matrix's cached float32 signs holds it exactly, and the float32 scale (a
     24-bit mantissa) times such an integer is exact in float64.  The result
     is bit-identical to :func:`inverse_transform` of the dense y.
-    Raises PacketFormatError for a packet that fails the wire checks and
-    ValueError when its order tag is not the matrix order.
+    Raises ValueError when the packet's order tag is not the matrix order.
     """
-    indices, qvalues = packet._checked()
     if packet.n_tag != h.n:
         raise ValueError(f"packet order tag {packet.n_tag} does not match matrix order {h.n}")
     q = np.zeros(h.n, dtype=np.float32)
-    q[indices] = qvalues
+    q[packet.indices] = packet.qvalues
     z = h.float32_signs().T @ q
     return (z.astype(np.float64) * packet.scale) / np.sqrt(h.n)
 

@@ -199,7 +199,8 @@ def test_build_at_order_4080_allocates_below_six_n_squared_bytes(tmp_path, capsy
     # Gate0's n x n float32 copy (4 n^2 bytes) is freed before the matrix
     # text is written and hashed; aut drops the matrix text (n^2 bytes) once
     # it is parsed, so the exhaustive audit runs beside the n x n int8
-    # matrix alone.
+    # matrix alone; manifest hashes each file in 1 MiB chunks, so it never
+    # holds the matrix text whole.
     argv = ["build", "--p", "2039", "--e", "1", "--N", "2", "--i0", "0", "--i1", "0",
             "--out", str(tmp_path)]
     code, peak = traced_peak(lambda: main(argv))
@@ -209,6 +210,9 @@ def test_build_at_order_4080_allocates_below_six_n_squared_bytes(tmp_path, capsy
                                            "--exhaustive"]))
     assert code == 0 and capsys.readouterr().out.endswith("PASS order 2077741 = 1019*2039\n")
     assert peak <= 3.5 * 4080 ** 2
+    code, peak = traced_peak(lambda: main(["manifest", str(tmp_path)]))
+    assert code == 0 and "OK matrix_4080.txt\n" in capsys.readouterr().out
+    assert peak <= 0.25 * 4080 ** 2
 
 
 def test_aut_command(desk_build, capsys):
@@ -570,15 +574,15 @@ def test_missing_file_exits_1(capsys):
 
 
 def test_manifest_with_an_unreadable_file_exits_1(desk_build, monkeypatch, capsys):
-    # root ignores chmod, so the read of one listed file is made to fail
-    read_bytes = Path.read_bytes
+    # root ignores chmod, so the opening of one listed file is made to fail
+    path_open = Path.open
 
-    def unreadable(path):
+    def unreadable(path, *args, **kwargs):
         if path.name == "gate0_report.txt":
             raise PermissionError(13, "Permission denied", str(path))
-        return read_bytes(path)
+        return path_open(path, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "read_bytes", unreadable)
+    monkeypatch.setattr(Path, "open", unreadable)
     code = main(["manifest", str(desk_build)])
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()

@@ -121,21 +121,32 @@ def test_topk_matches_the_stable_sort_on_tied_inputs(n):
             assert np.array_equal(got, naive_top_k_indices(y, k)), (name, k)
 
 
-def test_packet_fields_are_tuples_of_python_ints(matrix12):
+def test_packet_fields_are_read_only_int64_copies(matrix12):
     x = np.random.default_rng(6).normal(size=12)
     for k in (1, 6, 12):
         packet = sh.encode(x, matrix12, sh.SketchConfig(n=12, k=k))
-        for p in (packet, sh.SketchPacket.from_bytes(packet.to_bytes())):
-            assert type(p.indices) is tuple and type(p.qvalues) is tuple
-            assert all(type(v) is int for v in p.indices + p.qvalues)
+        indices = packet.indices.copy()
+        qvalues = packet.qvalues.copy()
+        built = sh.SketchPacket(packet.scale, k, 12, indices, qvalues)
+        for p in (packet, sh.SketchPacket.from_bytes(packet.to_bytes()), built):
+            for field in (p.indices, p.qvalues):
+                assert type(field) is np.ndarray and field.dtype == np.int64
+                assert field.shape == (k,) and not field.flags.writeable
             assert type(p.scale) is float
             assert type(p.k) is int and type(p.n_tag) is int
+        # the caller's arrays are copied, not taken over: they stay writeable
+        # and writing to them leaves the packet as it was
+        assert indices.flags.writeable and qvalues.flags.writeable
+        assert not np.shares_memory(built.indices, indices)
+        assert not np.shares_memory(built.qvalues, qvalues)
+        qvalues[0] = 1000
+        assert built == packet and built.qvalues[0] == packet.qvalues[0]
 
 
 def test_encode_zero_vector(matrix8):
     packet = sh.encode(np.zeros(8), matrix8, sh.SketchConfig(n=8, k=3))
     assert packet.scale == 1.0
-    assert packet.qvalues == (0, 0, 0)
+    assert packet.qvalues.tolist() == [0, 0, 0]
     assert np.array_equal(sh.decode(packet, matrix8), np.zeros(8))
 
 
@@ -191,7 +202,7 @@ def test_row_of_h_concentrates_and_recovers_exactly(matrix8):
         assert abs(np.abs(y[j]) - np.sqrt(8)) <= 1e-12
         assert np.max(np.abs(np.delete(y, j))) <= 1e-12
         packet = sh.encode(x, matrix8, sh.SketchConfig(n=8, k=1))
-        assert packet.indices == (j,)
+        assert packet.indices.tolist() == [j]
         assert abs(packet.qvalues[0]) == QMAX
         xr = sh.decode(packet, matrix8)
         assert np.max(np.abs(x - xr)) <= 1e-6
@@ -240,9 +251,9 @@ def test_packet_parse_errors():
         sh.SketchPacket.from_bytes(bad_q)                       # -128 reserved
 
 
-# Packets built directly, each breaking one wire rule at n = 8: the decode
-# and the writer refuse them as the reader refuses their bytes, so none can
-# wrap an index, let the last of two writes win, or decode to NaN.
+# Packets built directly, each breaking one wire rule at n = 8: the
+# constructor refuses them as the reader refuses their bytes, so no packet
+# can wrap an index, let the last of two writes win, or decode to NaN.
 BAD_PACKETS = {
     "negative index": dict(indices=(-1,), qvalues=(1,)),
     "index = n": dict(indices=(8,), qvalues=(1,)),
@@ -262,13 +273,10 @@ BAD_PACKETS = {
 
 
 @pytest.mark.parametrize("fields", BAD_PACKETS.values(), ids=BAD_PACKETS.keys())
-def test_directly_built_bad_packet_is_refused(matrix8, fields):
-    packet = sh.SketchPacket(**{**dict(scale=1.0, k=1, n_tag=8, indices=(2,),
-                                       qvalues=(1,)), **fields})
+def test_directly_built_bad_packet_is_refused(fields):
     with pytest.raises(PacketFormatError):
-        sh.decode(packet, matrix8)
-    with pytest.raises(PacketFormatError):
-        packet.to_bytes()
+        sh.SketchPacket(**{**dict(scale=1.0, k=1, n_tag=8, indices=(2,), qvalues=(1,)),
+                           **fields})
 
 
 @pytest.fixture
@@ -284,52 +292,50 @@ def check_count(monkeypatch):
     return calls
 
 
-def test_each_packet_is_checked_once_by_its_maker(matrix12, check_count):
+def test_each_packet_is_checked_once_when_it_is_made(matrix12, check_count):
     x = np.random.default_rng(9).normal(size=12)
     packet = sh.encode(x, matrix12, sh.SketchConfig(n=12, k=5))
-    data = packet.to_bytes()
-    assert not check_count  # encode makes valid packets; to_bytes trusts them
-    parsed = sh.SketchPacket.from_bytes(data)
-    got = sh.decode(parsed, matrix12)
-    assert len(check_count) == 1 and parsed.to_bytes() == data
-    assert np.array_equal(got, sh.decode(packet, matrix12))
-    assert len(check_count) == 1
+    parsed = sh.SketchPacket.from_bytes(packet.to_bytes())
+    built = sh.SketchPacket(scale=1.0, k=2, n_tag=12, indices=(1, 5), qvalues=(-3, 127))
+    replaced = dataclasses.replace(built, scale=2.0)
+    assert len(check_count) == 4  # encode, from_bytes, the constructor, replace
+    for p in (packet, parsed, built, replaced):
+        p.to_bytes()
+        sh.decode(p, matrix12)
+    assert packet == parsed and hash(packet) == hash(parsed)
+    assert len(check_count) == 4  # nor to_bytes, decode, equality or hashing
 
 
-def test_directly_built_packet_is_checked_where_it_is_used(matrix12, check_count):
-    packet = sh.SketchPacket(scale=1.0, k=2, n_tag=12, indices=(1, 5), qvalues=(-3, 127))
-    packet.to_bytes()
-    assert len(check_count) == 1
-    sh.decode(packet, matrix12)
-    assert len(check_count) == 2
-
-
-def test_checked_records_take_no_part_in_equality_or_repr(matrix12):
+def test_packets_are_equal_and_hash_by_wire_bytes(matrix12):
     x = np.random.default_rng(10).normal(size=12)
     packet = sh.encode(x, matrix12, sh.SketchConfig(n=12, k=4))
-    plain = sh.SketchPacket(scale=packet.scale, k=4, n_tag=12, indices=packet.indices,
-                            qvalues=packet.qvalues)
-    assert packet == plain and hash(packet) == hash(plain) and repr(packet) == repr(plain)
-    assert packet.to_bytes() == plain.to_bytes()
+    data = packet.to_bytes()
+    plain = sh.SketchPacket(scale=packet.scale, k=4, n_tag=12,
+                            indices=tuple(packet.indices.tolist()),
+                            qvalues=tuple(packet.qvalues.tolist()))
+    parsed = sh.SketchPacket.from_bytes(data)
+    for p in (plain, parsed):
+        assert p == packet and hash(p) == hash(packet) and repr(p) == repr(packet)
+        assert p.to_bytes() == data
+    other = dataclasses.replace(packet, qvalues=-packet.qvalues)
+    assert other != packet and other.to_bytes() != data
+    assert packet != data and packet != packet.indices.tolist()
 
 
 @pytest.mark.parametrize("change", [lambda p: dict(scale=math.nan),
                                     lambda p: dict(indices=(-1, *p.indices[1:]))],
                          ids=["nan scale", "index -1"])
 def test_replaced_packet_is_checked_again(matrix12, change):
-    # dataclasses.replace builds a new packet without the maker's records
+    # dataclasses.replace builds a new packet through the constructor
     x = np.random.default_rng(11).normal(size=12)
     packet = sh.encode(x, matrix12, sh.SketchConfig(n=12, k=3))
     for made in (packet, sh.SketchPacket.from_bytes(packet.to_bytes())):
-        bad = dataclasses.replace(made, **change(made))
         with pytest.raises(PacketFormatError):
-            bad.to_bytes()
-        with pytest.raises(PacketFormatError):
-            sh.decode(bad, matrix12)
+            dataclasses.replace(made, **change(made))
 
 
-# Every packet encode makes must pass the check it skips: this is what lets
-# to_bytes and decode trust its records.
+# Every packet encode makes passes the record check its constructor runs,
+# and reads back from its own bytes as an equal packet.
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12),
        st.sampled_from([1e-40, 1e-3, 1.0, 1e30, 1e37]), st.integers(0, 3))
@@ -340,14 +346,10 @@ def test_encoded_packet_passes_the_record_check(matrix12, seed, k, magnitude, ti
         x = magnitude * rng.integers(-ties, ties + 1, size=12)
     try:
         packet = sh.encode(x, matrix12, sh.SketchConfig(n=12, k=k))
-    except ValueError:  # no finite nonzero float32 scale
+    except ValueError as exc:  # PacketFormatError is a ValueError too
+        assert "no finite nonzero float32 scale" in str(exc), exc
         return
-    indices, qvalues = sketch._checked_records(packet.scale, packet.k, packet.n_tag,
-                                               packet.indices, packet.qvalues)
-    slot_indices, slot_qvalues = packet._records
-    assert slot_indices.dtype == slot_qvalues.dtype == np.int64
-    assert np.array_equal(slot_indices, indices) and np.array_equal(slot_qvalues, qvalues)
-    assert not slot_indices.flags.writeable and not slot_qvalues.flags.writeable
+    assert sh.SketchPacket.from_bytes(packet.to_bytes()) == packet
 
 
 @pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf")])
