@@ -292,18 +292,33 @@ def check_count(monkeypatch):
     return calls
 
 
-def test_each_packet_is_checked_once_when_it_is_made(matrix12, check_count):
+def test_each_packet_is_checked_once_by_its_maker(matrix12, check_count):
     x = np.random.default_rng(9).normal(size=12)
     packet = sh.encode(x, matrix12, sh.SketchConfig(n=12, k=5))
-    parsed = sh.SketchPacket.from_bytes(packet.to_bytes())
-    built = sh.SketchPacket(scale=1.0, k=2, n_tag=12, indices=(1, 5), qvalues=(-3, 127))
-    replaced = dataclasses.replace(built, scale=2.0)
-    assert len(check_count) == 4  # encode, from_bytes, the constructor, replace
-    for p in (packet, parsed, built, replaced):
-        p.to_bytes()
-        sh.decode(p, matrix12)
+    assert len(check_count) == 1  # encode builds its packet through the constructor
+    data = packet.to_bytes()
+    parsed = sh.SketchPacket.from_bytes(data)
+    assert len(check_count) == 2
+    got = sh.decode(parsed, matrix12)
+    assert parsed.to_bytes() == data
+    assert np.array_equal(got, sh.decode(packet, matrix12))
     assert packet == parsed and hash(packet) == hash(parsed)
-    assert len(check_count) == 4  # nor to_bytes, decode, equality or hashing
+    assert len(check_count) == 2  # nor to_bytes, decode, equality or hashing
+
+
+def test_directly_built_packet_is_checked_where_it_is_used(matrix12, check_count):
+    # the constructor checks the records, so every packet that reaches
+    # to_bytes or decode has been checked, and once only
+    built = sh.SketchPacket(scale=1.0, k=2, n_tag=12, indices=(1, 5), qvalues=(-3, 127))
+    assert len(check_count) == 1
+    built.to_bytes()
+    sh.decode(built, matrix12)
+    assert len(check_count) == 1
+    replaced = dataclasses.replace(built, scale=2.0)
+    assert len(check_count) == 2  # replace builds a new packet through the constructor
+    replaced.to_bytes()
+    sh.decode(replaced, matrix12)
+    assert len(check_count) == 2
 
 
 def test_packets_are_equal_and_hash_by_wire_bytes(matrix12):
