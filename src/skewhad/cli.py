@@ -1,9 +1,10 @@
 """Command-line surface: build, verify, rank, aut, sketch, manifest.
 
 Exit codes: 0 when every requested certificate passes, 2 when a certificate
-fails (including generator-search exhaustion and a digest mismatch), 1 for
-usage and input errors, a file that cannot be read or written among them.
-All output is deterministic plain text so runs can be diffed.
+fails (a digest mismatch, or a search no generator passes, which ``build``,
+``verify shdf`` and ``aut`` report alike through :func:`certified_search`),
+1 for usage and input errors, a file that cannot be read or written among
+them.  All output is deterministic plain text so runs can be diffed.
 
 The manifest written by ``build`` records sha256sum-compatible digest lines
 for every emitted artifact plus a config block that reproduces the build
@@ -27,7 +28,7 @@ import argparse
 import functools
 import hashlib
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,13 +49,14 @@ class CliError(Exception):
 
 @dataclass(frozen=True)
 class BuildConfig:
-    """Everything needed to reproduce a build bit-exactly."""
+    """Everything needed to reproduce a build bit-exactly (``build`` leaves a
+    None modulus or generator to the search)."""
 
     p: int
     e: int
     N: int
-    modulus: tuple[int, ...]
-    generator: int
+    modulus: tuple[int, ...] | None
+    generator: int | None
     i0: tuple[int, ...]
     i1: tuple[int, ...]
 
@@ -195,6 +197,16 @@ def write_vector_file(path: Path, values: np.ndarray) -> None:
     path.write_bytes(text.encode("ascii"))
 
 
+def certified_search(config: BuildConfig):
+    """shdf.find_valid_generator's (tables, partition, pair, certificate); a
+    bad configuration raises CliError, a failed search GeneratorSearchError."""
+    fieldcfg = gf.FieldConfig(config.p, config.e, config.modulus, config.generator)
+    try:
+        return shdf.find_valid_generator(fieldcfg, config.N, config.i0, config.i1)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+
+
 def cmd_build(args) -> int:
     i0 = parse_index_set(args.i0)
     i1 = parse_index_set(args.i1)
@@ -202,15 +214,9 @@ def cmd_build(args) -> int:
         modulus = tuple(int(c) for c in args.poly.split(",")) if args.poly else None
     except ValueError:
         raise CliError(f"bad --poly {args.poly!r}: expected comma-separated integers") from None
-    fieldcfg = gf.FieldConfig(args.p, args.e, modulus, args.gen)
-    try:
-        tables, partition, pair, cert = shdf.find_valid_generator(fieldcfg, args.N, i0, i1)
-    except shdf.GeneratorSearchError as exc:
-        print(f"SHDF FAIL: {exc}")
-        return EXIT_CERT_FAIL
-    except ValueError as exc:  # a bad field config or class index
-        raise CliError(str(exc)) from None
-
+    config = BuildConfig(p=args.p, e=args.e, N=args.N, modulus=modulus, generator=args.gen,
+                         i0=i0, i1=i1)
+    tables, _, pair, cert = certified_search(config)
     h = hadamard.build_bordered_from_blocks(pair.group, pair.d0, pair.d1)
     # Gate0 caches its n x n float32 copy on a wrapper dropped before the writes
     report = hadamard.gate0_verify(hadamard.PmMatrix(h.signs()))
@@ -221,8 +227,7 @@ def cmd_build(args) -> int:
     (out / matrix_name).write_bytes(hadamard.to_matrix_text(h))
     (out / "shdf_certificate.txt").write_bytes(cert.to_log().encode("ascii"))
     (out / "gate0_report.txt").write_bytes(report.to_log().encode("ascii"))
-    config = BuildConfig(p=args.p, e=args.e, N=args.N, modulus=tables.modulus,
-                         generator=tables.generator, i0=i0, i1=i1)
+    config = replace(config, modulus=tables.modulus, generator=tables.generator)
     digests = {name: sha256_file(out / name)
                for name in (matrix_name, "shdf_certificate.txt", "gate0_report.txt")}
     (out / MANIFEST_NAME).write_bytes(format_manifest(config, digests).encode("ascii"))
@@ -233,9 +238,8 @@ def cmd_build(args) -> int:
     print(f"GATE0 {'PASS' if report.passed else 'FAIL'} n={report.n}")
     print(f"wrote {out / matrix_name}")
     print(f"wrote {out / MANIFEST_NAME}")
-    if not report.passed:  # cannot happen for a certified pair; belt and braces
-        return EXIT_CERT_FAIL
-    return EXIT_OK
+    # a certified pair cannot fail Gate0; belt and braces
+    return EXIT_OK if report.passed else EXIT_CERT_FAIL
 
 
 def cmd_verify(args) -> int:
@@ -251,16 +255,7 @@ def cmd_verify(args) -> int:
         return EXIT_CERT_FAIL
 
     # shdf: recertify from the manifest's recorded configuration
-    config, _ = read_manifest(path)
-    try:
-        tables, _, _, _ = shdf.find_valid_generator(
-            gf.FieldConfig(config.p, config.e, config.modulus, config.generator),
-            config.N, config.i0, config.i1)
-    except shdf.GeneratorSearchError as exc:
-        print(f"SHDF FAIL: {exc}")
-        return EXIT_CERT_FAIL
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    tables, _, _, _ = certified_search(read_manifest(path)[0])
     print(f"SHDF PASS v={tables.q}")
     return EXIT_OK
 
@@ -286,19 +281,15 @@ def cmd_rank(args) -> int:
 
 
 def cmd_aut(args) -> int:
-    """Audit the matrix file the manifest names, once its digest matches."""
+    """Audit the matrix file a manifest names, once its config is certified
+    (as by ``verify shdf``) and the file's digest matches."""
     if args.samples < 0:
         raise CliError(f"--samples must be at least 0, not {args.samples}")
     if args.seed < 0:
         raise CliError(f"--seed must be at least 0, not {args.seed}")
     path = Path(args.file)
     config, digests = read_manifest(path)
-    try:
-        _, partition, _, _ = shdf.find_valid_generator(
-            gf.FieldConfig(config.p, config.e, config.modulus, config.generator),
-            config.N, config.i0, config.i1)
-    except (shdf.GeneratorSearchError, ValueError) as exc:
-        raise CliError(f"manifest config does not rebuild: {exc}") from None
+    _, partition, _, _ = certified_search(config)
     n = 2 * partition.tables.q + 2
     matrix_name = f"matrix_{n}.txt"
     if matrix_name not in digests:
@@ -320,7 +311,9 @@ def cmd_aut(args) -> int:
 
 def cmd_sketch(args) -> int:
     h = read_matrix_file(Path(args.matrix))
-    if not hadamard.gate0_verify(h).passed:
+    # encode frees Gate0's float32 copy before its float64 one; decode reuses it
+    if not hadamard.gate0_verify(
+            hadamard.PmMatrix(h.signs()) if args.action == "encode" else h).passed:
         print(f"GATE0 FAIL n={h.n}")
         return EXIT_CERT_FAIL
     if args.action == "encode":
@@ -436,6 +429,9 @@ def main(argv=None) -> int:
     except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except shdf.GeneratorSearchError as exc:  # raised through certified_search
+        print(f"SHDF FAIL: {exc}")
+        return EXIT_CERT_FAIL
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ that on nonzero encodings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 
 import numpy as np
 
@@ -46,8 +45,10 @@ class FieldConfig:
 class FieldTables:
     """Discrete-log realization of GF(p^e)^x.
 
-    ``antilog[k]`` is the encoding of g^k for k in [0, q-1); ``log`` is its
-    inverse on nonzero encodings, with ``log[0] == -1`` as a sentinel.
+    ``antilog[k]`` is the encoding of g^k for k in [0, q-1); ``log``, derived
+    from it here, is its inverse on nonzero encodings, with ``log[0] == -1``
+    as a sentinel.  The antilog must be a bijection onto the nonzero
+    encodings, which holds exactly when g is primitive; FieldError otherwise.
     """
 
     p: int
@@ -56,10 +57,14 @@ class FieldTables:
     modulus: tuple[int, ...]
     generator: int
     antilog: np.ndarray
-    log: np.ndarray
+    log: np.ndarray = field(init=False)
     _additive: GroupSpec | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.log = -np.ones(self.q, dtype=np.int64)
+        self.log[self.antilog] = np.arange(self.q - 1)
+        if int(np.count_nonzero(self.log >= 0)) != self.q - 1:  # g^k repeats early
+            raise FieldError(f"generator encoding {self.generator} is not primitive in GF({self.q})")
         self.antilog.setflags(write=False)
         self.log.setflags(write=False)
 
@@ -211,10 +216,10 @@ def build_field(config: FieldConfig) -> FieldTables:
     candidates are tried in encoding order: g is primitive exactly when
     g^((q-1)/r) != 1 for every prime r dividing q - 1, each power a
     square-and-multiply, so a candidate costs O(e^2 log q) whatever its
-    order.  The winner's antilog table is then built once by doubling (see
-    :func:`_antilog_table`), about log2 q numpy products.  A supplied
-    generator is taken through :func:`tables_for_generator`, which tests it
-    by ``gcd(log, q - 1) == 1``.
+    order.  A supplied generator is not searched for: its own antilog table
+    is built, and it is primitive exactly when that table is a bijection
+    onto the nonzero elements.  Either way the table is built once by
+    doubling (see :func:`_antilog_table`), about log2 q numpy products.
 
     Raises FieldError for an order above MAX_FIELD_ORDER (checked first), a
     composite p, a reducible modulus, or a supplied generator that is out of
@@ -241,24 +246,17 @@ def build_field(config: FieldConfig) -> FieldTables:
         if not is_irreducible(modulus, p):
             raise FieldError(f"modulus {modulus} is reducible over GF({p})")
 
-    one = (1,) + (0,) * (e - 1)
-    cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
-    for generator in range(1, q):
-        x = decode_encoding(generator, p, e)
-        if all(_poly_pow(x, c, modulus, p) != one for c in cofactors):
-            break
-    else:  # pragma: no cover
-        raise FieldError("no primitive element found; modulus is not irreducible")
-    antilog = _antilog_table(generator, modulus, p, e)
-    log = -np.ones(q, dtype=np.int64)
-    log[antilog] = np.arange(q - 1)
-    if int(np.count_nonzero(log >= 0)) != q - 1:  # pragma: no cover
-        raise FieldError("antilog table is not a bijection onto the nonzero elements")
-    tables = FieldTables(p=p, e=e, q=q, modulus=modulus, generator=generator,
-                         antilog=antilog, log=log)
     if config.generator is None:
-        return tables
-    return tables_for_generator(tables, int(config.generator))
+        one = (1,) + (0,) * (e - 1)
+        cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
+        for generator in range(1, q):  # the modulus is irreducible: one of them is primitive
+            x = decode_encoding(generator, p, e)
+            if all(_poly_pow(x, c, modulus, p) != one for c in cofactors):
+                break
+    elif not 0 < (generator := int(config.generator)) < q:
+        raise FieldError(f"generator encoding {generator} out of range")
+    return FieldTables(p=p, e=e, q=q, modulus=modulus, generator=generator,
+                       antilog=_antilog_table(generator, modulus, p, e))
 
 
 def tables_for_generator(base: FieldTables, generator: int) -> FieldTables:
@@ -267,19 +265,14 @@ def tables_for_generator(base: FieldTables, generator: int) -> FieldTables:
     Equivalent to rebuilding by successive multiplication: if g0 is the base
     generator and generator = g0^t, then the new antilog at k is
     ``base.antilog[(t*k) mod (q-1)]``.  Raises FieldError for an encoding
-    outside ``0 < generator < q`` or one that is not primitive.
+    outside ``0 < generator < q`` or, from :class:`FieldTables`, one that is
+    not primitive (gcd(t, q - 1) != 1 repeats an entry).
     """
     if not 0 < generator < base.q:
         raise FieldError(f"generator encoding {generator} out of range")
-    t = int(base.log[generator])
-    if gcd(t, base.q - 1) != 1:
-        raise FieldError(f"generator encoding {generator} is not primitive in GF({base.q})")
-    idx = (np.arange(base.q - 1, dtype=np.int64) * t) % (base.q - 1)
-    antilog = base.antilog[idx]
-    log = -np.ones(base.q, dtype=np.int64)
-    log[antilog] = np.arange(base.q - 1)
+    idx = (np.arange(base.q - 1, dtype=np.int64) * int(base.log[generator])) % (base.q - 1)
     return FieldTables(p=base.p, e=base.e, q=base.q, modulus=base.modulus,
-                       generator=generator, antilog=antilog.copy(), log=log)
+                       generator=generator, antilog=base.antilog[idx])
 
 
 def cyclotomic_partition(tables: FieldTables, N: int) -> CyclotomicPartition:

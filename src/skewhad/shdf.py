@@ -156,17 +156,18 @@ def find_valid_generator(fieldcfg: gf.FieldConfig, N: int, i0, i1):
     """First primitive element (by canonical encoding) whose class labeling
     makes the given index sets pass certification.
 
-    Returns ``(tables, partition, pair, certificate)`` for the winner.  When
-    the config pins a generator, only that candidate is tried.  The class
-    indices are range-checked first (ValueError); then the conditions that
-    do not depend on the generator are decided once, and a config that
-    fails them raises GeneratorSearchError with ``candidates_tried == 0``
-    before any search, as does a field above the largest order whose blocks
-    are developed densely, with gf.FieldError.  Under g' = g^s class i is base
-    class s*i mod N, so candidates whose logs agree mod N share one verdict:
-    only the first of each residue is checked (at most phi(N) checks, the
-    same winner), and exhaustion raises GeneratorSearchError carrying the
-    checks run.
+    Returns ``(tables, partition, pair, certificate)`` for the winner.  A
+    pinned generator is the only candidate, checked on the tables
+    :func:`gf.build_field` built for it (as is the first candidate of a
+    search).  The class indices are range-checked first (ValueError); then
+    the conditions that do not depend on the generator are decided once,
+    and a config that fails them raises GeneratorSearchError with
+    ``candidates_tried == 0`` before any search, as does a field above the
+    largest order whose blocks are developed densely, with gf.FieldError.
+    Under g' = g^s class i is base class s*i mod N, so candidates whose logs
+    agree mod N share one verdict: only the first of each residue is checked
+    (at most phi(N) checks, the same winner), and exhaustion raises
+    GeneratorSearchError carrying the checks run.
     """
     base = gf.build_field(fieldcfg)
     q = base.q
@@ -191,7 +192,7 @@ def find_valid_generator(fieldcfg: gf.FieldConfig, N: int, i0, i1):
         if residue in checked:
             continue
         checked.add(residue)
-        tables = gf.tables_for_generator(base, enc)
+        tables = base if enc == base.generator else gf.tables_for_generator(base, enc)
         partition = gf.cyclotomic_partition(tables, N)
         pair = blocks_from_indices(partition, i0, i1)
         cert = check_shdf(pair.group, pair)

@@ -117,9 +117,9 @@ def _checked_records(scale: float, k: int, n_tag: int, indices, qvalues
     """The records as new int64 arrays, after every check a packet must pass.
 
     The scale is a finite float32 value, the order tag fits its two bytes,
-    there are exactly k records, the indices increase strictly and lie in
-    [0, n_tag), and every quantized value lies in [-127, 127].  Raises
-    PacketFormatError otherwise.
+    there are exactly k integer records, the indices increase strictly and
+    lie in [0, n_tag), and every quantized value lies in [-127, 127].
+    Raises PacketFormatError otherwise.
     """
     if not math.isfinite(scale):
         raise PacketFormatError(f"scale {scale} is not finite")
@@ -127,11 +127,7 @@ def _checked_records(scale: float, k: int, n_tag: int, indices, qvalues
         raise PacketFormatError(f"scale {scale!r} is not a float32 value")
     if not 0 <= n_tag <= 0xFFFF:
         raise PacketFormatError(f"order tag {n_tag} does not fit the 2-byte wire tag")
-    try:
-        indices = np.array(indices, dtype=np.int64)
-        qvalues = np.array(qvalues, dtype=np.int64)
-    except (OverflowError, TypeError, ValueError):
-        raise PacketFormatError("record fields are not 64-bit integers") from None
+    indices, qvalues = _int64_field(indices), _int64_field(qvalues)
     if indices.shape != (k,) or qvalues.shape != (k,):
         raise PacketFormatError(f"{indices.size} indices and {qvalues.size} quantized "
                                 f"values, expected k={k} of each")
@@ -143,6 +139,19 @@ def _checked_records(scale: float, k: int, n_tag: int, indices, qvalues
     if (np.abs(qvalues) > QMAX).any():
         raise PacketFormatError(f"quantized value outside [-{QMAX}, {QMAX}]")
     return indices, qvalues
+
+
+def _int64_field(values) -> np.ndarray:
+    """A new int64 copy of a numeric, non-boolean field, if the cast keeps every value."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # ragged: an object array, refused below
+        array = np.asarray(None)
+    with np.errstate(invalid="ignore"):
+        field = array.astype(np.int64) if array.dtype.kind in "iuf" else None
+    if field is None or not (np.can_cast(array.dtype, np.int64) or np.array_equal(field, array)):
+        raise PacketFormatError("record fields are not 64-bit integers")
+    return field
 
 
 def transform(x: np.ndarray, h: PmMatrix) -> np.ndarray:

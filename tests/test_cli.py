@@ -213,6 +213,21 @@ def test_build_at_order_4080_allocates_below_six_n_squared_bytes(tmp_path, capsy
     code, peak = traced_peak(lambda: main(["manifest", str(tmp_path)]))
     assert code == 0 and "OK matrix_4080.txt\n" in capsys.readouterr().out
     assert peak <= 0.25 * 4080 ** 2
+    # encode's Gate0 runs on a wrapper, so its float32 copy (4 n^2) is freed
+    # before the transform's float64 copy (8 n^2) is formed; decode's product
+    # reads the float32 copy Gate0 cached on the matrix it decodes with
+    vector, packet = tmp_path / "x.txt", tmp_path / "packet.bin"
+    x = np.random.default_rng(5).normal(size=4080)
+    vector.write_text("".join(f"{float(v)!r}\n" for v in x))
+    matrix = str(tmp_path / "matrix_4080.txt")
+    code, peak = traced_peak(lambda: main(["sketch", "encode", matrix, str(vector),
+                                           "--out", str(packet)]))
+    assert code == 0 and capsys.readouterr().out.startswith(f"wrote {packet}: 908 bytes")
+    assert peak <= 10 * 4080 ** 2
+    code, peak = traced_peak(lambda: main(["sketch", "decode", matrix, str(packet),
+                                           "--out", str(tmp_path / "y.txt")]))
+    assert code == 0 and capsys.readouterr().out.endswith(": 4080 values\n")
+    assert peak <= 5.5 * 4080 ** 2
 
 
 def test_aut_command(desk_build, capsys):
@@ -406,6 +421,45 @@ def test_a_field_above_the_dense_order_exits_1_at_once(tmp_path, capsys, command
     assert out == ""
     err = err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and f"GF({p}) is too large" in err[0]
+    assert not (tmp_path / "x").exists()
+
+
+def _desk_argv(command, desk_build, tmp_path, field, build_value, manifest_value):
+    """``command``'s argv for the desk configuration with one field changed:
+    on build's command line, or on the desk manifest's config line."""
+    if command == "build":
+        options = {"--i0": "0", "--i1": "0", field: build_value}
+        return ["build", "--p", "3", "--e", "1", "--N", "2",
+                *(word for option in options.items() for word in option),
+                "--out", str(tmp_path / "x")]
+    manifest = desk_build / "manifest.txt"
+    lines = manifest.read_text().splitlines(keepends=True)
+    key = {"--i1": "# i1 = ", "--gen": "# generator = "}[field]
+    lines = [f"{key}{manifest_value}\n" if line.startswith(key) else line for line in lines]
+    manifest.write_text("".join(lines))
+    return ["verify", "shdf", str(manifest)] if command == "verify" else ["aut", str(manifest)]
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "aut"])
+def test_a_configuration_no_generator_certifies_exits_2_alike(desk_build, tmp_path, capsys,
+                                                              command):
+    # |D1| = 2 classes of one element each is not (q-1)/2 = 1, whatever the
+    # generator: all three commands report the same search failure
+    argv = _desk_argv(command, desk_build, tmp_path, "--i1", "0,1", "0,1")
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "SHDF FAIL: |D1| = (q-1)/2 needs N/2 = 1 classes, i1 has 2\n", "")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "aut"])
+def test_a_pinned_generator_that_is_not_primitive_exits_1_alike(desk_build, tmp_path, capsys,
+                                                                command):
+    # 1 has order 1 in GF(3): a bad configuration, not a failed search
+    argv = _desk_argv(command, desk_build, tmp_path, "--gen", "1", "1")
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: generator encoding 1 is not primitive in GF(3)\n"
     assert not (tmp_path / "x").exists()
 
 

@@ -9,6 +9,7 @@ from skewhad.gf import (FieldError, decode_encoding, find_modulus, is_irreducibl
 
 from _naive import (_poly_mulmod, naive_antilog_walk, naive_encode_coeffs, naive_field_mul,
                     naive_is_primitive, naive_neg_perm, naive_prime_factors)
+from conftest import SMALL_FIELDS
 
 
 def test_is_prime_small():
@@ -179,6 +180,32 @@ def test_tables_for_generator_matches_direct_build():
     assert np.array_equal(alt.log, direct.log)
     with pytest.raises(FieldError):
         tables_for_generator(base, 2)                  # not primitive
+
+
+@pytest.mark.parametrize("p,e", SMALL_FIELDS)
+def test_a_pinned_generator_is_built_once_as_the_search_reindexes_it(monkeypatch, p, e):
+    base = sh.build_field(sh.FieldConfig(p, e))
+    q = base.q
+    reindexed = {g: tables_for_generator(base, g) for g in range(1, q)
+                 if naive_is_primitive(g, p, e, base.modulus)}
+    assert base.generator == min(reindexed)
+
+    def no_call(*args):
+        raise AssertionError("a pinned generator was searched for or re-indexed")
+    # a pinned generator's own antilog table is its primitivity test
+    monkeypatch.setattr(sh.gf, "_poly_pow", no_call)
+    monkeypatch.setattr(sh.gf, "tables_for_generator", no_call)
+    for g in range(1, q):
+        config = sh.FieldConfig(p, e, base.modulus, g)
+        if g not in reindexed:
+            with pytest.raises(FieldError, match=rf"^generator encoding {g} is not primitive "
+                                                 rf"in GF\({q}\)$"):
+                sh.build_field(config)
+            continue
+        pinned, want = sh.build_field(config), reindexed[g]
+        assert (pinned.generator, pinned.modulus) == (want.generator, want.modulus)
+        assert np.array_equal(pinned.antilog, want.antilog)
+        assert np.array_equal(pinned.log, want.log)
 
 
 @pytest.mark.parametrize("generator", [-2, 0, 7, 8])

@@ -258,6 +258,11 @@ BAD_PACKETS = {
     "negative index": dict(indices=(-1,), qvalues=(1,)),
     "index = n": dict(indices=(8,), qvalues=(1,)),
     "index past 64 bits": dict(indices=(2**70,), qvalues=(1,)),
+    "fractional fields": dict(indices=(2.7,), qvalues=(1.5,)),
+    "index past int64": dict(indices=np.array([2**63], dtype=np.uint64)),
+    "boolean indices": dict(indices=np.array([True])),
+    "boolean qvalues": dict(qvalues=np.array([True])),
+    "text index": dict(indices=("2",)),
     "duplicate index": dict(k=2, indices=(3, 3), qvalues=(1, 2)),
     "decreasing index": dict(k=2, indices=(5, 1), qvalues=(1, 2)),
     "k above the records": dict(k=5),
@@ -277,6 +282,17 @@ def test_directly_built_bad_packet_is_refused(fields):
     with pytest.raises(PacketFormatError):
         sh.SketchPacket(**{**dict(scale=1.0, k=1, n_tag=8, indices=(2,), qvalues=(1,)),
                            **fields})
+
+
+@pytest.mark.parametrize("indices, qvalues", [
+    ((), ()), ((1, 5), (-3, 127)), (np.array([1, 5], dtype=np.uint16), np.array([-3, 127], "i1")),
+    (np.array([1, 5], dtype=np.uint64), np.array([-3, 127], dtype=np.int32)),
+    ((1.0, 5.0), (-3.0, 127.0))], ids=["k=0", "ints", "wire dtypes", "wide dtypes", "whole floats"])
+def test_integer_record_fields_are_accepted(indices, qvalues):
+    # a field is taken when the int64 cast keeps every value
+    packet = sh.SketchPacket(1.0, len(indices), 12, indices, qvalues)
+    assert packet.indices.tolist() == [int(i) for i in indices]
+    assert packet.qvalues.tolist() == [int(v) for v in qvalues]
 
 
 @pytest.fixture
