@@ -218,8 +218,7 @@ def cmd_build(args) -> int:
                          i0=i0, i1=i1)
     tables, _, pair, cert = certified_search(config)
     h = hadamard.build_bordered_from_blocks(pair.group, pair.d0, pair.d1)
-    # Gate0 caches its n x n float32 copy on a wrapper dropped before the writes
-    report = hadamard.gate0_verify(hadamard.PmMatrix(h.signs()))
+    report = hadamard.gate0_verify(h)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -311,9 +310,7 @@ def cmd_aut(args) -> int:
 
 def cmd_sketch(args) -> int:
     h = read_matrix_file(Path(args.matrix))
-    # encode frees Gate0's float32 copy before its float64 one; decode reuses it
-    if not hadamard.gate0_verify(
-            hadamard.PmMatrix(h.signs()) if args.action == "encode" else h).passed:
+    if not hadamard.gate0_verify(h).passed:
         print(f"GATE0 FAIL n={h.n}")
         return EXIT_CERT_FAIL
     if args.action == "encode":

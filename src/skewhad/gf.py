@@ -222,8 +222,8 @@ def build_field(config: FieldConfig) -> FieldTables:
     doubling (see :func:`_antilog_table`), about log2 q numpy products.
 
     Raises FieldError for an order above MAX_FIELD_ORDER (checked first), a
-    composite p, a reducible modulus, or a supplied generator that is out of
-    range or not primitive.
+    composite p, a pinned value that is not an integer, a reducible modulus,
+    or a supplied generator that is out of range or not primitive.
     """
     p, e = config.p, config.e
     if e < 1:
@@ -236,6 +236,9 @@ def build_field(config: FieldConfig) -> FieldTables:
     if not is_prime(p):
         raise FieldError(f"p = {p} is not prime")
     q = p**e
+    for value in [config.generator, *(() if config.modulus is None else config.modulus)]:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer, type(None))):
+            raise FieldError(f"pinned field parameter {value!r} is not an integer")
 
     if config.modulus is None:
         modulus = find_modulus(p, e)

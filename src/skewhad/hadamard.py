@@ -3,10 +3,9 @@
 Matrices live in :class:`PmMatrix`, one read-only int8 array of the +-1
 entries.  :func:`build_bordered_from_blocks` develops both blocks from the
 rows of one period straight into that array.  All verification is exact.
-Every Gram identity f f^T = s I + t J is decided by :func:`gram_deviation`
-from float32 BLAS products of Gram rows, ``(f @ f[r].T).T`` for panels r of
-the rows it is given (the same values as ``f[r] @ f.T``, in the orientation
-BLAS forms faster for a short panel): each partial sum is an integer that
+Every Gram identity x x^T = s I + t J is decided by :func:`gram_deviation`
+on the integer matrix, from float32 BLAS products of its row panels, each
+converted into one reused buffer: each partial sum is an integer that
 float32 holds exactly in whatever order BLAS adds (the integer-bound
 argument of FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008).
 
@@ -107,8 +106,8 @@ class PmMatrix:
         return self._float_signs
 
     def float32_signs(self) -> np.ndarray:
-        """Dense float32 copy of the entries (cached), for the exact integer
-        products: the Gram and the sketch decode's H^T q."""
+        """Dense float32 copy of the entries (cached), for the sketch
+        decode's exact integer product H^T q; no Gram reads it."""
         if self._float32_signs is None:
             f = self.signs().astype(np.float32)
             f.setflags(write=False)
@@ -228,47 +227,53 @@ def _orbit_rows(x: np.ndarray) -> np.ndarray:
     return np.r_[0: 3 + d, v + 2: v + 3 + d]
 
 
-def gram_deviation(f: np.ndarray, s: int, t: int, rows: np.ndarray | None = None) -> int:
-    """max |f f^T - s I - t J| over the given rows, every row when ``rows``
-    is None: 0 exactly when f f^T = s I + t J.
+def gram_deviation(x: np.ndarray, s: int, t: int, rows: np.ndarray | list | None = None) -> int:
+    """max |x x^T - s I - t J| over the given rows, every row when ``rows``
+    is None: 0 exactly when x x^T = s I + t J.
 
-    The caller guarantees exact integers: max|f|^2 times the number of
-    columns of f is below 2^24, and so are |t| and |s + t|.  The diagonal
-    loses s + t in one exact subtraction and the rest t, so an entry is 0
-    only where the identity holds; a deviation above 2^24 comes back
-    rounded.
+    x holds integers, in any dtype, with max|x|^2 times its columns below
+    2^24, and so are |t| and |s + t|.  The diagonal loses s + t in one exact
+    subtraction and the rest t, so an entry is 0 only where the identity
+    holds; a deviation above 2^24 comes back rounded.
 
-    ``rows``, from :func:`_orbit_rows` of the integer matrix of f, holds one
-    row per orbit of a permutation that keeps f, so ``f[rows] @ f.T`` holds
-    every value of the deviation (see the module docstring).  It is formed
-    ``_PANEL`` rows at a time, and a panel is searched for its maximum only
-    when one ``any()`` finds a nonzero entry in it.
+    ``rows``, from :func:`_orbit_rows` of x, holds one row per orbit of a
+    permutation that keeps x, so its Gram rows hold every value of the
+    deviation (see the module docstring).  They are formed ``_PANEL`` at a
+    time against ``_PANEL`` rows of x in one reused float32 buffer, for
+    every row only on and above the diagonal (the deviation is symmetric); a
+    block with a nonzero is searched for its maximum.
     """
-    if rows is None:
-        rows = np.arange(f.shape[0])
+    n = x.shape[0]
+    rows = np.arange(n) if rows is None else np.asarray(rows)
+    every = np.array_equal(rows, np.arange(n))
+    buffer = np.empty((min(_PANEL, n), x.shape[1]), dtype=np.float32)
     dev = 0
     for i in range(0, rows.size, _PANEL):
         r = rows[i: i + _PANEL]
-        panel = (f @ f[r].T).T
-        at = np.arange(r.size)
-        diag = panel[at, r] - (s + t)
-        panel -= t
-        panel[at, r] = diag
-        if panel.any():
-            dev = max(dev, int(np.abs(panel).max()))
+        left = x[r].astype(np.float32).T
+        for j in range(i if every else 0, n, _PANEL):
+            cols = buffer[: min(_PANEL, n - j)]
+            np.copyto(cols, x[j: j + _PANEL])
+            block = cols @ left  # block[c, k] is entry (r[k], j + c) of the Gram
+            at = np.flatnonzero((r >= j) & (r < j + cols.shape[0]))
+            diag = block[r[at] - j, at] - (s + t)
+            block -= t
+            block[r[at] - j, at] = diag
+            if block.any():
+                dev = max(dev, int(np.abs(block).max()))
     return dev
 
 
 def gate0_verify(m: PmMatrix) -> Gate0Report:
     """Exact verification of H H^T = nI and H + H^T = 2I, both on the rows
-    of :func:`_orbit_rows`."""
+    of :func:`_orbit_rows`, from the int8 signs alone."""
     n = m.n
     if n >= _FLOAT32_EXACT:
         raise ValueError(f"order {n} is not below 2^24, the bound for an exact "
                          f"float32 Gram")
     s = m.signs()
     rows = _orbit_rows(s)
-    max_off = gram_deviation(m.float32_signs(), n, 0, rows)  # each row's norm is n: 0 on the diagonal
+    max_off = gram_deviation(s, n, 0, rows)  # each row's norm is n: 0 on the diagonal
     skew = s[rows]  # a copy; int8 holds -2 .. 2, so H + H^T - 2I is formed in place
     skew += s[:, rows].T
     skew[np.arange(rows.size), rows] -= 2
@@ -333,7 +338,7 @@ def parse_matrix_text(data: bytes) -> PmMatrix:
             if (chars[:, n] == _LF).all():
                 signs = (_MID - chars[:, :n]).view(np.int8)  # '+' -> 1, ',' -> 0, '-' -> -1
                 if (signs.min() >= -1 and signs.max() <= 1
-                        and np.count_nonzero(signs) == n * n):
+                        and signs.view(np.uint8).min() >= 1):  # -1 is 255, so no 0
                     return PmMatrix(signs)
     raise _first_format_error(data)
 

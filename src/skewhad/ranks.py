@@ -25,13 +25,13 @@ product is formed.  The CLI's tournament rank reads it from the passed
 only one that command forms.  Otherwise the first two entries of Gram row
 0, two dot products, give s and t, so a matrix whose determinant p divides
 costs one pass for max|c| and no matrix product.  Only when they promise a
-unit determinant is the rest of row 0 checked, and then the whole identity
-decided by ``hadamard.gram_deviation``, Gate0's check, exact when
+unit determinant is row 0 checked, and then the whole identity decided,
+both by ``hadamard.gram_deviation``, Gate0's check, on c itself, exact when
 m max|c|^2 < 2^24 whatever t is; outside that bound the certificate
 declines.  Like Gate0, it forms only the orbit rows of a block shift that
 keeps c, verified on c itself (``hadamard._orbit_rows``), so the
-certificates of H over GF(3) and GF(5) at order 1252 form 36 Gram rows;
-without such a shift every row is formed.
+certificates of H over GF(3) and GF(5) at order 1252 form row 0, then 36
+rows; without such a shift every row is formed.
 
 **Elimination.**  Over GF(2) the rows are packed into Python integers and
 reduced by XOR, which beats the float panels below for that one prime.
@@ -105,10 +105,9 @@ def _gram_certifies_full_rank(x: np.ndarray, p: int) -> bool:
     It declines (False) unless x is square and non-empty, its centered
     residues c satisfy m max|c|^2 < 2^24, and c c^T = s I + t J with p
     dividing neither s nor s + m t (see the module docstring).  The first
-    two entries of Gram row 0 give s and t; the rest of row 0 is checked
-    next, and the whole Gram (:func:`~skewhad.hadamard.gram_deviation`, on
-    the orbit rows of a verified block shift of x, every row when there is
-    none) only after both.
+    two entries of Gram row 0 give s and t; :func:`~skewhad.hadamard.gram_deviation`
+    on x itself checks row 0 next, and the orbit rows of a verified block
+    shift of x (every row when there is none) only after both.
     """
     if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] == 0:
         return False
@@ -123,12 +122,8 @@ def _gram_certifies_full_rank(x: np.ndarray, p: int) -> bool:
     head = x[:2].astype(np.int64)
     t = int(head[0] @ head[1]) if m > 1 else 0
     s = int(head[0] @ head[0]) - t
-    if not _det_is_unit(m, s, t, p):
-        return False
-    f = x.astype(np.float32)
-    if np.any(f[1:] @ f[0] != t):  # entry 0 is s + t by the definition of s
-        return False
-    return gram_deviation(f, s, t, _orbit_rows(x)) == 0
+    return (_det_is_unit(m, s, t, p) and gram_deviation(x, s, t, [0]) == 0
+            and gram_deviation(x, s, t, _orbit_rows(x)) == 0)
 
 
 def _det_is_unit(m: int, s: int, t: int, p: int) -> bool:

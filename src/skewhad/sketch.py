@@ -8,8 +8,8 @@ signed bytes.
 
 The decode rounds once.  H^T q for the quantized vector q has integer
 entries of magnitude at most n * 127 < 2^24 (n < 2^16 by the wire tag), so
-one float32 product over the matrix's cached float32 signs gives it
-exactly, in any summation order.  The scale is a float32 (a 24-bit
+one float32 product over the float32 signs the decode caches on the matrix
+gives it exactly, in any order.  The scale is a float32 (a 24-bit
 mantissa), so scale * H^T q has at most 48 significant bits and is exact in
 float64; only the division by sqrt(n) rounds.  That is bit for bit what
 :func:`inverse_transform` gives for the dense y = q * scale, whose float64
@@ -225,8 +225,8 @@ def decode(packet: SketchPacket, h: PmMatrix) -> np.ndarray:
 
     Exact up to the final division: H^T q is an integer vector with entries
     of magnitude at most n * 127 < 2^24, so the float32 product over the
-    matrix's cached float32 signs holds it exactly, and the float32 scale (a
-    24-bit mantissa) times such an integer is exact in float64.  The result
+    float32 signs it caches on the matrix holds it exactly, and the float32
+    scale (24 bits) times such an integer is exact in float64.  The result
     is bit-identical to :func:`inverse_transform` of the dense y.
     Raises ValueError when the packet's order tag is not the matrix order.
     """

@@ -167,7 +167,8 @@ def test_rank_tournament_at_1252_forms_only_the_gate0_gram(
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_rank_at_1252_is_certified_on_the_orbit_rows(matrix1252_file, capsys, monkeypatch, p):
-    # the certificate's one Gram forms the 36 rows of the verified shift by 16
+    # the certificate checks Gram row 0, then forms the 36 rows of the
+    # verified shift by 16
     calls = _count_rank_calls(monkeypatch)
     rows = []
     inner = sh.ranks.gram_deviation
@@ -176,8 +177,8 @@ def test_rank_at_1252_is_certified_on_the_orbit_rows(matrix1252_file, capsys, mo
     code = main(["rank", str(matrix1252_file), "--field", str(p)])
     assert code == 0
     assert capsys.readouterr().out == f"hadamard {p} 1252 1252\n"
-    assert rows == [36]
-    assert calls == {"gate0_verify": 0, "gram_deviation": 1, "_gram_certifies_full_rank": 1,
+    assert rows == [1, 36]
+    assert calls == {"gate0_verify": 0, "gram_deviation": 2, "_gram_certifies_full_rank": 1,
                      "_eliminate": 0, "_eliminate_gf2": 0}
 
 
@@ -196,9 +197,8 @@ def test_rank_tournament_on_a_flipped_1252_matrix_exits_2(tmp_path, capsys, monk
 
 
 def test_build_at_order_4080_allocates_below_six_n_squared_bytes(tmp_path, capsys):
-    # Gate0's n x n float32 copy (4 n^2 bytes) is freed before the matrix
-    # text is written and hashed; aut drops the matrix text (n^2 bytes) once
-    # it is parsed, so the exhaustive audit runs beside the n x n int8
+    # Gate0 forms no n x n float copy; aut drops the matrix text (n^2 bytes)
+    # once it is parsed, so the exhaustive audit runs beside the n x n int8
     # matrix alone; manifest hashes each file in 1 MiB chunks, so it never
     # holds the matrix text whole.
     argv = ["build", "--p", "2039", "--e", "1", "--N", "2", "--i0", "0", "--i1", "0",
@@ -213,9 +213,8 @@ def test_build_at_order_4080_allocates_below_six_n_squared_bytes(tmp_path, capsy
     code, peak = traced_peak(lambda: main(["manifest", str(tmp_path)]))
     assert code == 0 and "OK matrix_4080.txt\n" in capsys.readouterr().out
     assert peak <= 0.25 * 4080 ** 2
-    # encode's Gate0 runs on a wrapper, so its float32 copy (4 n^2) is freed
-    # before the transform's float64 copy (8 n^2) is formed; decode's product
-    # reads the float32 copy Gate0 cached on the matrix it decodes with
+    # encode holds the int8 matrix and the transform's float64 copy (8 n^2),
+    # decode the int8 matrix and its own float32 copy (4 n^2)
     vector, packet = tmp_path / "x.txt", tmp_path / "packet.bin"
     x = np.random.default_rng(5).normal(size=4080)
     vector.write_text("".join(f"{float(v)!r}\n" for v in x))
@@ -228,6 +227,14 @@ def test_build_at_order_4080_allocates_below_six_n_squared_bytes(tmp_path, capsy
                                            "--out", str(tmp_path / "y.txt")]))
     assert code == 0 and capsys.readouterr().out.endswith(": 4080 values\n")
     assert peak <= 5.5 * 4080 ** 2
+    # verify gate0 and a certified rank hold the matrix text and the int8
+    # matrix (2 n^2) and Gram panels of a quarter n^2 bytes
+    code, peak = traced_peak(lambda: main(["verify", "gate0", matrix]))
+    assert code == 0 and capsys.readouterr().out == "GATE0 PASS n=4080\n"
+    assert peak <= 2.5 * 4080 ** 2
+    code, peak = traced_peak(lambda: main(["rank", matrix, "--field", "7"]))
+    assert code == 0 and capsys.readouterr().out == "hadamard 7 4080 4080\n"
+    assert peak <= 2.5 * 4080 ** 2
 
 
 def test_aut_command(desk_build, capsys):

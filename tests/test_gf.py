@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,32 @@ def test_build_field_rejects_bad_inputs():
         sh.build_field(sh.FieldConfig(3, 10**18))
     with pytest.raises(FieldError, match="not prime"):
         sh.build_field(sh.FieldConfig(1024, 2))        # composite, q = 2^20
+
+
+@pytest.mark.parametrize("config, value", [
+    (sh.FieldConfig(7, 1, generator=3.0), "3.0"),
+    (sh.FieldConfig(7, 1, generator=2.5), "2.5"),
+    (sh.FieldConfig(7, 1, generator=True), "True"),
+    (sh.FieldConfig(7, 1, generator=np.float64(3)), "np.float64(3.0)"),
+    (sh.FieldConfig(7, 1, generator="3"), "'3'"),
+    (sh.FieldConfig(5, 4, modulus=(2, 0, 0, 0, 1.0)), "1.0"),
+    (sh.FieldConfig(5, 4, modulus=(2.5, 0, 0, 0, 1)), "2.5"),
+    (sh.FieldConfig(5, 4, modulus=(2, False, 0, 0, True)), "False"),
+], ids=["whole-float-generator", "fractional-generator", "bool-generator", "numpy-float-generator",
+        "text-generator", "whole-float-coefficient", "fractional-coefficient", "bool-coefficient"])
+def test_pinned_field_parameters_must_be_integers(config, value):
+    # int() would truncate each of these to an integer and build that field
+    with pytest.raises(FieldError, match=re.escape(f" {value} is not an integer")):
+        sh.build_field(config)
+
+
+def test_pinned_field_parameters_accept_numpy_integers():
+    tables = sh.build_field(sh.FieldConfig(5, 4, modulus=tuple(np.int8(c) for c in (2, 0, 0, 0, 1)),
+                                           generator=np.int64(6)))
+    assert tables.modulus == (2, 0, 0, 0, 1) and tables.generator == 6
+    assert all(type(c) is int for c in tables.modulus) and type(tables.generator) is int
+    tables = sh.build_field(sh.FieldConfig(5, 4, modulus=np.array([2, 0, 0, 0, 1])))
+    assert tables.modulus == (2, 0, 0, 0, 1)
 
 
 def test_antilog_multiplication_property():

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 import skewhad as sh
 from skewhad.cli import main
-from skewhad import autgroup, hadamard
+from skewhad import autgroup, hadamard, ranks
 from skewhad.hadamard import MatrixFormatError, gram_deviation
 
 from _naive import (naive_bordered, naive_developed, naive_gram, naive_gram_deviation,
@@ -324,6 +324,36 @@ def test_gram_deviation_with_t_nonzero_matches_naive_gram(monkeypatch, small_mat
                 assert gram_deviation(bad.astype(np.float32), s, t) == want > 0, (n, r, c)
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float32])
+@_PANELS
+def test_gram_deviation_reads_the_matrix_in_its_own_dtype(monkeypatch, small_matrices, dtype, b):
+    # the orbit rows and every row, given as None or as all of them; a flip
+    # leaves every row its own orbit, and entries of 97 keep the Gram exact
+    monkeypatch.setattr(hadamard, "_PANEL", b)
+    for n, signs, _ in small_matrices:
+        flipped = signs.copy()
+        flipped[n // 2, 1] *= -1
+        for x, scale in ((signs, 1), (flipped, 1), (97 * signs, 97**2)):
+            x = x.astype(dtype)
+            rows = hadamard._orbit_rows(x)
+            for s, t in ((scale * n, 0), (n + 2, -2), (0, n), (5 * n, 1)):
+                want = naive_gram_deviation(x, s, t)
+                assert gram_deviation(x, s, t) == want, (n, dtype, s, t)
+                assert gram_deviation(x, s, t, np.arange(n)) == want, (n, dtype, s, t)
+                assert gram_deviation(x, s, t, rows) == want, (n, dtype, s, t)
+        assert gram_deviation(flipped.astype(dtype), n, 0) > 0
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+def test_gram_deviation_is_exact_when_s_needs_25_bits(dtype):
+    # x x^T = [[G00, t], [t, G00 + 1]] with s = G00 - t = 32213652 > 2^24:
+    # the diagonal loses s + t = G00 in one step, so the last entry is 1
+    x = np.array([[2891, 2784], [-2833, -2843]], dtype=dtype)
+    s, t = 32213652, -16105115
+    assert gram_deviation(x, s, t) == naive_gram_deviation(x, s, t) == 1
+    assert gram_deviation(x, s, t, [0]) == 0 and gram_deviation(x, s, t, [1]) == 1
+
+
 @pytest.mark.parametrize("edits", [
     [("flip", 3, 900)], [("flip", 900, 3)], [("flip", 300, 310)], [("flip", 1200, 1240)],
     [("flip", 1250, 7), ("flip", 1250, 1251)],
@@ -474,10 +504,41 @@ def test_gram_rejects_orders_beyond_exact_float32():
         sh.gate0_verify(m)
 
 
-def _gate0_peak_bytes(signs):
-    """(Gate0 verdict, peak traced bytes) with the float32 copy cached."""
+@pytest.mark.parametrize("case", ["n8", "n12", "n1252", "n1252-flip"])
+def test_gate0_reads_the_int8_signs_alone(matrix8, matrix12, matrix1252, case):
+    # no float copy is asked for, on the orbit rows or, after a flip, on
+    # every row
+    signs = {"n8": matrix8, "n12": matrix12, "n1252": matrix1252}[case[:5]].signs()
+    if case == "n1252-flip":
+        signs = signs.copy()
+        signs[40, 700] *= -1
     m = sh.PmMatrix.from_signs(signs)
-    m.float32_signs()
+    m.float32_signs = lambda: pytest.fail("the float32 signs were requested")
+    m.float_signs = lambda: pytest.fail("the float64 signs were requested")
+    rep = sh.gate0_verify(m)
+    assert rep.passed == (case != "n1252-flip")
+    assert rep.max_offdiag_gram == naive_gram_deviation(signs, len(signs), 0)
+
+
+def test_gate0_and_the_rank_certificate_at_order_4080_allocate_below_half_n_squared_bytes(
+        monkeypatch):
+    # each converts _PANEL rows at a time into one float32 buffer (a quarter
+    # of n^2 bytes at this order) and keeps no float copy of the matrix
+    _, _, pair, _ = sh.find_valid_generator(sh.FieldConfig(2039, 1), 2, (0,), (0,))
+    h = sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1)
+    n = h.n
+    assert n == 4080 and len(hadamard._orbit_rows(h.signs())) == 8
+    passed, peak = traced_peak(lambda: sh.gate0_verify(h).passed)
+    assert passed and peak <= 0.5 * n ** 2
+    # 3 divides n = 4080, so GF(3) eliminates; GF(7) is certified
+    monkeypatch.setattr(ranks, "_eliminate", lambda *args: pytest.fail("eliminated"))
+    rank, peak = traced_peak(lambda: sh.rank_gfp(h.signs(), 7).rank)
+    assert rank == n and peak <= 0.5 * n ** 2
+
+
+def _gate0_peak_bytes(signs):
+    """(Gate0 verdict, peak traced bytes)."""
+    m = sh.PmMatrix.from_signs(signs)
     tracemalloc.start()
     try:
         passed = sh.gate0_verify(m).passed
@@ -487,8 +548,8 @@ def _gate0_peak_bytes(signs):
 
 
 def test_gate0_never_forms_the_gram(matrix1252):
-    # with the float32 copy cached, Gate0 holds less than one n x n float32
-    # array at its peak: the Gram is decided on the 36 orbit rows
+    # Gate0 holds less than one n x n float32 array at its peak: the Gram
+    # is decided on the 36 orbit rows
     assert len(hadamard._orbit_rows(matrix1252.signs())) == 36
     passed, peak = _gate0_peak_bytes(matrix1252.signs())
     assert passed and peak < 1252 * 1252 * 4
@@ -599,6 +660,8 @@ def _parse_outcome(parse, data):
     (b"3\n+x+-\n+++\n+++\n", 2, 4),  # a long row with a bad character
     (b"3\n+++\n+++\n+++-\n", 4, 4),  # the last row too long
     (b"1\n\n", 2, 1),               # an empty row
+    (b"2\n++\n-,\n", 3, 2),         # ',' (sign 0) in the last column of the last row
+    (b"3\n+++\n+++\n++,\n", 4, 3),
     (b"12345678901234567890\n+\n", 2, 0),
 ])
 def test_matrix_text_parse_errors(data, line, column):

@@ -347,15 +347,22 @@ def test_certified_ranks_eliminate_nothing_and_declined_ranks_form_no_gram(
          "random": random_signs(160, 9)}[label]
     if rank is None:
         rank = naive_rank_gfp(x.tolist(), p)
-    calls = _count_calls(monkeypatch, ("_eliminate", "_eliminate_gf2", "gram_deviation"))
+    formed = []  # the Gram rows of each product the certificate forms
+    inner = ranks.gram_deviation
+    monkeypatch.setattr(ranks, "gram_deviation",
+                        lambda f, s, t, rows: formed.append(len(rows)) or inner(f, s, t, rows))
+    calls = _count_calls(monkeypatch, ("_eliminate", "_eliminate_gf2"))
     assert sh.rank_gfp(x, p).rank == rank
-    # a certified rank forms one Gram; a declined one is stopped by row 0
-    # and eliminates once, by XOR rows over GF(2) and in panels otherwise
+    # a certified rank checks Gram row 0, then forms the orbit rows; a
+    # declined one forms no orbit row: the random matrix is stopped by row 0
+    # and the others by s and t alone, and each eliminates once, by XOR rows
+    # over GF(2) and in panels otherwise
     eliminations = (calls["_eliminate_gf2"], calls["_eliminate"])
     if certified:
-        assert (eliminations, calls["gram_deviation"]) == ((0, 0), 1)
+        assert (eliminations, formed) == ((0, 0), [1, len(hadamard._orbit_rows(x))])
     else:
-        assert (eliminations, calls["gram_deviation"]) == ((1, 0) if p == 2 else (0, 1), 0)
+        assert (eliminations, formed) == ((1, 0) if p == 2 else (0, 1),
+                                          [1] if label == "random" else [])
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -378,7 +385,7 @@ def test_orbit_invariant_non_hadamard_matrix_declines_and_eliminates(
     monkeypatch.setattr(ranks, "gram_deviation", recorded)
     calls = _count_calls(monkeypatch, ("_eliminate",))
     assert sh.rank_gfp(x, p).rank == naive_rank_gfp(x.tolist(), p)
-    assert len(seen) == 1 and seen[0][0] == 8 and seen[0][1] > 0
+    assert len(seen) == 2 and seen[0] == (1, 0) and seen[1][0] == 8 and seen[1][1] > 0
     assert calls == {"_eliminate": 1}
 
 

@@ -79,23 +79,24 @@ def test_transforms_use_the_cached_float_signs(matrix1252):
     assert np.max(np.abs(sh.inverse_transform(x, matrix1252) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_gram_and_decode_share_one_cached_float32_copy(matrix12, monkeypatch):
+def test_decode_caches_its_own_float32_copy(matrix12):
     m = sh.PmMatrix.from_signs(matrix12.signs())
-    f = m.float32_signs()
+    # Gate0 reads the int8 signs and never asks for a float copy
+    m.float32_signs = lambda: pytest.fail("Gate0 asked for the float32 signs")
+    assert sh.gate0_verify(m).passed
+    del m.float32_signs  # the method again
+    assert m._float32_signs is None
+    packet = sh.SketchPacket(scale=1.0, k=1, n_tag=12, indices=(4,), qvalues=(12,))
+    first = sh.decode(packet, m)
+    # the first decode converts the signs once and keeps the copy
+    f = m._float32_signs
     assert f is m.float32_signs()
     assert f.dtype == np.float32 and not f.flags.writeable
     assert np.array_equal(f, m.signs())
-    # Gate0's Gram is decided on the cached copy
-    seen = []
-    gram_deviation = sh.hadamard.gram_deviation
-    monkeypatch.setattr(sh.hadamard, "gram_deviation",
-                        lambda g, *args: seen.append(g) or gram_deviation(g, *args))
-    assert sh.gate0_verify(m).passed
-    assert len(seen) == 1 and seen[0] is f
-    # the decode does not convert the int8 signs again
+    assert np.array_equal(first, f[4] * 12 / np.sqrt(12))
+    # a later decode does not convert the int8 signs again
     m.signs = lambda: pytest.fail("the int8 signs were converted again")
-    packet = sh.SketchPacket(scale=1.0, k=1, n_tag=12, indices=(4,), qvalues=(12,))
-    assert np.array_equal(sh.decode(packet, m), f[4] * 12 / np.sqrt(12))
+    assert np.array_equal(sh.decode(packet, m), first)
 
 
 def test_topk_ties_take_smaller_index():
