@@ -193,7 +193,8 @@ def read_vector_file(path: Path) -> np.ndarray:
 
 
 def write_vector_file(path: Path, values: np.ndarray) -> None:
-    text = "".join(f"{float(v)!r}\n" for v in np.asarray(values, dtype=np.float64))
+    floats = np.asarray(values, dtype=np.float64).tolist()
+    text = "\n".join(map(repr, floats)) + "\n" if floats else ""
     path.write_bytes(text.encode("ascii"))
 
 

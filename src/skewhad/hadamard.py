@@ -5,9 +5,10 @@ entries.  :func:`build_bordered_from_blocks` develops both blocks from the
 rows of one period straight into that array.  All verification is exact.
 Every Gram identity x x^T = s I + t J is decided by :func:`gram_deviation`
 on the integer matrix, from float32 BLAS products of its row panels, each
-converted into one reused buffer: each partial sum is an integer that
-float32 holds exactly in whatever order BLAS adds (the integer-bound
-argument of FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008).
+converted into one reused buffer and multiplied into one reused block:
+each partial sum is an integer that float32 holds exactly in whatever
+order BLAS adds (the integer-bound argument of FFLAS-FFPACK, Dumas,
+Giorgi and Pernet, ACM TOMS 2008).
 
 Which rows are formed rests on a lemma.  If a permutation matrix P keeps
 the matrix, P H P^T = H, then P^T P = I and P fixes I and J, so
@@ -239,28 +240,34 @@ def gram_deviation(x: np.ndarray, s: int, t: int, rows: np.ndarray | list | None
     ``rows``, from :func:`_orbit_rows` of x, holds one row per orbit of a
     permutation that keeps x, so its Gram rows hold every value of the
     deviation (see the module docstring).  They are formed ``_PANEL`` at a
-    time against ``_PANEL`` rows of x in one reused float32 buffer, for
-    every row only on and above the diagonal (the deviation is symmetric); a
-    block with a nonzero is searched for its maximum.
+    time: each panel of columns, ``_PANEL`` rows of x converted into one
+    reused float32 buffer, is multiplied straight into its slice of one
+    float32 block of at most n x ``_PANEL`` entries, which the deviation
+    then overwrites, and one maximum is taken per row panel.  For every row
+    only the columns on and above the diagonal are formed (the deviation is
+    symmetric).
     """
     n = x.shape[0]
     rows = np.arange(n) if rows is None else np.asarray(rows)
     every = np.array_equal(rows, np.arange(n))
     buffer = np.empty((min(_PANEL, n), x.shape[1]), dtype=np.float32)
+    gram = np.empty(n * min(_PANEL, rows.size), dtype=np.float32)
     dev = 0
     for i in range(0, rows.size, _PANEL):
         r = rows[i: i + _PANEL]
         left = x[r].astype(np.float32).T
-        for j in range(i if every else 0, n, _PANEL):
+        first = i if every else 0  # every row: the block starts at the diagonal
+        block = gram[: (n - first) * r.size].reshape(n - first, r.size)
+        for j in range(first, n, _PANEL):
             cols = buffer[: min(_PANEL, n - j)]
             np.copyto(cols, x[j: j + _PANEL])
-            block = cols @ left  # block[c, k] is entry (r[k], j + c) of the Gram
-            at = np.flatnonzero((r >= j) & (r < j + cols.shape[0]))
-            diag = block[r[at] - j, at] - (s + t)
-            block -= t
-            block[r[at] - j, at] = diag
-            if block.any():
-                dev = max(dev, int(np.abs(block).max()))
+            # block[c, k] is entry (r[k], first + c) of the Gram
+            np.matmul(cols, left, out=block[j - first: j - first + cols.shape[0]])
+        at = (r - first, np.arange(r.size))
+        diag = block[at] - (s + t)
+        block -= t
+        block[at] = diag
+        dev = max(dev, int(np.abs(block, out=block).max()))
     return dev
 
 
@@ -297,22 +304,28 @@ def normalize_core_tournament(m: PmMatrix, report: Gate0Report | None = None) ->
         report = gate0_verify(m)
     if report.n != m.n or not report.passed:
         raise ValueError("matrix fails the defining identities; cannot normalize")
-    # an entry of the core is 1 where d_i h_ij d_j = -1, an odd count of negative factors
+    # an entry of the core is 1 where d_i h_ij d_j = -1, an odd count of
+    # negative factors: both sign vectors are XORed into one bool array in place
     neg = m.signs()[0, 1:] < 0
-    return ((m.signs()[1:, 1:] < 0) ^ neg[:, None] ^ neg[None, :]).view(np.uint8)
+    core = m.signs()[1:, 1:] < 0
+    core ^= neg[:, None]
+    core ^= neg
+    return core.view(np.uint8)
 
 
-def to_matrix_text(m: PmMatrix) -> bytes:
+def to_matrix_text(m: PmMatrix) -> bytearray:
     """Serialize to the text interchange format (bit-exact), the mirror of
     :func:`parse_matrix_text`: the header, then byte = 44 - sign and an LF
-    per row, written into one uint8 buffer and copied out once."""
+    per row, written in place into the one bytearray returned, with no
+    copy.  It compares equal to the same bytes, and ``hashlib``,
+    ``Path.write_bytes`` and the parser all take it."""
     header = b"%d\n" % m.n
-    buf = np.empty(len(header) + m.n * (m.n + 1), dtype=np.uint8)
-    buf[: len(header)] = np.frombuffer(header, dtype=np.uint8)
-    chars = buf[len(header):].reshape(m.n, m.n + 1)
+    text = bytearray(len(header) + m.n * (m.n + 1))
+    text[: len(header)] = header
+    chars = np.frombuffer(text, dtype=np.uint8, offset=len(header)).reshape(m.n, m.n + 1)
     np.subtract(_MID, m.signs(), out=chars[:, : m.n].view(np.int8))
     chars[:, m.n] = _LF
-    return buf.tobytes()
+    return text
 
 
 def parse_matrix_text(data: bytes) -> PmMatrix:

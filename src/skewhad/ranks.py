@@ -25,13 +25,14 @@ product is formed.  The CLI's tournament rank reads it from the passed
 only one that command forms.  Otherwise the first two entries of Gram row
 0, two dot products, give s and t, so a matrix whose determinant p divides
 costs one pass for max|c| and no matrix product.  Only when they promise a
-unit determinant is row 0 checked, and then the whole identity decided,
-both by ``hadamard.gram_deviation``, Gate0's check, on c itself, exact when
-m max|c|^2 < 2^24 whatever t is; outside that bound the certificate
-declines.  Like Gate0, it forms only the orbit rows of a block shift that
-keeps c, verified on c itself (``hadamard._orbit_rows``), so the
-certificates of H over GF(3) and GF(5) at order 1252 form row 0, then 36
-rows; without such a shift every row is formed.
+unit determinant is the identity decided, by ``hadamard.gram_deviation``,
+Gate0's check, on c itself, exact when m max|c|^2 < 2^24 whatever t is;
+outside that bound the certificate declines.  Like Gate0, it forms only
+the orbit rows of a block shift that keeps c, verified on c itself
+(``hadamard._orbit_rows``), in one product that holds row 0: the
+certificates of H over GF(3) and GF(5) at order 1252 form 36 rows.
+Without such a shift every row is its own orbit, and row 0 is checked
+alone first, so a matrix that fails there costs one Gram row, not m.
 
 **Elimination.**  Over GF(2) the rows are packed into Python integers and
 reduced by XOR, which beats the float panels below for that one prime.
@@ -46,7 +47,9 @@ Each step takes a panel of b columns:
 * the swaps are applied to the trailing block, and the k pivot rows of it
   become U12 by forward substitution with L and the pivot scaling;
 * the remaining rows are updated once by the float64 (BLAS) product
-  ``T -= L21 @ U12`` and reduced once, by ``T -= p * floor(T / p)``.
+  ``T -= L21 @ U12`` and reduced once, by ``T -= p * floor(T / p)``, both
+  in blocks of 128 rows, so that their temporaries stay small beside the
+  one float64 array of residues that the elimination works in.
 
 The 2^53 rule keeps this exact: every entry is in [0, p) before a product,
 so each partial sum of a b-term dot product is an integer of size at most
@@ -91,12 +94,13 @@ def _integer_matrix(x) -> np.ndarray:
     return a
 
 
-def _residues(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p as int64, reduced in x's own dtype first when it is unsigned,
-    so uint64 entries of 2^63 and above do not wrap."""
-    if x.dtype.kind == "u":
-        x = x % np.uint64(p)
-    return x.astype(np.int64) % p
+def _residues(x: np.ndarray, p: int, dtype=np.int64) -> np.ndarray:
+    """x mod p, in [0, p), as one new array of ``dtype``.  The remainder is
+    taken in int64, or in uint64 when x is unsigned, so uint64 entries of
+    2^63 and above do not wrap; the ufunc casts x and the result chunk by
+    chunk, so no other array of x's size is made."""
+    divisor = np.uint64(p) if x.dtype.kind == "u" else np.int64(p)
+    return np.remainder(x, divisor, out=np.empty(x.shape, dtype=dtype))
 
 
 def _gram_certifies_full_rank(x: np.ndarray, p: int) -> bool:
@@ -106,8 +110,8 @@ def _gram_certifies_full_rank(x: np.ndarray, p: int) -> bool:
     residues c satisfy m max|c|^2 < 2^24, and c c^T = s I + t J with p
     dividing neither s nor s + m t (see the module docstring).  The first
     two entries of Gram row 0 give s and t; :func:`~skewhad.hadamard.gram_deviation`
-    on x itself checks row 0 next, and the orbit rows of a verified block
-    shift of x (every row when there is none) only after both.
+    on x itself then forms the orbit rows of a verified block shift of x in
+    one product, or, when there is none, checks row 0 before every row.
     """
     if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] == 0:
         return False
@@ -122,8 +126,12 @@ def _gram_certifies_full_rank(x: np.ndarray, p: int) -> bool:
     head = x[:2].astype(np.int64)
     t = int(head[0] @ head[1]) if m > 1 else 0
     s = int(head[0] @ head[0]) - t
-    return (_det_is_unit(m, s, t, p) and gram_deviation(x, s, t, [0]) == 0
-            and gram_deviation(x, s, t, _orbit_rows(x)) == 0)
+    if not _det_is_unit(m, s, t, p):
+        return False
+    rows = _orbit_rows(x)
+    if rows.size == m and gram_deviation(x, s, t, [0]) != 0:
+        return False  # every row is its own orbit: row 0 alone first, before m rows
+    return gram_deviation(x, s, t, rows) == 0
 
 
 def _det_is_unit(m: int, s: int, t: int, p: int) -> bool:
@@ -166,6 +174,7 @@ def _eliminate_gf2(m01: np.ndarray) -> int:
 
 _EXACT = 2**53  # float64 holds every integer of absolute value up to 2^53
 _MAX_PRIME = 94_906_249  # the largest prime p with (p - 1)^2 + p <= 2^53
+_UPDATE_ROWS = 128  # trailing rows per update: its product and reduction hold this many rows
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
@@ -232,7 +241,7 @@ def _check_field(p: int) -> None:
 
 def _eliminate(x: np.ndarray, p: int) -> int:
     """Rank of an integer matrix over GF(p) by blocked modular elimination."""
-    a = _residues(x, p).astype(np.float64)
+    a = _residues(x, p, np.float64)
     nrows, ncols = a.shape
     b = min(64, (_EXACT - p) // (p - 1) ** 2)
     r = 0
@@ -253,9 +262,10 @@ def _eliminate(x: np.ndarray, p: int) -> int:
                     _reduce(u12[t], p)
                 u12[t] *= inv
                 _reduce(u12[t], p)
-            trailing = a[r + k:, c1:]
-            trailing -= mult[k:] @ u12
-            _reduce(trailing, p)
+            for i in range(r + k, nrows, _UPDATE_ROWS):
+                block = a[i: i + _UPDATE_ROWS, c1:]
+                block -= mult[i - r: i - r + _UPDATE_ROWS] @ u12
+                _reduce(block, p)
         r += k
     return r
 

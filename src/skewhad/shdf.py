@@ -66,7 +66,7 @@ class ShdfCertificate:
 
     def to_log(self) -> str:
         """One "shift sum" line per nonzero shift, then a PASS/FAIL trailer."""
-        lines = [f"{w + 1} {int(s)}" for w, s in enumerate(self.sums)]
+        lines = [f"{w + 1} {s}" for w, s in enumerate(self.sums.tolist())]
         lines.append("PASS" if self.passed else f"FAIL {self.reason}")
         return "\n".join(lines) + "\n"
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import skewhad as sh
 from skewhad.cli import (BuildConfig, CliError, format_index_set, format_manifest, main,
-                         parse_index_set, parse_manifest, read_manifest)
+                         parse_index_set, parse_manifest, read_manifest, write_vector_file)
 
 from _naive import naive_rank_gfp
 from conftest import (PAPER_I0, PAPER_I1, mutate_one_byte, orbit_flip, swap_member,
@@ -167,8 +167,8 @@ def test_rank_tournament_at_1252_forms_only_the_gate0_gram(
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_rank_at_1252_is_certified_on_the_orbit_rows(matrix1252_file, capsys, monkeypatch, p):
-    # the certificate checks Gram row 0, then forms the 36 rows of the
-    # verified shift by 16
+    # the certificate forms the 36 rows of the verified shift by 16, row 0
+    # among them, in one Gram
     calls = _count_rank_calls(monkeypatch)
     rows = []
     inner = sh.ranks.gram_deviation
@@ -177,8 +177,8 @@ def test_rank_at_1252_is_certified_on_the_orbit_rows(matrix1252_file, capsys, mo
     code = main(["rank", str(matrix1252_file), "--field", str(p)])
     assert code == 0
     assert capsys.readouterr().out == f"hadamard {p} 1252 1252\n"
-    assert rows == [1, 36]
-    assert calls == {"gate0_verify": 0, "gram_deviation": 2, "_gram_certifies_full_rank": 1,
+    assert rows == [36]
+    assert calls == {"gate0_verify": 0, "gram_deviation": 1, "_gram_certifies_full_rank": 1,
                      "_eliminate": 0, "_eliminate_gf2": 0}
 
 
@@ -736,3 +736,25 @@ def test_package_runs_as_a_module():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "build" in proc.stdout
+
+
+def _per_value_vector_text(values):
+    """The vector file as written one f-string per value."""
+    return "".join(f"{float(v)!r}\n" for v in np.asarray(values, dtype=np.float64)).encode()
+
+
+@pytest.mark.parametrize("case", ["random", "edges", "float32", "integers", "empty"])
+def test_write_vector_file_matches_the_per_value_writer(tmp_path, case):
+    rng = np.random.default_rng(1252)
+    values = {
+        "random": rng.standard_normal(1252) * 10.0 ** rng.integers(-300, 300, 1252),
+        "edges": np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308,
+                           2.2250738585072014e-308, 0.1, 1 / 3, np.inf, -np.inf, np.nan]),
+        "float32": rng.standard_normal(64).astype(np.float32),
+        "integers": np.arange(-5, 6),
+        "empty": np.zeros(0),
+    }[case]
+    path = tmp_path / "x.txt"
+    write_vector_file(path, values)
+    assert path.read_bytes() == _per_value_vector_text(values)
+    assert (path.read_bytes() == b"") == (case == "empty")

@@ -9,7 +9,7 @@ import skewhad as sh
 from skewhad import hadamard, ranks
 
 from _naive import naive_rank_gf2, naive_rank_gfp
-from conftest import orbit_flip, random_signs
+from conftest import orbit_flip, random_signs, traced_peak
 
 
 def test_rank_gfp_requires_prime():
@@ -353,13 +353,17 @@ def test_certified_ranks_eliminate_nothing_and_declined_ranks_form_no_gram(
                         lambda f, s, t, rows: formed.append(len(rows)) or inner(f, s, t, rows))
     calls = _count_calls(monkeypatch, ("_eliminate", "_eliminate_gf2"))
     assert sh.rank_gfp(x, p).rank == rank
-    # a certified rank checks Gram row 0, then forms the orbit rows; a
-    # declined one forms no orbit row: the random matrix is stopped by row 0
-    # and the others by s and t alone, and each eliminates once, by XOR rows
-    # over GF(2) and in panels otherwise
+    # a certified rank forms the orbit rows of H's block shift in one product,
+    # and checks Gram row 0 alone before all rows of the odd-order core,
+    # which no shift keeps; a declined one forms no orbit row: the random
+    # matrix is stopped by row 0 and the others by s and t alone, and each
+    # eliminates once, by XOR rows over GF(2) and in panels otherwise
     eliminations = (calls["_eliminate_gf2"], calls["_eliminate"])
     if certified:
-        assert (eliminations, formed) == ((0, 0), [1, len(hadamard._orbit_rows(x))])
+        orbits = len(hadamard._orbit_rows(x))
+        assert (orbits < len(x)) == (label == "hadamard")
+        assert (eliminations, formed) == ((0, 0), [orbits] if label == "hadamard"
+                                          else [1, orbits])
     else:
         assert (eliminations, formed) == ((1, 0) if p == 2 else (0, 1),
                                           [1] if label == "random" else [])
@@ -371,7 +375,7 @@ def test_orbit_invariant_non_hadamard_matrix_declines_and_eliminates(
     # two whole orbits of the block shift by 2 negated at order 56, one of +1
     # entries and one of -1 entries in each row 3 + k, 2 | k: the shift still
     # keeps the matrix, and every row sum (Gram row 0) is unchanged, so the
-    # certificate reaches the orbit rows, which find H H^T != nI
+    # certificate forms the orbit rows in one Gram, which finds H H^T != nI
     n, h, _ = next(m for m in small_matrices if m[0] == 56)
     b = next(b for b in range(2, n // 2 - 2) if h[3, 3 + b] != h[3, 4])
     x = orbit_flip(orbit_flip(h, 2, 1), 2, b)
@@ -385,7 +389,7 @@ def test_orbit_invariant_non_hadamard_matrix_declines_and_eliminates(
     monkeypatch.setattr(ranks, "gram_deviation", recorded)
     calls = _count_calls(monkeypatch, ("_eliminate",))
     assert sh.rank_gfp(x, p).rank == naive_rank_gfp(x.tolist(), p)
-    assert len(seen) == 2 and seen[0] == (1, 0) and seen[1][0] == 8 and seen[1][1] > 0
+    assert len(seen) == 1 and seen[0][0] == 8 and seen[0][1] > 0
     assert calls == {"_eliminate": 1}
 
 
@@ -420,3 +424,34 @@ def test_uint64_entries_at_and_above_2_63_match_the_oracles(p):
         assert sh.rank_gfp(x, p).rank == naive_rank_gfp(x.tolist(), p), (x, p)
         if p == 2:
             assert sh.rank_gfp(x, 2).rank == naive_rank_gf2(x.tolist()), x
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, np.int8, np.uint8, np.int16, np.uint16,
+                                   np.int32, np.uint32, np.int64, np.uint64])
+def test_residues_match_python_mod_in_every_integer_dtype(dtype):
+    # the remainder is taken in int64, or uint64 for an unsigned dtype, and
+    # written straight into the requested dtype
+    if dtype is np.bool_:
+        values = [False, True]
+    else:
+        info = np.iinfo(dtype)
+        values = sorted(v for v in {int(info.min), int(info.min) + 1, -1, 0, 1, 2,
+                                    int(info.max) - 1, int(info.max)} if v >= info.min)
+    x = np.array(values, dtype=dtype).reshape(1, -1)
+    for p in (2, 3, 5, 313, 94_906_249):
+        for out in (np.int64, np.float64):
+            got = ranks._residues(x, p, out)
+            assert got.dtype == out and got.ravel().tolist() == [int(v) % p for v in values]
+
+
+def test_elimination_of_the_1251_core_allocates_at_most_12_n_squared_bytes(matrix1252):
+    # the core is one bool array with both sign vectors XORed in place; its
+    # GF(5) rank eliminates (5 divides det) in one float64 array of residues
+    # (8 n^2 bytes), updated and reduced in blocks of rows, with no int64
+    # copy beside it and no n x n product
+    report = sh.gate0_verify(matrix1252)
+    core, peak = traced_peak(lambda: sh.normalize_core_tournament(matrix1252, report))
+    n = core.shape[0]
+    assert n == 1251 and peak <= 1.1 * n ** 2
+    rank, peak = traced_peak(lambda: sh.rank_gfp(core, 5).rank)
+    assert rank == 1250 and peak <= 12 * n ** 2
