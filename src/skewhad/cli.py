@@ -271,12 +271,11 @@ def cmd_rank(args) -> int:
         if not gate0.passed:
             print(f"GATE0 FAIL n={h.n}")
             return EXIT_CERT_FAIL
-        matrix = hadamard.normalize_core_tournament(h, gate0)
-        # the core's Gram follows from the Gate0 just passed; none is formed
-        gram, label = gate0.core_gram(), "tournament"
+        # once Gate0 has passed, the core's rank follows from n and p: no core is formed
+        report = ranks.RankReport("tournament", args.field, h.n - 1, gate0.core_rank(args.field))
     else:
-        matrix, gram, label = h.signs(), None, "hadamard"
-    print(ranks.rank_gfp(matrix, args.field, label=label, gram=gram).line())
+        report = ranks.rank_gfp(h.signs(), args.field, label="hadamard")
+    print(report.line())
     return EXIT_OK
 
 

@@ -1,8 +1,8 @@
 """The bordered development of two blocks, +-1 matrices, and exact verification.
 
 Matrices live in :class:`PmMatrix`, one read-only int8 array of the +-1
-entries.  :func:`build_bordered_from_blocks` develops both blocks from the
-rows of one period straight into that array.  All verification is exact.
+entries.  :func:`build_bordered_from_blocks` develops its four quadrants from
+the rows of one period straight into that array.  All verification is exact.
 Every Gram identity x x^T = s I + t J is decided by :func:`gram_deviation`
 on the integer matrix, from float32 BLAS products of its row panels, each
 converted into one reused buffer and multiplied into one reused block:
@@ -137,18 +137,36 @@ class Gate0Report:
     def passed(self) -> bool:
         return self.gram_ok and self.skew_ok
 
-    def core_gram(self) -> tuple[int, int] | None:
-        """(s, t) with M M^T = s I + t J for the 0/1 tournament core M that
+    def core_rank(self, p: int) -> int | None:
+        """Rank over GF(p), p prime, of the 0/1 tournament core M that
         :func:`normalize_core_tournament` takes from the matrix this report
-        passed, or None when it failed or 4 does not divide n.
+        passed (None when it failed), from n and p alone: 0 when n < 4,
+        n/2 when p | n/4, n - 2 when p | n/2 - 1 and n - 1 otherwise.
 
-        Derived, not formed: the normalized core S has row sums 1 and
-        S S^T = nI - J (rows of Hn Hn^T = nI), so M = (J - S)/2 has
-        M M^T = (n/4) I + (n/4 - 1) J.
+        Proof.  The normalized core S has row sums 1, S S^T = nI - J (rows
+        of Hn Hn^T = nI) and S + S^T = 2I, so M = (J - S)/2, of order
+        m = n - 1, has M + M^T = J - I, M J = (n/2 - 1) J and
+        G = M M^T = (n/4) I + (n/4 - 1) J.  Over GF(p), rank(sI + tJ) is
+        m - [p | s + m t] when p does not divide s, else [p does not divide
+        t]; here s + m t = (n/2 - 1)^2.  The rank r of M has
+        rank G <= r <= (m + rank G)/2 (Sylvester: rank G >= 2r - m) and
+        r >= rank(J - I)/2.  When p divides neither n/4 nor n/2 - 1, G is
+        invertible and r = m; when p | n/2 - 1 (coprime to n/4), r = rank G = m - 1.
+        When p | n/4, G = -J has rank 1, so r <= n/2; for odd p,
+        rank(J - I) = m, so r >= n/2.  And M^2 + M = M J - G = (n/4)(J - I)
+        = 0, so -M is idempotent and r = trace(-M) = 0 (mod p), which at
+        p = 2 rules out n/2 - 1, the one other value the bounds allow.
         """
-        if not self.passed or self.n < 4 or self.n % 4:
+        n = self.n
+        if not self.passed or (n > 2 and n % 4):  # H H^T = nI: n is 1, 2 or a multiple of 4
             return None
-        return self.n // 4, self.n // 4 - 1
+        if n < 4:
+            return 0
+        if (n // 4) % p == 0:
+            return n // 2
+        if (n // 2 - 1) % p == 0:
+            return n - 2
+        return n - 1
 
     def to_log(self) -> str:
         lines = [
@@ -173,10 +191,10 @@ def build_bordered_from_blocks(spec: GroupSpec, d0: np.ndarray, d1: np.ndarray) 
 
     The borders need every row and column of A and C to sum to +1, and a
     developed block's sums are all v - 2|D|: a block of another size than
-    (v - 1)/2 raises ValueError.  A and -C^T, the development of -s_D1, are
-    developed in place (:meth:`GroupSpec.develop`), the other two quadrants
-    are their transposes, and C commutes with A.  H + H^T = 2I holds when
-    D0 is skew, and H H^T = nI exactly when the block pair is certified.
+    (v - 1)/2 raises ValueError.  Each quadrant is developed in place, none
+    transposed (:meth:`GroupSpec.develop`, M[i, j] = f(g_j - g_i)): A from
+    s_D0, -C^T from -s_D1, and A^T and C from s_D0 and s_D1 at -x.  When D0
+    is skew, H + H^T = 2I; when the pair is certified, H H^T = nI.
     """
     v = spec.order
     d0, d1 = spec._dense_values(d0), spec._dense_values(d1)
@@ -189,11 +207,11 @@ def build_bordered_from_blocks(spec: GroupSpec, d0: np.ndarray, d1: np.ndarray) 
     h[:2], h[2:, :2] = 1, -1
     h[1, 0] = h[1, v + 2:] = -1
     h[v + 2:, 1] = 1
-    a, lower = h[2: v + 2, 2: v + 2], h[v + 2:, 2: v + 2]
-    spec._develop_into(indicator_signs(d0), a)
-    spec._develop_into(-indicator_signs(d1), lower)
-    h[v + 2:, v + 2:] = a.T
-    np.negative(lower.T, out=h[2: v + 2, v + 2:])
+    s0, s1, neg = indicator_signs(d0), indicator_signs(d1), spec.neg_perm()
+    spec._develop_into(s0, h[2: v + 2, 2: v + 2])
+    spec._develop_into(s1[neg], h[2: v + 2, v + 2:])
+    spec._develop_into(-s1, h[v + 2:, 2: v + 2])
+    spec._develop_into(s0[neg], h[v + 2:, v + 2:])
     return PmMatrix(h)
 
 
@@ -294,7 +312,7 @@ def normalize_core_tournament(m: PmMatrix, report: Gate0Report | None = None) ->
     Normalizing to an all-+1 first row gives Hn = D H D for D = diag of the
     first row; S is Hn with the first row and column deleted, and the core
     M01 = (J - S) / 2 is the 0/1 tournament adjacency matrix of size n - 1
-    with zero diagonal.
+    with zero diagonal, whose rank over GF(p) is ``report.core_rank(p)``.
 
     ``report`` is the Gate0Report of m when the caller has run Gate0 on it
     already; otherwise Gate0 runs here.  Raises ValueError when the input

@@ -16,23 +16,21 @@ has H H^T = n I, so it is certified over every prime not dividing n.  Its
 0/1 tournament core M of order m = n - 1 is doubly regular,
 M M^T = (n/4) I + (n/4 - 1) J, so s + m t = ((n - 2)/2)^2 and
 det(M)^2 = (n/4)^(n-2) ((n-2)/2)^2: at n = 1252 that is 313^1250 * 625^2,
-certified over GF(2) and GF(3).
+certified over GF(2) and GF(3).  Every rank of the core of a matrix that
+passed Gate0, full or not, follows from n and p instead
+(:meth:`~skewhad.hadamard.Gate0Report.core_rank`).
 
-A caller that already knows the identity passes ``gram=(s, t)``, and no
-product is formed.  The CLI's tournament rank reads it from the passed
-``Gate0Report`` of the matrix whose core it ranks
-(:meth:`~skewhad.hadamard.Gate0Report.core_gram`), so the Gate0 Gram is the
-only one that command forms.  Otherwise the first two entries of Gram row
-0, two dot products, give s and t, so a matrix whose determinant p divides
-costs one pass for max|c| and no matrix product.  Only when they promise a
-unit determinant is the identity decided, by ``hadamard.gram_deviation``,
-Gate0's check, on c itself, exact when m max|c|^2 < 2^24 whatever t is;
-outside that bound the certificate declines.  Like Gate0, it forms only
-the orbit rows of a block shift that keeps c, verified on c itself
-(``hadamard._orbit_rows``), in one product that holds row 0: the
-certificates of H over GF(3) and GF(5) at order 1252 form 36 rows.
-Without such a shift every row is its own orbit, and row 0 is checked
-alone first, so a matrix that fails there costs one Gram row, not m.
+The first two entries of Gram row 0, two dot products, give s and t, so a
+matrix whose determinant p divides costs one pass for max|c| and no matrix
+product.  Only when they promise a unit determinant is the identity
+decided, by ``hadamard.gram_deviation``, Gate0's check, on c itself, exact
+when m max|c|^2 < 2^24 whatever t is; outside that bound the certificate
+declines.  Like Gate0, it forms only the orbit rows of a block shift that
+keeps c, verified on c itself (``hadamard._orbit_rows``), in one product
+that holds row 0: the certificates of H over GF(3) and GF(5) at order 1252
+form 36 rows.  Without such a shift every row is its own orbit, and row 0
+is checked alone first, so a matrix that fails there costs one Gram row,
+not m.
 
 **Elimination.**  Over GF(2) the rows are packed into Python integers and
 reduced by XOR, which beats the float panels below for that one prime.
@@ -126,26 +124,12 @@ def _gram_certifies_full_rank(x: np.ndarray, p: int) -> bool:
     head = x[:2].astype(np.int64)
     t = int(head[0] @ head[1]) if m > 1 else 0
     s = int(head[0] @ head[0]) - t
-    if not _det_is_unit(m, s, t, p):
-        return False
+    if s % p == 0 or (s + m * t) % p == 0:
+        return False  # p divides the determinant s^(m-1) (s + m t)
     rows = _orbit_rows(x)
     if rows.size == m and gram_deviation(x, s, t, [0]) != 0:
         return False  # every row is its own orbit: row 0 alone first, before m rows
     return gram_deviation(x, s, t, rows) == 0
-
-
-def _det_is_unit(m: int, s: int, t: int, p: int) -> bool:
-    """Whether p divides neither s nor s + m t, so that a Gram s I + t J of
-    order m has a unit determinant s^(m-1) (s + m t) mod p."""
-    return s % p != 0 and (s + m * t) % p != 0
-
-
-def _certifies_full_rank(x: np.ndarray, p: int, gram: tuple[int, int] | None) -> bool:
-    """The certificate, from ``gram = (s, t)`` when the caller knows that
-    x x^T = s I + t J exactly, else from :func:`_gram_certifies_full_rank`."""
-    if gram is None:
-        return _gram_certifies_full_rank(x, p)
-    return _det_is_unit(x.shape[0], *gram, p)
 
 
 def _rows_as_ints(m01: np.ndarray) -> list[int]:
@@ -270,14 +254,12 @@ def _eliminate(x: np.ndarray, p: int) -> int:
     return r
 
 
-def rank_gfp(x: np.ndarray, p: int, label: str = "matrix",
-             gram: tuple[int, int] | None = None) -> RankReport:
+def rank_gfp(x: np.ndarray, p: int, label: str = "matrix") -> RankReport:
     """Rank of an integer matrix over GF(p).
 
     Entries are taken mod p (so a +-1 matrix maps to its residues).  The
-    Gram certificate decides full rank of a square matrix first, read from
-    ``gram = (s, t)`` when the caller knows x x^T = s I + t J exactly;
-    otherwise the rank comes from elimination, XOR row reduction when
+    Gram certificate decides full rank of a square matrix first; otherwise
+    the rank comes from elimination, XOR row reduction when
     p = 2 and blocked modular elimination for any other p.  p must be a
     prime no larger than 94 906 249, the largest for which the elimination
     stays exact in float64 (see the module docstring); a larger p raises
@@ -287,7 +269,7 @@ def rank_gfp(x: np.ndarray, p: int, label: str = "matrix",
     x = _integer_matrix(x)
     if x.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {x.shape}")
-    if _certifies_full_rank(x, p, gram):
+    if _gram_certifies_full_rank(x, p):
         rank = x.shape[0]
     else:
         rank = _eliminate_gf2(x) if p == 2 else _eliminate(x, p)

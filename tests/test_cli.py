@@ -139,30 +139,38 @@ def test_rank_tournament_matches_the_oracle(small_matrix_files, capsys, p):
 
 def _count_rank_calls(monkeypatch):
     """Counts of Gate0 runs, Gram checks (Gate0's and the rank certificate's),
-    rank certificates and eliminations."""
-    calls = {"gate0_verify": 0, "gram_deviation": 0, "_gram_certifies_full_rank": 0,
-             "_eliminate": 0, "_eliminate_gf2": 0}
+    core normalizations, ranks, rank certificates and eliminations."""
+    calls = {"gate0_verify": 0, "gram_deviation": 0, "normalize_core_tournament": 0,
+             "rank_gfp": 0, "_gram_certifies_full_rank": 0, "_eliminate": 0,
+             "_eliminate_gf2": 0}
     for module, name in ((sh.hadamard, "gate0_verify"), (sh.hadamard, "gram_deviation"),
+                         (sh.hadamard, "normalize_core_tournament"), (sh.ranks, "rank_gfp"),
                          (sh.ranks, "gram_deviation"), (sh.ranks, "_gram_certifies_full_rank"),
                          (sh.ranks, "_eliminate"), (sh.ranks, "_eliminate_gf2")):
-        def counted(*args, _inner=getattr(module, name), _name=name):
+        def counted(*args, _inner=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
-            return _inner(*args)
+            return _inner(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     return calls
 
 
-@pytest.mark.parametrize("p, rank, eliminations", [(2, 1251, 0), (5, 1250, 1), (313, 626, 1)])
+# a tournament rank runs Gate0 and nothing after it
+TOURNAMENT_CALLS = {"gate0_verify": 1, "gram_deviation": 1, "normalize_core_tournament": 0,
+                    "rank_gfp": 0, "_gram_certifies_full_rank": 0, "_eliminate": 0,
+                    "_eliminate_gf2": 0}
+
+
+@pytest.mark.parametrize("p, rank", [(2, 1251), (5, 1250), (313, 626)])
 def test_rank_tournament_at_1252_forms_only_the_gate0_gram(
-        matrix1252_file, capsys, monkeypatch, p, rank, eliminations):
-    # Gate0 passed, so M M^T = 313 I + 312 J: det(M)^2 = 313^1250 * 625^2 is
-    # a unit mod 2, and 5 and 313 divide it, so those two ranks eliminate
+        matrix1252_file, capsys, monkeypatch, p, rank):
+    # Gate0 passed, so the core's rank follows from n = 4 * 313 and p:
+    # n/2 = 626 at p = 313, n - 2 at p = 5, which divides n/2 - 1 = 625,
+    # and n - 1 otherwise; nothing is eliminated, not even where p | det(M)
     calls = _count_rank_calls(monkeypatch)
     code = main(["rank", str(matrix1252_file), "--field", str(p), "--tournament"])
     assert code == 0
     assert capsys.readouterr().out == f"tournament {p} 1251 {rank}\n"
-    assert calls == {"gate0_verify": 1, "gram_deviation": 1, "_gram_certifies_full_rank": 0,
-                     "_eliminate": eliminations, "_eliminate_gf2": 0}
+    assert calls == TOURNAMENT_CALLS
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -178,8 +186,9 @@ def test_rank_at_1252_is_certified_on_the_orbit_rows(matrix1252_file, capsys, mo
     assert code == 0
     assert capsys.readouterr().out == f"hadamard {p} 1252 1252\n"
     assert rows == [36]
-    assert calls == {"gate0_verify": 0, "gram_deviation": 1, "_gram_certifies_full_rank": 1,
-                     "_eliminate": 0, "_eliminate_gf2": 0}
+    assert calls == {"gate0_verify": 0, "gram_deviation": 1, "normalize_core_tournament": 0,
+                     "rank_gfp": 1, "_gram_certifies_full_rank": 1, "_eliminate": 0,
+                     "_eliminate_gf2": 0}
 
 
 def test_rank_tournament_on_a_flipped_1252_matrix_exits_2(tmp_path, capsys, monkeypatch,
@@ -192,11 +201,10 @@ def test_rank_tournament_on_a_flipped_1252_matrix_exits_2(tmp_path, capsys, monk
     code = main(["rank", str(bad), "--field", "2", "--tournament"])
     assert code == 2
     assert capsys.readouterr() == ("GATE0 FAIL n=1252\n", "")
-    assert calls == {"gate0_verify": 1, "gram_deviation": 1, "_gram_certifies_full_rank": 0,
-                     "_eliminate": 0, "_eliminate_gf2": 0}
+    assert calls == TOURNAMENT_CALLS
 
 
-def test_build_at_order_4080_allocates_below_six_n_squared_bytes(tmp_path, capsys):
+def test_build_at_order_4080_allocates_below_six_n_squared_bytes(tmp_path, capsys, monkeypatch):
     # Gate0 forms no n x n float copy; aut drops the matrix text (n^2 bytes)
     # once it is parsed, so the exhaustive audit runs beside the n x n int8
     # matrix alone; manifest hashes each file in 1 MiB chunks, so it never
@@ -235,6 +243,16 @@ def test_build_at_order_4080_allocates_below_six_n_squared_bytes(tmp_path, capsy
     code, peak = traced_peak(lambda: main(["rank", matrix, "--field", "7"]))
     assert code == 0 and capsys.readouterr().out == "hadamard 7 4080 4080\n"
     assert peak <= 2.5 * 4080 ** 2
+    # a tournament rank is Gate0 alone: n/4 = 1020 = 2^2 * 3 * 5 * 17, so
+    # each of these primes gives n/2
+    for p in (3, 17):
+        calls = _count_rank_calls(monkeypatch)
+        code, peak = traced_peak(lambda: main(["rank", matrix, "--field", str(p),
+                                               "--tournament"]))
+        assert code == 0 and capsys.readouterr().out == f"tournament {p} 4079 2040\n"
+        assert peak <= 2.5 * 4080 ** 2
+        assert calls == TOURNAMENT_CALLS
+        monkeypatch.undo()
 
 
 def test_aut_command(desk_build, capsys):

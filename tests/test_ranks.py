@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 import skewhad as sh
 from skewhad import hadamard, ranks
 
-from _naive import naive_rank_gf2, naive_rank_gfp
+from _naive import naive_prime_factors, naive_rank_gf2, naive_rank_gfp
 from conftest import orbit_flip, random_signs, traced_peak
 
 
@@ -213,39 +213,63 @@ def test_certificate_and_elimination_agree_with_the_oracles(small_matrices):
 
 
 def test_core_gram_from_gate0_is_the_core_gram(small_matrices, matrix1252):
-    # rows of Hn Hn^T = nI give S S^T = nI - J and row sums 1, so the core
-    # M = (J - S)/2 has M M^T = (n/4) I + (n/4 - 1) J
+    # the identities Gate0Report.core_rank derives the core's rank from:
+    # rows of Hn Hn^T = nI give S S^T = nI - J and row sums 1, and
+    # H + H^T = 2I gives S + S^T = 2I, so the core M = (J - S)/2 has
+    # M M^T = (n/4) I + (n/4 - 1) J, M + M^T = J - I and M J = (n/2 - 1) J
     cases = [(sh.PmMatrix(signs), m01) for _, signs, m01 in small_matrices]
     cases.append((matrix1252, sh.normalize_core_tournament(matrix1252)))
     assert [h.n for h, _ in cases] == [8, 12, 24, 56, 1252]
     for h, m01 in cases:
-        s, t = sh.gate0_verify(h).core_gram()
-        assert (s, t) == (h.n // 4, h.n // 4 - 1)
-        m = m01.astype(np.int64)
-        assert np.array_equal(m @ m.T, s * np.eye(h.n - 1, dtype=np.int64) + t)
-        assert s + (h.n - 1) * t == ((h.n - 2) // 2) ** 2
+        assert sh.gate0_verify(h).passed
+        n, m = h.n, m01.astype(np.float64)  # its Gram entries are integers below 2^53
+        eye = np.eye(n - 1)
+        assert np.array_equal(m @ m.T, n // 4 * eye + (n // 4 - 1))
+        assert np.array_equal(m + m.T, 1 - eye)
+        assert np.array_equal(m.sum(axis=1), np.full(n - 1, n // 2 - 1))
+        assert n // 4 + (n - 1) * (n // 4 - 1) == ((n - 2) // 2) ** 2
 
 
-def test_core_gram_needs_a_passed_report_of_order_divisible_by_4(matrix8):
-    assert sh.Gate0Report(n=8, gram_ok=True, skew_ok=False, max_offdiag_gram=0).core_gram() is None
-    assert sh.Gate0Report(n=8, gram_ok=False, skew_ok=True, max_offdiag_gram=2).core_gram() is None
-    for n in (1, 2):  # the skew-Hadamard orders below 4
-        h = sh.PmMatrix.from_signs(np.array([[1]]) if n == 1 else np.array([[1, 1], [-1, 1]]))
-        report = sh.gate0_verify(h)
-        assert report.passed and report.core_gram() is None
+def test_core_rank_needs_a_passed_report(matrix8):
+    assert sh.Gate0Report(8, gram_ok=True, skew_ok=False, max_offdiag_gram=0).core_rank(2) is None
+    assert sh.Gate0Report(8, gram_ok=False, skew_ok=True, max_offdiag_gram=2).core_rank(3) is None
     flipped = matrix8.signs().copy()
     flipped[0, 3] *= -1
-    assert sh.gate0_verify(sh.PmMatrix(flipped)).core_gram() is None
+    assert sh.gate0_verify(sh.PmMatrix(flipped)).core_rank(2) is None
+    # no +-1 matrix of order 6 has H H^T = nI, so a report that says so is refused
+    assert sh.Gate0Report(n=6, gram_ok=True, skew_ok=True, max_offdiag_gram=0).core_rank(5) is None
+    for n in (1, 2):  # the skew-Hadamard orders below 4: a core of order 0, and [[0]]
+        h = sh.PmMatrix.from_signs(np.array([[1]]) if n == 1 else np.array([[1, 1], [-1, 1]]))
+        report = sh.gate0_verify(h)
+        core = sh.normalize_core_tournament(h, report)
+        for p in CERT_PRIMES:
+            assert report.passed and report.core_rank(p) == 0 == sh.rank_gfp(core, p).rank
+
+
+def _core_primes(n):
+    """CERT_PRIMES and every prime dividing n/4 or n/2 - 1, the primes at
+    which the core's rank falls below n - 1."""
+    return sorted({*CERT_PRIMES, *naive_prime_factors(n // 4),
+                   *naive_prime_factors(n // 2 - 1)})
 
 
 @pytest.mark.parametrize("p", CERT_PRIMES)
-def test_ranks_read_from_the_gate0_identity_match_the_oracles(small_matrices, monkeypatch, p):
-    calls = _count_calls(monkeypatch, ("gram_deviation", "_gram_certifies_full_rank"))
+def test_ranks_read_from_the_gate0_identity_match_the_oracles(small_matrices, p):
+    # the small orders' primes below n - 1 are all among CERT_PRIMES
+    assert all(set(_core_primes(n)) == set(CERT_PRIMES) for n, _, _ in small_matrices)
     for n, signs, m01 in small_matrices:
-        gram = sh.gate0_verify(sh.PmMatrix(signs)).core_gram()
-        want = naive_rank_gfp(m01.tolist(), p)
-        assert sh.rank_gfp(m01, p, gram=gram).rank == want, (n, p)
-    assert calls == {"gram_deviation": 0, "_gram_certifies_full_rank": 0}
+        rank = sh.gate0_verify(sh.PmMatrix(signs)).core_rank(p)
+        assert rank == naive_rank_gfp(m01.tolist(), p), (n, p)
+
+
+def test_core_rank_at_1252_matches_elimination(matrix1252):
+    report = sh.gate0_verify(matrix1252)
+    core = sh.normalize_core_tournament(matrix1252, report)
+    got = {p: report.core_rank(p) for p in _core_primes(1252)}
+    want = {p: ranks._eliminate_gf2(core) if p == 2 else ranks._eliminate(core, p)
+            for p in got}
+    assert got == want
+    assert {p: r for p, r in got.items() if r != 1251} == {5: 1250, 313: 626}
 
 
 def test_certificate_declines_what_it_cannot_prove(matrix8):
