@@ -4,11 +4,14 @@ Matrices live in :class:`PmMatrix`, one read-only int8 array of the +-1
 entries.  :func:`build_bordered_from_blocks` develops its four quadrants from
 the rows of one period straight into that array.  All verification is exact.
 Every Gram identity x x^T = s I + t J is decided by :func:`gram_deviation`
-on the integer matrix, from float32 BLAS products of its row panels, each
-converted into one reused buffer and multiplied into one reused block:
-each partial sum is an integer that float32 holds exactly in whatever
-order BLAS adds (the integer-bound argument of FFLAS-FFPACK, Dumas,
-Giorgi and Pernet, ACM TOMS 2008).
+on the integer matrix.  At the orbit rows of a verified block shift (below)
+its Gram rows are cyclic correlations, taken from those rows alone by an
+exact transform mod a prime; otherwise they come from float32 BLAS
+products of row panels, each converted into one reused buffer and
+multiplied into one reused block.  Both rest on the integer-bound argument
+of FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 2008): each partial sum
+is an integer that the float type holds exactly in whatever order BLAS
+adds.
 
 Which rows are formed rests on a lemma.  If a permutation matrix P keeps
 the matrix, P H P^T = H, then P^T P = I and P fixes I and J, so
@@ -30,6 +33,34 @@ row is formed.  At order 1252, d = 16 (the verified permutation is the
 paper's multiplier x -> g^16 x, of order 39), so Gate0 and the rank
 certificates of H form 36 Gram rows, not 1252.
 
+Those rows come from the m = 4 + 2d representative rows alone, by a
+discrete Fourier transform over GF(P) (Pollard, "The fast Fourier transform
+in a finite field", Math. Comp. 1971).  Let pi be the verified shift and
+f = (v - 1)/d its order.  A moving representative s has the orbit pi^a s,
+a in Z_f, and H[pi^a s, k] = H[s, pi^(-a) k], so
+
+    (H H^T)[r, pi^a s] = sum over k of H[r, pi^a k] H[s, k]:
+
+a sum of 2d cyclic correlations of length f, one per moving column orbit,
+plus the four fixed columns 0, 1, 2 and v + 2, the same at every a.  P is
+the least prime = 1 (mod f) above 2 bound, bound = n max|x|^2 + |s| + |t|
+(every row is a pi-image of a representative, so max|x| is read off
+theirs), and z has order exactly f mod P.  Three float64 products do the
+work: the transform W = [z^(omega j)] of each row's 2d sequences, the f
+pointwise (m x 2d)(2d x m) products of omega with -omega, and the inverse
+(1/f) [z^(-a omega)].  Each is exact while K (P - 1)^2 + P <= 2^53, K its
+inner dimension, with its operands in [0, P) (the rows themselves are at
+most max|x| < P); a product's result is reduced into [0, P) before the
+next one needs it.  The fixed columns, t and h = (P - 1)/2 are added at
+omega = 0, times f, so the inverse gives deviation + h in [0, P), the
+exact integer since |deviation| <= bound < P/2.  Its entries over
+reps x reps x Z_f (s is subtracted at a = 0, and at every a where r = s is
+a fixed rep) are the entries of D in the representatives' rows, and as
+D[s, pi^-a r] = D[r, pi^a s] the pairs r <= s hold them all.  At order
+1252, m = 36, f = 39 and P = 5227: the three products take 1.75 M + 1.6 M
++ 1.0 M multiplies, where the panels take 36 n^2 = 56 M.  The panels stay
+for every-row input, and for a bound that no such P keeps exact.
+
 The text interchange format is: first line the decimal order n, then n lines
 of n characters, '+' for +1 and '-' for -1, LF endings, nothing else.  The
 parser and the writer convert between bytes and signs with whole-array
@@ -46,16 +77,19 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
+from .gf import _prime_factors, is_prime
 from .groups import GroupSpec, _period, indicator_signs, subset_size
 
 _ORDER_HEADER = re.compile(rb"[1-9][0-9]*")
 _FLOAT32_EXACT = 1 << 24  # float32 holds every integer of absolute value up to 2^24
+_EXACT = 1 << 53  # float64 holds every integer of absolute value up to 2^53
 _MID = 44  # '+' = 43 and '-' = 45 lie either side, so sign = 44 - byte
 _LF = ord("\n")
-_PANEL = 256  # Gram rows per product: a panel holds _PANEL * n floats, which bounds memory
+_PANEL = 256  # rows per panel, of the Gram (_PANEL * n floats) or of the transform over Z_f
 
 
 class MatrixFormatError(ValueError):
@@ -219,14 +253,20 @@ def _keeps_block_shift(x: np.ndarray, d: int) -> bool:
     """Whether x[pi(i), pi(j)] == x[i, j] on every entry of the bordered
     matrix x of order 2(v + 1), pi the block shift by d, 0 < d < v (see the
     module docstring).  The shift is six runs of indices, each moved by one
-    offset, so each pair of runs is one slice compare."""
+    offset, so each pair of runs is one slice compare; the pairs of the two
+    fixed runs, 0 .. 2 and v + 2, compare a slice with itself and are
+    skipped, and the first pair that differs decides."""
     v = x.shape[0] // 2 - 1
     length = v - 1  # the elements g^0 .. g^(v-2) of each block
     runs = [(0, 0, 3), (v + 2, v + 2, 1)]  # (from, to, size): i moves to i + to - from
     for lo in (3, v + 3):
         runs += [(lo, lo + d, length - d), (lo + length - d, lo, d)]
-    return all(np.array_equal(x[a: a + k, b: b + m], x[a2: a2 + k, b2: b2 + m])
-               for a, a2, k in runs for b, b2, m in runs)
+    for a, a2, k in runs:
+        rows, moved = x[a: a + k], x[a2: a2 + k]
+        for b, b2, m in runs[2:] if a == a2 else runs:  # runs[:2] are the fixed runs
+            if not (rows[:, b: b + m] == moved[:, b2: b2 + m]).all():
+                return False
+    return True
 
 
 def _orbit_rows(x: np.ndarray) -> np.ndarray:
@@ -246,6 +286,124 @@ def _orbit_rows(x: np.ndarray) -> np.ndarray:
     return np.r_[0: 3 + d, v + 2: v + 3 + d]
 
 
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """Reduce float64 integers of magnitude at most 2^53 - p into [0, p), in place.
+
+    Below 2^53 the rounded quotient x / p never crosses an integer, so its
+    floor is exact, and so are p * floor and the difference.
+    """
+    t = x / p
+    np.floor(t, out=t)
+    t *= p
+    x -= t
+    return x
+
+
+def _orbit_shift(n: int, rows: np.ndarray) -> int:
+    """d when ``rows`` are the orbit rows that :func:`_orbit_rows` gives for
+    a block shift by d of a matrix of order n, 0 < d < v - 1; else 0."""
+    v, d = n // 2 - 1, (rows.size - 4) // 2
+    if n % 2 or not 0 < d < v - 1 or (v - 1) % d:
+        return 0
+    return d if np.array_equal(rows, np.r_[0: 3 + d, v + 2: v + 3 + d]) else 0
+
+
+def _transform_field(f: int, bound: int, k: int) -> tuple[int, int] | None:
+    """(P, z): the least prime P = 1 (mod f) above 2 bound, and z of
+    multiplicative order exactly f mod P, or None when that P breaks the
+    rule k (P - 1)^2 + P <= 2^53 for products of inner dimension k."""
+    p = 2 * bound // f * f + 1
+    if p <= 2 * bound:
+        p += f
+    while k * (p - 1) ** 2 + p <= _EXACT:
+        if is_prime(p):
+            break
+        p += f
+    else:
+        return None
+    factors = _prime_factors(f)
+    for g in range(1, p):  # some g generates GF(P)*, and its z has order f
+        z = pow(g, (p - 1) // f, p)
+        if all(pow(z, f // q, p) != 1 for q in factors):
+            return p, z
+
+
+def _powers(z: int, p: int, f: int, scale: int = 1) -> np.ndarray:
+    """scale z^e mod p for e in [0, f), as float64."""
+    out = [scale % p]
+    for _ in range(f - 1):
+        out.append(out[-1] * z % p)
+    return np.array(out, dtype=np.float64)
+
+
+def _transform(powers: np.ndarray, y: np.ndarray, out: np.ndarray, index: np.ndarray,
+               w: np.ndarray) -> np.ndarray:
+    """out = W y for W[a, j] = powers[a j mod f], f = len(y).  The rows of
+    W are formed ``len(w)`` = b at a time in ``w``, from the exponents in
+    ``index``: i j mod f for row i < b, moved on by b j mod f (unreduced)
+    after each panel and moved back at the end."""
+    f, b = y.shape[0], w.shape[0]
+    panels = -(-f // b)
+    table = np.tile(powers, panels)  # the exponents stay below f times the panels
+    step = b * np.arange(f) % f
+    for lo in range(0, f, b):
+        k = min(b, f - lo)
+        np.matmul(np.take(table, index[:k], out=w[:k], mode="clip"), y, out=out[lo: lo + k])
+        index += step
+    index -= panels * step
+    return out
+
+
+def _orbit_deviation(reps: np.ndarray, big: int, s: int, t: int, d: int, p: int, z: int) -> int:
+    """max |x x^T - s I - t J| from ``reps``, the orbit rows of a block
+    shift by d that keeps x, with max|x| = ``big``, by a transform over
+    Z_f mod p (see :func:`gram_deviation`)."""
+    m, n = reps.shape
+    v = n // 2 - 1
+    f, c, pairs = (v - 1) // d, 2 * d, m * (m + 1) // 2
+    b = min(_PANEL, f)
+    # every float64 array is carved from one buffer: a single allocation
+    # that the allocator hands back call after call, where several fresh
+    # ones of this size are mapped, and page-faulted, anew on each call
+    sizes = (f * c * m, f * c * m, f * m * m, f * pairs, f * pairs, b * f)
+    work = np.empty(sum(sizes))
+    y, a, chat, tri, dev, w = (work[end - k: end] for k, end in zip(sizes, accumulate(sizes)))
+    index = np.multiply.outer(np.arange(b), np.arange(f))
+    index %= f
+    # y[j, block, k, r] = x[r, the column of offset k + d j in the block]
+    y = y.reshape(f, 2, d, m)
+    y[:, 0] = reps[:, 3: v + 2].reshape(m, f, d).transpose(1, 2, 0)
+    y[:, 1] = reps[:, v + 3:].reshape(m, f, d).transpose(1, 2, 0)
+    w = w.reshape(b, f)
+    _transform(_powers(z, p, f), y.reshape(f, c * m), a.reshape(f, c * m), index, w)
+    if c * (f * big * (p - 1)) ** 2 + p > _EXACT:
+        _reduce(a, p)  # else each pointwise product is exact as it is
+    a = a.reshape(f, c, m)  # a[omega] is the transform of the rows at omega, transposed
+    back = np.take(a, -np.arange(f) % f, axis=0, out=y.reshape(f, c, m), mode="clip")
+    np.matmul(a.transpose(0, 2, 1), back, out=chat.reshape(f, m, m))
+    # D[s, pi^-a r] = D[r, pi^a s]: the pairs r <= s hold every value
+    r = np.arange(m)
+    upper = np.flatnonzero(r[:, None] <= r)
+    tri = _reduce(np.take(chat.reshape(f, m * m), upper, axis=1, out=tri.reshape(f, pairs),
+                          mode="clip"), p)
+    # the fixed columns, t, and h = (p - 1)/2, which centres the result, are
+    # the same at every a: f times them at omega = 0; so is s on the
+    # diagonal of a fixed rep, which is its own orbit
+    fixed = reps[:, [0, 1, 2, v + 2]].astype(np.float64)
+    h = p // 2
+    const = fixed @ fixed.T
+    const += h - t
+    at = [0, 1, 2, 3 + d]
+    const[at, at] -= s
+    tri[0] = (tri[0] + f * const.reshape(-1)[upper]) % p
+    inverse = _powers(pow(z, -1, p), p, f, pow(f, -1, p))  # (1/f) z^(-e)
+    dev = _reduce(_transform(inverse, tri, dev.reshape(f, pairs), index, w), p)
+    # dev + h, now in [0, p); a moving rep meets its own row at a = 0 only
+    moving = np.delete(r * m - r * (r - 1) // 2, at)  # (r, r) among the pairs
+    dev[0, moving] = (dev[0, moving] - s) % p
+    return max(int(dev.max()) - h, h - int(dev.min()))
+
+
 def gram_deviation(x: np.ndarray, s: int, t: int, rows: np.ndarray | list | None = None) -> int:
     """max |x x^T - s I - t J| over the given rows, every row when ``rows``
     is None: 0 exactly when x x^T = s I + t J.
@@ -257,16 +415,36 @@ def gram_deviation(x: np.ndarray, s: int, t: int, rows: np.ndarray | list | None
 
     ``rows``, from :func:`_orbit_rows` of x, holds one row per orbit of a
     permutation that keeps x, so its Gram rows hold every value of the
-    deviation (see the module docstring).  They are formed ``_PANEL`` at a
-    time: each panel of columns, ``_PANEL`` rows of x converted into one
-    reused float32 buffer, is multiplied straight into its slice of one
-    float32 block of at most n x ``_PANEL`` entries, which the deviation
-    then overwrites, and one maximum is taken per row panel.  For every row
-    only the columns on and above the diagonal are formed (the deviation is
-    symmetric).
+    deviation (see the module docstring).  When they are the orbit rows of a
+    block shift, as :func:`_orbit_rows` gives them once the shift is
+    verified to keep x, the deviation comes from those rows alone, by the
+    transform over Z_f mod P of the module docstring, whenever some P keeps
+    its products exact; otherwise from :func:`_panel_deviation`.
     """
     n = x.shape[0]
     rows = np.arange(n) if rows is None else np.asarray(rows)
+    d = _orbit_shift(n, rows)
+    if d:
+        reps = x[rows]
+        big = max(int(reps.max()), -int(reps.min()))
+        f = (n // 2 - 2) // d
+        field = _transform_field(f, n * big * big + abs(s) + abs(t), max(f, 2 * d))
+        if field is not None:
+            return _orbit_deviation(reps, big, s, t, d, *field)
+    return _panel_deviation(x, s, t, rows)
+
+
+def _panel_deviation(x: np.ndarray, s: int, t: int, rows: np.ndarray) -> int:
+    """:func:`gram_deviation` over ``rows`` from products of all of x.
+
+    The rows are formed ``_PANEL`` at a time: each panel of columns,
+    ``_PANEL`` rows of x converted into one reused float32 buffer, is
+    multiplied straight into its slice of one float32 block of at most
+    n x ``_PANEL`` entries, which the deviation then overwrites, and one
+    maximum is taken per row panel.  For every row only the columns on and
+    above the diagonal are formed (the deviation is symmetric).
+    """
+    n = x.shape[0]
     every = np.array_equal(rows, np.arange(n))
     buffer = np.empty((min(_PANEL, n), x.shape[1]), dtype=np.float32)
     gram = np.empty(n * min(_PANEL, rows.size), dtype=np.float32)

@@ -25,12 +25,14 @@ matrix whose determinant p divides costs one pass for max|c| and no matrix
 product.  Only when they promise a unit determinant is the identity
 decided, by ``hadamard.gram_deviation``, Gate0's check, on c itself, exact
 when m max|c|^2 < 2^24 whatever t is; outside that bound the certificate
-declines.  Like Gate0, it forms only the orbit rows of a block shift that
-keeps c, verified on c itself (``hadamard._orbit_rows``), in one product
-that holds row 0: the certificates of H over GF(3) and GF(5) at order 1252
-form 36 rows.  Without such a shift every row is its own orbit, and row 0
-is checked alone first, so a matrix that fails there costs one Gram row,
-not m.
+declines.  Like Gate0, it forms only the Gram rows at the orbit rows of a
+block shift that keeps c, verified on c itself (``hadamard._orbit_rows``),
+and forms them from those rows alone, as cyclic correlations taken exactly
+by a transform mod a prime: the certificates of H over GF(3) and GF(5) at
+order 1252 correlate its 36 orbit rows, row 0 among them, and multiply no
+panel of H.  Without such a shift every row is its own orbit, and row 0
+is checked alone first, on float32 panels, so a matrix that fails there
+costs one Gram row, not m.
 
 **Elimination.**  Over GF(2) the rows are packed into Python integers and
 reduced by XOR, which beats the float panels below for that one prime.
@@ -68,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import is_prime
-from .hadamard import _FLOAT32_EXACT, _orbit_rows, gram_deviation
+from .hadamard import _EXACT, _FLOAT32_EXACT, _orbit_rows, _reduce, gram_deviation
 
 
 @dataclass(frozen=True)
@@ -108,8 +110,9 @@ def _gram_certifies_full_rank(x: np.ndarray, p: int) -> bool:
     residues c satisfy m max|c|^2 < 2^24, and c c^T = s I + t J with p
     dividing neither s nor s + m t (see the module docstring).  The first
     two entries of Gram row 0 give s and t; :func:`~skewhad.hadamard.gram_deviation`
-    on x itself then forms the orbit rows of a verified block shift of x in
-    one product, or, when there is none, checks row 0 before every row.
+    on x itself then decides it on the orbit rows of a verified block shift
+    of x, from those rows alone, or, when there is none, checks row 0 before
+    every row.
     """
     if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] == 0:
         return False
@@ -156,22 +159,8 @@ def _eliminate_gf2(m01: np.ndarray) -> int:
     return len(pivots)
 
 
-_EXACT = 2**53  # float64 holds every integer of absolute value up to 2^53
 _MAX_PRIME = 94_906_249  # the largest prime p with (p - 1)^2 + p <= 2^53
 _UPDATE_ROWS = 128  # trailing rows per update: its product and reduction hold this many rows
-
-
-def _reduce(x: np.ndarray, p: int) -> np.ndarray:
-    """Reduce float64 integers of magnitude at most 2^53 - p into [0, p), in place.
-
-    Below 2^53 the rounded quotient x / p never crosses an integer, so its
-    floor is exact, and so are p * floor and the difference.
-    """
-    t = x / p
-    np.floor(t, out=t)
-    t *= p
-    x -= t
-    return x
 
 
 def _eliminate_panel(panel: np.ndarray, p: int):

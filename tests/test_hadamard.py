@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -503,6 +504,73 @@ def test_every_single_flip_is_decided_exactly(p, e, N, i0, i1):
             assert gram_deviation(signs.astype(np.float32), n, 0, rows) == oracle, (i, j)
 
 
+def _counted_panels(monkeypatch):
+    """A list that gains the row count of each call of the every-column panel
+    product, ``hadamard._panel_deviation``."""
+    calls, inner = [], hadamard._panel_deviation
+    monkeypatch.setattr(hadamard, "_panel_deviation",
+                        lambda x, s, t, rows: calls.append(len(rows)) or inner(x, s, t, rows))
+    return calls
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float32])
+def test_orbit_gram_by_the_transform_matches_the_dense_oracle(
+        monkeypatch, small_matrices, matrix1252, dtype):
+    # every instance whose block shift is verified (orders 24, 56 and 1252;
+    # at 8 and 12 every row is its own orbit), and an orbit flip of each,
+    # which the shift keeps and which deviates; none reaches the panels
+    panels = _counted_panels(monkeypatch)
+    shifted = []
+    for signs in [signs for _, signs, _ in small_matrices] + [matrix1252.signs()]:
+        n, rows = len(signs), hadamard._orbit_rows(signs)
+        d = hadamard._orbit_shift(n, rows)
+        if not d:
+            assert np.array_equal(rows, np.arange(n))
+            continue
+        shifted.append(n)
+        flipped = orbit_flip(signs, d, 5)
+        assert np.array_equal(hadamard._orbit_rows(flipped), rows)
+        assert naive_gram_deviation(flipped, n, 0) > 0
+        for x in (signs, flipped):
+            for s, t in ((n, 0), (n - 3, 1), (5, -2), (0, 0)):
+                want = naive_gram_deviation(x, s, t)
+                assert gram_deviation(x.astype(dtype), s, t, rows) == want, (n, s, t)
+    assert shifted == [24, 56, 1252] and panels == []
+
+
+@pytest.mark.parametrize("f", [1, 2, 3, 39, 1019, 4095])
+def test_transform_field_is_the_least_prime_with_an_element_of_order_f(f):
+    def prime(q):
+        return q > 1 and all(q % k for k in range(2, math.isqrt(q) + 1))
+
+    k = max(f, 32)  # the inner dimension of the longest product
+    for bound in (1, 2504, 32768):
+        p, z = hadamard._transform_field(f, bound, k)
+        assert prime(p) and (p - 1) % f == 0 and p > 2 * bound
+        assert not [q for q in range(2 * bound + 1, p) if (q - 1) % f == 0 and prime(q)]
+        assert pow(z, f, p) == 1 and all(pow(z, e, p) != 1 for e in range(1, f))
+        assert k * (p - 1) ** 2 + p <= 2 ** 53
+    # every prime above 2^27 breaks the rule at k >= 1
+    assert hadamard._transform_field(f, 2 ** 26, k) is None
+
+
+def test_orbit_rows_at_1252_convert_no_column_panel(monkeypatch, matrix1252):
+    # Gate0 and the GF(3) rank certificate form the Gram rows of the 36
+    # orbit rows from those rows alone: no _PANEL panel of H is converted
+    # and no product with n rows is formed.  Every-row input, and a bound
+    # that breaks the 2^53 rule (entries of 97), take the panels.
+    panels = _counted_panels(monkeypatch)
+    signs = matrix1252.signs()
+    assert sh.gate0_verify(matrix1252).passed
+    assert sh.rank_gfp(signs, 3).rank == 1252
+    assert panels == []
+    assert gram_deviation(signs, 1252, 0) == 0
+    assert panels == [1252]
+    rows = hadamard._orbit_rows(signs)
+    assert gram_deviation(97 * signs.astype(np.int64), 97**2 * 1252, 0, rows) == 0
+    assert panels == [1252, 36]
+
+
 def test_gram_rejects_orders_beyond_exact_float32():
     # a read-only broadcast int8 view stands in for the 2^24 x 2^24 signs,
     # which must never be asked for (a float32 copy would take 2^50 bytes):
@@ -533,8 +601,10 @@ def test_gate0_reads_the_int8_signs_alone(matrix8, matrix12, matrix1252, case):
 
 def test_gate0_and_the_rank_certificate_at_order_4080_allocate_below_half_n_squared_bytes(
         monkeypatch):
-    # each converts _PANEL rows at a time into one float32 buffer (a quarter
-    # of n^2 bytes at this order) and keeps no float copy of the matrix
+    # each forms the 8 orbit rows' Gram by the transform over Z_1019, in
+    # panels of _PANEL rows of the transform matrix (a quarter of n^2 bytes
+    # of exponents and entries at this order), and keeps no float copy of
+    # the matrix
     _, _, pair, _ = sh.find_valid_generator(sh.FieldConfig(2039, 1), 2, (0,), (0,))
     h = sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1)
     n = h.n
