@@ -31,7 +31,10 @@ was.  When the proposal or the check fails, the lemma is applied to the
 identity, which keeps every matrix: each row is its own orbit, and every
 row is formed.  At order 1252, d = 16 (the verified permutation is the
 paper's multiplier x -> g^16 x, of order 39), so Gate0 and the rank
-certificates of H form 36 Gram rows, not 1252.
+certificates of H form 36 Gram rows, not 1252.  A :class:`PmMatrix` keeps
+its orbit rows (:meth:`PmMatrix.orbit_rows`), so Gate0 and the sketch
+decode, which correlates a vector with the 36 representative columns by
+the transform below, share one check of the shift.
 
 Those rows come from the m = 4 + 2d representative rows alone, by a
 discrete Fourier transform over GF(P) (Pollard, "The fast Fourier transform
@@ -106,7 +109,11 @@ class PmMatrix:
     """Square +-1 matrix, stored as one read-only int8 array of its entries.
 
     The constructor takes the array as it is, without a copy or a check, and
-    marks it read-only; :meth:`from_signs` checks and copies.  Immutable.
+    marks it read-only; :meth:`from_signs` checks and copies.  Immutable, so
+    what is derived from the entries is kept: the float64 copy the sketch
+    transforms read, the orbit rows that Gate0 and the sketch decode read,
+    and the decode's plan, which :func:`skewhad.sketch.decode` builds on its
+    first call.
     """
 
     def __init__(self, signs: np.ndarray):
@@ -114,7 +121,8 @@ class PmMatrix:
         self._signs = signs
         self._signs.setflags(write=False)
         self._float_signs: np.ndarray | None = None
-        self._float32_signs: np.ndarray | None = None
+        self._orbit_rows: np.ndarray | None = None
+        self._decode_plan = None
 
     @classmethod
     def from_signs(cls, signs: np.ndarray) -> "PmMatrix":
@@ -140,14 +148,14 @@ class PmMatrix:
             self._float_signs = f
         return self._float_signs
 
-    def float32_signs(self) -> np.ndarray:
-        """Dense float32 copy of the entries (cached), for the sketch
-        decode's exact integer product H^T q; no Gram reads it."""
-        if self._float32_signs is None:
-            f = self.signs().astype(np.float32)
-            f.setflags(write=False)
-            self._float32_signs = f
-        return self._float32_signs
+    def orbit_rows(self) -> np.ndarray:
+        """:func:`_orbit_rows` of the entries (cached, read-only): the orbit
+        rows of a block shift verified to keep the matrix, else every row."""
+        if self._orbit_rows is None:
+            rows = _orbit_rows(self._signs)
+            rows.setflags(write=False)
+            self._orbit_rows = rows
+        return self._orbit_rows
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PmMatrix):
@@ -469,13 +477,13 @@ def _panel_deviation(x: np.ndarray, s: int, t: int, rows: np.ndarray) -> int:
 
 def gate0_verify(m: PmMatrix) -> Gate0Report:
     """Exact verification of H H^T = nI and H + H^T = 2I, both on the rows
-    of :func:`_orbit_rows`, from the int8 signs alone."""
+    of :meth:`PmMatrix.orbit_rows`, from the int8 signs alone."""
     n = m.n
     if n >= _FLOAT32_EXACT:
         raise ValueError(f"order {n} is not below 2^24, the bound for an exact "
                          f"float32 Gram")
     s = m.signs()
-    rows = _orbit_rows(s)
+    rows = m.orbit_rows()
     max_off = gram_deviation(s, n, 0, rows)  # each row's norm is n: 0 on the diagonal
     skew = s[rows]  # a copy; int8 holds -2 .. 2, so H + H^T - 2I is formed in place
     skew += s[:, rows].T

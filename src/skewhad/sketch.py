@@ -7,13 +7,46 @@ and the inverse is x = H^T y / sqrt(n).  A sketch keeps the k largest |y_i|
 signed bytes.
 
 The decode rounds once.  H^T q for the quantized vector q has integer
-entries of magnitude at most n * 127 < 2^24 (n < 2^16 by the wire tag), so
-one float32 product over the float32 signs the decode caches on the matrix
-gives it exactly, in any order.  The scale is a float32 (a 24-bit
-mantissa), so scale * H^T q has at most 48 significant bits and is exact in
-float64; only the division by sqrt(n) rounds.  That is bit for bit what
-:func:`inverse_transform` gives for the dense y = q * scale, whose float64
-partial sums are all exact integer multiples of the scale's last bit.
+entries of magnitude at most 127 n < 2^24 (n < 2^16 by the wire tag), which
+the decode forms exactly, as float64 integers.  The scale is a float32 (a
+24-bit mantissa), so scale * H^T q has at most 48 significant bits and is
+exact in float64; only the division by sqrt(n) rounds.  That is bit for bit
+what :func:`inverse_transform` gives for the dense y = q * scale, whose
+float64 partial sums are all exact integer multiples of the scale's last
+bit.
+
+H^T q comes from one of two exact products, chosen by the matrix alone and
+kept on it as its decode plan, built on the first decode.  When a block
+shift pi by d is verified to keep H (:meth:`PmMatrix.orbit_rows`, the rows
+Gate0 reads), H[pi^b i, pi^a c] = H[pi^(b - a) i, c], so at the column
+pi^a c of a representative c, a in Z_f, f = (v - 1)/d,
+
+    (H^T q)[pi^a c] = sum over b of q[pi^b r] H[pi^(b - a) r, c]
+
+summed over the 2d moving representative rows r: a cyclic correlation of
+length f for each, plus the 4 fixed rows, which add the same amount at
+every a.  As in :mod:`skewhad.hadamard`, it is taken by a transform over
+GF(P) (Pollard, Math. Comp. 1971), P the least prime = 1 (mod f) above
+2 * 127 n, with z of order f: the transform W = [z^(a j)] of q's 2d orbit
+sequences; f pointwise (1 x 2d)(2d x m) products with the plan's transform
+of H's moving rows at the m = 4 + 2d representative columns, taken at
+-omega, times 1/f and centred to |.| <= h = (P - 1)/2; and the inverse, W
+again, applied to those products at -omega.  The fixed rows and h enter at
+omega = 0.  Every float64 product is exact: the first and the last while
+f (P - 1)^2 + P <= 2^53, the pointwise one while
+2d f 127 (P - 1) h + 2P <= 2^53, and when that fails, q's transform is
+first reduced mod P.  The inverse, reduced into [0, P), is H^T q + h, the
+exact integer, since |H^T q| <= 127 n < P/2.  At order 1252 (d = 16,
+f = 39, m = 36, P = 318 319) the plan is a 39 x 39 W and a 39 x 32 x 36
+transform, and a decode takes about 0.15 M multiplies, where H^T q over all
+of H takes n^2 = 1.6 M.  W is f^2 floats, at most n^2/2 bytes when d >= 2,
+as for every matrix above order 8 that passes Gate0 (with d = 1, row 2 is
+constant on each moving segment and cannot be orthogonal to both rows 0
+and 1).  A matrix with no verified shift, or with no such P (as at
+q = 8191), decodes the packet's k rows instead, ``_PANEL`` at a time
+converted into one reused float32 buffer: every partial sum is an integer
+of magnitude at most 127 k < 2^24, exact in float32 whatever order BLAS
+adds in.
 
 Each packet is checked once, when it is made: the constructor runs the
 record check on whatever it is given and keeps read-only int64 copies, so a
@@ -32,10 +65,12 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .hadamard import PmMatrix
+from .hadamard import (_EXACT, _PANEL, PmMatrix, _orbit_shift, _powers, _reduce,
+                       _transform_field)
 
 _HEADER = struct.Struct("<fHH")
 _RECORD_DTYPE = np.dtype([("index", "<u2"), ("qvalue", "i1")])
@@ -189,8 +224,11 @@ def encode(x: np.ndarray, h: PmMatrix, cfg: SketchConfig) -> SketchPacket:
 
     The scale is max |selected| / 127, stored as float32 (1.0 when all
     selected coefficients are zero); quantized values are round(y / scale)
-    clamped to [-127, 127].  Deterministic: equal input bytes give equal
-    packet bytes.  The matrix is trusted to satisfy the defining identities.
+    clamped to [-127, 127].  Deterministic for one BLAS build and thread
+    count: equal input bytes then give equal packet bytes.  y = H x is
+    BLAS's float64 product, whose last bits change with the thread count,
+    and a changed bit can move a quantized value or a tie in the selection.
+    The matrix is trusted to satisfy the defining identities.
     Raises ValueError when the transform overflows or the peak has no
     finite, nonzero float32 scale.
     """
@@ -224,18 +262,115 @@ def decode(packet: SketchPacket, h: PmMatrix) -> np.ndarray:
     """Reconstruct x = H^T y / sqrt(n) from a sketch packet, y = q * scale.
 
     Exact up to the final division: H^T q is an integer vector with entries
-    of magnitude at most n * 127 < 2^24, so the float32 product over the
-    float32 signs it caches on the matrix holds it exactly, and the float32
-    scale (24 bits) times such an integer is exact in float64.  The result
-    is bit-identical to :func:`inverse_transform` of the dense y.
+    of magnitude at most n * 127 < 2^24, formed exactly by the decode plan
+    kept on the matrix (see the module docstring), and the float32 scale
+    (24 bits) times such an integer is exact in float64.  The result is
+    bit-identical to :func:`inverse_transform` of the dense y.
     Raises ValueError when the packet's order tag is not the matrix order.
     """
     if packet.n_tag != h.n:
         raise ValueError(f"packet order tag {packet.n_tag} does not match matrix order {h.n}")
-    q = np.zeros(h.n, dtype=np.float32)
-    q[packet.indices] = packet.qvalues
-    z = h.float32_signs().T @ q
-    return (z.astype(np.float64) * packet.scale) / np.sqrt(h.n)
+    if h._decode_plan is None:
+        h._decode_plan = _decode_plan(h)
+    z = h._decode_plan(packet.indices, packet.qvalues)
+    return (z * packet.scale) / np.sqrt(h.n)
+
+
+def _decode_plan(h: PmMatrix):
+    """The function (indices, qvalues) -> H^T q, float64 integers, that
+    :func:`decode` keeps on h: an :class:`_OrbitCorrelation` when a block
+    shift is verified to keep h and some P keeps its products exact, else
+    :func:`_panel_product` of h's signs."""
+    n = h.n
+    d = _orbit_shift(n, h.orbit_rows())
+    if d:
+        f = (n // 2 - 2) // d
+        field = _transform_field(f, QMAX * n, max(f, 2 * d))
+        if field is not None:
+            return _OrbitCorrelation(h.signs(), d, *field)
+    return partial(_panel_product, h.signs())
+
+
+def _panel_product(x: np.ndarray, indices: np.ndarray, qvalues: np.ndarray) -> np.ndarray:
+    """H^T q, the sum of qvalue times row ``index`` of x over the records,
+    from float32 panels of ``_PANEL`` of those rows converted into one
+    reused buffer (exact: see the module docstring)."""
+    k = indices.size
+    z = np.zeros(x.shape[1], dtype=np.float32)
+    buffer = np.empty((min(_PANEL, k), x.shape[1]), dtype=np.float32)
+    q = qvalues.astype(np.float32)
+    for lo in range(0, k, _PANEL):
+        rows = buffer[: min(_PANEL, k - lo)]
+        np.copyto(rows, x[indices[lo: lo + _PANEL]])
+        z += q[lo: lo + _PANEL] @ rows
+    return z.astype(np.float64)
+
+
+class _OrbitCorrelation:
+    """H^T q at the orbit columns of the block shift by d that keeps the
+    bordered matrix x, by the transform over Z_f mod p, with z of order f
+    mod p (see the module docstring)."""
+
+    def __init__(self, x: np.ndarray, d: int, p: int, z: int):
+        n = x.shape[0]
+        v = n // 2 - 1
+        f = (v - 1) // d
+        self.n, self.p = n, p
+        # order[a, r] = pi^a of the r-th moving representative: 3 + k or
+        # v + 3 + k for k < d, moved on by d a
+        order = np.empty((f, 2, d), dtype=np.intp)
+        order[:, 0] = np.add.outer(3 + d * np.arange(f), np.arange(d))
+        order[:, 1] = order[:, 0] + v
+        self.order = order.reshape(f, 2 * d)
+        self.fixed = np.array([0, 1, 2, v + 2])
+        cols = np.concatenate([self.order[0], self.fixed])  # the moving representatives first
+        # W[a, j] = z^(a j), from the exponents of _PANEL rows at a time
+        powers = _powers(z, p, f)
+        self.w = np.empty((f, f))
+        panel = np.empty((min(_PANEL, f), f), dtype=np.intp)
+        for lo in range(0, f, _PANEL):
+            exponents = panel[: min(_PANEL, f - lo)]
+            np.multiply.outer(np.arange(lo, lo + len(exponents)), np.arange(f), out=exponents)
+            exponents %= f
+            np.take(powers, exponents, out=self.w[lo: lo + len(exponents)], mode="clip")
+        self.back = -np.arange(f) % f  # omega -> -omega
+        # the transform at -omega of x[pi^e r, c] over e, times 1/f, is the
+        # sum over e of W[omega, e] x[pi^-e r, c] / f; with 1/f taken
+        # centred each term is at most (p - 1) h, h = (p - 1)/2, and the sum
+        # is centred to |.| <= h by adding h before the reduction and
+        # subtracting it after
+        h = p // 2
+        inverse = pow(f, -1, p)
+        inverse -= p if inverse > h else 0
+        moving = np.empty((f, 2, d, cols.size))
+        moving[:, 0] = x[3: v + 2, cols].reshape(f, d, -1)
+        moving[:, 1] = x[v + 3:, cols].reshape(f, d, -1)
+        t = self.w @ (moving.reshape(f, -1)[self.back] * inverse)
+        t += h
+        t = _reduce(t, p)
+        t -= h
+        self.transform = t.reshape(f, 2 * d, cols.size)
+        self.fixed_rows = x[self.fixed.reshape(-1, 1), cols].astype(np.float64)
+        # q's transform is at most f 127 (p - 1); it is reduced first unless
+        # the pointwise sums, with the fixed rows and h added (together below
+        # p), stay within 2^53 - p
+        self.reduce = 2 * d * (f * QMAX * (p - 1)) * h + 2 * p > _EXACT
+
+    def __call__(self, indices: np.ndarray, qvalues: np.ndarray) -> np.ndarray:
+        p, h, c = self.p, self.p // 2, self.order.shape[1]
+        q = np.zeros(self.n)
+        q[indices] = qvalues
+        qhat = self.w @ q[self.order]
+        if self.reduce:
+            _reduce(qhat, p)
+        zhat = np.matmul(qhat[:, None], self.transform)[:, 0]
+        zhat[0] += q[self.fixed] @ self.fixed_rows + h
+        z = _reduce(self.w @ _reduce(zhat, p)[self.back], p)
+        z -= h  # z[a, j] = H^T q at pi^a of representative column j
+        out = np.empty(self.n)
+        out[self.order] = z[:, :c]
+        out[self.fixed] = z[0, c:]
+        return out
 
 
 def byte_accounting(cfg: SketchConfig) -> tuple[int, int, float]:

@@ -493,3 +493,14 @@ def naive_top_k_indices(y, k):
 
     order = np.argsort(-np.abs(y), kind="stable")[:k]
     return np.sort(order)
+
+
+def naive_h_transpose_q(signs, indices, qvalues):
+    """H^T q for q = qvalues at indices, 0 elsewhere, as exact int64: the
+    sum of qvalue times row ``index`` of the signs, record by record."""
+    import numpy as np
+
+    z = np.zeros(len(signs), dtype=np.int64)
+    for i, q in zip(np.asarray(indices).tolist(), np.asarray(qvalues).tolist()):
+        z += q * signs[i].astype(np.int64)
+    return z

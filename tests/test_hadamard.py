@@ -396,8 +396,8 @@ def test_gate0_max_offdiag_gram_matches_the_integer_product(matrix1252, edits):
 def test_gram_all_minus_one_is_n_everywhere(n):
     # every partial sum is as large as it can be: the float32 worst case
     m = sh.PmMatrix.from_signs(-np.ones((n, n), dtype=np.int8))
-    assert gram_deviation(m.float32_signs(), 0, n) == 0  # f f^T = nJ exactly
-    assert gram_deviation(m.float32_signs(), n, 0) == (0 if n == 1 else n)
+    assert gram_deviation(m.signs().astype(np.float32), 0, n) == 0  # f f^T = nJ exactly
+    assert gram_deviation(m.signs().astype(np.float32), n, 0) == (0 if n == 1 else n)
     rep = sh.gate0_verify(m)
     assert rep.gram_ok == (n == 1) and rep.max_offdiag_gram == (0 if n == 1 else n)
 
@@ -408,8 +408,9 @@ def test_gram_of_flipped_1252_matches_integer_product(matrix1252):
     signs = matrix1252.signs().copy()
     signs[40, 700] *= -1
     m = sh.PmMatrix.from_signs(signs)
+    f = m.signs().astype(np.float32)
     for s, t in ((1252, 0), (1254, -2), (1250, 2)):
-        assert gram_deviation(m.float32_signs(), s, t) == naive_gram_deviation(signs, s, t) > 0
+        assert gram_deviation(f, s, t) == naive_gram_deviation(signs, s, t) > 0
     rep = sh.gate0_verify(m)
     assert not rep.gram_ok
     # every diagonal entry of a +-1 Gram is n, so (s, t) = (n, 0) measures the rest
@@ -578,7 +579,6 @@ def test_gram_rejects_orders_beyond_exact_float32():
     n = 1 << 24
     m = sh.PmMatrix(np.broadcast_to(np.ones(1, dtype=np.int8), (n, n)))
     m.signs = lambda: pytest.fail("the dense signs were requested")
-    m.float32_signs = lambda: pytest.fail("the float32 signs were requested")
     with pytest.raises(ValueError, match="2\\^24"):
         sh.gate0_verify(m)
 
@@ -592,7 +592,6 @@ def test_gate0_reads_the_int8_signs_alone(matrix8, matrix12, matrix1252, case):
         signs = signs.copy()
         signs[40, 700] *= -1
     m = sh.PmMatrix.from_signs(signs)
-    m.float32_signs = lambda: pytest.fail("the float32 signs were requested")
     m.float_signs = lambda: pytest.fail("the float64 signs were requested")
     rep = sh.gate0_verify(m)
     assert rep.passed == (case != "n1252-flip")

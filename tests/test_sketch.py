@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import skewhad as sh
-from skewhad import sketch
+from skewhad import hadamard, sketch
 from skewhad.sketch import PacketFormatError, QMAX
 
-from _naive import naive_top_k_indices
-from conftest import mutate_one_byte
+from _naive import naive_h_transpose_q, naive_top_k_indices
+from conftest import mutate_one_byte, orbit_flip
 
 
 def test_byte_accounting_primary():
@@ -79,24 +79,45 @@ def test_transforms_use_the_cached_float_signs(matrix1252):
     assert np.max(np.abs(sh.inverse_transform(x, matrix1252) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_decode_caches_its_own_float32_copy(matrix12):
-    m = sh.PmMatrix.from_signs(matrix12.signs())
-    # Gate0 reads the int8 signs and never asks for a float copy
-    m.float32_signs = lambda: pytest.fail("Gate0 asked for the float32 signs")
+def test_decode_keeps_one_plan_on_the_matrix(matrix12, matrix1252):
+    # Gate0 builds no plan; the first decode builds one and keeps it on the
+    # matrix, and a later decode reads neither the signs nor the orbit rows
+    # again.  At order 1252 the plan is the orbit correlation, whose largest
+    # array is its 39 x 39 power matrix; at order 12 no shift is verified,
+    # and the plan is the panel product of the packet's rows.
+    for signs, path in ((matrix12.signs(), "panels"), (matrix1252.signs(), "orbit")):
+        m = sh.PmMatrix.from_signs(signs)
+        assert sh.gate0_verify(m).passed and m._decode_plan is None
+        packet = sh.SketchPacket(scale=1.0, k=1, n_tag=m.n, indices=(4,), qvalues=(12,))
+        first = sh.decode(packet, m)
+        plan = m._decode_plan
+        if path == "orbit":
+            assert isinstance(plan, sketch._OrbitCorrelation) and plan.w.shape == (39, 39)
+            assert plan.transform.shape == (39, 32, 36)
+        else:
+            assert plan.func is sketch._panel_product and plan.args[0] is m.signs()
+        assert np.array_equal(first, signs[4].astype(np.float64) * 12 / np.sqrt(m.n))
+        m.signs = lambda: pytest.fail("the signs were read again")
+        m.orbit_rows = lambda: pytest.fail("the orbit rows were read again")
+        assert np.array_equal(sh.decode(packet, m), first) and m._decode_plan is plan
+
+
+def test_gate0_and_two_decodes_verify_the_block_shift_once(monkeypatch, matrix1252):
+    # Gate0 and the decode read the orbit rows the matrix keeps, so the
+    # block shift is verified once, and the plan is built once
+    shifts, plans = [], []
+    keeps, plan = hadamard._keeps_block_shift, sketch._decode_plan
+    monkeypatch.setattr(hadamard, "_keeps_block_shift",
+                        lambda x, d: shifts.append(d) or keeps(x, d))
+    monkeypatch.setattr(sketch, "_decode_plan", lambda h: plans.append(h) or plan(h))
+    m = sh.PmMatrix.from_signs(matrix1252.signs())
     assert sh.gate0_verify(m).passed
-    del m.float32_signs  # the method again
-    assert m._float32_signs is None
-    packet = sh.SketchPacket(scale=1.0, k=1, n_tag=12, indices=(4,), qvalues=(12,))
-    first = sh.decode(packet, m)
-    # the first decode converts the signs once and keeps the copy
-    f = m._float32_signs
-    assert f is m.float32_signs()
-    assert f.dtype == np.float32 and not f.flags.writeable
-    assert np.array_equal(f, m.signs())
-    assert np.array_equal(first, f[4] * 12 / np.sqrt(12))
-    # a later decode does not convert the int8 signs again
-    m.signs = lambda: pytest.fail("the int8 signs were converted again")
-    assert np.array_equal(sh.decode(packet, m), first)
+    assert shifts == [16] and plans == []
+    x = np.random.default_rng(12).normal(size=1252)
+    for k in (32, 300):
+        packet = sh.encode(x, m, sh.SketchConfig(n=1252, k=k))
+        assert np.all(np.isfinite(sh.decode(packet, m)))
+    assert shifts == [16] and plans == [m]
 
 
 def test_topk_ties_take_smaller_index():
@@ -420,13 +441,21 @@ DECODE_SCALES = [float(np.float32(1.4e-45)), float(np.float32(1e-44)), 1.0,
 
 
 def test_decode_is_bit_identical_to_the_dense_inverse(small_matrices, matrix1252):
-    # the float32 integer product H^T q times the scale reproduces, bit for
-    # bit, the float64 inverse transform of the dense y = q * scale
-    matrices = [sh.PmMatrix.from_signs(signs) for _, signs, _ in small_matrices]
-    matrices.append(matrix1252)
-    assert [m.n for m in matrices] == [8, 12, 24, 56, 1252]
+    # the exact integer H^T q times the scale reproduces, bit for bit, the
+    # float64 inverse transform of the dense y = q * scale.  The orders 24,
+    # 56 and 1252 take the orbit correlation (8 and 12 have no verified
+    # shift); so does an orbit flip of each, which the shift keeps, while a
+    # flip of an orbit of the shift by 2d breaks the shift by d and takes
+    # the panel product
+    matrices, paths = [], []
+    for signs in [signs for _, signs, _ in small_matrices] + [matrix1252.signs()]:
+        matrices.append(signs)
+        d = hadamard._orbit_shift(len(signs), hadamard._orbit_rows(signs))
+        if d:
+            matrices += [orbit_flip(signs, d, 5), orbit_flip(signs, 2 * d, 5)]
     rng = np.random.default_rng(8)
-    for m in matrices:
+    for signs in matrices:
+        m = sh.PmMatrix.from_signs(signs)
         for k in (1, m.n // 2, m.n):
             idx = np.sort(rng.choice(m.n, size=k, replace=False))
             qs = {"zeros": np.zeros(k, dtype=np.int64), "+127": np.full(k, QMAX),
@@ -444,6 +473,32 @@ def test_decode_is_bit_identical_to_the_dense_inverse(small_matrices, matrix1252
                     want = sh.inverse_transform(y, m)
                     assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
                         (m.n, k, name, scale)
+        paths.append((m.n, "orbit" if isinstance(m._decode_plan, sketch._OrbitCorrelation)
+                      else "panels"))
+    assert paths == [(8, "panels"), (12, "panels")] + [
+        (n, path) for n in (24, 56, 1252) for path in ("orbit", "orbit", "panels")]
+
+
+def test_decode_at_order_4080_matches_the_int64_oracle(matrix1252):
+    # f = 1019 and P = 1 047 533: q's transform reaches f 127 (P - 1), and
+    # the pointwise sums would pass 2^53, so it is reduced mod P first (at
+    # order 1252 it is not).  The panel product is checked on the same packets.
+    _, _, pair, _ = sh.find_valid_generator(sh.FieldConfig(2039, 1), 2, (0,), (0,))
+    m = sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1)
+    n, signs = m.n, m.signs()
+    plan = sketch._decode_plan(m)
+    assert isinstance(plan, sketch._OrbitCorrelation) and (plan.p, plan.reduce) == (1047533, True)
+    assert not sketch._decode_plan(sh.PmMatrix(matrix1252.signs())).reduce
+    rng = np.random.default_rng(13)
+    for k in (1, 300, n):
+        idx = np.sort(rng.choice(n, size=k, replace=False))
+        for q in (np.full(k, QMAX), np.full(k, -QMAX), rng.integers(-QMAX, QMAX + 1, size=k)):
+            want = naive_h_transpose_q(signs, idx, q)
+            assert np.array_equal(plan(idx, q), want), k
+            assert np.array_equal(sketch._panel_product(signs, idx, q), want), k
+            packet = sh.SketchPacket(scale=0.5, k=k, n_tag=n, indices=idx, qvalues=q)
+            got = sh.decode(packet, m)
+            assert np.array_equal(got.view(np.int64), (want * 0.5 / np.sqrt(n)).view(np.int64))
 
 
 def test_decode_order_mismatch(matrix8, matrix12):
