@@ -122,7 +122,8 @@ def format_manifest(config: BuildConfig, digests: dict[str, str]) -> str:
 
 
 def parse_manifest(text: str) -> tuple[BuildConfig, dict[str, str]]:
-    """Inverse of :func:`format_manifest`; each digest names a plain file."""
+    """Inverse of :func:`format_manifest`; each digest names a plain file,
+    and no config field or file name appears twice."""
     fields: dict[str, str] = {}
     digests: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -133,13 +134,18 @@ def parse_manifest(text: str) -> tuple[BuildConfig, dict[str, str]]:
             key, sep, value = line[1:].partition("=")
             if not sep:
                 raise CliError(f"manifest line {lineno}: malformed config line {line!r}")
-            fields[key.strip()] = value.strip()
+            key = key.strip()
+            if key in fields:
+                raise CliError(f"manifest line {lineno}: config field {key!r} is repeated")
+            fields[key] = value.strip()
             continue
         digest, sep, name = line.partition("  ")
         if not sep or len(digest) != 64 or any(c not in "0123456789abcdef" for c in digest):
             raise CliError(f"manifest line {lineno}: malformed digest line {line!r}")
         if name in ("", ".", "..") or "/" in name or "\\" in name:
             raise CliError(f"manifest line {lineno}: {name!r} is not a plain file name")
+        if name in digests:
+            raise CliError(f"manifest line {lineno}: {name!r} has a second digest line")
         digests[name] = digest
     try:
         config = BuildConfig(

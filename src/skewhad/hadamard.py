@@ -4,14 +4,10 @@ Matrices live in :class:`PmMatrix`, one read-only int8 array of the +-1
 entries.  :func:`build_bordered_from_blocks` develops its four quadrants from
 the rows of one period straight into that array.  All verification is exact.
 Every Gram identity x x^T = s I + t J is decided by :func:`gram_deviation`
-on the integer matrix.  At the orbit rows of a verified block shift (below)
-its Gram rows are cyclic correlations, taken from those rows alone by an
-exact transform mod a prime; otherwise they come from float32 BLAS
-products of row panels, each converted into one reused buffer and
-multiplied into one reused block.  Both rest on the integer-bound argument
-of FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 2008): each partial sum
-is an integer that the float type holds exactly in whatever order BLAS
-adds.
+on the integer matrix, by BLAS products that rest on the integer-bound
+argument of FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 2008): each
+partial sum is an integer that the float type holds exactly in whatever
+order BLAS adds.
 
 Which rows are formed rests on a lemma.  If a permutation matrix P keeps
 the matrix, P H P^T = H, then P^T P = I and P fixes I and J, so
@@ -33,36 +29,44 @@ row is formed.  At order 1252, d = 16 (the verified permutation is the
 paper's multiplier x -> g^16 x, of order 39), so Gate0 and the rank
 certificates of H form 36 Gram rows, not 1252.  A :class:`PmMatrix` keeps
 its orbit rows (:meth:`PmMatrix.orbit_rows`), so Gate0 and the sketch
-decode, which correlates a vector with the 36 representative columns by
-the transform below, share one check of the shift.
+decode share one check of the shift.
 
-Those rows come from the m = 4 + 2d representative rows alone, by a
-discrete Fourier transform over GF(P) (Pollard, "The fast Fourier transform
-in a finite field", Math. Comp. 1971).  Let pi be the verified shift and
-f = (v - 1)/d its order.  A moving representative s has the orbit pi^a s,
-a in Z_f, and H[pi^a s, k] = H[s, pi^(-a) k], so
+Those rows come from the m = 4 + 2d representative rows alone, by one
+exact transform over Z_f that the sketch decode shares.  Let pi be the
+verified shift and f = (v - 1)/d its order; the indices that pi moves fall
+into 2d orbits of length f (:func:`_moving`).  A moving representative s
+has the orbit pi^a s, a in Z_f, and H[pi^a s, k] = H[s, pi^(-a) k], so
 
     (H H^T)[r, pi^a s] = sum over k of H[r, pi^a k] H[s, k]:
 
 a sum of 2d cyclic correlations of length f, one per moving column orbit,
-plus the four fixed columns 0, 1, 2 and v + 2, the same at every a.  P is
-the least prime = 1 (mod f) above 2 bound, bound = n max|x|^2 + |s| + |t|
-(every row is a pi-image of a representative, so max|x| is read off
-theirs), and z has order exactly f mod P.  Three float64 products do the
-work: the transform W = [z^(omega j)] of each row's 2d sequences, the f
-pointwise (m x 2d)(2d x m) products of omega with -omega, and the inverse
-(1/f) [z^(-a omega)].  Each is exact while K (P - 1)^2 + P <= 2^53, K its
-inner dimension, with its operands in [0, P) (the rows themselves are at
-most max|x| < P); a product's result is reduced into [0, P) before the
-next one needs it.  The fixed columns, t and h = (P - 1)/2 are added at
-omega = 0, times f, so the inverse gives deviation + h in [0, P), the
-exact integer since |deviation| <= bound < P/2.  Its entries over
-reps x reps x Z_f (s is subtracted at a = 0, and at every a where r = s is
-a fixed rep) are the entries of D in the representatives' rows, and as
+plus the four fixed columns 0, 1, 2 and v + 2, the same at every a.  They
+are taken by a discrete Fourier transform over GF(P) (Pollard, "The fast
+Fourier transform in a finite field", Math. Comp. 1971): for results of
+magnitude at most a bound, P is the least prime = 1 (mod f) above twice
+the bound, and z has order exactly f mod P (:func:`_orbit_field`).  The
+transform is W = [z^(omega j) mod P], formed ``_PANEL`` rows at a time
+(:func:`_power_panels`); its inverse is W at -omega, times 1/f.  A float64
+product of inner dimension K with operands at most P - 1 in magnitude is
+exact while K (P - 1)^2 + P <= 2^53, the rule by which P is chosen; a
+result is reduced into [0, P) before a product needs it, unless a smaller
+bound keeps that product exact, and read back as the integer of least
+magnitude.
+
+For the Gram, bound = n max|x|^2 + |s| + |t| (every row is a pi-image of a
+representative, so max|x| is read off theirs), and three products do the
+work: the transform of each row's 2d sequences, the f pointwise
+(m x 2d)(2d x m) products of omega with -omega, and the inverse.  The fixed
+columns, t and h = (P - 1)/2 are added at omega = 0, times f, so the inverse
+gives deviation + h in [0, P), the exact integer since
+|deviation| <= bound < P/2.  Its entries over reps x reps x Z_f (s is
+subtracted at a = 0, and at every a where r = s is a fixed rep) are the
+entries of D in the representatives' rows, and as
 D[s, pi^-a r] = D[r, pi^a s] the pairs r <= s hold them all.  At order
 1252, m = 36, f = 39 and P = 5227: the three products take 1.75 M + 1.6 M
-+ 1.0 M multiplies, where the panels take 36 n^2 = 56 M.  The panels stay
-for every-row input, and for a bound that no such P keeps exact.
++ 1.0 M multiplies, where products with all of H take 36 n^2 = 56 M.
+Every-row input, and a bound that no such P keeps exact, take float32 row
+panels instead (:func:`_panel_deviation`).
 
 The text interchange format is: first line the decimal order n, then n lines
 of n characters, '+' for +1 and '-' for -1, LF endings, nothing else.  The
@@ -92,7 +96,7 @@ _FLOAT32_EXACT = 1 << 24  # float32 holds every integer of absolute value up to 
 _EXACT = 1 << 53  # float64 holds every integer of absolute value up to 2^53
 _MID = 44  # '+' = 43 and '-' = 45 lie either side, so sign = 44 - byte
 _LF = ord("\n")
-_PANEL = 256  # rows per panel, of the Gram (_PANEL * n floats) or of the transform over Z_f
+_PANEL = 256  # rows per panel: of x in the Gram's float32 panels, and of W (_power_panels)
 
 
 class MatrixFormatError(ValueError):
@@ -307,22 +311,25 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _orbit_shift(n: int, rows: np.ndarray) -> int:
-    """d when ``rows`` are the orbit rows that :func:`_orbit_rows` gives for
-    a block shift by d of a matrix of order n, 0 < d < v - 1; else 0."""
+def _orbit_field(n: int, rows: np.ndarray, bound) -> tuple[int, int, int, int] | None:
+    """(d, f, P, z) when ``rows`` are the orbit rows that :func:`_orbit_rows`
+    gives for a block shift by d, 0 < d < v - 1, of order f, and
+    :func:`_transform_field` finds (P, z) for the bound ``bound()``, called
+    only then; else None."""
     v, d = n // 2 - 1, (rows.size - 4) // 2
-    if n % 2 or not 0 < d < v - 1 or (v - 1) % d:
-        return 0
-    return d if np.array_equal(rows, np.r_[0: 3 + d, v + 2: v + 3 + d]) else 0
+    if (n % 2 or not 0 < d < v - 1 or (v - 1) % d
+            or not np.array_equal(rows, np.r_[0: 3 + d, v + 2: v + 3 + d])):
+        return None
+    f = (v - 1) // d
+    field = _transform_field(f, bound(), max(f, 2 * d))
+    return None if field is None else (d, f, *field)
 
 
 def _transform_field(f: int, bound: int, k: int) -> tuple[int, int] | None:
     """(P, z): the least prime P = 1 (mod f) above 2 bound, and z of
     multiplicative order exactly f mod P, or None when that P breaks the
     rule k (P - 1)^2 + P <= 2^53 for products of inner dimension k."""
-    p = 2 * bound // f * f + 1
-    if p <= 2 * bound:
-        p += f
+    p = ((2 * bound - 1) // f + 1) * f + 1
     while k * (p - 1) ** 2 + p <= _EXACT:
         if is_prime(p):
             break
@@ -336,39 +343,71 @@ def _transform_field(f: int, bound: int, k: int) -> tuple[int, int] | None:
             return p, z
 
 
-def _powers(z: int, p: int, f: int, scale: int = 1) -> np.ndarray:
-    """scale z^e mod p for e in [0, f), as float64."""
-    out = [scale % p]
+def _moving(a: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two segments 3 .. v + 1 and v + 3 .. 2v + 1 of axis 0 of a that
+    the block shift pi by d moves, as (f, d, ...) views: [j, k] is pi^j of
+    the segment's k-th representative, 3 + k or v + 3 + k."""
+    v = a.shape[0] // 2 - 1
+    shape = ((v - 1) // d, d) + a.shape[1:]
+    return a[3: v + 2].reshape(shape), a[v + 3:].reshape(shape)
+
+
+def _powers(z: int, p: int, f: int) -> np.ndarray:
+    """z^e mod p for e in [0, f), as float64."""
+    out = [1]
     for _ in range(f - 1):
         out.append(out[-1] * z % p)
     return np.array(out, dtype=np.float64)
 
 
-def _transform(powers: np.ndarray, y: np.ndarray, out: np.ndarray, index: np.ndarray,
-               w: np.ndarray) -> np.ndarray:
-    """out = W y for W[a, j] = powers[a j mod f], f = len(y).  The rows of
-    W are formed ``len(w)`` = b at a time in ``w``, from the exponents in
-    ``index``: i j mod f for row i < b, moved on by b j mod f (unreduced)
-    after each panel and moved back at the end."""
-    f, b = y.shape[0], w.shape[0]
-    panels = -(-f // b)
-    table = np.tile(powers, panels)  # the exponents stay below f times the panels
-    step = b * np.arange(f) % f
+def _inverse_powers(powers: np.ndarray, p: int) -> np.ndarray:
+    """(1/f) z^(-e) mod p from the f powers z^e: W at -omega, times 1/f."""
+    f = powers.size
+    return powers[-np.arange(f) % f] * pow(f, -1, p) % p
+
+
+def _exponents(f: int, b: int) -> np.ndarray:
+    """i j mod f, i < min(b, f), j < f: the exponents of W's first panel."""
+    index = np.multiply.outer(np.arange(min(b, f)), np.arange(f))
+    index %= f
+    return index
+
+
+def _power_panels(powers: np.ndarray, index: np.ndarray, w: np.ndarray):
+    """Yield (lo, panel), the rows lo .. lo + b of W[a, j] = powers[a j mod f],
+    f = len(powers), b = len(index) (:func:`_exponents`), taken from one tiled
+    table into w: into their own rows when w has f rows, so that the decode
+    keeps W, else into the first b, which the Gram multiplies and the next
+    panel overwrites.  The index moves on by b j mod f per panel by an addition
+    and is moved back at the end, so one index serves each transform."""
+    f, b = powers.size, index.shape[0]
+    table = np.concatenate([powers] * -(-f // b))  # every exponent the index reaches
+    step = b * np.arange(f) % f if f > b else None
     for lo in range(0, f, b):
         k = min(b, f - lo)
-        np.matmul(np.take(table, index[:k], out=w[:k], mode="clip"), y, out=out[lo: lo + k])
-        index += step
-    index -= panels * step
+        at = lo if w.shape[0] == f else 0
+        yield lo, np.take(table, index[:k], out=w[at: at + k], mode="clip")
+        if lo + b < f:
+            index += step
+    if f > b:
+        index -= (f - 1) // b * step
+
+
+def _transform(powers: np.ndarray, y: np.ndarray, out: np.ndarray, index: np.ndarray,
+               w: np.ndarray) -> np.ndarray:
+    """out = W y, W[a, j] = powers[a j mod f], a :func:`_power_panels` panel at a time."""
+    for lo, panel in _power_panels(powers, index, w):
+        np.matmul(panel, y, out=out[lo: lo + panel.shape[0]])
     return out
 
 
-def _orbit_deviation(reps: np.ndarray, big: int, s: int, t: int, d: int, p: int, z: int) -> int:
+def _orbit_deviation(reps: np.ndarray, s: int, t: int, d: int, f: int, p: int, z: int) -> int:
     """max |x x^T - s I - t J| from ``reps``, the orbit rows of a block
-    shift by d that keeps x, with max|x| = ``big``, by a transform over
-    Z_f mod p (see :func:`gram_deviation`)."""
+    shift by d that keeps x, by the transform over Z_f mod p of the module
+    docstring, p above twice the Gram's bound."""
     m, n = reps.shape
     v = n // 2 - 1
-    f, c, pairs = (v - 1) // d, 2 * d, m * (m + 1) // 2
+    c, pairs = 2 * d, m * (m + 1) // 2
     b = min(_PANEL, f)
     # every float64 array is carved from one buffer: a single allocation
     # that the allocator hands back call after call, where several fresh
@@ -376,14 +415,12 @@ def _orbit_deviation(reps: np.ndarray, big: int, s: int, t: int, d: int, p: int,
     sizes = (f * c * m, f * c * m, f * m * m, f * pairs, f * pairs, b * f)
     work = np.empty(sum(sizes))
     y, a, chat, tri, dev, w = (work[end - k: end] for k, end in zip(sizes, accumulate(sizes)))
-    index = np.multiply.outer(np.arange(b), np.arange(f))
-    index %= f
-    # y[j, block, k, r] = x[r, the column of offset k + d j in the block]
+    index, powers, w = _exponents(f, b), _powers(z, p, f), w.reshape(b, f)
+    # y[j, block, k, r] = x[r, pi^j of the block's k-th representative column]
     y = y.reshape(f, 2, d, m)
-    y[:, 0] = reps[:, 3: v + 2].reshape(m, f, d).transpose(1, 2, 0)
-    y[:, 1] = reps[:, v + 3:].reshape(m, f, d).transpose(1, 2, 0)
-    w = w.reshape(b, f)
-    _transform(_powers(z, p, f), y.reshape(f, c * m), a.reshape(f, c * m), index, w)
+    y[:, 0], y[:, 1] = _moving(reps.T, d)
+    _transform(powers, y.reshape(f, c * m), a.reshape(f, c * m), index, w)
+    big = math.isqrt((p - 1) // (2 * n))  # p > 2 n max|x|^2, so max|x| <= big
     if c * (f * big * (p - 1)) ** 2 + p > _EXACT:
         _reduce(a, p)  # else each pointwise product is exact as it is
     a = a.reshape(f, c, m)  # a[omega] is the transform of the rows at omega, transposed
@@ -404,8 +441,7 @@ def _orbit_deviation(reps: np.ndarray, big: int, s: int, t: int, d: int, p: int,
     at = [0, 1, 2, 3 + d]
     const[at, at] -= s
     tri[0] = (tri[0] + f * const.reshape(-1)[upper]) % p
-    inverse = _powers(pow(z, -1, p), p, f, pow(f, -1, p))  # (1/f) z^(-e)
-    dev = _reduce(_transform(inverse, tri, dev.reshape(f, pairs), index, w), p)
+    dev = _reduce(_transform(_inverse_powers(powers, p), tri, dev.reshape(f, pairs), index, w), p)
     # dev + h, now in [0, p); a moving rep meets its own row at a = 0 only
     moving = np.delete(r * m - r * (r - 1) // 2, at)  # (r, r) among the pairs
     dev[0, moving] = (dev[0, moving] - s) % p
@@ -424,22 +460,23 @@ def gram_deviation(x: np.ndarray, s: int, t: int, rows: np.ndarray | list | None
     ``rows``, from :func:`_orbit_rows` of x, holds one row per orbit of a
     permutation that keeps x, so its Gram rows hold every value of the
     deviation (see the module docstring).  When they are the orbit rows of a
-    block shift, as :func:`_orbit_rows` gives them once the shift is
-    verified to keep x, the deviation comes from those rows alone, by the
-    transform over Z_f mod P of the module docstring, whenever some P keeps
-    its products exact; otherwise from :func:`_panel_deviation`.
+    verified block shift and some P keeps the transform over Z_f exact, the
+    deviation comes from those rows alone; otherwise from
+    :func:`_panel_deviation`.
     """
     n = x.shape[0]
     rows = np.arange(n) if rows is None else np.asarray(rows)
-    d = _orbit_shift(n, rows)
-    if d:
+    reps = None
+
+    def bound() -> int:  # read off the rows once they are known to be orbit rows
+        nonlocal reps
         reps = x[rows]
-        big = max(int(reps.max()), -int(reps.min()))
-        f = (n // 2 - 2) // d
-        field = _transform_field(f, n * big * big + abs(s) + abs(t), max(f, 2 * d))
-        if field is not None:
-            return _orbit_deviation(reps, big, s, t, d, *field)
-    return _panel_deviation(x, s, t, rows)
+        return n * max(int(reps.max()), -int(reps.min())) ** 2 + abs(s) + abs(t)
+
+    field = _orbit_field(n, rows, bound)
+    if field is None:
+        return _panel_deviation(x, s, t, rows)
+    return _orbit_deviation(reps, s, t, *field)
 
 
 def _panel_deviation(x: np.ndarray, s: int, t: int, rows: np.ndarray) -> int:
@@ -492,21 +529,16 @@ def gate0_verify(m: PmMatrix) -> Gate0Report:
     return Gate0Report(n=n, gram_ok=max_off == 0, skew_ok=skew_ok, max_offdiag_gram=max_off)
 
 
-def normalize_core_tournament(m: PmMatrix, report: Gate0Report | None = None) -> np.ndarray:
+def normalize_core_tournament(m: PmMatrix) -> np.ndarray:
     """The 0/1 tournament core of a skew Hadamard matrix.
 
     Normalizing to an all-+1 first row gives Hn = D H D for D = diag of the
     first row; S is Hn with the first row and column deleted, and the core
     M01 = (J - S) / 2 is the 0/1 tournament adjacency matrix of size n - 1
-    with zero diagonal, whose rank over GF(p) is ``report.core_rank(p)``.
-
-    ``report`` is the Gate0Report of m when the caller has run Gate0 on it
-    already; otherwise Gate0 runs here.  Raises ValueError when the input
-    fails Gate0.
+    with zero diagonal, whose rank over GF(p) is :meth:`Gate0Report.core_rank`
+    of m's report.  Raises ValueError when m fails Gate0, which runs here.
     """
-    if report is None:
-        report = gate0_verify(m)
-    if report.n != m.n or not report.passed:
+    if not gate0_verify(m).passed:
         raise ValueError("matrix fails the defining identities; cannot normalize")
     # an entry of the core is 1 where d_i h_ij d_j = -1, an odd count of
     # negative factors: both sign vectors are XORed into one bool array in place

@@ -25,28 +25,24 @@ pi^a c of a representative c, a in Z_f, f = (v - 1)/d,
 
 summed over the 2d moving representative rows r: a cyclic correlation of
 length f for each, plus the 4 fixed rows, which add the same amount at
-every a.  As in :mod:`skewhad.hadamard`, it is taken by a transform over
-GF(P) (Pollard, Math. Comp. 1971), P the least prime = 1 (mod f) above
-2 * 127 n, with z of order f: the transform W = [z^(a j)] of q's 2d orbit
-sequences; f pointwise (1 x 2d)(2d x m) products with the plan's transform
-of H's moving rows at the m = 4 + 2d representative columns, taken at
--omega, times 1/f and centred to |.| <= h = (P - 1)/2; and the inverse, W
-again, applied to those products at -omega.  The fixed rows and h enter at
-omega = 0.  Every float64 product is exact: the first and the last while
-f (P - 1)^2 + P <= 2^53, the pointwise one while
-2d f 127 (P - 1) h + 2P <= 2^53, and when that fails, q's transform is
-first reduced mod P.  The inverse, reduced into [0, P), is H^T q + h, the
-exact integer, since |H^T q| <= 127 n < P/2.  At order 1252 (d = 16,
+every a.  It is taken by the transform over Z_f of :mod:`skewhad.hadamard`
+(field, power matrix W, inverse, exactness rule) for the bound 127 n.  The
+plan keeps W and the inverse transform of H's moving rows at the
+m = 4 + 2d representative columns, centred to |.| <= h = (P - 1)/2.  A
+decode multiplies that at each omega, (1 x 2d)(2d x m), by the transform
+of q's 2d orbit sequences, adds the fixed rows and h at omega = 0, and
+applies W at -omega: reduced into [0, P), that is H^T q + h.  The
+pointwise sums are exact while 2d f 127 (P - 1) h + 2P <= 2^53; when that
+fails, q's transform is first reduced mod P.  At order 1252 (d = 16,
 f = 39, m = 36, P = 318 319) the plan is a 39 x 39 W and a 39 x 32 x 36
 transform, and a decode takes about 0.15 M multiplies, where H^T q over all
 of H takes n^2 = 1.6 M.  W is f^2 floats, at most n^2/2 bytes when d >= 2,
 as for every matrix above order 8 that passes Gate0 (with d = 1, row 2 is
 constant on each moving segment and cannot be orthogonal to both rows 0
-and 1).  A matrix with no verified shift, or with no such P (as at
-q = 8191), decodes the packet's k rows instead, ``_PANEL`` at a time
-converted into one reused float32 buffer: every partial sum is an integer
-of magnitude at most 127 k < 2^24, exact in float32 whatever order BLAS
-adds in.
+and 1).  A matrix with no verified shift, or with no such P (q = 8191),
+decodes the packet's k rows instead, ``_PANEL`` at a time converted into
+one reused float32 buffer: every partial sum is an integer of magnitude at
+most 127 k < 2^24, exact in float32 whatever order BLAS adds in.
 
 Each packet is checked once, when it is made: the constructor runs the
 record check on whatever it is given and keeps read-only int64 copies, so a
@@ -69,8 +65,8 @@ from functools import partial
 
 import numpy as np
 
-from .hadamard import (_EXACT, _PANEL, PmMatrix, _orbit_shift, _powers, _reduce,
-                       _transform_field)
+from .hadamard import (_EXACT, _PANEL, PmMatrix, _exponents, _moving, _orbit_field, _powers,
+                       _reduce, _transform)
 
 _HEADER = struct.Struct("<fHH")
 _RECORD_DTYPE = np.dtype([("index", "<u2"), ("qvalue", "i1")])
@@ -261,12 +257,10 @@ def encode(x: np.ndarray, h: PmMatrix, cfg: SketchConfig) -> SketchPacket:
 def decode(packet: SketchPacket, h: PmMatrix) -> np.ndarray:
     """Reconstruct x = H^T y / sqrt(n) from a sketch packet, y = q * scale.
 
-    Exact up to the final division: H^T q is an integer vector with entries
-    of magnitude at most n * 127 < 2^24, formed exactly by the decode plan
-    kept on the matrix (see the module docstring), and the float32 scale
-    (24 bits) times such an integer is exact in float64.  The result is
-    bit-identical to :func:`inverse_transform` of the dense y.
-    Raises ValueError when the packet's order tag is not the matrix order.
+    Exact up to the final division (see the module docstring), by the plan
+    kept on the matrix, and so bit-identical to :func:`inverse_transform` of
+    the dense y.  Raises ValueError when the packet's order tag is not the
+    matrix order.
     """
     if packet.n_tag != h.n:
         raise ValueError(f"packet order tag {packet.n_tag} does not match matrix order {h.n}")
@@ -278,17 +272,12 @@ def decode(packet: SketchPacket, h: PmMatrix) -> np.ndarray:
 
 def _decode_plan(h: PmMatrix):
     """The function (indices, qvalues) -> H^T q, float64 integers, that
-    :func:`decode` keeps on h: an :class:`_OrbitCorrelation` when a block
-    shift is verified to keep h and some P keeps its products exact, else
-    :func:`_panel_product` of h's signs."""
-    n = h.n
-    d = _orbit_shift(n, h.orbit_rows())
-    if d:
-        f = (n // 2 - 2) // d
-        field = _transform_field(f, QMAX * n, max(f, 2 * d))
-        if field is not None:
-            return _OrbitCorrelation(h.signs(), d, *field)
-    return partial(_panel_product, h.signs())
+    :func:`decode` keeps on h: an :class:`_OrbitCorrelation` when the orbit
+    transform is exact for h, else :func:`_panel_product` of h's signs."""
+    field = _orbit_field(h.n, h.orbit_rows(), lambda: QMAX * h.n)
+    if field is None:
+        return partial(_panel_product, h.signs())
+    return _OrbitCorrelation(h.signs(), *field)
 
 
 def _panel_product(x: np.ndarray, indices: np.ndarray, qvalues: np.ndarray) -> np.ndarray:
@@ -307,60 +296,37 @@ def _panel_product(x: np.ndarray, indices: np.ndarray, qvalues: np.ndarray) -> n
 
 
 class _OrbitCorrelation:
-    """H^T q at the orbit columns of the block shift by d that keeps the
-    bordered matrix x, by the transform over Z_f mod p, with z of order f
-    mod p (see the module docstring)."""
+    """H^T q at the orbit columns of the block shift by d, of order f, that
+    keeps x, by the transform over Z_f mod p (see the module docstring)."""
 
-    def __init__(self, x: np.ndarray, d: int, p: int, z: int):
-        n = x.shape[0]
-        v = n // 2 - 1
-        f = (v - 1) // d
-        self.n, self.p = n, p
-        # order[a, r] = pi^a of the r-th moving representative: 3 + k or
-        # v + 3 + k for k < d, moved on by d a
-        order = np.empty((f, 2, d), dtype=np.intp)
-        order[:, 0] = np.add.outer(3 + d * np.arange(f), np.arange(d))
-        order[:, 1] = order[:, 0] + v
-        self.order = order.reshape(f, 2 * d)
-        self.fixed = np.array([0, 1, 2, v + 2])
-        cols = np.concatenate([self.order[0], self.fixed])  # the moving representatives first
-        # W[a, j] = z^(a j), from the exponents of _PANEL rows at a time
-        powers = _powers(z, p, f)
-        self.w = np.empty((f, f))
-        panel = np.empty((min(_PANEL, f), f), dtype=np.intp)
-        for lo in range(0, f, _PANEL):
-            exponents = panel[: min(_PANEL, f - lo)]
-            np.multiply.outer(np.arange(lo, lo + len(exponents)), np.arange(f), out=exponents)
-            exponents %= f
-            np.take(powers, exponents, out=self.w[lo: lo + len(exponents)], mode="clip")
+    def __init__(self, x: np.ndarray, d: int, f: int, p: int, z: int):
+        self.n, self.d, self.p = x.shape[0], d, p
+        every = np.arange(self.n)
+        self.fixed = np.array([0, 1, 2, self.n // 2 + 1])
+        cols = np.concatenate([moved[0] for moved in _moving(every, d)] + [self.fixed])
         self.back = -np.arange(f) % f  # omega -> -omega
-        # the transform at -omega of x[pi^e r, c] over e, times 1/f, is the
-        # sum over e of W[omega, e] x[pi^-e r, c] / f; with 1/f taken
-        # centred each term is at most (p - 1) h, h = (p - 1)/2, and the sum
-        # is centred to |.| <= h by adding h before the reduction and
-        # subtracting it after
-        h = p // 2
-        inverse = pow(f, -1, p)
+        # the inverse transform of x[pi^e r, c] over e is W at -omega times
+        # 1/f: with 1/f taken centred each term is at most (p - 1) h, and the
+        # sum is centred to |.| <= h, h = (p - 1)/2.  The product keeps W.
+        h, inverse = p // 2, pow(f, -1, p)
         inverse -= p if inverse > h else 0
         moving = np.empty((f, 2, d, cols.size))
-        moving[:, 0] = x[3: v + 2, cols].reshape(f, d, -1)
-        moving[:, 1] = x[v + 3:, cols].reshape(f, d, -1)
-        t = self.w @ (moving.reshape(f, -1)[self.back] * inverse)
+        moving[:, 0], moving[:, 1] = (rows[..., cols] for rows in _moving(x, d))
+        self.w = np.empty((f, f))
+        t = _transform(_powers(z, p, f), moving.reshape(f, -1)[self.back] * inverse,
+                       np.empty((f, moving[0].size)), _exponents(f, _PANEL), self.w)
         t += h
-        t = _reduce(t, p)
-        t -= h
-        self.transform = t.reshape(f, 2 * d, cols.size)
+        self.transform = (_reduce(t, p) - h).reshape(f, 2 * d, cols.size)
         self.fixed_rows = x[self.fixed.reshape(-1, 1), cols].astype(np.float64)
-        # q's transform is at most f 127 (p - 1); it is reduced first unless
-        # the pointwise sums, with the fixed rows and h added (together below
-        # p), stay within 2^53 - p
         self.reduce = 2 * d * (f * QMAX * (p - 1)) * h + 2 * p > _EXACT
 
     def __call__(self, indices: np.ndarray, qvalues: np.ndarray) -> np.ndarray:
-        p, h, c = self.p, self.p // 2, self.order.shape[1]
+        p, h, d, f = self.p, self.p // 2, self.d, self.back.size
         q = np.zeros(self.n)
         q[indices] = qvalues
-        qhat = self.w @ q[self.order]
+        sequences = np.empty((f, 2, d))
+        sequences[:, 0], sequences[:, 1] = _moving(q, d)
+        qhat = self.w @ sequences.reshape(f, 2 * d)
         if self.reduce:
             _reduce(qhat, p)
         zhat = np.matmul(qhat[:, None], self.transform)[:, 0]
@@ -368,8 +334,9 @@ class _OrbitCorrelation:
         z = _reduce(self.w @ _reduce(zhat, p)[self.back], p)
         z -= h  # z[a, j] = H^T q at pi^a of representative column j
         out = np.empty(self.n)
-        out[self.order] = z[:, :c]
-        out[self.fixed] = z[0, c:]
+        first, second = _moving(out, d)
+        first[...], second[...] = z[:, :d], z[:, d: 2 * d]
+        out[self.fixed] = z[0, 2 * d:]
         return out
 
 

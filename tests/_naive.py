@@ -504,3 +504,11 @@ def naive_h_transpose_q(signs, indices, qvalues):
     for i, q in zip(np.asarray(indices).tolist(), np.asarray(qvalues).tolist()):
         z += q * signs[i].astype(np.int64)
     return z
+
+
+def naive_power_matrix(f, p, z):
+    """W[a, j] = z^(a j) mod p for a, j < f, each entry by its own modular
+    power, as float64."""
+    import numpy as np
+
+    return np.array([[pow(z, a * j, p) for j in range(f)] for a in range(f)], dtype=np.float64)

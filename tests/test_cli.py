@@ -616,6 +616,29 @@ def test_manifest_refuses_names_outside_its_directory(desk_build, capsys, name):
     assert len(err) == 1 and err[0].startswith("error:") and "not a plain file name" in err[0]
 
 
+@pytest.mark.parametrize("command", ["manifest", "verify shdf", "aut"])
+@pytest.mark.parametrize("repeat", ["config", "digest"])
+def test_a_repeated_manifest_line_exits_1(desk_build, capsys, command, repeat):
+    # a second "# p = ..." line, or a second digest line for the matrix, is
+    # refused on its own line, whatever the value it repeats
+    manifest = desk_build / "manifest.txt"
+    lines = manifest.read_text().splitlines(keepends=True)
+    if repeat == "config":
+        at = next(i for i, line in enumerate(lines) if line.startswith("# p ="))
+        lines.insert(at + 1, "# p = 7\n")
+        want = "error: manifest line %d: config field 'p' is repeated" % (at + 2)
+    else:
+        at = next(i for i, line in enumerate(lines) if line.endswith("  matrix_8.txt\n"))
+        lines.append(lines[at])
+        want = "error: manifest line %d: 'matrix_8.txt' has a second digest line" % len(lines)
+    manifest.write_text("".join(lines))
+    argv = {"manifest": ["manifest", str(desk_build)],
+            "verify shdf": ["verify", "shdf", str(manifest)],
+            "aut": ["aut", str(manifest)]}[command]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", want + "\n")
+
+
 @pytest.mark.parametrize("case", ["build-out-is-a-file", "encode-out-in-missing-dir",
                                   "decode-out-in-missing-dir"])
 def test_output_path_errors_exit_1(desk_build, tmp_path, capsys, case):

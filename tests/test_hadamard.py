@@ -15,7 +15,8 @@ from skewhad import autgroup, hadamard, ranks
 from skewhad.hadamard import MatrixFormatError, gram_deviation
 
 from _naive import (naive_bordered, naive_developed, naive_gram, naive_gram_deviation,
-                    naive_parse_matrix_text, naive_reversed_type2, naive_to_matrix_text)
+                    naive_parse_matrix_text, naive_power_matrix, naive_reversed_type2,
+                    naive_to_matrix_text)
 from conftest import (SMALL_CONFIGS, SMALL_FIELDS, desk_group, field_group, mutate_one_byte,
                       orbit_flip, random_signs, subset_of_encodings, traced_peak)
 
@@ -524,7 +525,7 @@ def test_orbit_gram_by_the_transform_matches_the_dense_oracle(
     shifted = []
     for signs in [signs for _, signs, _ in small_matrices] + [matrix1252.signs()]:
         n, rows = len(signs), hadamard._orbit_rows(signs)
-        d = hadamard._orbit_shift(n, rows)
+        d, *_ = hadamard._orbit_field(n, rows, lambda: n) or (0,)
         if not d:
             assert np.array_equal(rows, np.arange(n))
             continue
@@ -553,6 +554,32 @@ def test_transform_field_is_the_least_prime_with_an_element_of_order_f(f):
         assert k * (p - 1) ** 2 + p <= 2 ** 53
     # every prime above 2^27 breaks the rule at k >= 1
     assert hadamard._transform_field(f, 2 ** 26, k) is None
+
+
+@pytest.mark.parametrize("f", [1, 2, 3, 5, 13, 39, 1019])
+def test_power_panels_stack_to_w_and_the_inverse_undoes_the_transform(f):
+    # panel heights b above f, equal to it (f = b = 1) and not dividing it;
+    # a b-row buffer takes each panel in turn, an f-row one keeps all of W
+    p, z = hadamard._transform_field(f, 1000, f)
+    powers, want = hadamard._powers(z, p, f), naive_power_matrix(f, p, z)
+    inverse = hadamard._inverse_powers(powers, p)
+    assert inverse.tolist() == [pow(f, -1, p) * pow(z, -e, p) % p for e in range(f)]
+    y = np.random.default_rng(f).integers(0, p, size=(f, 3)).astype(np.float64)
+    for b in (1, 8, hadamard._PANEL):
+        index = hadamard._exponents(f, b)
+        first = index.copy()
+        w = np.empty((min(b, f), f))
+        panels = [(lo, panel.copy()) for lo, panel in hadamard._power_panels(powers, index, w)]
+        assert [lo for lo, _ in panels] == list(range(0, f, min(b, f))), b
+        assert np.array_equal(np.vstack([panel for _, panel in panels]), want), b
+        assert np.array_equal(index, first), b  # moved back for the next transform
+        kept = np.empty((f, f))
+        assert len(list(hadamard._power_panels(powers, index, kept))) == len(panels)
+        assert np.array_equal(kept, want), b
+        forward = hadamard._reduce(hadamard._transform(powers, y, np.empty_like(y), index, w), p)
+        assert np.array_equal(forward, want @ y % p), b
+        back = hadamard._transform(inverse, forward, np.empty_like(y), index, w)
+        assert np.array_equal(hadamard._reduce(back, p), y), b
 
 
 def test_orbit_rows_at_1252_convert_no_column_panel(monkeypatch, matrix1252):
@@ -689,16 +716,15 @@ def test_normalize_rejects_non_hadamard():
         sh.normalize_core_tournament(sh.PmMatrix.from_signs(np.ones((3, 3), dtype=np.int8)))
 
 
-def test_normalize_takes_a_passed_report_of_the_same_order(matrix8, matrix12, monkeypatch):
-    report = sh.gate0_verify(matrix8)
-    want = sh.normalize_core_tournament(matrix8)
-    monkeypatch.setattr(sh.hadamard, "gate0_verify", lambda m: pytest.fail("Gate0 ran again"))
-    assert np.array_equal(sh.normalize_core_tournament(matrix8, report), want)
-    failed = sh.Gate0Report(n=8, gram_ok=False, skew_ok=True, max_offdiag_gram=4)
-    with pytest.raises(ValueError):
-        sh.normalize_core_tournament(matrix8, failed)
-    with pytest.raises(ValueError):  # a passed report of another order
-        sh.normalize_core_tournament(matrix12, report)
+def test_normalize_runs_its_own_gate0_and_rejects_a_failed_matrix(matrix8, monkeypatch):
+    calls, inner = [], sh.hadamard.gate0_verify
+    monkeypatch.setattr(sh.hadamard, "gate0_verify", lambda m: calls.append(m) or inner(m))
+    assert sh.normalize_core_tournament(matrix8).shape == (7, 7) and calls == [matrix8]
+    gram = matrix8.signs().copy()
+    gram[0, 3] *= -1  # H H^T = nI fails
+    for failed in (gram, -matrix8.signs()):  # -H keeps H H^T = nI, and H + H^T = -2I
+        with pytest.raises(ValueError, match="fails the defining identities"):
+            sh.normalize_core_tournament(sh.PmMatrix(failed))
 
 
 def test_matrix_text_golden():

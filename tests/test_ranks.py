@@ -241,7 +241,7 @@ def test_core_rank_needs_a_passed_report(matrix8):
     for n in (1, 2):  # the skew-Hadamard orders below 4: a core of order 0, and [[0]]
         h = sh.PmMatrix.from_signs(np.array([[1]]) if n == 1 else np.array([[1, 1], [-1, 1]]))
         report = sh.gate0_verify(h)
-        core = sh.normalize_core_tournament(h, report)
+        core = sh.normalize_core_tournament(h)
         for p in CERT_PRIMES:
             assert report.passed and report.core_rank(p) == 0 == sh.rank_gfp(core, p).rank
 
@@ -264,7 +264,7 @@ def test_ranks_read_from_the_gate0_identity_match_the_oracles(small_matrices, p)
 
 def test_core_rank_at_1252_matches_elimination(matrix1252):
     report = sh.gate0_verify(matrix1252)
-    core = sh.normalize_core_tournament(matrix1252, report)
+    core = sh.normalize_core_tournament(matrix1252)
     got = {p: report.core_rank(p) for p in _core_primes(1252)}
     want = {p: ranks._eliminate_gf2(core) if p == 2 else ranks._eliminate(core, p)
             for p in got}
@@ -468,13 +468,17 @@ def test_residues_match_python_mod_in_every_integer_dtype(dtype):
             assert got.dtype == out and got.ravel().tolist() == [int(v) % p for v in values]
 
 
-def test_elimination_of_the_1251_core_allocates_at_most_12_n_squared_bytes(matrix1252):
+def test_elimination_of_the_1251_core_allocates_at_most_12_n_squared_bytes(
+        matrix1252, monkeypatch):
     # the core is one bool array with both sign vectors XORed in place; its
     # GF(5) rank eliminates (5 divides det) in one float64 array of residues
     # (8 n^2 bytes), updated and reduced in blocks of rows, with no int64
-    # copy beside it and no n x n product
+    # copy beside it and no n x n product.  normalize's own Gate0, whose
+    # transient Gram buffers are bounded by the Gate0 tests, is handed the
+    # report it would give, so the peak is the core's alone
     report = sh.gate0_verify(matrix1252)
-    core, peak = traced_peak(lambda: sh.normalize_core_tournament(matrix1252, report))
+    monkeypatch.setattr(sh.hadamard, "gate0_verify", lambda m: report)
+    core, peak = traced_peak(lambda: sh.normalize_core_tournament(matrix1252))
     n = core.shape[0]
     assert n == 1251 and peak <= 1.1 * n ** 2
     rank, peak = traced_peak(lambda: sh.rank_gfp(core, 5).rank)

@@ -450,7 +450,8 @@ def test_decode_is_bit_identical_to_the_dense_inverse(small_matrices, matrix1252
     matrices, paths = [], []
     for signs in [signs for _, signs, _ in small_matrices] + [matrix1252.signs()]:
         matrices.append(signs)
-        d = hadamard._orbit_shift(len(signs), hadamard._orbit_rows(signs))
+        n = len(signs)
+        d, *_ = hadamard._orbit_field(n, hadamard._orbit_rows(signs), lambda: n) or (0,)
         if d:
             matrices += [orbit_flip(signs, d, 5), orbit_flip(signs, 2 * d, 5)]
     rng = np.random.default_rng(8)
@@ -489,6 +490,13 @@ def test_decode_at_order_4080_matches_the_int64_oracle(matrix1252):
     plan = sketch._decode_plan(m)
     assert isinstance(plan, sketch._OrbitCorrelation) and (plan.p, plan.reduce) == (1047533, True)
     assert not sketch._decode_plan(sh.PmMatrix(matrix1252.signs())).reduce
+    # the plan keeps the W whose panels the Gram multiplies and drops
+    d, f, p, z = hadamard._orbit_field(n, m.orbit_rows(), lambda: QMAX * n)
+    assert (d, f, p) == (2, 1019, 1047533) and plan.w.shape == (f, f)
+    b = hadamard._PANEL
+    gram = hadamard._power_panels(hadamard._powers(z, p, f), hadamard._exponents(f, b),
+                                  np.empty((b, f)))
+    assert np.array_equal(plan.w, np.vstack([panel.copy() for _, panel in gram]))
     rng = np.random.default_rng(13)
     for k in (1, 300, n):
         idx = np.sort(rng.choice(n, size=k, replace=False))
