@@ -225,12 +225,12 @@ def cmd_build(args) -> int:
                          i0=i0, i1=i1)
     tables, _, pair, cert = certified_search(config)
     h = hadamard.build_bordered_from_blocks(pair.group, pair.d0, pair.d1)
-    report = hadamard.gate0_verify(h)
-
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     matrix_name = f"matrix_{h.n}.txt"
+    # written before Gate0, whose freed buffers the allocator keeps mapped
     (out / matrix_name).write_bytes(hadamard.to_matrix_text(h))
+    report = hadamard.gate0_verify(h)
     (out / "shdf_certificate.txt").write_bytes(cert.to_log().encode("ascii"))
     (out / "gate0_report.txt").write_bytes(report.to_log().encode("ascii"))
     config = replace(config, modulus=tables.modulus, generator=tables.generator)

@@ -660,12 +660,12 @@ def test_audit_forms_no_difference_or_sum_table(desk_field, instance625, matrix1
         naive_exhaustive_audit(broken, partition)
 
 
-def test_exhaustive_audit_at_order_4080_allocates_below_three_n_squared_bytes():
+def test_exhaustive_audit_at_order_4080_allocates_below_three_n_squared_bytes(instance4080):
     # No audit path forms a q x q or f x q array: beside the n x n int8
     # matrix, the certified exhaustive audit holds O(q) state and the dense
     # check of x -> x + 1.
-    _, partition, pair, _ = sh.find_valid_generator(sh.FieldConfig(2039, 1), 2, [0], [0])
-    h = sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1)
+    partition, signs = instance4080
+    h = sh.PmMatrix(signs)
     report, peak = traced_peak(lambda: sh.subgroup_audit(h, partition, exhaustive=True))
     assert report.passed and report.exhaustive_ok == 1019 * 2039
     assert peak <= 3 * h.n ** 2

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -204,57 +208,104 @@ def test_rank_tournament_on_a_flipped_1252_matrix_exits_2(tmp_path, capsys, monk
     assert calls == TOURNAMENT_CALLS
 
 
-def test_build_at_order_4080_allocates_below_six_n_squared_bytes(tmp_path, capsys, monkeypatch):
-    # Gate0 forms no n x n float copy; aut drops the matrix text (n^2 bytes)
-    # once it is parsed, so the exhaustive audit runs beside the n x n int8
-    # matrix alone; manifest hashes each file in 1 MiB chunks, so it never
-    # holds the matrix text whole.
-    argv = ["build", "--p", "2039", "--e", "1", "--N", "2", "--i0", "0", "--i1", "0",
-            "--out", str(tmp_path)]
-    code, peak = traced_peak(lambda: main(argv))
-    assert code == 0 and "GATE0 PASS n=4080" in capsys.readouterr().out
-    assert peak <= 6 * 4080 ** 2
-    code, peak = traced_peak(lambda: main(["aut", str(tmp_path / "manifest.txt"),
-                                           "--exhaustive"]))
-    assert code == 0 and capsys.readouterr().out.endswith("PASS order 2077741 = 1019*2039\n")
-    assert peak <= 3.5 * 4080 ** 2
-    code, peak = traced_peak(lambda: main(["manifest", str(tmp_path)]))
-    assert code == 0 and "OK matrix_4080.txt\n" in capsys.readouterr().out
-    assert peak <= 0.25 * 4080 ** 2
-    # encode holds the int8 matrix and the transform's float64 copy (8 n^2);
-    # decode peaks while it parses, holding the matrix text and the int8
-    # matrix (2 n^2), and then keeps beside the int8 matrix only its plan,
-    # whose power matrix over Z_1019 is half n^2 bytes: no float copy
-    vector, packet = tmp_path / "x.txt", tmp_path / "packet.bin"
-    x = np.random.default_rng(5).normal(size=4080)
-    vector.write_text("".join(f"{float(v)!r}\n" for v in x))
-    matrix = str(tmp_path / "matrix_4080.txt")
-    code, peak = traced_peak(lambda: main(["sketch", "encode", matrix, str(vector),
-                                           "--out", str(packet)]))
-    assert code == 0 and capsys.readouterr().out.startswith(f"wrote {packet}: 908 bytes")
-    assert peak <= 10 * 4080 ** 2
-    code, peak = traced_peak(lambda: main(["sketch", "decode", matrix, str(packet),
-                                           "--out", str(tmp_path / "y.txt")]))
-    assert code == 0 and capsys.readouterr().out.endswith(": 4080 values\n")
-    assert peak <= 2.25 * 4080 ** 2
-    # verify gate0 and a certified rank hold the matrix text and the int8
-    # matrix (2 n^2) and Gram panels of a quarter n^2 bytes
-    code, peak = traced_peak(lambda: main(["verify", "gate0", matrix]))
-    assert code == 0 and capsys.readouterr().out == "GATE0 PASS n=4080\n"
-    assert peak <= 2.5 * 4080 ** 2
-    code, peak = traced_peak(lambda: main(["rank", matrix, "--field", "7"]))
-    assert code == 0 and capsys.readouterr().out == "hadamard 7 4080 4080\n"
-    assert peak <= 2.5 * 4080 ** 2
-    # a tournament rank is Gate0 alone: n/4 = 1020 = 2^2 * 3 * 5 * 17, so
-    # each of these primes gives n/2
-    for p in (3, 17):
-        calls = _count_rank_calls(monkeypatch)
-        code, peak = traced_peak(lambda: main(["rank", matrix, "--field", str(p),
-                                               "--tournament"]))
-        assert code == 0 and capsys.readouterr().out == f"tournament {p} 4079 2040\n"
-        assert peak <= 2.5 * 4080 ** 2
-        assert calls == TOURNAMENT_CALLS
+class MemoryGate(NamedTuple):
+    """A command at order 4080 whose stdout passes ``check(stdout, pin)``,
+    and its peak bounds in n^2 bytes: ``traced`` by tracemalloc, and
+    ``process``, its ru_maxrss above that of ``--help``."""
+
+    argv: str
+    check: Callable[[str, str], bool]
+    pin: str
+    traced: float
+    process: float
+
+
+# {d} is the build's directory, {m} its matrix, {x} a vector, {pkt} a packet
+# and {y} a decoded vector; each row runs on the files the rows before wrote.
+MEMORY_GATES = [
+    # build develops the int8 matrix in place and writes its text, formed in
+    # place in one bytearray, before Gate0 runs
+    MemoryGate("build --p 2039 --e 1 --N 2 --i0 0 --i1 0 --out {d}", str.__contains__,
+               "GATE0 PASS n=4080\n", 6, 2.6),
+    # Gate0 and the rank certificate (7 does not divide n) hold the text and
+    # the int8 matrix (2 n^2) and Gram panels of a quarter n^2 bytes
+    MemoryGate("verify gate0 {m}", str.__eq__, "GATE0 PASS n=4080\n", 2.5, 2.5),
+    MemoryGate("rank {m} --field 7", str.__eq__, "hadamard 7 4080 4080\n", 2.5, 2.5),
+    # a tournament rank is Gate0 alone: n/4 = 2^2 * 3 * 5 * 17 gives rank n/2
+    *(MemoryGate(f"rank {{m}} --field {p} --tournament", str.__eq__,
+                 f"tournament {p} 4079 2040\n", 2.5, 2.5) for p in (2, 3, 17)),
+    # encode holds the int8 matrix and the transform's float64 copy (8 n^2)
+    MemoryGate("sketch encode {m} {x} --k 300 --out {pkt}", str.startswith,
+               "wrote {pkt}: 908 bytes", 10, 10),
+    # decode peaks as it parses (2 n^2), then keeps its plan over Z_1019 (half n^2)
+    MemoryGate("sketch decode {m} {pkt} --out {y}", str.__eq__, "wrote {y}: 4080 values\n",
+               2.25, 2.5),
+    # aut drops the text once it is parsed; manifest hashes in 1 MiB chunks
+    MemoryGate("aut {d}/manifest.txt --exhaustive", str.endswith,
+               "PASS order 2077741 = 1019*2039\n", 3.5, 2.5),
+    MemoryGate("manifest {d}", str.__contains__, "OK matrix_4080.txt\n", 0.25, 0.25),
+]
+
+
+def _walk_memory_gates(tmp_path, run, bound):
+    """Runs MEMORY_GATES in order through ``run(argv) -> (exit code, stdout,
+    peak bytes)``, each row's peak within its ``bound``: "traced" or "process"."""
+    paths = {"d": tmp_path / "n4080", "m": tmp_path / "n4080" / "matrix_4080.txt",
+             "x": tmp_path / "x.txt", "pkt": tmp_path / "packet.bin", "y": tmp_path / "y.txt"}
+    write_vector_file(paths["x"], np.random.default_rng(5).normal(size=4080))
+    for row in MEMORY_GATES:
+        argv = [word.format(**paths) for word in row.argv.split()]
+        code, out, peak = run(argv)
+        assert code == 0 and row.check(out, row.pin.format(**paths)), (argv, code, out)
+        assert peak <= getattr(row, bound) * 4080 ** 2, (
+            f"skewhad {' '.join(argv)}: {bound} peak {peak / 4080 ** 2:.2f} n^2 bytes, "
+            f"bound {getattr(row, bound)} n^2")
+
+
+def test_order_4080_commands_stay_within_their_traced_bounds(tmp_path, capsys, monkeypatch):
+    def run(argv):
+        calls = _count_rank_calls(monkeypatch) if "--tournament" in argv else None
+        code, peak = traced_peak(lambda: main(argv))
         monkeypatch.undo()
+        assert calls in (None, TOURNAMENT_CALLS), (argv, calls)
+        return code, capsys.readouterr().out, peak
+
+    _walk_memory_gates(tmp_path, run, "traced")
+
+
+# Linux counts in ru_maxrss (kilobytes) the peak of the image an exec
+# replaced, for a child of the test process the suite's own; so each command
+# runs under this driver, which prints its exit code and peak bytes first.
+_DRIVER = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, *sys.argv[1:]], stdout=subprocess.PIPE)
+out = proc.stdout.read()
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss * 1024, flush=True)
+sys.stdout.buffer.write(out)
+"""
+
+
+def _child_peak(*args, above=0):
+    """(exit code, stdout, ru_maxrss in bytes less ``above``) of ``python
+    *args``, which imports skewhad from the source tree the tests import."""
+    env = {**os.environ, "PYTHONPATH": str(Path(sh.__file__).parents[1])}
+    head, out = subprocess.run([sys.executable, "-c", _DRIVER, *args], env=env, check=True,
+                               stdout=subprocess.PIPE, text=True).stdout.split("\n", 1)
+    code, peak = map(int, head.split())
+    return code, out, peak - above
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts kilobytes on Linux alone")
+def test_order_4080_commands_stay_within_their_process_bounds(tmp_path):
+    # a child that imports what `--help` imports and fills 3 n^2 bytes must
+    # read them, or a unit slip would let every row pass
+    _, _, base = _child_peak("-m", "skewhad", "--help")
+    _, _, filled = _child_peak("-c", "import numpy, skewhad.cli; numpy.ones(3 * 4080 ** 2, 'u1')",
+                               above=base)
+    assert filled >= 2.9 * 4080 ** 2, filled / 4080 ** 2
+    _walk_memory_gates(tmp_path, lambda argv: _child_peak("-m", "skewhad", *argv, above=base),
+                       "process")
 
 
 def test_aut_command(desk_build, capsys):
@@ -764,8 +815,6 @@ def test_sketch_cli_rejects_wrong_length_vector(desk_build, tmp_path, capsys):
 
 
 def test_cli_entry_point_runs():
-    import subprocess
-    import sys
     proc = subprocess.run([sys.executable, "-m", "skewhad.cli", "--help"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
@@ -773,8 +822,6 @@ def test_cli_entry_point_runs():
 
 
 def test_package_runs_as_a_module():
-    import subprocess
-    import sys
     proc = subprocess.run([sys.executable, "-m", "skewhad", "--help"],
                           capture_output=True, text=True)
     assert proc.returncode == 0

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import skewhad as sh
 from _naive import (field_index_add, naive_autocorrelation, naive_diff_index_table,
                     naive_neg_perm, naive_profile, naive_sum_index_table)
-from conftest import SMALL_FIELDS, desk_group, field_group, subset_of_encodings
+from conftest import SMALL_FIELDS, desk_group, field_group, subset_of_encodings, traced_peak
 
 
 def cyclic_group(p):
@@ -373,12 +372,7 @@ def test_profile_memory_is_bounded_at_q_8209():
     # GF(8209), N = 16, D = classes 0..7: 4104 members, 16.8 M ordered pairs
     g = sh.additive_group(sh.build_field(sh.FieldConfig(8209, 1)))
     mask = np.concatenate([[False], np.arange(8208) % 16 < 8])
-    tracemalloc.start()
-    try:
-        profile = sh.autocorrelation_profile(g, mask)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    profile, peak = traced_peak(lambda: sh.autocorrelation_profile(g, mask))
     assert peak < 64 * 2**20
     assert profile[0] == 8209
     assert (profile[1:].min(), profile[1:].max()) == (-195, 169)

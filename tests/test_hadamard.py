@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -626,13 +625,12 @@ def test_gate0_reads_the_int8_signs_alone(matrix8, matrix12, matrix1252, case):
 
 
 def test_gate0_and_the_rank_certificate_at_order_4080_allocate_below_half_n_squared_bytes(
-        monkeypatch):
+        instance4080, monkeypatch):
     # each forms the 8 orbit rows' Gram by the transform over Z_1019, in
     # panels of _PANEL rows of the transform matrix (a quarter of n^2 bytes
     # of exponents and entries at this order), and keeps no float copy of
     # the matrix
-    _, _, pair, _ = sh.find_valid_generator(sh.FieldConfig(2039, 1), 2, (0,), (0,))
-    h = sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1)
+    h = sh.PmMatrix(instance4080[1])
     n = h.n
     assert n == 4080 and len(hadamard._orbit_rows(h.signs())) == 8
     passed, peak = traced_peak(lambda: sh.gate0_verify(h).passed)
@@ -643,22 +641,11 @@ def test_gate0_and_the_rank_certificate_at_order_4080_allocate_below_half_n_squa
     assert rank == n and peak <= 0.5 * n ** 2
 
 
-def _gate0_peak_bytes(signs):
-    """(Gate0 verdict, peak traced bytes)."""
-    m = sh.PmMatrix.from_signs(signs)
-    tracemalloc.start()
-    try:
-        passed = sh.gate0_verify(m).passed
-        return passed, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_gate0_never_forms_the_gram(matrix1252):
     # Gate0 holds less than one n x n float32 array at its peak: the Gram
     # is decided on the 36 orbit rows
     assert len(hadamard._orbit_rows(matrix1252.signs())) == 36
-    passed, peak = _gate0_peak_bytes(matrix1252.signs())
+    passed, peak = traced_peak(lambda: sh.gate0_verify(sh.PmMatrix(matrix1252.signs())).passed)
     assert passed and peak < 1252 * 1252 * 4
 
 
@@ -668,7 +655,7 @@ def test_gate0_on_the_panels_never_forms_the_gram(matrix1252):
     signs = matrix1252.signs().copy()
     signs[40, 700] *= -1
     assert np.array_equal(hadamard._orbit_rows(signs), np.arange(1252))
-    passed, peak = _gate0_peak_bytes(signs)
+    passed, peak = traced_peak(lambda: sh.gate0_verify(sh.PmMatrix(signs)).passed)
     assert not passed and peak < 1252 * 1252 * 4
 
 

@@ -480,12 +480,11 @@ def test_decode_is_bit_identical_to_the_dense_inverse(small_matrices, matrix1252
         (n, path) for n in (24, 56, 1252) for path in ("orbit", "orbit", "panels")]
 
 
-def test_decode_at_order_4080_matches_the_int64_oracle(matrix1252):
+def test_decode_at_order_4080_matches_the_int64_oracle(matrix1252, instance4080):
     # f = 1019 and P = 1 047 533: q's transform reaches f 127 (P - 1), and
     # the pointwise sums would pass 2^53, so it is reduced mod P first (at
     # order 1252 it is not).  The panel product is checked on the same packets.
-    _, _, pair, _ = sh.find_valid_generator(sh.FieldConfig(2039, 1), 2, (0,), (0,))
-    m = sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1)
+    m = sh.PmMatrix(instance4080[1])
     n, signs = m.n, m.signs()
     plan = sketch._decode_plan(m)
     assert isinstance(plan, sketch._OrbitCorrelation) and (plan.p, plan.reduce) == (1047533, True)
