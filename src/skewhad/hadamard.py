@@ -29,10 +29,10 @@ row is formed.  At order 1252, d = 16 (the verified permutation is the
 paper's multiplier x -> g^16 x, of order 39), so Gate0 and the rank
 certificates of H form 36 Gram rows, not 1252.  A :class:`PmMatrix` keeps
 its orbit rows (:meth:`PmMatrix.orbit_rows`), so Gate0 and the sketch
-decode share one check of the shift.
+share one check of the shift.
 
 Those rows come from the m = 4 + 2d representative rows alone, by one
-exact transform over Z_f that the sketch decode shares.  Let pi be the
+exact transform over Z_f that the sketch's products share.  Let pi be the
 verified shift and f = (v - 1)/d its order; the indices that pi moves fall
 into 2d orbits of length f (:func:`_moving`).  A moving representative s
 has the orbit pi^a s, a in Z_f, and H[pi^a s, k] = H[s, pi^(-a) k], so
@@ -114,19 +114,17 @@ class PmMatrix:
 
     The constructor takes the array as it is, without a copy or a check, and
     marks it read-only; :meth:`from_signs` checks and copies.  Immutable, so
-    what is derived from the entries is kept: the float64 copy the sketch
-    transforms read, the orbit rows that Gate0 and the sketch decode read,
-    and the decode's plan, which :func:`skewhad.sketch.decode` builds on its
-    first call.
+    what is derived from the entries is kept: the orbit rows that Gate0 and
+    the sketch read, and the sketch's exact products with H and with H^T,
+    each built on its first use (:func:`skewhad.sketch._plan`).
     """
 
     def __init__(self, signs: np.ndarray):
         self.n = signs.shape[0]
         self._signs = signs
         self._signs.setflags(write=False)
-        self._float_signs: np.ndarray | None = None
         self._orbit_rows: np.ndarray | None = None
-        self._decode_plan = None
+        self._plans: dict = {}  # axis -> the sketch's product over that axis
 
     @classmethod
     def from_signs(cls, signs: np.ndarray) -> "PmMatrix":
@@ -141,16 +139,6 @@ class PmMatrix:
     def signs(self) -> np.ndarray:
         """The entries as a read-only int8 array."""
         return self._signs
-
-    def float_signs(self) -> np.ndarray:
-        """Dense float64 copy of the entries (cached), for floating-point
-        products; converting on every product would cost more than the
-        product itself."""
-        if self._float_signs is None:
-            f = self.signs().astype(np.float64)
-            f.setflags(write=False)
-            self._float_signs = f
-        return self._float_signs
 
     def orbit_rows(self) -> np.ndarray:
         """:func:`_orbit_rows` of the entries (cached, read-only): the orbit
@@ -376,8 +364,8 @@ def _exponents(f: int, b: int) -> np.ndarray:
 def _power_panels(powers: np.ndarray, index: np.ndarray, w: np.ndarray):
     """Yield (lo, panel), the rows lo .. lo + b of W[a, j] = powers[a j mod f],
     f = len(powers), b = len(index) (:func:`_exponents`), taken from one tiled
-    table into w: into their own rows when w has f rows, so that the decode
-    keeps W, else into the first b, which the Gram multiplies and the next
+    table into w: into their own rows when w has f rows, so that a sketch
+    plan keeps W, else into the first b, which the Gram multiplies and the next
     panel overwrites.  The index moves on by b j mod f per panel by an addition
     and is moved back at the end, so one index serves each transform."""
     f, b = powers.size, index.shape[0]

@@ -506,6 +506,20 @@ def naive_h_transpose_q(signs, indices, qvalues):
     return z
 
 
+def naive_fixed_point_product(x, v):
+    """(T, s, X): X = round(v_i 2^s) for each entry by its own Fraction
+    (half to even), s = 46 - E for max|v| < 2^E, and T = x X summed in
+    Python ints (numpy's object loop: no BLAS, no digits, no orbits)."""
+    import math
+    from fractions import Fraction
+
+    import numpy as np
+
+    s = 46 - math.frexp(max(abs(float(e)) for e in v))[1]
+    xs = np.array([round(Fraction(float(e)) * Fraction(2) ** s) for e in v], dtype=object)
+    return np.asarray(x).astype(object) @ xs, s, xs
+
+
 def naive_power_matrix(f, p, z):
     """W[a, j] = z^(a j) mod p for a, j < f, each entry by its own modular
     power, as float64."""

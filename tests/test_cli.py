@@ -226,7 +226,7 @@ MEMORY_GATES = [
     # build develops the int8 matrix in place and writes its text, formed in
     # place in one bytearray, before Gate0 runs
     MemoryGate("build --p 2039 --e 1 --N 2 --i0 0 --i1 0 --out {d}", str.__contains__,
-               "GATE0 PASS n=4080\n", 6, 2.6),
+               "GATE0 PASS n=4080\n", 2.25, 2.6),
     # Gate0 and the rank certificate (7 does not divide n) hold the text and
     # the int8 matrix (2 n^2) and Gram panels of a quarter n^2 bytes
     MemoryGate("verify gate0 {m}", str.__eq__, "GATE0 PASS n=4080\n", 2.5, 2.5),
@@ -234,15 +234,15 @@ MEMORY_GATES = [
     # a tournament rank is Gate0 alone: n/4 = 2^2 * 3 * 5 * 17 gives rank n/2
     *(MemoryGate(f"rank {{m}} --field {p} --tournament", str.__eq__,
                  f"tournament {p} 4079 2040\n", 2.5, 2.5) for p in (2, 3, 17)),
-    # encode holds the int8 matrix and the transform's float64 copy (8 n^2)
+    # encode and decode peak as they parse (2 n^2), then keep their plan
+    # over Z_1019 (half n^2); no float copy of the matrix is made
     MemoryGate("sketch encode {m} {x} --k 300 --out {pkt}", str.startswith,
-               "wrote {pkt}: 908 bytes", 10, 10),
-    # decode peaks as it parses (2 n^2), then keeps its plan over Z_1019 (half n^2)
+               "wrote {pkt}: 908 bytes", 2.25, 2.5),
     MemoryGate("sketch decode {m} {pkt} --out {y}", str.__eq__, "wrote {y}: 4080 values\n",
                2.25, 2.5),
     # aut drops the text once it is parsed; manifest hashes in 1 MiB chunks
     MemoryGate("aut {d}/manifest.txt --exhaustive", str.endswith,
-               "PASS order 2077741 = 1019*2039\n", 3.5, 2.5),
+               "PASS order 2077741 = 1019*2039\n", 2.25, 2.5),
     MemoryGate("manifest {d}", str.__contains__, "OK matrix_4080.txt\n", 0.25, 0.25),
 ]
 

