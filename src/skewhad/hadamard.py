@@ -68,6 +68,23 @@ D[s, pi^-a r] = D[r, pi^a s] the pairs r <= s hold them all.  At order
 Every-row input, and a bound that no such P keeps exact, take float32 row
 panels instead (:func:`_panel_deviation`).
 
+The sketch's exact products H^T q and H q (:func:`_product`), for integer
+columns q with |q| <= 127, are such correlations too.  For x = H or H^T,
+which the shift keeps alike, (x^T q)[pi^a c] = sum over b of
+q[pi^b r] x[pi^(b - a) r, c] over the 2d moving representative rows r, plus
+the 4 fixed rows, the same at every a; the bound is 127 n.  The matrix
+keeps one :class:`_OrbitCorrelation`: W and, for each axis once used, the
+centred inverse transform of x's moving rows at the m representative
+columns.  A product multiplies that at each omega, (c x 2d)(2d x m), by the
+transform of q's 2d orbit sequences, adds the fixed rows and h = (P - 1)/2
+at omega = 0, and applies W at -omega: reduced, that is x^T q + h.  When
+2d f 127 (P - 1) h + 2P > 2^53, q's transform is first reduced mod P.  W is
+f^2 floats, at most n^2/2 bytes when d >= 2, as for any matrix above order
+8 that passes Gate0 (with d = 1, row 2 is constant on each moving segment
+and cannot be orthogonal to both rows 0 and 1).  With no verified shift, or
+no such P (q = 8191), float32 panels of ``_PANEL`` of H's rows serve
+(:func:`_panel_product`), exact as every partial sum is at most 127 n < 2^24.
+
 The text interchange format is: first line the decimal order n, then n lines
 of n characters, '+' for +1 and '-' for -1, LF endings, nothing else.  The
 parser and the writer convert between bytes and signs with whole-array
@@ -84,6 +101,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -115,8 +133,8 @@ class PmMatrix:
     The constructor takes the array as it is, without a copy or a check, and
     marks it read-only; :meth:`from_signs` checks and copies.  Immutable, so
     what is derived from the entries is kept: the orbit rows that Gate0 and
-    the sketch read, and the sketch's exact products with H and with H^T,
-    each built on its first use (:func:`skewhad.sketch._plan`).
+    the sketch read, and the one exact product that serves H q and H^T q,
+    with one W, built on its first use (:func:`_product`).
     """
 
     def __init__(self, signs: np.ndarray):
@@ -124,7 +142,7 @@ class PmMatrix:
         self._signs = signs
         self._signs.setflags(write=False)
         self._orbit_rows: np.ndarray | None = None
-        self._plans: dict = {}  # axis -> the sketch's product over that axis
+        self._product = None  # what _product multiplies by, for both axes
 
     @classmethod
     def from_signs(cls, signs: np.ndarray) -> "PmMatrix":
@@ -364,8 +382,8 @@ def _exponents(f: int, b: int) -> np.ndarray:
 def _power_panels(powers: np.ndarray, index: np.ndarray, w: np.ndarray):
     """Yield (lo, panel), the rows lo .. lo + b of W[a, j] = powers[a j mod f],
     f = len(powers), b = len(index) (:func:`_exponents`), taken from one tiled
-    table into w: into their own rows when w has f rows, so that a sketch
-    plan keeps W, else into the first b, which the Gram multiplies and the next
+    table into w: into their own rows when w has f rows, so that the sketch's
+    product keeps W, else into the first b, which the Gram multiplies and the next
     panel overwrites.  The index moves on by b j mod f per panel by an addition
     and is moved back at the end, so one index serves each transform."""
     f, b = powers.size, index.shape[0]
@@ -498,6 +516,98 @@ def _panel_deviation(x: np.ndarray, s: int, t: int, rows: np.ndarray) -> int:
         block[at] = diag
         dev = max(dev, int(np.abs(block, out=block).max()))
     return dev
+
+
+def _product(h: PmMatrix, q: np.ndarray, axis: int, rows: np.ndarray | None = None
+             ) -> np.ndarray:
+    """H^T q (axis 0) or H q (axis 1), exactly, as (n, c) float64 integers,
+    for q's c columns of integers in [-127, 127], given at every index or, for
+    axis 0, at ``rows`` alone.  By the one product h keeps for both axes, built
+    on first use: an :class:`_OrbitCorrelation`, else :func:`_panel_product`."""
+    if h._product is None:
+        field = _orbit_field(h.n, h.orbit_rows(), lambda: _product.qmax * h.n)
+        h._product = (partial(_panel_product, h.signs()) if field is None
+                      else _OrbitCorrelation(h.signs(), *field))
+    return h._product(q, axis, rows)
+
+
+_product.qmax = 127  # the bound on |q|: every partial sum is at most 127 n < 2^24
+
+
+def _panel_product(x: np.ndarray, q: np.ndarray, axis: int, rows: np.ndarray | None = None
+                   ) -> np.ndarray:
+    """x^T q (axis 0) or x q (axis 1), from float32 panels of ``_PANEL`` of
+    x's rows (for axis 0 those at ``rows``, where q is given) converted into
+    one reused buffer: x^T q sums each panel's rows times q's, and x q takes
+    each panel times q (exact: see the module docstring)."""
+    rows = np.arange(x.shape[0]) if rows is None else rows
+    q = q.astype(np.float32)
+    out = np.zeros((x.shape[1], q.shape[1]), dtype=np.float32)
+    buffer = np.empty((min(_PANEL, rows.size), x.shape[1]), dtype=np.float32)
+    for lo in range(0, rows.size, _PANEL):
+        panel = buffer[: min(_PANEL, rows.size - lo)]
+        np.copyto(panel, x[rows[lo: lo + _PANEL]])
+        if axis:
+            np.matmul(panel, q, out=out[lo: lo + panel.shape[0]])
+        else:
+            out += panel.T @ q[lo: lo + _PANEL]
+    return out.astype(np.float64)
+
+
+class _OrbitCorrelation:
+    """x^T q at the orbit columns of the block shift by d, of order f, that
+    keeps x = H (axis 0) and H^T (axis 1), by the transform over Z_f mod p
+    (see the module docstring): one W, and each axis's table from its first use."""
+
+    def __init__(self, signs: np.ndarray, d: int, f: int, p: int, z: int):
+        self.signs, self.n, self.d, self.p = signs, signs.shape[0], d, p
+        self.fixed = np.array([0, 1, 2, self.n // 2 + 1])
+        self.cols = np.r_[3: 3 + d, self.n // 2 + 2: self.n // 2 + 2 + d, self.fixed]  # m reps
+        self.back = -np.arange(f) % f  # omega -> -omega
+        self.w = np.empty((f, f))
+        for _ in _power_panels(_powers(z, p, f), _exponents(f, _PANEL), self.w):
+            pass  # each panel lands in its own rows of W
+        self.reduce = 2 * d * (f * _product.qmax * (p - 1)) * (p // 2) + 2 * p > _EXACT
+        self.tables = [None, None]  # axis -> (transform, fixed rows) of x
+
+    def _table(self, axis: int) -> tuple[np.ndarray, np.ndarray]:
+        """(the inverse transform of x[pi^e r, c] over e, W at -omega times
+        1/f centred, each term at most (p - 1) h and the sum centred to
+        |.| <= h, h = (p - 1)/2; x's fixed rows) for x = H or H^T."""
+        if self.tables[axis] is None:
+            x, cols = self.signs.T if axis else self.signs, self.cols
+            p, h, d, f = self.p, self.p // 2, self.d, self.back.size
+            inverse = (pow(f, -1, p) + h) % p - h
+            moving = np.empty((f, cols.size, 2, d))
+            moving[..., 0, :], moving[..., 1, :] = (rows[..., cols].transpose(0, 2, 1)
+                                                    for rows in _moving(x, d))
+            t = self.w @ (moving.reshape(f, -1)[self.back] * inverse)
+            t += h
+            self.tables[axis] = ((_reduce(t, p) - h).reshape(f, cols.size, 2 * d),
+                                 x[self.fixed, cols[:, None]].astype(np.float64))  # (m, 4)
+        return self.tables[axis]
+
+    def __call__(self, q: np.ndarray, axis: int, rows: np.ndarray | None = None) -> np.ndarray:
+        p, h, d, f = self.p, self.p // 2, self.d, self.back.size
+        transform, fixed_rows = self._table(axis)
+        if rows is not None:  # q's entries at rows, zero elsewhere
+            q, given = np.zeros((self.n, q.shape[1])), q
+            q[rows] = given
+        c = q.shape[1]
+        sequences = np.empty((f, 2, d, c))
+        sequences[:, 0], sequences[:, 1] = _moving(q, d)
+        qhat = (self.w @ sequences.reshape(f, -1)).reshape(f, 2 * d, c)
+        if self.reduce:
+            _reduce(qhat, p)
+        zhat = np.matmul(transform, qhat)
+        zhat[0] += fixed_rows @ q[self.fixed] + h
+        z = _reduce(self.w @ _reduce(zhat, p)[self.back].reshape(f, -1), p).reshape(f, -1, c)
+        z -= h  # z[a, j] = x^T q at pi^a of representative column j
+        out = np.empty((self.n, c))
+        first, second = _moving(out, d)
+        first[...], second[...] = z[:, :d], z[:, d: 2 * d]
+        out[self.fixed] = z[0, 2 * d:]
+        return out
 
 
 def gate0_verify(m: PmMatrix) -> Gate0Report:

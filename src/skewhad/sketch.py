@@ -11,46 +11,16 @@ exponent of max|v| (max|v| < 2^E), the input is taken as the integers
 X = rint(v 2^s), s = 46 - E, so |X| <= 2^46, and X is split in one
 vectorized pass into 6 balanced base-255 digit columns D_j, entries in
 [-127, 127].  Each product H D_j (H^T D_j for the inverse) is an integer of
-magnitude at most 127 n < 2^24 (n < 2^16 by the wire tag), formed exactly,
-and T = sum of 255^j H D_j is summed in int64: |T| <= n 2^46 < 2^62.  Then
-y = float64(T) 2^-s / sqrt(n), so y is a function of v alone, whatever
-order BLAS adds in and however the work is split into panels.  The decode
+magnitude at most 127 n < 2^24 (n < 2^16 by the wire tag), formed exactly
+by the product the matrix keeps (:mod:`skewhad.hadamard`), and
+T = sum of 255^j H D_j is summed in int64: |T| <= n 2^46 < 2^62.  Then
+y = float64(T) 2^-s / sqrt(n), a function of v alone, whatever order BLAS
+adds in and however the work is split into panels; it overflows only when
+y does not fit float64.  The decode
 forms H^T q for the packet's quantized q (one digit column) and multiplies
 by the float32 scale: q * scale has at most 31 significant bits, so its
 X is exact and :func:`inverse_transform` of the dense y = q * scale gives
 the same bits.
-
-H^T q and H q come from one of two exact products, chosen by the matrix
-alone and kept on it as its plan for that axis (:func:`_plan`), built on
-first use.  When a block shift pi by d is verified to keep H
-(:meth:`PmMatrix.orbit_rows`, the rows Gate0 reads), it keeps H^T too, and
-for x = H (or H^T), H[pi^b i, pi^a c] = H[pi^(b - a) i, c], so at the column
-pi^a c of a representative c, a in Z_f, f = (v - 1)/d,
-
-    (x^T q)[pi^a c] = sum over b of q[pi^b r] x[pi^(b - a) r, c]
-
-summed over the 2d moving representative rows r: a cyclic correlation of
-length f for each, plus the 4 fixed rows, which add the same amount at
-every a.  It is taken by the transform over Z_f of :mod:`skewhad.hadamard`
-(field, power matrix W, inverse, exactness rule) for the bound 127 n.  The
-plan keeps W and the inverse transform of x's moving rows at the
-m = 4 + 2d representative columns, centred to |.| <= h = (P - 1)/2.  A
-product multiplies that at each omega, (c x 2d)(2d x m), by the transform
-of the 2d orbit sequences of q's c columns, adds the fixed rows and h at
-omega = 0, and applies W at -omega: reduced into [0, P), that is x^T q + h.
-The pointwise sums are exact while 2d f 127 (P - 1) h + 2P <= 2^53; when
-that fails, q's transform is first reduced mod P.  At order 1252 (d = 16,
-f = 39, m = 36, P = 318 319) the plan is a 39 x 39 W and a 39 x 32 x 36
-transform, and a column takes about 0.15 M multiplies, where a product with
-all of H takes n^2 = 1.6 M.  W is f^2 floats, at most n^2/2 bytes when
-d >= 2, as for every matrix above order 8 that passes Gate0 (with d = 1,
-row 2 is constant on each moving segment and cannot be orthogonal to both
-rows 0 and 1).  A matrix with no verified shift, or with no such P
-(q = 8191), takes float32 panels of ``_PANEL`` of H's rows, converted into
-one reused buffer (:func:`_panel_product`): H q is each panel times q, and
-H^T q the sum over the panels of the rows where q is given, for a packet its
-k rows alone.  Every partial sum is an integer of magnitude at most
-127 n < 2^24, exact in float32 whatever order BLAS adds in.
 
 Each packet is checked once, when it is made: the constructor runs the
 record check on whatever it is given and keeps read-only int64 copies, so a
@@ -69,16 +39,14 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .hadamard import (_EXACT, _PANEL, PmMatrix, _exponents, _moving, _orbit_field, _powers,
-                       _reduce, _transform)
+from .hadamard import PmMatrix, _product
 
 _HEADER = struct.Struct("<fHH")
 _RECORD_DTYPE = np.dtype([("index", "<u2"), ("qvalue", "i1")])
-QMAX = 127
+QMAX = _product.qmax
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 _RADIX = 2 * QMAX + 1  # balanced digits in [-127, 127]
 _PLACES = _RADIX ** np.arange(6)  # 6 digits: |X| <= 2^46 < (255^6 - 1)/2
@@ -198,7 +166,7 @@ def _int64_field(values) -> np.ndarray:
 def transform(x: np.ndarray, h: PmMatrix) -> np.ndarray:
     """y = H x / sqrt(n); orthogonal for a verified H.  Exact up to one
     rounding, so y is a function of x alone (see the module docstring).
-    Raises ValueError for non-finite input."""
+    Raises ValueError for complex or non-finite input, or when y overflows."""
     return _exact_product(x, h, 1)
 
 
@@ -209,8 +177,10 @@ def inverse_transform(y: np.ndarray, h: PmMatrix) -> np.ndarray:
 
 def _exact_product(v: np.ndarray, h: PmMatrix, axis: int) -> np.ndarray:
     """H^T v (axis 0) or H v (axis 1), divided by sqrt(n): the digit columns
-    of v's 46-bit integers through :func:`_plan`, summed in int64 and
-    rounded once (see the module docstring)."""
+    of v's 46-bit integers through the matrix's exact product, summed in
+    int64 and rounded once (see the module docstring)."""
+    if np.iscomplexobj(v):  # the float64 cast would drop the imaginary part
+        raise ValueError("input vector is complex")
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (h.n,):
         raise ValueError(f"vector shape {v.shape} does not match order {h.n}")
@@ -220,8 +190,14 @@ def _exact_product(v: np.ndarray, h: PmMatrix, axis: int) -> np.ndarray:
     x = np.rint(np.ldexp(v, s)).astype(np.int64)
     x += _PLACES.sum() * QMAX  # the digits of x + offset are the balanced digits + 127
     digits = x[:, None] // _PLACES % _RADIX - QMAX
-    t = _plan(h, axis)(digits).astype(np.int64) @ _PLACES
-    return np.ldexp(t.astype(np.float64), -s) / np.sqrt(h.n)
+    t = _product(h, digits, axis).astype(np.int64) @ _PLACES
+    # 2^-s before the division where it shrinks y (a subnormal y is rounded
+    # once), after it where it grows y (y overflows only if out of range)
+    with np.errstate(over="ignore"):
+        y = np.ldexp(np.ldexp(t.astype(np.float64), -max(s, 0)) / np.sqrt(h.n), -min(s, 0))
+    if not np.all(np.isfinite(y)):
+        raise ValueError("the transform of the input vector overflows")
+    return y
 
 
 def top_k_indices(y: np.ndarray, k: int) -> np.ndarray:
@@ -246,15 +222,12 @@ def encode(x: np.ndarray, h: PmMatrix, cfg: SketchConfig) -> SketchPacket:
     clamped to [-127, 127].  y = H x is exact up to one rounding, so the
     packet bytes are a function of the input bytes alone, whatever BLAS
     build or thread count.  The matrix is trusted to satisfy the defining
-    identities.  Raises ValueError when the input is not finite, the
-    transform overflows or the peak has no finite, nonzero float32 scale.
+    identities.  Raises ValueError when the input is complex or not finite,
+    y overflows or the peak has no finite, nonzero float32 scale.
     """
     if cfg.n != h.n:
         raise ValueError(f"config order {cfg.n} does not match matrix order {h.n}")
-    with np.errstate(over="ignore"):
-        y = transform(x, h)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("the transform of the input vector overflows")
+    y = transform(x, h)
     idx = top_k_indices(y, cfg.k)
     sel = y[idx]
     peak = float(np.max(np.abs(sel)))
@@ -273,98 +246,15 @@ def encode(x: np.ndarray, h: PmMatrix, cfg: SketchConfig) -> SketchPacket:
 def decode(packet: SketchPacket, h: PmMatrix) -> np.ndarray:
     """Reconstruct x = H^T y / sqrt(n) from a sketch packet, y = q * scale.
 
-    Exact up to the final division (see the module docstring), by the plan
-    for H^T kept on the matrix, and so bit-identical to
+    Exact up to the final division (see the module docstring), by the
+    product the matrix keeps, and so bit-identical to
     :func:`inverse_transform` of the dense y.  Raises ValueError when the
     packet's order tag is not the matrix order.
     """
     if packet.n_tag != h.n:
         raise ValueError(f"packet order tag {packet.n_tag} does not match matrix order {h.n}")
-    z = _plan(h, 0)(packet.qvalues[:, None], packet.indices)
+    z = _product(h, packet.qvalues[:, None], 0, packet.indices)
     return (z[:, 0] * packet.scale) / np.sqrt(h.n)
-
-
-def _plan(h: PmMatrix, axis: int):
-    """The exact product over ``axis`` of H that h keeps, built on first
-    use: plan(q, rows=None) is H^T q (axis 0) or H q (axis 1) for the c
-    columns of q, entries in [-127, 127], as (n, c) float64 integers; q is
-    given at every index, or, for axis 0, at ``rows`` alone.  An
-    :class:`_OrbitCorrelation` of H (axis 0) or H^T (axis 1) when the orbit
-    transform is exact for h, else :func:`_panel_product` of h's signs."""
-    if axis not in h._plans:
-        field = _orbit_field(h.n, h.orbit_rows(), lambda: QMAX * h.n)
-        x = h.signs().T if axis else h.signs()
-        h._plans[axis] = (partial(_panel_product, h.signs(), axis) if field is None
-                          else _OrbitCorrelation(x, *field))
-    return h._plans[axis]
-
-
-def _panel_product(x: np.ndarray, axis: int, q: np.ndarray, rows: np.ndarray | None = None
-                   ) -> np.ndarray:
-    """x^T q (axis 0) or x q (axis 1), from float32 panels of ``_PANEL`` of
-    x's rows (for axis 0 those at ``rows``, where q is given) converted into
-    one reused buffer: x^T q sums each panel's rows times q's, and x q takes
-    each panel times q (exact: see the module docstring)."""
-    rows = np.arange(x.shape[0]) if rows is None else rows
-    q = q.astype(np.float32)
-    out = np.zeros((x.shape[1], q.shape[1]), dtype=np.float32)
-    buffer = np.empty((min(_PANEL, rows.size), x.shape[1]), dtype=np.float32)
-    for lo in range(0, rows.size, _PANEL):
-        panel = buffer[: min(_PANEL, rows.size - lo)]
-        np.copyto(panel, x[rows[lo: lo + _PANEL]])
-        if axis:
-            np.matmul(panel, q, out=out[lo: lo + panel.shape[0]])
-        else:
-            out += panel.T @ q[lo: lo + _PANEL]
-    return out.astype(np.float64)
-
-
-class _OrbitCorrelation:
-    """x^T q at the orbit columns of the block shift by d, of order f, that
-    keeps x, by the transform over Z_f mod p (see the module docstring)."""
-
-    def __init__(self, x: np.ndarray, d: int, f: int, p: int, z: int):
-        self.n, self.d, self.p = x.shape[0], d, p
-        every = np.arange(self.n)
-        self.fixed = np.array([0, 1, 2, self.n // 2 + 1])
-        cols = np.concatenate([moved[0] for moved in _moving(every, d)] + [self.fixed])
-        self.back = -np.arange(f) % f  # omega -> -omega
-        # the inverse transform of x[pi^e r, c] over e is W at -omega times
-        # 1/f: with 1/f taken centred each term is at most (p - 1) h, and the
-        # sum is centred to |.| <= h, h = (p - 1)/2.  The product keeps W.
-        h, inverse = p // 2, pow(f, -1, p)
-        inverse -= p if inverse > h else 0
-        moving = np.empty((f, cols.size, 2, d))
-        moving[..., 0, :], moving[..., 1, :] = (rows[..., cols].transpose(0, 2, 1)
-                                                for rows in _moving(x, d))
-        self.w = np.empty((f, f))
-        t = _transform(_powers(z, p, f), moving.reshape(f, -1)[self.back] * inverse,
-                       np.empty((f, moving[0].size)), _exponents(f, _PANEL), self.w)
-        t += h
-        self.transform = (_reduce(t, p) - h).reshape(f, cols.size, 2 * d)
-        self.fixed_rows = x[self.fixed, cols[:, None]].astype(np.float64)  # (m, 4)
-        self.reduce = 2 * d * (f * QMAX * (p - 1)) * h + 2 * p > _EXACT
-
-    def __call__(self, q: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        p, h, d, f = self.p, self.p // 2, self.d, self.back.size
-        if rows is not None:  # q's entries at rows, zero elsewhere
-            q, given = np.zeros((self.n, q.shape[1])), q
-            q[rows] = given
-        c = q.shape[1]
-        sequences = np.empty((f, 2, d, c))
-        sequences[:, 0], sequences[:, 1] = _moving(q, d)
-        qhat = (self.w @ sequences.reshape(f, -1)).reshape(f, 2 * d, c)
-        if self.reduce:
-            _reduce(qhat, p)
-        zhat = np.matmul(self.transform, qhat)
-        zhat[0] += self.fixed_rows @ q[self.fixed] + h
-        z = _reduce(self.w @ _reduce(zhat, p)[self.back].reshape(f, -1), p).reshape(f, -1, c)
-        z -= h  # z[a, j] = x^T q at pi^a of representative column j
-        out = np.empty((self.n, c))
-        first, second = _moving(out, d)
-        first[...], second[...] = z[:, :d], z[:, d: 2 * d]
-        out[self.fixed] = z[0, 2 * d:]
-        return out
 
 
 def byte_accounting(cfg: SketchConfig) -> tuple[int, int, float]:

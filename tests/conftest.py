@@ -30,7 +30,7 @@ def matrix1252(instance625):
 def instance4080():
     """The certified q = 2039, N = 2 instance of order 4080: (partition, H's
     read-only signs).  Each test wraps the signs in its own PmMatrix, so no
-    orbit rows or decode plan cached by one test lower another's peak."""
+    orbit rows or sketch product cached by one test lower another's peak."""
     _, partition, pair, _ = sh.find_valid_generator(sh.FieldConfig(2039, 1), 2, (0,), (0,))
     return partition, sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1).signs()
 

@@ -234,8 +234,8 @@ MEMORY_GATES = [
     # a tournament rank is Gate0 alone: n/4 = 2^2 * 3 * 5 * 17 gives rank n/2
     *(MemoryGate(f"rank {{m}} --field {p} --tournament", str.__eq__,
                  f"tournament {p} 4079 2040\n", 2.5, 2.5) for p in (2, 3, 17)),
-    # encode and decode peak as they parse (2 n^2), then keep their plan
-    # over Z_1019 (half n^2); no float copy of the matrix is made
+    # encode and decode peak as they parse (2 n^2), then keep their product
+    # over Z_1019 (one W, half n^2); no float copy of the matrix is made
     MemoryGate("sketch encode {m} {x} --k 300 --out {pkt}", str.startswith,
                "wrote {pkt}: 908 bytes", 2.25, 2.5),
     MemoryGate("sketch decode {m} {pkt} --out {y}", str.__eq__, "wrote {y}: 4080 values\n",

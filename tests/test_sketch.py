@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -72,8 +73,10 @@ def test_transform_inverse_round_trip(matrix8, matrix12):
 
 
 # max|x| just below a power of two, whose integers reach 2^46, the top of
-# the digit range; at a power of two; subnormal; and near the float64 limit
-MAGNITUDES = [float(np.nextafter(8.0, 0.0)), 8.0, 3e-320, 1e300]
+# the digit range; at a power of two; subnormal; where y straddles the
+# subnormal range (2^-s applied after the division would round some entries
+# twice); and near the float64 limit
+MAGNITUDES = [float(np.nextafter(8.0, 0.0)), 8.0, 3e-320, 2.0 ** -1020, 1e300]
 
 
 @pytest.mark.parametrize("path", ["orbit", "panels", "panels after a flip"])
@@ -96,8 +99,8 @@ def test_transforms_are_the_exact_integer_product_rounded_once(matrix12, matrix1
                 assert max(abs(v) for v in xs) == 2 ** 46
             want = np.ldexp(np.array([float(v) for v in t]), -s) / np.sqrt(m.n)
             assert np.array_equal(fn(x, m).view(np.int64), want.view(np.int64)), (peak, fn)
-    plans = {type(plan) for plan in m._plans.values()}
-    assert plans == {sketch._OrbitCorrelation if path == "orbit" else functools.partial}
+    assert isinstance(m._product,
+                      hadamard._OrbitCorrelation if path == "orbit" else functools.partial)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -116,7 +119,7 @@ import hashlib, sys
 from pathlib import Path
 import numpy as np
 from skewhad import hadamard, sketch
-sketch._PANEL = int(sys.argv[1])
+hadamard._PANEL = int(sys.argv[1])
 digest = hashlib.sha256()
 for path in sys.argv[2:]:
     h = hadamard.parse_matrix_text(Path(path).read_bytes())
@@ -141,53 +144,130 @@ def test_transforms_and_packets_repeat_across_blas_threads_and_panel_heights(
     assert len(digests) == 1, digests
 
 
-def test_each_axis_keeps_one_plan_on_the_matrix(matrix12, matrix1252):
-    # Gate0 builds no plan; the first decode builds the plan for H^T and the
-    # first transform the one for H, each kept on the matrix, and a later
-    # call reads neither the signs nor the orbit rows again.  At order 1252
-    # each plan is an orbit correlation, whose largest array is its 39 x 39
-    # power matrix; at order 12 no shift is verified, and each is the panel
-    # product of the signs.
+def test_the_matrix_keeps_one_product_for_both_axes(matrix12, matrix1252):
+    # Gate0 builds no product; the first decode builds the one product the
+    # matrix keeps, with the table for H^T q alone, and the first transform
+    # adds the table for H x to it; a later call reads neither the signs
+    # nor the orbit rows again.  At order 1252 the product is an orbit
+    # correlation, whose largest array is its one 39 x 39 power matrix; at
+    # order 12 no shift is verified, and it is the panel product of the signs.
     for signs, path in ((matrix12.signs(), "panels"), (matrix1252.signs(), "orbit")):
         m = sh.PmMatrix.from_signs(signs)
-        assert sh.gate0_verify(m).passed and m._plans == {}
+        assert sh.gate0_verify(m).passed and m._product is None
         packet = sh.SketchPacket(scale=1.0, k=1, n_tag=m.n, indices=(4,), qvalues=(12,))
         first = sh.decode(packet, m)
-        assert list(m._plans) == [0]
+        product = m._product
+        if path == "orbit":
+            assert isinstance(product, hadamard._OrbitCorrelation) and product.w.shape == (39, 39)
+            assert product.tables[0] is not None and product.tables[1] is None
+        else:
+            assert product.func is hadamard._panel_product and product.args[0] is m.signs()
+            assert len(product.args) == 1 and not product.keywords
         x = np.random.default_rng(2).normal(size=m.n)
         y = sh.transform(x, m)
-        plans = dict(m._plans)
-        for axis, plan in plans.items():
-            if path == "orbit":
-                assert isinstance(plan, sketch._OrbitCorrelation) and plan.w.shape == (39, 39)
-                assert plan.transform.shape == (39, 36, 32)
-            else:
-                assert plan.func is sketch._panel_product and plan.args[0] is m.signs()
-                assert plan.args[1] == axis
+        assert m._product is product
+        tables = list(getattr(product, "tables", []))  # the panel product keeps none
+        shapes = [(t.shape, rows.shape) for t, rows in tables]
+        assert shapes == ([((39, 36, 32), (36, 4))] * 2 if path == "orbit" else [])
         assert np.array_equal(first, signs[4].astype(np.float64) * 12 / np.sqrt(m.n))
         m.signs = lambda: pytest.fail("the signs were read again")
         m.orbit_rows = lambda: pytest.fail("the orbit rows were read again")
         assert np.array_equal(sh.decode(packet, m), first)
-        assert np.array_equal(sh.transform(x, m), y) and m._plans == plans
+        assert np.array_equal(sh.transform(x, m), y) and m._product is product
+        assert all(a is b for a, b in zip(getattr(product, "tables", []), tables))
 
 
 def test_gate0_and_two_decodes_verify_the_block_shift_once(monkeypatch, matrix1252):
     # Gate0 and the sketch read the orbit rows the matrix keeps, so the
-    # block shift is verified once, and each axis's plan is built once
-    shifts, plans = [], []
-    keeps, plan = hadamard._keeps_block_shift, sketch._OrbitCorrelation
+    # block shift is verified once; the product is built once, on H's
+    # signs, and each axis's table once, by the first encode and decode
+    shifts, products, tables = [], [], []
+    keeps, product = hadamard._keeps_block_shift, hadamard._OrbitCorrelation
     monkeypatch.setattr(hadamard, "_keeps_block_shift",
                         lambda x, d: shifts.append(d) or keeps(x, d))
-    monkeypatch.setattr(sketch, "_OrbitCorrelation", lambda *a: plans.append(a[0]) or plan(*a))
+    monkeypatch.setattr(hadamard, "_OrbitCorrelation",
+                        lambda *a: products.append(a[0]) or product(*a))
     m = sh.PmMatrix.from_signs(matrix1252.signs())
     assert sh.gate0_verify(m).passed
-    assert shifts == [16] and plans == []
+    assert shifts == [16] and products == []
     x = np.random.default_rng(12).normal(size=1252)
     for k in (32, 300):
         packet = sh.encode(x, m, sh.SketchConfig(n=1252, k=k))
         assert np.all(np.isfinite(sh.decode(packet, m)))
-    assert shifts == [16] and len(plans) == 2
-    assert plans[0].base is m.signs() and plans[1] is m.signs()  # H^T for H x, then H
+        tables.append(list(m._product.tables))
+    assert shifts == [16] and len(products) == 1 and products[0] is m.signs()
+    assert all(a is b for a, b in zip(*tables)) and None not in tables[0]
+
+
+@pytest.mark.parametrize("case", ["1252", "4080", "panels", "panels after a flip"])
+def test_one_field_and_one_w_serve_both_axes(monkeypatch, matrix12, matrix1252, instance4080,
+                                             case):
+    # transform, inverse_transform and two decodes find the field once and
+    # build one W (Gate0, run first, finds its own for the Gram); the panel
+    # product, with no verified shift (order 12) or after a flip of an orbit
+    # of the shift by 2d, which breaks the shift by d, seeks no field and
+    # builds no W.  At order 4080 W is 1019^2 floats, n^2/2 bytes: what the
+    # matrix keeps after a transform and a decode, and the peak while it is
+    # built, stay near it
+    signs = {"1252": matrix1252.signs(), "4080": instance4080[1], "panels": matrix12.signs(),
+             "panels after a flip": orbit_flip(matrix1252.signs(), 32, 5)}[case]
+    m = sh.PmMatrix(signs)
+    n, orbit = m.n, not case.startswith("panels")
+    assert sh.gate0_verify(m).passed or case == "panels after a flip"
+    fields, ws = [], []
+    field, panels = hadamard._transform_field, hadamard._power_panels
+    monkeypatch.setattr(hadamard, "_transform_field", lambda *a: fields.append(a) or field(*a))
+    monkeypatch.setattr(hadamard, "_power_panels", lambda *a: ws.append(a[2]) or panels(*a))
+    x = np.random.default_rng(15).normal(size=n)
+    packet = sh.SketchPacket(scale=0.5, k=3, n_tag=n, indices=(0, 7, n - 1),
+                             qvalues=(-127, 1, 127))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = sh.transform(x, m)
+        first = sh.decode(packet, m)
+        kept, peak = (b - before for b in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(sh.decode(packet, m), first)
+    assert np.all(np.isfinite(sh.inverse_transform(y, m)))
+    assert len(fields) == len(ws) == orbit
+    assert ws[0] is m._product.w if orbit else isinstance(m._product, functools.partial)
+    if case == "4080":
+        assert kept <= 0.6 * n * n and peak <= 0.75 * n * n, (kept / n / n, peak / n / n)
+
+
+def test_transforms_overflow_only_where_y_does(matrix1252):
+    # 1252 entries of 1e306 have an exact H x of 1.25e309, beyond float64,
+    # but y = H x / sqrt(n), 3.54e307 at index 0, fits: y equals the digit
+    # oracle, and encode refuses it for its peak alone; at 1e308 y itself
+    # overflows, and every path says so
+    n, signs = matrix1252.n, matrix1252.signs()
+    x = np.full(n, 1e306)
+    for fn, h in ((sh.transform, signs), (sh.inverse_transform, signs.T)):
+        t, s, _ = naive_fixed_point_product(h, x)
+        want = np.ldexp(np.array([float(v) for v in t]) / np.sqrt(n), -s)
+        assert np.all(np.isfinite(want))
+        assert np.array_equal(fn(x, matrix1252).view(np.int64), want.view(np.int64)), fn
+    assert abs(sh.transform(x, matrix1252)[0] / 3.54e307 - 1) < 1e-3
+    cfg = sh.SketchConfig(n=n, k=300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no finite nonzero float32 scale"):
+            sh.encode(x, matrix1252, cfg)
+        x = np.full(n, 1e308)
+        for fn in (sh.transform, sh.inverse_transform, lambda x, h: sh.encode(x, h, cfg)):
+            with pytest.raises(ValueError, match="the transform of the input vector overflows"):
+                fn(x, matrix1252)
+
+
+@pytest.mark.parametrize("fn", [sh.transform, sh.inverse_transform])
+def test_transforms_refuse_complex_input(matrix12, fn):
+    # refused before the float64 cast, which would warn and drop the imaginary part
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="input vector is complex"):
+            fn(np.ones(12) + 1j, matrix12)
 
 
 def test_topk_ties_take_smaller_index():
@@ -544,7 +624,7 @@ def test_decode_is_bit_identical_to_the_dense_inverse(small_matrices, matrix1252
                     want = sh.inverse_transform(y, m)
                     assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
                         (m.n, k, name, scale)
-        paths.append((m.n, "orbit" if isinstance(m._plans[0], sketch._OrbitCorrelation)
+        paths.append((m.n, "orbit" if isinstance(m._product, hadamard._OrbitCorrelation)
                       else "panels"))
     assert paths == [(8, "panels"), (12, "panels")] + [
         (n, path) for n in (24, 56, 1252) for path in ("orbit", "orbit", "panels")]
@@ -557,31 +637,36 @@ def test_decode_at_order_4080_matches_the_int64_oracle(matrix1252, instance4080)
     # packets, and both, over each axis, on dense digit columns.
     m = sh.PmMatrix(instance4080[1])
     n, signs = m.n, m.signs()
-    plan = sketch._plan(m, 0)
-    assert isinstance(plan, sketch._OrbitCorrelation) and (plan.p, plan.reduce) == (1047533, True)
-    assert not sketch._plan(sh.PmMatrix(matrix1252.signs()), 0).reduce
-    # the plan keeps the W whose panels the Gram multiplies and drops
+    m1252 = sh.PmMatrix(matrix1252.signs())
+    for h in (m, m1252):
+        hadamard._product(h, np.zeros((h.n, 1)), 0)
+    product = m._product
+    assert isinstance(product, hadamard._OrbitCorrelation)
+    assert (product.p, product.reduce) == (1047533, True) and not m1252._product.reduce
+    # the product keeps the W whose panels the Gram multiplies and drops
     d, f, p, z = hadamard._orbit_field(n, m.orbit_rows(), lambda: QMAX * n)
-    assert (d, f, p) == (2, 1019, 1047533) and plan.w.shape == (f, f)
+    assert (d, f, p) == (2, 1019, 1047533) and product.w.shape == (f, f)
     b = hadamard._PANEL
     gram = hadamard._power_panels(hadamard._powers(z, p, f), hadamard._exponents(f, b),
                                   np.empty((b, f)))
-    assert np.array_equal(plan.w, np.vstack([panel.copy() for _, panel in gram]))
+    assert np.array_equal(product.w, np.vstack([panel.copy() for _, panel in gram]))
     rng = np.random.default_rng(13)
     for k in (1, 300, n):
         idx = np.sort(rng.choice(n, size=k, replace=False))
         for q in (np.full(k, QMAX), np.full(k, -QMAX), rng.integers(-QMAX, QMAX + 1, size=k)):
             want = naive_h_transpose_q(signs, idx, q)
-            assert np.array_equal(plan(q[:, None], idx)[:, 0], want), k
-            assert np.array_equal(sketch._panel_product(signs, 0, q[:, None], idx)[:, 0], want), k
+            assert np.array_equal(hadamard._product(m, q[:, None], 0, idx)[:, 0], want), k
+            assert np.array_equal(hadamard._panel_product(signs, q[:, None], 0, idx)[:, 0],
+                                  want), k
             packet = sh.SketchPacket(scale=0.5, k=k, n_tag=n, indices=idx, qvalues=q)
             got = sh.decode(packet, m)
             assert np.array_equal(got.view(np.int64), (want * 0.5 / np.sqrt(n)).view(np.int64))
     digits = np.stack([np.full(n, QMAX), np.full(n, -QMAX), rng.integers(-QMAX, QMAX + 1, n)], 1)
     for axis, x in ((0, signs.T), (1, signs)):
         want = np.vstack([x[lo: lo + b].astype(np.int64) @ digits for lo in range(0, n, b)])
-        assert np.array_equal(sketch._plan(m, axis)(digits), want), axis
-        assert np.array_equal(sketch._panel_product(signs, axis, digits), want), axis
+        assert np.array_equal(hadamard._product(m, digits, axis), want), axis
+        assert np.array_equal(hadamard._panel_product(signs, digits, axis), want), axis
+    assert m._product is product
 
 
 def test_decode_order_mismatch(matrix8, matrix12):
