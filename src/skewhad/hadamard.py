@@ -31,59 +31,46 @@ certificates of H form 36 Gram rows, not 1252.  A :class:`PmMatrix` keeps
 its orbit rows (:meth:`PmMatrix.orbit_rows`), so Gate0 and the sketch
 share one check of the shift.
 
-Those rows come from the m = 4 + 2d representative rows alone, by one
-exact transform over Z_f that the sketch's products share.  Let pi be the
-verified shift and f = (v - 1)/d its order; the indices that pi moves fall
-into 2d orbits of length f (:func:`_moving`).  A moving representative s
-has the orbit pi^a s, a in Z_f, and H[pi^a s, k] = H[s, pi^(-a) k], so
+Those rows, and the sketch's exact products H^T q and H q (:func:`_product`),
+are cyclic correlations over Z_f, which one :class:`_OrbitCorrelation` takes
+for an integer matrix x that the verified shift pi keeps.  Let f = (v - 1)/d
+be its order: the indices that pi moves fall into 2d orbits of length f
+(:func:`_moving`), and the m = 4 + 2d representatives c are one moving index
+r per orbit, then 0, 1, 2 and v + 2, which pi fixes.  For y = x or x^T, which
+pi keeps alike, y[pi^j r, pi^a c] = y[pi^(j - a) r, c], so
 
-    (H H^T)[r, pi^a s] = sum over k of H[r, pi^a k] H[s, k]:
+    (y^T q)[pi^a c] = sum over r and j of y[pi^(j - a) r, c] q[pi^j r],
 
-a sum of 2d cyclic correlations of length f, one per moving column orbit,
-plus the four fixed columns 0, 1, 2 and v + 2, the same at every a.  They
-are taken by a discrete Fourier transform over GF(P) (Pollard, "The fast
-Fourier transform in a finite field", Math. Comp. 1971): for results of
-magnitude at most a bound, P is the least prime = 1 (mod f) above twice
-the bound, and z has order exactly f mod P (:func:`_orbit_field`).  The
-transform is W = [z^(omega j) mod P], formed ``_PANEL`` rows at a time
-(:func:`_power_panels`); its inverse is W at -omega, times 1/f.  A float64
-product of inner dimension K with operands at most P - 1 in magnitude is
-exact while K (P - 1)^2 + P <= 2^53, the rule by which P is chosen; a
-result is reduced into [0, P) before a product needs it, unless a smaller
-bound keeps that product exact, and read back as the integer of least
-magnitude.
-
-For the Gram, bound = n max|x|^2 + |s| + |t| (every row is a pi-image of a
-representative, so max|x| is read off theirs), and three products do the
-work: the transform of each row's 2d sequences, the f pointwise
-(m x 2d)(2d x m) products of omega with -omega, and the inverse.  The fixed
-columns, t and h = (P - 1)/2 are added at omega = 0, times f, so the inverse
-gives deviation + h in [0, P), the exact integer since
-|deviation| <= bound < P/2.  Its entries over reps x reps x Z_f (s is
-subtracted at a = 0, and at every a where r = s is a fixed rep) are the
-entries of D in the representatives' rows, and as
-D[s, pi^-a r] = D[r, pi^a s] the pairs r <= s hold them all.  At order
-1252, m = 36, f = 39 and P = 5227: the three products take 1.75 M + 1.6 M
-+ 1.0 M multiplies, where products with all of H take 36 n^2 = 56 M.
-Every-row input, and a bound that no such P keeps exact, take float32 row
-panels instead (:func:`_panel_deviation`).
-
-The sketch's exact products H^T q and H q (:func:`_product`), for integer
-columns q with |q| <= 127, are such correlations too.  For x = H or H^T,
-which the shift keeps alike, (x^T q)[pi^a c] = sum over b of
-q[pi^b r] x[pi^(b - a) r, c] over the 2d moving representative rows r, plus
-the 4 fixed rows, the same at every a; the bound is 127 n.  The matrix
-keeps one :class:`_OrbitCorrelation`: W and, for each axis once used, the
-centred inverse transform of x's moving rows at the m representative
-columns.  A product multiplies that at each omega, (c x 2d)(2d x m), by the
-transform of q's 2d orbit sequences, adds the fixed rows and h = (P - 1)/2
-at omega = 0, and applies W at -omega: reduced, that is x^T q + h.  When
-2d f 127 (P - 1) h + 2P > 2^53, q's transform is first reduced mod P.  W is
-f^2 floats, at most n^2/2 bytes when d >= 2, as for any matrix above order
-8 that passes Gate0 (with d = 1, row 2 is constant on each moving segment
-and cannot be orthogonal to both rows 0 and 1).  With no verified shift, or
-no such P (q = 8191), float32 panels of ``_PANEL`` of H's rows serve
-(:func:`_panel_product`), exact as every partial sum is at most 127 n < 2^24.
+plus y's four fixed rows times q's, the same at every a.  The Gram x x^T is
+y^T y for y = x^T: q = y at the m columns c gives its rows at the c.
+Such sums are taken by a discrete Fourier transform over GF(P) (Pollard, "The
+fast Fourier transform in a finite field", Math. Comp. 1971): P is the least
+prime = 1 (mod f) above twice a bound on the result, and z has order exactly
+f mod P (:func:`_orbit_field`).  The transform is W = [z^(omega j) mod P],
+formed ``_PANEL`` rows at a time (:func:`_power_panels`); its inverse is W at
+-omega, times 1/f.  A float64 product of inner dimension K with operands at
+most P - 1 in magnitude is exact while K (P - 1)^2 + P <= 2^53, the rule by
+which P is chosen; a result is reduced into [0, P) before a product needs it,
+unless a smaller bound keeps that product exact, and h = (P - 1)/2, added at
+omega = 0, centres it, so that it reads back as the integer of least magnitude.
+Both start from A[omega] = sum over j of z^(omega j) y[pi^j r, c], (2d x m).
+The Gram (bound n max|x|^2 + |s| + |t|, max|x| read off the representatives)
+multiplies A[omega]^T by A[-omega] on the pairs r <= s, which hold every value
+as D[s, pi^-a r] = D[r, pi^a s], adds the fixed columns, h, -t and, on a
+fixed representative's diagonal, -s at omega = 0, inverts, and subtracts s
+at a = 0 on a moving one's; A is reduced first when 2d (f max|x| (P - 1))^2
++ P > 2^53.  It multiplies W's panels and keeps nothing: at order 1252,
+m = 36, f = 39, P = 5227, and it takes 4.4 M multiplies, where H's take 56 M.
+The products (bound 127 n, |q| <= 127) form W on the first call and keep it,
+and, per axis from its first use, A at -omega times 1/f, centred, and y's
+fixed rows.  A call multiplies that at each omega, (m x 2d)(2d x c), by the
+transform of q's orbit sequences, reduced first when 2d f 127 (P - 1) h + 2P
+> 2^53, adds the fixed rows and h at omega = 0, and applies W at -omega.  W is
+f^2 floats, at most n^2/2 bytes when d >= 2, as for any matrix above order 8
+that passes Gate0 (with d = 1, row 2 is constant on each moving segment and
+cannot be orthogonal to both rows 0 and 1).  Every-row input, and a bound no
+such P keeps exact, take float32 row panels: :func:`_panel_deviation`, and
+:func:`_panel_product`, exact as every partial sum is at most 127 n < 2^24.
 
 The text interchange format is: first line the decimal order n, then n lines
 of n characters, '+' for +1 and '-' for -1, LF endings, nothing else.  The
@@ -148,8 +135,8 @@ class PmMatrix:
     def from_signs(cls, signs: np.ndarray) -> "PmMatrix":
         """An int8 copy of a square matrix whose entries are +1/-1."""
         signs = np.asarray(signs)
-        if signs.ndim != 2 or signs.shape[0] != signs.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {signs.shape}")
+        if signs.ndim != 2 or signs.shape[0] != signs.shape[1] or not signs.size:
+            raise ValueError(f"expected a square matrix of order 1 or more, got {signs.shape}")
         if not np.all(np.abs(signs) == 1):
             raise ValueError("entries must be +1 or -1")
         return cls(signs.astype(np.int8))
@@ -407,53 +394,6 @@ def _transform(powers: np.ndarray, y: np.ndarray, out: np.ndarray, index: np.nda
     return out
 
 
-def _orbit_deviation(reps: np.ndarray, s: int, t: int, d: int, f: int, p: int, z: int) -> int:
-    """max |x x^T - s I - t J| from ``reps``, the orbit rows of a block
-    shift by d that keeps x, by the transform over Z_f mod p of the module
-    docstring, p above twice the Gram's bound."""
-    m, n = reps.shape
-    v = n // 2 - 1
-    c, pairs = 2 * d, m * (m + 1) // 2
-    b = min(_PANEL, f)
-    # every float64 array is carved from one buffer: a single allocation
-    # that the allocator hands back call after call, where several fresh
-    # ones of this size are mapped, and page-faulted, anew on each call
-    sizes = (f * c * m, f * c * m, f * m * m, f * pairs, f * pairs, b * f)
-    work = np.empty(sum(sizes))
-    y, a, chat, tri, dev, w = (work[end - k: end] for k, end in zip(sizes, accumulate(sizes)))
-    index, powers, w = _exponents(f, b), _powers(z, p, f), w.reshape(b, f)
-    # y[j, block, k, r] = x[r, pi^j of the block's k-th representative column]
-    y = y.reshape(f, 2, d, m)
-    y[:, 0], y[:, 1] = _moving(reps.T, d)
-    _transform(powers, y.reshape(f, c * m), a.reshape(f, c * m), index, w)
-    big = math.isqrt((p - 1) // (2 * n))  # p > 2 n max|x|^2, so max|x| <= big
-    if c * (f * big * (p - 1)) ** 2 + p > _EXACT:
-        _reduce(a, p)  # else each pointwise product is exact as it is
-    a = a.reshape(f, c, m)  # a[omega] is the transform of the rows at omega, transposed
-    back = np.take(a, -np.arange(f) % f, axis=0, out=y.reshape(f, c, m), mode="clip")
-    np.matmul(a.transpose(0, 2, 1), back, out=chat.reshape(f, m, m))
-    # D[s, pi^-a r] = D[r, pi^a s]: the pairs r <= s hold every value
-    r = np.arange(m)
-    upper = np.flatnonzero(r[:, None] <= r)
-    tri = _reduce(np.take(chat.reshape(f, m * m), upper, axis=1, out=tri.reshape(f, pairs),
-                          mode="clip"), p)
-    # the fixed columns, t, and h = (p - 1)/2, which centres the result, are
-    # the same at every a: f times them at omega = 0; so is s on the
-    # diagonal of a fixed rep, which is its own orbit
-    fixed = reps[:, [0, 1, 2, v + 2]].astype(np.float64)
-    h = p // 2
-    const = fixed @ fixed.T
-    const += h - t
-    at = [0, 1, 2, 3 + d]
-    const[at, at] -= s
-    tri[0] = (tri[0] + f * const.reshape(-1)[upper]) % p
-    dev = _reduce(_transform(_inverse_powers(powers, p), tri, dev.reshape(f, pairs), index, w), p)
-    # dev + h, now in [0, p); a moving rep meets its own row at a = 0 only
-    moving = np.delete(r * m - r * (r - 1) // 2, at)  # (r, r) among the pairs
-    dev[0, moving] = (dev[0, moving] - s) % p
-    return max(int(dev.max()) - h, h - int(dev.min()))
-
-
 def gram_deviation(x: np.ndarray, s: int, t: int, rows: np.ndarray | list | None = None) -> int:
     """max |x x^T - s I - t J| over the given rows, every row when ``rows``
     is None: 0 exactly when x x^T = s I + t J.
@@ -467,22 +407,20 @@ def gram_deviation(x: np.ndarray, s: int, t: int, rows: np.ndarray | list | None
     permutation that keeps x, so its Gram rows hold every value of the
     deviation (see the module docstring).  When they are the orbit rows of a
     verified block shift and some P keeps the transform over Z_f exact, the
-    deviation comes from those rows alone; otherwise from
-    :func:`_panel_deviation`.
+    deviation comes from those rows alone, by :meth:`_OrbitCorrelation.deviation`;
+    otherwise from :func:`_panel_deviation`.
     """
     n = x.shape[0]
     rows = np.arange(n) if rows is None else np.asarray(rows)
-    reps = None
 
     def bound() -> int:  # read off the rows once they are known to be orbit rows
-        nonlocal reps
         reps = x[rows]
         return n * max(int(reps.max()), -int(reps.min())) ** 2 + abs(s) + abs(t)
 
     field = _orbit_field(n, rows, bound)
     if field is None:
         return _panel_deviation(x, s, t, rows)
-    return _orbit_deviation(reps, s, t, *field)
+    return _OrbitCorrelation(x, *field).deviation(s, t)
 
 
 def _panel_deviation(x: np.ndarray, s: int, t: int, rows: np.ndarray) -> int:
@@ -555,41 +493,89 @@ def _panel_product(x: np.ndarray, q: np.ndarray, axis: int, rows: np.ndarray | N
 
 
 class _OrbitCorrelation:
-    """x^T q at the orbit columns of the block shift by d, of order f, that
-    keeps x = H (axis 0) and H^T (axis 1), by the transform over Z_f mod p
-    (see the module docstring): one W, and each axis's table from its first use."""
+    """Correlations over Z_f of an integer matrix x that the block shift by
+    d, of order f, keeps, by the transform mod p of the module docstring:
+    x's Gram deviation (:meth:`deviation`), in W's panels, and x^T q (axis 0)
+    or x q (axis 1), by a W formed on the first product and kept, and each
+    axis's table from that axis's first use."""
 
-    def __init__(self, signs: np.ndarray, d: int, f: int, p: int, z: int):
-        self.signs, self.n, self.d, self.p = signs, signs.shape[0], d, p
-        self.fixed = np.array([0, 1, 2, self.n // 2 + 1])
-        self.cols = np.r_[3: 3 + d, self.n // 2 + 2: self.n // 2 + 2 + d, self.fixed]  # m reps
+    def __init__(self, x: np.ndarray, d: int, f: int, p: int, z: int):
+        self.x, self.n, self.d, self.p = x, x.shape[0], d, p
+        v = self.n // 2 - 1  # the m reps: the moving 3 + k and v + 3 + k, k < d, then the fixed
+        self.cols = np.array([*range(3, 3 + d), *range(v + 3, v + 3 + d), 0, 1, 2, v + 2])
+        self.fixed = self.cols[2 * d:]
         self.back = -np.arange(f) % f  # omega -> -omega
-        self.w = np.empty((f, f))
-        for _ in _power_panels(_powers(z, p, f), _exponents(f, _PANEL), self.w):
-            pass  # each panel lands in its own rows of W
-        self.reduce = 2 * d * (f * _product.qmax * (p - 1)) * (p // 2) + 2 * p > _EXACT
-        self.tables = [None, None]  # axis -> (transform, fixed rows) of x
+        self.powers = _powers(z, p, f)
+        self.w = None  # W, formed in full by the first product
+        self.tables = [None, None]  # axis -> (A at -omega times 1/f, centred; F)
 
-    def _table(self, axis: int) -> tuple[np.ndarray, np.ndarray]:
-        """(the inverse transform of x[pi^e r, c] over e, W at -omega times
-        1/f centred, each term at most (p - 1) h and the sum centred to
-        |.| <= h, h = (p - 1)/2; x's fixed rows) for x = H or H^T."""
-        if self.tables[axis] is None:
-            x, cols = self.signs.T if axis else self.signs, self.cols
-            p, h, d, f = self.p, self.p // 2, self.d, self.back.size
-            inverse = (pow(f, -1, p) + h) % p - h
-            moving = np.empty((f, cols.size, 2, d))
-            moving[..., 0, :], moving[..., 1, :] = (rows[..., cols].transpose(0, 2, 1)
-                                                    for rows in _moving(x, d))
-            t = self.w @ (moving.reshape(f, -1)[self.back] * inverse)
-            t += h
-            self.tables[axis] = ((_reduce(t, p) - h).reshape(f, cols.size, 2 * d),
-                                 x[self.fixed, cols[:, None]].astype(np.float64))  # (m, 4)
-        return self.tables[axis]
+    def _forward(self, axis: int, work: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(A, F) of y = x (axis 0) or x^T (axis 1): A[omega, k, c] = sum
+        over j of z^(omega j) y[pi^j r_k, c], (f, 2d, m), over the moving
+        reps r and the m rep columns c, by the kept W or, given ``work``
+        (buffers for the sequences and for A, W's exponents and panel), by
+        W's panels; and F = y at the fixed rows, (m, 4)."""
+        f, d = self.back.size, self.d
+        seq = np.empty((f, 2 * d * self.cols.size)) if work is None else work[0]
+        y = self.x[self.cols].T if axis else self.x[:, self.cols]  # y at the rep columns
+        grid = seq.reshape(f, 2, d, -1)
+        grid[:, 0], grid[:, 1] = _moving(y, d)
+        a = self.w @ seq if work is None else _transform(self.powers, seq, *work[1:])
+        return a.reshape(f, 2 * d, -1), y[self.fixed].T.astype(np.float64, order="C")
+
+    def deviation(self, s: int, t: int) -> int:
+        """max |x x^T - s I - t J|, from the Gram of x's m rep rows, p above
+        twice its bound."""
+        p, h, d, f, m = self.p, self.p // 2, self.d, self.back.size, self.cols.size
+        c, pairs, b = 2 * d * m, m * (m + 1) // 2, min(_PANEL, f)
+        # every float64 array is carved from one buffer: a single allocation
+        # that the allocator hands back call after call, where several fresh
+        # ones of this size are mapped, and page-faulted, anew on each call
+        sizes = (f * c, f * c, f * m * m, f * pairs, f * pairs, b * f)
+        work = np.empty(sum(sizes))
+        seq, fwd, chat, tri, dev, w = (work[end - k: end]
+                                       for k, end in zip(sizes, accumulate(sizes)))
+        panels = _exponents(f, b), w.reshape(b, f)
+        a, fixed = self._forward(1, (seq.reshape(f, c), fwd.reshape(f, c), *panels))
+        big = math.isqrt((p - 1) // (2 * self.n))  # p > 2 n max|x|^2, so max|x| <= big
+        if 2 * d * (f * big * (p - 1)) ** 2 + p > _EXACT:
+            _reduce(a, p)  # else each pointwise product is exact as it is
+        back = np.take(a, self.back, axis=0, out=seq.reshape(a.shape), mode="clip")  # a[-omega]
+        np.matmul(a.transpose(0, 2, 1), back, out=chat.reshape(f, m, m))
+        # D[s, pi^-a r] = D[r, pi^a s]: the pairs r <= s hold every value
+        r = np.arange(m)
+        upper = np.flatnonzero(r[:, None] <= r)
+        tri = _reduce(np.take(chat.reshape(f, m * m), upper, axis=1, out=tri.reshape(f, pairs),
+                              mode="clip"), p)
+        # the fixed columns, t, and h, which centres the result, are the
+        # same at every a: f times them at omega = 0; so is s on the
+        # diagonal of a fixed rep, which is its own orbit
+        const = fixed @ fixed.T
+        const += h - t
+        const[r[2 * d:], r[2 * d:]] -= s
+        tri[0] = (tri[0] + f * const.reshape(-1)[upper]) % p
+        dev = _reduce(_transform(_inverse_powers(self.powers, p), tri, dev.reshape(f, pairs),
+                                 *panels), p)
+        # dev + h, now in [0, p); a moving rep meets its own row at a = 0 only
+        k = r[: 2 * d]
+        moving = k * m - k * (k - 1) // 2  # (k, k) among the pairs
+        dev[0, moving] = (dev[0, moving] - s) % p
+        return max(int(dev.max()) - h, h - int(dev.min()))
 
     def __call__(self, q: np.ndarray, axis: int, rows: np.ndarray | None = None) -> np.ndarray:
         p, h, d, f = self.p, self.p // 2, self.d, self.back.size
-        transform, fixed_rows = self._table(axis)
+        if self.w is None:
+            self.w = np.empty((f, f))
+            for _ in _power_panels(self.powers, _exponents(f, _PANEL), self.w):
+                pass  # each panel lands in its own rows of W
+        if self.tables[axis] is None:
+            a, fixed = self._forward(axis)
+            table = np.empty((f, self.cols.size, 2 * d))
+            # |A| (p - 1)/2 <= f (p - 1)^2 / 2: exact, and reduced, centred
+            np.multiply(a[self.back].transpose(0, 2, 1), (pow(f, -1, p) + h) % p - h, out=table)
+            table += h
+            self.tables[axis] = _reduce(table, p) - h, fixed
+        transform, fixed_rows = self.tables[axis]
         if rows is not None:  # q's entries at rows, zero elsewhere
             q, given = np.zeros((self.n, q.shape[1])), q
             q[rows] = given
@@ -597,7 +583,7 @@ class _OrbitCorrelation:
         sequences = np.empty((f, 2, d, c))
         sequences[:, 0], sequences[:, 1] = _moving(q, d)
         qhat = (self.w @ sequences.reshape(f, -1)).reshape(f, 2 * d, c)
-        if self.reduce:
+        if 2 * d * (f * _product.qmax * (p - 1)) * h + 2 * p > _EXACT:
             _reduce(qhat, p)
         zhat = np.matmul(transform, qhat)
         zhat[0] += fixed_rows @ q[self.fixed] + h

@@ -93,6 +93,8 @@ def test_from_signs_rejects_bad_input():
         sh.PmMatrix.from_signs(np.array([[1, 2], [1, 1]]))
     with pytest.raises(ValueError):
         sh.PmMatrix.from_signs(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="order 1 or more"):
+        sh.PmMatrix.from_signs(np.zeros((0, 0)))
 
 
 def test_type1_frozen_z3():
@@ -579,6 +581,36 @@ def test_power_panels_stack_to_w_and_the_inverse_undoes_the_transform(f):
         assert np.array_equal(forward, want @ y % p), b
         back = hadamard._transform(inverse, forward, np.empty_like(y), index, w)
         assert np.array_equal(hadamard._reduce(back, p), y), b
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["n1252", "n1252-orbit-flip"])
+def test_the_gram_and_the_product_are_one_correlation(matrix1252, flip):
+    # the Gram's columns at the orbit rows are x q for q = x[rows]^T, the
+    # product along axis 1: the largest |x q - nI| there is the deviation,
+    # 0 on H and above 0 on an orbit flip, which the shift still keeps
+    x = orbit_flip(matrix1252.signs(), 16, 5) if flip else matrix1252.signs()
+    m = sh.PmMatrix(x)
+    n, rows = m.n, m.orbit_rows()
+    assert rows.size == 36
+    gram = hadamard._product(m, x[rows].T, 1)
+    assert isinstance(m._product, hadamard._OrbitCorrelation)
+    gram[rows, np.arange(rows.size)] -= n
+    want = naive_gram_deviation(x, n, 0)
+    assert int(np.abs(gram).max()) == gram_deviation(x, n, 0, rows) == want
+    assert (want > 0) == flip
+
+
+def test_a_gram_forms_no_full_w(monkeypatch, matrix1252):
+    # the Gram builds a correlation of its own, which multiplies W's panels
+    # and forms no W, and leaves the matrix without a product
+    built, correlation = [], hadamard._OrbitCorrelation
+    monkeypatch.setattr(hadamard, "_OrbitCorrelation",
+                        lambda *a: built.append(correlation(*a)) or built[-1])
+    for run in (lambda m: gram_deviation(m.signs(), m.n, 0, m.orbit_rows()), sh.gate0_verify):
+        m = sh.PmMatrix(matrix1252.signs())
+        built.clear()
+        run(m)
+        assert len(built) == 1 and built[0].w is None and m._product is None
 
 
 def test_orbit_rows_at_1252_convert_no_column_panel(monkeypatch, matrix1252):

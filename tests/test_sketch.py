@@ -179,23 +179,26 @@ def test_the_matrix_keeps_one_product_for_both_axes(matrix12, matrix1252):
 
 def test_gate0_and_two_decodes_verify_the_block_shift_once(monkeypatch, matrix1252):
     # Gate0 and the sketch read the orbit rows the matrix keeps, so the
-    # block shift is verified once; the product is built once, on H's
-    # signs, and each axis's table once, by the first encode and decode
+    # block shift is verified once; Gate0's Gram builds one correlation of
+    # its own, which the matrix does not keep, and the sketch one product,
+    # on H's signs, with each axis's table built once, by the first encode
+    # and decode
     shifts, products, tables = [], [], []
     keeps, product = hadamard._keeps_block_shift, hadamard._OrbitCorrelation
     monkeypatch.setattr(hadamard, "_keeps_block_shift",
                         lambda x, d: shifts.append(d) or keeps(x, d))
     monkeypatch.setattr(hadamard, "_OrbitCorrelation",
-                        lambda *a: products.append(a[0]) or product(*a))
+                        lambda *a: products.append(product(*a)) or products[-1])
     m = sh.PmMatrix.from_signs(matrix1252.signs())
     assert sh.gate0_verify(m).passed
-    assert shifts == [16] and products == []
+    assert shifts == [16] and len(products) == 1 and m._product is None
     x = np.random.default_rng(12).normal(size=1252)
     for k in (32, 300):
         packet = sh.encode(x, m, sh.SketchConfig(n=1252, k=k))
         assert np.all(np.isfinite(sh.decode(packet, m)))
         tables.append(list(m._product.tables))
-    assert shifts == [16] and len(products) == 1 and products[0] is m.signs()
+    assert shifts == [16] and len(products) == 2 and m._product is products[1]
+    assert all(p.x is m.signs() for p in products)
     assert all(a is b for a, b in zip(*tables)) and None not in tables[0]
 
 
@@ -630,7 +633,7 @@ def test_decode_is_bit_identical_to_the_dense_inverse(small_matrices, matrix1252
         (n, path) for n in (24, 56, 1252) for path in ("orbit", "orbit", "panels")]
 
 
-def test_decode_at_order_4080_matches_the_int64_oracle(matrix1252, instance4080):
+def test_decode_at_order_4080_matches_the_int64_oracle(monkeypatch, matrix1252, instance4080):
     # f = 1019 and P = 1 047 533: q's transform reaches f 127 (P - 1), and
     # the pointwise sums would pass 2^53, so it is reduced mod P first (at
     # order 1252 it is not).  The panel product is checked on the same
@@ -638,11 +641,17 @@ def test_decode_at_order_4080_matches_the_int64_oracle(matrix1252, instance4080)
     m = sh.PmMatrix(instance4080[1])
     n, signs = m.n, m.signs()
     m1252 = sh.PmMatrix(matrix1252.signs())
+    reduce, reduced = hadamard._reduce, []
     for h in (m, m1252):
+        hadamard._product(h, np.zeros((h.n, 1)), 0)  # W and the table
+        monkeypatch.setattr(hadamard, "_reduce",
+                            lambda x, p: reduced.append(x.shape) or reduce(x, p))
         hadamard._product(h, np.zeros((h.n, 1)), 0)
+        monkeypatch.undo()
+    # q's transform, (f, 2d, 1), then the pointwise products and the result
+    assert reduced == [(1019, 4, 1), (1019, 8, 1), (1019, 8), (39, 36, 1), (39, 36)]
     product = m._product
-    assert isinstance(product, hadamard._OrbitCorrelation)
-    assert (product.p, product.reduce) == (1047533, True) and not m1252._product.reduce
+    assert isinstance(product, hadamard._OrbitCorrelation) and product.p == 1047533
     # the product keeps the W whose panels the Gram multiplies and drops
     d, f, p, z = hadamard._orbit_field(n, m.orbit_rows(), lambda: QMAX * n)
     assert (d, f, p) == (2, 1019, 1047533) and product.w.shape == (f, f)
