@@ -174,6 +174,8 @@ def subgroup_audit(h: PmMatrix, partition: CyclotomicPartition, *,
     tables = partition.tables
     q, p, e, n_cls, f = tables.q, tables.p, tables.e, partition.N, partition.f
     report = AuditReport(q=q, class_size=f, asserted_order=f * q)
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, not {samples}")
     if h.n != 2 * q + 2:
         raise ValueError(f"matrix order {h.n} does not match 2(q + 1) = {2 * q + 2}")
 

@@ -13,7 +13,7 @@ Which rows are formed rests on a lemma.  If a permutation matrix P keeps
 the matrix, P H P^T = H, then P^T P = I and P fixes I and J, so
 D = H H^T - s I - t J has P D P^T = D as well, and so has H + H^T - 2I: each
 is constant on the orbits of the permutation on pairs, and its rows at one
-representative per orbit hold its every value.  :func:`_orbit_rows` proposes
+representative per orbit hold its every value.  :func:`_block_shift` proposes
 the permutation from row 2, the zero element of the first block, which
 every multiplier fixes: in the order [0, g^0, g^1, ...] of each block the
 multiplier x -> g^d x shifts indices 3 .. v+1 and v+3 .. n-1 cyclically by d
@@ -22,14 +22,14 @@ the cyclic periods of the two block segments of row 2 (the periods from
 which :meth:`GroupSpec.develop` built the blocks).  The invariance is
 then checked on every entry of the integer matrix by
 :func:`_keeps_block_shift`, the check the automorphism audit makes of its
-multiplier x -> g^N x, so the 4 + 2d rows are exact whatever the proposal
-was.  When the proposal or the check fails, the lemma is applied to the
+multiplier x -> g^N x, so d is exact whatever the proposal was.  When the
+proposal or the check fails, d is 0 and the lemma is applied to the
 identity, which keeps every matrix: each row is its own orbit, and every
 row is formed.  At order 1252, d = 16 (the verified permutation is the
 paper's multiplier x -> g^16 x, of order 39), so Gate0 and the rank
-certificates of H form 36 Gram rows, not 1252.  A :class:`PmMatrix` keeps
-its orbit rows (:meth:`PmMatrix.orbit_rows`), so Gate0 and the sketch
-share one check of the shift.
+certificates of H form 36 Gram rows (:func:`_orbit_rows`), not 1252.  A
+:class:`PmMatrix` keeps its d (:meth:`PmMatrix.block_shift`), so Gate0 and
+the sketch share one check of the shift.
 
 Those rows, and the sketch's exact products H^T q and H q (:func:`_product`),
 are cyclic correlations over Z_f, which one :class:`_OrbitCorrelation` takes
@@ -119,16 +119,16 @@ class PmMatrix:
 
     The constructor takes the array as it is, without a copy or a check, and
     marks it read-only; :meth:`from_signs` checks and copies.  Immutable, so
-    what is derived from the entries is kept: the orbit rows that Gate0 and
-    the sketch read, and the one exact product that serves H q and H^T q,
-    with one W, built on its first use (:func:`_product`).
+    what is derived from the entries is kept: the verified block shift that
+    Gate0 and the sketch read, and the one exact product that serves H q and
+    H^T q, with one W, built on its first use (:func:`_product`).
     """
 
     def __init__(self, signs: np.ndarray):
         self.n = signs.shape[0]
         self._signs = signs
         self._signs.setflags(write=False)
-        self._orbit_rows: np.ndarray | None = None
+        self._shift: int | None = None
         self._product = None  # what _product multiplies by, for both axes
 
     @classmethod
@@ -145,14 +145,12 @@ class PmMatrix:
         """The entries as a read-only int8 array."""
         return self._signs
 
-    def orbit_rows(self) -> np.ndarray:
-        """:func:`_orbit_rows` of the entries (cached, read-only): the orbit
-        rows of a block shift verified to keep the matrix, else every row."""
-        if self._orbit_rows is None:
-            rows = _orbit_rows(self._signs)
-            rows.setflags(write=False)
-            self._orbit_rows = rows
-        return self._orbit_rows
+    def block_shift(self) -> int:
+        """:func:`_block_shift` of the entries (cached): the d of a block
+        shift verified to keep the matrix, else 0."""
+        if self._shift is None:
+            self._shift = _block_shift(self._signs)
+        return self._shift
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PmMatrix):
@@ -274,21 +272,22 @@ def _keeps_block_shift(x: np.ndarray, d: int) -> bool:
     return True
 
 
-def _orbit_rows(x: np.ndarray) -> np.ndarray:
-    """One row per orbit of a permutation that keeps the square matrix x (see
-    the module docstring): the rows 0 .. 2 + d and v + 2 .. v + 2 + d of the
-    block shift by d, once :func:`_keeps_block_shift` holds.  Every row, the
-    orbits of the identity, when n is odd or below 8, when d is the segment
-    length (the shift is the identity) or when an entry moves."""
+def _block_shift(x: np.ndarray) -> int:
+    """The d proposed from row 2 once :func:`_keeps_block_shift` holds (see the
+    module docstring); 0, the identity, when x is not square, n is odd or
+    below 8, d is the segment length (the shift is the identity) or an entry moves."""
     n = x.shape[0]
-    every = np.arange(n)
     v = n // 2 - 1  # each block holds 0, g^0 .. g^(v-2)
-    if n % 2 or v < 3:
-        return every
+    if n % 2 or v < 3 or x.shape[1] != n:
+        return 0
     d = math.lcm(_period(x[2, 3: v + 2]), _period(x[2, v + 3:]))
-    if d == v - 1 or not _keeps_block_shift(x, d):
-        return every
-    return np.r_[0: 3 + d, v + 2: v + 3 + d]
+    return 0 if d == v - 1 or not _keeps_block_shift(x, d) else d
+
+
+def _orbit_rows(n: int, d: int) -> np.ndarray:
+    """One row per orbit of the block shift by d on order n, every row at d = 0."""
+    v = n // 2 - 1
+    return np.array([*range(3 + d), *range(v + 2, v + 3 + d)]) if d else np.arange(n)
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
@@ -304,17 +303,11 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _orbit_field(n: int, rows: np.ndarray, bound) -> tuple[int, int, int, int] | None:
-    """(d, f, P, z) when ``rows`` are the orbit rows that :func:`_orbit_rows`
-    gives for a block shift by d, 0 < d < v - 1, of order f, and
-    :func:`_transform_field` finds (P, z) for the bound ``bound()``, called
-    only then; else None."""
-    v, d = n // 2 - 1, (rows.size - 4) // 2
-    if (n % 2 or not 0 < d < v - 1 or (v - 1) % d
-            or not np.array_equal(rows, np.r_[0: 3 + d, v + 2: v + 3 + d])):
-        return None
-    f = (v - 1) // d
-    field = _transform_field(f, bound(), max(f, 2 * d))
+def _orbit_field(n: int, d: int, bound: int) -> tuple[int, int, int, int] | None:
+    """(d, f, P, z) for a verified block shift by d > 0 (:func:`_block_shift`),
+    of order f, when :func:`_transform_field` finds (P, z) for ``bound``; else None."""
+    f = (n // 2 - 2) // d
+    field = _transform_field(f, bound, max(f, 2 * d))
     return None if field is None else (d, f, *field)
 
 
@@ -394,33 +387,34 @@ def _transform(powers: np.ndarray, y: np.ndarray, out: np.ndarray, index: np.nda
     return out
 
 
-def gram_deviation(x: np.ndarray, s: int, t: int, rows: np.ndarray | list | None = None) -> int:
-    """max |x x^T - s I - t J| over the given rows, every row when ``rows``
-    is None: 0 exactly when x x^T = s I + t J.
+def gram_deviation(x: np.ndarray, s: int, t: int) -> int:
+    """max |x x^T - s I - t J|: 0 exactly when x x^T = s I + t J.
 
     x holds integers, in any dtype, with max|x|^2 times its columns below
-    2^24, and so are |t| and |s + t|.  The diagonal loses s + t in one exact
-    subtraction and the rest t, so an entry is 0 only where the identity
-    holds; a deviation above 2^24 comes back rounded.
+    2^24, and so are |t| and |s + t| (else the panels raise ValueError).  The
+    diagonal loses s + t in one exact subtraction and the rest t, so an entry
+    is 0 only where the identity holds; a deviation above 2^24 comes back rounded.
 
-    ``rows``, from :func:`_orbit_rows` of x, holds one row per orbit of a
-    permutation that keeps x, so its Gram rows hold every value of the
-    deviation (see the module docstring).  When they are the orbit rows of a
-    verified block shift and some P keeps the transform over Z_f exact, the
-    deviation comes from those rows alone, by :meth:`_OrbitCorrelation.deviation`;
-    otherwise from :func:`_panel_deviation`.
+    Only the Gram rows at the orbit rows of the block shift that
+    :func:`_block_shift` verifies on x itself are formed (see the module
+    docstring): from those rows alone, by :meth:`_OrbitCorrelation.deviation`,
+    when some P keeps the transform exact, else by :func:`_panel_deviation`.
     """
+    return _deviation(x, s, t, _block_shift(x))
+
+
+def _deviation(x: np.ndarray, s: int, t: int, d: int, rows: np.ndarray | None = None) -> int:
+    """:func:`gram_deviation` for the verified block shift d of x, on its
+    orbit rows ``rows`` (:func:`_orbit_rows`, built here when None)."""
     n = x.shape[0]
-    rows = np.arange(n) if rows is None else np.asarray(rows)
-
-    def bound() -> int:  # read off the rows once they are known to be orbit rows
-        reps = x[rows]
-        return n * max(int(reps.max()), -int(reps.min())) ** 2 + abs(s) + abs(t)
-
-    field = _orbit_field(n, rows, bound)
-    if field is None:
-        return _panel_deviation(x, s, t, rows)
-    return _OrbitCorrelation(x, *field).deviation(s, t)
+    rows = _orbit_rows(n, d) if rows is None else rows
+    if d:
+        reps = x[rows]  # the bound is read off the orbit rows
+        big = max(int(reps.max()), -int(reps.min()))
+        field = _orbit_field(n, d, n * big ** 2 + abs(s) + abs(t))
+        if field:
+            return _OrbitCorrelation(x, *field).deviation(s, t)
+    return _panel_deviation(x, s, t, rows)
 
 
 def _panel_deviation(x: np.ndarray, s: int, t: int, rows: np.ndarray) -> int:
@@ -433,6 +427,8 @@ def _panel_deviation(x: np.ndarray, s: int, t: int, rows: np.ndarray) -> int:
     maximum is taken per row panel.  For every row only the columns on and
     above the diagonal are formed (the deviation is symmetric).
     """
+    if max(abs(t), abs(s + t)) >= _FLOAT32_EXACT:
+        raise ValueError("|t| and |s + t| must be below 2^24 for an exact float32 Gram")
     n = x.shape[0]
     every = np.array_equal(rows, np.arange(n))
     buffer = np.empty((min(_PANEL, n), x.shape[1]), dtype=np.float32)
@@ -463,7 +459,8 @@ def _product(h: PmMatrix, q: np.ndarray, axis: int, rows: np.ndarray | None = No
     axis 0, at ``rows`` alone.  By the one product h keeps for both axes, built
     on first use: an :class:`_OrbitCorrelation`, else :func:`_panel_product`."""
     if h._product is None:
-        field = _orbit_field(h.n, h.orbit_rows(), lambda: _product.qmax * h.n)
+        d = h.block_shift()
+        field = _orbit_field(h.n, d, _product.qmax * h.n) if d else None
         h._product = (partial(_panel_product, h.signs()) if field is None
                       else _OrbitCorrelation(h.signs(), *field))
     return h._product(q, axis, rows)
@@ -597,15 +594,15 @@ class _OrbitCorrelation:
 
 
 def gate0_verify(m: PmMatrix) -> Gate0Report:
-    """Exact verification of H H^T = nI and H + H^T = 2I, both on the rows
-    of :meth:`PmMatrix.orbit_rows`, from the int8 signs alone."""
+    """Exact verification of H H^T = nI and H + H^T = 2I, both on the orbit
+    rows of :meth:`PmMatrix.block_shift`, from the int8 signs alone."""
     n = m.n
     if n >= _FLOAT32_EXACT:
         raise ValueError(f"order {n} is not below 2^24, the bound for an exact "
                          f"float32 Gram")
-    s = m.signs()
-    rows = m.orbit_rows()
-    max_off = gram_deviation(s, n, 0, rows)  # each row's norm is n: 0 on the diagonal
+    s, d = m.signs(), m.block_shift()
+    rows = _orbit_rows(n, d)
+    max_off = _deviation(s, n, 0, d, rows)  # each row's norm is n: 0 on the diagonal
     skew = s[rows]  # a copy; int8 holds -2 .. 2, so H + H^T - 2I is formed in place
     skew += s[:, rows].T
     skew[np.arange(rows.size), rows] -= 2

@@ -23,16 +23,16 @@ passed Gate0, full or not, follows from n and p instead
 The first two entries of Gram row 0, two dot products, give s and t, so a
 matrix whose determinant p divides costs one pass for max|c| and no matrix
 product.  Only when they promise a unit determinant is the identity
-decided, by ``hadamard.gram_deviation``, Gate0's check, on c itself, exact
+decided, by Gate0's check (``hadamard.gram_deviation``) on c itself, exact
 when m max|c|^2 < 2^24 whatever t is; outside that bound the certificate
 declines.  Like Gate0, it forms only the Gram rows at the orbit rows of a
-block shift that keeps c, verified on c itself (``hadamard._orbit_rows``),
+block shift by d that keeps c, verified on c itself (``hadamard._block_shift``),
 and forms them from those rows alone, as cyclic correlations taken exactly
 by a transform mod a prime: the certificates of H over GF(3) and GF(5) at
 order 1252 correlate its 36 orbit rows, row 0 among them, and multiply no
-panel of H.  Without such a shift every row is its own orbit, and row 0
-is checked alone first, on float32 panels, so a matrix that fails there
-costs one Gram row, not m.
+panel of H.  Without such a shift (d = 0) every row is its own orbit, and
+row 0 is checked alone first, on float32 panels, so a matrix that fails
+there costs one Gram row, not m.
 
 **Elimination.**  Over GF(2) the rows are packed into Python integers and
 reduced by XOR, which beats the float panels below for that one prime.
@@ -70,7 +70,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import is_prime
-from .hadamard import _EXACT, _FLOAT32_EXACT, _orbit_rows, _reduce, gram_deviation
+from .hadamard import (_EXACT, _FLOAT32_EXACT, _block_shift, _deviation, _panel_deviation,
+                       _reduce)
 
 
 @dataclass(frozen=True)
@@ -109,10 +110,9 @@ def _gram_certifies_full_rank(x: np.ndarray, p: int) -> bool:
     It declines (False) unless x is square and non-empty, its centered
     residues c satisfy m max|c|^2 < 2^24, and c c^T = s I + t J with p
     dividing neither s nor s + m t (see the module docstring).  The first
-    two entries of Gram row 0 give s and t; :func:`~skewhad.hadamard.gram_deviation`
-    on x itself then decides it on the orbit rows of a verified block shift
-    of x, from those rows alone, or, when there is none, checks row 0 before
-    every row.
+    two entries of Gram row 0 give s and t; the Gram deviation of x
+    (:func:`~skewhad.hadamard.gram_deviation`) then decides it on the orbit
+    rows of x's verified block shift d, or, when d = 0, on row 0 first.
     """
     if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] == 0:
         return False
@@ -129,10 +129,10 @@ def _gram_certifies_full_rank(x: np.ndarray, p: int) -> bool:
     s = int(head[0] @ head[0]) - t
     if s % p == 0 or (s + m * t) % p == 0:
         return False  # p divides the determinant s^(m-1) (s + m t)
-    rows = _orbit_rows(x)
-    if rows.size == m and gram_deviation(x, s, t, [0]) != 0:
+    d = _block_shift(x)
+    if not d and _panel_deviation(x, s, t, np.array([0])) != 0:
         return False  # every row is its own orbit: row 0 alone first, before m rows
-    return gram_deviation(x, s, t, rows) == 0
+    return _deviation(x, s, t, d) == 0
 
 
 def _rows_as_ints(m01: np.ndarray) -> list[int]:

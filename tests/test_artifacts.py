@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import re
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -65,3 +66,15 @@ def test_desk_fixtures_are_the_built_matrices(matrix8, matrix12):
     for m, name in ((matrix8, "n8"), (matrix12, "n12")):
         digest = hashlib.sha256(sh.to_matrix_text(m)).hexdigest()
         assert digest == EXPECTED[name]["artifacts"][f"matrix_{m.n}.txt"]
+
+
+def test_the_readme_library_example_runs():
+    # the one python block under "## Library" in README.md, run as a reader
+    # would run it, so the documented API cannot drift from the code
+    section = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(compile(blocks[0], "README.md", "exec"), {})
+    assert out.getvalue() == "tournament 2 1251 1251\n"

@@ -199,6 +199,16 @@ def test_audit_translations_only_group():
     assert report.exhaustive_checked == 3
 
 
+def test_audit_refuses_a_negative_sample_count():
+    # the order-8 desk matrix passes with no sample; -1 is refused, not
+    # reported as a failed closure sample of a valid matrix
+    _, partition, pair, _ = sh.find_valid_generator(sh.FieldConfig(3, 1), 2, [0], [0])
+    h = sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1)
+    assert sh.subgroup_audit(h, partition, samples=0).passed
+    with pytest.raises(ValueError, match="samples must be at least 0, not -1"):
+        sh.subgroup_audit(h, partition, samples=-1)
+
+
 def test_audit_order_mismatch_rejected(desk_field, matrix8):
     _, partition, _, _ = desk_field
     with pytest.raises(ValueError):

@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 import skewhad as sh
 from skewhad.cli import (BuildConfig, CliError, format_index_set, format_manifest, main,
-                         parse_index_set, parse_manifest, read_manifest, write_vector_file)
+                         parse_index_set, parse_manifest, read_manifest, sha256_file,
+                         write_vector_file)
 
 from _naive import naive_rank_gfp
 from conftest import (PAPER_I0, PAPER_I1, mutate_one_byte, orbit_flip, swap_member,
@@ -143,14 +144,16 @@ def test_rank_tournament_matches_the_oracle(small_matrix_files, capsys, p):
 
 def _count_rank_calls(monkeypatch):
     """Counts of Gate0 runs, Gram checks (Gate0's and the rank certificate's),
-    core normalizations, ranks, rank certificates and eliminations."""
-    calls = {"gate0_verify": 0, "gram_deviation": 0, "normalize_core_tournament": 0,
-             "rank_gfp": 0, "_gram_certifies_full_rank": 0, "_eliminate": 0,
-             "_eliminate_gf2": 0}
-    for module, name in ((sh.hadamard, "gate0_verify"), (sh.hadamard, "gram_deviation"),
+    the certificate's row-0 checks, core normalizations, ranks, rank
+    certificates and eliminations."""
+    calls = {"gate0_verify": 0, "_deviation": 0, "_panel_deviation": 0,
+             "normalize_core_tournament": 0, "rank_gfp": 0, "_gram_certifies_full_rank": 0,
+             "_eliminate": 0, "_eliminate_gf2": 0}
+    for module, name in ((sh.hadamard, "gate0_verify"), (sh.hadamard, "_deviation"),
                          (sh.hadamard, "normalize_core_tournament"), (sh.ranks, "rank_gfp"),
-                         (sh.ranks, "gram_deviation"), (sh.ranks, "_gram_certifies_full_rank"),
-                         (sh.ranks, "_eliminate"), (sh.ranks, "_eliminate_gf2")):
+                         (sh.ranks, "_deviation"), (sh.ranks, "_panel_deviation"),
+                         (sh.ranks, "_gram_certifies_full_rank"), (sh.ranks, "_eliminate"),
+                         (sh.ranks, "_eliminate_gf2")):
         def counted(*args, _inner=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _inner(*args, **kwargs)
@@ -159,9 +162,9 @@ def _count_rank_calls(monkeypatch):
 
 
 # a tournament rank runs Gate0 and nothing after it
-TOURNAMENT_CALLS = {"gate0_verify": 1, "gram_deviation": 1, "normalize_core_tournament": 0,
-                    "rank_gfp": 0, "_gram_certifies_full_rank": 0, "_eliminate": 0,
-                    "_eliminate_gf2": 0}
+TOURNAMENT_CALLS = {"gate0_verify": 1, "_deviation": 1, "_panel_deviation": 0,
+                    "normalize_core_tournament": 0, "rank_gfp": 0,
+                    "_gram_certifies_full_rank": 0, "_eliminate": 0, "_eliminate_gf2": 0}
 
 
 @pytest.mark.parametrize("p, rank", [(2, 1251), (5, 1250), (313, 626)])
@@ -183,16 +186,16 @@ def test_rank_at_1252_is_certified_on_the_orbit_rows(matrix1252_file, capsys, mo
     # among them, in one Gram
     calls = _count_rank_calls(monkeypatch)
     rows = []
-    inner = sh.ranks.gram_deviation
-    monkeypatch.setattr(sh.ranks, "gram_deviation",
-                        lambda f, *args: rows.append(len(args[2])) or inner(f, *args))
+    inner = sh.ranks._deviation
+    monkeypatch.setattr(sh.ranks, "_deviation", lambda f, s, t, d: rows.append(
+        len(sh.hadamard._orbit_rows(len(f), d))) or inner(f, s, t, d))
     code = main(["rank", str(matrix1252_file), "--field", str(p)])
     assert code == 0
     assert capsys.readouterr().out == f"hadamard {p} 1252 1252\n"
     assert rows == [36]
-    assert calls == {"gate0_verify": 0, "gram_deviation": 1, "normalize_core_tournament": 0,
-                     "rank_gfp": 1, "_gram_certifies_full_rank": 1, "_eliminate": 0,
-                     "_eliminate_gf2": 0}
+    assert calls == {"gate0_verify": 0, "_deviation": 1, "_panel_deviation": 0,
+                     "normalize_core_tournament": 0, "rank_gfp": 1,
+                     "_gram_certifies_full_rank": 1, "_eliminate": 0, "_eliminate_gf2": 0}
 
 
 def test_rank_tournament_on_a_flipped_1252_matrix_exits_2(tmp_path, capsys, monkeypatch,
@@ -848,3 +851,60 @@ def test_write_vector_file_matches_the_per_value_writer(tmp_path, case):
     write_vector_file(path, values)
     assert path.read_bytes() == _per_value_vector_text(values)
     assert (path.read_bytes() == b"") == (case == "empty")
+
+
+@pytest.mark.parametrize("case", ["not-ascii", "not-a-number"])
+def test_a_bad_vector_file_exits_1_with_one_error_line(desk_build, tmp_path, capsys, case):
+    # a blank line is skipped but counted, so the bad line is reported as line 3
+    vec = tmp_path / "vec.txt"
+    vec.write_bytes({"not-ascii": b"1.0\n\xe9\n", "not-a-number": b"1.0\n\nabc\n"}[case])
+    pkt = tmp_path / "p.bin"
+    code = main(["sketch", "encode", str(desk_build / "matrix_8.txt"), str(vec),
+                 "--k", "2", "--out", str(pkt)])
+    want = {"not-ascii": f"error: {vec}: 'ascii' codec can't decode byte 0xe9 in position 4: "
+                         "ordinal not in range(128)\n",
+            "not-a-number": f"error: {vec}: line 3: not a number: 'abc'\n"}[case]
+    assert (code, capsys.readouterr()) == (1, ("", want))
+    assert not pkt.exists()
+
+
+def test_aut_without_a_digest_line_for_the_matrix_exits_1(desk_build, capsys):
+    manifest = desk_build / "manifest.txt"
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(line for line in lines if not line.endswith("  matrix_8.txt\n")))
+    assert main(["aut", str(manifest)]) == 1
+    assert capsys.readouterr() == ("", f"error: {manifest}: no digest line for matrix_8.txt\n")
+
+
+def test_aut_on_a_matrix_of_another_order_exits_1(desk_build, capsys):
+    # the file's digest matches the manifest, but its order is not 2(q + 1)
+    manifest, matrix = desk_build / "manifest.txt", desk_build / "matrix_8.txt"
+    old = sha256_file(matrix)
+    matrix.write_bytes(b"2\n++\n-+\n")
+    manifest.write_text(manifest.read_text().replace(old, sha256_file(matrix)))
+    assert main(["aut", str(manifest)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {matrix}: order 2 does not match the manifest's 8\n")
+
+
+@pytest.mark.parametrize("action", ["encode", "decode"])
+def test_sketch_on_a_matrix_that_fails_gate0_exits_2(desk_build, tmp_path, capsys, action):
+    matrix = desk_build / "matrix_8.txt"
+    vec, pkt, out = tmp_path / "vec.txt", tmp_path / "pkt.bin", tmp_path / "out"
+    vec.write_text("1.0\n" * 8)
+    assert main(["sketch", "encode", str(matrix), str(vec), "--k", "8", "--out", str(pkt)]) == 0
+    capsys.readouterr()
+    data = bytearray(matrix.read_bytes())
+    data[data.index(b"+", 2)] = ord("-")
+    matrix.write_bytes(bytes(data))
+    given = vec if action == "encode" else pkt
+    code = main(["sketch", action, str(matrix), str(given), "--out", str(out)])
+    assert (code, capsys.readouterr()) == (2, ("GATE0 FAIL n=8\n", ""))
+    assert not out.exists()
+
+
+def test_manifest_with_a_missing_file_exits_2(desk_build, capsys):
+    (desk_build / "gate0_report.txt").unlink()
+    assert main(["manifest", str(desk_build)]) == 2
+    assert capsys.readouterr() == (
+        "MISSING gate0_report.txt\nOK matrix_8.txt\nOK shdf_certificate.txt\n", "")

@@ -341,20 +341,21 @@ def test_gram_deviation_with_t_nonzero_matches_naive_gram(monkeypatch, small_mat
 @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float32])
 @_PANELS
 def test_gram_deviation_reads_the_matrix_in_its_own_dtype(monkeypatch, small_matrices, dtype, b):
-    # the orbit rows and every row, given as None or as all of them; a flip
-    # leaves every row its own orbit, and entries of 97 keep the Gram exact
+    # the public call, every row (d = 0) and the orbit rows of the verified
+    # shift; a flip leaves every row its own orbit, and entries of 97 keep
+    # the Gram exact
     monkeypatch.setattr(hadamard, "_PANEL", b)
     for n, signs, _ in small_matrices:
         flipped = signs.copy()
         flipped[n // 2, 1] *= -1
         for x, scale in ((signs, 1), (flipped, 1), (97 * signs, 97**2)):
             x = x.astype(dtype)
-            rows = hadamard._orbit_rows(x)
+            d = hadamard._block_shift(x)
             for s, t in ((scale * n, 0), (n + 2, -2), (0, n), (5 * n, 1)):
                 want = naive_gram_deviation(x, s, t)
                 assert gram_deviation(x, s, t) == want, (n, dtype, s, t)
-                assert gram_deviation(x, s, t, np.arange(n)) == want, (n, dtype, s, t)
-                assert gram_deviation(x, s, t, rows) == want, (n, dtype, s, t)
+                assert hadamard._deviation(x, s, t, 0) == want, (n, dtype, s, t)
+                assert hadamard._deviation(x, s, t, d) == want, (n, dtype, s, t)
         assert gram_deviation(flipped.astype(dtype), n, 0) > 0
 
 
@@ -365,7 +366,37 @@ def test_gram_deviation_is_exact_when_s_needs_25_bits(dtype):
     x = np.array([[2891, 2784], [-2833, -2843]], dtype=dtype)
     s, t = 32213652, -16105115
     assert gram_deviation(x, s, t) == naive_gram_deviation(x, s, t) == 1
-    assert gram_deviation(x, s, t, [0]) == 0 and gram_deviation(x, s, t, [1]) == 1
+    panel = hadamard._panel_deviation
+    assert panel(x, s, t, np.array([0])) == 0 and panel(x, s, t, np.array([1])) == 1
+
+
+def test_gram_deviation_refuses_t_or_s_plus_t_outside_the_float32_bound():
+    # 4097^2 = 2^24 + 8193 rounds to s in float32, so the panels would read
+    # 0 where the deviation is 1; |t| >= 2^24 breaks the bound alike
+    x = np.diag([4097, 4097])
+    assert naive_gram_deviation(x, 4097**2 - 1, 0) == 1
+    for s, t in ((4097**2 - 1, 0), (-(1 << 24), 1 << 24), (1 << 24, 0)):
+        with pytest.raises(ValueError, match="below 2\\^24"):
+            gram_deviation(x, s, t)
+
+
+def test_the_public_gram_verifies_the_block_shift_on_its_own_input(monkeypatch, matrix1252):
+    # the flagship takes the 36 orbit rows of the shift it verifies once on
+    # x itself, and no panel; a flip breaks the shift, so the flipped
+    # matrix's deviation comes from every row and equals the oracle's
+    shifts, keeps = [], hadamard._keeps_block_shift
+    monkeypatch.setattr(hadamard, "_keeps_block_shift",
+                        lambda x, d: shifts.append(d) or keeps(x, d))
+    panel = hadamard._panel_deviation
+    monkeypatch.setattr(hadamard, "_panel_deviation", lambda *a: pytest.fail("a panel"))
+    signs = matrix1252.signs()
+    assert gram_deviation(signs, 1252, 0) == 0
+    assert shifts == [16]
+    monkeypatch.setattr(hadamard, "_panel_deviation", panel)
+    flipped = signs.copy()
+    flipped[40, 700] *= -1
+    assert hadamard._block_shift(flipped) == 0
+    assert gram_deviation(flipped, 1252, 0) == naive_gram_deviation(flipped, 1252, 0) == 2
 
 
 @pytest.mark.parametrize("edits", [
@@ -455,26 +486,30 @@ def test_gram_deviation_and_gate0_match_the_dense_oracle(
     n = len(signs)
     oracle = naive_gram_deviation(signs, n, 0)
     assert oracle == want if want is not None else oracle > 0
-    rows = hadamard._orbit_rows(signs)
+    d = hadamard._block_shift(signs)
+    rows = hadamard._orbit_rows(n, d)
     if orbit_rows is None:
-        assert np.array_equal(rows, np.arange(n))
+        assert d == 0 and np.array_equal(rows, np.arange(n))
     else:
         assert len(rows) == orbit_rows
     if case == "row2-periodic":  # refused by the check, not by the proposal
         assert hadamard._period(signs[2, 3:29]) == hadamard._period(signs[2, 30:]) == 1
+    # the orbit rows, every row (d = 0), and the public call, which verifies d
     f = signs.astype(np.float32)
-    assert gram_deviation(f, n, 0, rows) == gram_deviation(f, n, 0) == oracle
+    deviation = hadamard._deviation
+    assert deviation(f, n, 0, d) == deviation(f, n, 0, 0) == gram_deviation(f, n, 0) == oracle
     if n < 100:  # t != 0 on both paths
         for s, t in ((n + 2, -2), (n - 2, 2), (0, n)):
             want_st = naive_gram_deviation(signs, s, t)
-            assert gram_deviation(f, s, t, rows) == gram_deviation(f, s, t) == want_st, (s, t)
-    # Gate0 passes the same rows to its product
+            assert (deviation(f, s, t, d) == deviation(f, s, t, 0) == gram_deviation(f, s, t)
+                    == want_st), (s, t)
+    # Gate0 passes the same shift and rows to its Gram
     seen = []
-    inner = hadamard.gram_deviation
-    monkeypatch.setattr(hadamard, "gram_deviation",
-                        lambda g, s, t, rows=None: seen.append(rows) or inner(g, s, t, rows))
+    monkeypatch.setattr(hadamard, "_deviation",
+                        lambda g, s, t, d, rows=None: seen.append((d, rows))
+                        or deviation(g, s, t, d, rows))
     rep = sh.gate0_verify(sh.PmMatrix.from_signs(signs))
-    assert len(seen) == 1 and np.array_equal(seen[0], rows)
+    assert len(seen) == 1 and seen[0][0] == d and np.array_equal(seen[0][1], rows)
     wide = signs.astype(np.int64)
     skew_ok = np.array_equal(wide + wide.T, 2 * np.eye(n, dtype=np.int64))
     assert (rep.gram_ok, rep.skew_ok, rep.max_offdiag_gram) == (oracle == 0, skew_ok, oracle)
@@ -499,12 +534,13 @@ def test_every_single_flip_is_decided_exactly(p, e, N, i0, i1):
             kept = i in fixed and j in fixed
             dense = sh.verify_automorphism(sh.PmMatrix(signs), sigma)
             assert hadamard._keeps_block_shift(signs, N) == dense == kept, (i, j)
-            rows = hadamard._orbit_rows(signs)
-            assert len(rows) == (8 if kept else n), (i, j)
+            d = hadamard._block_shift(signs)
+            assert d == (N if kept else 0), (i, j)
+            assert len(hadamard._orbit_rows(n, d)) == (8 if kept else n), (i, j)
             oracle = naive_gram_deviation(signs, n, 0)
             rep = sh.gate0_verify(sh.PmMatrix.from_signs(signs))
             assert (rep.max_offdiag_gram, rep.skew_ok) == (oracle, False), (i, j)
-            assert gram_deviation(signs.astype(np.float32), n, 0, rows) == oracle, (i, j)
+            assert gram_deviation(signs.astype(np.float32), n, 0) == oracle, (i, j)
 
 
 def _counted_panels(monkeypatch):
@@ -525,19 +561,18 @@ def test_orbit_gram_by_the_transform_matches_the_dense_oracle(
     panels = _counted_panels(monkeypatch)
     shifted = []
     for signs in [signs for _, signs, _ in small_matrices] + [matrix1252.signs()]:
-        n, rows = len(signs), hadamard._orbit_rows(signs)
-        d, *_ = hadamard._orbit_field(n, rows, lambda: n) or (0,)
+        n, d = len(signs), hadamard._block_shift(signs)
         if not d:
-            assert np.array_equal(rows, np.arange(n))
             continue
+        assert hadamard._orbit_field(n, d, n) is not None
         shifted.append(n)
         flipped = orbit_flip(signs, d, 5)
-        assert np.array_equal(hadamard._orbit_rows(flipped), rows)
+        assert hadamard._block_shift(flipped.astype(dtype)) == d
         assert naive_gram_deviation(flipped, n, 0) > 0
         for x in (signs, flipped):
             for s, t in ((n, 0), (n - 3, 1), (5, -2), (0, 0)):
                 want = naive_gram_deviation(x, s, t)
-                assert gram_deviation(x.astype(dtype), s, t, rows) == want, (n, s, t)
+                assert gram_deviation(x.astype(dtype), s, t) == want, (n, s, t)
     assert shifted == [24, 56, 1252] and panels == []
 
 
@@ -590,13 +625,13 @@ def test_the_gram_and_the_product_are_one_correlation(matrix1252, flip):
     # 0 on H and above 0 on an orbit flip, which the shift still keeps
     x = orbit_flip(matrix1252.signs(), 16, 5) if flip else matrix1252.signs()
     m = sh.PmMatrix(x)
-    n, rows = m.n, m.orbit_rows()
-    assert rows.size == 36
+    n, rows = m.n, hadamard._orbit_rows(m.n, m.block_shift())
+    assert m.block_shift() == 16 and rows.size == 36
     gram = hadamard._product(m, x[rows].T, 1)
     assert isinstance(m._product, hadamard._OrbitCorrelation)
     gram[rows, np.arange(rows.size)] -= n
     want = naive_gram_deviation(x, n, 0)
-    assert int(np.abs(gram).max()) == gram_deviation(x, n, 0, rows) == want
+    assert int(np.abs(gram).max()) == gram_deviation(x, n, 0) == want
     assert (want > 0) == flip
 
 
@@ -606,7 +641,7 @@ def test_a_gram_forms_no_full_w(monkeypatch, matrix1252):
     built, correlation = [], hadamard._OrbitCorrelation
     monkeypatch.setattr(hadamard, "_OrbitCorrelation",
                         lambda *a: built.append(correlation(*a)) or built[-1])
-    for run in (lambda m: gram_deviation(m.signs(), m.n, 0, m.orbit_rows()), sh.gate0_verify):
+    for run in (lambda m: gram_deviation(m.signs(), m.n, 0), sh.gate0_verify):
         m = sh.PmMatrix(matrix1252.signs())
         built.clear()
         run(m)
@@ -614,19 +649,20 @@ def test_a_gram_forms_no_full_w(monkeypatch, matrix1252):
 
 
 def test_orbit_rows_at_1252_convert_no_column_panel(monkeypatch, matrix1252):
-    # Gate0 and the GF(3) rank certificate form the Gram rows of the 36
-    # orbit rows from those rows alone: no _PANEL panel of H is converted
-    # and no product with n rows is formed.  Every-row input, and a bound
-    # that breaks the 2^53 rule (entries of 97), take the panels.
+    # Gate0, the GF(3) rank certificate and the public Gram form the Gram
+    # rows of the 36 orbit rows from those rows alone: no _PANEL panel of H
+    # is converted and no product with n rows is formed.  Every-row input
+    # (d = 0), and a bound that breaks the 2^53 rule (entries of 97), take
+    # the panels.
     panels = _counted_panels(monkeypatch)
     signs = matrix1252.signs()
     assert sh.gate0_verify(matrix1252).passed
     assert sh.rank_gfp(signs, 3).rank == 1252
-    assert panels == []
     assert gram_deviation(signs, 1252, 0) == 0
+    assert panels == []
+    assert hadamard._deviation(signs, 1252, 0, 0) == 0
     assert panels == [1252]
-    rows = hadamard._orbit_rows(signs)
-    assert gram_deviation(97 * signs.astype(np.int64), 97**2 * 1252, 0, rows) == 0
+    assert gram_deviation(97 * signs.astype(np.int64), 97**2 * 1252, 0) == 0
     assert panels == [1252, 36]
 
 
@@ -663,7 +699,8 @@ def test_gate0_and_the_rank_certificate_at_order_4080_allocate_below_half_n_squa
     # the matrix
     h = sh.PmMatrix(instance4080[1])
     n = h.n
-    assert n == 4080 and len(hadamard._orbit_rows(h.signs())) == 8
+    d = hadamard._block_shift(h.signs())  # not kept by h: Gate0 verifies it under the trace
+    assert n == 4080 and d == 2 and len(hadamard._orbit_rows(n, d)) == 8
     passed, peak = traced_peak(lambda: sh.gate0_verify(h).passed)
     assert passed and peak <= 0.5 * n ** 2
     # 3 divides n = 4080, so GF(3) eliminates; GF(7) is certified
@@ -675,7 +712,7 @@ def test_gate0_and_the_rank_certificate_at_order_4080_allocate_below_half_n_squa
 def test_gate0_never_forms_the_gram(matrix1252):
     # Gate0 holds less than one n x n float32 array at its peak: the Gram
     # is decided on the 36 orbit rows
-    assert len(hadamard._orbit_rows(matrix1252.signs())) == 36
+    assert len(hadamard._orbit_rows(1252, hadamard._block_shift(matrix1252.signs()))) == 36
     passed, peak = traced_peak(lambda: sh.gate0_verify(sh.PmMatrix(matrix1252.signs())).passed)
     assert passed and peak < 1252 * 1252 * 4
 
@@ -685,7 +722,7 @@ def test_gate0_on_the_panels_never_forms_the_gram(matrix1252):
     # Gram is decided panel by panel
     signs = matrix1252.signs().copy()
     signs[40, 700] *= -1
-    assert np.array_equal(hadamard._orbit_rows(signs), np.arange(1252))
+    assert hadamard._block_shift(signs) == 0
     passed, peak = traced_peak(lambda: sh.gate0_verify(sh.PmMatrix(signs)).passed)
     assert not passed and peak < 1252 * 1252 * 4
 

@@ -372,9 +372,11 @@ def test_certified_ranks_eliminate_nothing_and_declined_ranks_form_no_gram(
     if rank is None:
         rank = naive_rank_gfp(x.tolist(), p)
     formed = []  # the Gram rows of each product the certificate forms
-    inner = ranks.gram_deviation
-    monkeypatch.setattr(ranks, "gram_deviation",
-                        lambda f, s, t, rows: formed.append(len(rows)) or inner(f, s, t, rows))
+    deviation, panels = ranks._deviation, ranks._panel_deviation
+    monkeypatch.setattr(ranks, "_deviation", lambda f, s, t, d: formed.append(
+        len(hadamard._orbit_rows(len(f), d))) or deviation(f, s, t, d))
+    monkeypatch.setattr(ranks, "_panel_deviation",
+                        lambda f, s, t, rows: formed.append(len(rows)) or panels(f, s, t, rows))
     calls = _count_calls(monkeypatch, ("_eliminate", "_eliminate_gf2"))
     assert sh.rank_gfp(x, p).rank == rank
     # a certified rank forms the orbit rows of H's block shift in one product,
@@ -384,7 +386,7 @@ def test_certified_ranks_eliminate_nothing_and_declined_ranks_form_no_gram(
     # eliminates once, by XOR rows over GF(2) and in panels otherwise
     eliminations = (calls["_eliminate_gf2"], calls["_eliminate"])
     if certified:
-        orbits = len(hadamard._orbit_rows(x))
+        orbits = len(hadamard._orbit_rows(len(x), hadamard._block_shift(x)))
         assert (orbits < len(x)) == (label == "hadamard")
         assert (eliminations, formed) == ((0, 0), [orbits] if label == "hadamard"
                                           else [1, orbits])
@@ -403,14 +405,15 @@ def test_orbit_invariant_non_hadamard_matrix_declines_and_eliminates(
     n, h, _ = next(m for m in small_matrices if m[0] == 56)
     b = next(b for b in range(2, n // 2 - 2) if h[3, 3 + b] != h[3, 4])
     x = orbit_flip(orbit_flip(h, 2, 1), 2, b)
-    assert len(hadamard._orbit_rows(x)) == 8
+    assert hadamard._block_shift(x) == 2 and len(hadamard._orbit_rows(n, 2)) == 8
     seen = []  # (orbit rows, deviation) of each Gram
-    inner = ranks.gram_deviation
+    inner = ranks._deviation
 
-    def recorded(f, s, t, rows=None):
-        seen.append((len(rows), inner(f, s, t, rows)))
+    def recorded(f, s, t, d):
+        seen.append((len(hadamard._orbit_rows(len(f), d)), inner(f, s, t, d)))
         return seen[-1][1]
-    monkeypatch.setattr(ranks, "gram_deviation", recorded)
+    monkeypatch.setattr(ranks, "_deviation", recorded)
+    monkeypatch.setattr(ranks, "_panel_deviation", lambda *a: pytest.fail("row 0 alone"))
     calls = _count_calls(monkeypatch, ("_eliminate",))
     assert sh.rank_gfp(x, p).rank == naive_rank_gfp(x.tolist(), p)
     assert len(seen) == 1 and seen[0][0] == 8 and seen[0][1] > 0

@@ -171,7 +171,7 @@ def test_the_matrix_keeps_one_product_for_both_axes(matrix12, matrix1252):
         assert shapes == ([((39, 36, 32), (36, 4))] * 2 if path == "orbit" else [])
         assert np.array_equal(first, signs[4].astype(np.float64) * 12 / np.sqrt(m.n))
         m.signs = lambda: pytest.fail("the signs were read again")
-        m.orbit_rows = lambda: pytest.fail("the orbit rows were read again")
+        m.block_shift = lambda: pytest.fail("the block shift was read again")
         assert np.array_equal(sh.decode(packet, m), first)
         assert np.array_equal(sh.transform(x, m), y) and m._product is product
         assert all(a is b for a, b in zip(getattr(product, "tables", []), tables))
@@ -604,7 +604,7 @@ def test_decode_is_bit_identical_to_the_dense_inverse(small_matrices, matrix1252
     for signs in [signs for _, signs, _ in small_matrices] + [matrix1252.signs()]:
         matrices.append(signs)
         n = len(signs)
-        d, *_ = hadamard._orbit_field(n, hadamard._orbit_rows(signs), lambda: n) or (0,)
+        d = hadamard._block_shift(signs)
         if d:
             matrices += [orbit_flip(signs, d, 5), orbit_flip(signs, 2 * d, 5)]
     rng = np.random.default_rng(8)
@@ -653,7 +653,7 @@ def test_decode_at_order_4080_matches_the_int64_oracle(monkeypatch, matrix1252, 
     product = m._product
     assert isinstance(product, hadamard._OrbitCorrelation) and product.p == 1047533
     # the product keeps the W whose panels the Gram multiplies and drops
-    d, f, p, z = hadamard._orbit_field(n, m.orbit_rows(), lambda: QMAX * n)
+    d, f, p, z = hadamard._orbit_field(n, m.block_shift(), QMAX * n)
     assert (d, f, p) == (2, 1019, 1047533) and product.w.shape == (f, f)
     b = hadamard._PANEL
     gram = hadamard._power_panels(hadamard._powers(z, p, f), hadamard._exponents(f, b),
