@@ -12,16 +12,17 @@ The block action of x -> g^(N*k) x + a is ``add_shift(_scaled(q, N, k),
 w)`` for the a at block index w, a shift of the discrete log and then one
 Zech-table sum.  The multiplier generator x -> g^N x, the block shift by
 N, is decided by :func:`hadamard._keeps_block_shift`, which verifies the
-Gram's orbit rows too, and the translation x -> x + 1 (basis translation
-0 of the e translations x -> x + p^i) is checked densely.  When both pass,
-the other e - 1 basis translations are derived, not checked: conjugating
-x -> x + 1 by the k-th power of the multiplier gives x -> x + g^(N*k), an
-automorphism too, and the sums of these are the translations by the
-GF(p)-span of the powers of g^N, the subfield GF(p)(g^N).  That is the
-whole field exactly when g^N, of order f, lies in no proper subfield
-GF(p^m), that is when f divides no p^m - 1 with m < e (at order 1252, 39
-divides none of 4, 24 and 124).  Otherwise, or when either generator
-fails, every basis translation is checked densely.  When all pass, all
+Gram's orbit rows too.  When it passes, the translations are decided by
+the construction's own invariance, an entry of a developed block depending
+only on g_j - g_i (:func:`_translations_keep`).  Every translation keeps
+the matrix exactly when its border rows and columns are constant on each
+block and, in each of the four quadrants, the rows of g^0 .. g^(N-1) are
+the quadrant's element-0 row translated: the shift keeps the quadrant, and
+the development of that row too, since it fixes 0 and so keeps the row,
+and the rows of 0 and g^0 .. g^(N-1) are one per orbit of the shift, so
+the two agree everywhere.  The e basis translations x -> x + p^i generate
+every translation, so their lines pass with no dense check; when the
+multiplier or that check fails, each is checked densely.  When all pass, all
 f*q maps are automorphisms with none of them formed (the orbit-stabilizer
 argument of Seress, *Permutation Group Algorithms*, CUP 2003): map (k, a)
 is the k-th multiplier power followed by the product, digit by digit, of
@@ -47,6 +48,7 @@ import numpy as np
 
 from .gf import CyclotomicPartition
 from . import gf as _gf
+from .groups import GroupSpec
 from .hadamard import PmMatrix, _keeps_block_shift
 
 _CHECK_ROWS = 128  # rows per panel of a dense check
@@ -71,6 +73,27 @@ def verify_automorphism(h: PmMatrix, sigma: np.ndarray) -> bool:
 def _bordered(pi: np.ndarray, q: int) -> np.ndarray:
     """The bordered permutation fixing both borders, ``pi`` on each block."""
     return np.concatenate([[0, 1], 2 + pi, q + 2 + pi])
+
+
+def _translations_keep(x: np.ndarray, group: GroupSpec, n_cls: int) -> bool:
+    """Whether every translation keeps the bordered matrix x that the block
+    shift by ``n_cls`` keeps (see the module docstring); the developed rows
+    come from :meth:`GroupSpec._period_rows`, at most ``_CHECK_ROWS * q / 2``
+    logs at once."""
+    q, m = group.order, group.order - 1
+    borders = np.stack([x[:2, 2:], x[2:, :2].T]).reshape(4, 2, q)  # each border line by block
+    if not (borders == borders[:, :, :1]).all():
+        return False
+    step = max(1, _CHECK_ROWS * q // (2 * (2 * m - n_cls)))
+    for quadrant in (x[i: i + q, j: j + q] for i in (2, q + 2) for j in (2, q + 2)):
+        by_log = quadrant[0][group._index_of_log]
+        for lo in range(0, n_cls, step):
+            r = np.arange(lo, min(lo + step, n_cls))
+            rows = quadrant[1 + lo: 1 + lo + r.size]  # column 0 holds 0 - g^r = g^(r + h)
+            if not (np.array_equal(rows[:, 0], by_log[group._h + r]) and np.array_equal(
+                    rows[:, 1:], group._period_rows(by_log, n_cls, r)[:, m - n_cls:])):
+                return False
+    return True
 
 
 def _scaled(q: int, n_cls: int, k: int) -> np.ndarray:
@@ -160,8 +183,9 @@ def subgroup_audit(h: PmMatrix, partition: CyclotomicPartition, *,
 
     The generators are the multiplier x -> g^N x, of order f = (q-1)/N, and
     the e basis translations, and every generator line is the verdict of
-    its dense check, though only x -> x + 1 is checked densely when the
-    others follow (see the module docstring).  No map is formed to certify
+    its dense check, though no translation is checked densely when the
+    multiplier passes and the quadrants' rows show every translation keeps
+    H (see the module docstring).  No map is formed to certify
     the group: when the generators pass, the f*q maps, pairwise distinct by
     three O(q) facts checked here, are certified with no further step, and
     so is every closure sample and every map of ``exhaustive``.  Otherwise
@@ -196,14 +220,9 @@ def subgroup_audit(h: PmMatrix, partition: CyclotomicPartition, *,
 
     # x -> g^N x, generating C_0, is the block shift by N
     multiplier_ok = _keeps_block_shift(h.signs(), n_cls)
-    translations = [verify_automorphism(h, _bordered(basis[0], q))]  # x -> x + 1
-    # the conjugates x -> x + g^(N*k) of x -> x + 1 span GF(p)(g^N), which is
-    # the whole field unless g^N, of order f, lies in a proper subfield
-    spans = all((p ** m - 1) % f for m in range(1, e))
-    if multiplier_ok and translations[0] and spans:
-        translations += [True] * (e - 1)
-    else:
-        translations += [verify_automorphism(h, _bordered(t, q)) for t in basis[1:]]
+    # the translations keep h exactly when the quadrants are developed, given the shift
+    developed = multiplier_ok and _translations_keep(h.signs(), group, n_cls)
+    translations = [developed or verify_automorphism(h, _bordered(t, q)) for t in basis]
     report.generator_results = [
         (f"multiplier g^{n_cls}", multiplier_ok),
         *((f"translation basis {i}", ok) for i, ok in enumerate(translations))]

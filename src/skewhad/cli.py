@@ -183,10 +183,12 @@ def read_matrix_file(path: Path) -> hadamard.PmMatrix:
 
 def read_vector_file(path: Path) -> np.ndarray:
     """One float per line."""
+    data = path.read_bytes()
     try:
-        lines = path.read_text("ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{path}: {exc}") from None
+        lines = data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:  # the line of the first byte that is not ASCII
+        lineno = len((data[: exc.start].decode("ascii") + "-").splitlines())
+        raise CliError(f"{path}: line {lineno}: not ASCII text") from None
     values = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():

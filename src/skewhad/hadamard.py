@@ -99,9 +99,11 @@ from .groups import GroupSpec, _period, indicator_signs, subset_size
 _ORDER_HEADER = re.compile(rb"[1-9][0-9]*")
 _FLOAT32_EXACT = 1 << 24  # float32 holds every integer of absolute value up to 2^24
 _EXACT = 1 << 53  # float64 holds every integer of absolute value up to 2^53
+_QMAX = 127  # the bound on |q| in an exact product: every partial sum is at most 127 n < 2^24
 _MID = 44  # '+' = 43 and '-' = 45 lie either side, so sign = 44 - byte
 _LF = ord("\n")
 _PANEL = 256  # rows per panel: of x in the Gram's float32 panels, and of W (_power_panels)
+_SHIFT_ENTRIES = 1 << 20  # entries one slice compare of _keeps_block_shift reads at most
 
 
 class MatrixFormatError(ValueError):
@@ -256,19 +258,22 @@ def _keeps_block_shift(x: np.ndarray, d: int) -> bool:
     """Whether x[pi(i), pi(j)] == x[i, j] on every entry of the bordered
     matrix x of order 2(v + 1), pi the block shift by d, 0 < d < v (see the
     module docstring).  The shift is six runs of indices, each moved by one
-    offset, so each pair of runs is one slice compare; the pairs of the two
-    fixed runs, 0 .. 2 and v + 2, compare a slice with itself and are
-    skipped, and the first pair that differs decides."""
+    offset, so each pair of runs is one slice compare, of at most
+    ``_SHIFT_ENTRIES`` entries a panel of rows; the pairs of the two fixed
+    runs, 0 .. 2 and v + 2, compare a slice with itself and are skipped,
+    and the first compare that differs decides."""
     v = x.shape[0] // 2 - 1
     length = v - 1  # the elements g^0 .. g^(v-2) of each block
+    step = max(1, _SHIFT_ENTRIES // length)  # rows per panel; a run is at most length wide
     runs = [(0, 0, 3), (v + 2, v + 2, 1)]  # (from, to, size): i moves to i + to - from
     for lo in (3, v + 3):
         runs += [(lo, lo + d, length - d), (lo + length - d, lo, d)]
     for a, a2, k in runs:
-        rows, moved = x[a: a + k], x[a2: a2 + k]
-        for b, b2, m in runs[2:] if a == a2 else runs:  # runs[:2] are the fixed runs
-            if not (rows[:, b: b + m] == moved[:, b2: b2 + m]).all():
-                return False
+        for i in range(0, k, step):
+            rows, moved = x[a + i: a + min(k, i + step)], x[a2 + i: a2 + min(k, i + step)]
+            for b, b2, m in runs[2:] if a == a2 else runs:  # runs[:2] are the fixed runs
+                if not (rows[:, b: b + m] == moved[:, b2: b2 + m]).all():
+                    return False
     return True
 
 
@@ -460,13 +465,10 @@ def _product(h: PmMatrix, q: np.ndarray, axis: int, rows: np.ndarray | None = No
     on first use: an :class:`_OrbitCorrelation`, else :func:`_panel_product`."""
     if h._product is None:
         d = h.block_shift()
-        field = _orbit_field(h.n, d, _product.qmax * h.n) if d else None
+        field = _orbit_field(h.n, d, _QMAX * h.n) if d else None
         h._product = (partial(_panel_product, h.signs()) if field is None
                       else _OrbitCorrelation(h.signs(), *field))
     return h._product(q, axis, rows)
-
-
-_product.qmax = 127  # the bound on |q|: every partial sum is at most 127 n < 2^24
 
 
 def _panel_product(x: np.ndarray, q: np.ndarray, axis: int, rows: np.ndarray | None = None
@@ -580,7 +582,7 @@ class _OrbitCorrelation:
         sequences = np.empty((f, 2, d, c))
         sequences[:, 0], sequences[:, 1] = _moving(q, d)
         qhat = (self.w @ sequences.reshape(f, -1)).reshape(f, 2 * d, c)
-        if 2 * d * (f * _product.qmax * (p - 1)) * h + 2 * p > _EXACT:
+        if 2 * d * (f * _QMAX * (p - 1)) * h + 2 * p > _EXACT:
             _reduce(qhat, p)
         zhat = np.matmul(transform, qhat)
         zhat[0] += fixed_rows @ q[self.fixed] + h

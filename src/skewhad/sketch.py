@@ -42,11 +42,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hadamard import PmMatrix, _product
+from .hadamard import _QMAX, PmMatrix, _product
 
 _HEADER = struct.Struct("<fHH")
 _RECORD_DTYPE = np.dtype([("index", "<u2"), ("qvalue", "i1")])
-QMAX = _product.qmax
+QMAX = _QMAX
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 _RADIX = 2 * QMAX + 1  # balanced digits in [-127, 127]
 _PLACES = _RADIX ** np.arange(6)  # 6 digits: |X| <= 2^46 < (255^6 - 1)/2

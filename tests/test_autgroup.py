@@ -462,12 +462,11 @@ def test_flipped_1252_audit_checks_few_maps_densely(instance625, matrix1252, aud
 def _assert_certified_audit_derives_the_samples(h, partition, exhaustive, checks,
                                                 monkeypatch):
     """Once the generators certify the group, every closure sample is a
-    product of two of its maps, so the audit draws none and makes one dense
-    check, of x -> x + 1, whatever the sample count: the multiplier is
-    decided by the slice compares of one block shift, and on every field
-    here f divides no p^m - 1 with m < e, so the conjugates of x -> x + 1
-    by its powers derive the other basis translations.  The exhaustive
-    count then follows from those verdicts with no further check."""
+    product of two of its maps, so the audit draws none and makes no dense
+    check, whatever the sample count: the multiplier is decided by the slice
+    compares of one block shift, and the basis translations by the
+    quadrants' developed rows.  The exhaustive count then follows from
+    those verdicts with no further check."""
 
     class NoDraws:
         def __init__(self, seed=None):
@@ -482,7 +481,7 @@ def _assert_certified_audit_derives_the_samples(h, partition, exhaustive, checks
         report = sh.subgroup_audit(h, partition, samples=samples, exhaustive=exhaustive)
         assert report.passed
         assert f"closure_sample {samples}/{samples} PASS" in report.to_log().splitlines()
-        assert len(checks.dense) == 1 and checks.shifts == [partition.N]
+        assert len(checks.dense) == 0 and checks.shifts == [partition.N]
 
 
 @pytest.mark.parametrize("exhaustive", [True, False])
@@ -517,7 +516,7 @@ def test_desk_closure_samples_match_dense_oracle(desk_field, audit_checks, flip)
     report = sh.subgroup_audit(broken, partition, samples=60, seed=3)
     assert (report.samples_ok, report.samples_checked) == (expected, 60)
     if flip is None:
-        assert expected == 60 and len(audit_checks.dense) == 1  # x -> x + 1; the rest derived
+        assert expected == 60 and len(audit_checks.dense) == 0  # every generator derived
     else:
         # a failing generator leaves no certificate, so every sample is dense
         assert not all(ok for _, ok in report.generator_results)
@@ -635,12 +634,12 @@ def test_sample_outside_the_affine_tables_is_checked_densely(desk_field, twist):
 
 
 def test_no_samples_and_no_exhaustive_skips_the_certificate(desk_field, audit_checks):
-    # the generators alone decide the verdict: one dense check, of x -> x + 1,
-    # nothing more (GF(27) with f = 13: the conjugates span the field)
+    # the generators alone decide the verdict, with no dense check: the
+    # multiplier by its block shift, the translations by the developed rows
     _, partition, _, h = desk_field
     report = sh.subgroup_audit(h, partition, samples=0)
     assert report.passed and report.to_log().splitlines()[-1].startswith("PASS order")
-    assert len(audit_checks.dense) == 1
+    assert len(audit_checks.dense) == 0
 
 
 def test_audit_forms_no_difference_or_sum_table(desk_field, instance625, matrix1252,
@@ -663,7 +662,7 @@ def test_audit_forms_no_difference_or_sum_table(desk_field, instance625, matrix1
     assert sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1) == matrix1252
     audit_checks.clear()
     assert sh.subgroup_audit(h, partition, samples=10, exhaustive=True).passed
-    assert len(audit_checks.dense) == 1
+    assert len(audit_checks.dense) == 0
     broken = _flipped(h, 2, 2)
     report = sh.subgroup_audit(broken, partition, samples=0, exhaustive=True)
     assert (report.exhaustive_ok, report.exhaustive_checked) == \
@@ -681,23 +680,17 @@ def test_exhaustive_audit_at_order_4080_allocates_below_three_n_squared_bytes(in
     assert peak <= 3 * h.n ** 2
 
 
-def _spans(partition):
-    """Whether g^N, of order f, lies in no proper subfield of GF(p^e)."""
-    p, e, f = partition.tables.p, partition.tables.e, partition.f
-    return all((p**m - 1) % f for m in range(1, e))
-
-
 def _assert_generator_lines_are_dense_verdicts(h, partition, checks):
     """The audit's generator lines equal the dense check of every generator,
-    and the audit itself checks only x -> x + 1 densely exactly when it and
-    the multiplier pass and the conjugates span the field; ``checks`` is the
-    ``audit_checks`` fixture."""
+    and the audit itself checks no generator densely exactly when they all
+    pass, else every basis translation; ``checks`` is the ``audit_checks``
+    fixture."""
     checks.clear()
     report = sh.subgroup_audit(h, partition, samples=0)
     dense = naive_generator_verdicts(h, partition)
     assert [ok for _, ok in report.generator_results] == dense
-    derived = dense[0] and dense[1] and _spans(partition)
-    assert len(checks.dense) == (1 if derived else partition.tables.e)
+    derived = dense[0] and all(dense[1:])
+    assert len(checks.dense) == (0 if derived else partition.tables.e)
     return dense
 
 
@@ -708,7 +701,6 @@ def test_generator_lines_match_dense_checks_under_flips(p, e, N, i0, i1, audit_c
     # does not), one orbit of x -> x + 1 negated (the reverse), and random
     # flips and switches of four entries.
     _, partition, pair, _ = sh.find_valid_generator(sh.FieldConfig(p, e), N, i0, i1)
-    assert _spans(partition)
     h = sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1).signs()
     n, q = len(h), partition.tables.q
     _, action = naive_affine_maps(partition.tables)
@@ -735,13 +727,16 @@ def test_generator_lines_match_dense_checks_under_flips(p, e, N, i0, i1, audit_c
 
 def test_non_spanning_partition_checks_every_translation_densely(audit_checks):
     # GF(49) with N = 16: g^16 has order f = 3, which divides 7 - 1, so it
-    # lies in GF(7), and the conjugates of x -> x + 1 give only the
-    # translations by GF(7).  Negating the orbit of one entry under the 21
-    # maps x -> g^(16k) x + c, c in GF(7), keeps the multiplier and x -> x + 1
-    # but not the basis translation encoded 7; only its dense check says so.
+    # lies in GF(7), and its conjugates of x -> x + 1 are only the
+    # translations by GF(7).  The developed rows need no such span: the
+    # unbroken matrix has every translation derived.  Negating the orbit of
+    # one entry under the 21 maps x -> g^(16k) x + c, c in GF(7), keeps the
+    # multiplier and x -> x + 1 but not the basis translation encoded 7: its
+    # quadrant's rows are no longer developed, so every basis translation is
+    # checked densely, and only the dense check of x -> x + 7 fails.
     partition = sh.cyclotomic_partition(sh.build_field(sh.FieldConfig(7, 2)), 16)
     tables, q = partition.tables, 49
-    assert not _spans(partition) and tables.antilog[0] == 1
+    assert (7 - 1) % partition.f == 0 and tables.antilog[0] == 1
     pair = sh.blocks_from_indices(partition, range(8), range(0, 16, 2))
     h = sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1)
     assert _assert_generator_lines_are_dense_verdicts(h, partition, audit_checks) == [True] * 3
@@ -755,6 +750,85 @@ def test_non_spanning_partition_checks_every_translation_densely(audit_checks):
     assert _assert_generator_lines_are_dense_verdicts(broken, partition, audit_checks) == \
         [True, True, False]
     assert not sh.subgroup_audit(broken, partition, samples=0).passed
+
+
+# (p, e, N) with f > 1: p = 2, e > 1, and f dividing p - 1 among them
+DEVELOPED_FIELDS = [(2, 4, 3), (3, 3, 2), (7, 2, 16), (13, 1, 4)]
+
+
+def _developed_matrix(p, e, N):
+    """(partition, signs): a bordered matrix that the multiplier x -> g^N x
+    and every translation keep, but no development of one pair: each
+    quadrant is developed from its own random row, constant on 0 and on each
+    cyclotomic class, and border column 0 is negated on the whole second
+    block."""
+    field = sh.build_field(sh.FieldConfig(p, e))
+    partition, group, q = sh.cyclotomic_partition(field, N), sh.additive_group(field), field.q
+    rng = np.random.default_rng(q * N)
+    signs = np.empty((2 * q + 2,) * 2, dtype=np.int8)
+    signs[:2], signs[2:, :2] = 1, -1  # the borders of build_bordered_from_blocks
+    signs[1, 0] = signs[1, q + 2:] = -1
+    signs[q + 2:, 1] = 1
+    signs[q + 2:, 0] = 1  # border column 0 negated on the second block
+    for i in (2, q + 2):
+        for j in (2, q + 2):
+            classes = rng.choice(np.array([-1, 1], dtype=np.int8), size=N + 1)
+            signs[i: i + q, j: j + q] = group.develop(classes[np.r_[N, np.arange(q - 1) % N]])
+    return partition, signs
+
+
+@pytest.mark.parametrize("p,e,N", DEVELOPED_FIELDS)
+def test_developed_quadrants_derive_every_translation(p, e, N, audit_checks):
+    # Nothing ties the four quadrants together, and the negated border
+    # column is no bordered development's, yet every generator line is the
+    # dense verdict, PASS, and none is checked densely.
+    partition, signs = _developed_matrix(p, e, N)
+    h = sh.PmMatrix(signs)
+    assert not sh.gate0_verify(h).passed
+    assert _assert_generator_lines_are_dense_verdicts(h, partition, audit_checks) == \
+        [True] * (1 + e)
+    audit_checks.clear()
+    report = sh.subgroup_audit(h, partition, samples=5, exhaustive=True)
+    assert report.passed and not audit_checks.dense
+    assert (report.exhaustive_ok, report.exhaustive_checked) == \
+        naive_exhaustive_audit(h, partition) == (partition.f * p**e,) * 2
+
+
+@pytest.mark.parametrize("entry", ["row-0", "row-1", "column-0", "column-1", "border-orbit",
+                                   "zero-column-orbit", "zero-row-orbit"])
+@pytest.mark.parametrize("p,e,N", DEVELOPED_FIELDS)
+def test_a_flip_the_multiplier_keeps_checks_every_translation_densely(p, e, N, entry,
+                                                                      audit_checks):
+    # The multiplier fixes element 0, so one border entry flipped at element
+    # 0 of a block keeps it, and so does a flip on a whole orbit of its block
+    # shift: of border row 0, of a quadrant's column of element 0 or of its
+    # row of element 0, which the other rows are compared with.  No
+    # translation keeps any of these, so the developed rows decide nothing
+    # and all e basis translations are checked densely.
+    partition, signs = _developed_matrix(p, e, N)
+    q = p**e
+    orbit = 4 + np.arange(0, q - 1, N)  # the indices of g^(1 + N k) in the first block
+    where = {"row-0": (0, q + 2), "row-1": (1, 2), "column-0": (q + 2, 0), "column-1": (2, 1),
+             "border-orbit": (0, orbit), "zero-column-orbit": (q + orbit, 2),
+             "zero-row-orbit": (q + 2, orbit)}[entry]
+    signs[where] *= -1
+    h = sh.PmMatrix(signs)
+    assert _assert_generator_lines_are_dense_verdicts(h, partition, audit_checks) == \
+        [True] + [False] * e
+
+
+def test_developed_audit_at_order_4080_with_f_1_allocates_below_a_quarter_n_squared_bytes(
+        instance4080, audit_checks):
+    # N = q - 1: the multiplier is the identity and each quadrant's rows of
+    # all q - 1 nonzero elements are compared with its element-0 row
+    # developed, the period rows formed a panel at a time, so the audit holds
+    # no more than a dense check of _CHECK_ROWS rows would.
+    partition, signs = instance4080
+    whole = sh.cyclotomic_partition(partition.tables, 2038)
+    h = sh.PmMatrix(signs)
+    report, peak = traced_peak(lambda: sh.subgroup_audit(h, whole, exhaustive=True))
+    assert report.passed and report.exhaustive_ok == 2039 and not audit_checks.dense
+    assert peak <= 0.25 * h.n ** 2
 
 
 def test_audit_builds_one_additive_group_and_one_set_of_tables(monkeypatch):

@@ -853,16 +853,18 @@ def test_write_vector_file_matches_the_per_value_writer(tmp_path, case):
     assert (path.read_bytes() == b"") == (case == "empty")
 
 
-@pytest.mark.parametrize("case", ["not-ascii", "not-a-number"])
+@pytest.mark.parametrize("case", ["not-ascii", "not-ascii-mid-line", "not-a-number"])
 def test_a_bad_vector_file_exits_1_with_one_error_line(desk_build, tmp_path, capsys, case):
-    # a blank line is skipped but counted, so the bad line is reported as line 3
+    # a blank line is skipped but counted, so the bad line is reported as line 3;
+    # a byte that is not ASCII is placed by its line, CRLF counted as one break
     vec = tmp_path / "vec.txt"
-    vec.write_bytes({"not-ascii": b"1.0\n\xe9\n", "not-a-number": b"1.0\n\nabc\n"}[case])
+    vec.write_bytes({"not-ascii": b"1.0\n\xe9\n", "not-ascii-mid-line": b"1.0\r\n\r\n2.\xe95\n",
+                     "not-a-number": b"1.0\n\nabc\n"}[case])
     pkt = tmp_path / "p.bin"
     code = main(["sketch", "encode", str(desk_build / "matrix_8.txt"), str(vec),
                  "--k", "2", "--out", str(pkt)])
-    want = {"not-ascii": f"error: {vec}: 'ascii' codec can't decode byte 0xe9 in position 4: "
-                         "ordinal not in range(128)\n",
+    want = {"not-ascii": f"error: {vec}: line 2: not ASCII text\n",
+            "not-ascii-mid-line": f"error: {vec}: line 3: not ASCII text\n",
             "not-a-number": f"error: {vec}: line 3: not a number: 'abc'\n"}[case]
     assert (code, capsys.readouterr()) == (1, ("", want))
     assert not pkt.exists()

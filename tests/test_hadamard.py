@@ -515,6 +515,33 @@ def test_gram_deviation_and_gate0_match_the_dense_oracle(
     assert (rep.gram_ok, rep.skew_ok, rep.max_offdiag_gram) == (oracle == 0, skew_ok, oracle)
 
 
+def test_block_shift_compares_in_row_panels_decide_every_single_flip(monkeypatch):
+    # panels of 3 rows split every run of the order-24 instance, and the
+    # shift's verdict on each single flip is still the dense check's
+    _, partition, pair, _ = sh.find_valid_generator(sh.FieldConfig(11, 1), 2, [0], [0])
+    h = sh.build_bordered_from_blocks(pair.group, pair.d0, pair.d1).signs()
+    n, q = len(h), partition.tables.q
+    monkeypatch.setattr(hadamard, "_SHIFT_ENTRIES", 3 * (q - 1))
+    sigma = autgroup._bordered(autgroup._scaled(q, 2, 1), q)
+    assert hadamard._keeps_block_shift(h, 2)
+    for i in range(n):
+        for j in range(n):
+            signs = h.copy()
+            signs[i, j] *= -1
+            assert hadamard._keeps_block_shift(signs, 2) == \
+                sh.verify_automorphism(sh.PmMatrix(signs), sigma), (i, j)
+
+
+@pytest.mark.parametrize("d", [2, 2038])
+def test_block_shift_check_at_order_4080_allocates_below_a_tenth_n_squared_bytes(instance4080,
+                                                                                  d):
+    # each slice compare reads at most _SHIFT_ENTRIES entries, so no (v - 1 - d)
+    # square of bools is formed; d = q - 1 is the identity, every row compared
+    signs = instance4080[1]
+    kept, peak = traced_peak(lambda: hadamard._keeps_block_shift(signs, d))
+    assert kept and peak <= 0.1 * len(signs) ** 2
+
+
 @pytest.mark.parametrize("p, e, N, i0, i1", SMALL_CONFIGS[2:], ids=["24", "56"])
 def test_every_single_flip_is_decided_exactly(p, e, N, i0, i1):
     # a flip keeps the block shift by N = 2 only at a pair of the four fixed
