@@ -77,22 +77,22 @@ def _bordered(pi: np.ndarray, q: int) -> np.ndarray:
 
 def _translations_keep(x: np.ndarray, group: GroupSpec, n_cls: int) -> bool:
     """Whether every translation keeps the bordered matrix x that the block
-    shift by ``n_cls`` keeps (see the module docstring); the developed rows
-    come from :meth:`GroupSpec._period_rows`, at most ``_CHECK_ROWS * q / 2``
-    logs at once."""
-    q, m = group.order, group.order - 1
+    shift by ``n_cls`` keeps (see the module docstring).  Each quadrant's
+    column 0 is compared with its element-0 row at -x once, and its rows of
+    g^0 .. g^(N-1), less column 0, with :meth:`GroupSpec._rows` of the four
+    element-0 rows together, one call per panel of ``_CHECK_ROWS / 2`` rows."""
+    q, minus = group.order, group.neg_perm()[: 1 + n_cls]  # for the rows of 0 .. g^(N-1)
     borders = np.stack([x[:2, 2:], x[2:, :2].T]).reshape(4, 2, q)  # each border line by block
-    if not (borders == borders[:, :, :1]).all():
+    quadrants = [x[i: i + q, j: j + q] for i in (2, q + 2) for j in (2, q + 2)]
+    heads, step = np.stack([quadrant[0] for quadrant in quadrants]), _CHECK_ROWS // 2
+    if not ((borders == borders[:, :, :1]).all() and np.array_equal(
+            np.stack([quadrant[: 1 + n_cls, 0] for quadrant in quadrants]), heads[:, minus])):
         return False
-    step = max(1, _CHECK_ROWS * q // (2 * (2 * m - n_cls)))
-    for quadrant in (x[i: i + q, j: j + q] for i in (2, q + 2) for j in (2, q + 2)):
-        by_log = quadrant[0][group._index_of_log]
-        for lo in range(0, n_cls, step):
-            r = np.arange(lo, min(lo + step, n_cls))
-            rows = quadrant[1 + lo: 1 + lo + r.size]  # column 0 holds 0 - g^r = g^(r + h)
-            if not (np.array_equal(rows[:, 0], by_log[group._h + r]) and np.array_equal(
-                    rows[:, 1:], group._period_rows(by_log, n_cls, r)[:, m - n_cls:])):
-                return False
+    for lo in range(0, n_cls, step):
+        rows = group._rows(heads, np.arange(lo, min(lo + step, n_cls)))
+        if not all(np.array_equal(quadrant[1 + lo: 1 + lo + rows.shape[1], 1:], developed)
+                   for quadrant, developed in zip(quadrants, rows)):
+            return False
     return True
 
 

@@ -122,8 +122,8 @@ def format_manifest(config: BuildConfig, digests: dict[str, str]) -> str:
 
 
 def parse_manifest(text: str) -> tuple[BuildConfig, dict[str, str]]:
-    """Inverse of :func:`format_manifest`; each digest names a plain file,
-    and no config field or file name appears twice."""
+    """Inverse of :func:`format_manifest`; each digest names a plain file, each
+    config key is a field, and no config field or file name appears twice."""
     fields: dict[str, str] = {}
     digests: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -135,6 +135,8 @@ def parse_manifest(text: str) -> tuple[BuildConfig, dict[str, str]]:
             if not sep:
                 raise CliError(f"manifest line {lineno}: malformed config line {line!r}")
             key = key.strip()
+            if key not in BuildConfig.__dataclass_fields__:
+                raise CliError(f"manifest line {lineno}: unknown config field {key!r}")
             if key in fields:
                 raise CliError(f"manifest line {lineno}: config field {key!r} is repeated")
             fields[key] = value.strip()

@@ -13,14 +13,17 @@ The log of 0 is stored as 2(q - 1), which the log-to-index table maps to 0.
 Subsets are represented as boolean membership masks of length ``order``,
 indexed by element index.
 
-:meth:`GroupSpec.develop` forms M[i, j] = values[index of g_j - g_i] with no
-index table: if ``values[1:]`` has cyclic period P (16 for the paper's
-blocks, q - 1 at worst), x -> g^P x keeps it, so row g^(r + Pt) is row g^r
-shifted cyclically by Pt, and only P rows are read from the Zech table.
+A development M[i, j] = values[index of g_j - g_i] is read through one
+method, :meth:`GroupSpec._rows`: row 1 + r holds at g^j the value at
+g^j - g^r, of log r + zm[j - r] for the table zm[c] = log(g^c - 1) derived
+once, and column 0 is row 0 at -x.  :meth:`GroupSpec.develop` forms no index
+table: if ``values[1:]`` has cyclic period P (16 for the paper's blocks,
+q - 1 at worst), x -> g^P x keeps it, so row g^(r + Pt) is row g^r shifted
+cyclically by Pt, and only P rows are read.
 
 :func:`autocorrelation_profile` reads the same rows: D g^P = D gives
 P_D(g^P w) = P_D(w), and P_D(g^r) = P_D(-g^r) = (M M^T)[0, 1 + r] for M the
-development of s, so the profile is P dot products with the period rows.
+development of s, so the profile is P dot products with rows 1 .. P of M.
 """
 
 from __future__ import annotations
@@ -30,8 +33,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 # The largest order whose q x q development is formed.
 _MAX_DENSE_ORDER = 8192
-# Period-row entries autocorrelation_profile gathers at once (a mask of
-# period q - 1 has q - 1 rows).
+# Row entries autocorrelation_profile gathers at once (a mask of period q - 1 has q - 1 rows).
 _PERIOD_ROW_ENTRIES = 1 << 20
 # Encodings whose digits the power-sequence check holds at once.
 _SHIFT_CHECK_ROWS = 1 << 16
@@ -88,10 +90,11 @@ class GroupSpec:
         c0 = enc[1:] % p
         zech = idx[enc[1:] - c0 + (c0 + 1) % p] - 1
         zech[zech < 0] = 2 * m
-        index_of_log = np.concatenate([1 + np.arange(2 * m) % m, np.zeros(m, np.int64)])
-        self._idx_of_enc, self._h = idx, int(idx[p - 1]) - 1
-        self._zech, self._index_of_log = zech, index_of_log
-        for a in (idx, zech, index_of_log):
+        self._index_of_log = np.concatenate([1 + np.arange(2 * m) % m, np.zeros(m, np.int64)])
+        h, c = int(idx[p - 1]) - 1, np.tile(np.arange(m), 2)  # c < q - 1, twice over
+        zm = np.where(c, (h + zech[(c + h) % m]) % m, 2 * m)  # log(g^c - 1) = h + Z(c + h)
+        self._idx_of_enc, self._h, self._zech, self._zm = idx, h, zech, zm
+        for a in (idx, zech, zm, self._index_of_log):
             a.setflags(write=False)
 
     @classmethod
@@ -153,31 +156,28 @@ class GroupSpec:
             raise ValueError(f"group of order {q} is too large for a dense table")
         return values
 
-    def _period_rows(self, by_log: np.ndarray, period: int, r: np.ndarray) -> np.ndarray:
-        """rows[i, c] = the value at g^(c + P) - g^r[i] = g^r[i] (g^(c + P -
-        r[i]) - 1), c < 2(q - 1) - P, for ``by_log`` the values in log order
-        and each r[i] < P; columns q - 1 - P on are row 1 + r[i] of the
-        development less its column 0.  zm[c] = log(g^c - 1) = h + Z(c + h)
-        is periodic in q - 1, and the log of 0 at c = 0."""
+    def _rows(self, values: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Rows 1 + r of the development of ``values``, (q,) or a stack (k, q),
+        less column 0: (..., r.size, q - 1), entry [..., i, j] the value at
+        g^j - g^r[i] = g^r[i] (g^(j - r[i]) - 1), gathered once from the values
+        in log order (see the module docstring)."""
         m = self.order - 1
-        zm = (self._h + self._zech[(np.arange(m) + self._h) % m]) % m
-        zm[0] = 2 * m
-        logs = sliding_window_view(np.concatenate([zm, zm]), 2 * m - period)[period - r]
+        logs = sliding_window_view(self._zm, m)[m - r]
         logs += r[:, None]
-        return by_log[logs]
+        return np.take(np.take(values, self._index_of_log, axis=-1), logs, axis=-1)
 
     def _develop_into(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out``, a (q, q) array or a view of one, holding the development
         of checked ``values``."""
         m = self.order - 1
         period = _period(values[1:])
-        by_log = values[self._index_of_log]
-        rows = self._period_rows(by_log, period, np.arange(period))
-        out[0], out[1:, 0] = values, by_log[self._h + np.arange(m)]  # 0 - g^a = g^(a + h)
-        # row 1 + r + Pt, for r < P, is the window of rows[r] from q - 1 - P - Pt;
-        # splitting the row axis of out makes a view, never a copy, of any rows
+        rows = self._rows(values, np.arange(period))
+        out[0], out[:, 0] = values, values[self.neg_perm()]  # column 0 is row 0 at -x
+        # row 1 + r + Pt, r < P, is row 1 + r shifted cyclically by Pt: a window of its entries
+        # from P on and then all of it; splitting out's row axis makes a view, never a copy
+        wide = rows if period == m else np.concatenate([rows[:, period:], rows], axis=1)
         out[1:, 1:].reshape(m // period, period, m)[:] = \
-            sliding_window_view(rows, m, axis=1)[:, ::-period].swapaxes(0, 1)
+            sliding_window_view(wide, m, axis=1)[:, ::-period].swapaxes(0, 1)
         return out
 
     def develop(self, values: np.ndarray) -> np.ndarray:
@@ -218,18 +218,17 @@ def autocorrelation_profile(spec: GroupSpec, mask: np.ndarray) -> np.ndarray:
     and +1 elsewhere.
 
     Entry 0 is always the group order.  The P values P_D(g^r), r < P the
-    period of ``mask[1:]``, are dot products with the rows of one period,
-    at most ``_PERIOD_ROW_ENTRIES`` entries of them at a time, and the
-    profile repeats them (see the module docstring).
+    period of ``mask[1:]``, are dot products with rows 1 + r of the
+    development of s, from :meth:`GroupSpec._rows` ``_PERIOD_ROW_ENTRIES``
+    entries at a time, and the profile repeats them (see the module docstring).
     """
     v, m = spec.order, spec.order - 1
     if np.shape(mask) != (v,):
         raise ValueError(f"expected a mask of {v} entries, got shape {np.shape(mask)}")
     s = indicator_signs(mask).astype(np.int64)
     period = _period(s[1:])
-    by_log = s[spec._index_of_log]
-    step = max(1, _PERIOD_ROW_ENTRIES // (2 * m - period))
-    # s(0) s(0 - g^r) + the row of g^r's differences, less column 0, times s
-    at = [s[0] * by_log[spec._h + r] + spec._period_rows(by_log, period, r)[:, m - period:] @ s[1:]
+    step, column = max(1, _PERIOD_ROW_ENTRIES // m), s[spec.neg_perm()]  # row 0 at -x
+    # s(0) s(0 - g^r) + the rest of row 1 + r of the development of s, times s
+    at = [s[0] * column[1 + r] + spec._rows(s, r) @ s[1:]
           for r in np.array_split(np.arange(period), -(-period // step))]
     return np.concatenate([[v], np.tile(np.concatenate(at), m // period)])

@@ -291,8 +291,9 @@ def _block_shift(x: np.ndarray) -> int:
 
 def _orbit_rows(n: int, d: int) -> np.ndarray:
     """One row per orbit of the block shift by d on order n, every row at d = 0."""
-    v = n // 2 - 1
-    return np.array([*range(3 + d), *range(v + 2, v + 3 + d)]) if d else np.arange(n)
+    v = n // 2 - 1  # the moving 3 + k and v + 3 + k, k < d, then the fixed 0, 1, 2 and v + 2
+    return np.array([*range(3, 3 + d), *range(v + 3, v + 3 + d), 0, 1, 2, v + 2]) if d \
+        else np.arange(n)
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
@@ -499,10 +500,8 @@ class _OrbitCorrelation:
     axis's table from that axis's first use."""
 
     def __init__(self, x: np.ndarray, d: int, f: int, p: int, z: int):
-        self.x, self.n, self.d, self.p = x, x.shape[0], d, p
-        v = self.n // 2 - 1  # the m reps: the moving 3 + k and v + 3 + k, k < d, then the fixed
-        self.cols = np.array([*range(3, 3 + d), *range(v + 3, v + 3 + d), 0, 1, 2, v + 2])
-        self.fixed = self.cols[2 * d:]
+        self.x, self.n, self.d, self.p, self.cols = x, x.shape[0], d, p, _orbit_rows(len(x), d)
+        self.fixed = self.cols[2 * d:]  # of the m reps, after the 2d moving ones
         self.back = -np.arange(f) % f  # omega -> -omega
         self.powers = _powers(z, p, f)
         self.w = None  # W, formed in full by the first product

@@ -831,6 +831,27 @@ def test_developed_audit_at_order_4080_with_f_1_allocates_below_a_quarter_n_squa
     assert peak <= 0.25 * h.n ** 2
 
 
+@pytest.mark.parametrize("case", ["1252-N16", "4080-N2038"])
+def test_translation_check_forms_each_row_panel_once_for_all_four_quadrants(
+        case, instance625, matrix1252, instance4080, monkeypatch):
+    # The four quadrants' element-0 rows are developed together: one call of
+    # GroupSpec._rows per panel of _CHECK_ROWS / 2 rows, not one per quadrant
+    # and panel, and the panels cover rows g^0 .. g^(N-1) once.
+    if case == "1252-N16":
+        group, signs, n_cls = instance625[2].group, matrix1252.signs(), 16
+    else:
+        (partition, signs), n_cls = instance4080, 2038
+        group = gf.additive_group(partition.tables)
+    calls, rows = [], sh.GroupSpec._rows
+    monkeypatch.setattr(sh.GroupSpec, "_rows", lambda self, values, r: calls.append(
+        (values.shape, r.tolist())) or rows(self, values, r))
+    assert autgroup._translations_keep(signs, group, n_cls)
+    panels = -(-n_cls // (autgroup._CHECK_ROWS // 2))
+    assert len(calls) == panels == (1 if n_cls == 16 else 32)
+    assert all(shape == (4, group.order) for shape, _ in calls)
+    assert [i for _, r in calls for i in r] == list(range(n_cls))
+
+
 def test_audit_builds_one_additive_group_and_one_set_of_tables(monkeypatch):
     # The additive group's digit tables are built once per audit, not once
     # per generator, per sample or per certificate step; every map is formed

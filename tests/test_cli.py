@@ -671,16 +671,21 @@ def test_manifest_refuses_names_outside_its_directory(desk_build, capsys, name):
 
 
 @pytest.mark.parametrize("command", ["manifest", "verify shdf", "aut"])
-@pytest.mark.parametrize("repeat", ["config", "digest"])
+@pytest.mark.parametrize("repeat", ["config", "digest", "unknown"])
 def test_a_repeated_manifest_line_exits_1(desk_build, capsys, command, repeat):
-    # a second "# p = ..." line, or a second digest line for the matrix, is
-    # refused on its own line, whatever the value it repeats
+    # a second "# p = ..." line, a second digest line for the matrix, or a
+    # config key that is no field ("n" beside "N") is refused on its own
+    # line, whatever the value it gives
     manifest = desk_build / "manifest.txt"
     lines = manifest.read_text().splitlines(keepends=True)
     if repeat == "config":
         at = next(i for i, line in enumerate(lines) if line.startswith("# p ="))
         lines.insert(at + 1, "# p = 7\n")
         want = "error: manifest line %d: config field 'p' is repeated" % (at + 2)
+    elif repeat == "unknown":
+        at = next(i for i, line in enumerate(lines) if line.startswith("# N ="))
+        lines.insert(at + 1, "# n = 4\n")
+        want = "error: manifest line %d: unknown config field 'n'" % (at + 2)
     else:
         at = next(i for i, line in enumerate(lines) if line.endswith("  matrix_8.txt\n"))
         lines.append(lines[at])

@@ -260,6 +260,28 @@ def test_develop_matches_digit_oracle(p, e):
         assert np.array_equal(g.develop(values), values[table]), n
 
 
+ROWS_FIELDS = [(2, 5), (61, 1), (3, 3)]  # h = 0; an odd prime field; e > 1
+
+
+@pytest.mark.parametrize("p,e", ROWS_FIELDS, ids=[f"gf{p}^{e}" for p, e in ROWS_FIELDS])
+def test_rows_match_digit_oracle(p, e):
+    # rows 1 + r of each development less column 0, for one vector and for a
+    # stack of four, are the values gathered by the digit-oracle difference
+    # table, r running over [0, q - 1) in panels of 1, 3 and q - 1 rows; and
+    # column 0 of a development is its row 0 at -x
+    tables = sh.build_field(sh.FieldConfig(p, e))
+    g, enc = sh.additive_group(tables), np.concatenate([[0], tables.antilog])
+    q, table = g.order, naive_diff_index_table(p, e, enc)
+    assert np.array_equal(table[:, 0], table[0, g.neg_perm()])
+    stack = np.random.default_rng(q).integers(-q, q, size=(4, q))
+    for step in (1, 3, q - 1):
+        for lo in range(0, q - 1, step):
+            r = np.arange(lo, min(lo + step, q - 1))
+            want = stack[:, table[1 + r, 1:]]
+            assert np.array_equal(g._rows(stack, r), want)
+            assert np.array_equal(g._rows(stack[2], r), want[2])
+
+
 @pytest.mark.parametrize("length", [6, 9])
 def test_masks_of_the_wrong_length_are_refused(length):
     # a mask of GF(7) one entry short or two long is neither cut short nor
