@@ -172,15 +172,16 @@ def read_manifest(path: Path) -> tuple[BuildConfig, dict[str, str]]:
     return parse_manifest(text)
 
 
-def parse_matrix(path: Path, data: bytes) -> hadamard.PmMatrix:
+def read_matrix_file(path: Path, digest: str | None = None) -> hadamard.PmMatrix | None:
+    """The matrix in a text file, or None when ``digest`` is given and is not
+    the sha256 of the very bytes read; malformed text raises CliError."""
+    data = path.read_bytes()
+    if digest is not None and hashlib.sha256(data).hexdigest() != digest:
+        return None
     try:
         return hadamard.parse_matrix_text(data)
     except hadamard.MatrixFormatError as exc:
         raise CliError(f"{path}: {exc}") from None
-
-
-def read_matrix_file(path: Path) -> hadamard.PmMatrix:
-    return parse_matrix(path, path.read_bytes())
 
 
 def read_vector_file(path: Path) -> np.ndarray:
@@ -304,12 +305,10 @@ def cmd_aut(args) -> int:
     if matrix_name not in digests:
         raise CliError(f"{path}: no digest line for {matrix_name}")
     matrix_path = path.parent / matrix_name
-    data = matrix_path.read_bytes()
-    if hashlib.sha256(data).hexdigest() != digests[matrix_name]:
+    h = read_matrix_file(matrix_path, digests[matrix_name])  # the text is dropped once parsed
+    if h is None:
         print(f"MISMATCH {matrix_name}")
         return EXIT_CERT_FAIL
-    h = parse_matrix(matrix_path, data)
-    del data  # n^2 bytes of text the audit does not read
     if h.n != n:
         raise CliError(f"{matrix_path}: order {h.n} does not match the manifest's {n}")
     report = autgroup.subgroup_audit(h, partition, samples=args.samples,

@@ -53,8 +53,10 @@ most P - 1 in magnitude is exact while K (P - 1)^2 + P <= 2^53, the rule by
 which P is chosen; a result is reduced into [0, P) before a product needs it,
 unless a smaller bound keeps that product exact, and h = (P - 1)/2, added at
 omega = 0, centres it, so that it reads back as the integer of least magnitude.
-Both start from A[omega] = sum over j of z^(omega j) y[pi^j r, c], (2d x m).
-The Gram (bound n max|x|^2 + |s| + |t|, max|x| read off the representatives)
+Both start from A[omega] = sum over j of z^(omega j) y[pi^j r, c], (2d x m),
+for y at the c as the caller gathers it: no kernel takes indices into x.
+The Gram (bound n max|x|^2 + |s| + |t|, max|x| read off the representatives,
+the rows it transforms, which Gate0 then reuses for its skew check)
 multiplies A[omega]^T by A[-omega] on the pairs r <= s, which hold every value
 as D[s, pi^-a r] = D[r, pi^a s], adds the fixed columns, h, -t and, on a
 fixed representative's diagonal, -s at omega = 0, inverts, and subtracts s
@@ -63,14 +65,16 @@ at a = 0 on a moving one's; A is reduced first when 2d (f max|x| (P - 1))^2
 m = 36, f = 39, P = 5227, and it takes 4.4 M multiplies, where H's take 56 M.
 The products (bound 127 n, |q| <= 127) form W on the first call and keep it,
 and, per axis from its first use, A at -omega times 1/f, centred, and y's
-fixed rows.  A call multiplies that at each omega, (m x 2d)(2d x c), by the
-transform of q's orbit sequences, reduced first when 2d f 127 (P - 1) h + 2P
-> 2^53, adds the fixed rows and h at omega = 0, and applies W at -omega.  W is
-f^2 floats, at most n^2/2 bytes when d >= 2, as for any matrix above order 8
-that passes Gate0 (with d = 1, row 2 is constant on each moving segment and
-cannot be orthogonal to both rows 0 and 1).  Every-row input, and a bound no
-such P keeps exact, take float32 row panels: :func:`_panel_deviation`, and
-:func:`_panel_product`, exact as every partial sum is at most 127 n < 2^24.
+fixed rows.  A call, given q at every index, multiplies that at each omega,
+(m x 2d)(2d x c), by the transform of q's orbit sequences, reduced first when
+2d f 127 (P - 1) h + 2P > 2^53, adds the fixed rows and h at omega = 0, and
+applies W at -omega.  W is f^2 floats, at most n^2/2 bytes when d >= 2, as
+for any matrix above order 8 that passes Gate0 (with d = 1, row 2 is
+constant on each moving segment and cannot be orthogonal to both rows 0 and
+1).  Every-row input, and a bound no such P keeps exact, take float32 row
+panels: :func:`_panel_deviation`, and :func:`_panel_product` (of the rows
+where q is nonzero for H^T q), exact as every partial sum is at most
+127 n < 2^24.
 
 The text interchange format is: first line the decimal order n, then n lines
 of n characters, '+' for +1 and '-' for -1, LF endings, nothing else.  The
@@ -409,18 +413,18 @@ def gram_deviation(x: np.ndarray, s: int, t: int) -> int:
     return _deviation(x, s, t, _block_shift(x))
 
 
-def _deviation(x: np.ndarray, s: int, t: int, d: int, rows: np.ndarray | None = None) -> int:
-    """:func:`gram_deviation` for the verified block shift d of x, on its
-    orbit rows ``rows`` (:func:`_orbit_rows`, built here when None)."""
+def _deviation(x: np.ndarray, s: int, t: int, d: int, reps: np.ndarray | None = None) -> int:
+    """:func:`gram_deviation` for the verified block shift d of x, from its
+    orbit rows ``reps`` = x[_orbit_rows(n, d)], gathered here when None (with
+    d = 0 every row is formed from x in panels, and reps is not read)."""
     n = x.shape[0]
-    rows = _orbit_rows(n, d) if rows is None else rows
     if d:
-        reps = x[rows]  # the bound is read off the orbit rows
-        big = max(int(reps.max()), -int(reps.min()))
+        reps = x[_orbit_rows(n, d)] if reps is None else reps
+        big = max(int(reps.max()), -int(reps.min()))  # the bound is read off the orbit rows
         field = _orbit_field(n, d, n * big ** 2 + abs(s) + abs(t))
         if field:
-            return _OrbitCorrelation(x, *field).deviation(s, t)
-    return _panel_deviation(x, s, t, rows)
+            return _OrbitCorrelation(x, *field).deviation(reps, s, t)
+    return _panel_deviation(x, s, t, _orbit_rows(n, d))
 
 
 def _panel_deviation(x: np.ndarray, s: int, t: int, rows: np.ndarray) -> int:
@@ -458,28 +462,26 @@ def _panel_deviation(x: np.ndarray, s: int, t: int, rows: np.ndarray) -> int:
     return dev
 
 
-def _product(h: PmMatrix, q: np.ndarray, axis: int, rows: np.ndarray | None = None
-             ) -> np.ndarray:
+def _product(h: PmMatrix, q: np.ndarray, axis: int) -> np.ndarray:
     """H^T q (axis 0) or H q (axis 1), exactly, as (n, c) float64 integers,
-    for q's c columns of integers in [-127, 127], given at every index or, for
-    axis 0, at ``rows`` alone.  By the one product h keeps for both axes, built
-    on first use: an :class:`_OrbitCorrelation`, else :func:`_panel_product`."""
+    for q, (n, c), of integers in [-127, 127] at every index.  By the one
+    product h keeps for both axes, built on first use: an
+    :class:`_OrbitCorrelation`, else :func:`_panel_product`."""
     if h._product is None:
         d = h.block_shift()
         field = _orbit_field(h.n, d, _QMAX * h.n) if d else None
         h._product = (partial(_panel_product, h.signs()) if field is None
                       else _OrbitCorrelation(h.signs(), *field))
-    return h._product(q, axis, rows)
+    return h._product(q, axis)
 
 
-def _panel_product(x: np.ndarray, q: np.ndarray, axis: int, rows: np.ndarray | None = None
-                   ) -> np.ndarray:
+def _panel_product(x: np.ndarray, q: np.ndarray, axis: int) -> np.ndarray:
     """x^T q (axis 0) or x q (axis 1), from float32 panels of ``_PANEL`` of
-    x's rows (for axis 0 those at ``rows``, where q is given) converted into
-    one reused buffer: x^T q sums each panel's rows times q's, and x q takes
-    each panel times q (exact: see the module docstring)."""
-    rows = np.arange(x.shape[0]) if rows is None else rows
-    q = q.astype(np.float32)
+    x's rows converted into one reused buffer: x q takes each panel of every
+    row times q, and x^T q sums each panel's rows times q's over the rows
+    where q is nonzero, so a sparse q converts few (exact: see the module docstring)."""
+    rows = np.arange(x.shape[0]) if axis else np.nonzero(q.any(axis=1))[0]
+    q = (q if axis else q[rows]).astype(np.float32)
     out = np.zeros((x.shape[1], q.shape[1]), dtype=np.float32)
     buffer = np.empty((min(_PANEL, rows.size), x.shape[1]), dtype=np.float32)
     for lo in range(0, rows.size, _PANEL):
@@ -495,9 +497,10 @@ def _panel_product(x: np.ndarray, q: np.ndarray, axis: int, rows: np.ndarray | N
 class _OrbitCorrelation:
     """Correlations over Z_f of an integer matrix x that the block shift by
     d, of order f, keeps, by the transform mod p of the module docstring:
-    x's Gram deviation (:meth:`deviation`), in W's panels, and x^T q (axis 0)
-    or x q (axis 1), by a W formed on the first product and kept, and each
-    axis's table from that axis's first use."""
+    x's Gram deviation (:meth:`deviation`) from its rep rows, in W's panels,
+    and x^T q (axis 0) or x q (axis 1) for q at every index, by a W formed
+    on the first product and kept, and each axis's table from that axis's
+    first use, from x's rep columns (axis 0) or rows (axis 1)."""
 
     def __init__(self, x: np.ndarray, d: int, f: int, p: int, z: int):
         self.x, self.n, self.d, self.p, self.cols = x, x.shape[0], d, p, _orbit_rows(len(x), d)
@@ -507,23 +510,22 @@ class _OrbitCorrelation:
         self.w = None  # W, formed in full by the first product
         self.tables = [None, None]  # axis -> (A at -omega times 1/f, centred; F)
 
-    def _forward(self, axis: int, work: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(A, F) of y = x (axis 0) or x^T (axis 1): A[omega, k, c] = sum
-        over j of z^(omega j) y[pi^j r_k, c], (f, 2d, m), over the moving
-        reps r and the m rep columns c, by the kept W or, given ``work``
-        (buffers for the sequences and for A, W's exponents and panel), by
-        W's panels; and F = y at the fixed rows, (m, 4)."""
+    def _forward(self, y: np.ndarray, work: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(A, F) of y, (n, m), x or x^T at the m rep columns c: A[omega, k, c]
+        = sum over j of z^(omega j) y[pi^j r_k, c], (f, 2d, m), over the moving
+        reps r, by the kept W or, given ``work`` (buffers for the sequences and
+        for A, W's exponents and panel), by W's panels; and F = y at the fixed
+        rows, (m, 4)."""
         f, d = self.back.size, self.d
-        seq = np.empty((f, 2 * d * self.cols.size)) if work is None else work[0]
-        y = self.x[self.cols].T if axis else self.x[:, self.cols]  # y at the rep columns
+        seq = np.empty((f, 2 * d * y.shape[1])) if work is None else work[0]
         grid = seq.reshape(f, 2, d, -1)
         grid[:, 0], grid[:, 1] = _moving(y, d)
         a = self.w @ seq if work is None else _transform(self.powers, seq, *work[1:])
         return a.reshape(f, 2 * d, -1), y[self.fixed].T.astype(np.float64, order="C")
 
-    def deviation(self, s: int, t: int) -> int:
-        """max |x x^T - s I - t J|, from the Gram of x's m rep rows, p above
-        twice its bound."""
+    def deviation(self, reps: np.ndarray, s: int, t: int) -> int:
+        """max |x x^T - s I - t J|, from the Gram of x's m rep rows ``reps``,
+        (m, n), p above twice its bound."""
         p, h, d, f, m = self.p, self.p // 2, self.d, self.back.size, self.cols.size
         c, pairs, b = 2 * d * m, m * (m + 1) // 2, min(_PANEL, f)
         # every float64 array is carved from one buffer: a single allocation
@@ -534,7 +536,7 @@ class _OrbitCorrelation:
         seq, fwd, chat, tri, dev, w = (work[end - k: end]
                                        for k, end in zip(sizes, accumulate(sizes)))
         panels = _exponents(f, b), w.reshape(b, f)
-        a, fixed = self._forward(1, (seq.reshape(f, c), fwd.reshape(f, c), *panels))
+        a, fixed = self._forward(reps.T, (seq.reshape(f, c), fwd.reshape(f, c), *panels))
         big = math.isqrt((p - 1) // (2 * self.n))  # p > 2 n max|x|^2, so max|x| <= big
         if 2 * d * (f * big * (p - 1)) ** 2 + p > _EXACT:
             _reduce(a, p)  # else each pointwise product is exact as it is
@@ -560,23 +562,20 @@ class _OrbitCorrelation:
         dev[0, moving] = (dev[0, moving] - s) % p
         return max(int(dev.max()) - h, h - int(dev.min()))
 
-    def __call__(self, q: np.ndarray, axis: int, rows: np.ndarray | None = None) -> np.ndarray:
+    def __call__(self, q: np.ndarray, axis: int) -> np.ndarray:
         p, h, d, f = self.p, self.p // 2, self.d, self.back.size
         if self.w is None:
             self.w = np.empty((f, f))
             for _ in _power_panels(self.powers, _exponents(f, _PANEL), self.w):
                 pass  # each panel lands in its own rows of W
         if self.tables[axis] is None:
-            a, fixed = self._forward(axis)
+            a, fixed = self._forward(self.x[self.cols].T if axis else self.x[:, self.cols])
             table = np.empty((f, self.cols.size, 2 * d))
             # |A| (p - 1)/2 <= f (p - 1)^2 / 2: exact, and reduced, centred
             np.multiply(a[self.back].transpose(0, 2, 1), (pow(f, -1, p) + h) % p - h, out=table)
             table += h
             self.tables[axis] = _reduce(table, p) - h, fixed
         transform, fixed_rows = self.tables[axis]
-        if rows is not None:  # q's entries at rows, zero elsewhere
-            q, given = np.zeros((self.n, q.shape[1])), q
-            q[rows] = given
         c = q.shape[1]
         sequences = np.empty((f, 2, d, c))
         sequences[:, 0], sequences[:, 1] = _moving(q, d)
@@ -596,19 +595,20 @@ class _OrbitCorrelation:
 
 def gate0_verify(m: PmMatrix) -> Gate0Report:
     """Exact verification of H H^T = nI and H + H^T = 2I, both on the orbit
-    rows of :meth:`PmMatrix.block_shift`, from the int8 signs alone."""
+    rows of :meth:`PmMatrix.block_shift`, from the int8 signs alone, gathered
+    once: the Gram reads them (d > 0), then the skew check adds H's orbit columns."""
     n = m.n
     if n >= _FLOAT32_EXACT:
         raise ValueError(f"order {n} is not below 2^24, the bound for an exact "
                          f"float32 Gram")
     s, d = m.signs(), m.block_shift()
     rows = _orbit_rows(n, d)
-    max_off = _deviation(s, n, 0, d, rows)  # each row's norm is n: 0 on the diagonal
-    skew = s[rows]  # a copy; int8 holds -2 .. 2, so H + H^T - 2I is formed in place
+    reps = s[rows] if d else None  # with d = 0 the Gram reads every row of s in panels
+    max_off = _deviation(s, n, 0, d, reps)  # each row's norm is n: 0 on the diagonal
+    skew = s[rows] if reps is None else reps  # int8 holds -2 .. 2: H + H^T - 2I in place
     skew += s[:, rows].T
     skew[np.arange(rows.size), rows] -= 2
-    skew_ok = not skew.any()
-    return Gate0Report(n=n, gram_ok=max_off == 0, skew_ok=skew_ok, max_offdiag_gram=max_off)
+    return Gate0Report(n=n, gram_ok=max_off == 0, skew_ok=not skew.any(), max_offdiag_gram=max_off)
 
 
 def normalize_core_tournament(m: PmMatrix) -> np.ndarray:

@@ -34,8 +34,12 @@ panel of H.  Without such a shift (d = 0) every row is its own orbit, and
 row 0 is checked alone first, on float32 panels, so a matrix that fails
 there costs one Gram row, not m.
 
-**Elimination.**  Over GF(2) the rows are packed into Python integers and
-reduced by XOR, which beats the float panels below for that one prime.
+**Elimination.**  Over GF(2) a non-empty matrix whose entries are all odd,
+such as every +-1 matrix, is J mod 2 and has rank 1; its parity is checked
+``_UPDATE_ROWS`` rows at a time, so no temporary of its size is formed, and
+nothing is eliminated.  Other matrices over GF(2) have their rows packed
+into Python integers and reduced by XOR, which beats the float panels below
+for that one prime.
 Every other prime goes through blocked, right-looking elimination with delayed modular
 reduction, after Dumas, Giorgi and Pernet, "Dense linear algebra over
 word-size prime fields: the FFLAS and FFPACK packages" (ACM TOMS, 2008).
@@ -160,7 +164,8 @@ def _eliminate_gf2(m01: np.ndarray) -> int:
 
 
 _MAX_PRIME = 94_906_249  # the largest prime p with (p - 1)^2 + p <= 2^53
-_UPDATE_ROWS = 128  # trailing rows per update: its product and reduction hold this many rows
+_UPDATE_ROWS = 128  # rows per pass of the trailing update (its product and reduction) and of
+# the GF(2) parity check, whose temporaries hold this many rows
 
 
 def _eliminate_panel(panel: np.ndarray, p: int):
@@ -212,6 +217,11 @@ def _check_field(p: int) -> None:
         raise ValueError(f"p = {p} is not prime")
 
 
+def _all_odd(x: np.ndarray) -> bool:
+    """Whether every entry of x is odd, ``_UPDATE_ROWS`` rows at a time."""
+    return all((x[i: i + _UPDATE_ROWS] & 1).all() for i in range(0, x.shape[0], _UPDATE_ROWS))
+
+
 def _eliminate(x: np.ndarray, p: int) -> int:
     """Rank of an integer matrix over GF(p) by blocked modular elimination."""
     a = _residues(x, p, np.float64)
@@ -248,7 +258,8 @@ def rank_gfp(x: np.ndarray, p: int, label: str = "matrix") -> RankReport:
 
     Entries are taken mod p (so a +-1 matrix maps to its residues).  The
     Gram certificate decides full rank of a square matrix first; otherwise
-    the rank comes from elimination, XOR row reduction when
+    a non-empty matrix whose entries are all odd has rank 1 over GF(2), and
+    every other rank comes from elimination, XOR row reduction when
     p = 2 and blocked modular elimination for any other p.  p must be a
     prime no larger than 94 906 249, the largest for which the elimination
     stays exact in float64 (see the module docstring); a larger p raises
@@ -260,6 +271,8 @@ def rank_gfp(x: np.ndarray, p: int, label: str = "matrix") -> RankReport:
         raise ValueError(f"expected a matrix, got shape {x.shape}")
     if _gram_certifies_full_rank(x, p):
         rank = x.shape[0]
+    elif p == 2:  # an all-odd matrix is J mod 2
+        rank = 1 if x.size and _all_odd(x) else _eliminate_gf2(x)
     else:
-        rank = _eliminate_gf2(x) if p == 2 else _eliminate(x, p)
+        rank = _eliminate(x, p)
     return RankReport(object=label, field_char=p, size=x.shape[0], rank=rank)

@@ -246,15 +246,16 @@ def encode(x: np.ndarray, h: PmMatrix, cfg: SketchConfig) -> SketchPacket:
 def decode(packet: SketchPacket, h: PmMatrix) -> np.ndarray:
     """Reconstruct x = H^T y / sqrt(n) from a sketch packet, y = q * scale.
 
-    Exact up to the final division (see the module docstring), by the
-    product the matrix keeps, and so bit-identical to
-    :func:`inverse_transform` of the dense y.  Raises ValueError when the
-    packet's order tag is not the matrix order.
+    H^T q, for the packet's k values scattered into one column, is exact up
+    to the final division (see the module docstring), by the product the
+    matrix keeps, and so bit-identical to :func:`inverse_transform` of the
+    dense y.  Raises ValueError when the packet's order tag is not the matrix order.
     """
     if packet.n_tag != h.n:
         raise ValueError(f"packet order tag {packet.n_tag} does not match matrix order {h.n}")
-    z = _product(h, packet.qvalues[:, None], 0, packet.indices)
-    return (z[:, 0] * packet.scale) / np.sqrt(h.n)
+    q = np.zeros((h.n, 1))
+    q[packet.indices, 0] = packet.qvalues
+    return (_product(h, q, 0)[:, 0] * packet.scale) / np.sqrt(h.n)
 
 
 def byte_accounting(cfg: SketchConfig) -> tuple[int, int, float]:

@@ -234,6 +234,8 @@ MEMORY_GATES = [
     # the int8 matrix (2 n^2) and Gram panels of a quarter n^2 bytes
     MemoryGate("verify gate0 {m}", str.__eq__, "GATE0 PASS n=4080\n", 2.5, 2.5),
     MemoryGate("rank {m} --field 7", str.__eq__, "hadamard 7 4080 4080\n", 2.5, 2.5),
+    # over GF(2) H is J mod 2: its parity, read in row panels, gives rank 1
+    MemoryGate("rank {m} --field 2", str.__eq__, "hadamard 2 4080 1\n", 2.5, 2.5),
     # a tournament rank is Gate0 alone: n/4 = 2^2 * 3 * 5 * 17 gives rank n/2
     *(MemoryGate(f"rank {{m}} --field {p} --tournament", str.__eq__,
                  f"tournament {p} 4079 2040\n", 2.5, 2.5) for p in (2, 3, 17)),
@@ -639,12 +641,17 @@ def test_aut_negative_samples_exits_1(desk_build, capsys):
     assert len(err) == 1 and err[0].startswith("error:") and "--samples" in err[0]
 
 
-@pytest.mark.parametrize("case", ["build-poly-not-integers", "aut-negative-seed"])
+@pytest.mark.parametrize("case", ["build-poly-not-integers", "build-poly-wrong-degree",
+                                  "aut-negative-seed"])
 def test_bad_option_values_exit_1(desk_build, tmp_path, capsys, case):
     if case == "build-poly-not-integers":
         argv = ["build", "--p", "3", "--e", "1", "--N", "2", "--i0", "0", "--i1", "0",
                 "--poly", "a,1", "--out", str(tmp_path / "x")]
         word = "--poly"
+    elif case == "build-poly-wrong-degree":  # three coefficients for a modulus of degree e = 1
+        argv = ["build", "--p", "5", "--e", "1", "--N", "4", "--i0", "0-1", "--i1", "0,2",
+                "--poly", "1,1,1", "--out", str(tmp_path / "x")]
+        word = "error: modulus must be monic with 2 coefficients"
     else:
         argv = ["aut", str(desk_build / "manifest.txt"), "--seed", "-1"]
         word = "--seed"

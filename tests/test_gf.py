@@ -92,6 +92,13 @@ def test_auto_modulus_5_4_is_x4_plus_2():
     assert is_irreducible((2, 0, 0, 0, 1), 5)
 
 
+@pytest.mark.parametrize("coeffs", [(2, 0, 0, 0, 2), (1, 3), (1,), (3,)],
+                         ids=["non-monic quartic", "non-monic linear", "constant 1", "constant 3"])
+def test_only_monic_polynomials_of_degree_1_or_more_are_irreducible(coeffs):
+    # a constant has no roots and 3 x + 1 has degree 1, yet neither is a modulus
+    assert not is_irreducible(coeffs, 5)
+
+
 def test_irreducible_matches_root_search_for_quadratics():
     # degree <= 2 over a prime field: irreducible iff there is no root
     for p in (3, 5, 7):
@@ -301,6 +308,8 @@ def test_negation_class_shift_values():
     assert sh.negation_class_shift(t7, 3) == 0
     with pytest.raises(FieldError):
         sh.negation_class_shift(sh.build_field(sh.FieldConfig(2, 4)), 3)
+    with pytest.raises(FieldError, match="does not divide"):
+        sh.negation_class_shift(t625, 7)  # 7 does not divide 624
 
 
 def test_negation_class_shift_matches_class_of_minus_one():

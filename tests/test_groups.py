@@ -298,6 +298,15 @@ def test_masks_of_the_wrong_length_are_refused(length):
             call()
 
 
+def test_a_group_above_the_dense_bound_develops_no_table():
+    # GF(8209) is the least prime field above _MAX_DENSE_ORDER = 8192: its
+    # 8209^2 table is refused before any entry is formed
+    g = sh.gf.additive_group(sh.build_field(sh.FieldConfig(8209, 1)))
+    assert g.order == 8209 > sh.groups._MAX_DENSE_ORDER
+    with pytest.raises(ValueError, match="too large for a dense table"):
+        g.develop(np.ones(g.order, dtype=np.int8))
+
+
 @pytest.mark.parametrize("name,g,add", GROUPS, ids=[t[0] for t in GROUPS])
 def test_profile_in_small_blocks_matches_literal_sum(name, g, add, monkeypatch):
     # a block of a few entries gathers one period row at a time

@@ -503,13 +503,17 @@ def test_gram_deviation_and_gate0_match_the_dense_oracle(
             want_st = naive_gram_deviation(signs, s, t)
             assert (deviation(f, s, t, d) == deviation(f, s, t, 0) == gram_deviation(f, s, t)
                     == want_st), (s, t)
-    # Gate0 passes the same shift and rows to its Gram
+    # Gate0 hands its Gram the same shift and the orbit rows it gathered
+    # (copied here: the skew check then adds the orbit columns into them),
+    # and none when d = 0, where the Gram reads every row in panels
     seen = []
     monkeypatch.setattr(hadamard, "_deviation",
-                        lambda g, s, t, d, rows=None: seen.append((d, rows))
-                        or deviation(g, s, t, d, rows))
+                        lambda g, s, t, d, reps=None: seen.append((d, reps if reps is None
+                                                                   else reps.copy()))
+                        or deviation(g, s, t, d, reps))
     rep = sh.gate0_verify(sh.PmMatrix.from_signs(signs))
-    assert len(seen) == 1 and seen[0][0] == d and np.array_equal(seen[0][1], rows)
+    assert len(seen) == 1 and seen[0][0] == d
+    assert np.array_equal(seen[0][1], signs[rows]) if d else seen[0][1] is None
     wide = signs.astype(np.int64)
     skew_ok = np.array_equal(wide + wide.T, 2 * np.eye(n, dtype=np.int64))
     assert (rep.gram_ok, rep.skew_ok, rep.max_offdiag_gram) == (oracle == 0, skew_ok, oracle)

@@ -71,6 +71,26 @@ def test_rank_gfp_over_gf2_matches_naive_on_any_shape(dtype, monkeypatch):
     assert calls == {"_eliminate": 0, "_eliminate_gf2": len(shapes)}
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint8, bool])
+def test_an_all_odd_matrix_has_rank_1_over_gf2_and_eliminates_nothing(dtype, monkeypatch):
+    # every +-1 matrix is J mod 2; the shapes fall on either side of the
+    # parity check's panels of _UPDATE_ROWS rows, and one even entry in the
+    # last row sends the matrix to XOR elimination
+    calls = _count_calls(monkeypatch, ("_eliminate", "_eliminate_gf2"))
+    rng = np.random.default_rng(14)
+    shapes = [(1, 5), (5, 1), (3, 3), (127, 4), (128, 2), (300, 7)]
+    for shape in shapes:
+        x = np.ones(shape, dtype=bool) if dtype is bool else (
+            2 * rng.integers(-60, 60, size=shape) + 1).astype(dtype)
+        assert sh.rank_gfp(x, 2).rank == naive_rank_gf2(x.tolist()) == 1, shape
+    assert calls == {"_eliminate": 0, "_eliminate_gf2": 0}
+    for shape in shapes:
+        x = np.ones(shape, dtype=dtype)
+        x[-1, -1] = 0
+        assert sh.rank_gfp(x, 2).rank == naive_rank_gf2(x.tolist()), shape
+    assert calls == {"_eliminate": 0, "_eliminate_gf2": len(shapes)}
+
+
 # rank_gfp eliminates panels of 64 columns for every prime below about 1.2e7;
 # sizes 63, 64, 65 and 130 end on a panel of width 63, 64, 1 and 2.
 # Each shape is paired with one of the primes, so every prime meets several.
@@ -383,7 +403,8 @@ def test_certified_ranks_eliminate_nothing_and_declined_ranks_form_no_gram(
     # and checks Gram row 0 alone before all rows of the odd-order core,
     # which no shift keeps; a declined one forms no orbit row: the random
     # matrix is stopped by row 0 and the others by s and t alone, and each
-    # eliminates once, by XOR rows over GF(2) and in panels otherwise
+    # eliminates once in panels, but H over GF(2), J mod 2, has rank 1 and
+    # eliminates nothing
     eliminations = (calls["_eliminate_gf2"], calls["_eliminate"])
     if certified:
         orbits = len(hadamard._orbit_rows(len(x), hadamard._block_shift(x)))
@@ -391,7 +412,7 @@ def test_certified_ranks_eliminate_nothing_and_declined_ranks_form_no_gram(
         assert (eliminations, formed) == ((0, 0), [orbits] if label == "hadamard"
                                           else [1, orbits])
     else:
-        assert (eliminations, formed) == ((1, 0) if p == 2 else (0, 1),
+        assert (eliminations, formed) == ((0, 0) if p == 2 else (0, 1),
                                           [1] if label == "random" else [])
 
 
@@ -418,6 +439,13 @@ def test_orbit_invariant_non_hadamard_matrix_declines_and_eliminates(
     assert sh.rank_gfp(x, p).rank == naive_rank_gfp(x.tolist(), p)
     assert len(seen) == 1 and seen[0][0] == 8 and seen[0][1] > 0
     assert calls == {"_eliminate": 1}
+
+
+@pytest.mark.parametrize("shape", [(4,), (0,), (2, 3, 3)])
+def test_ranks_refuse_arrays_that_are_not_matrices(shape):
+    for p in (2, 3):
+        with pytest.raises(ValueError, match="expected a matrix"):
+            sh.rank_gfp(np.ones(shape, dtype=np.int8), p)
 
 
 @pytest.mark.parametrize("bad", [[[1.5, 2], [3, 4]], [[np.nan]], [[1.0]],

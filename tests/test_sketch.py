@@ -438,6 +438,7 @@ BAD_PACKETS = {
     "boolean indices": dict(indices=np.array([True])),
     "boolean qvalues": dict(qvalues=np.array([True])),
     "text index": dict(indices=("2",)),
+    "ragged index field": dict(indices=((1, 2), (3,))),
     "duplicate index": dict(k=2, indices=(3, 3), qvalues=(1, 2)),
     "decreasing index": dict(k=2, indices=(5, 1), qvalues=(1, 2)),
     "k above the records": dict(k=5),
@@ -664,9 +665,10 @@ def test_decode_at_order_4080_matches_the_int64_oracle(monkeypatch, matrix1252, 
         idx = np.sort(rng.choice(n, size=k, replace=False))
         for q in (np.full(k, QMAX), np.full(k, -QMAX), rng.integers(-QMAX, QMAX + 1, size=k)):
             want = naive_h_transpose_q(signs, idx, q)
-            assert np.array_equal(hadamard._product(m, q[:, None], 0, idx)[:, 0], want), k
-            assert np.array_equal(hadamard._panel_product(signs, q[:, None], 0, idx)[:, 0],
-                                  want), k
+            column = np.zeros((n, 1))  # q at idx, zero elsewhere, as the decode scatters it
+            column[idx, 0] = q
+            assert np.array_equal(hadamard._product(m, column, 0)[:, 0], want), k
+            assert np.array_equal(hadamard._panel_product(signs, column, 0)[:, 0], want), k
             packet = sh.SketchPacket(scale=0.5, k=k, n_tag=n, indices=idx, qvalues=q)
             got = sh.decode(packet, m)
             assert np.array_equal(got.view(np.int64), (want * 0.5 / np.sqrt(n)).view(np.int64))
