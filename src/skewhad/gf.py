@@ -61,6 +61,9 @@ class FieldTables:
     _additive: GroupSpec | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        a = self.antilog
+        if a.shape != (self.q - 1,) or not ((a > 0) & (a < self.q)).all():
+            raise FieldError(f"antilog is not a permutation of 1 .. {self.q - 1}")
         self.log = -np.ones(self.q, dtype=np.int64)
         self.log[self.antilog] = np.arange(self.q - 1)
         if int(np.count_nonzero(self.log >= 0)) != self.q - 1:  # g^k repeats early

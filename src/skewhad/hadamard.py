@@ -71,10 +71,9 @@ fixed rows.  A call, given q at every index, multiplies that at each omega,
 applies W at -omega.  W is f^2 floats, at most n^2/2 bytes when d >= 2, as
 for any matrix above order 8 that passes Gate0 (with d = 1, row 2 is
 constant on each moving segment and cannot be orthogonal to both rows 0 and
-1).  Every-row input, and a bound no such P keeps exact, take float32 row
-panels: :func:`_panel_deviation`, and :func:`_panel_product` (of the rows
-where q is nonzero for H^T q), exact as every partial sum is at most
-127 n < 2^24.
+1).  Every-row input, and a bound no such P keeps exact, take the one
+float32 kernel, :func:`_panel_product`, which :func:`_panel_deviation` calls
+per row panel: exact while every partial sum, at most n max|x| max|q|, is below 2^24.
 
 The text interchange format is: first line the decimal order n, then n lines
 of n characters, '+' for +1 and '-' for -1, LF endings, nothing else.  The
@@ -106,7 +105,7 @@ _EXACT = 1 << 53  # float64 holds every integer of absolute value up to 2^53
 _QMAX = 127  # the bound on |q| in an exact product: every partial sum is at most 127 n < 2^24
 _MID = 44  # '+' = 43 and '-' = 45 lie either side, so sign = 44 - byte
 _LF = ord("\n")
-_PANEL = 256  # rows per panel: of x in the Gram's float32 panels, and of W (_power_panels)
+_PANEL = 256  # rows per panel: of x in _panel_product, of Gate0's skew check, and of W
 _SHIFT_ENTRIES = 1 << 20  # entries one slice compare of _keeps_block_shift reads at most
 
 
@@ -397,19 +396,30 @@ def _transform(powers: np.ndarray, y: np.ndarray, out: np.ndarray, index: np.nda
     return out
 
 
+def _integer_matrix(x) -> np.ndarray:
+    """``x`` as an array, refused with ValueError unless 2-D with an integer or bool dtype."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "biu":
+        raise ValueError(f"expected an integer or boolean matrix, got dtype {a.dtype}")
+    if a.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {a.shape}")
+    return a
+
+
 def gram_deviation(x: np.ndarray, s: int, t: int) -> int:
     """max |x x^T - s I - t J|: 0 exactly when x x^T = s I + t J.
 
-    x holds integers, in any dtype, with max|x|^2 times its columns below
-    2^24, and so are |t| and |s + t| (else the panels raise ValueError).  The
-    diagonal loses s + t in one exact subtraction and the rest t, so an entry
-    is 0 only where the identity holds; a deviation above 2^24 comes back rounded.
+    x is 2-D, of an integer or bool dtype, with max|x|^2 times its columns
+    below 2^24, and so are |t| and |s + t| (else ValueError).  The diagonal
+    loses s + t in one exact subtraction and the rest t, so an entry is 0
+    only where the identity holds; a deviation above 2^24 comes back rounded.
 
     Only the Gram rows at the orbit rows of the block shift that
     :func:`_block_shift` verifies on x itself are formed (see the module
     docstring): from those rows alone, by :meth:`_OrbitCorrelation.deviation`,
     when some P keeps the transform exact, else by :func:`_panel_deviation`.
     """
+    x = _integer_matrix(x)
     return _deviation(x, s, t, _block_shift(x))
 
 
@@ -430,30 +440,20 @@ def _deviation(x: np.ndarray, s: int, t: int, d: int, reps: np.ndarray | None = 
 def _panel_deviation(x: np.ndarray, s: int, t: int, rows: np.ndarray) -> int:
     """:func:`gram_deviation` over ``rows`` from products of all of x.
 
-    The rows are formed ``_PANEL`` at a time: each panel of columns,
-    ``_PANEL`` rows of x converted into one reused float32 buffer, is
-    multiplied straight into its slice of one float32 block of at most
-    n x ``_PANEL`` entries, which the deviation then overwrites, and one
-    maximum is taken per row panel.  For every row only the columns on and
-    above the diagonal are formed (the deviation is symmetric).
+    The rows are formed ``_PANEL`` at a time, each panel's Gram block by
+    :func:`_panel_product` of x with the panel's rows, which the deviation
+    then overwrites, and one maximum is taken per row panel.  For every row
+    only the columns on and above the diagonal are formed (the deviation is
+    symmetric).
     """
     if max(abs(t), abs(s + t)) >= _FLOAT32_EXACT:
         raise ValueError("|t| and |s + t| must be below 2^24 for an exact float32 Gram")
-    n = x.shape[0]
-    every = np.array_equal(rows, np.arange(n))
-    buffer = np.empty((min(_PANEL, n), x.shape[1]), dtype=np.float32)
-    gram = np.empty(n * min(_PANEL, rows.size), dtype=np.float32)
+    every = np.array_equal(rows, np.arange(x.shape[0]))
     dev = 0
     for i in range(0, rows.size, _PANEL):
         r = rows[i: i + _PANEL]
-        left = x[r].astype(np.float32).T
         first = i if every else 0  # every row: the block starts at the diagonal
-        block = gram[: (n - first) * r.size].reshape(n - first, r.size)
-        for j in range(first, n, _PANEL):
-            cols = buffer[: min(_PANEL, n - j)]
-            np.copyto(cols, x[j: j + _PANEL])
-            # block[c, k] is entry (r[k], first + c) of the Gram
-            np.matmul(cols, left, out=block[j - first: j - first + cols.shape[0]])
+        block = _panel_product(x[first:], x[r].T, 1)  # block[c, k] is entry (r[k], first + c)
         at = (r - first, np.arange(r.size))
         diag = block[at] - (s + t)
         block -= t
@@ -466,32 +466,32 @@ def _product(h: PmMatrix, q: np.ndarray, axis: int) -> np.ndarray:
     """H^T q (axis 0) or H q (axis 1), exactly, as (n, c) float64 integers,
     for q, (n, c), of integers in [-127, 127] at every index.  By the one
     product h keeps for both axes, built on first use: an
-    :class:`_OrbitCorrelation`, else :func:`_panel_product`."""
+    :class:`_OrbitCorrelation`, else :func:`_panel_product`, cast to float64."""
     if h._product is None:
         d = h.block_shift()
         field = _orbit_field(h.n, d, _QMAX * h.n) if d else None
         h._product = (partial(_panel_product, h.signs()) if field is None
                       else _OrbitCorrelation(h.signs(), *field))
-    return h._product(q, axis)
+    return h._product(q, axis).astype(np.float64, copy=False)
 
 
 def _panel_product(x: np.ndarray, q: np.ndarray, axis: int) -> np.ndarray:
-    """x^T q (axis 0) or x q (axis 1), from float32 panels of ``_PANEL`` of
-    x's rows converted into one reused buffer: x q takes each panel of every
-    row times q, and x^T q sums each panel's rows times q's over the rows
-    where q is nonzero, so a sparse q converts few (exact: see the module docstring)."""
+    """x^T q (axis 0) or x q (axis 1), in float32, from float32 panels of
+    ``_PANEL`` of x's rows converted into one reused buffer: x q takes each
+    panel of every row times q, and x^T q sums each panel's rows times q's over
+    the rows where q is nonzero, so a sparse q converts few (exact: see the module docstring)."""
     rows = np.arange(x.shape[0]) if axis else np.nonzero(q.any(axis=1))[0]
     q = (q if axis else q[rows]).astype(np.float32)
-    out = np.zeros((x.shape[1], q.shape[1]), dtype=np.float32)
+    out = np.zeros((x.shape[1 - axis], q.shape[1]), dtype=np.float32)
     buffer = np.empty((min(_PANEL, rows.size), x.shape[1]), dtype=np.float32)
     for lo in range(0, rows.size, _PANEL):
         panel = buffer[: min(_PANEL, rows.size - lo)]
-        np.copyto(panel, x[rows[lo: lo + _PANEL]])
+        np.copyto(panel, x[lo: lo + _PANEL] if axis else x[rows[lo: lo + _PANEL]])
         if axis:
             np.matmul(panel, q, out=out[lo: lo + panel.shape[0]])
         else:
             out += panel.T @ q[lo: lo + _PANEL]
-    return out.astype(np.float64)
+    return out
 
 
 class _OrbitCorrelation:
@@ -596,7 +596,8 @@ class _OrbitCorrelation:
 def gate0_verify(m: PmMatrix) -> Gate0Report:
     """Exact verification of H H^T = nI and H + H^T = 2I, both on the orbit
     rows of :meth:`PmMatrix.block_shift`, from the int8 signs alone, gathered
-    once: the Gram reads them (d > 0), then the skew check adds H's orbit columns."""
+    once: the Gram reads them (d > 0), then the skew check adds H's orbit columns,
+    ``_PANEL`` rows at a time (with d = 0, H's own rows: no n x n gather)."""
     n = m.n
     if n >= _FLOAT32_EXACT:
         raise ValueError(f"order {n} is not below 2^24, the bound for an exact "
@@ -605,10 +606,14 @@ def gate0_verify(m: PmMatrix) -> Gate0Report:
     rows = _orbit_rows(n, d)
     reps = s[rows] if d else None  # with d = 0 the Gram reads every row of s in panels
     max_off = _deviation(s, n, 0, d, reps)  # each row's norm is n: 0 on the diagonal
-    skew = s[rows] if reps is None else reps  # int8 holds -2 .. 2: H + H^T - 2I in place
-    skew += s[:, rows].T
-    skew[np.arange(rows.size), rows] -= 2
-    return Gate0Report(n=n, gram_ok=max_off == 0, skew_ok=not skew.any(), max_offdiag_gram=max_off)
+    head = s if reps is None else reps  # the rows of s at rows: every row when d = 0
+    skew_ok, lo = True, 0
+    while skew_ok and lo < rows.size:
+        r = rows[lo: lo + _PANEL]
+        skew = head[lo: lo + _PANEL] + s[:, r].T  # int8 holds -2 .. 2: H + H^T - 2I
+        skew[np.arange(r.size), r] -= 2
+        skew_ok, lo = not skew.any(), lo + _PANEL
+    return Gate0Report(n=n, gram_ok=max_off == 0, skew_ok=skew_ok, max_offdiag_gram=max_off)
 
 
 def normalize_core_tournament(m: PmMatrix) -> np.ndarray:

@@ -74,8 +74,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import is_prime
-from .hadamard import (_EXACT, _FLOAT32_EXACT, _block_shift, _deviation, _panel_deviation,
-                       _reduce)
+from .hadamard import (_EXACT, _FLOAT32_EXACT, _block_shift, _deviation, _integer_matrix,
+                       _panel_deviation, _reduce)
 
 
 @dataclass(frozen=True)
@@ -89,14 +89,6 @@ class RankReport:
 
     def line(self) -> str:
         return f"{self.object} {self.field_char} {self.size} {self.rank}"
-
-
-def _integer_matrix(x) -> np.ndarray:
-    """``x`` as an array, refused with ValueError unless its dtype is integer or bool."""
-    a = np.asarray(x)
-    if a.dtype.kind not in "biu":
-        raise ValueError(f"expected an integer or boolean matrix, got dtype {a.dtype}")
-    return a
 
 
 def _residues(x: np.ndarray, p: int, dtype=np.int64) -> np.ndarray:
@@ -267,8 +259,6 @@ def rank_gfp(x: np.ndarray, p: int, label: str = "matrix") -> RankReport:
     """
     _check_field(p)
     x = _integer_matrix(x)
-    if x.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {x.shape}")
     if _gram_certifies_full_rank(x, p):
         rank = x.shape[0]
     elif p == 2:  # an all-odd matrix is J mod 2

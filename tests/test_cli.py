@@ -212,19 +212,22 @@ def test_rank_tournament_on_a_flipped_1252_matrix_exits_2(tmp_path, capsys, monk
 
 
 class MemoryGate(NamedTuple):
-    """A command at order 4080 whose stdout passes ``check(stdout, pin)``,
-    and its peak bounds in n^2 bytes: ``traced`` by tracemalloc, and
-    ``process``, its ru_maxrss above that of ``--help``."""
+    """A command at order 4080 that exits with ``code`` and whose stdout
+    passes ``check(stdout, pin)``, and its peak bounds in n^2 bytes:
+    ``traced`` by tracemalloc, and ``process``, its ru_maxrss above that of ``--help``."""
 
     argv: str
     check: Callable[[str, str], bool]
     pin: str
     traced: float
     process: float
+    code: int = 0
 
 
-# {d} is the build's directory, {m} its matrix, {x} a vector, {pkt} a packet
-# and {y} a decoded vector; each row runs on the files the rows before wrote.
+# {d} is the build's directory, {m} its matrix, {f} that matrix with entry
+# (40, 700) flipped, which the walk writes after the build, {x} a vector,
+# {pkt} a packet and {y} a decoded vector; each row runs on the files the
+# rows before wrote.
 MEMORY_GATES = [
     # build develops the int8 matrix in place and writes its text, formed in
     # place in one bytearray, before Gate0 runs
@@ -233,6 +236,12 @@ MEMORY_GATES = [
     # Gate0 and the rank certificate (7 does not divide n) hold the text and
     # the int8 matrix (2 n^2) and Gram panels of a quarter n^2 bytes
     MemoryGate("verify gate0 {m}", str.__eq__, "GATE0 PASS n=4080\n", 2.5, 2.5),
+    # no block shift keeps the flipped matrix: Gate0 forms every Gram row
+    # and adds H^T into H in panels of _PANEL rows, with no n x n gather
+    # (it reads 2.01 traced and 2.16 process, and 3.02 and 3.08 with the gathers)
+    MemoryGate("verify gate0 {f}", str.__eq__,
+               "GATE0 FAIL n=4080 gram_ok=False skew_ok=False max_offdiag_gram=2\n", 2.5, 2.5,
+               code=2),
     MemoryGate("rank {m} --field 7", str.__eq__, "hadamard 7 4080 4080\n", 2.5, 2.5),
     # over GF(2) H is J mod 2: its parity, read in row panels, gives rank 1
     MemoryGate("rank {m} --field 2", str.__eq__, "hadamard 2 4080 1\n", 2.5, 2.5),
@@ -256,12 +265,18 @@ def _walk_memory_gates(tmp_path, run, bound):
     """Runs MEMORY_GATES in order through ``run(argv) -> (exit code, stdout,
     peak bytes)``, each row's peak within its ``bound``: "traced" or "process"."""
     paths = {"d": tmp_path / "n4080", "m": tmp_path / "n4080" / "matrix_4080.txt",
-             "x": tmp_path / "x.txt", "pkt": tmp_path / "packet.bin", "y": tmp_path / "y.txt"}
+             "f": tmp_path / "flipped.txt", "x": tmp_path / "x.txt",
+             "pkt": tmp_path / "packet.bin", "y": tmp_path / "y.txt"}
     write_vector_file(paths["x"], np.random.default_rng(5).normal(size=4080))
     for row in MEMORY_GATES:
         argv = [word.format(**paths) for word in row.argv.split()]
         code, out, peak = run(argv)
-        assert code == 0 and row.check(out, row.pin.format(**paths)), (argv, code, out)
+        assert code == row.code and row.check(out, row.pin.format(**paths)), (argv, code, out)
+        if argv[0] == "build":
+            text = bytearray(paths["m"].read_bytes())
+            at = text.index(b"\n") + 1 + 40 * 4081 + 700
+            text[at] = 88 - text[at]  # '+' (43) and '-' (45) trade places
+            paths["f"].write_bytes(text)
         assert peak <= getattr(row, bound) * 4080 ** 2, (
             f"skewhad {' '.join(argv)}: {bound} peak {peak / 4080 ** 2:.2f} n^2 bytes, "
             f"bound {getattr(row, bound)} n^2")

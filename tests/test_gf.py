@@ -252,6 +252,19 @@ def test_tables_for_generator_rejects_out_of_range(generator):
         sh.build_field(sh.FieldConfig(7, 1, generator=generator))
 
 
+@pytest.mark.parametrize("antilog", [[1, 2, 0], [1, -1, 2], [1, 5, 2], [1, 2], [1, 2, 3, 1]],
+                         ids=["zero", "negative", "beyond-q", "short", "long"])
+def test_field_tables_refuse_an_antilog_outside_1_to_q_minus_1(antilog):
+    # GF(4) = GF(2)[x]/(x^2 + x + 1), g = x: the antilog is 1, x, x + 1
+    make = lambda a: sh.FieldTables(p=2, e=2, q=4, modulus=(1, 1, 1), generator=2,
+                                    antilog=np.array(a, dtype=np.int64))
+    assert make([1, 2, 3]).log.tolist() == [-1, 0, 1, 2]
+    with pytest.raises(FieldError, match=r"^antilog is not a permutation of 1 \.\. 3$"):
+        make(antilog)
+    with pytest.raises(FieldError, match="not primitive"):
+        make([1, 2, 2])
+
+
 def test_partition_sizes_625():
     tables = sh.build_field(sh.FieldConfig(5, 4))
     part = sh.cyclotomic_partition(tables, 16)

@@ -291,6 +291,16 @@ def test_gate0_detects_single_flip(matrix8):
 _PANELS = pytest.mark.parametrize("b", (8, hadamard._PANEL), ids=("b8", "module-b"))
 
 
+def _public_gram(x, s, t):
+    """gram_deviation of x; a float x, which the public call refuses, by the
+    kernel that call would run on its verified block shift."""
+    if x.dtype.kind == "f":
+        with pytest.raises(ValueError, match="integer or boolean"):
+            gram_deviation(x, s, t)
+        return hadamard._deviation(x, s, t, hadamard._block_shift(x))
+    return gram_deviation(x, s, t)
+
+
 def _deviation_oracle(x, s, t, b):
     """max |x x^T - s I - t J| from naive_gram, or from the exact int64
     product (numpy's integer loop, no BLAS) at the module's panel height."""
@@ -314,7 +324,7 @@ def test_gram_deviation_matches_naive_gram(monkeypatch, b, order):
     # Gram entries reach 97^2 n and stay exact in float32
     for x, s, t in ((signs, n, 0), (signs, 5 * n, 0), (signs, n, 1), (signs, 0, -3),
                     (97 * signs, 97**2 * n, 0)):
-        assert gram_deviation(x.astype(np.float32), s, t) == _deviation_oracle(x, s, t, b), (s, t)
+        assert gram_deviation(x, s, t) == _deviation_oracle(x, s, t, b), (s, t)
     rep = sh.gate0_verify(sh.PmMatrix.from_signs(signs))
     assert rep.max_offdiag_gram == _deviation_oracle(signs, n, 0, b)
     assert rep.gram_ok == (n == 1)
@@ -330,12 +340,12 @@ def test_gram_deviation_with_t_nonzero_matches_naive_gram(monkeypatch, small_mat
         m = m01.astype(np.int64)
         for x, s, t, flip in ((m, n // 4, n // 4 - 1, lambda e: 1 - e),
                               (1 - 2 * m, n, -1, lambda e: -e)):
-            assert gram_deviation(x.astype(np.float32), s, t) == 0
+            assert gram_deviation(x, s, t) == 0
             for r, c in ((0, n - 2), (n - 2, 0), (n // 2, n // 2 + 1), (n - 2, n - 3)):
                 bad = x.copy()
                 bad[r, c] = flip(bad[r, c])
                 want = _deviation_oracle(bad, s, t, b)
-                assert gram_deviation(bad.astype(np.float32), s, t) == want > 0, (n, r, c)
+                assert gram_deviation(bad, s, t) == want > 0, (n, r, c)
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float32])
@@ -353,10 +363,10 @@ def test_gram_deviation_reads_the_matrix_in_its_own_dtype(monkeypatch, small_mat
             d = hadamard._block_shift(x)
             for s, t in ((scale * n, 0), (n + 2, -2), (0, n), (5 * n, 1)):
                 want = naive_gram_deviation(x, s, t)
-                assert gram_deviation(x, s, t) == want, (n, dtype, s, t)
+                assert _public_gram(x, s, t) == want, (n, dtype, s, t)
                 assert hadamard._deviation(x, s, t, 0) == want, (n, dtype, s, t)
                 assert hadamard._deviation(x, s, t, d) == want, (n, dtype, s, t)
-        assert gram_deviation(flipped.astype(dtype), n, 0) > 0
+        assert _public_gram(flipped.astype(dtype), n, 0) > 0
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float32])
@@ -365,9 +375,25 @@ def test_gram_deviation_is_exact_when_s_needs_25_bits(dtype):
     # the diagonal loses s + t = G00 in one step, so the last entry is 1
     x = np.array([[2891, 2784], [-2833, -2843]], dtype=dtype)
     s, t = 32213652, -16105115
-    assert gram_deviation(x, s, t) == naive_gram_deviation(x, s, t) == 1
+    assert _public_gram(x, s, t) == naive_gram_deviation(x, s, t) == 1
     panel = hadamard._panel_deviation
     assert panel(x, s, t, np.array([0])) == 0 and panel(x, s, t, np.array([1])) == 1
+
+
+@pytest.mark.parametrize("x, match", [
+    ([[0.5, 0.5], [0.5, -0.5]], "integer or boolean"),  # deviates from 0 by 0.5
+    ([[1 + 0j]], "integer or boolean"), (np.ones(4, dtype=np.int8), "expected a matrix"),
+    (np.ones((2, 3, 3), dtype=np.int8), "expected a matrix")],
+    ids=["float", "complex", "1-d", "3-d"])
+def test_gram_deviation_refuses_what_is_not_an_integer_matrix(x, match):
+    with pytest.raises(ValueError, match=match):
+        gram_deviation(x, 0, 0)
+
+
+def test_gram_deviation_takes_lists_and_booleans():
+    assert gram_deviation([[1, 1], [1, -1]], 2, 0) == 0
+    assert gram_deviation([[1, 1], [1, 1]], 2, 0) == 2
+    assert gram_deviation(np.array([[True, False], [False, True]]), 1, 0) == 0
 
 
 def test_gram_deviation_refuses_t_or_s_plus_t_outside_the_float32_bound():
@@ -429,8 +455,8 @@ def test_gate0_max_offdiag_gram_matches_the_integer_product(matrix1252, edits):
 def test_gram_all_minus_one_is_n_everywhere(n):
     # every partial sum is as large as it can be: the float32 worst case
     m = sh.PmMatrix.from_signs(-np.ones((n, n), dtype=np.int8))
-    assert gram_deviation(m.signs().astype(np.float32), 0, n) == 0  # f f^T = nJ exactly
-    assert gram_deviation(m.signs().astype(np.float32), n, 0) == (0 if n == 1 else n)
+    assert gram_deviation(m.signs(), 0, n) == 0  # f f^T = nJ exactly
+    assert gram_deviation(m.signs(), n, 0) == (0 if n == 1 else n)
     rep = sh.gate0_verify(m)
     assert rep.gram_ok == (n == 1) and rep.max_offdiag_gram == (0 if n == 1 else n)
 
@@ -441,9 +467,8 @@ def test_gram_of_flipped_1252_matches_integer_product(matrix1252):
     signs = matrix1252.signs().copy()
     signs[40, 700] *= -1
     m = sh.PmMatrix.from_signs(signs)
-    f = m.signs().astype(np.float32)
     for s, t in ((1252, 0), (1254, -2), (1250, 2)):
-        assert gram_deviation(f, s, t) == naive_gram_deviation(signs, s, t) > 0
+        assert gram_deviation(m.signs(), s, t) == naive_gram_deviation(signs, s, t) > 0
     rep = sh.gate0_verify(m)
     assert not rep.gram_ok
     # every diagonal entry of a +-1 Gram is n, so (s, t) = (n, 0) measures the rest
@@ -495,14 +520,14 @@ def test_gram_deviation_and_gate0_match_the_dense_oracle(
     if case == "row2-periodic":  # refused by the check, not by the proposal
         assert hadamard._period(signs[2, 3:29]) == hadamard._period(signs[2, 30:]) == 1
     # the orbit rows, every row (d = 0), and the public call, which verifies d
-    f = signs.astype(np.float32)
     deviation = hadamard._deviation
-    assert deviation(f, n, 0, d) == deviation(f, n, 0, 0) == gram_deviation(f, n, 0) == oracle
+    assert (deviation(signs, n, 0, d) == deviation(signs, n, 0, 0) == gram_deviation(signs, n, 0)
+            == oracle)
     if n < 100:  # t != 0 on both paths
         for s, t in ((n + 2, -2), (n - 2, 2), (0, n)):
             want_st = naive_gram_deviation(signs, s, t)
-            assert (deviation(f, s, t, d) == deviation(f, s, t, 0) == gram_deviation(f, s, t)
-                    == want_st), (s, t)
+            assert (deviation(signs, s, t, d) == deviation(signs, s, t, 0)
+                    == gram_deviation(signs, s, t) == want_st), (s, t)
     # Gate0 hands its Gram the same shift and the orbit rows it gathered
     # (copied here: the skew check then adds the orbit columns into them),
     # and none when d = 0, where the Gram reads every row in panels
@@ -571,7 +596,7 @@ def test_every_single_flip_is_decided_exactly(p, e, N, i0, i1):
             oracle = naive_gram_deviation(signs, n, 0)
             rep = sh.gate0_verify(sh.PmMatrix.from_signs(signs))
             assert (rep.max_offdiag_gram, rep.skew_ok) == (oracle, False), (i, j)
-            assert gram_deviation(signs.astype(np.float32), n, 0) == oracle, (i, j)
+            assert gram_deviation(signs, n, 0) == oracle, (i, j)
 
 
 def _counted_panels(monkeypatch):
@@ -603,7 +628,7 @@ def test_orbit_gram_by_the_transform_matches_the_dense_oracle(
         for x in (signs, flipped):
             for s, t in ((n, 0), (n - 3, 1), (5, -2), (0, 0)):
                 want = naive_gram_deviation(x, s, t)
-                assert gram_deviation(x.astype(dtype), s, t) == want, (n, s, t)
+                assert _public_gram(x.astype(dtype), s, t) == want, (n, s, t)
     assert shifted == [24, 56, 1252] and panels == []
 
 
@@ -746,6 +771,31 @@ def test_gate0_never_forms_the_gram(matrix1252):
     assert len(hadamard._orbit_rows(1252, hadamard._block_shift(matrix1252.signs()))) == 36
     passed, peak = traced_peak(lambda: sh.gate0_verify(sh.PmMatrix(matrix1252.signs())).passed)
     assert passed and peak < 1252 * 1252 * 4
+
+
+@pytest.mark.parametrize("k", [0, 1, 300])
+def test_panel_product_of_a_row_slice_matches_the_int64_oracle(matrix1252, k):
+    # x[k:] is (n - k) x n: x q has n - k rows and x^T q n, whatever k
+    x, n, big = matrix1252.signs(), matrix1252.n, hadamard._QMAX
+    rng = np.random.default_rng(k)
+    q = np.stack([np.full(n, big), np.full(n, -big), rng.integers(-big, big + 1, n)], 1)
+    wide = x[k:].astype(np.int64)
+    got = hadamard._panel_product(x[k:], q, 1)
+    assert got.dtype == np.float32 and np.array_equal(got, wide @ q)
+    assert np.array_equal(hadamard._panel_product(x[k:], q[k:], 0), wide.T @ q[k:])
+    sparse = q.copy()
+    sparse[:k] = 0  # the rows below k are the only ones converted
+    assert np.array_equal(hadamard._panel_product(x, sparse, 0), wide.T @ q[k:])
+
+
+def test_gate0_on_a_flipped_4080_matrix_gathers_no_n_by_n_array(instance4080):
+    # every row is its own orbit: the skew check walks H's rows in panels,
+    # where two n x n int8 gathers took 2 n^2 bytes
+    signs = instance4080[1].copy()
+    signs[40, 700] *= -1
+    rep, peak = traced_peak(lambda: sh.gate0_verify(sh.PmMatrix(signs)))
+    assert rep == sh.Gate0Report(n=4080, gram_ok=False, skew_ok=False, max_offdiag_gram=2)
+    assert peak < 1.25 * 4080 ** 2, peak / 4080 ** 2
 
 
 def test_gate0_on_the_panels_never_forms_the_gram(matrix1252):
